@@ -51,6 +51,7 @@ from .onedim import fit as onedim_fit
 from .grassmann import FgSettings, eigenvector_scan_start
 from .grassmann import fit as grassmann_fit
 from .estimators import (
+    ALGORITHMS,
     KINDS,
     CovarianceKit,
     DimensionSelection,
@@ -66,7 +67,6 @@ from .estimators import (
     select_dimension_cv,
 )
 from .simulate import (
-    ALGORITHMS,
     BootstrapResult,
     ExperimentReport,
     GeneratedInstance,

@@ -21,8 +21,6 @@ import numpy as np
 
 from . import estimators, simulate
 from .errors import EnvestError, InvalidInput, IoError, ParseError
-from .grassmann import FgSettings
-from .onedim import OneDimSettings
 
 REPORT_VERSION = "1"
 
@@ -178,7 +176,7 @@ def build_parser():
         p.add_argument("--y", required=True, help="CSV of responses")
         p.add_argument("--kind", required=True, choices=estimators.KINDS)
         p.add_argument("--p1", type=int, help="leading predictor block size (partial kind)")
-        p.add_argument("--algo", default="onedim", choices=simulate.ALGORITHMS)
+        p.add_argument("--algo", default="onedim", choices=estimators.ALGORITHMS)
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--gradient-tol", type=float, help="solver gradient tolerance override")
         p.add_argument("--max-iter", type=int, help="solver iteration cap override")
@@ -197,7 +195,7 @@ def build_parser():
     p_sim.add_argument(
         "--algo",
         action="append",
-        choices=simulate.ALGORITHMS,
+        choices=estimators.ALGORITHMS,
         help="algorithm to run; repeat the flag to compare several",
     )
     p_sim.add_argument("--seed", type=int, default=0)
@@ -229,28 +227,6 @@ def _thread_count():
     if value < 1:
         raise _UsageError("ENVEST_THREADS must be at least 1")
     return value
-
-
-def _make_settings(algo, gradient_tol, max_iter, seed):
-    """Solver settings honoring the CLI overrides; None means defaults."""
-    if algo == "onedim":
-        kwargs = {"seed": seed}
-        if gradient_tol is not None:
-            kwargs["gradient_tol"] = gradient_tol
-        if max_iter is not None:
-            kwargs["max_inner_iterations"] = max_iter
-        return OneDimSettings(**kwargs)
-    kwargs = {
-        "seed": seed,
-        "start_strategy": "warm" if algo == "fg-warm" else "scan",
-    }
-    if algo == "fg-warm":
-        kwargs["max_iterations"] = 100
-    if gradient_tol is not None:
-        kwargs["gradient_tol"] = gradient_tol
-    if max_iter is not None:
-        kwargs["max_iterations"] = max_iter
-    return FgSettings(**kwargs)
 
 
 def _config_dict(args):
@@ -337,7 +313,7 @@ def _cmd_fit(args):
     data, d = _load_regression_data(args)
     if args.u > d:
         raise _UsageError("u must be between 1 and d")
-    settings = _make_settings(args.algo, args.gradient_tol, args.max_iter, args.seed)
+    settings = estimators.solver_settings(args.algo, args.seed, args.gradient_tol, args.max_iter)
     result = estimators._fit_by_kind(args.kind, data, args.u, args.algo, settings, args.p1)
     records = [_fit_record(result, args.algo, args.u)]
     return records, {}, None
@@ -382,7 +358,7 @@ def _cmd_select_u(args):
     data, d = _load_regression_data(args)
     if args.u_max > d:
         raise _UsageError(f"u-max must be between 1 and {d}")
-    settings = _make_settings(args.algo, args.gradient_tol, args.max_iter, args.seed)
+    settings = estimators.solver_settings(args.algo, args.seed, args.gradient_tol, args.max_iter)
     if args.criterion == "bic":
         sel = estimators.select_dimension_bic(
             data, args.kind, args.u_max, args.algo, settings, args.p1
@@ -408,7 +384,7 @@ def _cmd_bootstrap(args):
     data, d = _load_regression_data(args)
     if args.u > d:
         raise _UsageError("u must be between 1 and d")
-    settings = _make_settings(args.algo, args.gradient_tol, args.max_iter, args.seed)
+    settings = estimators.solver_settings(args.algo, args.seed, args.gradient_tol, args.max_iter)
     result = simulate.residual_bootstrap(
         data, args.kind, args.u, args.b, args.algo, settings, args.seed, args.p1
     )

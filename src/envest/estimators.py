@@ -20,13 +20,14 @@ mean deviations to sum to zero, so the fit runs inside the orthogonal
 complement of the all-ones direction and the basis is mapped back up.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import grassmann, onedim
 from .errors import (
     AllFitsFailed,
+    EnvestError,
     InvalidDimension,
     InvalidInput,
     InvalidUhat,
@@ -37,6 +38,8 @@ from .linalg import orthonormal_complement, project, symmetrize
 from .objective import ObjectivePair, j_value
 
 __all__ = [
+    "ALGORITHMS",
+    "solver_settings",
     "RegressionData",
     "CovarianceKit",
     "EnvelopeRegressionFit",
@@ -51,6 +54,50 @@ __all__ = [
 ]
 
 KINDS = ("response", "partial", "predictor", "mean", "constrained-mean")
+
+# solver presets behind the algorithm names accepted by the estimators, the
+# experiment harnesses and the command line; fg-warm is the sequential fit
+# refined by a short run of the full optimizer
+ALGORITHMS = {
+    "onedim": onedim.OneDimSettings(),
+    "fg": grassmann.FgSettings(start_strategy="scan"),
+    "fg-warm": grassmann.FgSettings(start_strategy="warm", max_iterations=100),
+}
+
+
+def _check_algorithm(algo):
+    if algo not in ALGORITHMS:
+        raise InvalidInput(
+            f"unknown algorithm {algo!r}; use one of {', '.join(ALGORITHMS)}"
+        )
+
+
+def solver_settings(algo, seed=0, gradient_tol=None, max_iterations=None):
+    """The preset settings of ``algo`` with its seed and overrides applied.
+
+    max_iterations caps the Newton iterations per direction for onedim and
+    the descent iterations for fg and fg-warm; None keeps the preset value,
+    as does a None gradient_tol.
+    """
+    _check_algorithm(algo)
+    changes = {"seed": seed}
+    if gradient_tol is not None:
+        changes["gradient_tol"] = gradient_tol
+    if max_iterations is not None:
+        cap = "max_inner_iterations" if algo == "onedim" else "max_iterations"
+        changes[cap] = max_iterations
+    return replace(ALGORITHMS[algo], **changes)
+
+
+def _solve(algo, m, u_hat, u, settings):
+    """Fit (m, u_hat) with the solver that ``algo`` names.
+
+    The solver is looked up on its module at every call, so a wrapper
+    installed on ``onedim.fit`` or ``grassmann.fit`` sees every fit.
+    """
+    _check_algorithm(algo)
+    solver = onedim if algo == "onedim" else grassmann
+    return solver.fit(m, u_hat, u, settings)
 
 
 @dataclass
@@ -171,12 +218,12 @@ class EnvelopeRegressionFit:
 
 
 def _fit_basis(m, m_plus_u, u, algo, settings):
-    """Shared solver dispatch with the positive-definite ridge retry.
+    """Solve one estimator's pair, with the positive-definite ridge retry.
 
     When M fails the definiteness check, both matrices are shifted by
     ridge = 1e-8 tr(M)/d once and a ``Ridged`` flag is recorded.  A settings
     object, when given, is passed through untouched; the algo string then
-    only picks the solver, not its configuration.
+    only picks the solver, and None means the preset of ``algo``.
     """
     m = symmetrize(m)
     m_plus_u = symmetrize(m_plus_u)
@@ -197,17 +244,9 @@ def _fit_basis(m, m_plus_u, u, algo, settings):
         pair = ObjectivePair.from_pair(m, m_plus_u)
         diagnostics.append("Ridged")
 
-    if algo == "onedim":
-        fit = onedim.fit(m, u_hat, u, settings)
-    elif algo in ("fg", "fg-warm"):
-        if settings is None:
-            settings = grassmann.FgSettings(
-                start_strategy="warm" if algo == "fg-warm" else "scan",
-                max_iterations=100 if algo == "fg-warm" else 5000,
-            )
-        fit = grassmann.fit(m, u_hat, u, settings)
-    else:
-        raise InvalidInput(f"unknown algorithm {algo!r}; use onedim, fg or fg-warm")
+    if settings is None:
+        settings = solver_settings(algo)
+    fit = _solve(algo, m, u_hat, u, settings)
     fit.diagnostics.extend(diagnostics)
     return fit, float(j_value(pair, fit.basis))
 
@@ -413,6 +452,8 @@ def _fit_by_kind(kind, data, u, algo, settings, p1=None):
 
 
 def _problem_dimension(kind, data, p1=None):
+    if kind not in KINDS:
+        raise InvalidInput(f"unknown kind {kind!r}; expected one of {KINDS}")
     r = data.y.shape[1]
     if kind == "predictor":
         if data.x is None:
@@ -451,7 +492,7 @@ def select_dimension_bic(data, kind, u_max, algo="onedim", settings=None, p1=Non
         try:
             fit = _fit_by_kind(kind, data, u, algo, settings, p1)
             scores.append(n * fit.objective + np.log(n) * u * (d - u))
-        except Exception as exc:  # recorded, not fatal
+        except EnvestError as exc:  # recorded, not fatal
             scores.append(np.nan)
             failures[u] = f"{type(exc).__name__}: {exc}"
     if all(np.isnan(s) for s in scores):
@@ -497,7 +538,7 @@ def select_dimension_cv(
                 pred = fit.alpha_hat + data.x[test_idx] @ fit.beta_env.T
                 sse += float(np.sum((data.y[test_idx] - pred) ** 2))
             scores.append(sse / n)
-        except Exception as exc:
+        except EnvestError as exc:
             scores.append(np.nan)
             failures[u] = f"{type(exc).__name__}: {exc}"
     if all(np.isnan(s) for s in scores):

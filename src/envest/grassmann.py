@@ -111,7 +111,9 @@ def fit(m_hat, u_hat, u, settings=None):
     single final objective.  Hitting the iteration cap or stalling in the
     line search is reported through the diagnostics flags ``CapReached``
     and ``LineSearchStall`` rather than as an error; the best iterate found
-    is returned either way.
+    is returned either way.  wall_time_seconds covers the descent only: the
+    clock starts after the starting basis is built, so neither the scan nor
+    the sequential warm-start fit is included.
     """
     if settings is None:
         settings = FgSettings()

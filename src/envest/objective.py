@@ -15,6 +15,11 @@ unit-norm constraint by adding the compensating term:
     D(w) = log(w' M w) + log(w' (M + U)^{-1} w) - 2 log(w' w),
 
 which is invariant to scaling of w.
+
+D, its gradient and its Hessian are written once, as batched kernels that
+evaluate every row of a candidate array together; the sequential solver
+calls them directly, and ``d_tilde_value``, ``d_tilde_gradient`` and
+``d_tilde_hessian`` are checked one-row calls of them.
 """
 
 from dataclasses import dataclass
@@ -196,38 +201,75 @@ def _check_direction(pair, w):
     return w
 
 
+def _d_tilde_values(m, n, w):
+    """D values at the rows of w, n being (M+U)^{-1}; non-finite become +inf."""
+    qm = np.einsum("ij,ij->i", w @ m, w)
+    qn = np.einsum("ij,ij->i", w @ n, w)
+    qw = np.einsum("ij,ij->i", w, w)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = np.log(qm) + np.log(qn) - 2.0 * np.log(qw)
+    out[~np.isfinite(out)] = np.inf
+    return out
+
+
+def _d_tilde_gradients(m, n, w, fro_m, fro_n):
+    """Gradients of D at the rows of w plus a per-row bound on their roundoff.
+
+    The bound is what float64 can resolve in the gradient at each point:
+    machine epsilon times the magnitudes of the three assembled terms, with
+    fro_m and fro_n the Frobenius norms of m and n.  A tangential norm at or
+    below it cannot be distinguished from an exact critical point, whatever
+    the requested tolerance says.
+    """
+    wm = w @ m
+    wn = w @ n
+    qm = np.einsum("ij,ij->i", wm, w)
+    qn = np.einsum("ij,ij->i", wn, w)
+    qw = np.einsum("ij,ij->i", w, w)
+    g = 2.0 * wm / qm[:, None] + 2.0 * wn / qn[:, None] - 4.0 * w / qw[:, None]
+    eps = np.finfo(float).eps
+    floor = 32.0 * eps * (
+        2.0 * fro_m / qm + 2.0 * fro_n / qn + 4.0 / np.sqrt(qw)
+    )
+    return g, floor
+
+
+def _d_tilde_hessians(m, n, w):
+    """Hessians of D at the rows of w, each assembled symmetric."""
+    mw = w @ m
+    nw = w @ n
+    qm = np.einsum("ij,ij->i", mw, w)[:, None, None]
+    qn = np.einsum("ij,ij->i", nw, w)[:, None, None]
+    qw = np.einsum("ij,ij->i", w, w)[:, None, None]
+    eye = np.eye(m.shape[0])
+    h = (
+        2.0 * m / qm
+        - 4.0 * np.einsum("ci,cj->cij", mw, mw) / qm**2
+        + 2.0 * n / qn
+        - 4.0 * np.einsum("ci,cj->cij", nw, nw) / qn**2
+        - 4.0 * eye / qw
+        + 8.0 * np.einsum("ci,cj->cij", w, w) / qw**2
+    )
+    return 0.5 * (h + np.transpose(h, (0, 2, 1)))
+
+
 def d_tilde_value(pair, w):
     """Scale-invariant single-direction objective at w (any nonzero scale)."""
     w = _check_direction(pair, w)
-    qm = float(w @ pair.m @ w)
-    qn = float(w @ pair.m_plus_u_inv @ w)
-    qw = float(w @ w)
-    if qm <= 0.0 or qn <= 0.0:
+    value = _d_tilde_values(pair.m, pair.m_plus_u_inv, w[None, :])[0]
+    if value == np.inf:
         raise SingularGram("quadratic form is not positive at this direction")
-    return np.log(qm) + np.log(qn) - 2.0 * np.log(qw)
+    return value
 
 
 def d_tilde_gradient(pair, w):
     """Gradient of :func:`d_tilde_value`; orthogonal to w by scale invariance."""
     w = _check_direction(pair, w)
-    mw = pair.m @ w
-    nw = pair.m_plus_u_inv @ w
-    qm, qn, qw = float(w @ mw), float(w @ nw), float(w @ w)
-    return 2.0 * mw / qm + 2.0 * nw / qn - 4.0 * w / qw
+    g, _ = _d_tilde_gradients(pair.m, pair.m_plus_u_inv, w[None, :], 0.0, 0.0)
+    return g[0]
 
 
 def d_tilde_hessian(pair, w):
     """Hessian of :func:`d_tilde_value`, assembled symmetric."""
     w = _check_direction(pair, w)
-    mw = pair.m @ w
-    nw = pair.m_plus_u_inv @ w
-    qm, qn, qw = float(w @ mw), float(w @ nw), float(w @ w)
-    h = (
-        2.0 * pair.m / qm
-        - 4.0 * np.outer(mw, mw) / qm**2
-        + 2.0 * pair.m_plus_u_inv / qn
-        - 4.0 * np.outer(nw, nw) / qn**2
-        - 4.0 * np.eye(pair.dim) / qw
-        + 8.0 * np.outer(w, w) / qw**2
-    )
-    return symmetrize(h)
+    return _d_tilde_hessians(pair.m, pair.m_plus_u_inv, w[None, :])[0]

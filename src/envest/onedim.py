@@ -14,8 +14,9 @@ minimizations instead of one Grassmann program.
 Each step is solved by a safeguarded Newton iteration (eigenvalue-shifted
 Hessian, Armijo backtracking, steepest-descent fallback) started from every
 eigenvector of M_k and of (M_k + U_k)^{-1}.  All starts are iterated
-together as rows of one array; the winner is the converged candidate with
-the smallest final objective, ties resolved by candidate order.
+together as rows of one array, through the batched D kernels of
+``objective``; the winner is the converged candidate with the smallest
+final objective, ties resolved by candidate order.
 """
 
 import time
@@ -25,7 +26,12 @@ import numpy as np
 
 from .errors import InvalidDimension, NoConvergence
 from .linalg import fix_column_signs, orthonormal_complement, _require_symmetric
-from .objective import ObjectivePair
+from .objective import (
+    ObjectivePair,
+    _d_tilde_gradients,
+    _d_tilde_hessians,
+    _d_tilde_values,
+)
 
 __all__ = ["OneDimSettings", "EnvelopeFit", "solve_direction", "fit"]
 
@@ -66,61 +72,6 @@ class EnvelopeFit:
     diagnostics: list = field(default_factory=list)
 
 
-def _values(m, n, w):
-    """Row-wise objective values; non-finite results become +inf."""
-    qm = np.einsum("ij,ij->i", w @ m, w)
-    qn = np.einsum("ij,ij->i", w @ n, w)
-    qw = np.einsum("ij,ij->i", w, w)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = np.log(qm) + np.log(qn) - 2.0 * np.log(qw)
-    out[~np.isfinite(out)] = np.inf
-    return out
-
-
-def _gradients(m, n, w):
-    g, _ = _gradients_with_floor(m, n, w, 0.0, 0.0)
-    return g
-
-
-def _gradients_with_floor(m, n, w, fro_m, fro_n):
-    """Row gradients plus a per-row bound on their own roundoff.
-
-    The bound is what float64 can resolve in the gradient at each point:
-    machine epsilon times the magnitudes of the three assembled terms.  A
-    tangential norm at or below it cannot be distinguished from an exact
-    critical point, whatever the requested tolerance says.
-    """
-    wm = w @ m
-    wn = w @ n
-    qm = np.einsum("ij,ij->i", wm, w)
-    qn = np.einsum("ij,ij->i", wn, w)
-    qw = np.einsum("ij,ij->i", w, w)
-    g = 2.0 * wm / qm[:, None] + 2.0 * wn / qn[:, None] - 4.0 * w / qw[:, None]
-    eps = np.finfo(float).eps
-    floor = 32.0 * eps * (
-        2.0 * fro_m / qm + 2.0 * fro_n / qn + 4.0 / np.sqrt(qw)
-    )
-    return g, floor
-
-
-def _hessians(m, n, w):
-    mw = w @ m
-    nw = w @ n
-    qm = np.einsum("ij,ij->i", mw, w)[:, None, None]
-    qn = np.einsum("ij,ij->i", nw, w)[:, None, None]
-    qw = np.einsum("ij,ij->i", w, w)[:, None, None]
-    eye = np.eye(m.shape[0])
-    h = (
-        2.0 * m / qm
-        - 4.0 * np.einsum("ci,cj->cij", mw, mw) / qm**2
-        + 2.0 * n / qn
-        - 4.0 * np.einsum("ci,cj->cij", nw, nw) / qn**2
-        - 4.0 * eye / qw
-        + 8.0 * np.einsum("ci,cj->cij", w, w) / qw**2
-    )
-    return 0.5 * (h + np.transpose(h, (0, 2, 1)))
-
-
 def _armijo(m, n, w, f, p, dg):
     """Backtracking line search run on all rows at once.
 
@@ -136,7 +87,7 @@ def _armijo(m, n, w, f, p, dg):
     while pending.any():
         j = np.flatnonzero(pending)
         trial = w[j] + t[j, None] * p[j]
-        fv = _values(m, n, trial)
+        fv = _d_tilde_values(m, n, trial)
         ok = fv <= f[j] + _ARMIJO_C1 * t[j] * dg[j]
         hit = j[ok]
         w_new[hit] = trial[ok]
@@ -165,11 +116,11 @@ def _solve_direction(pair, settings):
     m, n = pair.m, pair.m_plus_u_inv
     if dim == 1:
         w = np.ones(1)
-        return w, float(_values(m, n, w[None, :])[0]), 0, False
+        return w, float(_d_tilde_values(m, n, w[None, :])[0]), 0, False
 
     w = _candidate_starts(pair, settings).copy()
     count = w.shape[0]
-    f = _values(m, n, w)
+    f = _d_tilde_values(m, n, w)
     iters = np.zeros(count, dtype=int)
     converged = np.zeros(count, dtype=bool)
     active = np.ones(count, dtype=bool)
@@ -187,7 +138,7 @@ def _solve_direction(pair, settings):
         if idx.size == 0:
             break
         wa = w[idx]
-        g, floor = _gradients_with_floor(m, n, wa, fro_m, fro_n)
+        g, floor = _d_tilde_gradients(m, n, wa, fro_m, fro_n)
         radial = np.einsum("ij,ij->i", g, wa)
         tang = g - radial[:, None] * wa
         gn = np.linalg.norm(tang, axis=1)
@@ -207,7 +158,7 @@ def _solve_direction(pair, settings):
         wa = wa[~done]
         g = g[~done]
 
-        h = _hessians(m, n, wa)
+        h = _d_tilde_hessians(m, n, wa)
         lam_min = np.linalg.eigvalsh(h)[:, 0]
         scale = np.maximum(1.0, np.abs(h).max(axis=(1, 2)))
         tau = np.maximum(0.0, _SHIFT_FLOOR * scale - lam_min)
@@ -239,7 +190,7 @@ def _solve_direction(pair, settings):
             wn = w_try[acc]
             wn /= np.linalg.norm(wn, axis=1, keepdims=True)
             w[moved] = wn
-            f[moved] = _values(m, n, wn)
+            f[moved] = _d_tilde_values(m, n, wn)
 
     if not converged.any():
         b = int(np.argmin(f))

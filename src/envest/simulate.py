@@ -13,14 +13,21 @@ over eigen-groups onto which U projects at all.  No optimization is
 involved, which makes it the reference answer for the solvers.
 """
 
-import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BootstrapUnstable, InvalidDimension, InvalidInput
-from .estimators import RegressionData, _fit_by_kind, covariance_kit
+from .errors import BootstrapUnstable, EnvestError, InvalidDimension, InvalidInput
+from .estimators import (
+    KINDS,
+    RegressionData,
+    _check_algorithm,
+    _fit_by_kind,
+    _solve,
+    covariance_kit,
+    solver_settings,
+)
 from .linalg import (
     fix_column_signs,
     orthonormal_complement,
@@ -31,7 +38,6 @@ from .linalg import (
     _require_symmetric,
 )
 from .objective import ObjectivePair, j_value
-from . import grassmann, onedim
 
 __all__ = [
     "GeneratedInstance",
@@ -44,13 +50,7 @@ __all__ = [
     "sample_experiment",
     "BootstrapResult",
     "residual_bootstrap",
-    "ALGORITHMS",
 ]
-
-# preset solver configurations used by the experiment harnesses and the
-# command line; fg-warm is the sequential fit refined by a short run of
-# the full optimizer
-ALGORITHMS = ("onedim", "fg", "fg-warm")
 
 
 @dataclass
@@ -232,46 +232,65 @@ def _summarize(records, algo_set):
     return summary
 
 
-def _run_algo(algo, m, u_mat, u, seed):
-    """One timed fit.  Start bases for the full optimizer are prepared
-    outside the timed call so timings cover optimization only."""
-    if algo == "onedim":
-        fit = onedim.fit(m, u_mat, u, onedim.OneDimSettings(seed=seed))
-    elif algo == "fg":
-        start = grassmann.eigenvector_scan_start(m, u_mat, u)
-        fit = grassmann.fit(
-            m, u_mat, u, grassmann.FgSettings(start_strategy=start, seed=seed)
-        )
-    elif algo == "fg-warm":
-        warm = onedim.fit(m, u_mat, u, onedim.OneDimSettings(seed=seed)).basis
-        fit = grassmann.fit(
-            m,
-            u_mat,
-            u,
-            grassmann.FgSettings(start_strategy=warm, max_iterations=100, seed=seed),
-        )
-    else:
-        raise InvalidInput(f"unknown algorithm {algo!r}; expected one of {ALGORITHMS}")
-    return fit
-
-
-def _check_algo_set(algo_set):
-    algos = list(algo_set)
-    if not algos:
-        raise InvalidInput("algo_set must name at least one algorithm")
-    for algo in algos:
-        if algo not in ALGORITHMS:
-            raise InvalidInput(
-                f"unknown algorithm {algo!r}; expected one of {ALGORITHMS}"
-            )
-    return algos
-
-
 def _map_replications(worker, count, max_workers):
     if max_workers is None or max_workers <= 1 or count <= 1:
         return [worker(i) for i in range(count)]
     with ThreadPoolExecutor(max_workers=max_workers) as pool:
         return list(pool.map(worker, range(count)))
+
+
+def _experiment(mode, d, u, n, replications, algo_set, seed, max_workers, problem):
+    """Fit every replication with every algorithm and summarize.
+
+    ``problem(i)`` gives replication i's seed, the pair (M, U) to fit, the
+    M + U that J is scored with, and the true envelope basis.  Package
+    errors are recorded on the affected record, never raised; a failed
+    pair build is recorded on every algorithm's record.
+    """
+    algos = list(algo_set)
+    if not algos:
+        raise InvalidInput("algo_set must name at least one algorithm")
+    for algo in algos:
+        _check_algorithm(algo)
+    if replications < 0:
+        raise InvalidInput("replications must be nonnegative")
+
+    def one(i):
+        rep_seed, m, u_hat, m_plus_u, truth = problem(i)
+        rows = [ReplicationRecord(i, rep_seed, algo, None, None, None) for algo in algos]
+        try:
+            pair = ObjectivePair.from_pair(m, m_plus_u)
+        except EnvestError as exc:
+            for row in rows:
+                row.error = f"{type(exc).__name__}: {exc}"
+            return rows
+        for row in rows:
+            settings = solver_settings(row.algorithm, seed=rep_seed)
+            try:
+                fit = _solve(row.algorithm, m, u_hat, u, settings)
+                distance = subspace_distance(fit.basis, truth)
+                objective = float(j_value(pair, fit.basis))
+            except EnvestError as exc:
+                row.error = f"{type(exc).__name__}: {exc}"
+                continue
+            row.distance = distance
+            row.final_objective = objective
+            row.wall_time_seconds = fit.wall_time_seconds
+            row.diagnostics = list(fit.diagnostics)
+        return rows
+
+    nested = _map_replications(one, replications, max_workers)
+    records = [row for rows in nested for row in rows]
+    return ExperimentReport(
+        mode=mode,
+        d=d,
+        u=u,
+        n=n,
+        replications=replications,
+        seed=seed,
+        records=records,
+        summary=_summarize(records, algos),
+    )
 
 
 def population_experiment(d, u, replications, algo_set, seed=0, max_workers=None):
@@ -281,53 +300,14 @@ def population_experiment(d, u, replications, algo_set, seed=0, max_workers=None
     across workers reproduce the serial report exactly.  Solver failures
     are recorded on the affected record, never raised.
     """
-    algos = _check_algo_set(algo_set)
-    if replications < 0:
-        raise InvalidInput("replications must be nonnegative")
 
-    def one(i):
+    def problem(i):
         inst = generate_instance(d, u, seed + i)
-        pair = ObjectivePair.from_m_u(inst.m, inst.u_mat)
-        rows = []
-        for algo in algos:
-            try:
-                fit = _run_algo(algo, inst.m, inst.u_mat, u, seed + i)
-                rows.append(
-                    ReplicationRecord(
-                        replication=i,
-                        seed=seed + i,
-                        algorithm=algo,
-                        distance=subspace_distance(fit.basis, inst.gamma),
-                        final_objective=float(j_value(pair, fit.basis)),
-                        wall_time_seconds=fit.wall_time_seconds,
-                        diagnostics=list(fit.diagnostics),
-                    )
-                )
-            except Exception as exc:
-                rows.append(
-                    ReplicationRecord(
-                        replication=i,
-                        seed=seed + i,
-                        algorithm=algo,
-                        distance=None,
-                        final_objective=None,
-                        wall_time_seconds=None,
-                        error=f"{type(exc).__name__}: {exc}",
-                    )
-                )
-        return rows
+        m_plus_u = symmetrize(inst.m + inst.u_mat)
+        return seed + i, inst.m, inst.u_mat, m_plus_u, inst.gamma
 
-    nested = _map_replications(one, replications, max_workers)
-    records = [row for rows in nested for row in rows]
-    return ExperimentReport(
-        mode="population",
-        d=d,
-        u=u,
-        n=None,
-        replications=replications,
-        seed=seed,
-        records=records,
-        summary=_summarize(records, algos),
+    return _experiment(
+        "population", d, u, None, replications, algo_set, seed, max_workers, problem
     )
 
 
@@ -338,58 +318,14 @@ def sample_experiment(d, u, n, replications, algo_set, seed=0, max_workers=None)
     with seed ``seed + 1 + i`` (offset so no replication shares the
     instance stream).  M-hat is S_{Y|X} and U-hat is S_Y - S_{Y|X}.
     """
-    algos = _check_algo_set(algo_set)
-    if replications < 0:
-        raise InvalidInput("replications must be nonnegative")
     inst = generate_instance(d, u, seed)
 
-    def one(i):
-        data = sample_data(inst, n, seed + 1 + i)
-        kit = covariance_kit(data)
-        m_hat = kit.s_y_given_x
+    def problem(i):
+        kit = covariance_kit(sample_data(inst, n, seed + 1 + i))
         u_hat = symmetrize(kit.s_y - kit.s_y_given_x)
-        rows = []
-        for algo in algos:
-            try:
-                fit = _run_algo(algo, m_hat, u_hat, u, seed + 1 + i)
-                pair = ObjectivePair.from_pair(m_hat, kit.s_y)
-                rows.append(
-                    ReplicationRecord(
-                        replication=i,
-                        seed=seed + 1 + i,
-                        algorithm=algo,
-                        distance=subspace_distance(fit.basis, inst.gamma),
-                        final_objective=float(j_value(pair, fit.basis)),
-                        wall_time_seconds=fit.wall_time_seconds,
-                        diagnostics=list(fit.diagnostics),
-                    )
-                )
-            except Exception as exc:
-                rows.append(
-                    ReplicationRecord(
-                        replication=i,
-                        seed=seed + 1 + i,
-                        algorithm=algo,
-                        distance=None,
-                        final_objective=None,
-                        wall_time_seconds=None,
-                        error=f"{type(exc).__name__}: {exc}",
-                    )
-                )
-        return rows
+        return seed + 1 + i, kit.s_y_given_x, u_hat, kit.s_y, inst.gamma
 
-    nested = _map_replications(one, replications, max_workers)
-    records = [row for rows in nested for row in rows]
-    return ExperimentReport(
-        mode="sample",
-        d=d,
-        u=u,
-        n=n,
-        replications=replications,
-        seed=seed,
-        records=records,
-        summary=_summarize(records, algos),
-    )
+    return _experiment("sample", d, u, n, replications, algo_set, seed, max_workers, problem)
 
 
 @dataclass
@@ -414,7 +350,7 @@ def residual_bootstrap(data, kind, u, b, algo="onedim", settings=None, seed=0, p
     """
     if b < 2:
         raise InvalidInput(f"need at least 2 bootstrap replicates, got {b}")
-    if kind not in ("response", "partial", "predictor", "mean", "constrained-mean"):
+    if kind not in KINDS:
         raise InvalidInput(f"unknown kind {kind!r}")
     # fail fast if the requested fit cannot work before burning b replicates
     _fit_by_kind(kind, data, u, algo, settings, p1)
@@ -443,7 +379,7 @@ def residual_bootstrap(data, kind, u, b, algo="onedim", settings=None, seed=0, p
             # align shapes: the partial kind only envelopes the X1 block
             ols = refit.beta_ols[:, :p1] if kind == "partial" else refit.beta_ols
             ols_draws.append(ols)
-        except Exception:
+        except EnvestError:
             failed += 1
     if failed > 0.2 * b:
         raise BootstrapUnstable(

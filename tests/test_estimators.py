@@ -14,6 +14,8 @@ from envest.errors import (
     InvalidUhat,
     SingularCovariance,
 )
+from envest.grassmann import FgSettings
+from envest.onedim import OneDimSettings
 
 
 def make_data(seed, d=6, u=2, n=400):
@@ -272,7 +274,37 @@ class TestFitBasisGuards:
             estimators.response_envelope(data, 2, algo="sgd")
 
 
+class TestSolverSettings:
+    def test_warm_preset_caps_iterations(self):
+        assert estimators.solver_settings("fg-warm", seed=3) == FgSettings(
+            start_strategy="warm", max_iterations=100, seed=3
+        )
+
+    def test_explicit_cap_overrides_warm_cap(self):
+        settings = estimators.solver_settings("fg-warm", max_iterations=7)
+        assert settings.max_iterations == 7
+        assert settings.start_strategy == "warm"
+
+    def test_overrides_map_to_each_solver(self):
+        od = estimators.solver_settings("onedim", 4, gradient_tol=1e-6, max_iterations=9)
+        assert od == OneDimSettings(gradient_tol=1e-6, max_inner_iterations=9, seed=4)
+        for algo, strategy in (("fg", "scan"), ("fg-warm", "warm")):
+            fg = estimators.solver_settings(algo, 4, gradient_tol=1e-6, max_iterations=9)
+            assert fg == FgSettings(
+                start_strategy=strategy, gradient_tol=1e-6, max_iterations=9, seed=4
+            )
+
+    def test_unknown_algorithm(self):
+        with pytest.raises(InvalidInput):
+            estimators.solver_settings("sgd")
+
+
 class TestDimensionSelection:
+    def test_bic_unknown_kind(self):
+        _, data = make_data(94)
+        with pytest.raises(InvalidInput):
+            estimators.select_dimension_bic(data, "bogus", 2)
+
     def test_bic_scores_shape_and_determinism(self):
         _, data = make_data(95)
         sel1 = estimators.select_dimension_bic(data, "response", 4)

@@ -1,12 +1,15 @@
 """Simulation harness: the eigenspace oracle, seeded experiments and the
 residual bootstrap, with determinism pinned across thread counts."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from envest import linalg, simulate
+from envest import estimators, grassmann, linalg, onedim, simulate
 from envest.errors import InvalidDimension, InvalidInput
 from envest.estimators import RegressionData
+from envest.objective import ObjectivePair, j_value
 
 
 class TestGenerateInstance:
@@ -116,6 +119,36 @@ class TestPopulationExperiment:
         with pytest.raises(InvalidInput):
             simulate.population_experiment(5, 2, 2, ("newton",))
 
+    def test_full_optimizer_records_match_direct_fits(self):
+        # the presets start from the string strategies; those must equal
+        # starting from the scan basis or the sequential fit passed in
+        rep = simulate.population_experiment(6, 2, 3, ("fg", "fg-warm"), seed=705)
+        for rec in rep.records:
+            inst = simulate.generate_instance(6, 2, rec.seed)
+            if rec.algorithm == "fg":
+                settings = grassmann.FgSettings(start_strategy="scan", seed=rec.seed)
+                start = grassmann.eigenvector_scan_start(inst.m, inst.u_mat, 2)
+            else:
+                settings = grassmann.FgSettings(
+                    start_strategy="warm", max_iterations=100, seed=rec.seed
+                )
+                start = onedim.fit(
+                    inst.m, inst.u_mat, 2, onedim.OneDimSettings(seed=rec.seed)
+                ).basis
+            fit = grassmann.fit(inst.m, inst.u_mat, 2, settings)
+            explicit = grassmann.fit(
+                inst.m, inst.u_mat, 2, replace(settings, start_strategy=start)
+            )
+            assert np.array_equal(fit.basis, explicit.basis)
+            assert fit.objective_values == explicit.objective_values
+            assert fit.inner_iterations == explicit.inner_iterations
+            assert fit.diagnostics == explicit.diagnostics
+            pair = ObjectivePair.from_m_u(inst.m, inst.u_mat)
+            assert rec.error is None
+            assert rec.distance == linalg.subspace_distance(fit.basis, inst.gamma)
+            assert rec.final_objective == float(j_value(pair, fit.basis))
+            assert rec.diagnostics == fit.diagnostics
+
     def test_zero_replications(self):
         rep = simulate.population_experiment(5, 2, 0, ("onedim",))
         assert rep.records == []
@@ -192,8 +225,45 @@ class TestResidualBootstrap:
         assert res.se_ols.shape == (4, 2)
         assert res.se_env.shape == (4, 2)
 
+    def test_unknown_kind(self):
+        inst = simulate.generate_instance(5, 2, 26)
+        data = simulate.sample_data(inst, 100, 27)
+        with pytest.raises(InvalidInput):
+            simulate.residual_bootstrap(data, "bogus", 2, 5)
+
     def test_rejects_tiny_b(self):
         inst = simulate.generate_instance(5, 2, 24)
         data = simulate.sample_data(inst, 100, 25)
         with pytest.raises(InvalidInput):
             simulate.residual_bootstrap(data, "response", 2, 1)
+
+
+def test_programming_errors_are_not_failed_fits(monkeypatch):
+    # only package errors count as failed fits; a bug in the solver must
+    # surface from every loop that records failures
+    real_fit = onedim.fit
+
+    def fit_failing_after(ok):
+        calls = []
+
+        def fit(*args, **kwargs):
+            calls.append(None)
+            if len(calls) > ok:
+                raise RuntimeError("programming error")
+            return real_fit(*args, **kwargs)
+
+        return fit
+
+    inst = simulate.generate_instance(5, 2, 28)
+    data = simulate.sample_data(inst, 100, 29)
+    monkeypatch.setattr(onedim, "fit", fit_failing_after(0))
+    with pytest.raises(RuntimeError):
+        estimators.select_dimension_bic(data, "response", 2)
+    with pytest.raises(RuntimeError):
+        estimators.select_dimension_cv(data, "response", 2)
+    with pytest.raises(RuntimeError):
+        simulate.population_experiment(5, 2, 1, ("onedim",))
+    # the bootstrap's up-front fit succeeds, so the error comes from a replicate
+    monkeypatch.setattr(onedim, "fit", fit_failing_after(1))
+    with pytest.raises(RuntimeError):
+        simulate.residual_bootstrap(data, "response", 2, 5)
