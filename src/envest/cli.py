@@ -266,13 +266,10 @@ def _config_dict(args):
 # Command bodies
 
 
-_KINDS_WITH_X = ("response", "partial", "predictor")
-
-
 def _load_regression_data(args):
     """Validate flag combinations, read the CSVs and bound-check u."""
     kind = args.kind
-    if kind in _KINDS_WITH_X:
+    if kind in estimators.KINDS_WITH_X:
         if args.x is None:
             raise _UsageError(f"kind {kind!r} needs --x")
     elif args.x is not None:
@@ -351,7 +348,7 @@ def _cmd_select_u(args):
     if args.u_max < 1:
         raise _UsageError("u-max must be at least 1")
     if args.criterion == "cv":
-        if args.kind not in ("response", "predictor"):
+        if args.kind not in estimators.PREDICTIVE_KINDS:
             raise _UsageError("--criterion cv supports the response and predictor kinds")
         if args.folds < 2:
             raise _UsageError("folds must be at least 2")

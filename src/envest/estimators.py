@@ -18,6 +18,10 @@ constrained mean   Q1 S_Y Q1 (reduced)      + Q1 ybar ybar' Q1
 Covariances use divisor n throughout.  The constrained-mean kind forces the
 mean deviations to sum to zero, so the fit runs inside the orthogonal
 complement of the all-ones direction and the basis is mapped back up.
+
+Each estimator checks its kind in ``_problem_dimension``, builds its pair
+in ``_kind_pair``, fits it in ``_fit_basis`` and assembles its estimates;
+BIC builds the pair once and refits only the basis for each candidate u.
 """
 
 from dataclasses import dataclass, field, replace
@@ -28,14 +32,13 @@ from . import grassmann, onedim
 from .errors import (
     AllFitsFailed,
     EnvestError,
-    InvalidDimension,
     InvalidInput,
     InvalidUhat,
     NotPositiveDefinite,
     SingularCovariance,
 )
 from .linalg import orthonormal_complement, project, symmetrize
-from .objective import ObjectivePair, j_value
+from .objective import ObjectivePair, _require_dimension, j_value
 
 __all__ = [
     "ALGORITHMS",
@@ -54,6 +57,9 @@ __all__ = [
 ]
 
 KINDS = ("response", "partial", "predictor", "mean", "constrained-mean")
+# the kinds that regress Y on X, and those whose fit predicts Y from X
+KINDS_WITH_X = ("response", "partial", "predictor")
+PREDICTIVE_KINDS = ("response", "predictor")
 
 # solver presets behind the algorithm names accepted by the estimators, the
 # experiment harnesses and the command line; fg-warm is the sequential fit
@@ -100,6 +106,18 @@ def _solve(algo, m, u_hat, u, settings):
     return solver.fit(m, u_hat, u, settings)
 
 
+def _sample_matrix(a, name):
+    """a as a finite float matrix with one row per case; a vector is one column."""
+    a = np.asarray(a, dtype=float)
+    if a.ndim == 1:
+        a = a[:, None]
+    if a.ndim != 2:
+        raise InvalidInput(f"{name} must be a 1- or 2-dimensional array")
+    if not np.all(np.isfinite(a)):
+        raise InvalidInput(f"{name} must be finite")
+    return a
+
+
 @dataclass
 class RegressionData:
     """Paired predictor/response samples, rows aligned.
@@ -112,28 +130,14 @@ class RegressionData:
     y: np.ndarray
 
     def __post_init__(self):
-        y = np.asarray(self.y, dtype=float)
-        if y.ndim == 1:
-            y = y[:, None]
-        if y.ndim != 2:
-            raise InvalidInput("y must be a 1- or 2-dimensional array")
-        if y.shape[0] < 2:
+        self.y = _sample_matrix(self.y, "y")
+        if self.n < 2:
             raise InvalidInput("need at least two observations")
-        if not np.all(np.isfinite(y)):
-            raise InvalidInput("y must be finite")
-        self.y = y
         if self.x is None:
             return
-        x = np.asarray(self.x, dtype=float)
-        if x.ndim == 1:
-            x = x[:, None]
-        if x.ndim != 2:
-            raise InvalidInput("x must be a 1- or 2-dimensional array")
-        if x.shape[0] != y.shape[0]:
-            raise InvalidInput(f"x has {x.shape[0]} rows but y has {y.shape[0]}")
-        if not np.all(np.isfinite(x)):
-            raise InvalidInput("x must be finite")
-        self.x = x
+        self.x = _sample_matrix(self.x, "x")
+        if self.x.shape[0] != self.n:
+            raise InvalidInput(f"x has {self.x.shape[0]} rows but y has {self.n}")
 
     @property
     def n(self):
@@ -157,6 +161,11 @@ class CovarianceKit:
     def s_yx(self):
         return self.s_xy.T
 
+    @property
+    def beta_ols(self):
+        """Ordinary least squares coefficients of Y on X, r x p."""
+        return np.linalg.solve(self.s_x, self.s_xy).T
+
 
 def _conditional(s_a, s_ab, s_b, label):
     """S_{A|B} = S_A - S_AB S_B^{-1} S_BA with a singularity check on S_B."""
@@ -168,18 +177,20 @@ def _conditional(s_a, s_ab, s_b, label):
     return symmetrize(s_a - half.T @ half)
 
 
+def _moments(a):
+    """Column means, centered columns and divisor-n covariance of a sample."""
+    mean = a.mean(axis=0)
+    centered = a - mean
+    return mean, centered, symmetrize(centered.T @ centered / a.shape[0])
+
+
 def covariance_kit(data):
     """All covariance blocks the estimators need, in one pass."""
     if data.x is None:
         raise InvalidInput("this operation needs predictors, but x is missing")
-    x, y = data.x, data.y
     n = data.n
-    xm = x.mean(axis=0)
-    ym = y.mean(axis=0)
-    xc = x - xm
-    yc = y - ym
-    s_x = symmetrize(xc.T @ xc / n)
-    s_y = symmetrize(yc.T @ yc / n)
+    xm, xc, s_x = _moments(data.x)
+    ym, yc, s_y = _moments(data.y)
     s_xy = xc.T @ yc / n
     return CovarianceKit(
         x_mean=xm,
@@ -251,6 +262,62 @@ def _fit_basis(m, m_plus_u, u, algo, settings):
     return fit, float(j_value(pair, fit.basis))
 
 
+def _problem_dimension(kind, data, p1=None):
+    """Dimension d of kind's problem on data, after the checks of kind, x and p1."""
+    if kind not in KINDS:
+        raise InvalidInput(f"unknown kind {kind!r}; expected one of {KINDS}")
+    if kind in KINDS_WITH_X and data.x is None:
+        raise InvalidInput(f"{kind} kind needs x")
+    if kind == "partial":
+        if p1 is None:
+            raise InvalidInput("partial kind needs p1")
+        _require_dimension(p1, data.x.shape[1], "p1")
+    if kind == "predictor":
+        return data.x.shape[1]
+    r = data.y.shape[1]
+    return r - 1 if kind == "constrained-mean" else r
+
+
+def _kind_pair(kind, data, p1=None):
+    """(M, M + U) of kind's problem on data, plus the moments its assembly reads.
+
+    The moments are the covariance kit for the regression kinds, (ybar, S_Y)
+    for the mean and (ybar, S_Y, B0) for the constrained mean, whose reduced
+    pair lives in span(B0).  kind, data and p1 must pass _problem_dimension.
+    """
+    if kind in KINDS_WITH_X:
+        kit = covariance_kit(data)
+        if kind == "predictor":
+            return kit.s_x_given_y, kit.s_x, kit
+        if kind == "response" or p1 == kit.s_x.shape[0]:
+            return kit.s_y_given_x, kit.s_y, kit
+        # partial: M + U = S_{Y|X2}, X2 being the predictors after the first p1
+        kit2 = covariance_kit(RegressionData(data.x[:, p1:], data.y))
+        return kit.s_y_given_x, kit2.s_y_given_x, kit
+    ym, _, s_y = _moments(data.y)
+    if kind == "mean":
+        return s_y, symmetrize(s_y + np.outer(ym, ym)), (ym, s_y)
+    r = ym.shape[0]
+    ones = np.ones((r, 1)) / np.sqrt(r)
+    b0 = orthonormal_complement(ones)  # r x (r-1); B0'Q1 = B0'
+    m_red = symmetrize(b0.T @ s_y @ b0)
+    mu_red = b0.T @ ym
+    return m_red, symmetrize(m_red + np.outer(mu_red, mu_red)), (ym, s_y, b0)
+
+
+def _fit_kind_pair(kind, data, u, algo, settings, p1=None):
+    """(moments, basis fit, objective) of kind's pair, after the checks."""
+    _require_dimension(u, _problem_dimension(kind, data, p1))
+    m, m_plus_u, moments = _kind_pair(kind, data, p1)
+    fit, objective = _fit_basis(m, m_plus_u, u, algo, settings)
+    return moments, fit, objective
+
+
+def _split_covariance(s, p_g, q_g):
+    """P S P + Q S Q: S with its blocks between span(P) and span(Q) dropped."""
+    return symmetrize(p_g @ s @ p_g + q_g @ s @ q_g)
+
+
 def response_envelope(data, u, algo="onedim", settings=None):
     """Envelope for the response space of Y = alpha + beta X + error.
 
@@ -258,25 +325,19 @@ def response_envelope(data, u, algo="onedim", settings=None):
     least squares onto the fitted span, and the error covariance estimate
     is P S_{Y|X} P + Q S_{Y|X} Q with P the span projector and Q = I - P.
     """
-    kit = covariance_kit(data)
-    r = kit.s_y.shape[0]
-    if not (1 <= u <= r):
-        raise InvalidDimension(f"u must be between 1 and {r}, got {u}")
-    fit, objective = _fit_basis(kit.s_y_given_x, kit.s_y, u, algo, settings)
+    kit, fit, objective = _fit_kind_pair("response", data, u, algo, settings)
     gamma = fit.basis
     p_g = gamma @ gamma.T
-    q_g = np.eye(r) - p_g
-    beta_ols = np.linalg.solve(kit.s_x, kit.s_xy).T  # r x p
+    q_g = np.eye(kit.s_y.shape[0]) - p_g
+    beta_ols = kit.beta_ols
     beta_env = p_g @ beta_ols
-    sigma_env = symmetrize(p_g @ kit.s_y_given_x @ p_g + q_g @ kit.s_y_given_x @ q_g)
-    alpha = kit.y_mean - beta_env @ kit.x_mean
     return EnvelopeRegressionFit(
         kind="response",
         fit=fit,
         beta_env=beta_env,
         beta_ols=beta_ols,
-        sigma_env=sigma_env,
-        alpha_hat=alpha,
+        sigma_env=_split_covariance(kit.s_y_given_x, p_g, q_g),
+        alpha_hat=kit.y_mean - beta_env @ kit.x_mean,
         objective=objective,
     )
 
@@ -289,21 +350,10 @@ def partial_envelope(data, p1, u, algo="onedim", settings=None):
     residuals of Y and X1 on X2.  Only the X1 coefficient block is
     projected; the X2 block is reported untouched inside beta_ols.
     """
-    kit = covariance_kit(data)
-    p = kit.s_x.shape[0]
-    r = kit.s_y.shape[0]
-    if not (1 <= p1 <= p):
-        raise InvalidDimension(f"p1 must be between 1 and {p}, got {p1}")
-    if not (1 <= u <= r):
-        raise InvalidDimension(f"u must be between 1 and {r}, got {u}")
-    if p1 == p:
-        s_y_given_x2 = kit.s_y
-    else:
-        kit2 = covariance_kit(RegressionData(data.x[:, p1:], data.y))
-        s_y_given_x2 = kit2.s_y_given_x
-    fit, objective = _fit_basis(kit.s_y_given_x, s_y_given_x2, u, algo, settings)
+    kit, fit, objective = _fit_kind_pair("partial", data, u, algo, settings, p1)
     gamma = fit.basis
-    beta_ols = np.linalg.solve(kit.s_x, kit.s_xy).T  # r x p, all predictors
+    r = kit.s_y.shape[0]
+    beta_ols = kit.beta_ols  # r x p, all predictors
     beta_env = gamma @ gamma.T @ beta_ols[:, :p1]
     sigma_env = symmetrize(
         gamma @ gamma.T @ kit.s_y_given_x @ gamma @ gamma.T
@@ -333,37 +383,19 @@ def predictor_envelope(data, u, algo="onedim", settings=None):
     the transpose of the S_X-metric projection onto the fitted span, which
     collapses immaterial predictor variation out of the estimate.
     """
-    kit = covariance_kit(data)
-    p = kit.s_x.shape[0]
-    if not (1 <= u <= p):
-        raise InvalidDimension(f"u must be between 1 and {p}, got {u}")
-    fit, objective = _fit_basis(kit.s_x_given_y, kit.s_x, u, algo, settings)
-    gamma = fit.basis
-    beta_ols = np.linalg.solve(kit.s_x, kit.s_xy).T  # r x p
-    proj = project(gamma, metric=kit.s_x)  # p x p, S_X inner product
+    kit, fit, objective = _fit_kind_pair("predictor", data, u, algo, settings)
+    beta_ols = kit.beta_ols  # r x p
+    proj = project(fit.basis, metric=kit.s_x)  # p x p, S_X inner product
     beta_env = beta_ols @ proj.T
-    sigma_env = symmetrize(kit.s_y - beta_env @ kit.s_x @ beta_env.T)
-    alpha = kit.y_mean - beta_env @ kit.x_mean
     return EnvelopeRegressionFit(
         kind="predictor",
         fit=fit,
         beta_env=beta_env,
         beta_ols=beta_ols,
-        sigma_env=sigma_env,
-        alpha_hat=alpha,
+        sigma_env=symmetrize(kit.s_y - beta_env @ kit.s_x @ beta_env.T),
+        alpha_hat=kit.y_mean - beta_env @ kit.x_mean,
         objective=objective,
     )
-
-
-def _as_response_only(y):
-    y = np.asarray(y, dtype=float)
-    if y.ndim == 1:
-        y = y[:, None]
-    if y.ndim != 2 or y.shape[0] < 2:
-        raise InvalidInput("y must be an n x r array with n >= 2")
-    if not np.all(np.isfinite(y)):
-        raise InvalidInput("y must be finite")
-    return y
 
 
 def mean_envelope(y, u, algo="onedim", settings=None):
@@ -372,24 +404,17 @@ def mean_envelope(y, u, algo="onedim", settings=None):
     The projected mean lands in beta_env's single column; alpha_hat is the
     raw sample mean for reference.
     """
-    y = _as_response_only(y)
-    n, r = y.shape
-    if not (1 <= u <= r):
-        raise InvalidDimension(f"u must be between 1 and {r}, got {u}")
-    ym = y.mean(axis=0)
-    yc = y - ym
-    s_y = symmetrize(yc.T @ yc / n)
-    u_hat = np.outer(ym, ym)
-    fit, objective = _fit_basis(s_y, symmetrize(s_y + u_hat), u, algo, settings)
+    data = RegressionData(None, y)
+    (ym, s_y), fit, objective = _fit_kind_pair("mean", data, u, algo, settings)
     gamma = fit.basis
     p_g = gamma @ gamma.T
-    q_g = np.eye(r) - p_g
+    q_g = np.eye(ym.shape[0]) - p_g
     return EnvelopeRegressionFit(
         kind="mean",
         fit=fit,
         beta_env=(p_g @ ym)[:, None],
         beta_ols=ym[:, None],
-        sigma_env=symmetrize(p_g @ s_y @ p_g + q_g @ s_y @ q_g),
+        sigma_env=_split_covariance(s_y, p_g, q_g),
         alpha_hat=ym,
         objective=objective,
     )
@@ -403,24 +428,11 @@ def constrained_mean_envelope(y, u, algo="onedim", settings=None):
     the complement of span(1) and the (r-1)-dimensional result is mapped
     back as B0 Gamma.  u can be at most r - 1.
     """
-    y = _as_response_only(y)
-    n, r = y.shape
-    if not (1 <= u <= r - 1):
-        raise InvalidDimension(
-            f"u must be between 1 and {r - 1} for a sum-to-zero mean, got {u}"
-        )
-    ym = y.mean(axis=0)
-    yc = y - ym
-    s_y = symmetrize(yc.T @ yc / n)
-    ones = np.ones((r, 1)) / np.sqrt(r)
-    b0 = orthonormal_complement(ones)  # r x (r-1); B0'Q1 = B0'
-    m_red = symmetrize(b0.T @ s_y @ b0)
-    mu_red = b0.T @ ym
-    fit, objective = _fit_basis(
-        m_red, symmetrize(m_red + np.outer(mu_red, mu_red)), u, algo, settings
-    )
+    data = RegressionData(None, y)
+    (ym, s_y, b0), fit, objective = _fit_kind_pair("constrained-mean", data, u, algo, settings)
     gamma = b0 @ fit.basis  # r x u, orthonormal and orthogonal to 1
     fit.basis = gamma
+    r = ym.shape[0]
     p_g = gamma @ gamma.T
     q1 = np.eye(r) - np.ones((r, r)) / r
     q_g = q1 - p_g  # complement within the constrained space
@@ -429,42 +441,28 @@ def constrained_mean_envelope(y, u, algo="onedim", settings=None):
         fit=fit,
         beta_env=(p_g @ ym)[:, None],
         beta_ols=(q1 @ ym)[:, None],
-        sigma_env=symmetrize(p_g @ s_y @ p_g + q_g @ s_y @ q_g),
+        sigma_env=_split_covariance(s_y, p_g, q_g),
         alpha_hat=ym,
         objective=objective,
     )
 
 
 def _fit_by_kind(kind, data, u, algo, settings, p1=None):
+    """The estimator of kind, fitted to data.
+
+    Estimators are read as module globals at call time, so that a wrapper
+    installed on one (a tracer, a test double) sees the fit.
+    """
+    _problem_dimension(kind, data, p1)
     if kind == "response":
         return response_envelope(data, u, algo, settings)
     if kind == "partial":
-        if p1 is None:
-            raise InvalidInput("partial kind needs p1")
         return partial_envelope(data, p1, u, algo, settings)
     if kind == "predictor":
         return predictor_envelope(data, u, algo, settings)
     if kind == "mean":
         return mean_envelope(data.y, u, algo, settings)
-    if kind == "constrained-mean":
-        return constrained_mean_envelope(data.y, u, algo, settings)
-    raise InvalidInput(f"unknown kind {kind!r}; expected one of {KINDS}")
-
-
-def _problem_dimension(kind, data, p1=None):
-    if kind not in KINDS:
-        raise InvalidInput(f"unknown kind {kind!r}; expected one of {KINDS}")
-    r = data.y.shape[1]
-    if kind == "predictor":
-        if data.x is None:
-            raise InvalidInput("predictor kind needs x")
-        return data.x.shape[1]
-    return {
-        "response": r,
-        "partial": r,
-        "mean": r,
-        "constrained-mean": r - 1,
-    }[kind]
+    return constrained_mean_envelope(data.y, u, algo, settings)
 
 
 @dataclass
@@ -476,22 +474,17 @@ class DimensionSelection:
     failures: dict = field(default_factory=dict)
 
 
-def select_dimension_bic(data, kind, u_max, algo="onedim", settings=None, p1=None):
-    """Pick u by n J_n(fit) + log(n) u (d - u), smaller u winning ties.
+def _select(u_max, score):
+    """Pick the u in 1..u_max with the smallest score, smaller u winning ties.
 
-    scores has one entry per candidate u (NaN when that fit failed); every
-    candidate failing raises AllFitsFailed.
+    A package error from score(u) is recorded as a NaN score and a failure
+    reason; every candidate failing raises AllFitsFailed.
     """
-    d = _problem_dimension(kind, data, p1)
-    if not (1 <= u_max <= d):
-        raise InvalidDimension(f"u_max must be between 1 and {d}, got {u_max}")
-    n = data.n
     scores = []
     failures = {}
     for u in range(1, u_max + 1):
         try:
-            fit = _fit_by_kind(kind, data, u, algo, settings, p1)
-            scores.append(n * fit.objective + np.log(n) * u * (d - u))
+            scores.append(score(u))
         except EnvestError as exc:  # recorded, not fatal
             scores.append(np.nan)
             failures[u] = f"{type(exc).__name__}: {exc}"
@@ -500,6 +493,26 @@ def select_dimension_bic(data, kind, u_max, algo="onedim", settings=None, p1=Non
     arr = np.array(scores)
     arr[np.isnan(arr)] = np.inf
     return DimensionSelection(u=int(np.argmin(arr)) + 1, scores=scores, failures=failures)
+
+
+def select_dimension_bic(data, kind, u_max, algo="onedim", settings=None, p1=None):
+    """Pick u by n J_n(fit) + log(n) u (d - u), smaller u winning ties.
+
+    The pair is built once and only its basis is refitted for each
+    candidate, so a pair that cannot be built raises its own error.
+    scores has one entry per candidate u (NaN when that fit failed); every
+    candidate failing raises AllFitsFailed.
+    """
+    d = _problem_dimension(kind, data, p1)
+    _require_dimension(u_max, d, "u_max")
+    m, m_plus_u, _ = _kind_pair(kind, data, p1)
+    n = data.n
+
+    def score(u):
+        _, objective = _fit_basis(m, m_plus_u, u, algo, settings)
+        return n * objective + np.log(n) * u * (d - u)
+
+    return _select(u_max, score)
 
 
 def select_dimension_cv(
@@ -512,37 +525,27 @@ def select_dimension_cv(
     scores are mean squared prediction errors per observation and ties go
     to the smaller u.
     """
-    if kind not in ("response", "predictor"):
+    if kind not in PREDICTIVE_KINDS:
         raise InvalidInput(
             f"cross-validation needs a predictive kind, not {kind!r}"
         )
-    d = _problem_dimension(kind, data)
-    if not (1 <= u_max <= d):
-        raise InvalidDimension(f"u_max must be between 1 and {d}, got {u_max}")
+    _require_dimension(u_max, _problem_dimension(kind, data), "u_max")
     n = data.n
     if not (2 <= folds <= n):
         raise InvalidInput(f"folds must be between 2 and {n}, got {folds}")
     rng = np.random.default_rng(seed)
     order = rng.permutation(n)
     chunks = np.array_split(order, folds)
-    scores = []
-    failures = {}
-    for u in range(1, u_max + 1):
+
+    def score(u):
         sse = 0.0
-        try:
-            for test_idx in chunks:
-                mask = np.ones(n, dtype=bool)
-                mask[test_idx] = False
-                train = RegressionData(data.x[mask], data.y[mask])
-                fit = _fit_by_kind(kind, train, u, algo, settings)
-                pred = fit.alpha_hat + data.x[test_idx] @ fit.beta_env.T
-                sse += float(np.sum((data.y[test_idx] - pred) ** 2))
-            scores.append(sse / n)
-        except EnvestError as exc:
-            scores.append(np.nan)
-            failures[u] = f"{type(exc).__name__}: {exc}"
-    if all(np.isnan(s) for s in scores):
-        raise AllFitsFailed(f"every candidate dimension up to {u_max} failed")
-    arr = np.array(scores)
-    arr[np.isnan(arr)] = np.inf
-    return DimensionSelection(u=int(np.argmin(arr)) + 1, scores=scores, failures=failures)
+        for test_idx in chunks:
+            mask = np.ones(n, dtype=bool)
+            mask[test_idx] = False
+            train = RegressionData(data.x[mask], data.y[mask])
+            fit = _fit_by_kind(kind, train, u, algo, settings)
+            pred = fit.alpha_hat + data.x[test_idx] @ fit.beta_env.T
+            sse += float(np.sum((data.y[test_idx] - pred) ** 2))
+        return sse / n
+
+    return _select(u_max, score)

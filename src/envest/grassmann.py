@@ -20,16 +20,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidDimension, InvalidInput, RankDeficientCandidates
-from .linalg import fix_column_signs, _require_symmetric
-from .objective import ObjectivePair, j_gradient, j_value
-from .onedim import EnvelopeFit, OneDimSettings
+from .errors import InvalidInput, RankDeficientCandidates
+from .linalg import fix_column_signs
+from .objective import ObjectivePair, _check_solver_inputs, j_gradient, j_value
+from .onedim import _ARMIJO_C1, _LINE_SEARCH_SHRINK, _MIN_STEP, EnvelopeFit, OneDimSettings
 from . import onedim as _onedim
 
 __all__ = ["FgSettings", "eigenvector_scan_start", "fit"]
-
-_ARMIJO_C1 = 1e-4
-_MIN_STEP = 1e-14
 
 
 @dataclass(frozen=True)
@@ -42,7 +39,6 @@ class FgSettings:
     max_iterations: int = 5000
     gradient_tol: float = 1e-8
     start_strategy: object = "scan"
-    line_search_shrink: float = 0.5
     seed: int = 0
 
 
@@ -96,12 +92,8 @@ def eigenvector_scan_start(m_hat, u_hat, u):
     basis, ties broken by candidate order.  Candidates nearly inside the
     current span are skipped; running out raises RankDeficientCandidates.
     """
-    pair = ObjectivePair.from_m_u(
-        _require_symmetric(m_hat, "m_hat"), _require_symmetric(u_hat, "u_hat")
-    )
-    if not (1 <= u <= pair.dim):
-        raise InvalidDimension(f"u must be between 1 and {pair.dim}, got {u}")
-    return _scan(pair, u)
+    m_hat, u_hat, _ = _check_solver_inputs(m_hat, u_hat, u)
+    return _scan(ObjectivePair.from_m_u(m_hat, u_hat), u)
 
 
 def fit(m_hat, u_hat, u, settings=None):
@@ -117,15 +109,7 @@ def fit(m_hat, u_hat, u, settings=None):
     """
     if settings is None:
         settings = FgSettings()
-    m_hat = _require_symmetric(m_hat, "m_hat")
-    u_hat = _require_symmetric(u_hat, "u_hat")
-    d = m_hat.shape[0]
-    if u_hat.shape[0] != d:
-        raise InvalidDimension(
-            f"m_hat is {d}x{d} but u_hat is {u_hat.shape[0]}x{u_hat.shape[0]}"
-        )
-    if not (1 <= u <= d):
-        raise InvalidDimension(f"u must be between 1 and {d}, got {u}")
+    m_hat, u_hat, d = _check_solver_inputs(m_hat, u_hat, u)
     pair = ObjectivePair.from_m_u(m_hat, u_hat)
 
     strategy = settings.start_strategy
@@ -174,7 +158,7 @@ def fit(m_hat, u_hat, u, settings=None):
                 gamma, val = trial, trial_val
                 accepted = True
                 break
-            t *= settings.line_search_shrink
+            t *= _LINE_SEARCH_SHRINK
         iterations += 1
         if not accepted:
             stop = "stall"

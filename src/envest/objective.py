@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInput, SingularGram, ZeroVector
+from .errors import InvalidDimension, InvalidInput, SingularGram, ZeroVector
 from .linalg import fix_column_signs, symmetrize, _require_symmetric
 
 __all__ = [
@@ -69,7 +69,6 @@ class ObjectivePair:
     """Everything the objective needs about one (M, M+U) pair, precomputed.
 
     Instances are immutable; all solvers share them freely across threads.
-    ``u`` is retained when known so audits can reconstruct ``m_plus_u``.
     The eigenvector blocks (descending eigenvalue order, signs pinned) feed
     the candidate-start and eigenvector-scan machinery.
     """
@@ -79,7 +78,6 @@ class ObjectivePair:
     m_plus_u_inv: np.ndarray
     m_plus_u_logdet: float
     dim: int
-    u: np.ndarray | None = None
     m_eigenvectors: np.ndarray | None = None
     m_plus_u_eigenvectors: np.ndarray | None = None
 
@@ -90,7 +88,7 @@ class ObjectivePair:
         u = _require_symmetric(u, "U")
         if u.shape != m.shape:
             raise InvalidInput(f"M is {m.shape} but U is {u.shape}")
-        return cls._build(m, symmetrize(m + u), u)
+        return cls._build(m, symmetrize(m + u))
 
     @classmethod
     def from_pair(cls, m, m_plus_u):
@@ -99,10 +97,10 @@ class ObjectivePair:
         mpu = _require_symmetric(m_plus_u, "M+U")
         if mpu.shape != m.shape:
             raise InvalidInput(f"M is {m.shape} but M+U is {mpu.shape}")
-        return cls._build(m, mpu, symmetrize(mpu - m))
+        return cls._build(m, mpu)
 
     @classmethod
-    def _build(cls, m, mpu, u):
+    def _build(cls, m, mpu):
         vals_m, vecs_m = _pd_eig(m, "M")
         vals_s, vecs_s = _pd_eig(mpu, "M+U")
         inv = symmetrize((vecs_s / vals_s) @ vecs_s.T)
@@ -113,10 +111,26 @@ class ObjectivePair:
             m_plus_u_inv=inv,
             m_plus_u_logdet=logdet,
             dim=m.shape[0],
-            u=u,
             m_eigenvectors=fix_column_signs(vecs_m[:, ::-1]),
             m_plus_u_eigenvectors=fix_column_signs(vecs_s[:, ::-1]),
         )
+
+
+def _require_dimension(k, d, name="u"):
+    """Reject a subspace dimension k outside 1..d."""
+    if not (1 <= k <= d):
+        raise InvalidDimension(f"{name} must be between 1 and {d}, got {k}")
+
+
+def _check_solver_inputs(m_hat, u_hat, u):
+    """Symmetrized (m_hat, u_hat) of a solver call and their size d, after the checks."""
+    m_hat = _require_symmetric(m_hat, "m_hat")
+    u_hat = _require_symmetric(u_hat, "u_hat")
+    d = m_hat.shape[0]
+    if u_hat.shape[0] != d:
+        raise InvalidDimension(f"m_hat is {d}x{d} but u_hat is {u_hat.shape[0]}x{u_hat.shape[0]}")
+    _require_dimension(u, d)
+    return m_hat, u_hat, d
 
 
 def _check_gamma(pair, gamma):

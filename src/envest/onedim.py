@@ -24,10 +24,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidDimension, NoConvergence
-from .linalg import fix_column_signs, orthonormal_complement, _require_symmetric
+from .errors import NoConvergence
+from .linalg import fix_column_signs, orthonormal_complement
 from .objective import (
     ObjectivePair,
+    _check_solver_inputs,
     _d_tilde_gradients,
     _d_tilde_hessians,
     _d_tilde_values,
@@ -35,9 +36,11 @@ from .objective import (
 
 __all__ = ["OneDimSettings", "EnvelopeFit", "solve_direction", "fit"]
 
-_ARMIJO_C1 = 1e-4
-_MIN_STEP = 1e-14
 _SHIFT_FLOOR = 1e-8
+# Armijo backtracking constants, shared with the Grassmann solver
+_ARMIJO_C1 = 1e-4
+_LINE_SEARCH_SHRINK = 0.5
+_MIN_STEP = 1e-14
 
 
 @dataclass(frozen=True)
@@ -94,7 +97,7 @@ def _armijo(m, n, w, f, p, dg):
         f_new[hit] = fv[ok]
         accepted[hit] = True
         pending[hit] = False
-        t[pending] *= 0.5
+        t[pending] *= _LINE_SEARCH_SHRINK
         dead = pending & (t < _MIN_STEP)
         pending[dead] = False
     return accepted, w_new, f_new
@@ -232,13 +235,7 @@ def fit(m_hat, u_hat, u, settings=None):
     """
     if settings is None:
         settings = OneDimSettings()
-    m_hat = _require_symmetric(m_hat, "m_hat")
-    u_hat = _require_symmetric(u_hat, "u_hat")
-    d = m_hat.shape[0]
-    if u_hat.shape[0] != d:
-        raise InvalidDimension(f"m_hat is {d}x{d} but u_hat is {u_hat.shape[0]}x{u_hat.shape[0]}")
-    if not (1 <= u <= d):
-        raise InvalidDimension(f"u must be between 1 and {d}, got {u}")
+    m_hat, u_hat, d = _check_solver_inputs(m_hat, u_hat, u)
 
     start = time.perf_counter()
     if u == d:

@@ -20,10 +20,11 @@ import numpy as np
 
 from .errors import BootstrapUnstable, EnvestError, InvalidDimension, InvalidInput
 from .estimators import (
-    KINDS,
+    KINDS_WITH_X,
     RegressionData,
     _check_algorithm,
     _fit_by_kind,
+    _problem_dimension,
     _solve,
     covariance_kit,
     solver_settings,
@@ -37,7 +38,7 @@ from .linalg import (
     symmetrize,
     _require_symmetric,
 )
-from .objective import ObjectivePair, j_value
+from .objective import ObjectivePair, _require_dimension, j_value
 
 __all__ = [
     "GeneratedInstance",
@@ -345,30 +346,28 @@ def residual_bootstrap(data, kind, u, b, algo="onedim", settings=None, seed=0, p
     responses rebuilt as alpha + X beta' + resampled residuals, and both
     estimators refit per replicate.  Standard deviations use divisor b-1
     over the successful replicates; more than 20 percent failures raises
-    BootstrapUnstable.  For the mean kinds the "OLS" estimator is the
-    sample mean and X plays no role.
+    BootstrapUnstable, naming the last replicate's error.  For the mean
+    kinds the "OLS" estimator is the sample mean and X plays no role.
     """
     if b < 2:
         raise InvalidInput(f"need at least 2 bootstrap replicates, got {b}")
-    if kind not in KINDS:
-        raise InvalidInput(f"unknown kind {kind!r}")
-    # fail fast if the requested fit cannot work before burning b replicates
-    _fit_by_kind(kind, data, u, algo, settings, p1)
+    _require_dimension(u, _problem_dimension(kind, data, p1))
     y = data.y
     n = y.shape[0]
-    if kind in ("mean", "constrained-mean"):
-        center = y.mean(axis=0)[None, :]
-    else:
+    if kind in KINDS_WITH_X:
         kit = covariance_kit(data)
-        beta_ols = np.linalg.solve(kit.s_x, kit.s_xy).T
+        beta_ols = kit.beta_ols
         alpha_ols = kit.y_mean - beta_ols @ kit.x_mean
         center = alpha_ols[None, :] + data.x @ beta_ols.T
+    else:
+        center = y.mean(axis=0)[None, :]
     resid = y - center
 
     rng = np.random.default_rng(seed)
     ols_draws = []
     env_draws = []
     failed = 0
+    last_error = None
     for _ in range(b):
         rows = rng.integers(0, n, size=n)
         y_star = center + resid[rows]
@@ -379,12 +378,14 @@ def residual_bootstrap(data, kind, u, b, algo="onedim", settings=None, seed=0, p
             # align shapes: the partial kind only envelopes the X1 block
             ols = refit.beta_ols[:, :p1] if kind == "partial" else refit.beta_ols
             ols_draws.append(ols)
-        except EnvestError:
+        except EnvestError as exc:
             failed += 1
+            last_error = exc
     if failed > 0.2 * b:
         raise BootstrapUnstable(
-            f"{failed} of {b} bootstrap replicates failed to refit"
-        )
+            f"{failed} of {b} bootstrap replicates failed to refit "
+            f"(last: {type(last_error).__name__}: {last_error})"
+        ) from last_error
     se_ols = np.std(np.stack(ols_draws), axis=0, ddof=1)
     se_env = np.std(np.stack(env_draws), axis=0, ddof=1)
     return BootstrapResult(se_ols=se_ols, se_env=se_env, replicates=b, failed=failed)

@@ -318,6 +318,44 @@ class TestDimensionSelection:
         with pytest.raises(InvalidDimension):
             estimators.select_dimension_bic(data, "response", 7)
 
+    @pytest.mark.parametrize("algo", ["onedim", "fg-warm"])
+    @pytest.mark.parametrize("kind", estimators.KINDS)
+    def test_bic_scores_equal_full_fits(self, kind, algo):
+        # BIC fits only the basis for each u; its scores must be exactly
+        # those of the full estimator's objective
+        rng = np.random.default_rng(93)
+        x = rng.standard_normal((80, 3))
+        y = 1.0 + x @ rng.standard_normal((3, 4)) + rng.standard_normal((80, 4))
+        data = estimators.RegressionData(x, y)
+        p1 = 1 if kind == "partial" else None
+        d = estimators._problem_dimension(kind, data, p1)
+        sel = estimators.select_dimension_bic(data, kind, 3, algo, p1=p1)
+        for u, score in enumerate(sel.scores, start=1):
+            fit = estimators._fit_by_kind(kind, data, u, algo, None, p1)
+            assert score == data.n * fit.objective + np.log(data.n) * u * (d - u)
+
+    def test_bic_builds_the_pair_once(self, monkeypatch):
+        _, data = make_data(92, n=100)
+        calls = []
+        real_kit = estimators.covariance_kit
+
+        def counting_kit(*args):
+            calls.append(None)
+            return real_kit(*args)
+
+        monkeypatch.setattr(estimators, "covariance_kit", counting_kit)
+        estimators.select_dimension_bic(data, "response", 3)
+        assert len(calls) == 1
+
+    def test_bic_reports_a_failing_pair(self):
+        # a constant predictor makes S_X singular, which fails every
+        # candidate alike: the pair's own error comes out, not AllFitsFailed
+        rng = np.random.default_rng(91)
+        x = np.column_stack([rng.standard_normal((50, 2)), np.ones(50)])
+        y = rng.standard_normal((50, 4))
+        with pytest.raises(SingularCovariance):
+            estimators.select_dimension_bic(estimators.RegressionData(x, y), "response", 3)
+
     def test_bic_picks_true_dimension(self):
         # known generator: (d, u) = (10, 3), fresh data each replication
         inst = simulate.generate_instance(10, 3, 42)

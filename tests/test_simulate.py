@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from envest import estimators, grassmann, linalg, onedim, simulate
-from envest.errors import InvalidDimension, InvalidInput
+from envest.errors import BootstrapUnstable, InvalidDimension, InvalidInput, NoConvergence
 from envest.estimators import RegressionData
 from envest.objective import ObjectivePair, j_value
 
@@ -236,6 +236,36 @@ class TestResidualBootstrap:
         data = simulate.sample_data(inst, 100, 25)
         with pytest.raises(InvalidInput):
             simulate.residual_bootstrap(data, "response", 2, 1)
+
+    def test_fits_each_replicate_once(self, monkeypatch):
+        inst = simulate.generate_instance(5, 2, 30)
+        data = simulate.sample_data(inst, 100, 31)
+        calls = []
+        real_fit = onedim.fit
+
+        def counting_fit(*args, **kwargs):
+            calls.append(None)
+            return real_fit(*args, **kwargs)
+
+        monkeypatch.setattr(onedim, "fit", counting_fit)
+        simulate.residual_bootstrap(data, "response", 2, 6, seed=1)
+        assert len(calls) == 6
+        calls.clear()
+        with pytest.raises(InvalidDimension):
+            simulate.residual_bootstrap(data, "response", 6, 6, seed=1)
+        assert calls == []
+
+    def test_unstable_names_the_last_error(self, monkeypatch):
+        inst = simulate.generate_instance(5, 2, 32)
+        data = simulate.sample_data(inst, 100, 33)
+
+        def failing_fit(*args, **kwargs):
+            raise NoConvergence("stuck")
+
+        monkeypatch.setattr(onedim, "fit", failing_fit)
+        with pytest.raises(BootstrapUnstable, match="NoConvergence: stuck") as info:
+            simulate.residual_bootstrap(data, "response", 2, 4)
+        assert isinstance(info.value.__cause__, NoConvergence)
 
 
 def test_programming_errors_are_not_failed_fits(monkeypatch):
