@@ -7,14 +7,13 @@ Reports are JSON with top-level keys version/config/records/summary, floats
 written with 17 significant digits and a fixed key order, so identical
 flags and seed give byte-identical output.  Wall-clock timings are left out
 of the JSON for that reason; ``simulate --csv-summary`` writes them to a
-separate CSV grid.  The only environment variable read is ENVEST_THREADS.
+separate CSV grid.  No environment variable is read.
 """
 
 import argparse
 import csv
 import json
 import math
-import os
 import sys
 
 import numpy as np
@@ -216,19 +215,6 @@ def build_parser():
     return parser
 
 
-def _thread_count():
-    raw = os.environ.get("ENVEST_THREADS")
-    if raw is None:
-        return os.cpu_count() or 1
-    try:
-        value = int(raw)
-    except ValueError:
-        raise _UsageError(f"ENVEST_THREADS must be an integer, got {raw!r}") from None
-    if value < 1:
-        raise _UsageError("ENVEST_THREADS must be at least 1")
-    return value
-
-
 def _config_dict(args):
     def get(name):
         return getattr(args, name, None)
@@ -267,7 +253,7 @@ def _config_dict(args):
 
 
 def _load_regression_data(args):
-    """Validate flag combinations, read the CSVs and bound-check u."""
+    """Validate flag combinations, read the CSVs and bound-check p1; returns (data, d)."""
     kind = args.kind
     if kind in estimators.KINDS_WITH_X:
         if args.x is None:
@@ -284,6 +270,8 @@ def _load_regression_data(args):
 
     y = read_matrix_csv(args.y)
     x = read_matrix_csv(args.x) if args.x is not None else None
+    if args.p1 is not None and args.p1 > x.shape[1]:
+        raise _UsageError(f"p1 must be between 1 and {x.shape[1]}")
     data = estimators.RegressionData(x=x, y=y)
     return data, estimators._problem_dimension(kind, data, args.p1)
 
@@ -324,20 +312,19 @@ def _cmd_simulate(args):
     if args.reps < 0:
         raise _UsageError("reps must be nonnegative")
     algos = list(args.algo) if args.algo else ["onedim"]
-    threads = _thread_count()
     if args.mode == "sample":
         if args.n is None:
             raise _UsageError("--n is required for sample mode")
         if args.n < 2:
             raise _UsageError("n must be at least 2")
         report = simulate.sample_experiment(
-            args.d, args.u, args.n, args.reps, algos, seed=args.seed, max_workers=threads
+            args.d, args.u, args.n, args.reps, algos, seed=args.seed
         )
     else:
         if args.n is not None:
             raise _UsageError("--n only applies to sample mode")
         report = simulate.population_experiment(
-            args.d, args.u, args.reps, algos, seed=args.seed, max_workers=threads
+            args.d, args.u, args.reps, algos, seed=args.seed
         )
     body = report.to_dict()
     csv_rows = report.summary if args.csv_summary else None

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInput, RankDeficientCandidates
-from .linalg import fix_column_signs
+from .linalg import fix_column_signs, _signed_qr
 from .objective import ObjectivePair, _check_solver_inputs, j_gradient, j_value
 from .onedim import _ARMIJO_C1, _LINE_SEARCH_SHRINK, _MIN_STEP, EnvelopeFit, OneDimSettings
 from . import onedim as _onedim
@@ -40,12 +40,6 @@ class FgSettings:
     gradient_tol: float = 1e-8
     start_strategy: object = "scan"
     seed: int = 0
-
-
-def _retract(a):
-    """Orthonormalize a full-column-rank matrix, signs pinned by diag(R)."""
-    q, r = np.linalg.qr(a)
-    return q * np.where(np.diag(r) < 0, -1.0, 1.0)
 
 
 def _scan(pair, u):
@@ -152,7 +146,7 @@ def fit(m_hat, u_hat, u, settings=None):
         t = 1.0
         accepted = False
         while t >= _MIN_STEP:
-            trial = _retract(gamma - t * tangent)
+            trial = _signed_qr(gamma - t * tangent)[0]  # QR retraction
             trial_val = j_value(pair, trial)
             if trial_val <= val - _ARMIJO_C1 * t * gnorm**2:
                 gamma, val = trial, trial_val

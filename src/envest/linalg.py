@@ -101,12 +101,20 @@ def orthonormalize(a):
         raise InvalidInput("expected a 2-d array")
     if a.shape[1] == 0:
         return a.copy()
+    q, r_diag = _signed_qr(a)
+    if np.any(r_diag < 1e-12 * max(1.0, r_diag.max())):
+        raise SingularGram("columns are linearly dependent; cannot orthonormalize")
+    return fix_column_signs(q)
+
+
+def _signed_qr(a):
+    """Thin QR of a with Q's columns flipped so that diag(R) >= 0.
+
+    Returns Q and |diag(R)|, the latter for callers that check the rank.
+    """
     q, r = np.linalg.qr(a)
     diag = np.diag(r)
-    if np.any(np.abs(diag) < 1e-12 * max(1.0, np.abs(diag).max())):
-        raise SingularGram("columns are linearly dependent; cannot orthonormalize")
-    q = q * np.where(diag < 0, -1.0, 1.0)
-    return fix_column_signs(q)
+    return q * np.where(diag < 0, -1.0, 1.0), np.abs(diag)
 
 
 @dataclass
@@ -156,15 +164,24 @@ def pd_inverse_logdet(s, ridge=0.0):
     s = _require_symmetric(s, "pd_inverse_logdet input")
     vals, vecs = np.linalg.eigh(s)
     vals = vals + ridge
+    _require_positive_definite(vals, "matrix")
+    inv = (vecs / vals) @ vecs.T
+    return symmetrize(inv), float(np.sum(np.log(vals)))
+
+
+def _require_positive_definite(vals, what):
+    """Reject the spectrum vals of ``what`` unless it is positive definite.
+
+    Raises NotPositiveDefinite when any eigenvalue falls at or below
+    ``1e-12 * max(1, lambda_max)``, with the smallest one riding along.
+    """
     lam_max = float(vals.max())
     if np.any(vals <= 1e-12 * max(1.0, lam_max)):
         bad = float(vals.min())
         raise NotPositiveDefinite(
-            f"matrix is not positive definite (eigenvalue {bad:.6g})",
+            f"{what} is not positive definite (eigenvalue {bad:.6g})",
             eigenvalue=bad,
         )
-    inv = (vecs / vals) @ vecs.T
-    return symmetrize(inv), float(np.sum(np.log(vals)))
 
 
 def orthonormal_complement(g):
@@ -192,9 +209,7 @@ def orthonormal_complement(g):
     # one clean-up sweep against g and earlier columns keeps the 1e-10
     # orthogonality budget honest at larger d
     comp = comp - g @ (g.T @ comp)
-    q, r = np.linalg.qr(comp)
-    q = q * np.where(np.diag(r) < 0, -1.0, 1.0)
-    return fix_column_signs(q)
+    return fix_column_signs(_signed_qr(comp)[0])
 
 
 def subspace_distance(a, b):

@@ -27,7 +27,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidDimension, InvalidInput, SingularGram, ZeroVector
-from .linalg import fix_column_signs, symmetrize, _require_symmetric
+from .linalg import (
+    fix_column_signs,
+    orthonormal_complement,
+    symmetrize,
+    _require_positive_definite,
+    _require_symmetric,
+)
 
 __all__ = [
     "ObjectivePair",
@@ -49,19 +55,6 @@ def _logdet_gram(x):
     except np.linalg.LinAlgError as exc:
         raise SingularGram("Gram matrix is not positive definite") from exc
     return 2.0 * float(np.sum(np.log(np.diag(c))))
-
-
-def _pd_eig(s, what):
-    vals, vecs = np.linalg.eigh(s)
-    lam_max = float(vals.max())
-    if np.any(vals <= 1e-12 * max(1.0, lam_max)):
-        from .errors import NotPositiveDefinite
-
-        raise NotPositiveDefinite(
-            f"{what} is not positive definite (eigenvalue {float(vals.min()):.6g})",
-            eigenvalue=float(vals.min()),
-        )
-    return vals, vecs
 
 
 @dataclass(frozen=True)
@@ -101,8 +94,10 @@ class ObjectivePair:
 
     @classmethod
     def _build(cls, m, mpu):
-        vals_m, vecs_m = _pd_eig(m, "M")
-        vals_s, vecs_s = _pd_eig(mpu, "M+U")
+        vals_m, vecs_m = np.linalg.eigh(m)
+        _require_positive_definite(vals_m, "M")
+        vals_s, vecs_s = np.linalg.eigh(mpu)
+        _require_positive_definite(vals_s, "M+U")
         inv = symmetrize((vecs_s / vals_s) @ vecs_s.T)
         logdet = float(np.sum(np.log(vals_s)))
         return cls(
@@ -188,8 +183,6 @@ def j_decomposition(pair, gamma):
     that reduce M, and j2 is nonnegative, vanishing exactly when
     G0' U G0 == 0, i.e. when span(U) lies inside span(G).
     """
-    from .linalg import orthonormal_complement
-
     gamma = _check_gamma(pair, gamma)
     d, k = gamma.shape
     if k == d:

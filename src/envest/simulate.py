@@ -13,7 +13,6 @@ over eigen-groups onto which U projects at all.  No optimization is
 involved, which makes it the reference answer for the solvers.
 """
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -233,14 +232,7 @@ def _summarize(records, algo_set):
     return summary
 
 
-def _map_replications(worker, count, max_workers):
-    if max_workers is None or max_workers <= 1 or count <= 1:
-        return [worker(i) for i in range(count)]
-    with ThreadPoolExecutor(max_workers=max_workers) as pool:
-        return list(pool.map(worker, range(count)))
-
-
-def _experiment(mode, d, u, n, replications, algo_set, seed, max_workers, problem):
+def _experiment(mode, d, u, n, replications, algo_set, seed, problem):
     """Fit every replication with every algorithm and summarize.
 
     ``problem(i)`` gives replication i's seed, the pair (M, U) to fit, the
@@ -256,15 +248,17 @@ def _experiment(mode, d, u, n, replications, algo_set, seed, max_workers, proble
     if replications < 0:
         raise InvalidInput("replications must be nonnegative")
 
-    def one(i):
+    records = []
+    for i in range(replications):
         rep_seed, m, u_hat, m_plus_u, truth = problem(i)
         rows = [ReplicationRecord(i, rep_seed, algo, None, None, None) for algo in algos]
+        records.extend(rows)
         try:
             pair = ObjectivePair.from_pair(m, m_plus_u)
         except EnvestError as exc:
             for row in rows:
                 row.error = f"{type(exc).__name__}: {exc}"
-            return rows
+            continue
         for row in rows:
             settings = solver_settings(row.algorithm, seed=rep_seed)
             try:
@@ -278,10 +272,6 @@ def _experiment(mode, d, u, n, replications, algo_set, seed, max_workers, proble
             row.final_objective = objective
             row.wall_time_seconds = fit.wall_time_seconds
             row.diagnostics = list(fit.diagnostics)
-        return rows
-
-    nested = _map_replications(one, replications, max_workers)
-    records = [row for rows in nested for row in rows]
     return ExperimentReport(
         mode=mode,
         d=d,
@@ -294,11 +284,10 @@ def _experiment(mode, d, u, n, replications, algo_set, seed, max_workers, proble
     )
 
 
-def population_experiment(d, u, replications, algo_set, seed=0, max_workers=None):
+def population_experiment(d, u, replications, algo_set, seed=0):
     """Fit exact (M, U) pairs from fresh instances, once per replication.
 
-    Replication i uses seed ``seed + i`` for its instance, so runs split
-    across workers reproduce the serial report exactly.  Solver failures
+    Replication i uses seed ``seed + i`` for its instance.  Solver failures
     are recorded on the affected record, never raised.
     """
 
@@ -308,11 +297,11 @@ def population_experiment(d, u, replications, algo_set, seed=0, max_workers=None
         return seed + i, inst.m, inst.u_mat, m_plus_u, inst.gamma
 
     return _experiment(
-        "population", d, u, None, replications, algo_set, seed, max_workers, problem
+        "population", d, u, None, replications, algo_set, seed, problem
     )
 
 
-def sample_experiment(d, u, n, replications, algo_set, seed=0, max_workers=None):
+def sample_experiment(d, u, n, replications, algo_set, seed=0):
     """One fixed instance, fresh data per replication, sample plug-ins.
 
     The instance comes from ``seed`` itself; replication i draws its data
@@ -326,7 +315,7 @@ def sample_experiment(d, u, n, replications, algo_set, seed=0, max_workers=None)
         u_hat = symmetrize(kit.s_y - kit.s_y_given_x)
         return seed + 1 + i, kit.s_y_given_x, u_hat, kit.s_y, inst.gamma
 
-    return _experiment("sample", d, u, n, replications, algo_set, seed, max_workers, problem)
+    return _experiment("sample", d, u, n, replications, algo_set, seed, problem)
 
 
 @dataclass

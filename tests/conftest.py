@@ -2,8 +2,6 @@
 session because both the consistency tests and the acceptance gate read
 them.  The terminal summary prints one line per acceptance criterion."""
 
-import os
-
 import pytest
 
 from envest import simulate
@@ -20,17 +18,13 @@ def record_criterion(number, passed, detail=""):
 @pytest.fixture(scope="session")
 def population_sweep_small():
     # 100 exact (M, U) pairs at (d, u) = (10, 3), sequential solver
-    return simulate.population_experiment(
-        10, 3, 100, ("onedim",), seed=1000, max_workers=os.cpu_count()
-    )
+    return simulate.population_experiment(10, 3, 100, ("onedim",), seed=1000)
 
 
 @pytest.fixture(scope="session")
 def population_sweep_medium():
     # 100 exact pairs at (30, 10); both solvers so timings are comparable
-    return simulate.population_experiment(
-        30, 10, 100, ("onedim", "fg"), seed=2000, max_workers=os.cpu_count()
-    )
+    return simulate.population_experiment(30, 10, 100, ("onedim", "fg"), seed=2000)
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

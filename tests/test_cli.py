@@ -131,6 +131,14 @@ class TestExitCodes:
         assert code == 2
         assert "u must be between 1 and d" in capsys.readouterr().err
 
+    def test_fit_p1_too_large(self, tmp_path, capsys):
+        xp, yp = write_xy(tmp_path)  # one predictor
+        code = cli.run(
+            ["fit", "--kind", "partial", "--x", xp, "--y", yp, "--u", "1", "--p1", "2"]
+        )
+        assert code == 2
+        assert "p1 must be between 1 and 1" in capsys.readouterr().err
+
     def test_unknown_command(self, capsys):
         assert cli.run(["frobnicate"]) == 2
         capsys.readouterr()

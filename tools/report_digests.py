@@ -4,19 +4,18 @@ Usage: python3 tools/report_digests.py CHECKOUT
 
 Imports envest from CHECKOUT/src, writes one seeded dataset to a temporary
 work directory and runs a fixed list of CLI commands through
-``envest.cli.run`` with ENVEST_THREADS=1.  For each command it prints the
-command's name, its exit code and the sha256 of its JSON report followed by
-its stderr, with the work directory's path masked so that two checkouts can
-be compared.  ``simulate`` runs also digest their ``--csv-summary`` grid
-with the wall-clock columns blanked.  Run it on two checkouts and diff the
-output: equal tables mean equal reports.
+``envest.cli.run``.  For each command it prints the command's name, its
+exit code and the sha256 of its JSON report followed by its stderr, with
+the work directory's path masked so that two checkouts can be compared.
+``simulate`` runs also digest their ``--csv-summary`` grid with the
+wall-clock columns blanked.  Run it on two checkouts and diff the output:
+equal tables mean equal reports.
 """
 
 import contextlib
 import csv
 import hashlib
 import io
-import os
 import shutil
 import sys
 import tempfile
@@ -121,7 +120,6 @@ def digest(*parts, mask):
 def main(argv):
     if len(argv) != 1:
         raise SystemExit(__doc__.split("\n\n")[1])
-    os.environ["ENVEST_THREADS"] = "1"
     cli = load_cli(argv[0])
     work = Path(tempfile.mkdtemp(prefix="envest-digests-"))
     try:
