@@ -21,7 +21,8 @@ complement of the all-ones direction and the basis is mapped back up.
 
 Each estimator checks its kind in ``_problem_dimension``, builds its pair
 in ``_kind_pair``, fits it in ``_fit_basis`` and assembles its estimates;
-BIC builds the pair once and refits only the basis for each candidate u.
+BIC builds and checks the pair once and refits only the basis for each
+candidate u.
 """
 
 from dataclasses import dataclass, field, replace
@@ -228,13 +229,13 @@ class EnvelopeRegressionFit:
         return self.fit.basis
 
 
-def _fit_basis(m, m_plus_u, u, algo, settings):
-    """Solve one estimator's pair, with the positive-definite ridge retry.
+def _checked_pair(m, m_plus_u):
+    """(M, U-hat, ObjectivePair, diagnostics) of one estimator's pair, checked.
 
-    When M fails the definiteness check, both matrices are shifted by
-    ridge = 1e-8 tr(M)/d once and a ``Ridged`` flag is recorded.  A settings
-    object, when given, is passed through untouched; the algo string then
-    only picks the solver, and None means the preset of ``algo``.
+    Both matrices are symmetrized and U-hat = (M + U) - M must have no
+    materially negative eigenvalue.  When M fails the definiteness check,
+    both matrices are shifted by ridge = 1e-8 tr(M)/d once and a ``Ridged``
+    flag is recorded.  The pair feeds the final J of every basis fitted to it.
     """
     m = symmetrize(m)
     m_plus_u = symmetrize(m_plus_u)
@@ -254,12 +255,26 @@ def _fit_basis(m, m_plus_u, u, algo, settings):
         m_plus_u = symmetrize(m_plus_u + ridge * np.eye(d))
         pair = ObjectivePair.from_pair(m, m_plus_u)
         diagnostics.append("Ridged")
+    return m, u_hat, pair, diagnostics
 
+
+def _fit_checked_pair(checked, u, algo, settings):
+    """(basis fit, objective) of a u-dimensional basis for a _checked_pair.
+
+    A settings object, when given, is passed through untouched; the algo
+    string then only picks the solver, and None means the preset of ``algo``.
+    """
+    m, u_hat, pair, diagnostics = checked
     if settings is None:
         settings = solver_settings(algo)
     fit = _solve(algo, m, u_hat, u, settings)
     fit.diagnostics.extend(diagnostics)
     return fit, float(j_value(pair, fit.basis))
+
+
+def _fit_basis(m, m_plus_u, u, algo, settings):
+    """Check one estimator's pair and fit a u-dimensional basis to it."""
+    return _fit_checked_pair(_checked_pair(m, m_plus_u), u, algo, settings)
 
 
 def _problem_dimension(kind, data, p1=None):
@@ -498,18 +513,19 @@ def _select(u_max, score):
 def select_dimension_bic(data, kind, u_max, algo="onedim", settings=None, p1=None):
     """Pick u by n J_n(fit) + log(n) u (d - u), smaller u winning ties.
 
-    The pair is built once and only its basis is refitted for each
-    candidate, so a pair that cannot be built raises its own error.
-    scores has one entry per candidate u (NaN when that fit failed); every
-    candidate failing raises AllFitsFailed.
+    The pair is built and checked once and only its basis is refitted for
+    each candidate, so a pair that cannot be built or fails its checks
+    raises its own error.  scores has one entry per candidate u (NaN when
+    that fit failed); every candidate failing raises AllFitsFailed.
     """
     d = _problem_dimension(kind, data, p1)
     _require_dimension(u_max, d, "u_max")
     m, m_plus_u, _ = _kind_pair(kind, data, p1)
+    checked = _checked_pair(m, m_plus_u)
     n = data.n
 
     def score(u):
-        _, objective = _fit_basis(m, m_plus_u, u, algo, settings)
+        _, objective = _fit_checked_pair(checked, u, algo, settings)
         return n * objective + np.log(n) * u * (d - u)
 
     return _select(u_max, score)

@@ -11,12 +11,22 @@ complement.  The accepted direction is G_0k w, so every step enlarges the
 span by exactly one dimension and the whole run costs u small smooth
 minimizations instead of one Grassmann program.
 
-Each step is solved by a safeguarded Newton iteration (eigenvalue-shifted
-Hessian, Armijo backtracking, steepest-descent fallback) started from every
-eigenvector of M_k and of (M_k + U_k)^{-1}.  All starts are iterated
-together as rows of one array, through the batched D kernels of
-``objective``; the winner is the converged candidate with the smallest
-final objective, ties resolved by candidate order.
+Each step is solved by a safeguarded Newton iteration on the unit sphere,
+started from every eigenvector of M_k and of (M_k + U_k)^{-1}.  D is
+scale-invariant, so its full Hessian is singular along w and a plain Newton
+step points mostly along w, where D does not change.  The step is therefore
+taken in the tangent space at w (Absil, Mahony & Sepulchre 2008, ch. 6):
+the tangential gradient against the Hessian compressed onto w-perp, whose
+radial block is pinned to the identity, shifted by its smallest eigenvalue
+when that is not safely positive.  Armijo backtracking accepts a trial only
+when it also strictly lowers D, and gives up on a step once the decrease it
+asks for falls below D's float64 resolution at the start; a start whose
+Newton and steepest-descent searches both give up is retired where it
+stands, at a point where no representable decrease is left.
+
+All starts are iterated together as rows of one array, through the batched
+D kernels of ``objective``; the winner is the converged candidate with the
+smallest final objective, ties resolved by candidate order.
 """
 
 import time
@@ -78,27 +88,31 @@ class EnvelopeFit:
 def _armijo(m, n, w, f, p, dg):
     """Backtracking line search run on all rows at once.
 
-    Returns (accepted mask, new points, new values).  Rows whose step
-    shrinks below the minimum step are reported unaccepted.
+    Returns (accepted mask, new points, new values).  A trial is accepted
+    only when it meets the sufficient-decrease test and strictly lowers D.
+    A row stalls, unaccepted, once the decrease the test asks for drops
+    below the float64 resolution of D at its start, or its step below the
+    minimum step.
     """
     rows = w.shape[0]
     t = np.ones(rows)
     accepted = np.zeros(rows, dtype=bool)
     w_new = w.copy()
     f_new = f.copy()
+    resolution = np.finfo(float).eps * np.maximum(1.0, np.abs(f))
     pending = np.ones(rows, dtype=bool)
     while pending.any():
         j = np.flatnonzero(pending)
         trial = w[j] + t[j, None] * p[j]
         fv = _d_tilde_values(m, n, trial)
-        ok = fv <= f[j] + _ARMIJO_C1 * t[j] * dg[j]
+        ok = (fv <= f[j] + _ARMIJO_C1 * t[j] * dg[j]) & (fv < f[j])
         hit = j[ok]
         w_new[hit] = trial[ok]
         f_new[hit] = fv[ok]
         accepted[hit] = True
         pending[hit] = False
         t[pending] *= _LINE_SEARCH_SHRINK
-        dead = pending & (t < _MIN_STEP)
+        dead = pending & ((_ARMIJO_C1 * t * np.abs(dg) < resolution) | (t < _MIN_STEP))
         pending[dead] = False
     return accepted, w_new, f_new
 
@@ -159,9 +173,18 @@ def _solve_direction(pair, settings):
             break
         it += 1
         wa = wa[~done]
-        g = g[~done]
+        g = tang[~done]
 
+        # Newton step in the tangent space at the unit rows w, against the
+        # tangential gradient g: H becomes (I - ww') H (I - ww') + ww', its
+        # compression onto w-perp with the radial block pinned to the
+        # identity, written in place as H - wb' - bw' for
+        # b = Hw - (w'Hw + 1) w / 2
         h = _d_tilde_hessians(m, n, wa)
+        hw = np.einsum("cij,cj->ci", h, wa)
+        b = hw - 0.5 * (np.einsum("ci,ci->c", hw, wa) + 1.0)[:, None] * wa
+        h -= wa[:, :, None] * b[:, None, :]
+        h -= b[:, :, None] * wa[:, None, :]
         lam_min = np.linalg.eigvalsh(h)[:, 0]
         scale = np.maximum(1.0, np.abs(h).max(axis=(1, 2)))
         tau = np.maximum(0.0, _SHIFT_FLOOR * scale - lam_min)

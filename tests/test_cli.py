@@ -201,17 +201,14 @@ def run_to_file(args, out):
 
 
 class TestDeterminism:
-    def test_simulate_report_bytes_stable_across_threads(self, tmp_path, monkeypatch):
+    def test_simulate_report_bytes_stable_across_reruns(self, tmp_path):
         out = tmp_path / "rep.json"
         args = [
             "simulate", "--mode", "population", "--d", "6", "--u", "2",
             "--reps", "4", "--algo", "onedim", "--seed", "42",
         ]
-        monkeypatch.setenv("ENVEST_THREADS", "1")
         first = run_to_file(args, out)
-        monkeypatch.setenv("ENVEST_THREADS", "3")
         second = run_to_file(args, out)
-        monkeypatch.delenv("ENVEST_THREADS")
         third = run_to_file(args, out)
         assert first == second == third
         assert b"wall_time_seconds" not in first
@@ -226,8 +223,7 @@ class TestDeterminism:
         assert capsys.readouterr().out == first
 
 
-def test_csv_summary_grid(tmp_path, monkeypatch):
-    monkeypatch.setenv("ENVEST_THREADS", "1")
+def test_csv_summary_grid(tmp_path):
     out = tmp_path / "rep.json"
     grid = tmp_path / "summary.csv"
     code = cli.run(

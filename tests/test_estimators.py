@@ -15,6 +15,7 @@ from envest.errors import (
     SingularCovariance,
 )
 from envest.grassmann import FgSettings
+from envest.objective import ObjectivePair
 from envest.onedim import OneDimSettings
 
 
@@ -346,6 +347,26 @@ class TestDimensionSelection:
         monkeypatch.setattr(estimators, "covariance_kit", counting_kit)
         estimators.select_dimension_bic(data, "response", 3)
         assert len(calls) == 1
+
+    def test_bic_checks_the_pair_once(self, monkeypatch):
+        # the U-hat check and the ridge-check pair do not depend on u, so
+        # they run once per scan; the scores stay those of per-u _fit_basis
+        _, data = make_data(92, n=100)
+        calls = []
+        real_from_pair = ObjectivePair.from_pair
+
+        def counting_from_pair(cls, *args):
+            calls.append(None)
+            return real_from_pair(*args)
+
+        monkeypatch.setattr(ObjectivePair, "from_pair", classmethod(counting_from_pair))
+        sel = estimators.select_dimension_bic(data, "response", 4)
+        assert len(calls) == 1
+        m, m_plus_u, _ = estimators._kind_pair("response", data)
+        d = m.shape[0]
+        for u, score in enumerate(sel.scores, start=1):
+            _, objective = estimators._fit_basis(m, m_plus_u, u, "onedim", None)
+            assert score == data.n * objective + np.log(data.n) * u * (d - u)
 
     def test_bic_reports_a_failing_pair(self):
         # a constant predictor makes S_X singular, which fails every

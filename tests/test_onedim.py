@@ -11,7 +11,7 @@ import pytest
 
 from envest import linalg, onedim, simulate
 from envest.errors import InvalidDimension, InvalidInput
-from envest.objective import ObjectivePair, d_tilde_value
+from envest.objective import ObjectivePair, _d_tilde_values, d_tilde_gradient, d_tilde_value
 
 
 def sphere_grid_2d(num=2000):
@@ -97,6 +97,44 @@ def test_solve_direction_extra_starts_agree():
 def test_solve_direction_dim_one():
     pair = ObjectivePair.from_m_u(np.array([[2.0]]), np.array([[1.0]]))
     np.testing.assert_allclose(onedim.solve_direction(pair), [1.0])
+
+
+def test_armijo_rejects_a_step_that_leaves_d_unchanged():
+    # a descent step far below float64 resolution: the trial point equals w,
+    # so its value equals f and the sufficient-decrease test alone passes it
+    pair = ObjectivePair.from_m_u(np.diag([4.0, 2.0, 1.0]), np.diag([0.0, 3.0, 1.0]))
+    w = np.array([[0.6, 0.64, 0.48]])
+    f = _d_tilde_values(pair.m, pair.m_plus_u_inv, w)
+    g = d_tilde_gradient(pair, w[0])
+    p = -1e-20 * g[None, :]
+    dg = p @ g
+    assert np.array_equal(w + p, w)
+    assert f[0] + onedim._ARMIJO_C1 * dg[0] == f[0]
+    accepted, w_new, f_new = onedim._armijo(pair.m, pair.m_plus_u_inv, w, f, p, dg)
+    assert not accepted[0]
+    assert np.array_equal(w_new, w)
+    assert np.array_equal(f_new, f)
+
+
+def test_no_direction_reaches_the_iteration_cap(monkeypatch):
+    # one Hessian batch per lockstep iteration, and each direction of a
+    # fit works in its own dimension d - k, so the calls per size count
+    # every direction's iterations; a start sitting at a numerical critical
+    # point (seeds 1, 9 and 11 have some) must stall, not run to the cap
+    calls = {}
+    real = onedim._d_tilde_hessians
+
+    def counting(m, n, w):
+        calls[m.shape[0]] = calls.get(m.shape[0], 0) + 1
+        return real(m, n, w)
+
+    monkeypatch.setattr(onedim, "_d_tilde_hessians", counting)
+    cap = onedim.OneDimSettings().max_inner_iterations
+    for seed in range(16):
+        calls.clear()
+        inst = simulate.generate_instance(30, 10, seed)
+        onedim.fit(inst.m, inst.u_mat, 10)
+        assert max(calls.values()) < cap, (seed, calls)
 
 
 class TestFit:

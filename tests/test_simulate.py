@@ -1,5 +1,5 @@
 """Simulation harness: the eigenspace oracle, seeded experiments and the
-residual bootstrap, with determinism pinned across thread counts."""
+residual bootstrap, with determinism pinned across reruns."""
 
 from dataclasses import replace
 
