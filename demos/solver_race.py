@@ -38,7 +38,7 @@ t_scan = time.perf_counter() - t0
 t0 = time.perf_counter()
 warm = grassmann.fit(
     m_hat, u_hat, 10,
-    grassmann.FgSettings(start_strategy=seq.basis, max_iterations=100, seed=11),
+    grassmann.FgSettings(start_strategy=seq.basis, seed=11),
 )
 t_warm = time.perf_counter() - t0
 

@@ -2,7 +2,7 @@
 
 The package fits envelope models by minimizing a log-determinant objective
 over subspaces, either one direction at a time (fast, sequential) or by
-projected gradient descent on the full subspace.  Estimator plug-ins cover
+trust-region Newton on the full subspace.  Estimator plug-ins cover
 response, partial, predictor and mean reductions; a simulation harness and
 a residual bootstrap round out the toolkit.  ``python -m envest`` exposes
 everything on the command line.

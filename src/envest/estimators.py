@@ -64,11 +64,11 @@ PREDICTIVE_KINDS = ("response", "predictor")
 
 # solver presets behind the algorithm names accepted by the estimators, the
 # experiment harnesses and the command line; fg-warm is the sequential fit
-# refined by a short run of the full optimizer
+# refined by the full optimizer
 ALGORITHMS = {
     "onedim": onedim.OneDimSettings(),
     "fg": grassmann.FgSettings(start_strategy="scan"),
-    "fg-warm": grassmann.FgSettings(start_strategy="warm", max_iterations=100),
+    "fg-warm": grassmann.FgSettings(start_strategy="warm"),
 }
 
 
@@ -83,7 +83,7 @@ def solver_settings(algo, seed=0, gradient_tol=None, max_iterations=None):
     """The preset settings of ``algo`` with its seed and overrides applied.
 
     max_iterations caps the Newton iterations per direction for onedim and
-    the descent iterations for fg and fg-warm; None keeps the preset value,
+    the trust-region iterations for fg and fg-warm; None keeps the preset value,
     as does a None gradient_tol.
     """
     _check_algorithm(algo)

@@ -154,8 +154,8 @@ def j_value(pair, gamma):
 def j_gradient(pair, gamma):
     """Euclidean gradient of :func:`j_value` in the entries of Gamma.
 
-    2 M G (G'MG)^{-1} + 2 (M+U)^{-1} G (G'(M+U)^{-1}G)^{-1}.  Callers doing
-    manifold descent should project it onto their tangent space themselves.
+    2 M G (G'MG)^{-1} + 2 (M+U)^{-1} G (G'(M+U)^{-1}G)^{-1}.  Callers working
+    on a manifold should project it onto their tangent space themselves.
     """
     gamma = _check_gamma(pair, gamma)
 

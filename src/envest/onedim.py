@@ -47,7 +47,7 @@ from .objective import (
 __all__ = ["OneDimSettings", "EnvelopeFit", "solve_direction", "fit"]
 
 _SHIFT_FLOOR = 1e-8
-# Armijo backtracking constants, shared with the Grassmann solver
+# Armijo backtracking constants
 _ARMIJO_C1 = 1e-4
 _LINE_SEARCH_SHRINK = 0.5
 _MIN_STEP = 1e-14
@@ -73,8 +73,10 @@ class EnvelopeFit:
 
     objective_values holds the per-step final objective for the sequential
     algorithm and the single final value for the Grassmann optimizer;
-    inner_iterations is aligned with it.  diagnostics collects string flags
-    such as ``FlatStep@k``, ``CapReached`` or ``Ridged``.
+    inner_iterations is aligned with it.  diagnostics collects string flags:
+    ``FlatStep@k`` and ``FullSpace`` from the sequential solver, ``Roundoff``,
+    ``RadiusCollapse`` and ``CapReached`` from the Grassmann optimizer, and
+    ``Ridged`` from the estimators.
     """
 
     basis: np.ndarray

@@ -65,9 +65,7 @@ def test_criterion_3_oracle_equivalence():
             inst.m,
             inst.u_mat,
             u,
-            grassmann.FgSettings(
-                start_strategy=seq.basis, max_iterations=100, seed=5000 + i
-            ),
+            grassmann.FgSettings(start_strategy=seq.basis, seed=5000 + i),
         )
         worst["fg-warm"] = max(
             worst["fg-warm"], linalg.subspace_distance(warm.basis, oracle)
@@ -276,9 +274,7 @@ def test_criterion_11_warm_start_avoids_local_minima():
             m_hat,
             u_hat,
             10,
-            grassmann.FgSettings(
-                start_strategy=start, max_iterations=100, seed=4000 + i
-            ),
+            grassmann.FgSettings(start_strategy=start, seed=4000 + i),
         )
         warm_vals.append(j_value(pair, warm.basis))
     mean_scan = float(np.mean(scan_vals))

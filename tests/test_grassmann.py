@@ -1,4 +1,4 @@
-"""Projected gradient descent on the subspace objective.
+"""Riemannian trust-region Newton on the subspace objective.
 
 The scan-start oracle is frozen: for M = diag(1,2,3) and U = e2 e2', the
 best single eigenvector is e2 because J(e_i) = log(lambda_i) + log of the
@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from envest import grassmann, linalg, onedim, simulate
+from envest.estimators import covariance_kit
 from envest.errors import InvalidInput, RankDeficientCandidates
 from envest.objective import ObjectivePair, j_value
 
@@ -57,7 +58,7 @@ class TestFit:
             assert fit.algorithm_tag == "fg"
 
     def test_population_recovery_warm(self):
-        settings = grassmann.FgSettings(start_strategy="warm", max_iterations=100)
+        settings = grassmann.FgSettings(start_strategy="warm")
         for seed in range(15):
             inst = simulate.generate_instance(6, 2, 400 + seed)
             fit = grassmann.fit(inst.m, inst.u_mat, 2, settings)
@@ -124,7 +125,7 @@ class TestFit:
             od = onedim.fit(s_res, u_hat, 3)
             fg = grassmann.fit(
                 s_res, u_hat, 3,
-                grassmann.FgSettings(start_strategy="warm", max_iterations=100),
+                grassmann.FgSettings(start_strategy="warm"),
             )
             pair = ObjectivePair.from_m_u(s_res, u_hat)
             assert fg.objective_values[-1] <= j_value(pair, od.basis) + 1e-10
@@ -144,3 +145,117 @@ def test_scan_needs_enough_independent_candidates():
     m = np.diag([2.0, 1.0])
     start = grassmann.eigenvector_scan_start(m, np.zeros((2, 2)), 2)
     np.testing.assert_allclose(start.T @ start, np.eye(2), atol=1e-12)
+
+
+def test_tangent_model_matches_finite_differences():
+    # gradient and Hessian against central differences of J along the QR
+    # retraction K -> qf(G + G0 K); the retraction is second order on the
+    # Grassmannian, so its second differences are the Riemannian Hessian
+    rng = np.random.default_rng(610)
+    h_grad, h_hess = 1e-5, 3e-4
+    worst_g = worst_h = worst_sym = 0.0
+    for _ in range(100):
+        d = int(rng.integers(2, 9))
+        u = int(rng.integers(1, d))
+        inst = simulate.generate_instance(
+            d, int(rng.integers(1, d)), int(rng.integers(0, 2**31))
+        )
+        pair = ObjectivePair.from_m_u(inst.m, inst.u_mat)
+        g = linalg.orthonormalize(rng.standard_normal((d, u)))
+        g0, grad, hess, _ = grassmann._tangent_model(pair, g, (1.0, 1.0))
+        size = (d - u) * u
+        eye = np.eye(size)
+
+        def j_at(k):
+            return j_value(pair, linalg._signed_qr(g + g0 @ k.reshape(d - u, u))[0])
+
+        fd = np.array(
+            [(j_at(h_grad * e) - j_at(-h_grad * e)) / (2 * h_grad) for e in eye]
+        )
+        fdh = np.empty((size, size))
+        for a in range(size):
+            for b in range(a, size):
+                p, q = h_hess * eye[a], h_hess * eye[b]
+                fdh[a, b] = fdh[b, a] = (
+                    j_at(p + q) - j_at(p - q) - j_at(q - p) + j_at(-p - q)
+                ) / (4 * h_hess**2)
+        worst_g = max(
+            worst_g, np.linalg.norm(grad.ravel() - fd) / max(np.linalg.norm(fd), 1.0)
+        )
+        worst_h = max(
+            worst_h, np.linalg.norm(hess - fdh) / max(np.linalg.norm(hess), 1.0)
+        )
+        worst_sym = max(worst_sym, float(np.abs(hess - hess.T).max()))
+    assert worst_g < 1e-6
+    assert worst_h < 1e-4
+    assert worst_sym == 0.0
+
+
+@pytest.mark.parametrize("hard", [False, True])
+def test_trust_region_step_is_the_subproblem_minimizer(hard):
+    # the exact step must beat every feasible point of a random sample,
+    # including when H is indefinite and g has no weight on its lowest
+    # eigenvector (the hard case)
+    rng = np.random.default_rng(620 + hard)
+    for _ in range(20):
+        n = int(rng.integers(2, 12))
+        a = rng.standard_normal((n, n))
+        vals, vecs = np.linalg.eigh(a + a.T)
+        grad = rng.standard_normal(n)
+        if hard:
+            grad -= vecs[:, 0] * (vecs[:, 0] @ grad)
+        radius = float(rng.uniform(0.1, 3.0))
+        step, pred = grassmann._trust_region_step(vals, vecs, grad, radius)
+        hess = (vecs * vals) @ vecs.T
+
+        def model(s):
+            return grad @ s + 0.5 * s @ hess @ s
+
+        assert np.linalg.norm(step) <= radius * (1 + 1e-8)
+        assert pred == pytest.approx(-model(step), rel=1e-8, abs=1e-12)
+        trials = rng.standard_normal((2000, n))
+        trials *= radius * rng.uniform(0, 1, (2000, 1)) ** (1 / n) / np.linalg.norm(
+            trials, axis=1, keepdims=True
+        )
+        assert min(model(t) for t in trials) >= model(step) - 1e-10
+
+
+def _sample_problem(d, u, n, inst_seed, data_seed):
+    inst = simulate.generate_instance(d, u, inst_seed)
+    kit = covariance_kit(simulate.sample_data(inst, n, data_seed))
+    m_hat = kit.s_y_given_x
+    return m_hat, linalg.symmetrize(kit.s_y - m_hat)
+
+
+@pytest.mark.parametrize(
+    "problem",
+    [(20, 5, 1000, s, 100 + s) for s in range(4)]
+    + [(30, 10, 2000, 4000 + i, 4001 + i) for i in range(3)],
+)
+def test_converges_on_sample_data(problem):
+    # sample covariances leave the Grassmann Hessian badly conditioned, yet
+    # Newton must end by the gradient test or at J's float64 resolution
+    # within a few steps, from either start, and never above its start
+    d, u = problem[:2]
+    m_hat, u_hat = _sample_problem(*problem)
+    pair = ObjectivePair.from_m_u(m_hat, u_hat)
+    norms = (np.linalg.norm(pair.m, 2), np.linalg.norm(pair.m_plus_u_inv, 2))
+    starts = {
+        "scan": grassmann.eigenvector_scan_start(m_hat, u_hat, u),
+        "warm": onedim.fit(m_hat, u_hat, u).basis,
+    }
+    for strategy, start in starts.items():
+        fit = grassmann.fit(
+            m_hat, u_hat, u, grassmann.FgSettings(start_strategy=strategy)
+        )
+        assert fit.diagnostics in ([], ["Roundoff"]), strategy
+        assert fit.inner_iterations[0] <= 20, strategy
+        assert fit.objective_values[0] <= j_value(pair, start), strategy
+        # where it stopped, the Newton step promises no decrease that J
+        # could resolve, or the gradient test passes
+        _, grad, hess, resolution = grassmann._tangent_model(pair, fit.basis, norms)
+        g = grad.ravel()
+        if fit.diagnostics:
+            assert 0.5 * g @ np.linalg.solve(hess, g) <= 2.0 * resolution, strategy
+        else:
+            assert np.linalg.norm(g) <= 1e-8 * max(1.0, abs(fit.objective_values[0]))

@@ -122,9 +122,7 @@ class TestPopulationExperiment:
                 settings = grassmann.FgSettings(start_strategy="scan", seed=rec.seed)
                 start = grassmann.eigenvector_scan_start(inst.m, inst.u_mat, 2)
             else:
-                settings = grassmann.FgSettings(
-                    start_strategy="warm", max_iterations=100, seed=rec.seed
-                )
+                settings = grassmann.FgSettings(start_strategy="warm", seed=rec.seed)
                 start = onedim.fit(
                     inst.m, inst.u_mat, 2, onedim.OneDimSettings(seed=rec.seed)
                 ).basis
