@@ -12,6 +12,7 @@ separate CSV grid.  No environment variable is read.
 
 import argparse
 import csv
+import io
 import json
 import math
 import sys
@@ -32,13 +33,35 @@ class _UsageError(Exception):
 # CSV input
 
 
+# control characters that np.loadtxt strips around a number and float() rejects
+_LOADTXT_ONLY_SPACE = "\x1c\x1d\x1e\x1f"
+
+
+def _loadtxt_matrix(path):
+    """The matrix of a CSV file whose every row is plain numbers.
+
+    Raises ValueError or OSError on any other file; it accepts only files
+    that read_matrix_csv's cell-by-cell parse accepts, with the same result.
+    """
+    with open(path, encoding="utf-8") as fh:
+        text = fh.read()
+    if not text.strip() or any(c in text for c in _LOADTXT_ONLY_SPACE):
+        raise ValueError("not a plain numeric CSV file")
+    return np.loadtxt(io.StringIO(text), delimiter=",", comments=None, ndmin=2)
+
+
 def read_matrix_csv(path):
     """Read a numeric matrix from a CSV file, preserving row order.
 
     A single header row is skipped when any cell of the first row fails to
     parse as a number.  Ragged rows and non-numeric data cells raise
-    ParseError naming the 1-based row and column.
+    ParseError naming the 1-based row and column.  A file of plain numbers
+    is read by np.loadtxt; any other goes through the cell-by-cell parse.
     """
+    try:
+        return _loadtxt_matrix(path)
+    except (OSError, ValueError):
+        pass  # header, quotes, underscores, a bad cell or no file: parse cell by cell
     try:
         with open(path, newline="", encoding="utf-8") as fh:
             raw = [(i + 1, row) for i, row in enumerate(csv.reader(fh))]

@@ -47,16 +47,18 @@ class SingularGram(EnvestError):
 class NoConvergence(EnvestError):
     """No candidate start of the direction solver met the gradient criterion.
 
-    Carries the best iterate found (``best``), its tangential gradient norm
-    (``gradient_norm``) and, when raised from the sequential fit, the index of
-    the failing step (``step_index``).
+    Carries the best iterate found (``best``) and its tangential gradient
+    norm (``gradient_norm``).  When raised from the sequential fit it also
+    carries the index of the failing step (``step_index``) and the fit of
+    the directions accepted before it (``partial``).
     """
 
-    def __init__(self, message, best=None, gradient_norm=None, step_index=None):
+    def __init__(self, message, best=None, gradient_norm=None, step_index=None, partial=None):
         super().__init__(message)
         self.best = best
         self.gradient_norm = gradient_norm
         self.step_index = step_index
+        self.partial = partial
 
 
 class RankDeficientCandidates(EnvestError):

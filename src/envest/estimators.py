@@ -20,9 +20,12 @@ mean deviations to sum to zero, so the fit runs inside the orthogonal
 complement of the all-ones direction and the basis is mapped back up.
 
 Each estimator checks its kind in ``_problem_dimension``, builds its pair
-in ``_kind_pair``, fits it in ``_fit_basis`` and assembles its estimates;
-BIC builds and checks the pair once and refits only the basis for each
-candidate u.
+in ``_kind_pair``, fits it in ``_fit_basis`` and assembles its estimates.
+A dimension scan (BIC, and cross-validation on each fold) builds and checks
+its pair once.  The sequential solver finds each direction given the ones
+before it, so its fit at u is the first u columns of its fit at any larger
+u: a scan with onedim or fg-warm makes one sequential fit and takes every
+candidate's basis from it, in ``_basis_scan``.
 """
 
 from dataclasses import dataclass, field, replace
@@ -35,6 +38,7 @@ from .errors import (
     EnvestError,
     InvalidInput,
     InvalidUhat,
+    NoConvergence,
     NotPositiveDefinite,
     SingularCovariance,
 )
@@ -277,6 +281,50 @@ def _fit_basis(m, m_plus_u, u, algo, settings):
     return _fit_checked_pair(_checked_pair(m, m_plus_u), u, algo, settings)
 
 
+def _basis_scan(checked, u_max, algo, settings):
+    """fit(u) -> (basis fit, objective) for the candidates u = 1..u_max of a scan.
+
+    Each fit equals _fit_checked_pair's at u.  For onedim, and for fg from
+    the warm start, one sequential fit at top = min(u_max, d - 1) serves
+    every u up to top: onedim returns its leading u columns and fg refines
+    them, as grassmann.fit's warm start does.  When that fit stops with
+    NoConvergence at direction k, every u above k raises that error and the
+    u up to k keep the k directions accepted before it.  u = d, and fg from
+    any other start, are fitted on their own.
+    """
+    m, u_hat, pair, diagnostics = checked
+    if settings is None:
+        settings = solver_settings(algo)
+    top = min(u_max, m.shape[0] - 1)
+    warm = algo != "onedim" and (
+        isinstance(settings.start_strategy, str) and settings.start_strategy == "warm"
+    )
+    if top == 0 or not (algo == "onedim" or warm):
+        return lambda u: _fit_checked_pair(checked, u, algo, settings)
+    try:
+        sequential = onedim.fit(
+            m, u_hat, top, onedim.OneDimSettings(seed=settings.seed) if warm else settings
+        )
+        error = None
+    except NoConvergence as exc:
+        sequential, error = exc.partial, exc
+
+    def fit(u):
+        if u > top:
+            return _fit_checked_pair(checked, u, algo, settings)
+        if u > sequential.basis.shape[1]:
+            raise error
+        basis_fit = sequential.leading(u)
+        if warm:
+            basis_fit = grassmann.fit(
+                m, u_hat, u, replace(settings, start_strategy=basis_fit.basis)
+            )
+        basis_fit.diagnostics.extend(diagnostics)
+        return basis_fit, float(j_value(pair, basis_fit.basis))
+
+    return fit
+
+
 def _problem_dimension(kind, data, p1=None):
     """Dimension d of kind's problem on data, after the checks of kind, x and p1."""
     if kind not in KINDS:
@@ -340,7 +388,11 @@ def response_envelope(data, u, algo="onedim", settings=None):
     least squares onto the fitted span, and the error covariance estimate
     is P S_{Y|X} P + Q S_{Y|X} Q with P the span projector and Q = I - P.
     """
-    kit, fit, objective = _fit_kind_pair("response", data, u, algo, settings)
+    return _response_estimate(*_fit_kind_pair("response", data, u, algo, settings))
+
+
+def _response_estimate(kit, fit, objective):
+    """The response envelope of a fitted basis, from its sample's covariance kit."""
     gamma = fit.basis
     p_g = gamma @ gamma.T
     q_g = np.eye(kit.s_y.shape[0]) - p_g
@@ -398,7 +450,11 @@ def predictor_envelope(data, u, algo="onedim", settings=None):
     the transpose of the S_X-metric projection onto the fitted span, which
     collapses immaterial predictor variation out of the estimate.
     """
-    kit, fit, objective = _fit_kind_pair("predictor", data, u, algo, settings)
+    return _predictor_estimate(*_fit_kind_pair("predictor", data, u, algo, settings))
+
+
+def _predictor_estimate(kit, fit, objective):
+    """The predictor envelope of a fitted basis, from its sample's covariance kit."""
     beta_ols = kit.beta_ols  # r x p
     proj = project(fit.basis, metric=kit.s_x)  # p x p, S_X inner product
     beta_env = beta_ols @ proj.T
@@ -513,19 +569,21 @@ def _select(u_max, score):
 def select_dimension_bic(data, kind, u_max, algo="onedim", settings=None, p1=None):
     """Pick u by n J_n(fit) + log(n) u (d - u), smaller u winning ties.
 
-    The pair is built and checked once and only its basis is refitted for
-    each candidate, so a pair that cannot be built or fails its checks
-    raises its own error.  scores has one entry per candidate u (NaN when
-    that fit failed); every candidate failing raises AllFitsFailed.
+    The pair is built and checked once, so a pair that cannot be built or
+    fails its checks raises its own error.  With onedim or fg-warm one
+    sequential fit at min(u_max, d - 1) gives every candidate's basis (see
+    _basis_scan); the scores equal those of a separate fit per u.  scores
+    has one entry per candidate u (NaN when that fit failed); every
+    candidate failing raises AllFitsFailed.
     """
     d = _problem_dimension(kind, data, p1)
     _require_dimension(u_max, d, "u_max")
     m, m_plus_u, _ = _kind_pair(kind, data, p1)
-    checked = _checked_pair(m, m_plus_u)
+    fits = _basis_scan(_checked_pair(m, m_plus_u), u_max, algo, settings)
     n = data.n
 
     def score(u):
-        _, objective = _fit_checked_pair(checked, u, algo, settings)
+        _, objective = fits(u)
         return n * objective + np.log(n) * u * (d - u)
 
     return _select(u_max, score)
@@ -537,9 +595,11 @@ def select_dimension_cv(
     """Pick u by k-fold cross-validated squared prediction error.
 
     Only kinds that predict Y from X participate (response, predictor).
-    The fold split is one seeded permutation shared by all candidate u;
-    scores are mean squared prediction errors per observation and ties go
-    to the smaller u.
+    The fold split is one seeded permutation shared by all candidate u.
+    Each fold builds its covariance kit and pair once and scans them as BIC
+    does, so with onedim or fg-warm it makes one sequential fit; the scores
+    equal those of a separate estimator fit per u and fold.  scores are mean
+    squared prediction errors per observation and ties go to the smaller u.
     """
     if kind not in PREDICTIVE_KINDS:
         raise InvalidInput(
@@ -552,14 +612,29 @@ def select_dimension_cv(
     rng = np.random.default_rng(seed)
     order = rng.permutation(n)
     chunks = np.array_split(order, folds)
+    assemble = _response_estimate if kind == "response" else _predictor_estimate
+
+    def fold_scan(test_idx):
+        mask = np.ones(n, dtype=bool)
+        mask[test_idx] = False
+        train = RegressionData(data.x[mask], data.y[mask])
+        m, m_plus_u, kit = _kind_pair(kind, train)
+        return kit, _basis_scan(_checked_pair(m, m_plus_u), u_max, algo, settings)
+
+    scans = []
+    for test_idx in chunks:
+        try:
+            scans.append(fold_scan(test_idx))
+        except EnvestError as exc:  # the fold's pair fails every u alike
+            scans.append(exc)
 
     def score(u):
         sse = 0.0
-        for test_idx in chunks:
-            mask = np.ones(n, dtype=bool)
-            mask[test_idx] = False
-            train = RegressionData(data.x[mask], data.y[mask])
-            fit = _fit_by_kind(kind, train, u, algo, settings)
+        for test_idx, scan in zip(chunks, scans):
+            if isinstance(scan, EnvestError):
+                raise scan
+            kit, fits = scan
+            fit = assemble(kit, *fits(u))
             pred = fit.alpha_hat + data.x[test_idx] @ fit.beta_env.T
             sse += float(np.sum((data.y[test_idx] - pred) ** 2))
         return sse / n

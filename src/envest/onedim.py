@@ -57,13 +57,12 @@ _MIN_STEP = 1e-14
 class OneDimSettings:
     """Knobs for the direction solver.
 
-    num_extra_starts adds that many seeded random unit starts to the
-    deterministic eigenvector candidates.
+    The solver is deterministic and reads no seed; ``seed`` stays because
+    callers pass it.
     """
 
     max_inner_iterations: int = 500
     gradient_tol: float = 1e-10
-    num_extra_starts: int = 0
     seed: int = 0
 
 
@@ -85,6 +84,25 @@ class EnvelopeFit:
     wall_time_seconds: float
     algorithm_tag: str
     diagnostics: list = field(default_factory=list)
+
+    def leading(self, u):
+        """The first u directions of a sequential fit, as a fit of their own.
+
+        Each direction is found given the ones before it, so this is what a
+        fit at u returns, except that the wall time stays the whole fit's.
+        """
+        flat = "FlatStep@"
+        return EnvelopeFit(
+            basis=np.ascontiguousarray(self.basis[:, :u]),
+            objective_values=self.objective_values[:u],
+            inner_iterations=self.inner_iterations[:u],
+            wall_time_seconds=self.wall_time_seconds,
+            algorithm_tag=self.algorithm_tag,
+            diagnostics=[
+                f for f in self.diagnostics
+                if not f.startswith(flat) or int(f[len(flat):]) < u
+            ],
+        )
 
 
 def _armijo(m, n, w, f, p, dg):
@@ -119,16 +137,6 @@ def _armijo(m, n, w, f, p, dg):
     return accepted, w_new, f_new
 
 
-def _candidate_starts(pair, settings):
-    starts = [pair.m_eigenvectors.T, pair.m_plus_u_eigenvectors.T]
-    if settings.num_extra_starts > 0:
-        rng = np.random.default_rng(settings.seed)
-        extra = rng.standard_normal((settings.num_extra_starts, pair.dim))
-        extra /= np.linalg.norm(extra, axis=1, keepdims=True)
-        starts.append(extra)
-    return np.concatenate(starts, axis=0)
-
-
 def _solve_direction(pair, settings):
     """Multistart solve; returns (w, value, iterations-of-winner, flat)."""
     dim = pair.dim
@@ -137,7 +145,11 @@ def _solve_direction(pair, settings):
         w = np.ones(1)
         return w, float(_d_tilde_values(m, n, w[None, :])[0]), 0, False
 
-    w = _candidate_starts(pair, settings).copy()
+    # one row per start, stored row-major: the rounding of the batched
+    # kernels depends on the layout
+    w = np.ascontiguousarray(
+        np.concatenate([pair.m_eigenvectors.T, pair.m_plus_u_eigenvectors.T], axis=0)
+    )
     count = w.shape[0]
     f = _d_tilde_values(m, n, w)
     iters = np.zeros(count, dtype=int)
@@ -256,22 +268,28 @@ def fit(m_hat, u_hat, u, settings=None):
     m_hat must be symmetric positive definite, u_hat symmetric positive
     semidefinite.  Directions are extracted one at a time; the returned
     basis columns are orthonormal and in extraction order.  u == d skips
-    optimization entirely and returns the identity basis.
+    optimization entirely and returns the identity basis.  A NoConvergence
+    at direction k carries step_index k and, in ``partial``, the fit of the
+    k directions accepted before it.
     """
     if settings is None:
         settings = OneDimSettings()
     m_hat, u_hat, d = _check_solver_inputs(m_hat, u_hat, u)
 
     start = time.perf_counter()
-    if u == d:
+
+    def result(basis, values, iterations, diagnostics):
         return EnvelopeFit(
-            basis=np.eye(d),
-            objective_values=[],
-            inner_iterations=[],
+            basis=basis,
+            objective_values=values,
+            inner_iterations=iterations,
             wall_time_seconds=time.perf_counter() - start,
             algorithm_tag="onedim",
-            diagnostics=["FullSpace"],
+            diagnostics=diagnostics,
         )
+
+    if u == d:
+        return result(np.eye(d), [], [], ["FullSpace"])
 
     basis = np.zeros((d, 0))
     values = []
@@ -284,6 +302,7 @@ def fit(m_hat, u_hat, u, settings=None):
             w, val, its, flat = _solve_direction(pair_k, settings)
         except NoConvergence as exc:
             exc.step_index = k
+            exc.partial = result(basis, values, iterations, diagnostics)
             raise
         g = g0 @ w
         g /= np.linalg.norm(g)
@@ -292,12 +311,4 @@ def fit(m_hat, u_hat, u, settings=None):
         iterations.append(its)
         if flat:
             diagnostics.append(f"FlatStep@{k}")
-    elapsed = time.perf_counter() - start
-    return EnvelopeFit(
-        basis=basis,
-        objective_values=values,
-        inner_iterations=iterations,
-        wall_time_seconds=elapsed,
-        algorithm_tag="onedim",
-        diagnostics=diagnostics,
-    )
+    return result(basis, values, iterations, diagnostics)

@@ -13,6 +13,7 @@ over eigen-groups onto which U projects at all.  No optimization is
 involved, which makes it the reference answer for the solvers.
 """
 
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -335,7 +336,8 @@ def residual_bootstrap(data, kind, u, b, algo="onedim", settings=None, seed=0, p
     responses rebuilt as alpha + X beta' + resampled residuals, and both
     estimators refit per replicate.  Standard deviations use divisor b-1
     over the successful replicates; more than 20 percent failures raises
-    BootstrapUnstable, naming the last replicate's error.  For the mean
+    BootstrapUnstable, which counts the failures per error type and names
+    the last replicate's error, chained as its cause.  For the mean
     kinds the "OLS" estimator is the sample mean and X plays no role.
     """
     if b < 2:
@@ -355,7 +357,7 @@ def residual_bootstrap(data, kind, u, b, algo="onedim", settings=None, seed=0, p
     rng = np.random.default_rng(seed)
     ols_draws = []
     env_draws = []
-    failed = 0
+    failures = Counter()
     last_error = None
     for _ in range(b):
         rows = rng.integers(0, n, size=n)
@@ -368,12 +370,14 @@ def residual_bootstrap(data, kind, u, b, algo="onedim", settings=None, seed=0, p
             ols = refit.beta_ols[:, :p1] if kind == "partial" else refit.beta_ols
             ols_draws.append(ols)
         except EnvestError as exc:
-            failed += 1
+            failures[type(exc).__name__] += 1
             last_error = exc
+    failed = failures.total()
     if failed > 0.2 * b:
+        counts = ", ".join(f"{name}: {count}" for name, count in failures.items())
         raise BootstrapUnstable(
             f"{failed} of {b} bootstrap replicates failed to refit "
-            f"(last: {type(last_error).__name__}: {last_error})"
+            f"({counts}; last: {type(last_error).__name__}: {last_error})"
         ) from last_error
     se_ols = np.std(np.stack(ols_draws), axis=0, ddof=1)
     se_env = np.std(np.stack(env_draws), axis=0, ddof=1)

@@ -68,6 +68,66 @@ class TestReadMatrixCsv:
         with pytest.raises(IoError):
             cli.read_matrix_csv(tmp_path / "absent.csv")
 
+    @pytest.mark.parametrize(
+        "text, fast",
+        [
+            ("1,2\n3,4\n", True),
+            ("a,b\n1,2\n3,4\n", False),
+            ("1,2\n\n3,4\n\n", True),
+            ("1,2\n   \n3,4\n", False),
+            ("1\n \n2\n", False),
+            ("\t\n1,2\n", False),
+            ('"1",2\n3,"4"\n', False),
+            ("#x,y\n1,2\n", False),
+            ("1,2\n#3,4\n", False),
+            ("1,2\n3\n", False),
+            ("1,2\n3,4,5\n", False),
+            ("1,2,\n3,4,\n", False),
+            ("nan,inf\n-inf,NaN\n", True),
+            ("Infinity,-nan\n+inf,-0\n", True),
+            ("1_000,2\n3,4\n", False),
+            ("1\n2\n3\n", True),
+            ("7\n", True),
+            (" 1 ,\t2\r\n3,4\r\n", True),
+            ("1,2\r3,4", True),
+            ("1,2\n3,4\x1c\n", False),
+            ("\x1f1,2\n3,4\n", False),
+            ("", False),
+            ("\n\n", False),
+        ],
+    )
+    def test_fast_path_agrees_with_the_cell_parse(self, tmp_path, monkeypatch, text, fast):
+        # np.loadtxt may read only files the cell-by-cell parse accepts, and
+        # must return the same array; anything else falls back to the parse
+        p = tmp_path / "m.csv"
+        p.write_bytes(text.encode("utf-8"))
+
+        def outcome():
+            try:
+                return cli.read_matrix_csv(p)
+            except ParseError as exc:
+                return str(exc)
+
+        got = outcome()
+        try:
+            cli._loadtxt_matrix(p)
+            took_fast_path = True
+        except ValueError:
+            took_fast_path = False
+        assert took_fast_path == fast
+
+        def no_fast_path(path):
+            raise ValueError("fast path off")
+
+        monkeypatch.setattr(cli, "_loadtxt_matrix", no_fast_path)
+        want = outcome()
+        if isinstance(want, str):
+            assert got == want
+        else:
+            assert got.shape == want.shape
+            assert np.array_equal(got, want, equal_nan=True)
+            assert np.array_equal(np.signbit(got), np.signbit(want))
+
 
 class TestJsonWriter:
     def test_round_trip(self, capsys):

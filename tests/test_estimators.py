@@ -5,13 +5,18 @@ residual fit before any envelope machinery is trusted on top of them.
 """
 
 import numpy as np
+import hypothesis
 import pytest
+from hypothesis import strategies as st
 
-from envest import estimators, linalg, simulate
+from envest import estimators, linalg, onedim, simulate
 from envest.errors import (
+    AllFitsFailed,
+    EnvestError,
     InvalidDimension,
     InvalidInput,
     InvalidUhat,
+    NoConvergence,
     SingularCovariance,
 )
 from envest.grassmann import FgSettings
@@ -421,3 +426,130 @@ class TestDimensionSelection:
             )
             hits += abs(sel.u - 3) <= 1
         assert hits >= 0.7 * reps
+
+
+def per_u_bic(data, kind, u_max, algo):
+    """BIC (scores, failures) from a separate full estimator fit per u."""
+    d = estimators._problem_dimension(kind, data)
+    scores, failures = [], {}
+    for u in range(1, u_max + 1):
+        try:
+            fit = estimators._fit_by_kind(kind, data, u, algo, None)
+            scores.append(data.n * fit.objective + np.log(data.n) * u * (d - u))
+        except EnvestError as exc:
+            scores.append(np.nan)
+            failures[u] = f"{type(exc).__name__}: {exc}"
+    return scores, failures
+
+
+def per_u_cv(data, kind, u_max, folds, algo, seed=0):
+    """CV (scores, failures) from a separate full estimator fit per u and fold."""
+    n = data.n
+    chunks = np.array_split(np.random.default_rng(seed).permutation(n), folds)
+    scores, failures = [], {}
+    for u in range(1, u_max + 1):
+        try:
+            sse = 0.0
+            for test_idx in chunks:
+                mask = np.ones(n, dtype=bool)
+                mask[test_idx] = False
+                train = estimators.RegressionData(data.x[mask], data.y[mask])
+                fit = estimators._fit_by_kind(kind, train, u, algo, None)
+                pred = fit.alpha_hat + data.x[test_idx] @ fit.beta_env.T
+                sse += float(np.sum((data.y[test_idx] - pred) ** 2))
+            scores.append(sse / n)
+        except EnvestError as exc:
+            scores.append(np.nan)
+            failures[u] = f"{type(exc).__name__}: {exc}"
+    return scores, failures
+
+
+def assert_scan_equals(select, reference):
+    """The nested scan select() gives exactly the per-u (scores, failures)."""
+    scores, failures = reference
+    if all(np.isnan(s) for s in scores):
+        with pytest.raises(AllFitsFailed):
+            select()
+        return
+    sel = select()
+    assert sel.failures == failures
+    assert np.array_equal(sel.scores, scores, equal_nan=True)
+
+
+class TestNestedScans:
+    """A scan with onedim or fg-warm takes every candidate's basis from one
+    sequential fit; it must score exactly as a separate fit per u does."""
+
+    @hypothesis.settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(
+        d=st.integers(1, 6),
+        which=st.sampled_from(["one", "below-d", "d"]),
+        algo=st.sampled_from(["onedim", "fg-warm"]),
+        kind=st.sampled_from(["response", "predictor"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_scores_equal_per_u_fits(self, d, which, algo, kind, seed):
+        u_max = {"one": 1, "below-d": max(1, d - 1), "d": d}[which]
+        rng = np.random.default_rng(seed)
+        n, other = 30, 2
+        a = rng.standard_normal((n, other))
+        b = a @ rng.standard_normal((other, d)) + rng.standard_normal((n, d))
+        data = estimators.RegressionData(*((a, b) if kind == "response" else (b, a)))
+        assert_scan_equals(
+            lambda: estimators.select_dimension_bic(data, kind, u_max, algo),
+            per_u_bic(data, kind, u_max, algo),
+        )
+        assert_scan_equals(
+            lambda: estimators.select_dimension_cv(data, kind, u_max, 3, algo),
+            per_u_cv(data, kind, u_max, 3, algo),
+        )
+
+    @pytest.mark.parametrize("algo", ["onedim", "fg-warm"])
+    def test_failure_partway_matches_per_u(self, monkeypatch, algo):
+        # the sequential fit stops at its third direction: u = 1, 2 keep the
+        # directions accepted before it, u = 3..5 fail alike and u = d = 6
+        # fits the full space
+        _, data = make_data(90, d=6, n=120)
+        real = onedim._solve_direction
+
+        def stuck_at_third_direction(pair, settings):
+            if pair.dim == 6 - 2:
+                raise NoConvergence("stuck")
+            return real(pair, settings)
+
+        monkeypatch.setattr(onedim, "_solve_direction", stuck_at_third_direction)
+        reference = per_u_bic(data, "response", 6, algo)
+        assert reference[1] == {u: "NoConvergence: stuck" for u in (3, 4, 5)}
+        assert_scan_equals(
+            lambda: estimators.select_dimension_bic(data, "response", 6, algo), reference
+        )
+        reference = per_u_cv(data, "response", 6, 4, algo)
+        assert reference[1] == {u: "NoConvergence: stuck" for u in (3, 4, 5)}
+        assert_scan_equals(
+            lambda: estimators.select_dimension_cv(data, "response", 6, 4, algo), reference
+        )
+
+    def _count(self, monkeypatch, module, name):
+        calls = []
+        real = getattr(module, name)
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(module, name, counting)
+        return calls
+
+    def test_bic_fits_once(self, monkeypatch):
+        _, data = make_data(92, n=100)
+        fits = self._count(monkeypatch, onedim, "fit")
+        estimators.select_dimension_bic(data, "response", 4)
+        assert [args[2] for args in fits] == [4]
+
+    def test_cv_builds_one_kit_and_fit_per_fold(self, monkeypatch):
+        _, data = make_data(92, n=100)
+        kits = self._count(monkeypatch, estimators, "covariance_kit")
+        fits = self._count(monkeypatch, onedim, "fit")
+        estimators.select_dimension_cv(data, "response", 3, folds=4)
+        assert len(kits) == 4
+        assert [args[2] for args in fits] == [3, 3, 3, 3]

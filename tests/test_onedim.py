@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from envest import linalg, onedim, simulate
-from envest.errors import InvalidDimension, InvalidInput
+from envest.errors import InvalidDimension, InvalidInput, NoConvergence
 from envest.objective import ObjectivePair, _d_tilde_values, d_tilde_gradient, d_tilde_value
 
 
@@ -77,21 +77,6 @@ def test_solve_direction_unit_norm_and_deterministic():
     w2 = onedim.solve_direction(pair)
     np.testing.assert_allclose(np.linalg.norm(w1), 1.0, atol=1e-12)
     assert np.array_equal(w1, w2)
-
-
-def test_solve_direction_extra_starts_agree():
-    rng = np.random.default_rng(24)
-    a = rng.standard_normal((5, 5))
-    m = a @ a.T + 5 * np.eye(5)
-    b = rng.standard_normal(5)
-    pair = ObjectivePair.from_m_u(m, np.outer(b, b))
-    base = onedim.solve_direction(pair)
-    extra = onedim.solve_direction(
-        pair, onedim.OneDimSettings(num_extra_starts=8, seed=3)
-    )
-    np.testing.assert_allclose(
-        d_tilde_value(pair, base), d_tilde_value(pair, extra), atol=1e-9
-    )
 
 
 def test_solve_direction_dim_one():
@@ -198,6 +183,44 @@ class TestFit:
         comp = linalg.orthonormal_complement(fit.basis)
         leftover = comp.T @ inst.u_mat @ comp
         assert np.abs(leftover).max() < 1e-10
+
+    @pytest.mark.parametrize("flat", [False, True])
+    def test_leading_directions_are_the_smaller_fit(self, flat):
+        # each direction is found given the ones before it, so the fit at u
+        # is the first u directions of the fit at top, flags included
+        if flat:  # M = I: every direction after the first is a flat step
+            m, u_mat, top = np.eye(4), np.diag([1.0, 0.0, 0.0, 0.0]), 3
+        else:
+            inst = simulate.generate_instance(8, 3, 205)
+            m, u_mat, top = inst.m, inst.u_mat, 7
+        whole = onedim.fit(m, u_mat, top)
+        assert flat == (whole.diagnostics == ["FlatStep@1", "FlatStep@2"])
+        for u in range(1, top + 1):
+            lead, alone = whole.leading(u), onedim.fit(m, u_mat, u)
+            assert lead.basis.flags.c_contiguous
+            assert np.array_equal(lead.basis, alone.basis)
+            assert lead.objective_values == alone.objective_values
+            assert lead.inner_iterations == alone.inner_iterations
+            assert lead.diagnostics == alone.diagnostics
+
+    def test_no_convergence_carries_the_accepted_directions(self, monkeypatch):
+        inst = simulate.generate_instance(6, 3, 206)
+        before = onedim.fit(inst.m, inst.u_mat, 2)
+        real = onedim._solve_direction
+
+        def stuck_at_third_direction(pair, settings):
+            if pair.dim == 6 - 2:
+                raise NoConvergence("stuck")
+            return real(pair, settings)
+
+        monkeypatch.setattr(onedim, "_solve_direction", stuck_at_third_direction)
+        with pytest.raises(NoConvergence) as info:
+            onedim.fit(inst.m, inst.u_mat, 4)
+        assert info.value.step_index == 2
+        partial = info.value.partial
+        assert np.array_equal(partial.basis, before.basis)
+        assert partial.objective_values == before.objective_values
+        assert partial.inner_iterations == before.inner_iterations
 
 
 def test_settings_are_frozen():

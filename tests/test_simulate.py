@@ -7,7 +7,13 @@ import numpy as np
 import pytest
 
 from envest import estimators, grassmann, linalg, onedim, simulate
-from envest.errors import BootstrapUnstable, InvalidDimension, InvalidInput, NoConvergence
+from envest.errors import (
+    BootstrapUnstable,
+    InvalidDimension,
+    InvalidInput,
+    NoConvergence,
+    SingularGram,
+)
 from envest.estimators import RegressionData
 from envest.objective import ObjectivePair, j_value
 
@@ -257,6 +263,30 @@ class TestResidualBootstrap:
         with pytest.raises(BootstrapUnstable, match="NoConvergence: stuck") as info:
             simulate.residual_bootstrap(data, "response", 2, 4)
         assert isinstance(info.value.__cause__, NoConvergence)
+
+    def test_unstable_counts_failures_per_type(self, monkeypatch):
+        inst = simulate.generate_instance(5, 2, 32)
+        data = simulate.sample_data(inst, 100, 33)
+        real_fit = onedim.fit
+        calls = []
+
+        def fit_failing_by_turn(*args, **kwargs):
+            calls.append(None)
+            k = len(calls)
+            if k in (1, 3, 4):
+                raise NoConvergence(f"stuck {k}")
+            if k == 5:
+                raise SingularGram("flat")
+            return real_fit(*args, **kwargs)
+
+        monkeypatch.setattr(onedim, "fit", fit_failing_by_turn)
+        with pytest.raises(BootstrapUnstable) as info:
+            simulate.residual_bootstrap(data, "response", 2, 6)
+        assert str(info.value) == (
+            "4 of 6 bootstrap replicates failed to refit "
+            "(NoConvergence: 3, SingularGram: 1; last: SingularGram: flat)"
+        )
+        assert isinstance(info.value.__cause__, SingularGram)
 
 
 def test_programming_errors_are_not_failed_fits(monkeypatch):

@@ -27,6 +27,8 @@ DATA_SEED = 12345
 # sides of a comparison run the same commands
 KINDS = ("response", "partial", "predictor", "mean", "constrained-mean")
 KINDS_WITH_X = ("response", "partial", "predictor")
+# each kind's problem dimension d on the generated data
+DIMENSION = {"response": R, "partial": R, "predictor": P, "mean": R, "constrained-mean": R - 1}
 ALGOS = ("onedim", "fg", "fg-warm")
 TIMING_COLUMNS = ("mean_time_seconds", "se_time_seconds")
 
@@ -84,6 +86,22 @@ def commands(data):
     for kind in ("response", "predictor"):
         argv = ["select-u", "--criterion", "cv", "--kind", kind, "--u-max", "3", "--folds", "4"]
         out.append((f"cv_{kind}", argv + source(kind)))
+    # scans up to u = d, whose last candidate is the full space
+    for kind in KINDS:
+        argv = ["select-u", "--criterion", "bic", "--kind", kind, "--u-max", str(DIMENSION[kind])]
+        out.append((f"bicfull_{kind}", argv + source(kind)))
+    argv = ["select-u", "--criterion", "bic", "--kind", "mean", "--u-max", str(R)]
+    out.append(("bicfull_mean_fg-warm", argv + ["--algo", "fg-warm"] + source("mean")))
+    for kind in ("response", "predictor"):
+        argv = ["select-u", "--criterion", "cv", "--kind", kind, "--u-max", str(DIMENSION[kind]),
+                "--folds", "4"]
+        out.append((f"cvfull_{kind}", argv + source(kind)))
+    # iteration caps at which u = 2 fails to converge while u = 1 and u = 3 fit
+    argv = ["select-u", "--kind", "predictor", "--u-max", str(P)]
+    out.append(("bicfail_predictor",
+                argv + ["--criterion", "bic", "--max-iter", "2"] + source("predictor")))
+    out.append(("cvfail_predictor",
+                argv + ["--criterion", "cv", "--folds", "4", "--max-iter", "3"] + source("predictor")))
     for kind in KINDS:
         argv = ["bootstrap", "--kind", kind, "--u", "2", "--b", "10", "--seed", "5"]
         out.append((f"boot_{kind}", argv + source(kind)))
