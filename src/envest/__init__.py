@@ -31,7 +31,6 @@ from .linalg import (
     fix_column_signs,
     orthonormal_complement,
     orthonormalize,
-    pd_inverse_logdet,
     project,
     subspace_distance,
     sym_eig,
@@ -131,7 +130,6 @@ __all__ = [
     "orthonormal_complement",
     "orthonormalize",
     "partial_envelope",
-    "pd_inverse_logdet",
     "population_experiment",
     "predictor_envelope",
     "project",

@@ -321,7 +321,7 @@ def _cmd_fit(args):
     data, d = _load_regression_data(args)
     if args.u > d:
         raise _UsageError("u must be between 1 and d")
-    settings = estimators.solver_settings(args.algo, args.seed, args.gradient_tol, args.max_iter)
+    settings = estimators.solver_settings(args.algo, args.gradient_tol, args.max_iter)
     result = estimators._fit_by_kind(args.kind, data, args.u, args.algo, settings, args.p1)
     records = [_fit_record(result, args.algo, args.u)]
     return records, {}, None
@@ -365,7 +365,7 @@ def _cmd_select_u(args):
     data, d = _load_regression_data(args)
     if args.u_max > d:
         raise _UsageError(f"u-max must be between 1 and {d}")
-    settings = estimators.solver_settings(args.algo, args.seed, args.gradient_tol, args.max_iter)
+    settings = estimators.solver_settings(args.algo, args.gradient_tol, args.max_iter)
     if args.criterion == "bic":
         sel = estimators.select_dimension_bic(
             data, args.kind, args.u_max, args.algo, settings, args.p1
@@ -391,7 +391,7 @@ def _cmd_bootstrap(args):
     data, d = _load_regression_data(args)
     if args.u > d:
         raise _UsageError("u must be between 1 and d")
-    settings = estimators.solver_settings(args.algo, args.seed, args.gradient_tol, args.max_iter)
+    settings = estimators.solver_settings(args.algo, args.gradient_tol, args.max_iter)
     result = simulate.residual_bootstrap(
         data, args.kind, args.u, args.b, args.algo, settings, args.seed, args.p1
     )

@@ -25,7 +25,8 @@ A dimension scan (BIC, and cross-validation on each fold) builds and checks
 its pair once.  The sequential solver finds each direction given the ones
 before it, so its fit at u is the first u columns of its fit at any larger
 u: a scan with onedim or fg-warm makes one sequential fit and takes every
-candidate's basis from it, in ``_basis_scan``.
+candidate's basis from it.  fg-warm is that sequential fit refined by the
+Grassmann optimizer, written once in ``_sequential_fits``.
 """
 
 from dataclasses import dataclass, field, replace
@@ -67,12 +68,12 @@ KINDS_WITH_X = ("response", "partial", "predictor")
 PREDICTIVE_KINDS = ("response", "predictor")
 
 # solver presets behind the algorithm names accepted by the estimators, the
-# experiment harnesses and the command line; fg-warm is the sequential fit
-# refined by the full optimizer
+# experiment harnesses and the command line; fg runs the full optimizer from
+# its scan start, fg-warm from the sequential fit (see _sequential_fits)
 ALGORITHMS = {
     "onedim": onedim.OneDimSettings(),
-    "fg": grassmann.FgSettings(start_strategy="scan"),
-    "fg-warm": grassmann.FgSettings(start_strategy="warm"),
+    "fg": grassmann.FgSettings(),
+    "fg-warm": grassmann.FgSettings(),
 }
 
 
@@ -83,15 +84,15 @@ def _check_algorithm(algo):
         )
 
 
-def solver_settings(algo, seed=0, gradient_tol=None, max_iterations=None):
-    """The preset settings of ``algo`` with its seed and overrides applied.
+def solver_settings(algo, gradient_tol=None, max_iterations=None):
+    """The preset settings of ``algo`` with its overrides applied.
 
     max_iterations caps the Newton iterations per direction for onedim and
     the trust-region iterations for fg and fg-warm; None keeps the preset value,
     as does a None gradient_tol.
     """
     _check_algorithm(algo)
-    changes = {"seed": seed}
+    changes = {}
     if gradient_tol is not None:
         changes["gradient_tol"] = gradient_tol
     if max_iterations is not None:
@@ -103,12 +104,51 @@ def solver_settings(algo, seed=0, gradient_tol=None, max_iterations=None):
 def _solve(algo, m, u_hat, u, settings):
     """Fit (m, u_hat) with the solver that ``algo`` names.
 
-    The solver is looked up on its module at every call, so a wrapper
-    installed on ``onedim.fit`` or ``grassmann.fit`` sees every fit.
+    fg-warm is the sequential fit refined by grassmann.fit, from
+    _sequential_fits.  The solvers are looked up on their modules at every
+    call, so a wrapper installed on ``onedim.fit`` or ``grassmann.fit``
+    sees every fit.
     """
     _check_algorithm(algo)
+    if algo == "fg-warm":
+        return _sequential_fits(m, u_hat, u, algo, settings)(u)
     solver = onedim if algo == "onedim" else grassmann
     return solver.fit(m, u_hat, u, settings)
+
+
+def _sequential_fits(m, u_hat, top, algo, settings):
+    """u -> basis fit of ``algo`` for u = 1..top, from one sequential fit at top.
+
+    onedim returns the first u columns of its fit with these settings.
+    fg-warm fits the sequence with the default OneDimSettings and refines
+    the first u columns with grassmann.fit started from them, so settings
+    sets only the refinement's tolerance and cap; its wall time is the
+    sequential fit's plus the refinement's.  When the sequential fit stops
+    with NoConvergence at direction k, every u above k raises that error
+    and the u up to k keep the k directions accepted before it.
+    """
+    warm = algo == "fg-warm"
+    try:
+        sequential = onedim.fit(
+            m, u_hat, top, onedim.OneDimSettings() if warm else settings
+        )
+        error = None
+    except NoConvergence as exc:
+        sequential, error = exc.partial, exc
+
+    def fit(u):
+        if u > sequential.basis.shape[1]:
+            raise error
+        basis_fit = sequential.leading(u)
+        if not warm:
+            return basis_fit
+        refined = grassmann.fit(
+            m, u_hat, u, replace(settings, start_strategy=basis_fit.basis)
+        )
+        refined.wall_time_seconds += basis_fit.wall_time_seconds
+        return refined
+
+    return fit
 
 
 def _sample_matrix(a, name):
@@ -265,8 +305,8 @@ def _checked_pair(m, m_plus_u):
 def _fit_checked_pair(checked, u, algo, settings):
     """(basis fit, objective) of a u-dimensional basis for a _checked_pair.
 
-    A settings object, when given, is passed through untouched; the algo
-    string then only picks the solver, and None means the preset of ``algo``.
+    The algo string alone picks the solver and its start; a settings object
+    sets its tolerance and cap, and None means the preset of ``algo``.
     """
     m, u_hat, pair, diagnostics = checked
     if settings is None:
@@ -284,41 +324,22 @@ def _fit_basis(m, m_plus_u, u, algo, settings):
 def _basis_scan(checked, u_max, algo, settings):
     """fit(u) -> (basis fit, objective) for the candidates u = 1..u_max of a scan.
 
-    Each fit equals _fit_checked_pair's at u.  For onedim, and for fg from
-    the warm start, one sequential fit at top = min(u_max, d - 1) serves
-    every u up to top: onedim returns its leading u columns and fg refines
-    them, as grassmann.fit's warm start does.  When that fit stops with
-    NoConvergence at direction k, every u above k raises that error and the
-    u up to k keep the k directions accepted before it.  u = d, and fg from
-    any other start, are fitted on their own.
+    Each fit equals _fit_checked_pair's at u.  For onedim and fg-warm one
+    _sequential_fits at top = min(u_max, d - 1) serves every u up to top.
+    u = d, and fg, whose scan start depends on u, are fitted on their own.
     """
+    _check_algorithm(algo)
     m, u_hat, pair, diagnostics = checked
     if settings is None:
         settings = solver_settings(algo)
-    top = min(u_max, m.shape[0] - 1)
-    warm = algo != "onedim" and (
-        isinstance(settings.start_strategy, str) and settings.start_strategy == "warm"
-    )
-    if top == 0 or not (algo == "onedim" or warm):
-        return lambda u: _fit_checked_pair(checked, u, algo, settings)
-    try:
-        sequential = onedim.fit(
-            m, u_hat, top, onedim.OneDimSettings(seed=settings.seed) if warm else settings
-        )
-        error = None
-    except NoConvergence as exc:
-        sequential, error = exc.partial, exc
+    top = 0 if algo == "fg" else min(u_max, m.shape[0] - 1)
+    nested = _sequential_fits(m, u_hat, top, algo, settings) if top else None
 
     def fit(u):
         if u > top:
-            return _fit_checked_pair(checked, u, algo, settings)
-        if u > sequential.basis.shape[1]:
-            raise error
-        basis_fit = sequential.leading(u)
-        if warm:
-            basis_fit = grassmann.fit(
-                m, u_hat, u, replace(settings, start_strategy=basis_fit.basis)
-            )
+            basis_fit = _solve(algo, m, u_hat, u, settings)
+        else:
+            basis_fit = nested(u)
         basis_fit.diagnostics.extend(diagnostics)
         return basis_fit, float(j_value(pair, basis_fit.basis))
 

@@ -31,13 +31,11 @@ epsilon (flag ``RadiusCollapse``), or at the iteration cap (flag
 ``CapReached``).  Only steps that lower J are accepted, so the result is
 never above its start.
 
-Starting values matter a great deal here.  Two strategies are built in:
-
-* ``scan``: greedy growth over the 2d eigenvectors of M and of M + U,
-  adding whichever candidate lowers the objective most at each size,
-* ``warm``: run the sequential solver first and refine its basis.
-
-A plain ndarray can also be supplied to start anywhere else.
+Starting values matter a great deal here.  The built-in ``scan`` start
+grows a basis greedily over the 2d eigenvectors of M and of M + U, adding
+whichever candidate lowers the objective most at each size.  Any other
+orthonormal (d, u) basis can be supplied instead; the estimators' fg-warm
+algorithm starts from the sequential solver's basis this way.
 """
 
 import time
@@ -46,10 +44,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInput, RankDeficientCandidates
-from .linalg import fix_column_signs, symmetrize, _signed_qr
+from .linalg import check_orthonormal, fix_column_signs, symmetrize, _signed_qr
 from .objective import ObjectivePair, _check_solver_inputs, j_value
-from .onedim import EnvelopeFit, OneDimSettings
-from . import onedim as _onedim
+from .onedim import EnvelopeFit
 
 __all__ = ["FgSettings", "eigenvector_scan_start", "fit"]
 
@@ -65,7 +62,7 @@ _SECULAR_ITERATIONS = 100
 class FgSettings:
     """Knobs for the full optimizer.
 
-    start_strategy is ``"scan"``, ``"warm"``, or an explicit (d, u) basis.
+    start_strategy is ``"scan"`` or an explicit orthonormal (d, u) basis.
     max_iterations caps the trust-region iterations, rejected steps
     included.
     """
@@ -73,7 +70,6 @@ class FgSettings:
     max_iterations: int = 100
     gradient_tol: float = 1e-8
     start_strategy: object = "scan"
-    seed: int = 0
 
 
 def _scan(pair, u):
@@ -204,7 +200,8 @@ def fit(m_hat, u_hat, u, settings=None):
     through the diagnostics flags ``Roundoff``, ``RadiusCollapse`` and
     ``CapReached`` rather than as an error; the best iterate found is
     returned either way.  wall_time_seconds covers the whole call,
-    building the scan or warm start included.
+    building the scan start included.  A start that is not a finite
+    orthonormal (d, u) basis raises InvalidInput.
     """
     start = time.perf_counter()
     if settings is None:
@@ -215,25 +212,18 @@ def fit(m_hat, u_hat, u, settings=None):
     strategy = settings.start_strategy
     diagnostics = []
     if isinstance(strategy, str):
-        if strategy == "scan":
-            gamma = _scan(pair, u)
-        elif strategy == "warm":
-            warm = _onedim.fit(
-                m_hat, u_hat, u, OneDimSettings(seed=settings.seed)
-            )
-            gamma = warm.basis
-        else:
+        if strategy != "scan":
             raise InvalidInput(
-                f"unknown start strategy {strategy!r}; use 'scan', 'warm' or a basis"
+                f"unknown start strategy {strategy!r}; use 'scan' or a basis"
             )
+        gamma = _scan(pair, u)
     else:
         gamma = np.asarray(strategy, dtype=float)
         if gamma.shape != (d, u):
             raise InvalidInput(
                 f"starting basis must be {d}x{u}, got {gamma.shape}"
             )
-        if np.abs(gamma.T @ gamma - np.eye(u)).max() > 1e-8:
-            raise InvalidInput("starting basis columns are not orthonormal")
+        check_orthonormal(gamma, tol=1e-8, name="starting basis")
 
     norms = (
         float(np.linalg.eigvalsh(pair.m)[-1]),

@@ -30,7 +30,6 @@ __all__ = [
     "check_orthonormal",
     "orthonormalize",
     "sym_eig",
-    "pd_inverse_logdet",
     "orthonormal_complement",
     "subspace_distance",
     "project",
@@ -152,21 +151,6 @@ def sym_eig(s, group_tol=1e-8):
         else:
             groups.append([i])
     return SpectralDecomposition(vals, vecs, groups)
-
-
-def pd_inverse_logdet(s, ridge=0.0):
-    """Inverse and log-determinant of ``s + ridge*I`` via its spectrum.
-
-    Raises NotPositiveDefinite when any shifted eigenvalue falls at or below
-    ``1e-12 * max(1, lambda_max)``; the offending eigenvalue rides along on
-    the exception.  The returned inverse is exactly symmetric.
-    """
-    s = _require_symmetric(s, "pd_inverse_logdet input")
-    vals, vecs = np.linalg.eigh(s)
-    vals = vals + ridge
-    _require_positive_definite(vals, "matrix")
-    inv = (vecs / vals) @ vecs.T
-    return symmetrize(inv), float(np.sum(np.log(vals)))
 
 
 def _require_positive_definite(vals, what):

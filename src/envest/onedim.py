@@ -57,8 +57,8 @@ _MIN_STEP = 1e-14
 class OneDimSettings:
     """Knobs for the direction solver.
 
-    The solver is deterministic and reads no seed; ``seed`` stays because
-    callers pass it.
+    The solver is deterministic and reads no seed; ``seed`` stays only
+    because ``benchmarks/workloads.py`` passes it.
     """
 
     max_inner_iterations: int = 500

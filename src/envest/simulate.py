@@ -261,7 +261,7 @@ def _experiment(mode, d, u, n, replications, algo_set, seed, problem):
                 row.error = f"{type(exc).__name__}: {exc}"
             continue
         for row in rows:
-            settings = solver_settings(row.algorithm, seed=rep_seed)
+            settings = solver_settings(row.algorithm)
             try:
                 fit = _solve(row.algorithm, m, u_hat, u, settings)
                 distance = subspace_distance(fit.basis, truth)

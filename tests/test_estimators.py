@@ -282,27 +282,58 @@ class TestFitBasisGuards:
 
 class TestSolverSettings:
     def test_warm_preset_caps_iterations(self):
-        assert estimators.solver_settings("fg-warm", seed=3) == FgSettings(
-            start_strategy="warm", max_iterations=100, seed=3
-        )
+        assert estimators.solver_settings("fg-warm") == FgSettings(max_iterations=100)
 
     def test_explicit_cap_overrides_warm_cap(self):
         settings = estimators.solver_settings("fg-warm", max_iterations=7)
-        assert settings.max_iterations == 7
-        assert settings.start_strategy == "warm"
+        assert settings == FgSettings(max_iterations=7)
 
     def test_overrides_map_to_each_solver(self):
-        od = estimators.solver_settings("onedim", 4, gradient_tol=1e-6, max_iterations=9)
-        assert od == OneDimSettings(gradient_tol=1e-6, max_inner_iterations=9, seed=4)
-        for algo, strategy in (("fg", "scan"), ("fg-warm", "warm")):
-            fg = estimators.solver_settings(algo, 4, gradient_tol=1e-6, max_iterations=9)
-            assert fg == FgSettings(
-                start_strategy=strategy, gradient_tol=1e-6, max_iterations=9, seed=4
-            )
+        od = estimators.solver_settings("onedim", gradient_tol=1e-6, max_iterations=9)
+        assert od == OneDimSettings(gradient_tol=1e-6, max_inner_iterations=9)
+        for algo in ("fg", "fg-warm"):
+            fg = estimators.solver_settings(algo, gradient_tol=1e-6, max_iterations=9)
+            assert fg == FgSettings(gradient_tol=1e-6, max_iterations=9)
 
     def test_unknown_algorithm(self):
         with pytest.raises(InvalidInput):
             estimators.solver_settings("sgd")
+
+
+class TestWarmStart:
+    """fg-warm is the sequential fit refined by grassmann.fit: the algorithm
+    name alone picks that start, and its wall time counts both fits."""
+
+    def data(self):
+        return simulate.sample_data(simulate.generate_instance(8, 3, 1), 200, 2)
+
+    def test_settings_object_keeps_the_sequential_start(self):
+        data = self.data()
+        settings = FgSettings(max_iterations=100)
+        plain = estimators.response_envelope(data, 3, algo="fg-warm")
+        given = estimators.response_envelope(data, 3, algo="fg-warm", settings=settings)
+        assert np.array_equal(plain.gamma, given.gamma)
+        assert plain.objective == given.objective
+        plain = estimators.select_dimension_bic(data, "response", 5, "fg-warm")
+        given = estimators.select_dimension_bic(data, "response", 5, "fg-warm", settings)
+        assert np.array_equal(plain.scores, given.scores)
+
+    def test_wall_time_includes_the_sequential_fit(self, monkeypatch):
+        real = onedim.fit
+
+        def slow(*args):
+            fit = real(*args)
+            fit.wall_time_seconds += 1000.0
+            return fit
+
+        monkeypatch.setattr(onedim, "fit", slow)
+        data = self.data()
+        single = estimators.response_envelope(data, 3, algo="fg-warm")
+        assert single.fit.wall_time_seconds >= 1000.0
+        m, m_plus_u, _ = estimators._kind_pair("response", data)
+        scan = estimators._basis_scan(estimators._checked_pair(m, m_plus_u), 8, "fg-warm", None)
+        for u in range(1, 9):
+            assert scan(u)[0].wall_time_seconds >= 1000.0
 
 
 class TestDimensionSelection:

@@ -58,10 +58,12 @@ class TestFit:
             assert fit.algorithm_tag == "fg"
 
     def test_population_recovery_warm(self):
-        settings = grassmann.FgSettings(start_strategy="warm")
         for seed in range(15):
             inst = simulate.generate_instance(6, 2, 400 + seed)
-            fit = grassmann.fit(inst.m, inst.u_mat, 2, settings)
+            start = onedim.fit(inst.m, inst.u_mat, 2).basis
+            fit = grassmann.fit(
+                inst.m, inst.u_mat, 2, grassmann.FgSettings(start_strategy=start)
+            )
             oracle = simulate.oracle_envelope(inst.m, inst.u_mat)
             assert linalg.subspace_distance(fit.basis, oracle) < 1e-6
 
@@ -92,6 +94,24 @@ class TestFit:
             grassmann.fit(
                 inst.m, inst.u_mat, 2,
                 grassmann.FgSettings(start_strategy=np.eye(5)[:, :1]),
+            )
+
+    def test_non_finite_start_rejected(self):
+        inst = simulate.generate_instance(6, 2, 403)
+        with_inf = np.eye(6)[:, :2].copy()
+        with_inf[0, 0] = np.inf
+        for bad in (np.full((6, 2), np.nan), with_inf):
+            with pytest.raises(InvalidInput, match="non-finite"):
+                grassmann.fit(
+                    inst.m, inst.u_mat, 2, grassmann.FgSettings(start_strategy=bad)
+                )
+
+    def test_warm_is_not_a_start_strategy(self):
+        # the sequential start belongs to the estimators' fg-warm algorithm
+        inst = simulate.generate_instance(5, 2, 403)
+        with pytest.raises(InvalidInput, match="unknown start strategy"):
+            grassmann.fit(
+                inst.m, inst.u_mat, 2, grassmann.FgSettings(start_strategy="warm")
             )
 
     def test_cap_reached_diagnostic(self):
@@ -125,7 +145,7 @@ class TestFit:
             od = onedim.fit(s_res, u_hat, 3)
             fg = grassmann.fit(
                 s_res, u_hat, 3,
-                grassmann.FgSettings(start_strategy="warm"),
+                grassmann.FgSettings(start_strategy=od.basis),
             )
             pair = ObjectivePair.from_m_u(s_res, u_hat)
             assert fg.objective_values[-1] <= j_value(pair, od.basis) + 1e-10
@@ -246,7 +266,8 @@ def test_converges_on_sample_data(problem):
     }
     for strategy, start in starts.items():
         fit = grassmann.fit(
-            m_hat, u_hat, u, grassmann.FgSettings(start_strategy=strategy)
+            m_hat, u_hat, u,
+            grassmann.FgSettings(start_strategy=start if strategy == "warm" else strategy),
         )
         assert fit.diagnostics in ([], ["Roundoff"]), strategy
         assert fit.inner_iterations[0] <= 20, strategy

@@ -13,7 +13,6 @@ from envest.errors import (
     DimensionMismatch,
     EmptyComplement,
     InvalidInput,
-    NotPositiveDefinite,
     SingularGram,
 )
 
@@ -100,23 +99,6 @@ class TestSymEig:
         assert [len(g) for g in dec.groups] == [2, 1]
         dec2 = linalg.sym_eig(np.diag([2.0, 1.9, 1.0]), group_tol=1e-8)
         assert [len(g) for g in dec2.groups] == [1, 1, 1]
-
-
-class TestPdInverseLogdet:
-    def test_matches_numpy(self):
-        rng = np.random.default_rng(5)
-        for _ in range(15):
-            a = rng.standard_normal((6, 6))
-            s = a @ a.T + 6 * np.eye(6)
-            inv, logdet = linalg.pd_inverse_logdet(s)
-            np.testing.assert_allclose(inv, np.linalg.inv(s), atol=1e-10)
-            np.testing.assert_allclose(logdet, np.linalg.slogdet(s)[1], atol=1e-10)
-
-    def test_rejects_indefinite(self):
-        with pytest.raises(NotPositiveDefinite) as info:
-            linalg.pd_inverse_logdet(np.diag([1.0, -2.0]))
-        assert info.value.eigenvalue is not None
-        assert info.value.eigenvalue < 0
 
 
 class TestOrthonormalComplement:

@@ -127,6 +127,12 @@ def test_requires_positive_definite_m():
         ObjectivePair.from_m_u(np.diag([1.0, 0.0]), np.zeros((2, 2)))
 
 
+def test_indefinite_m_carries_its_negative_eigenvalue():
+    with pytest.raises(NotPositiveDefinite) as info:
+        ObjectivePair.from_m_u(np.diag([1.0, -2.0]), np.zeros((2, 2)))
+    assert info.value.eigenvalue == -2.0
+
+
 def test_rejects_asymmetric_input():
     m = np.array([[1.0, 0.5], [0.0, 1.0]])
     with pytest.raises(InvalidInput):

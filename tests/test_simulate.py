@@ -119,19 +119,18 @@ class TestPopulationExperiment:
             simulate.population_experiment(5, 2, 2, ("newton",))
 
     def test_full_optimizer_records_match_direct_fits(self):
-        # the presets start from the string strategies; those must equal
-        # starting from the scan basis or the sequential fit passed in
+        # fg starts from the scan strategy, which must equal starting from
+        # the scan basis passed in; fg-warm records equal grassmann.fit
+        # started from onedim.fit's basis
         rep = simulate.population_experiment(6, 2, 3, ("fg", "fg-warm"), seed=705)
         for rec in rep.records:
             inst = simulate.generate_instance(6, 2, rec.seed)
             if rec.algorithm == "fg":
-                settings = grassmann.FgSettings(start_strategy="scan", seed=rec.seed)
+                settings = grassmann.FgSettings(start_strategy="scan")
                 start = grassmann.eigenvector_scan_start(inst.m, inst.u_mat, 2)
             else:
-                settings = grassmann.FgSettings(start_strategy="warm", seed=rec.seed)
-                start = onedim.fit(
-                    inst.m, inst.u_mat, 2, onedim.OneDimSettings(seed=rec.seed)
-                ).basis
+                start = onedim.fit(inst.m, inst.u_mat, 2).basis
+                settings = grassmann.FgSettings(start_strategy=start)
             fit = grassmann.fit(inst.m, inst.u_mat, 2, settings)
             explicit = grassmann.fit(
                 inst.m, inst.u_mat, 2, replace(settings, start_strategy=start)

@@ -78,6 +78,10 @@ def commands(data):
         argv = ["fit", "--kind", "response", "--u", "2", "--algo", algo, "--seed", "3",
                 "--gradient-tol", "1e-6", "--max-iter", "7"]
         out.append((f"fitovr_{algo}", argv + source("response")))
+    # fg-warm at u = d, where the sequential fit is the whole space
+    for kind in ("response", "predictor"):
+        argv = ["fit", "--kind", kind, "--u", str(DIMENSION[kind]), "--algo", "fg-warm"]
+        out.append((f"fitfull_{kind}_fg-warm", argv + source(kind)))
     for kind in KINDS:
         argv = ["select-u", "--criterion", "bic", "--kind", kind, "--u-max", "3"]
         out.append((f"bic_{kind}", argv + source(kind)))
@@ -86,6 +90,9 @@ def commands(data):
     for kind in ("response", "predictor"):
         argv = ["select-u", "--criterion", "cv", "--kind", kind, "--u-max", "3", "--folds", "4"]
         out.append((f"cv_{kind}", argv + source(kind)))
+    argv = ["select-u", "--criterion", "cv", "--kind", "response", "--u-max", str(R),
+            "--folds", "4", "--algo", "fg-warm"]
+    out.append(("cv_response_fg-warm", argv + source("response")))
     # scans up to u = d, whose last candidate is the full space
     for kind in KINDS:
         argv = ["select-u", "--criterion", "bic", "--kind", kind, "--u-max", str(DIMENSION[kind])]
@@ -102,9 +109,17 @@ def commands(data):
                 argv + ["--criterion", "bic", "--max-iter", "2"] + source("predictor")))
     out.append(("cvfail_predictor",
                 argv + ["--criterion", "cv", "--folds", "4", "--max-iter", "3"] + source("predictor")))
+    # an override that caps fg-warm's refinement, not its sequential fit
+    argv = ["select-u", "--criterion", "bic", "--kind", "predictor", "--u-max", str(P),
+            "--max-iter", "1", "--algo", "fg-warm"]
+    out.append(("bicovr_predictor_fg-warm", argv + source("predictor")))
     for kind in KINDS:
         argv = ["bootstrap", "--kind", kind, "--u", "2", "--b", "10", "--seed", "5"]
         out.append((f"boot_{kind}", argv + source(kind)))
+    for kind in ("response", "partial"):
+        argv = ["bootstrap", "--kind", kind, "--u", "2", "--b", "10", "--seed", "5",
+                "--algo", "fg-warm"]
+        out.append((f"boot_{kind}_fg-warm", argv + source(kind)))
     sim = ["simulate", "--d", "6", "--u", "2", "--reps", "4", "--seed", "7"]
     sim += [flag for algo in ALGOS for flag in ("--algo", algo)]
     out.append(("sim_population", sim + ["--mode", "population"]))
