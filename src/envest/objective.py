@@ -18,7 +18,8 @@ which is invariant to scaling of w.
 
 D, its gradient and its Hessian are written once, as batched kernels that
 evaluate every row of a candidate array together; the sequential solver
-calls them directly, and ``d_tilde_value``, ``d_tilde_gradient`` and
+calls them directly, the Hessian kernel also in the tangent-space form the
+solver steps with, and ``d_tilde_value``, ``d_tilde_gradient`` and
 ``d_tilde_hessian`` are checked one-row calls of them.
 """
 
@@ -219,21 +220,32 @@ def _d_tilde_values(m, n, w):
     return out
 
 
-def _d_tilde_gradients(m, n, w, fro_m, fro_n):
-    """Gradients of D at the rows of w plus a per-row bound on their roundoff.
+def _d_tilde_terms(m, n, w):
+    """The one pass of w M and w N that D's derivatives at the rows of w share.
 
-    The bound is what float64 can resolve in the gradient at each point:
-    machine epsilon times the magnitudes of the three assembled terms, with
-    fro_m and fro_n the Frobenius norms of m and n.  A tangential norm at or
-    below it cannot be distinguished from an exact critical point, whatever
-    the requested tolerance says.
+    Returns (a, b, qm, qn, qw) with a = M w / qm, b = N w / qn, qm = w'Mw,
+    qn = w'Nw and qw = w'w per row, n being (M+U)^{-1}.
     """
     wm = w @ m
     wn = w @ n
     qm = np.einsum("ij,ij->i", wm, w)
     qn = np.einsum("ij,ij->i", wn, w)
     qw = np.einsum("ij,ij->i", w, w)
-    g = 2.0 * wm / qm[:, None] + 2.0 * wn / qn[:, None] - 4.0 * w / qw[:, None]
+    return wm / qm[:, None], wn / qn[:, None], qm, qn, qw
+
+
+def _d_tilde_gradients(m, n, w, fro_m, fro_n, terms=None):
+    """Gradients of D at the rows of w plus a per-row bound on their roundoff.
+
+    The bound is what float64 can resolve in the gradient at each point:
+    machine epsilon times the magnitudes of the three assembled terms, with
+    fro_m and fro_n the Frobenius norms of m and n.  A tangential norm at or
+    below it cannot be distinguished from an exact critical point, whatever
+    the requested tolerance says.  ``terms`` are ``_d_tilde_terms`` at w,
+    computed here when not given.
+    """
+    a, b, qm, qn, qw = _d_tilde_terms(m, n, w) if terms is None else terms
+    g = 2.0 * a + 2.0 * b - 4.0 * w / qw[:, None]
     eps = np.finfo(float).eps
     floor = 32.0 * eps * (
         2.0 * fro_m / qm + 2.0 * fro_n / qn + 4.0 / np.sqrt(qw)
@@ -241,23 +253,34 @@ def _d_tilde_gradients(m, n, w, fro_m, fro_n):
     return g, floor
 
 
-def _d_tilde_hessians(m, n, w):
-    """Hessians of D at the rows of w, each assembled symmetric."""
-    mw = w @ m
-    nw = w @ n
-    qm = np.einsum("ij,ij->i", mw, w)[:, None, None]
-    qn = np.einsum("ij,ij->i", nw, w)[:, None, None]
-    qw = np.einsum("ij,ij->i", w, w)[:, None, None]
-    eye = np.eye(m.shape[0])
-    h = (
-        2.0 * m / qm
-        - 4.0 * np.einsum("ci,cj->cij", mw, mw) / qm**2
-        + 2.0 * n / qn
-        - 4.0 * np.einsum("ci,cj->cij", nw, nw) / qn**2
-        - 4.0 * eye / qw
-        + 8.0 * np.einsum("ci,cj->cij", w, w) / qw**2
-    )
-    return 0.5 * (h + np.transpose(h, (0, 2, 1)))
+def _d_tilde_hessians(m, n, w, terms=None, tangent=False):
+    """Hessians of D at the rows of w, or their tangent-space models.
+
+    With a, b, qm, qn, qw from ``_d_tilde_terms`` every Hessian is
+
+        H = (2/qm) M + (2/qn) N - (4/qw) I + X Y',    X = [w, a, b],
+
+    a rank-3 update with Y = [8 w / qw^2, -4 a, -4 b].  With ``tangent`` it
+    is the model the direction solver steps with: the compression of H onto
+    w-perp with the radial block pinned to the identity, P H P + w w'/qw for
+    P = I - w w'/qw.  D has degree-0 homogeneity, so H w = -g and w'g = 0,
+    which makes that H + (w g' + g w' + w w')/qw; g lies in the span of X,
+    so it only changes Y, to [(w + 2 a + 2 b)/qw, 2 w/qw - 4 a, 2 w/qw - 4 b].
+    The update is not summed symmetrically, so the two triangles may differ
+    in the last bit.
+    """
+    a, b, qm, qn, qw = _d_tilde_terms(m, n, w) if terms is None else terms
+    iw = (1.0 / qw)[:, None]
+    if tangent:
+        y = (iw * (w + 2.0 * (a + b)), 2.0 * iw * w - 4.0 * a, 2.0 * iw * w - 4.0 * b)
+    else:
+        y = (8.0 * iw * iw * w, -4.0 * a, -4.0 * b)
+    h = np.stack((w, a, b), axis=2) @ np.stack(y, axis=1)
+    h += (2.0 / qm)[:, None, None] * m
+    h += (2.0 / qn)[:, None, None] * n
+    diag = np.arange(w.shape[1])
+    h[:, diag, diag] -= 4.0 * iw
+    return h
 
 
 def d_tilde_value(pair, w):
@@ -277,6 +300,6 @@ def d_tilde_gradient(pair, w):
 
 
 def d_tilde_hessian(pair, w):
-    """Hessian of :func:`d_tilde_value`, assembled symmetric."""
+    """Hessian of :func:`d_tilde_value`, symmetrized."""
     w = _check_direction(pair, w)
-    return _d_tilde_hessians(pair.m, pair.m_plus_u_inv, w[None, :])[0]
+    return symmetrize(_d_tilde_hessians(pair.m, pair.m_plus_u_inv, w[None, :])[0])

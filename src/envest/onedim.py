@@ -17,30 +17,49 @@ scale-invariant, so its full Hessian is singular along w and a plain Newton
 step points mostly along w, where D does not change.  The step is therefore
 taken in the tangent space at w (Absil, Mahony & Sepulchre 2008, ch. 6):
 the tangential gradient against the Hessian compressed onto w-perp, whose
-radial block is pinned to the identity, shifted by its smallest eigenvalue
-when that is not safely positive.  Armijo backtracking accepts a trial only
-when it also strictly lowers D, and gives up on a step once the decrease it
-asks for falls below D's float64 resolution at the start; a start whose
-Newton and steepest-descent searches both give up is retired where it
-stands, at a point where no representable decrease is left.
+radial block is pinned to the identity.  Scale invariance gives H w = -g,
+so that model is a rank-3 update of (2/qm) M + (2/qn) N - (4/qw) I, built
+from one pass of w M and w N (``objective._d_tilde_hessians``).  It is
+shifted by its smallest eigenvalue when that is not safely positive; a
+Cholesky factorization proves that no shift is needed, so only the starts
+it does not clear pay for eigenvalues.
+
+A start stops when its tangential gradient passes the requested tolerance
+(or its roundoff floor), or when, with no shift applied, the Newton
+decrement g'H^{-1}g / 2 falls below D's float64 resolution,
+eps (|M|_F / w'Mw + |N|_F / w'Nw) with N = (M + U)^{-1} (Boyd &
+Vandenberghe 2004, sec. 9.5.1): D cannot show the decrease that is left,
+though the gradient can still be well above the tolerance.  A direction
+whose winning start stopped that way carries ``Resolved@k``.  Otherwise
+Armijo backtracking accepts a trial only when it also strictly lowers D,
+and gives up on a step once the decrease it asks for falls below D's float64
+resolution at the start; a start whose Newton and steepest-descent searches
+both give up is retired where it stands, at a point where no representable
+decrease is left.
 
 All starts are iterated together as rows of one array, through the batched
 D kernels of ``objective``; the winner is the converged candidate with the
-smallest final objective, ties resolved by candidate order.
+smallest final objective, ties resolved by candidate order.  A single start
+per direction is not enough: the start with the lowest D can end in a worse
+local minimum than another start reaches.  After each direction, the
+complement and the compressed pair are carried past the Householder
+reflector of the accepted w, in O(d^2).
 """
 
 import time
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import NoConvergence
-from .linalg import fix_column_signs, orthonormal_complement
+from .linalg import fix_column_signs
 from .objective import (
     ObjectivePair,
     _check_solver_inputs,
     _d_tilde_gradients,
     _d_tilde_hessians,
+    _d_tilde_terms,
     _d_tilde_values,
 )
 
@@ -57,6 +76,10 @@ _MIN_STEP = 1e-14
 class OneDimSettings:
     """Knobs for the direction solver.
 
+    ``gradient_tol`` is relative: a start converges once its tangential
+    gradient is at most ``gradient_tol * max(1, |D|)``.  The request is capped
+    at float64's resolution: a start also converges at its gradient's
+    roundoff floor, or once its Newton decrement is below D's resolution.
     The solver is deterministic and reads no seed; ``seed`` stays only
     because ``benchmarks/workloads.py`` passes it.
     """
@@ -73,9 +96,11 @@ class EnvelopeFit:
     objective_values holds the per-step final objective for the sequential
     algorithm and the single final value for the Grassmann optimizer;
     inner_iterations is aligned with it.  diagnostics collects string flags:
-    ``FlatStep@k`` and ``FullSpace`` from the sequential solver, ``Roundoff``,
-    ``RadiusCollapse`` and ``CapReached`` from the Grassmann optimizer, and
-    ``Ridged`` from the estimators.
+    from the sequential solver ``FlatStep@k`` (every start of direction k
+    ended at the same value), ``Resolved@k`` (the winning start of direction
+    k stopped at D's float64 resolution, not by the gradient test) and
+    ``FullSpace``; ``Roundoff``, ``RadiusCollapse`` and ``CapReached`` from
+    the Grassmann optimizer; and ``Ridged`` from the estimators.
     """
 
     basis: np.ndarray
@@ -90,18 +115,19 @@ class EnvelopeFit:
 
         Each direction is found given the ones before it, so this is what a
         fit at u returns, except that the wall time stays the whole fit's.
+        Flags of the form ``name@k`` are kept for k < u only.
         """
-        flat = "FlatStep@"
+        def kept(flag):
+            _, at, step = flag.partition("@")
+            return not at or int(step) < u
+
         return EnvelopeFit(
             basis=np.ascontiguousarray(self.basis[:, :u]),
             objective_values=self.objective_values[:u],
             inner_iterations=self.inner_iterations[:u],
             wall_time_seconds=self.wall_time_seconds,
             algorithm_tag=self.algorithm_tag,
-            diagnostics=[
-                f for f in self.diagnostics
-                if not f.startswith(flat) or int(f[len(flat):]) < u
-            ],
+            diagnostics=[f for f in self.diagnostics if kept(f)],
         )
 
 
@@ -137,13 +163,56 @@ def _armijo(m, n, w, f, p, dg):
     return accepted, w_new, f_new
 
 
+class _Direction(NamedTuple):
+    """One direction solve: the winning unit vector, its D value and inner
+    iterations, whether all starts ended level (``flat``) and whether the
+    winner stopped at D's float64 resolution (``resolved``)."""
+
+    w: np.ndarray
+    value: float
+    iterations: int
+    flat: bool
+    resolved: bool
+
+
+def _shifts(h):
+    """Shift tau that makes each tangent Hessian h safely positive definite.
+
+    tau = max(0, 1e-8 * scale - lambda_min) with scale = max(1, max |h_ij|).
+    A Cholesky factorization of h - 1e-8 * scale * I proves tau = 0; only a
+    batch it does not clear pays for eigenvalues, and then only on the rows
+    whose own factorization fails.
+    """
+    floor = _SHIFT_FLOOR * np.maximum(1.0, np.abs(h).max(axis=(1, 2)))
+    shifted = h.copy()
+    diag = np.arange(h.shape[1])
+    shifted[:, diag, diag] -= floor[:, None]
+    tau = np.zeros(h.shape[0])
+    if _is_positive_definite(shifted):
+        return tau
+    rows = np.flatnonzero([not _is_positive_definite(s) for s in shifted])
+    lam_min = np.linalg.eigvalsh(h[rows])[:, 0]
+    tau[rows] = np.maximum(0.0, floor[rows] - lam_min)
+    return tau
+
+
+def _is_positive_definite(a):
+    """Whether a Cholesky factorization of a, or of every matrix in it, succeeds."""
+    try:
+        np.linalg.cholesky(a)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
 def _solve_direction(pair, settings):
-    """Multistart solve; returns (w, value, iterations-of-winner, flat)."""
+    """Multistart solve of one deflated pair; returns a ``_Direction``."""
     dim = pair.dim
     m, n = pair.m, pair.m_plus_u_inv
     if dim == 1:
         w = np.ones(1)
-        return w, float(_d_tilde_values(m, n, w[None, :])[0]), 0, False
+        value = float(_d_tilde_values(m, n, w[None, :])[0])
+        return _Direction(w, value, 0, False, False)
 
     # one row per start, stored row-major: the rounding of the batched
     # kernels depends on the layout
@@ -153,58 +222,64 @@ def _solve_direction(pair, settings):
     count = w.shape[0]
     f = _d_tilde_values(m, n, w)
     iters = np.zeros(count, dtype=int)
-    converged = np.zeros(count, dtype=bool)
-    active = np.ones(count, dtype=bool)
+    stops = np.full(count, "", dtype="U8")
     best_gn = np.full(count, np.inf)
     tol = settings.gradient_tol
+    eps = np.finfo(float).eps
     fro_m = float(np.linalg.norm(m, "fro"))
     fro_n = float(np.linalg.norm(n, "fro"))
     it = 0
 
+    def stop(rows, why):
+        stops[rows] = why
+        iters[rows] = it
+
     # all active candidates step together, so one global counter suffices;
     # a candidate's recorded inner-iteration count is the value of ``it``
-    # when it converged or was retired
+    # when it stopped
     while True:
-        idx = np.flatnonzero(active)
+        idx = np.flatnonzero(stops == "")
         if idx.size == 0:
             break
         wa = w[idx]
-        g, floor = _d_tilde_gradients(m, n, wa, fro_m, fro_n)
+        terms = _d_tilde_terms(m, n, wa)
+        g, floor = _d_tilde_gradients(m, n, wa, fro_m, fro_n, terms)
         radial = np.einsum("ij,ij->i", g, wa)
         tang = g - radial[:, None] * wa
         gn = np.linalg.norm(tang, axis=1)
         best_gn[idx] = np.minimum(best_gn[idx], gn)
         done = gn <= np.maximum(tol * np.maximum(1.0, np.abs(f[idx])), floor)
-        converged[idx[done]] = True
-        active[idx[done]] = False
-        iters[idx[done]] = it
+        stop(idx[done], "gradient")
         idx = idx[~done]
         if idx.size == 0:
             break
         if it >= settings.max_inner_iterations:
-            active[idx] = False
-            iters[idx] = it
+            stop(idx, "capped")
             break
         it += 1
         wa = wa[~done]
         g = tang[~done]
+        terms = tuple(t[~done] for t in terms)
 
         # Newton step in the tangent space at the unit rows w, against the
-        # tangential gradient g: H becomes (I - ww') H (I - ww') + ww', its
-        # compression onto w-perp with the radial block pinned to the
-        # identity, written in place as H - wb' - bw' for
-        # b = Hw - (w'Hw + 1) w / 2
-        h = _d_tilde_hessians(m, n, wa)
-        hw = np.einsum("cij,cj->ci", h, wa)
-        b = hw - 0.5 * (np.einsum("ci,ci->c", hw, wa) + 1.0)[:, None] * wa
-        h -= wa[:, :, None] * b[:, None, :]
-        h -= b[:, :, None] * wa[:, None, :]
-        lam_min = np.linalg.eigvalsh(h)[:, 0]
-        scale = np.maximum(1.0, np.abs(h).max(axis=(1, 2)))
-        tau = np.maximum(0.0, _SHIFT_FLOOR * scale - lam_min)
+        # tangential gradient g and the tangent model of the Hessian, shifted
+        # where it is not safely positive definite
+        h = _d_tilde_hessians(m, n, wa, terms, tangent=True)
+        tau = _shifts(h)
         h[:, np.arange(dim), np.arange(dim)] += tau[:, None]
         p = -np.linalg.solve(h, g[..., None])[..., 0]
         dg = np.einsum("ij,ij->i", p, g)
+        # a Newton decrement below the resolution of D's two logarithms
+        # leaves no decrease that float64 can show: the start has converged
+        qm, qn = terms[2], terms[3]
+        resolved = (tau == 0.0) & (dg < 0.0) & (
+            0.5 * -dg <= eps * (fro_m / qm + fro_n / qn)
+        )
+        stop(idx[resolved], "resolved")
+        keep = ~resolved
+        idx, wa, g, p, dg = idx[keep], wa[keep], g[keep], p[keep], dg[keep]
+        if idx.size == 0:
+            continue
         bad = dg >= 0.0
         if bad.any():
             p[bad] = -g[bad]
@@ -222,9 +297,7 @@ def _solve_direction(pair, settings):
             f_try[sub[acc2]] = f2[acc2]
             acc[sub[acc2]] = True
             # both searches stalled: retire the candidate where it stands
-            dead = idx[sub[~acc2]]
-            active[dead] = False
-            iters[dead] = it
+            stop(idx[sub[~acc2]], "stalled")
         moved = idx[acc]
         if moved.size:
             wn = w_try[acc]
@@ -232,6 +305,7 @@ def _solve_direction(pair, settings):
             w[moved] = wn
             f[moved] = _d_tilde_values(m, n, wn)
 
+    converged = (stops == "gradient") | (stops == "resolved")
     if not converged.any():
         b = int(np.argmin(f))
         raise NoConvergence(
@@ -247,7 +321,10 @@ def _solve_direction(pair, settings):
     win = int(np.argmin(f))
     spread = float(np.max(f) - np.min(f))
     flat = spread <= 1e-10 * max(1.0, abs(float(f[win])))
-    return fix_column_signs(w[win]), float(f[win]), int(iters[win]), bool(flat)
+    return _Direction(
+        fix_column_signs(w[win]), float(f[win]), int(iters[win]), bool(flat),
+        bool(stops[win] == "resolved"),
+    )
 
 
 def solve_direction(pair, settings=None):
@@ -258,8 +335,7 @@ def solve_direction(pair, settings=None):
     """
     if settings is None:
         settings = OneDimSettings()
-    w, _, _, _ = _solve_direction(pair, settings)
-    return w
+    return _solve_direction(pair, settings).w
 
 
 def fit(m_hat, u_hat, u, settings=None):
@@ -295,20 +371,49 @@ def fit(m_hat, u_hat, u, settings=None):
     values = []
     iterations = []
     diagnostics = []
+    # the complement of the accepted span, and M and U compressed onto it
+    g0, m_k, u_k = np.eye(d), m_hat, u_hat
     for k in range(u):
-        g0 = orthonormal_complement(basis)
-        pair_k = ObjectivePair.from_m_u(g0.T @ m_hat @ g0, g0.T @ u_hat @ g0)
         try:
-            w, val, its, flat = _solve_direction(pair_k, settings)
+            sol = _solve_direction(ObjectivePair.from_m_u(m_k, u_k), settings)
         except NoConvergence as exc:
             exc.step_index = k
             exc.partial = result(basis, values, iterations, diagnostics)
             raise
-        g = g0 @ w
+        g = g0 @ sol.w
         g /= np.linalg.norm(g)
         basis = np.column_stack([basis, fix_column_signs(g)])
-        values.append(val)
-        iterations.append(its)
-        if flat:
+        values.append(sol.value)
+        iterations.append(sol.iterations)
+        if sol.flat:
             diagnostics.append(f"FlatStep@{k}")
+        if sol.resolved:
+            diagnostics.append(f"Resolved@{k}")
+        if k + 1 < u:
+            g0, m_k, u_k = _deflate(g0, m_k, u_k, sol.w)
     return result(basis, values, iterations, diagnostics)
+
+
+def _deflate(g0, m_k, u_k, w):
+    """Carry the complement and the compressed pair past the accepted w.
+
+    The Householder reflector Q = I - beta v v' with v = w + sign(w_0) |w| e_1
+    maps w onto the first axis, so Q's columns after the first are an
+    orthonormal basis of w-perp.  The next complement is G0 Q[:, 1:] and the
+    next pair Q M_k Q and Q U_k Q without their first row and column, each a
+    rank-2 update: O(d^2) per direction instead of a Gram-Schmidt
+    completion and two d x d products.
+    """
+    v = w.copy()
+    v[0] += np.copysign(np.linalg.norm(w), w[0])
+    beta = 2.0 / (v @ v)
+    g0 = g0[:, 1:] - np.outer(beta * (g0 @ v), v[1:])
+
+    def compress(s):
+        # Q S Q = S - (v z' + z v') with z = beta (S v - (beta v'S v / 2) v)
+        y = s @ v
+        z = beta * (y - (0.5 * beta * (v @ y)) * v)
+        t = np.outer(v[1:], z[1:])
+        return s[1:, 1:] - (t + t.T)
+
+    return g0, compress(m_k), compress(u_k)

@@ -17,6 +17,7 @@ from envest.errors import (
 )
 from envest.objective import (
     ObjectivePair,
+    _d_tilde_hessians,
     d_tilde_gradient,
     d_tilde_hessian,
     d_tilde_value,
@@ -212,3 +213,18 @@ class TestDTilde:
     def test_wrong_length_raises(self):
         with pytest.raises(InvalidInput):
             d_tilde_value(self.pair, np.ones(4))
+
+
+@pytest.mark.parametrize("d", [2, 5, 30])
+def test_tangent_model_is_the_compressed_hessian(d):
+    # the direction solver's model, P H P + w w'/w'w with P = I - w w'/w'w,
+    # written as a rank-3 update of (2/qm) M + (2/qn) N - (4/qw) I; rows of
+    # any length, since nothing in the formula may assume w'w = 1
+    rng = np.random.default_rng(40 + d)
+    pair = random_pair(rng, d)
+    w = rng.standard_normal((6, d)) * rng.uniform(0.1, 10.0, (6, 1))
+    model = _d_tilde_hessians(pair.m, pair.m_plus_u_inv, w, tangent=True)
+    for row, got in zip(w, model):
+        proj = np.eye(d) - np.outer(row, row) / (row @ row)
+        want = proj @ d_tilde_hessian(pair, row) @ proj + np.outer(row, row) / (row @ row)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()

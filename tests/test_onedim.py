@@ -6,12 +6,21 @@ densely over the sphere, so the solver's minimum can be certified without
 trusting the solver itself.
 """
 
+import sys
+
 import numpy as np
 import pytest
 
 from envest import linalg, onedim, simulate
 from envest.errors import InvalidDimension, InvalidInput, NoConvergence
-from envest.objective import ObjectivePair, _d_tilde_values, d_tilde_gradient, d_tilde_value
+from envest.objective import (
+    ObjectivePair,
+    _d_tilde_gradients,
+    _d_tilde_hessians,
+    _d_tilde_values,
+    d_tilde_gradient,
+    d_tilde_value,
+)
 
 
 def sphere_grid_2d(num=2000):
@@ -105,13 +114,13 @@ def test_no_direction_reaches_the_iteration_cap(monkeypatch):
     # one Hessian batch per lockstep iteration, and each direction of a
     # fit works in its own dimension d - k, so the calls per size count
     # every direction's iterations; a start sitting at a numerical critical
-    # point (seeds 1, 9 and 11 have some) must stall, not run to the cap
+    # point (seeds 1, 9 and 11 have some) must stop, not run to the cap
     calls = {}
     real = onedim._d_tilde_hessians
 
-    def counting(m, n, w):
+    def counting(m, n, w, *args, **kwargs):
         calls[m.shape[0]] = calls.get(m.shape[0], 0) + 1
-        return real(m, n, w)
+        return real(m, n, w, *args, **kwargs)
 
     monkeypatch.setattr(onedim, "_d_tilde_hessians", counting)
     cap = onedim.OneDimSettings().max_inner_iterations
@@ -120,6 +129,101 @@ def test_no_direction_reaches_the_iteration_cap(monkeypatch):
         inst = simulate.generate_instance(30, 10, seed)
         onedim.fit(inst.m, inst.u_mat, 10)
         assert max(calls.values()) < cap, (seed, calls)
+
+
+def test_certified_shift_equals_the_eigenvalue_shift():
+    # rows that a Cholesky factorization clears get no shift; the others
+    # get max(0, 1e-8 * scale - lambda_min) from their eigenvalues, bit
+    # for bit what the rule gives on the whole batch
+    rng = np.random.default_rng(24)
+    d = 7
+    a = rng.standard_normal((12, d, d))
+    h = a @ np.transpose(a, (0, 2, 1)) + 0.1 * np.eye(d)
+    h[[1, 4, 5, 9]] -= np.array([0.5, 3.0, 50.0, 1e-3])[:, None, None] * np.eye(d)
+    h[7] = np.diag(np.arange(1.0, d + 1.0)) * 1e-9  # positive, below the floor
+    scale = np.maximum(1.0, np.abs(h).max(axis=(1, 2)))
+    rule = np.maximum(0.0, onedim._SHIFT_FLOOR * scale - np.linalg.eigvalsh(h)[:, 0])
+    assert (rule > 0).sum() >= 3 and (rule == 0).sum() >= 3
+    assert np.array_equal(onedim._shifts(h), rule)
+    clear = rule == 0
+    assert np.array_equal(onedim._shifts(h[clear]), rule[clear])
+
+
+def test_a_start_at_float64_resolution_is_resolved(monkeypatch):
+    # at these directions no line search can lower D any more, yet the
+    # tangential gradient is above the requested tolerance; the tangent
+    # Hessian is positive definite, so the Newton decrement says how much
+    # decrease is left, and it is below what D can resolve
+    solves = []
+    real = onedim._solve_direction
+
+    def recording(pair, settings):
+        solves.append((pair, real(pair, settings)))
+        return solves[-1][1]
+
+    monkeypatch.setattr(onedim, "_solve_direction", recording)
+    inst = simulate.generate_instance(6, 3, 6)
+    fit = onedim.fit(inst.m, inst.u_mat, 3)
+    assert fit.diagnostics == ["Resolved@0", "Resolved@1"]
+    tol = onedim.OneDimSettings().gradient_tol
+    for pair, sol in solves[:2]:
+        m, n = pair.m, pair.m_plus_u_inv
+        w = sol.w[None, :]
+        f = _d_tilde_values(m, n, w)
+        g, _ = _d_tilde_gradients(m, n, w, 0.0, 0.0)
+        g -= (g @ sol.w)[:, None] * w
+        assert sol.resolved
+        assert np.linalg.norm(g) > tol * max(1.0, abs(f[0]))
+        h = _d_tilde_hessians(m, n, w, tangent=True)
+        assert np.linalg.eigvalsh(h)[0, 0] > 0.0
+        for p in (-np.linalg.solve(h, g[..., None])[..., 0], -g):
+            accepted, _, _ = onedim._armijo(m, n, w, f, p, np.einsum("ij,ij->i", p, g))
+            assert not accepted[0]
+    assert fit.leading(1).diagnostics == ["Resolved@0"]
+    assert fit.leading(2).diagnostics == fit.diagnostics
+
+
+class TestDeflation:
+    def test_fit_builds_no_complement(self, monkeypatch):
+        # each complement is the last one carried past a Householder
+        # reflector, not a Gram-Schmidt completion
+        def forbidden(g):
+            raise AssertionError("orthonormal_complement called")
+
+        inst = simulate.generate_instance(8, 3, 207)
+        for name, module in list(sys.modules.items()):
+            if name.startswith("envest") and hasattr(module, "orthonormal_complement"):
+                monkeypatch.setattr(module, "orthonormal_complement", forbidden)
+        onedim.fit(inst.m, inst.u_mat, 3)
+
+    def test_carried_complement_stays_orthonormal(self, monkeypatch):
+        # a stand-in direction solver (the leading eigenvector of M_k) keeps
+        # the problem cheap at d = 200; the reflectors are the fit's own
+        d, u = 200, 5
+        rng = np.random.default_rng(25)
+        a = rng.standard_normal((d, d))
+        m = linalg.symmetrize(a @ a.T / d + np.eye(d))
+        b = rng.standard_normal((d, 3))
+        carried = []
+        real = onedim._deflate
+
+        def recording(g0, m_k, u_k, w):
+            out = real(g0, m_k, u_k, w)
+            carried.append(out[0])
+            return out
+
+        monkeypatch.setattr(
+            onedim, "_solve_direction",
+            lambda pair, settings: onedim._Direction(pair.m_eigenvectors[:, 0], 0.0, 0, False, False),
+        )
+        monkeypatch.setattr(onedim, "_deflate", recording)
+        fit = onedim.fit(m, linalg.symmetrize(b @ b.T), u)
+        assert len(carried) == u - 1
+        for k, g0 in enumerate(carried, start=1):
+            assert g0.shape == (d, d - k)
+            assert np.abs(g0.T @ g0 - np.eye(d - k)).max() <= 1e-12
+            assert np.abs(fit.basis[:, :k].T @ g0).max() <= 1e-12
+        assert np.abs(fit.basis.T @ fit.basis - np.eye(u)).max() <= 1e-12
 
 
 class TestFit:

@@ -52,6 +52,9 @@ def test_tied_pair_in_the_complement(d, u, seed):
 
 @PROPERTY
 @hypothesis.given(d=st.integers(1, 6), rank=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
+# a start that the line search can no longer improve stops at a tangential
+# gradient of 2.0e-10 here, above the 1.08e-10 that the tolerance asks for
+@hypothesis.example(d=2, rank=2, seed=3184)
 def test_dimension_edges(d, rank, seed):
     rng = np.random.default_rng(seed)
     a = rng.standard_normal((d, d))

@@ -1,6 +1,7 @@
 """Simulation harness: the eigenspace oracle, seeded experiments and the
 residual bootstrap, with determinism pinned across reruns."""
 
+import hashlib
 from dataclasses import replace
 
 import numpy as np
@@ -24,6 +25,23 @@ class TestGenerateInstance:
         b = simulate.generate_instance(7, 3, 11)
         assert np.array_equal(a.m, b.m)
         assert np.array_equal(a.gamma, b.gamma)
+
+    @pytest.mark.parametrize("seed, digest", [
+        (0, "0df0d3b2eb944e9e2ed02ef3d303fd75c8929d37eef0787a422b6289bffc135e"),
+        (1, "ac22fdc4f884f0e0cfd7fce1db09a5dc7e6aa1c7f1efddbaf88850e147e61857"),
+        (2, "bc41a9c655a10f3fc4e42b1998ca9ee632addaeec0f2e5ff414b61c87a6a7bd9"),
+        (3, "214a328c645e136e2488a75c64a83891622c4d0a595c78f775e6f384a02a7231"),
+    ])
+    def test_instances_keep_their_bits(self, seed, digest):
+        # every generated instance, and so every simulation, rests on the
+        # Gram-Schmidt completion in linalg.orthonormal_complement; the
+        # digests were taken with numpy 2.4 and OpenBLAS, and another BLAS
+        # build may round differently
+        inst = simulate.generate_instance(30, 10, seed)
+        h = hashlib.sha256()
+        for a in (inst.gamma, inst.gamma0, inst.omega, inst.omega0, inst.m, inst.u_mat):
+            h.update(np.ascontiguousarray(a).tobytes())
+        assert h.hexdigest() == digest
 
     def test_structure(self):
         inst = simulate.generate_instance(8, 3, 12)

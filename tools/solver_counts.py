@@ -1,0 +1,155 @@
+"""Print machine-independent work counts of the direction solver.
+
+Usage: python3 tools/solver_counts.py CHECKOUT
+
+Imports envest from CHECKOUT/src and the benchmark workloads from
+CHECKOUT/benchmarks, wraps the solver's kernels in ``envest.onedim`` with
+counters and runs three sets of fits:
+
+* ``population``: ``onedim.fit`` at u = 10 on ``generate_instance(30, 10, s)``
+  for seeds 0-16;
+* ``regression-session`` and ``grassmann-refine``: one op on every dataset of
+  the benchmark workload's universe (workload seed 0), through the command
+  line as the benchmark runs them.
+
+For each set it prints one line per count:
+
+* ``directions`` and ``starts``: direction solves with more than one
+  coordinate, and the starts they iterate;
+* ``iterations``: lockstep Newton iterations, one Hessian batch each;
+* ``hessian_rows``: tangent Hessians built;
+* ``eigvalsh_batches`` and ``eigvalsh_rows``: calls of ``np.linalg.eigvalsh``
+  made while solving, and the matrices they decompose;
+* ``d_kernel_calls`` and ``d_kernel_rows``: batched D evaluations;
+* ``newton_searches`` and ``steepest_retries``: rows sent to the Newton line
+  search, and rows it failed that were retried along the steepest descent;
+* ``stop_gradient``, ``stop_resolved``, ``stop_stalled``: starts stopped by
+  the gradient test, by the Newton decrement at D's float64 resolution, and
+  by both line searches stalling (inferred from the line-search calls, so
+  that any two checkouts can be compared); ``capped_directions``: direction
+  solves that ran to the iteration cap.
+
+Run it on two checkouts and compare the tables.
+"""
+
+import sys
+import tempfile
+from collections import Counter
+from pathlib import Path
+
+POPULATION_SEEDS = range(17)
+DATASET_WORKLOADS = ("regression-session", "grassmann-refine")
+
+
+def load(checkout):
+    root = Path(checkout).resolve()
+    sys.path[:0] = [str(root / "src"), str(root / "benchmarks")]
+    import envest
+    import workloads
+
+    if Path(envest.__file__).resolve().parent.parent != root / "src":
+        raise SystemExit(f"error: envest was imported from {envest.__file__}, not {root / 'src'}")
+    return workloads
+
+
+class Counts:
+    """Counters installed around ``envest.onedim``'s kernels."""
+
+    def __init__(self, onedim):
+        self.c = Counter()
+        self.searches = 0  # line searches run in the current iteration
+        self.iterations_here = 0
+        np = onedim.np
+        real_values = onedim._d_tilde_values
+        real_hessians = onedim._d_tilde_hessians
+        real_armijo = onedim._armijo
+        real_solve = onedim._solve_direction
+        real_eigvalsh = np.linalg.eigvalsh
+
+        def values(m, n, w, *args, **kwargs):
+            self.c["d_kernel_calls"] += 1
+            self.c["d_kernel_rows"] += w.shape[0]
+            return real_values(m, n, w, *args, **kwargs)
+
+        def hessians(m, n, w, *args, **kwargs):
+            self.c["iterations"] += 1
+            self.c["hessian_rows"] += w.shape[0]
+            self.c["stop_resolved"] += w.shape[0]  # less the rows searched
+            self.searches = 0
+            self.iterations_here += 1
+            return real_hessians(m, n, w, *args, **kwargs)
+
+        def armijo(m, n, w, *args, **kwargs):
+            accepted, w_new, f_new = real_armijo(m, n, w, *args, **kwargs)
+            self.searches += 1
+            if self.searches == 1:
+                self.c["newton_searches"] += w.shape[0]
+                self.c["stop_resolved"] -= w.shape[0]
+            else:
+                self.c["steepest_retries"] += w.shape[0]
+                self.c["stop_stalled"] += int((~accepted).sum())
+            return accepted, w_new, f_new
+
+        def eigvalsh(a, *args, **kwargs):
+            self.c["eigvalsh_batches"] += 1
+            self.c["eigvalsh_rows"] += 1 if a.ndim == 2 else a.shape[0]
+            return real_eigvalsh(a, *args, **kwargs)
+
+        def solve(pair, settings):
+            self.iterations_here = 0
+            np.linalg.eigvalsh = eigvalsh
+            try:
+                return real_solve(pair, settings)
+            finally:
+                np.linalg.eigvalsh = real_eigvalsh
+                if pair.dim > 1:
+                    self.c["directions"] += 1
+                    self.c["starts"] += 2 * pair.dim
+                    self.c["capped_directions"] += self.iterations_here >= settings.max_inner_iterations
+
+        onedim._d_tilde_values = values
+        onedim._d_tilde_hessians = hessians
+        onedim._armijo = armijo
+        onedim._solve_direction = solve
+
+    def table(self):
+        c = self.c
+        c["stop_gradient"] = c["starts"] - c["stop_resolved"] - c["stop_stalled"]
+        keys = (
+            "directions", "starts", "iterations", "hessian_rows", "eigvalsh_batches",
+            "eigvalsh_rows", "d_kernel_calls", "d_kernel_rows", "newton_searches",
+            "steepest_retries", "stop_gradient", "stop_resolved", "stop_stalled",
+            "capped_directions",
+        )
+        return [(k, int(c[k])) for k in keys]
+
+
+def main(argv):
+    if len(argv) != 1:
+        raise SystemExit(__doc__.split("\n\n")[1])
+    workloads = load(argv[0])
+    from envest import onedim, simulate
+
+    sets = []
+    counts = Counts(onedim)
+    for s in POPULATION_SEEDS:
+        inst = simulate.generate_instance(30, 10, s)
+        onedim.fit(inst.m, inst.u_mat, 10)
+    sets.append(("population", counts.table()))
+    for name in DATASET_WORKLOADS:
+        with tempfile.TemporaryDirectory(prefix="envest-counts-") as work:
+            workload = workloads.WORKLOADS[name](0, work)
+            workload.prepare()  # its reference fits are not counted
+            counts.c.clear()
+            for i in range(workload.universe):
+                codes = workload.run_op(i)
+                if any(codes):
+                    raise SystemExit(f"error: {name} op {i} exited with {codes}")
+            sets.append((name, counts.table()))
+    for name, rows in sets:
+        for key, value in rows:
+            print(f"{name} {key} {value}")
+
+
+if __name__ == "__main__":
+    main(sys.argv[1:])
