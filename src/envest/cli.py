@@ -199,7 +199,11 @@ def build_parser():
         p.add_argument("--kind", required=True, choices=estimators.KINDS)
         p.add_argument("--p1", type=int, help="leading predictor block size (partial kind)")
         p.add_argument("--algo", default="onedim", choices=estimators.ALGORITHMS)
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument(
+            "--seed", type=int, default=0,
+            help="drives cross-validation fold assignment and bootstrap "
+            "resampling only; the fits themselves are deterministic",
+        )
         p.add_argument("--gradient-tol", type=float, help="solver gradient tolerance override")
         p.add_argument("--max-iter", type=int, help="solver iteration cap override")
         p.add_argument("--out", help="report path (default: stdout)")

@@ -31,11 +31,16 @@ eps (|M|_F / w'Mw + |N|_F / w'Nw) with N = (M + U)^{-1} (Boyd &
 Vandenberghe 2004, sec. 9.5.1): D cannot show the decrease that is left,
 though the gradient can still be well above the tolerance.  A direction
 whose winning start stopped that way carries ``Resolved@k``.  Otherwise
-Armijo backtracking accepts a trial only when it also strictly lowers D,
-and gives up on a step once the decrease it asks for falls below D's float64
-resolution at the start; a start whose Newton and steepest-descent searches
-both give up is retired where it stands, at a point where no representable
-decrease is left.
+Armijo backtracking searches along the sphere (Absil, Mahony & Sepulchre
+2008, sec. 4.2): the tangent step is first cut to length 1, at most 45
+degrees under the retraction (w + v) / |w + v|, because a shifted Newton
+step can be millions long and every length above about 100 retracts to
+nearly the same point.  D is evaluated at the retracted unit trial, which
+becomes the next iterate as it is, with its value.  A trial is accepted only
+when it also strictly lowers D, and the search gives up on a step once the
+decrease it asks for falls below D's float64 resolution at the start; a
+start whose Newton and steepest-descent searches both give up is retired
+where it stands, at a point where no representable decrease is left.
 
 All starts are iterated together as rows of one array, through the batched
 D kernels of ``objective``; the winner is the converged candidate with the
@@ -70,6 +75,8 @@ _SHIFT_FLOOR = 1e-8
 _ARMIJO_C1 = 1e-4
 _LINE_SEARCH_SHRINK = 0.5
 _MIN_STEP = 1e-14
+# longest tangent step a line search tries: 45 degrees under the retraction
+_MAX_TANGENT_STEP = 1.0
 
 
 @dataclass(frozen=True)
@@ -132,15 +139,22 @@ class EnvelopeFit:
 
 
 def _armijo(m, n, w, f, p, dg):
-    """Backtracking line search run on all rows at once.
+    """Backtracking line search along the sphere, run on all rows at once.
 
-    Returns (accepted mask, new points, new values).  A trial is accepted
-    only when it meets the sufficient-decrease test and strictly lowers D.
-    A row stalls, unaccepted, once the decrease the test asks for drops
-    below the float64 resolution of D at its start, or its step below the
-    minimum step.
+    w holds unit rows and p tangent directions with slopes dg = p'g.  Each
+    row's p, and its dg with it, is first scaled down to length at most
+    ``_MAX_TANGENT_STEP``.  A trial is the retracted unit vector
+    (w + t p) / |w + t p|; it is accepted only when it meets the
+    sufficient-decrease test and strictly lowers D.  Returns (accepted mask,
+    new points, new values): accepted rows hold their unit trial and its D,
+    the others w and f.  A row stalls, unaccepted, once the decrease the test
+    asks for drops below the float64 resolution of D at its start, or its
+    bounded step below the minimum step.
     """
     rows = w.shape[0]
+    s = _MAX_TANGENT_STEP / np.maximum(np.linalg.norm(p, axis=1), _MAX_TANGENT_STEP)
+    p = p * s[:, None]
+    dg = dg * s
     t = np.ones(rows)
     accepted = np.zeros(rows, dtype=bool)
     w_new = w.copy()
@@ -150,6 +164,7 @@ def _armijo(m, n, w, f, p, dg):
     while pending.any():
         j = np.flatnonzero(pending)
         trial = w[j] + t[j, None] * p[j]
+        trial /= np.linalg.norm(trial, axis=1, keepdims=True)
         fv = _d_tilde_values(m, n, trial)
         ok = (fv <= f[j] + _ARMIJO_C1 * t[j] * dg[j]) & (fv < f[j])
         hit = j[ok]
@@ -298,12 +313,8 @@ def _solve_direction(pair, settings):
             acc[sub[acc2]] = True
             # both searches stalled: retire the candidate where it stands
             stop(idx[sub[~acc2]], "stalled")
-        moved = idx[acc]
-        if moved.size:
-            wn = w_try[acc]
-            wn /= np.linalg.norm(wn, axis=1, keepdims=True)
-            w[moved] = wn
-            f[moved] = _d_tilde_values(m, n, wn)
+        w[idx[acc]] = w_try[acc]
+        f[idx[acc]] = f_try[acc]
 
     converged = (stops == "gradient") | (stops == "resolved")
     if not converged.any():

@@ -282,6 +282,30 @@ class TestDeterminism:
         assert cli.run(args) == 0
         assert capsys.readouterr().out == first
 
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["fit", "--algo", "fg-warm", "--u", "2"],
+            ["select-u", "--criterion", "bic", "--u-max", "3"],
+        ],
+    )
+    def test_seed_reaches_only_the_config(self, tmp_path, capsys, command):
+        # neither a single fit nor a BIC scan resamples, so --seed changes
+        # the echoed config and nothing the solvers compute
+        xp, yp = write_xy(tmp_path)
+        records = []
+        for seed in ("3", "4"):
+            args = command + ["--kind", "response", "--x", xp, "--y", yp, "--seed", seed]
+            assert cli.run(args) == 0
+            report = json.loads(capsys.readouterr().out)
+            assert report["config"]["seed"] == int(seed)
+            records.append(report["records"])
+        assert records[0] == records[1]
+
+    def test_seed_help_names_what_it_drives(self, capsys):
+        assert cli.run(["fit", "--help"]) == 0
+        assert "bootstrap resampling only" in " ".join(capsys.readouterr().out.split())
+
 
 def test_csv_summary_grid(tmp_path):
     out = tmp_path / "rep.json"

@@ -110,6 +110,35 @@ def test_armijo_rejects_a_step_that_leaves_d_unchanged():
     assert np.array_equal(f_new, f)
 
 
+def test_armijo_searches_along_the_sphere(monkeypatch):
+    # a shifted Newton step can be millions long; the search cuts it to
+    # tangent length 1, evaluates D only at retracted unit trials within 45
+    # degrees of w, and returns the trial it accepted as it evaluated it
+    pair = ObjectivePair.from_m_u(np.diag([4.0, 2.0, 1.0]), np.diag([0.0, 3.0, 1.0]))
+    m, n = pair.m, pair.m_plus_u_inv
+    w = np.array([[0.6, 0.64, 0.48]])
+    f = _d_tilde_values(m, n, w)
+    g = d_tilde_gradient(pair, w[0])
+    tang = g - (g @ w[0]) * w[0]
+    p = -1e6 * tang[None, :] / np.linalg.norm(tang)
+    trials = []
+
+    def spy(m, n, rows, *args, **kwargs):
+        trials.append(rows.copy())
+        return _d_tilde_values(m, n, rows, *args, **kwargs)
+
+    monkeypatch.setattr(onedim, "_d_tilde_values", spy)
+    accepted, w_new, f_new = onedim._armijo(m, n, w, f, p, p @ g)
+    for rows in trials:
+        np.testing.assert_allclose(np.linalg.norm(rows, axis=1), 1.0, rtol=0, atol=1e-15)
+        cos = rows @ w[0] / np.linalg.norm(w[0])
+        assert (cos >= 1.0 / np.sqrt(2.0) - 1e-12).all()
+    assert len(trials) == 1
+    assert accepted[0] and f_new[0] < f[0]
+    assert np.array_equal(w_new, trials[0])
+    assert f_new[0] == _d_tilde_values(m, n, trials[0])[0]
+
+
 def test_no_direction_reaches_the_iteration_cap(monkeypatch):
     # one Hessian batch per lockstep iteration, and each direction of a
     # fit works in its own dimension d - k, so the calls per size count

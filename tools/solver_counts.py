@@ -23,6 +23,9 @@ For each set it prints one line per count:
 * ``d_kernel_calls`` and ``d_kernel_rows``: batched D evaluations;
 * ``newton_searches`` and ``steepest_retries``: rows sent to the Newton line
   search, and rows it failed that were retried along the steepest descent;
+* ``line_search_d_calls``: the D-kernel calls made inside the line searches;
+* ``long_steps``: rows handed to a line search whose direction p is longer
+  than 1;
 * ``stop_gradient``, ``stop_resolved``, ``stop_stalled``: starts stopped by
   the gradient test, by the Newton decrement at D's float64 resolution, and
   by both line searches stalling (inferred from the line-search calls, so
@@ -58,6 +61,7 @@ class Counts:
     def __init__(self, onedim):
         self.c = Counter()
         self.searches = 0  # line searches run in the current iteration
+        self.in_search = False
         self.iterations_here = 0
         np = onedim.np
         real_values = onedim._d_tilde_values
@@ -69,6 +73,7 @@ class Counts:
         def values(m, n, w, *args, **kwargs):
             self.c["d_kernel_calls"] += 1
             self.c["d_kernel_rows"] += w.shape[0]
+            self.c["line_search_d_calls"] += self.in_search
             return real_values(m, n, w, *args, **kwargs)
 
         def hessians(m, n, w, *args, **kwargs):
@@ -79,8 +84,13 @@ class Counts:
             self.iterations_here += 1
             return real_hessians(m, n, w, *args, **kwargs)
 
-        def armijo(m, n, w, *args, **kwargs):
-            accepted, w_new, f_new = real_armijo(m, n, w, *args, **kwargs)
+        def armijo(m, n, w, f, p, dg):
+            self.c["long_steps"] += int((np.linalg.norm(p, axis=1) > 1.0).sum())
+            self.in_search = True
+            try:
+                accepted, w_new, f_new = real_armijo(m, n, w, f, p, dg)
+            finally:
+                self.in_search = False
             self.searches += 1
             if self.searches == 1:
                 self.c["newton_searches"] += w.shape[0]
@@ -118,8 +128,8 @@ class Counts:
         keys = (
             "directions", "starts", "iterations", "hessian_rows", "eigvalsh_batches",
             "eigvalsh_rows", "d_kernel_calls", "d_kernel_rows", "newton_searches",
-            "steepest_retries", "stop_gradient", "stop_resolved", "stop_stalled",
-            "capped_directions",
+            "steepest_retries", "line_search_d_calls", "long_steps", "stop_gradient",
+            "stop_resolved", "stop_stalled", "capped_directions",
         )
         return [(k, int(c[k])) for k in keys]
 
