@@ -404,6 +404,7 @@ def _cmd_bootstrap(args):
         "se_env": result.se_env,
         "replicates": result.replicates,
         "failed": result.failed,
+        "failures": result.failures,
     }
     return [], summary, None
 

@@ -321,12 +321,16 @@ def sample_experiment(d, u, n, replications, algo_set, seed=0):
 
 @dataclass
 class BootstrapResult:
-    """Element-wise bootstrap standard errors for both estimators."""
+    """Element-wise bootstrap standard errors for both estimators.
+
+    ``failures`` counts the replicates that failed to refit, per error type.
+    """
 
     se_ols: np.ndarray
     se_env: np.ndarray
     replicates: int
     failed: int
+    failures: dict
 
 
 def residual_bootstrap(data, kind, u, b, algo="onedim", settings=None, seed=0, p1=None):
@@ -381,4 +385,10 @@ def residual_bootstrap(data, kind, u, b, algo="onedim", settings=None, seed=0, p
         ) from last_error
     se_ols = np.std(np.stack(ols_draws), axis=0, ddof=1)
     se_env = np.std(np.stack(env_draws), axis=0, ddof=1)
-    return BootstrapResult(se_ols=se_ols, se_env=se_env, replicates=b, failed=failed)
+    return BootstrapResult(
+        se_ols=se_ols,
+        se_env=se_env,
+        replicates=b,
+        failed=failed,
+        failures=dict(sorted(failures.items())),
+    )

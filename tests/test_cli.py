@@ -8,8 +8,8 @@ import sys
 import numpy as np
 import pytest
 
-from envest import cli, simulate
-from envest.errors import InvalidInput, IoError, ParseError
+from envest import cli, onedim, simulate
+from envest.errors import InvalidInput, IoError, NoConvergence, ParseError
 
 
 def write_xy(tmp_path, d=5, u=2, n=120, seed=31):
@@ -356,6 +356,29 @@ def test_bootstrap_report_shape(tmp_path, capsys):
     se = np.array(report["summary"]["se_ols"])
     assert se.shape == (5, 1)
     assert (se > 0).all()
+
+
+def test_bootstrap_summary_names_failures(tmp_path, capsys, monkeypatch):
+    real_fit = onedim.fit
+    calls = []
+
+    def fit_failing_once(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == 3:
+            raise NoConvergence("stuck")
+        return real_fit(*args, **kwargs)
+
+    monkeypatch.setattr(onedim, "fit", fit_failing_once)
+    xp, yp = write_xy(tmp_path, n=150)
+    code = cli.run(
+        ["bootstrap", "--kind", "response", "--x", xp, "--y", yp,
+         "--u", "2", "--b", "10", "--seed", "5"]
+    )
+    assert code == 0
+    summary = json.loads(capsys.readouterr().out)["summary"]
+    assert list(summary)[-2:] == ["failed", "failures"]
+    assert summary["failed"] == 1
+    assert summary["failures"] == {"NoConvergence": 1}
 
 
 def test_module_entry_point(tmp_path):

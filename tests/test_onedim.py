@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from envest import linalg, onedim, simulate
+from envest.estimators import covariance_kit
 from envest.errors import InvalidDimension, InvalidInput, NoConvergence
 from envest.objective import (
     ObjectivePair,
@@ -20,6 +21,7 @@ from envest.objective import (
     _d_tilde_values,
     d_tilde_gradient,
     d_tilde_value,
+    j_value,
 )
 
 
@@ -158,6 +160,99 @@ def test_no_direction_reaches_the_iteration_cap(monkeypatch):
         inst = simulate.generate_instance(30, 10, seed)
         onedim.fit(inst.m, inst.u_mat, 10)
         assert max(calls.values()) < cap, (seed, calls)
+
+
+def first_hessian_batches(monkeypatch):
+    """Record the rows of each direction solve's first Hessian batch."""
+    batches = []
+    real_solve, real_hessians = onedim._solve_direction, onedim._d_tilde_hessians
+
+    def solve(pair, settings):
+        batches.append(None)
+        return real_solve(pair, settings)
+
+    def hessians(m, n, w, *args, **kwargs):
+        if batches[-1] is None:
+            batches[-1] = w.copy()
+        return real_hessians(m, n, w, *args, **kwargs)
+
+    monkeypatch.setattr(onedim, "_solve_direction", solve)
+    monkeypatch.setattr(onedim, "_d_tilde_hessians", hessians)
+    return batches
+
+
+def eigenvector_candidates(pair):
+    w = np.concatenate([pair.m_eigenvectors.T, pair.m_plus_u_eigenvectors.T], axis=0)
+    return w, _d_tilde_values(pair.m, pair.m_plus_u_inv, np.ascontiguousarray(w))
+
+
+def random_pair(seed, dim):
+    # a generic pair: no eigenvector start is stationary, so every start
+    # iterated reaches the first Hessian batch
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((dim, dim))
+    b = rng.standard_normal((dim, 2))
+    return ObjectivePair.from_m_u(a @ a.T + dim * np.eye(dim), b @ b.T)
+
+
+@pytest.mark.parametrize("seed", [26, 27])
+def test_screening_iterates_the_lowest_d_starts(monkeypatch, seed):
+    # 20 candidates at dim 10: the 8 with the lowest initial D are iterated,
+    # in candidate order
+    pair = random_pair(seed, 10)
+    batches = first_hessian_batches(monkeypatch)
+    onedim.solve_direction(pair)
+    w, f = eigenvector_candidates(pair)
+    lowest = np.sort(np.argsort(f)[: onedim._SCREENED_STARTS])
+    assert f[lowest].max() < np.delete(f, lowest).min()
+    assert np.array_equal(batches[0], w[lowest])
+
+
+def test_screening_bounds_the_lockstep_batch(monkeypatch):
+    # at d = 200 a direction has 400 candidates; at most _SCREENED_STARTS
+    # tangent Hessians of d x d are held at once
+    rows = []
+    real = onedim._d_tilde_hessians
+
+    def recording(m, n, w, *args, **kwargs):
+        rows.append(w.shape[0])
+        return real(m, n, w, *args, **kwargs)
+
+    monkeypatch.setattr(onedim, "_d_tilde_hessians", recording)
+    inst = simulate.generate_instance(200, 3, 1)
+    onedim.fit(inst.m, inst.u_mat, 3)
+    assert rows and max(rows) <= onedim._SCREENED_STARTS
+
+
+def test_a_small_pair_iterates_every_candidate(monkeypatch):
+    # 2 * dim <= _SCREENED_STARTS: nothing is screened out
+    pair = random_pair(28, onedim._SCREENED_STARTS // 2)
+    batches = first_hessian_batches(monkeypatch)
+    onedim.solve_direction(pair)
+    w, _ = eigenvector_candidates(pair)
+    assert np.array_equal(batches[0], w)
+
+
+@pytest.mark.parametrize("d, u, n, seed", [
+    *[(20, 5, 1000, s) for s in range(4)],
+    *[(30, 10, 200, s) for s in (0, 1, 2, 8)],
+])
+def test_screened_fit_matches_full_multistart(monkeypatch, d, u, n, seed):
+    # sample pairs, drawn as the benchmark's datasets are; on these seeds
+    # no direction's best start is screened out, and the fits differ only
+    # by where the starts stop.  Screening is not full multistart: on
+    # seeds 34, 79 and 118 of the (30, 10) set one direction's best start
+    # ranks below 8th by initial D, and the screened fit ends elsewhere
+    inst = simulate.generate_instance(d, u, seed)
+    kit = covariance_kit(simulate.sample_data(inst, n, seed + 1_000_003))
+    m, u_hat = kit.s_y_given_x, linalg.symmetrize(kit.s_y - kit.s_y_given_x)
+    pair = ObjectivePair.from_m_u(m, u_hat)
+    screened = onedim.fit(m, u_hat, u)
+    monkeypatch.setattr(onedim, "_SCREENED_STARTS", 2 * d + 1)
+    full = onedim.fit(m, u_hat, u)
+    assert linalg.subspace_distance(screened.basis, full.basis) <= 1e-5
+    j = j_value(pair, full.basis)
+    assert abs(j_value(pair, screened.basis) - j) <= 1e-6 * max(1.0, abs(j))
 
 
 def test_certified_shift_equals_the_eigenvalue_shift():

@@ -269,6 +269,27 @@ class TestResidualBootstrap:
             simulate.residual_bootstrap(data, "response", 6, 6, seed=1)
         assert calls == []
 
+    def test_success_keeps_failures_per_type(self, monkeypatch):
+        # a failed replicate below the 20 percent limit is named in the
+        # result, not only counted
+        inst = simulate.generate_instance(5, 2, 32)
+        data = simulate.sample_data(inst, 100, 33)
+        real_fit = onedim.fit
+        calls = []
+
+        def fit_failing_once(*args, **kwargs):
+            calls.append(None)
+            if len(calls) == 2:
+                raise NoConvergence("stuck")
+            return real_fit(*args, **kwargs)
+
+        monkeypatch.setattr(onedim, "fit", fit_failing_once)
+        res = simulate.residual_bootstrap(data, "response", 2, 6)
+        assert res.failed == 1
+        assert res.failures == {"NoConvergence": 1}
+        monkeypatch.setattr(onedim, "fit", real_fit)
+        assert simulate.residual_bootstrap(data, "response", 2, 6).failures == {}
+
     def test_unstable_names_the_last_error(self, monkeypatch):
         inst = simulate.generate_instance(5, 2, 32)
         data = simulate.sample_data(inst, 100, 33)

@@ -14,8 +14,12 @@ counters and runs three sets of fits:
 
 For each set it prints one line per count:
 
-* ``directions`` and ``starts``: direction solves with more than one
-  coordinate, and the starts they iterate;
+* ``directions``: direction solves with more than one coordinate;
+* ``candidates``: their eigenvector starts, 2(d - k) for a direction in
+  d - k coordinates;
+* ``starts``: the candidates they iterate, the rows of each direction's
+  first tangential-gradient batch (those that reach a Hessian batch and
+  those that stop at iteration 0);
 * ``iterations``: lockstep Newton iterations, one Hessian batch each;
 * ``hessian_rows``: tangent Hessians built;
 * ``eigvalsh_batches`` and ``eigvalsh_rows``: calls of ``np.linalg.eigvalsh``
@@ -63,8 +67,10 @@ class Counts:
         self.searches = 0  # line searches run in the current iteration
         self.in_search = False
         self.iterations_here = 0
+        self.first_gradients = False
         np = onedim.np
         real_values = onedim._d_tilde_values
+        real_gradients = onedim._d_tilde_gradients
         real_hessians = onedim._d_tilde_hessians
         real_armijo = onedim._armijo
         real_solve = onedim._solve_direction
@@ -75,6 +81,12 @@ class Counts:
             self.c["d_kernel_rows"] += w.shape[0]
             self.c["line_search_d_calls"] += self.in_search
             return real_values(m, n, w, *args, **kwargs)
+
+        def gradients(m, n, w, *args, **kwargs):
+            if self.first_gradients:
+                self.c["starts"] += w.shape[0]
+                self.first_gradients = False
+            return real_gradients(m, n, w, *args, **kwargs)
 
         def hessians(m, n, w, *args, **kwargs):
             self.c["iterations"] += 1
@@ -107,6 +119,7 @@ class Counts:
 
         def solve(pair, settings):
             self.iterations_here = 0
+            self.first_gradients = True
             np.linalg.eigvalsh = eigvalsh
             try:
                 return real_solve(pair, settings)
@@ -114,10 +127,11 @@ class Counts:
                 np.linalg.eigvalsh = real_eigvalsh
                 if pair.dim > 1:
                     self.c["directions"] += 1
-                    self.c["starts"] += 2 * pair.dim
+                    self.c["candidates"] += 2 * pair.dim
                     self.c["capped_directions"] += self.iterations_here >= settings.max_inner_iterations
 
         onedim._d_tilde_values = values
+        onedim._d_tilde_gradients = gradients
         onedim._d_tilde_hessians = hessians
         onedim._armijo = armijo
         onedim._solve_direction = solve
@@ -126,8 +140,8 @@ class Counts:
         c = self.c
         c["stop_gradient"] = c["starts"] - c["stop_resolved"] - c["stop_stalled"]
         keys = (
-            "directions", "starts", "iterations", "hessian_rows", "eigvalsh_batches",
-            "eigvalsh_rows", "d_kernel_calls", "d_kernel_rows", "newton_searches",
+            "directions", "candidates", "starts", "iterations", "hessian_rows",
+            "eigvalsh_batches", "eigvalsh_rows", "d_kernel_calls", "d_kernel_rows", "newton_searches",
             "steepest_retries", "line_search_d_calls", "long_steps", "stop_gradient",
             "stop_resolved", "stop_stalled", "capped_directions",
         )
