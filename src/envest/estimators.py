@@ -20,13 +20,14 @@ mean deviations to sum to zero, so the fit runs inside the orthogonal
 complement of the all-ones direction and the basis is mapped back up.
 
 Each estimator checks its kind in ``_problem_dimension``, builds its pair
-in ``_kind_pair``, fits it in ``_fit_basis`` and assembles its estimates.
-A dimension scan (BIC, and cross-validation on each fold) builds and checks
-its pair once.  The sequential solver finds each direction given the ones
-before it, so its fit at u is the first u columns of its fit at any larger
-u: a scan with onedim or fg-warm makes one sequential fit and takes every
-candidate's basis from it.  fg-warm is that sequential fit refined by the
-Grassmann optimizer, written once in ``_sequential_fits``.
+in ``_kind_pair``, checks it in ``_checked_pair``, fits it with
+``_basis_scan`` and assembles its estimates.  A dimension scan (BIC, and
+cross-validation on each fold) builds and checks its pair once and scans it
+the same way.  Every fit goes through ``_fits``, the only caller of the
+solvers.  The sequential solver finds each direction given the ones before
+it, so its fit at u is the first u columns of its fit at any larger u: with
+onedim or fg-warm, one sequential fit serves every candidate u < d of a
+scan.  fg-warm is that sequential fit refined by the Grassmann optimizer.
 """
 
 from dataclasses import dataclass, field, replace
@@ -69,7 +70,7 @@ PREDICTIVE_KINDS = ("response", "predictor")
 
 # solver presets behind the algorithm names accepted by the estimators, the
 # experiment harnesses and the command line; fg runs the full optimizer from
-# its scan start, fg-warm from the sequential fit (see _sequential_fits)
+# its scan start, fg-warm from the sequential fit (see _fits)
 ALGORITHMS = {
     "onedim": onedim.OneDimSettings(),
     "fg": grassmann.FgSettings(),
@@ -101,45 +102,48 @@ def solver_settings(algo, gradient_tol=None, max_iterations=None):
     return replace(ALGORITHMS[algo], **changes)
 
 
-def _solve(algo, m, u_hat, u, settings):
-    """Fit (m, u_hat) with the solver that ``algo`` names.
+def _fits(m, u_hat, top, algo, settings):
+    """u -> basis fit of ``algo`` to (m, u_hat), for u = 1..top.
 
-    fg-warm is the sequential fit refined by grassmann.fit, from
-    _sequential_fits.  The solvers are looked up on their modules at every
-    call, so a wrapper installed on ``onedim.fit`` or ``grassmann.fit``
-    sees every fit.
+    This is the only caller of the solvers.  It looks them up on their
+    modules at every call, so a wrapper installed on ``onedim.fit`` or
+    ``grassmann.fit`` sees every fit.  settings sets the solver's tolerance
+    and cap; None means the preset of ``algo``.
+
+    fg fits every u from its own scan start.  onedim makes one sequential
+    fit at min(top, d - 1), when the first u < d is asked for, and returns
+    its first u columns.  fg-warm makes that sequential fit with the onedim
+    preset and refines the first u columns with grassmann.fit started from
+    them, so settings sets only the refinement; its wall time is the
+    sequential fit's plus the refinement's.  u = d is fitted on its own.
+    When the sequential fit stops with NoConvergence at direction k, every
+    u from k + 1 to d - 1 raises that error and the u up to k keep the k
+    directions accepted before it.
     """
     _check_algorithm(algo)
-    if algo == "fg-warm":
-        return _sequential_fits(m, u_hat, u, algo, settings)(u)
-    solver = onedim if algo == "onedim" else grassmann
-    return solver.fit(m, u_hat, u, settings)
-
-
-def _sequential_fits(m, u_hat, top, algo, settings):
-    """u -> basis fit of ``algo`` for u = 1..top, from one sequential fit at top.
-
-    onedim returns the first u columns of its fit with these settings.
-    fg-warm fits the sequence with the default OneDimSettings and refines
-    the first u columns with grassmann.fit started from them, so settings
-    sets only the refinement's tolerance and cap; its wall time is the
-    sequential fit's plus the refinement's.  When the sequential fit stops
-    with NoConvergence at direction k, every u above k raises that error
-    and the u up to k keep the k directions accepted before it.
-    """
+    if settings is None:
+        settings = solver_settings(algo)
+    if algo == "fg":
+        return lambda u: grassmann.fit(m, u_hat, u, settings)
     warm = algo == "fg-warm"
-    try:
-        sequential = onedim.fit(
-            m, u_hat, top, onedim.OneDimSettings() if warm else settings
-        )
-        error = None
-    except NoConvergence as exc:
-        sequential, error = exc.partial, exc
+    sequential = ALGORITHMS["onedim"] if warm else settings
+    d = m.shape[0]
+    nested = None
 
     def fit(u):
-        if u > sequential.basis.shape[1]:
-            raise error
-        basis_fit = sequential.leading(u)
+        nonlocal nested
+        if u == d:
+            basis_fit = onedim.fit(m, u_hat, d, sequential)
+        else:
+            if nested is None:
+                try:
+                    nested = onedim.fit(m, u_hat, min(top, d - 1), sequential), None
+                except NoConvergence as exc:
+                    nested = exc.partial, exc
+            whole, error = nested
+            if u > whole.basis.shape[1]:
+                raise error
+            basis_fit = whole.leading(u)
         if not warm:
             return basis_fit
         refined = grassmann.fit(
@@ -302,44 +306,17 @@ def _checked_pair(m, m_plus_u):
     return m, u_hat, pair, diagnostics
 
 
-def _fit_checked_pair(checked, u, algo, settings):
-    """(basis fit, objective) of a u-dimensional basis for a _checked_pair.
+def _basis_scan(checked, top, algo, settings):
+    """fit(u) -> (basis fit, objective) for u = 1..top on a _checked_pair.
 
-    The algo string alone picks the solver and its start; a settings object
-    sets its tolerance and cap, and None means the preset of ``algo``.
+    The fits are those of _fits, with the pair's flags added and the
+    objective scored on the checked pair.
     """
     m, u_hat, pair, diagnostics = checked
-    if settings is None:
-        settings = solver_settings(algo)
-    fit = _solve(algo, m, u_hat, u, settings)
-    fit.diagnostics.extend(diagnostics)
-    return fit, float(j_value(pair, fit.basis))
-
-
-def _fit_basis(m, m_plus_u, u, algo, settings):
-    """Check one estimator's pair and fit a u-dimensional basis to it."""
-    return _fit_checked_pair(_checked_pair(m, m_plus_u), u, algo, settings)
-
-
-def _basis_scan(checked, u_max, algo, settings):
-    """fit(u) -> (basis fit, objective) for the candidates u = 1..u_max of a scan.
-
-    Each fit equals _fit_checked_pair's at u.  For onedim and fg-warm one
-    _sequential_fits at top = min(u_max, d - 1) serves every u up to top.
-    u = d, and fg, whose scan start depends on u, are fitted on their own.
-    """
-    _check_algorithm(algo)
-    m, u_hat, pair, diagnostics = checked
-    if settings is None:
-        settings = solver_settings(algo)
-    top = 0 if algo == "fg" else min(u_max, m.shape[0] - 1)
-    nested = _sequential_fits(m, u_hat, top, algo, settings) if top else None
+    fits = _fits(m, u_hat, top, algo, settings)
 
     def fit(u):
-        if u > top:
-            basis_fit = _solve(algo, m, u_hat, u, settings)
-        else:
-            basis_fit = nested(u)
+        basis_fit = fits(u)
         basis_fit.diagnostics.extend(diagnostics)
         return basis_fit, float(j_value(pair, basis_fit.basis))
 
@@ -393,8 +370,7 @@ def _fit_kind_pair(kind, data, u, algo, settings, p1=None):
     """(moments, basis fit, objective) of kind's pair, after the checks."""
     _require_dimension(u, _problem_dimension(kind, data, p1))
     m, m_plus_u, moments = _kind_pair(kind, data, p1)
-    fit, objective = _fit_basis(m, m_plus_u, u, algo, settings)
-    return moments, fit, objective
+    return (moments, *_basis_scan(_checked_pair(m, m_plus_u), u, algo, settings)(u))
 
 
 def _split_covariance(s, p_g, q_g):
@@ -440,15 +416,10 @@ def partial_envelope(data, p1, u, algo="onedim", settings=None):
     """
     kit, fit, objective = _fit_kind_pair("partial", data, u, algo, settings, p1)
     gamma = fit.basis
-    r = kit.s_y.shape[0]
+    p_g = gamma @ gamma.T
+    q_g = np.eye(kit.s_y.shape[0]) - p_g
     beta_ols = kit.beta_ols  # r x p, all predictors
-    beta_env = gamma @ gamma.T @ beta_ols[:, :p1]
-    sigma_env = symmetrize(
-        gamma @ gamma.T @ kit.s_y_given_x @ gamma @ gamma.T
-        + (np.eye(r) - gamma @ gamma.T)
-        @ kit.s_y_given_x
-        @ (np.eye(r) - gamma @ gamma.T)
-    )
+    beta_env = p_g @ beta_ols[:, :p1]
     beta_full = beta_ols.copy()
     beta_full[:, :p1] = beta_env
     alpha = kit.y_mean - beta_full @ kit.x_mean
@@ -457,7 +428,7 @@ def partial_envelope(data, p1, u, algo="onedim", settings=None):
         fit=fit,
         beta_env=beta_env,
         beta_ols=beta_ols,
-        sigma_env=sigma_env,
+        sigma_env=_split_covariance(kit.s_y_given_x, p_g, q_g),
         alpha_hat=alpha,
         objective=objective,
         p1=p1,
@@ -593,7 +564,7 @@ def select_dimension_bic(data, kind, u_max, algo="onedim", settings=None, p1=Non
     The pair is built and checked once, so a pair that cannot be built or
     fails its checks raises its own error.  With onedim or fg-warm one
     sequential fit at min(u_max, d - 1) gives every candidate's basis (see
-    _basis_scan); the scores equal those of a separate fit per u.  scores
+    _fits); the scores equal those of a separate fit per u.  scores
     has one entry per candidate u (NaN when that fit failed); every
     candidate failing raises AllFitsFailed.
     """

@@ -116,12 +116,10 @@ class EnvelopeFit:
     objective_values holds the per-step final objective for the sequential
     algorithm and the single final value for the Grassmann optimizer;
     inner_iterations is aligned with it.  diagnostics collects string flags:
-    from the sequential solver ``FlatStep@k`` (every screened start of
-    direction k ended at the same value), ``Resolved@k`` (the winning start
-    of direction k stopped at D's float64 resolution, not by the gradient
-    test) and
-    ``FullSpace``; ``Roundoff``, ``RadiusCollapse`` and ``CapReached`` from
-    the Grassmann optimizer; and ``Ridged`` from the estimators.
+    from the sequential solver ``Resolved@k`` (the winning start of
+    direction k stopped at D's float64 resolution, not by the gradient test)
+    and ``FullSpace``; ``Roundoff``, ``RadiusCollapse`` and ``CapReached``
+    from the Grassmann optimizer; and ``Ridged`` from the estimators.
     """
 
     basis: np.ndarray
@@ -194,13 +192,12 @@ def _armijo(m, n, w, f, p, dg):
 
 class _Direction(NamedTuple):
     """One direction solve: the winning unit vector, its D value and inner
-    iterations, whether the screened starts all ended level (``flat``) and
-    whether the winner stopped at D's float64 resolution (``resolved``)."""
+    iterations, and whether the winner stopped at D's float64 resolution
+    (``resolved``)."""
 
     w: np.ndarray
     value: float
     iterations: int
-    flat: bool
     resolved: bool
 
 
@@ -247,7 +244,7 @@ def _solve_direction(pair, settings):
     if dim == 1:
         w = np.ones(1)
         value = float(_d_tilde_values(m, n, w[None, :])[0])
-        return _Direction(w, value, 0, False, False)
+        return _Direction(w, value, 0, False)
 
     # one row per start, stored row-major: the rounding of the batched
     # kernels depends on the layout
@@ -354,10 +351,8 @@ def _solve_direction(pair, settings):
     # stalled starts stay eligible since a stall only happens where no
     # representable decrease exists, i.e. at a numerical critical point
     win = int(np.argmin(f))
-    spread = float(np.max(f) - np.min(f))
-    flat = spread <= 1e-10 * max(1.0, abs(float(f[win])))
     return _Direction(
-        fix_column_signs(w[win]), float(f[win]), int(iters[win]), bool(flat),
+        fix_column_signs(w[win]), float(f[win]), int(iters[win]),
         bool(stops[win] == "resolved"),
     )
 
@@ -420,8 +415,6 @@ def fit(m_hat, u_hat, u, settings=None):
         basis = np.column_stack([basis, fix_column_signs(g)])
         values.append(sol.value)
         iterations.append(sol.iterations)
-        if sol.flat:
-            diagnostics.append(f"FlatStep@{k}")
         if sol.resolved:
             diagnostics.append(f"Resolved@{k}")
         if k + 1 < u:

@@ -24,10 +24,9 @@ from .estimators import (
     RegressionData,
     _check_algorithm,
     _fit_by_kind,
+    _fits,
     _problem_dimension,
-    _solve,
     covariance_kit,
-    solver_settings,
 )
 from .linalg import (
     fix_column_signs,
@@ -261,9 +260,8 @@ def _experiment(mode, d, u, n, replications, algo_set, seed, problem):
                 row.error = f"{type(exc).__name__}: {exc}"
             continue
         for row in rows:
-            settings = solver_settings(row.algorithm)
             try:
-                fit = _solve(row.algorithm, m, u_hat, u, settings)
+                fit = _fits(m, u_hat, u, row.algorithm, None)(u)
                 distance = subspace_distance(fit.basis, truth)
                 objective = float(j_value(pair, fit.basis))
             except EnvestError as exc:

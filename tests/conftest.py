@@ -2,9 +2,11 @@
 session because both the consistency tests and the acceptance gate read
 them.  The terminal summary prints one line per acceptance criterion."""
 
+import numpy as np
 import pytest
 
-from envest import simulate
+from envest import onedim, simulate
+from envest.errors import NoConvergence
 
 ACCEPTANCE_RESULTS = {}
 
@@ -13,6 +15,13 @@ def record_criterion(number, passed, detail=""):
     """Remember a criterion outcome for the end-of-run summary."""
     ACCEPTANCE_RESULTS[number] = (passed, detail)
     return passed
+
+
+def stuck(m, message="stuck"):
+    """The NoConvergence of an onedim.fit of m whose first direction fails:
+    step_index 0 and, in partial, the fit of no directions."""
+    partial = onedim.EnvelopeFit(np.zeros((m.shape[0], 0)), [], [], 0.0, "onedim")
+    return NoConvergence(message, step_index=0, partial=partial)
 
 
 @pytest.fixture(scope="session")

@@ -9,7 +9,9 @@ import numpy as np
 import pytest
 
 from envest import cli, onedim, simulate
-from envest.errors import InvalidInput, IoError, NoConvergence, ParseError
+from envest.errors import InvalidInput, IoError, ParseError
+
+from conftest import stuck
 
 
 def write_xy(tmp_path, d=5, u=2, n=120, seed=31):
@@ -362,11 +364,11 @@ def test_bootstrap_summary_names_failures(tmp_path, capsys, monkeypatch):
     real_fit = onedim.fit
     calls = []
 
-    def fit_failing_once(*args, **kwargs):
+    def fit_failing_once(m, *args, **kwargs):
         calls.append(None)
         if len(calls) == 3:
-            raise NoConvergence("stuck")
-        return real_fit(*args, **kwargs)
+            raise stuck(m)
+        return real_fit(m, *args, **kwargs)
 
     monkeypatch.setattr(onedim, "fit", fit_failing_once)
     xp, yp = write_xy(tmp_path, n=150)

@@ -265,14 +265,15 @@ class TestFitBasisGuards:
         q = linalg.orthonormalize(rng.standard_normal((5, 4)))
         m = q @ np.diag([4.0, 3.0, 2.0, 1.0]) @ q.T  # rank 4 in 5 dims
         b = rng.standard_normal(5)
-        fit, _ = estimators._fit_basis(m, m + np.outer(b, b), 2, "onedim", None)
+        checked = estimators._checked_pair(m, m + np.outer(b, b))
+        fit, _ = estimators._basis_scan(checked, 2, "onedim", None)(2)
         assert "Ridged" in fit.diagnostics
 
     def test_invalid_uhat(self):
         m = np.diag([2.0, 1.0])
         m_plus_u = np.diag([1.0, 1.0])  # U-hat = diag(-1, 0)
         with pytest.raises(InvalidUhat):
-            estimators._fit_basis(m, m_plus_u, 1, "onedim", None)
+            estimators._checked_pair(m, m_plus_u)
 
     def test_unknown_algorithm(self):
         _, data = make_data(91)
@@ -355,7 +356,7 @@ class TestDimensionSelection:
         with pytest.raises(InvalidDimension):
             estimators.select_dimension_bic(data, "response", 7)
 
-    @pytest.mark.parametrize("algo", ["onedim", "fg-warm"])
+    @pytest.mark.parametrize("algo", ["onedim", "fg", "fg-warm"])
     @pytest.mark.parametrize("kind", estimators.KINDS)
     def test_bic_scores_equal_full_fits(self, kind, algo):
         # BIC fits only the basis for each u; its scores must be exactly
@@ -386,7 +387,7 @@ class TestDimensionSelection:
 
     def test_bic_checks_the_pair_once(self, monkeypatch):
         # the U-hat check and the ridge-check pair do not depend on u, so
-        # they run once per scan; the scores stay those of per-u _fit_basis
+        # they run once per scan; the scores stay those of a fit per u
         _, data = make_data(92, n=100)
         calls = []
         real_from_pair = ObjectivePair.from_pair
@@ -401,7 +402,8 @@ class TestDimensionSelection:
         m, m_plus_u, _ = estimators._kind_pair("response", data)
         d = m.shape[0]
         for u, score in enumerate(sel.scores, start=1):
-            _, objective = estimators._fit_basis(m, m_plus_u, u, "onedim", None)
+            checked = estimators._checked_pair(m, m_plus_u)
+            _, objective = estimators._basis_scan(checked, u, "onedim", None)(u)
             assert score == data.n * objective + np.log(data.n) * u * (d - u)
 
     def test_bic_reports_a_failing_pair(self):
@@ -576,6 +578,18 @@ class TestNestedScans:
         fits = self._count(monkeypatch, onedim, "fit")
         estimators.select_dimension_bic(data, "response", 4)
         assert [args[2] for args in fits] == [4]
+
+    @pytest.mark.parametrize("algo", ["onedim", "fg-warm"])
+    def test_full_dimension_fit_makes_no_sequential_fit(self, monkeypatch, algo):
+        # u = d is fitted on its own, so a fit there solves only at d, while
+        # a scan up to d also makes its sequential fit at d - 1
+        _, data = make_data(92, n=100)
+        fits = self._count(monkeypatch, onedim, "fit")
+        estimators.response_envelope(data, 6, algo)
+        assert [args[2] for args in fits] == [6]
+        fits.clear()
+        estimators.select_dimension_bic(data, "response", 6, algo)
+        assert [args[2] for args in fits] == [5, 6]
 
     def test_cv_builds_one_kit_and_fit_per_fold(self, monkeypatch):
         _, data = make_data(92, n=100)

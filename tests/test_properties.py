@@ -1,6 +1,6 @@
 """Property tests of the three solvers against the eigenspace oracle.
 
-Every solver runs through ``estimators._solve`` with its ``ALGORITHMS``
+Every solver runs through ``estimators._fits`` with its ``ALGORITHMS``
 preset, so the tests see what the estimators and the command line run.
 The examples are derandomized and kept small, so the whole file takes a
 few seconds.
@@ -20,7 +20,7 @@ PROPERTY = hypothesis.settings(
 
 
 def solve(algo, m, u_mat, u):
-    return estimators._solve(algo, m, u_mat, u, estimators.solver_settings(algo))
+    return estimators._fits(m, u_mat, u, algo, None)(u)
 
 
 def random_basis(rng, d):

@@ -18,6 +18,8 @@ from envest.errors import (
 from envest.estimators import RegressionData
 from envest.objective import ObjectivePair, j_value
 
+from conftest import stuck
+
 
 class TestGenerateInstance:
     def test_reproducible(self):
@@ -277,11 +279,11 @@ class TestResidualBootstrap:
         real_fit = onedim.fit
         calls = []
 
-        def fit_failing_once(*args, **kwargs):
+        def fit_failing_once(m, *args, **kwargs):
             calls.append(None)
             if len(calls) == 2:
-                raise NoConvergence("stuck")
-            return real_fit(*args, **kwargs)
+                raise stuck(m)
+            return real_fit(m, *args, **kwargs)
 
         monkeypatch.setattr(onedim, "fit", fit_failing_once)
         res = simulate.residual_bootstrap(data, "response", 2, 6)
@@ -294,8 +296,8 @@ class TestResidualBootstrap:
         inst = simulate.generate_instance(5, 2, 32)
         data = simulate.sample_data(inst, 100, 33)
 
-        def failing_fit(*args, **kwargs):
-            raise NoConvergence("stuck")
+        def failing_fit(m, *args, **kwargs):
+            raise stuck(m)
 
         monkeypatch.setattr(onedim, "fit", failing_fit)
         with pytest.raises(BootstrapUnstable, match="NoConvergence: stuck") as info:
@@ -308,14 +310,14 @@ class TestResidualBootstrap:
         real_fit = onedim.fit
         calls = []
 
-        def fit_failing_by_turn(*args, **kwargs):
+        def fit_failing_by_turn(m, *args, **kwargs):
             calls.append(None)
             k = len(calls)
             if k in (1, 3, 4):
-                raise NoConvergence(f"stuck {k}")
+                raise stuck(m, f"stuck {k}")
             if k == 5:
                 raise SingularGram("flat")
-            return real_fit(*args, **kwargs)
+            return real_fit(m, *args, **kwargs)
 
         monkeypatch.setattr(onedim, "fit", fit_failing_by_turn)
         with pytest.raises(BootstrapUnstable) as info:

@@ -87,12 +87,17 @@ def commands(data):
         out.append((f"bic_{kind}", argv + source(kind)))
     argv = ["select-u", "--criterion", "bic", "--kind", "mean", "--u-max", "3"]
     out.append(("bic_mean_fg-warm", argv + ["--algo", "fg-warm"] + source("mean")))
+    argv = ["select-u", "--criterion", "bic", "--kind", "response", "--u-max", "3"]
+    out.append(("bic_response_fg", argv + ["--algo", "fg"] + source("response")))
     for kind in ("response", "predictor"):
         argv = ["select-u", "--criterion", "cv", "--kind", kind, "--u-max", "3", "--folds", "4"]
         out.append((f"cv_{kind}", argv + source(kind)))
     argv = ["select-u", "--criterion", "cv", "--kind", "response", "--u-max", str(R),
             "--folds", "4", "--algo", "fg-warm"]
     out.append(("cv_response_fg-warm", argv + source("response")))
+    argv = ["select-u", "--criterion", "cv", "--kind", "predictor", "--u-max", str(P),
+            "--folds", "4", "--algo", "fg"]
+    out.append(("cv_predictor_fg", argv + source("predictor")))
     # scans up to u = d, whose last candidate is the full space
     for kind in KINDS:
         argv = ["select-u", "--criterion", "bic", "--kind", kind, "--u-max", str(DIMENSION[kind])]
@@ -120,6 +125,8 @@ def commands(data):
         argv = ["bootstrap", "--kind", kind, "--u", "2", "--b", "10", "--seed", "5",
                 "--algo", "fg-warm"]
         out.append((f"boot_{kind}_fg-warm", argv + source(kind)))
+    argv = ["bootstrap", "--kind", "mean", "--u", "2", "--b", "10", "--seed", "5", "--algo", "fg"]
+    out.append(("boot_mean_fg", argv + source("mean")))
     sim = ["simulate", "--d", "6", "--u", "2", "--reps", "4", "--seed", "7"]
     sim += [flag for algo in ALGOS for flag in ("--algo", algo)]
     out.append(("sim_population", sim + ["--mode", "population"]))
