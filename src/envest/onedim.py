@@ -39,10 +39,10 @@ degrees under the retraction (w + v) / |w + v|, because a shifted Newton
 step can be millions long and every length above about 100 retracts to
 nearly the same point.  D is evaluated at the retracted unit trial, which
 becomes the next iterate as it is, with its value.  A trial is accepted only
-when it also strictly lowers D, and the search gives up on a step once the
-decrease it asks for falls below D's float64 resolution at the start; a
-start whose Newton and steepest-descent searches both give up is retired
-where it stands, at a point where no representable decrease is left.
+when it also strictly lowers D, and the search gives up once the decrease
+it asks for falls below the same resolution of D; a start whose search
+gives up is retired where it stands, ``stalled``, at a point where no
+representable decrease is left.
 
 The screened starts are iterated together as rows of one array, through the
 batched D kernels of ``objective``; the winner is the converged start with
@@ -85,7 +85,6 @@ _SHIFT_FLOOR = 1e-8
 # Armijo backtracking constants
 _ARMIJO_C1 = 1e-4
 _LINE_SEARCH_SHRINK = 0.5
-_MIN_STEP = 1e-14
 # longest tangent step a line search tries: 45 degrees under the retraction
 _MAX_TANGENT_STEP = 1.0
 # eigenvector starts a direction solve iterates: those with the lowest D
@@ -150,7 +149,7 @@ class EnvelopeFit:
         )
 
 
-def _armijo(m, n, w, f, p, dg):
+def _armijo(m, n, w, f, p, dg, resolution):
     """Backtracking line search along the sphere, run on all rows at once.
 
     w holds unit rows and p tangent directions with slopes dg = p'g.  Each
@@ -159,9 +158,9 @@ def _armijo(m, n, w, f, p, dg):
     (w + t p) / |w + t p|; it is accepted only when it meets the
     sufficient-decrease test and strictly lowers D.  Returns (accepted mask,
     new points, new values): accepted rows hold their unit trial and its D,
-    the others w and f.  A row stalls, unaccepted, once the decrease the test
-    asks for drops below the float64 resolution of D at its start, or its
-    bounded step below the minimum step.
+    the others w and f.  A row gives up, unaccepted, once the decrease the
+    test asks for drops below its ``resolution``, D's float64 resolution at
+    w as ``_solve_direction`` computes it.
     """
     rows = w.shape[0]
     s = _MAX_TANGENT_STEP / np.maximum(np.linalg.norm(p, axis=1), _MAX_TANGENT_STEP)
@@ -171,7 +170,6 @@ def _armijo(m, n, w, f, p, dg):
     accepted = np.zeros(rows, dtype=bool)
     w_new = w.copy()
     f_new = f.copy()
-    resolution = np.finfo(float).eps * np.maximum(1.0, np.abs(f))
     pending = np.ones(rows, dtype=bool)
     while pending.any():
         j = np.flatnonzero(pending)
@@ -185,8 +183,7 @@ def _armijo(m, n, w, f, p, dg):
         accepted[hit] = True
         pending[hit] = False
         t[pending] *= _LINE_SEARCH_SHRINK
-        dead = pending & ((_ARMIJO_C1 * t * np.abs(dg) < resolution) | (t < _MIN_STEP))
-        pending[dead] = False
+        pending &= _ARMIJO_C1 * t * np.abs(dg) >= resolution
     return accepted, w_new, f_new
 
 
@@ -241,11 +238,6 @@ def _solve_direction(pair, settings):
     """
     dim = pair.dim
     m, n = pair.m, pair.m_plus_u_inv
-    if dim == 1:
-        w = np.ones(1)
-        value = float(_d_tilde_values(m, n, w[None, :])[0])
-        return _Direction(w, value, 0, False)
-
     # one row per start, stored row-major: the rounding of the batched
     # kernels depends on the layout
     w = np.ascontiguousarray(
@@ -305,35 +297,20 @@ def _solve_direction(pair, settings):
         h[:, np.arange(dim), np.arange(dim)] += tau[:, None]
         p = -np.linalg.solve(h, g[..., None])[..., 0]
         dg = np.einsum("ij,ij->i", p, g)
-        # a Newton decrement below the resolution of D's two logarithms
-        # leaves no decrease that float64 can show: the start has converged
-        qm, qn = terms[2], terms[3]
-        resolved = (tau == 0.0) & (dg < 0.0) & (
-            0.5 * -dg <= eps * (fro_m / qm + fro_n / qn)
-        )
+        # D's float64 resolution at w: eps times the condition numbers of its
+        # two logarithms.  A Newton decrement below it leaves no decrease
+        # that float64 can show, so the start has converged; a line search
+        # gives up on a decrease below it
+        res = eps * (fro_m / terms[2] + fro_n / terms[3])
+        resolved = (tau == 0.0) & (0.5 * -dg <= res)
         stop(idx[resolved], "resolved")
         keep = ~resolved
-        idx, wa, g, p, dg = idx[keep], wa[keep], g[keep], p[keep], dg[keep]
+        idx = idx[keep]
         if idx.size == 0:
             continue
-        bad = dg >= 0.0
-        if bad.any():
-            p[bad] = -g[bad]
-            dg[bad] = -np.einsum("ij,ij->i", g[bad], g[bad])
-
-        acc, w_try, f_try = _armijo(m, n, wa, f[idx], p, dg)
-        if not acc.all():
-            # Newton step failed to decrease somewhere: steepest descent retry
-            miss = ~acc
-            p2 = -g[miss]
-            dg2 = -np.einsum("ij,ij->i", p2, p2)
-            acc2, w2, f2 = _armijo(m, n, wa[miss], f[idx][miss], p2, dg2)
-            sub = np.flatnonzero(miss)
-            w_try[sub[acc2]] = w2[acc2]
-            f_try[sub[acc2]] = f2[acc2]
-            acc[sub[acc2]] = True
-            # both searches stalled: retire the candidate where it stands
-            stop(idx[sub[~acc2]], "stalled")
+        acc, w_try, f_try = _armijo(m, n, wa[keep], f[idx], p[keep], dg[keep], res[keep])
+        # the search gave up: retire the candidate where it stands
+        stop(idx[~acc], "stalled")
         w[idx[acc]] = w_try[acc]
         f[idx[acc]] = f_try[acc]
 

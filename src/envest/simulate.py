@@ -232,13 +232,14 @@ def _summarize(records, algo_set):
     return summary
 
 
-def _experiment(mode, d, u, n, replications, algo_set, seed, problem):
+def _experiment(mode, d, u, n, replications, algo_set, seed, first, problem):
     """Fit every replication with every algorithm and summarize.
 
-    ``problem(i)`` gives replication i's seed, the pair (M, U) to fit, the
-    M + U that J is scored with, and the true envelope basis.  Package
-    errors are recorded on the affected record, never raised; a failed
-    pair build is recorded on every algorithm's record.
+    Replication i has seed ``first + i``; ``problem(rep_seed)`` gives the
+    pair (M, U) to fit, the M + U that J is scored with, and the true
+    envelope basis.  Package errors are recorded on the affected record,
+    never raised; a failed problem or pair build is recorded on every
+    algorithm's record of the replication.
     """
     algos = list(algo_set)
     if not algos:
@@ -247,13 +248,16 @@ def _experiment(mode, d, u, n, replications, algo_set, seed, problem):
         _check_algorithm(algo)
     if replications < 0:
         raise InvalidInput("replications must be nonnegative")
+    if not (1 <= u < d):
+        raise InvalidDimension(f"need 1 <= u < d, got u={u}, d={d}")
 
     records = []
     for i in range(replications):
-        rep_seed, m, u_hat, m_plus_u, truth = problem(i)
+        rep_seed = first + i
         rows = [ReplicationRecord(i, rep_seed, algo, None, None, None) for algo in algos]
         records.extend(rows)
         try:
+            m, u_hat, m_plus_u, truth = problem(rep_seed)
             pair = ObjectivePair.from_pair(m, m_plus_u)
         except EnvestError as exc:
             for row in rows:
@@ -290,13 +294,12 @@ def population_experiment(d, u, replications, algo_set, seed=0):
     are recorded on the affected record, never raised.
     """
 
-    def problem(i):
-        inst = generate_instance(d, u, seed + i)
-        m_plus_u = symmetrize(inst.m + inst.u_mat)
-        return seed + i, inst.m, inst.u_mat, m_plus_u, inst.gamma
+    def problem(rep_seed):
+        inst = generate_instance(d, u, rep_seed)
+        return inst.m, inst.u_mat, symmetrize(inst.m + inst.u_mat), inst.gamma
 
     return _experiment(
-        "population", d, u, None, replications, algo_set, seed, problem
+        "population", d, u, None, replications, algo_set, seed, seed, problem
     )
 
 
@@ -309,12 +312,14 @@ def sample_experiment(d, u, n, replications, algo_set, seed=0):
     """
     inst = generate_instance(d, u, seed)
 
-    def problem(i):
-        kit = covariance_kit(sample_data(inst, n, seed + 1 + i))
+    def problem(rep_seed):
+        kit = covariance_kit(sample_data(inst, n, rep_seed))
         u_hat = symmetrize(kit.s_y - kit.s_y_given_x)
-        return seed + 1 + i, kit.s_y_given_x, u_hat, kit.s_y, inst.gamma
+        return kit.s_y_given_x, u_hat, kit.s_y, inst.gamma
 
-    return _experiment("sample", d, u, n, replications, algo_set, seed, problem)
+    return _experiment(
+        "sample", d, u, n, replications, algo_set, seed, seed + 1, problem
+    )
 
 
 @dataclass

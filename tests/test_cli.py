@@ -333,6 +333,16 @@ def test_csv_summary_grid(tmp_path):
     assert fg_cells[5] == "3"
 
 
+def test_simulate_records_a_singular_sample(tmp_path):
+    out = tmp_path / "rep.json"
+    args = ["simulate", "--mode", "sample", "--d", "10", "--u", "3", "--n", "8", "--reps", "2"]
+    report = json.loads(run_to_file(args, out))
+    assert [r["seed"] for r in report["records"]] == [1, 2]
+    for rec in report["records"]:
+        assert rec["error"] == "SingularCovariance: sample covariance of Y is singular"
+    assert report["summary"]["onedim"]["replications_failed"] == 2
+
+
 def test_select_u_report_shape(tmp_path, capsys):
     xp, yp = write_xy(tmp_path, d=5, u=2, n=400, seed=90)
     code = cli.run(

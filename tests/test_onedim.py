@@ -18,6 +18,7 @@ from envest.objective import (
     ObjectivePair,
     _d_tilde_gradients,
     _d_tilde_hessians,
+    _d_tilde_terms,
     _d_tilde_values,
     d_tilde_gradient,
     d_tilde_value,
@@ -90,9 +91,23 @@ def test_solve_direction_unit_norm_and_deterministic():
     assert np.array_equal(w1, w2)
 
 
+def d_resolution(m, n, w):
+    # D's float64 resolution at the unit rows of w, eps (|M|_F/qm + |N|_F/qn)
+    _, _, qm, qn, _ = _d_tilde_terms(m, n, w)
+    fro_m, fro_n = np.linalg.norm(m, "fro"), np.linalg.norm(n, "fro")
+    return np.finfo(float).eps * (fro_m / qm + fro_n / qn)
+
+
 def test_solve_direction_dim_one():
+    # the sphere in one coordinate is {-1, 1} and its tangent space {0}: the
+    # general loop stops every start by the gradient test at iteration 0
     pair = ObjectivePair.from_m_u(np.array([[2.0]]), np.array([[1.0]]))
     np.testing.assert_allclose(onedim.solve_direction(pair), [1.0])
+    sol = onedim._solve_direction(pair, onedim.OneDimSettings())
+    assert np.array_equal(sol.w, [1.0])
+    assert sol.value == d_tilde_value(pair, np.ones(1))
+    assert sol.iterations == 0
+    assert not sol.resolved
 
 
 def test_armijo_rejects_a_step_that_leaves_d_unchanged():
@@ -106,7 +121,8 @@ def test_armijo_rejects_a_step_that_leaves_d_unchanged():
     dg = p @ g
     assert np.array_equal(w + p, w)
     assert f[0] + onedim._ARMIJO_C1 * dg[0] == f[0]
-    accepted, w_new, f_new = onedim._armijo(pair.m, pair.m_plus_u_inv, w, f, p, dg)
+    m, n = pair.m, pair.m_plus_u_inv
+    accepted, w_new, f_new = onedim._armijo(m, n, w, f, p, dg, d_resolution(m, n, w))
     assert not accepted[0]
     assert np.array_equal(w_new, w)
     assert np.array_equal(f_new, f)
@@ -130,7 +146,7 @@ def test_armijo_searches_along_the_sphere(monkeypatch):
         return _d_tilde_values(m, n, rows, *args, **kwargs)
 
     monkeypatch.setattr(onedim, "_d_tilde_values", spy)
-    accepted, w_new, f_new = onedim._armijo(m, n, w, f, p, p @ g)
+    accepted, w_new, f_new = onedim._armijo(m, n, w, f, p, p @ g, d_resolution(m, n, w))
     for rows in trials:
         np.testing.assert_allclose(np.linalg.norm(rows, axis=1), 1.0, rtol=0, atol=1e-15)
         cos = rows @ w[0] / np.linalg.norm(w[0])
@@ -301,10 +317,38 @@ def test_a_start_at_float64_resolution_is_resolved(monkeypatch):
         h = _d_tilde_hessians(m, n, w, tangent=True)
         assert np.linalg.eigvalsh(h)[0, 0] > 0.0
         for p in (-np.linalg.solve(h, g[..., None])[..., 0], -g):
-            accepted, _, _ = onedim._armijo(m, n, w, f, p, np.einsum("ij,ij->i", p, g))
+            dg = np.einsum("ij,ij->i", p, g)
+            accepted, _, _ = onedim._armijo(m, n, w, f, p, dg, d_resolution(m, n, w))
             assert not accepted[0]
     assert fit.leading(1).diagnostics == ["Resolved@0"]
     assert fit.leading(2).diagnostics == fit.diagnostics
+
+
+def test_one_line_search_per_newton_iteration(monkeypatch):
+    # on this instance some Newton searches give up; each iteration still
+    # makes at most one line search, and it gives up at D's resolution as
+    # the Resolved@k test states it, for the rows it searches
+    searches = []
+    real_hessians, real_armijo = onedim._d_tilde_hessians, onedim._armijo
+
+    def hessians(*args, **kwargs):
+        searches.append([])
+        return real_hessians(*args, **kwargs)
+
+    def armijo(m, n, w, f, p, dg, resolution):
+        searches[-1].append(resolution)
+        np.testing.assert_allclose(resolution, d_resolution(m, n, w), rtol=1e-12, atol=0)
+        result = real_armijo(m, n, w, f, p, dg, resolution)
+        stalls.append(int((~result[0]).sum()))
+        return result
+
+    stalls = []
+    monkeypatch.setattr(onedim, "_d_tilde_hessians", hessians)
+    monkeypatch.setattr(onedim, "_armijo", armijo)
+    inst = simulate.generate_instance(30, 10, 12)
+    onedim.fit(inst.m, inst.u_mat, 10)
+    assert max(len(calls) for calls in searches) == 1
+    assert sum(stalls) > 0
 
 
 class TestDeflation:

@@ -138,6 +138,11 @@ class TestPopulationExperiment:
         with pytest.raises(InvalidInput):
             simulate.population_experiment(5, 2, 2, ("newton",))
 
+    def test_dimension_guard(self):
+        # an invalid (d, u) is the caller's error, raised, not recorded
+        with pytest.raises(InvalidDimension):
+            simulate.population_experiment(5, 5, 2, ("onedim",))
+
     def test_full_optimizer_records_match_direct_fits(self):
         # fg starts from the scan strategy, which must equal starting from
         # the scan basis passed in; fg-warm records equal grassmann.fit
@@ -180,6 +185,19 @@ class TestSampleExperiment:
         for rec in rep.records:
             assert rec.error is None
             assert rec.distance < 0.5
+
+    def test_a_singular_sample_is_recorded_not_raised(self):
+        # n = 8 < d = 10: S_Y is singular, so no replication builds its pair
+        rep = simulate.sample_experiment(10, 3, 8, 2, ("onedim", "fg"))
+        assert [(r.replication, r.seed, r.algorithm) for r in rep.records] == [
+            (0, 1, "onedim"), (0, 1, "fg"), (1, 2, "onedim"), (1, 2, "fg"),
+        ]
+        for rec in rep.records:
+            assert rec.error == "SingularCovariance: sample covariance of Y is singular"
+            assert rec.distance is None
+        for cell in rep.summary.values():
+            assert cell["replications_ok"] == 0
+            assert cell["replications_failed"] == 2
 
     def test_distance_shrinks_with_n(self):
         small = simulate.sample_experiment(6, 2, 200, 12, ("onedim",), seed=703)

@@ -26,14 +26,17 @@ For each set it prints one line per count:
   made while solving, and the matrices they decompose;
 * ``d_kernel_calls`` and ``d_kernel_rows``: batched D evaluations;
 * ``newton_searches`` and ``steepest_retries``: rows sent to the Newton line
-  search, and rows it failed that were retried along the steepest descent;
+  search, and rows it failed that were retried along the steepest descent
+  (0 on a checkout without that retry; the row is kept so that tables line
+  up);
 * ``line_search_d_calls``: the D-kernel calls made inside the line searches;
 * ``long_steps``: rows handed to a line search whose direction p is longer
   than 1;
 * ``stop_gradient``, ``stop_resolved``, ``stop_stalled``: starts stopped by
   the gradient test, by the Newton decrement at D's float64 resolution, and
-  by both line searches stalling (inferred from the line-search calls, so
-  that any two checkouts can be compared); ``capped_directions``: direction
+  by the line search giving up (inferred from the line-search calls: the
+  rows a search rejects, less the rows it hands to a retry, so that any two
+  checkouts can be compared); ``capped_directions``: direction
   solves that ran to the iteration cap.
 
 Run it on two checkouts and compare the tables.
@@ -96,20 +99,22 @@ class Counts:
             self.iterations_here += 1
             return real_hessians(m, n, w, *args, **kwargs)
 
-        def armijo(m, n, w, f, p, dg):
+        def armijo(m, n, w, f, p, dg, *rest):
             self.c["long_steps"] += int((np.linalg.norm(p, axis=1) > 1.0).sum())
             self.in_search = True
             try:
-                accepted, w_new, f_new = real_armijo(m, n, w, f, p, dg)
+                accepted, w_new, f_new = real_armijo(m, n, w, f, p, dg, *rest)
             finally:
                 self.in_search = False
             self.searches += 1
+            # stalled: rows a search rejects, less the rows it hands to a retry
+            self.c["stop_stalled"] += int((~accepted).sum())
             if self.searches == 1:
                 self.c["newton_searches"] += w.shape[0]
                 self.c["stop_resolved"] -= w.shape[0]
             else:
                 self.c["steepest_retries"] += w.shape[0]
-                self.c["stop_stalled"] += int((~accepted).sum())
+                self.c["stop_stalled"] -= w.shape[0]
             return accepted, w_new, f_new
 
         def eigvalsh(a, *args, **kwargs):
