@@ -21,13 +21,18 @@ complement of the all-ones direction and the basis is mapped back up.
 
 Each estimator checks its kind in ``_problem_dimension``, builds its pair
 in ``_kind_pair``, checks it in ``_checked_pair``, fits it with
-``_basis_scan`` and assembles its estimates.  A dimension scan (BIC, and
+``_basis_scans`` and assembles its estimates.  A dimension scan (BIC, and
 cross-validation on each fold) builds and checks its pair once and scans it
 the same way.  Every fit goes through ``_fits``, the only caller of the
 solvers.  The sequential solver finds each direction given the ones before
 it, so its fit at u is the first u columns of its fit at any larger u: with
 onedim or fg-warm, one sequential fit serves every candidate u < d of a
 scan.  fg-warm is that sequential fit refined by the Grassmann optimizer.
+Problems of one size that are fitted side by side, the folds of a
+cross-validation and (in ``simulate``) bootstrap replicates and experiment
+replications, are scanned together by ``_kind_scans`` or ``_fits``: their
+sequential fits are made by one ``onedim.fit_many`` call, which solves
+their directions in lockstep.
 """
 
 from dataclasses import dataclass, field, replace
@@ -102,57 +107,73 @@ def solver_settings(algo, gradient_tol=None, max_iterations=None):
     return replace(ALGORITHMS[algo], **changes)
 
 
-def _fits(m, u_hat, top, algo, settings):
-    """u -> basis fit of ``algo`` to (m, u_hat), for u = 1..top.
+def _fits(problems, top, algo, settings):
+    """For each (m, u_hat) in problems, all of one size d: u -> basis fit of
+    ``algo``, for u = 1..top.
 
-    This is the only caller of the solvers.  It looks them up on their
-    modules at every call, so a wrapper installed on ``onedim.fit`` or
-    ``grassmann.fit`` sees every fit.  settings sets the solver's tolerance
+    This is the only caller of the solvers, and it looks them up on their
+    modules at every call.  A wrapper installed on ``onedim.fit_many`` or
+    ``grassmann.fit`` sees every fit; one on ``onedim.fit`` sees only the
+    sequential fits of a lone problem.  settings sets the solver's tolerance
     and cap; None means the preset of ``algo``.
 
-    fg fits every u from its own scan start.  onedim makes one sequential
-    fit at min(top, d - 1), when the first u < d is asked for, and returns
-    its first u columns.  fg-warm makes that sequential fit with the onedim
-    preset and refines the first u columns with grassmann.fit started from
-    them, so settings sets only the refinement; its wall time is the
-    sequential fit's plus the refinement's.  u = d is fitted on its own.
-    When the sequential fit stops with NoConvergence at direction k, every
-    u from k + 1 to d - 1 raises that error and the u up to k keep the k
-    directions accepted before it.
+    fg fits every u of every problem from its own scan start.  onedim makes
+    one sequential fit at min(top, d - 1) per problem, when the first u < d
+    is asked of any of them, and returns its first u columns.  The problems
+    share those fits: one ``onedim.fit_many`` call makes them all, one
+    ``onedim.fit`` a lone problem's.  fg-warm makes the same sequential fits
+    with the onedim preset and refines the first u columns with
+    grassmann.fit started from them, so settings sets only the refinement;
+    its wall time is the sequential fit's plus the refinement's.  u = d is
+    fitted on its own.  When a sequential fit stops with NoConvergence at
+    direction k, every u from k + 1 to d - 1 raises that error and the u up
+    to k keep the k directions accepted before it.
     """
     _check_algorithm(algo)
     if settings is None:
         settings = solver_settings(algo)
     if algo == "fg":
-        return lambda u: grassmann.fit(m, u_hat, u, settings)
+        return [
+            lambda u, m=m, u_hat=u_hat: grassmann.fit(m, u_hat, u, settings)
+            for m, u_hat in problems
+        ]
     warm = algo == "fg-warm"
     sequential = ALGORITHMS["onedim"] if warm else settings
-    d = m.shape[0]
-    nested = None
+    shared = []  # per problem, its sequential fit or the error that stopped it
 
-    def fit(u):
-        nonlocal nested
-        if u == d:
-            basis_fit = onedim.fit(m, u_hat, d, sequential)
-        else:
-            if nested is None:
+    def nested(i, u, d):
+        if not shared:
+            top_u = min(top, d - 1)
+            if len(problems) == 1:
                 try:
-                    nested = onedim.fit(m, u_hat, min(top, d - 1), sequential), None
-                except NoConvergence as exc:
-                    nested = exc.partial, exc
-            whole, error = nested
-            if u > whole.basis.shape[1]:
-                raise error
-            basis_fit = whole.leading(u)
-        if not warm:
-            return basis_fit
-        refined = grassmann.fit(
-            m, u_hat, u, replace(settings, start_strategy=basis_fit.basis)
-        )
-        refined.wall_time_seconds += basis_fit.wall_time_seconds
-        return refined
+                    shared.append(onedim.fit(*problems[0], top_u, sequential))
+                except EnvestError as exc:
+                    shared.append(exc)
+            else:
+                shared.extend(onedim.fit_many(problems, top_u, sequential))
+        outcome = shared[i]
+        whole = outcome.partial if isinstance(outcome, NoConvergence) else outcome
+        if isinstance(whole, EnvestError) or u > whole.basis.shape[1]:
+            raise outcome
+        return whole.leading(u)
 
-    return fit
+    def fits(i):
+        m, u_hat = problems[i]
+        d = m.shape[0]
+
+        def fit(u):
+            basis_fit = onedim.fit(m, u_hat, d, sequential) if u == d else nested(i, u, d)
+            if not warm:
+                return basis_fit
+            refined = grassmann.fit(
+                m, u_hat, u, replace(settings, start_strategy=basis_fit.basis)
+            )
+            refined.wall_time_seconds += basis_fit.wall_time_seconds
+            return refined
+
+        return fit
+
+    return [fits(i) for i in range(len(problems))]
 
 
 def _sample_matrix(a, name):
@@ -306,21 +327,23 @@ def _checked_pair(m, m_plus_u):
     return m, u_hat, pair, diagnostics
 
 
-def _basis_scan(checked, top, algo, settings):
-    """fit(u) -> (basis fit, objective) for u = 1..top on a _checked_pair.
+def _basis_scans(checked, top, algo, settings):
+    """fit(u) -> (basis fit, objective) for u = 1..top, one per _checked_pair.
 
-    The fits are those of _fits, with the pair's flags added and the
-    objective scored on the checked pair.
+    The fits are those of _fits, made together for all the pairs, with each
+    pair's flags added and the objective scored on the checked pair.
     """
-    m, u_hat, pair, diagnostics = checked
-    fits = _fits(m, u_hat, top, algo, settings)
+    fits = _fits([(m, u_hat) for m, u_hat, _, _ in checked], top, algo, settings)
 
-    def fit(u):
-        basis_fit = fits(u)
-        basis_fit.diagnostics.extend(diagnostics)
-        return basis_fit, float(j_value(pair, basis_fit.basis))
+    def scan(fits, pair, diagnostics):
+        def fit(u):
+            basis_fit = fits(u)
+            basis_fit.diagnostics.extend(diagnostics)
+            return basis_fit, float(j_value(pair, basis_fit.basis))
 
-    return fit
+        return fit
+
+    return [scan(f, pair, diagnostics) for f, (_, _, pair, diagnostics) in zip(fits, checked)]
 
 
 def _problem_dimension(kind, data, p1=None):
@@ -370,7 +393,8 @@ def _fit_kind_pair(kind, data, u, algo, settings, p1=None):
     """(moments, basis fit, objective) of kind's pair, after the checks."""
     _require_dimension(u, _problem_dimension(kind, data, p1))
     m, m_plus_u, moments = _kind_pair(kind, data, p1)
-    return (moments, *_basis_scan(_checked_pair(m, m_plus_u), u, algo, settings)(u))
+    (scan,) = _basis_scans([_checked_pair(m, m_plus_u)], u, algo, settings)
+    return (moments, *scan(u))
 
 
 def _split_covariance(s, p_g, q_g):
@@ -414,7 +438,11 @@ def partial_envelope(data, p1, u, algo="onedim", settings=None):
     residuals of Y and X1 on X2.  Only the X1 coefficient block is
     projected; the X2 block is reported untouched inside beta_ols.
     """
-    kit, fit, objective = _fit_kind_pair("partial", data, u, algo, settings, p1)
+    return _partial_estimate(*_fit_kind_pair("partial", data, u, algo, settings, p1), p1)
+
+
+def _partial_estimate(kit, fit, objective, p1):
+    """The partial envelope of a fitted basis, from its sample's covariance kit."""
     gamma = fit.basis
     p_g = gamma @ gamma.T
     q_g = np.eye(kit.s_y.shape[0]) - p_g
@@ -467,8 +495,12 @@ def mean_envelope(y, u, algo="onedim", settings=None):
     The projected mean lands in beta_env's single column; alpha_hat is the
     raw sample mean for reference.
     """
-    data = RegressionData(None, y)
-    (ym, s_y), fit, objective = _fit_kind_pair("mean", data, u, algo, settings)
+    return _mean_estimate(*_fit_kind_pair("mean", RegressionData(None, y), u, algo, settings))
+
+
+def _mean_estimate(moments, fit, objective):
+    """The mean envelope of a fitted basis, from its sample's (ybar, S_Y)."""
+    ym, s_y = moments
     gamma = fit.basis
     p_g = gamma @ gamma.T
     q_g = np.eye(ym.shape[0]) - p_g
@@ -492,7 +524,15 @@ def constrained_mean_envelope(y, u, algo="onedim", settings=None):
     back as B0 Gamma.  u can be at most r - 1.
     """
     data = RegressionData(None, y)
-    (ym, s_y, b0), fit, objective = _fit_kind_pair("constrained-mean", data, u, algo, settings)
+    return _constrained_mean_estimate(
+        *_fit_kind_pair("constrained-mean", data, u, algo, settings)
+    )
+
+
+def _constrained_mean_estimate(moments, fit, objective):
+    """The constrained mean envelope of a basis fitted in span(B0), from its
+    sample's (ybar, S_Y, B0)."""
+    ym, s_y, b0 = moments
     gamma = b0 @ fit.basis  # r x u, orthonormal and orthogonal to 1
     fit.basis = gamma
     r = ym.shape[0]
@@ -526,6 +566,38 @@ def _fit_by_kind(kind, data, u, algo, settings, p1=None):
     if kind == "mean":
         return mean_envelope(data.y, u, algo, settings)
     return constrained_mean_envelope(data.y, u, algo, settings)
+
+
+def _kind_scans(kind, samples, top, algo, settings, p1=None):
+    """kind's (moments, scan) on each sample, or the package error that stopped it.
+
+    samples are zero-argument callables that build one RegressionData each;
+    the scans are those of _basis_scans, their fits made together.  kind
+    and p1 must pass _problem_dimension for the samples.
+    """
+    built = []
+    for sample in samples:
+        try:
+            m, m_plus_u, moments = _kind_pair(kind, sample(), p1)
+            built.append((moments, _checked_pair(m, m_plus_u)))
+        except EnvestError as exc:  # this sample's pair fails every u alike
+            built.append(exc)
+    ok = [b for b in built if not isinstance(b, EnvestError)]
+    scans = iter(_basis_scans([checked for _, checked in ok], top, algo, settings))
+    return [b if isinstance(b, EnvestError) else (b[0], next(scans)) for b in built]
+
+
+def _estimate(kind, moments, scan, u, p1=None):
+    """kind's estimator at u from a (moments, scan) of ``_kind_scans``."""
+    if kind == "partial":
+        return _partial_estimate(moments, *scan(u), p1)
+    assemble = {
+        "response": _response_estimate,
+        "predictor": _predictor_estimate,
+        "mean": _mean_estimate,
+        "constrained-mean": _constrained_mean_estimate,
+    }[kind]
+    return assemble(moments, *scan(u))
 
 
 @dataclass
@@ -571,7 +643,7 @@ def select_dimension_bic(data, kind, u_max, algo="onedim", settings=None, p1=Non
     d = _problem_dimension(kind, data, p1)
     _require_dimension(u_max, d, "u_max")
     m, m_plus_u, _ = _kind_pair(kind, data, p1)
-    fits = _basis_scan(_checked_pair(m, m_plus_u), u_max, algo, settings)
+    (fits,) = _basis_scans([_checked_pair(m, m_plus_u)], u_max, algo, settings)
     n = data.n
 
     def score(u):
@@ -589,8 +661,9 @@ def select_dimension_cv(
     Only kinds that predict Y from X participate (response, predictor).
     The fold split is one seeded permutation shared by all candidate u.
     Each fold builds its covariance kit and pair once and scans them as BIC
-    does, so with onedim or fg-warm it makes one sequential fit; the scores
-    equal those of a separate estimator fit per u and fold.  scores are mean
+    does, so with onedim or fg-warm it makes one sequential fit, and the
+    folds' fits are made together (see _kind_scans); the scores equal those
+    of a separate estimator fit per u and fold.  scores are mean
     squared prediction errors per observation and ties go to the smaller u.
     """
     if kind not in PREDICTIVE_KINDS:
@@ -604,29 +677,20 @@ def select_dimension_cv(
     rng = np.random.default_rng(seed)
     order = rng.permutation(n)
     chunks = np.array_split(order, folds)
-    assemble = _response_estimate if kind == "response" else _predictor_estimate
 
-    def fold_scan(test_idx):
+    def training(test_idx):
         mask = np.ones(n, dtype=bool)
         mask[test_idx] = False
-        train = RegressionData(data.x[mask], data.y[mask])
-        m, m_plus_u, kit = _kind_pair(kind, train)
-        return kit, _basis_scan(_checked_pair(m, m_plus_u), u_max, algo, settings)
+        return lambda: RegressionData(data.x[mask], data.y[mask])
 
-    scans = []
-    for test_idx in chunks:
-        try:
-            scans.append(fold_scan(test_idx))
-        except EnvestError as exc:  # the fold's pair fails every u alike
-            scans.append(exc)
+    scans = _kind_scans(kind, [training(t) for t in chunks], u_max, algo, settings)
 
     def score(u):
         sse = 0.0
         for test_idx, scan in zip(chunks, scans):
             if isinstance(scan, EnvestError):
                 raise scan
-            kit, fits = scan
-            fit = assemble(kit, *fits(u))
+            fit = _estimate(kind, *scan, u)
             pred = fit.alpha_hat + data.x[test_idx] @ fit.beta_env.T
             sse += float(np.sum((data.y[test_idx] - pred) ** 2))
         return sse / n

@@ -17,10 +17,12 @@ unit-norm constraint by adding the compensating term:
 which is invariant to scaling of w.
 
 D, its gradient and its Hessian are written once, as batched kernels that
-evaluate every row of a candidate array together; the sequential solver
-calls them directly, the Hessian kernel also in the tangent-space form the
-solver steps with, and ``d_tilde_value``, ``d_tilde_gradient`` and
-``d_tilde_hessian`` are checked one-row calls of them.
+evaluate every row of a candidate array together, the rows of several pairs
+of one size at once when told which pair each row belongs to.  The
+sequential solver calls them directly, the Hessian kernel also in the
+tangent-space form the solver steps with, and ``d_tilde_value``,
+``d_tilde_gradient`` and ``d_tilde_hessian`` are checked one-row calls of
+them.
 """
 
 from dataclasses import dataclass
@@ -209,10 +211,43 @@ def _check_direction(pair, w):
     return w
 
 
-def _d_tilde_values(m, n, w):
-    """D values at the rows of w, n being (M+U)^{-1}; non-finite become +inf."""
-    qm = np.einsum("ij,ij->i", w @ m, w)
-    qn = np.einsum("ij,ij->i", w @ n, w)
+def _one_pair(m, n, owner):
+    """(m, n, owner), with stacks reduced to their pair when one pair owns every row."""
+    if owner is not None and owner[0] == owner[-1]:
+        return m[owner[0]], n[owner[0]], None
+    return m, n, owner
+
+
+def _row_products(m, n, w, owner=None):
+    """w M and w N at the rows of w.
+
+    With ``owner``, m and n stack one matrix per pair and row i of w belongs
+    to pair owner[i], the rows of a pair being consecutive.  Each pair's
+    products are taken on its own block of rows: the bits of a
+    (k, d) @ (d, d) product depend on k, so a row's products are then those
+    of a batch holding its pair's rows alone.  Every other step of the D
+    kernels works row by row, with bits that do not depend on the batch.
+    """
+    m, n, owner = _one_pair(m, n, owner)
+    if owner is None:
+        return w @ m, w @ n
+    wm = np.empty_like(w)
+    wn = np.empty_like(w)
+    cuts = (np.flatnonzero(owner[1:] != owner[:-1]) + 1).tolist()
+    for lo, hi in zip([0, *cuts], [*cuts, len(owner)]):
+        wm[lo:hi] = w[lo:hi] @ m[owner[lo]]
+        wn[lo:hi] = w[lo:hi] @ n[owner[lo]]
+    return wm, wn
+
+
+def _d_tilde_values(m, n, w, owner=None):
+    """D values at the rows of w, n being (M+U)^{-1}; non-finite become +inf.
+
+    ``owner`` is that of ``_row_products``, as in every D kernel.
+    """
+    wm, wn = _row_products(m, n, w, owner)
+    qm = np.einsum("ij,ij->i", wm, w)
+    qn = np.einsum("ij,ij->i", wn, w)
     qw = np.einsum("ij,ij->i", w, w)
     with np.errstate(divide="ignore", invalid="ignore"):
         out = np.log(qm) + np.log(qn) - 2.0 * np.log(qw)
@@ -220,14 +255,13 @@ def _d_tilde_values(m, n, w):
     return out
 
 
-def _d_tilde_terms(m, n, w):
+def _d_tilde_terms(m, n, w, owner=None):
     """The one pass of w M and w N that D's derivatives at the rows of w share.
 
     Returns (a, b, qm, qn, qw) with a = M w / qm, b = N w / qn, qm = w'Mw,
     qn = w'Nw and qw = w'w per row, n being (M+U)^{-1}.
     """
-    wm = w @ m
-    wn = w @ n
+    wm, wn = _row_products(m, n, w, owner)
     qm = np.einsum("ij,ij->i", wm, w)
     qn = np.einsum("ij,ij->i", wn, w)
     qw = np.einsum("ij,ij->i", w, w)
@@ -239,10 +273,10 @@ def _d_tilde_gradients(m, n, w, fro_m, fro_n, terms=None):
 
     The bound is what float64 can resolve in the gradient at each point:
     machine epsilon times the magnitudes of the three assembled terms, with
-    fro_m and fro_n the Frobenius norms of m and n.  A tangential norm at or
-    below it cannot be distinguished from an exact critical point, whatever
-    the requested tolerance says.  ``terms`` are ``_d_tilde_terms`` at w,
-    computed here when not given.
+    fro_m and fro_n the Frobenius norms of m and n (or arrays of them, one
+    per row).  A tangential norm at or below it cannot be distinguished
+    from an exact critical point, whatever the requested tolerance says.
+    ``terms`` are ``_d_tilde_terms`` at w, computed here when not given.
     """
     a, b, qm, qn, qw = _d_tilde_terms(m, n, w) if terms is None else terms
     g = 2.0 * a + 2.0 * b - 4.0 * w / qw[:, None]
@@ -253,7 +287,7 @@ def _d_tilde_gradients(m, n, w, fro_m, fro_n, terms=None):
     return g, floor
 
 
-def _d_tilde_hessians(m, n, w, terms=None, tangent=False):
+def _d_tilde_hessians(m, n, w, terms=None, tangent=False, owner=None):
     """Hessians of D at the rows of w, or their tangent-space models.
 
     With a, b, qm, qn, qw from ``_d_tilde_terms`` every Hessian is
@@ -269,7 +303,10 @@ def _d_tilde_hessians(m, n, w, terms=None, tangent=False):
     The update is not summed symmetrically, so the two triangles may differ
     in the last bit.
     """
-    a, b, qm, qn, qw = _d_tilde_terms(m, n, w) if terms is None else terms
+    m, n, owner = _one_pair(m, n, owner)
+    a, b, qm, qn, qw = _d_tilde_terms(m, n, w, owner) if terms is None else terms
+    if owner is not None:
+        m, n = m[owner], n[owner]
     iw = (1.0 / qw)[:, None]
     if tangent:
         y = (iw * (w + 2.0 * (a + b)), 2.0 * iw * w - 4.0 * a, 2.0 * iw * w - 4.0 * b)

@@ -42,7 +42,8 @@ becomes the next iterate as it is, with its value.  A trial is accepted only
 when it also strictly lowers D, and the search gives up once the decrease
 it asks for falls below the same resolution of D; a start whose search
 gives up is retired where it stands, ``stalled``, at a point where no
-representable decrease is left.
+representable decrease is left; a direction whose winning start stalled
+carries ``Stalled@k``.
 
 The screened starts are iterated together as rows of one array, through the
 batched D kernels of ``objective``; the winner is the converged start with
@@ -58,6 +59,17 @@ screened out.  Screening is still not full multistart: on sample pairs at
 start ranks below 8th by initial D, and that direction ends 1e-4 to 3e-3
 higher in D.
 
+The lockstep also runs across problems.  ``fit_many`` makes the sequential
+fits of several pairs together, and at each step the screened starts of
+every pair still running are rows of the same array: a Newton iteration
+pays its numpy calls once for all of them.  Only the row products w M and
+w N are taken per pair, on that pair's rows, since the bits of a
+(k, d) @ (d, d) product depend on k; every other kernel works row by row
+(``objective._row_products``).  Each pair therefore gets the answer it gets
+alone, bit for bit, and ``fit`` is ``fit_many`` of one pair.  Pairs are
+taken in chunks that keep a batch of tangent Hessians within
+``_HESSIAN_BATCH_BYTES``.
+
 After each direction, the complement and the compressed pair are carried
 past the Householder reflector of the accepted w, in O(d^2).
 """
@@ -68,7 +80,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import NoConvergence
+from .errors import EnvestError, NoConvergence
 from .linalg import fix_column_signs
 from .objective import (
     ObjectivePair,
@@ -79,7 +91,7 @@ from .objective import (
     _d_tilde_values,
 )
 
-__all__ = ["OneDimSettings", "EnvelopeFit", "solve_direction", "fit"]
+__all__ = ["OneDimSettings", "EnvelopeFit", "solve_direction", "fit", "fit_many"]
 
 _SHIFT_FLOOR = 1e-8
 # Armijo backtracking constants
@@ -89,6 +101,12 @@ _LINE_SEARCH_SHRINK = 0.5
 _MAX_TANGENT_STEP = 1.0
 # eigenvector starts a direction solve iterates: those with the lowest D
 _SCREENED_STARTS = 8
+# bytes of tangent Hessians one lockstep batch may hold: pairs of one size
+# are solved together in chunks under it
+_HESSIAN_BATCH_BYTES = 16 << 20
+# diagnostics flag of a direction whose winning start stopped short of the
+# gradient test
+_FLAGS = {"resolved": "Resolved", "stalled": "Stalled"}
 
 
 @dataclass(frozen=True)
@@ -116,9 +134,13 @@ class EnvelopeFit:
     algorithm and the single final value for the Grassmann optimizer;
     inner_iterations is aligned with it.  diagnostics collects string flags:
     from the sequential solver ``Resolved@k`` (the winning start of
-    direction k stopped at D's float64 resolution, not by the gradient test)
-    and ``FullSpace``; ``Roundoff``, ``RadiusCollapse`` and ``CapReached``
-    from the Grassmann optimizer; and ``Ridged`` from the estimators.
+    direction k stopped at D's float64 resolution, not by the gradient
+    test), ``Stalled@k`` (it stopped because its line search gave up) and
+    ``FullSpace``; ``Roundoff``, ``RadiusCollapse`` and ``CapReached`` from
+    the Grassmann optimizer; and ``Ridged`` from the estimators.
+    wall_time_seconds is the fit's wall-clock time; a sequential fit made
+    by ``fit_many`` carries its call's time divided by the number of
+    problems it fitted.
     """
 
     basis: np.ndarray
@@ -149,7 +171,7 @@ class EnvelopeFit:
         )
 
 
-def _armijo(m, n, w, f, p, dg, resolution):
+def _armijo(m, n, w, f, p, dg, resolution, owner=None):
     """Backtracking line search along the sphere, run on all rows at once.
 
     w holds unit rows and p tangent directions with slopes dg = p'g.  Each
@@ -160,7 +182,7 @@ def _armijo(m, n, w, f, p, dg, resolution):
     new points, new values): accepted rows hold their unit trial and its D,
     the others w and f.  A row gives up, unaccepted, once the decrease the
     test asks for drops below its ``resolution``, D's float64 resolution at
-    w as ``_solve_direction`` computes it.
+    w as ``_lockstep`` computes it.  ``owner`` is that of the D kernels.
     """
     rows = w.shape[0]
     s = _MAX_TANGENT_STEP / np.maximum(np.linalg.norm(p, axis=1), _MAX_TANGENT_STEP)
@@ -175,7 +197,7 @@ def _armijo(m, n, w, f, p, dg, resolution):
         j = np.flatnonzero(pending)
         trial = w[j] + t[j, None] * p[j]
         trial /= np.linalg.norm(trial, axis=1, keepdims=True)
-        fv = _d_tilde_values(m, n, trial)
+        fv = _d_tilde_values(m, n, trial, None if owner is None else owner[j])
         ok = (fv <= f[j] + _ARMIJO_C1 * t[j] * dg[j]) & (fv < f[j])
         hit = j[ok]
         w_new[hit] = trial[ok]
@@ -189,89 +211,134 @@ def _armijo(m, n, w, f, p, dg, resolution):
 
 class _Direction(NamedTuple):
     """One direction solve: the winning unit vector, its D value and inner
-    iterations, and whether the winner stopped at D's float64 resolution
-    (``resolved``)."""
+    iterations, and how the winner stopped: ``gradient``, ``resolved`` (at
+    D's float64 resolution), ``stalled`` (its line search gave up) or
+    ``capped``."""
 
     w: np.ndarray
     value: float
     iterations: int
-    resolved: bool
+    stop: str
 
 
 def _shifts(h):
     """Shift tau that makes each tangent Hessian h safely positive definite.
 
     tau = max(0, 1e-8 * scale - lambda_min) with scale = max(1, max |h_ij|).
-    A Cholesky factorization of h - 1e-8 * scale * I proves tau = 0; only a
-    batch it does not clear pays for eigenvalues, and then only on the rows
-    whose own factorization fails.
+    A Cholesky factorization of h - 1e-8 * scale * I proves tau = 0; only
+    the rows whose own factorization fails pay for eigenvalues.
     """
     floor = _SHIFT_FLOOR * np.maximum(1.0, np.abs(h).max(axis=(1, 2)))
     shifted = h.copy()
     diag = np.arange(h.shape[1])
     shifted[:, diag, diag] -= floor[:, None]
     tau = np.zeros(h.shape[0])
-    if _is_positive_definite(shifted):
-        return tau
-    rows = np.flatnonzero([not _is_positive_definite(s) for s in shifted])
-    lam_min = np.linalg.eigvalsh(h[rows])[:, 0]
-    tau[rows] = np.maximum(0.0, floor[rows] - lam_min)
+    rows = _not_positive_definite(shifted)
+    if rows.size:
+        lam_min = np.linalg.eigvalsh(h[rows])[:, 0]
+        tau[rows] = np.maximum(0.0, floor[rows] - lam_min)
     return tau
 
 
-def _is_positive_definite(a):
-    """Whether a Cholesky factorization of a, or of every matrix in it, succeeds."""
-    try:
-        np.linalg.cholesky(a)
-    except np.linalg.LinAlgError:
-        return False
-    return True
+def _not_positive_definite(a, fails=False):
+    """Indices of the matrices in the stack a whose Cholesky factorization fails.
 
-
-def _solve_direction(pair, settings):
-    """Multistart solve of one deflated pair; returns a ``_Direction``.
-
-    Of the 2 dim eigenvector candidates, the ``_SCREENED_STARTS`` with the
-    lowest initial D are iterated, kept in candidate order so that ties
-    still go to the earliest candidate.  NoConvergence is raised when none
-    of them converges; the starts screened out are not tried.
+    A stack that one batched factorization clears is done; one that fails
+    (or is known to, ``fails``) is bisected, and when its first half clears,
+    its second half is known to fail untested.  f failing matrices among k
+    cost at most about f (log2(k) + 1) + 1 factorizations, against k + 1
+    for one factorization per matrix.  Each matrix is factorized on its own within a
+    batch, so its verdict does not depend on the batch.
     """
-    dim = pair.dim
-    m, n = pair.m, pair.m_plus_u_inv
-    # one row per start, stored row-major: the rounding of the batched
-    # kernels depends on the layout
-    w = np.ascontiguousarray(
-        np.concatenate([pair.m_eigenvectors.T, pair.m_plus_u_eigenvectors.T], axis=0)
-    )
-    f = _d_tilde_values(m, n, w)
-    if w.shape[0] > _SCREENED_STARTS:
-        # screen: keep the starts with the lowest D, in candidate order
-        keep = np.sort(np.argsort(f, kind="stable")[:_SCREENED_STARTS])
-        w, f = w[keep], f[keep]
+    if not fails:
+        try:
+            np.linalg.cholesky(a)
+        except np.linalg.LinAlgError:
+            fails = True
+        else:
+            return np.zeros(0, dtype=int)
+    if a.shape[0] == 1:
+        return np.zeros(1, dtype=int)
+    half = a.shape[0] // 2
+    first = _not_positive_definite(a[:half])
+    second = _not_positive_definite(a[half:], fails=first.size == 0)
+    return np.concatenate([first, half + second])
+
+
+def _solve_directions(pairs, settings):
+    """Multistart solves of deflated pairs: one ``_Direction`` or NoConvergence each.
+
+    Pairs of one size are solved together by ``_lockstep``, in chunks of as
+    many pairs as keep one batch of tangent Hessians within
+    ``_HESSIAN_BATCH_BYTES``.  Each pair's answer is the one it gets alone.
+    """
+    out = [None] * len(pairs)
+    by_dim = {}
+    for i, pair in enumerate(pairs):
+        by_dim.setdefault(pair.dim, []).append(i)
+    for dim, members in by_dim.items():
+        pair_bytes = min(2 * dim, _SCREENED_STARTS) * dim * dim * 8
+        size = max(1, _HESSIAN_BATCH_BYTES // pair_bytes)
+        for lo in range(0, len(members), size):
+            chunk = members[lo:lo + size]
+            for i, sol in zip(chunk, _lockstep([pairs[i] for i in chunk], settings)):
+                out[i] = sol
+    return out
+
+
+def _lockstep(pairs, settings):
+    """Multistart solves of deflated pairs of one size, iterated as one batch.
+
+    Of each pair's 2 dim eigenvector candidates, the ``_SCREENED_STARTS``
+    with the lowest initial D are iterated, kept in candidate order so that
+    ties still go to the earliest candidate.  The starts of every pair are
+    rows of one array, a pair's rows consecutive, and step together.  A
+    pair gets NoConvergence when none of its starts converges; the starts
+    screened out are not tried.
+    """
+    dim = pairs[0].dim
+    starts = []
+    for pair in pairs:
+        # one row per start, stored row-major: the rounding of the batched
+        # kernels depends on the layout
+        w = np.ascontiguousarray(
+            np.concatenate([pair.m_eigenvectors.T, pair.m_plus_u_eigenvectors.T], axis=0)
+        )
+        f = _d_tilde_values(pair.m, pair.m_plus_u_inv, w)
+        if w.shape[0] > _SCREENED_STARTS:
+            # screen: keep the starts with the lowest D, in candidate order
+            keep = np.sort(np.argsort(f, kind="stable")[:_SCREENED_STARTS])
+            w, f = w[keep], f[keep]
+        starts.append((w, f))
+    w = np.concatenate([w for w, _ in starts])
+    f = np.concatenate([f for _, f in starts])
+    owner = np.repeat(np.arange(len(pairs)), [len(f) for _, f in starts])
+    m = np.array([pair.m for pair in pairs])
+    n = np.array([pair.m_plus_u_inv for pair in pairs])
+    fro_m = np.array([float(np.linalg.norm(pair.m, "fro")) for pair in pairs])
+    fro_n = np.array([float(np.linalg.norm(pair.m_plus_u_inv, "fro")) for pair in pairs])
     count = w.shape[0]
     iters = np.zeros(count, dtype=int)
     stops = np.full(count, "", dtype="U8")
     best_gn = np.full(count, np.inf)
     tol = settings.gradient_tol
     eps = np.finfo(float).eps
-    fro_m = float(np.linalg.norm(m, "fro"))
-    fro_n = float(np.linalg.norm(n, "fro"))
     it = 0
 
     def stop(rows, why):
         stops[rows] = why
         iters[rows] = it
 
-    # all active candidates step together, so one global counter suffices;
-    # a candidate's recorded inner-iteration count is the value of ``it``
-    # when it stopped
+    # all active starts step together, so one global counter suffices; a
+    # start's recorded inner-iteration count is the value of ``it`` when it
+    # stopped
     while True:
         idx = np.flatnonzero(stops == "")
         if idx.size == 0:
             break
-        wa = w[idx]
-        terms = _d_tilde_terms(m, n, wa)
-        g, floor = _d_tilde_gradients(m, n, wa, fro_m, fro_n, terms)
+        wa, own = w[idx], owner[idx]
+        terms = _d_tilde_terms(m, n, wa, own)
+        g, floor = _d_tilde_gradients(m, n, wa, fro_m[own], fro_n[own], terms)
         radial = np.einsum("ij,ij->i", g, wa)
         tang = g - radial[:, None] * wa
         gn = np.linalg.norm(tang, axis=1)
@@ -285,14 +352,14 @@ def _solve_direction(pair, settings):
             stop(idx, "capped")
             break
         it += 1
-        wa = wa[~done]
+        wa, own = wa[~done], own[~done]
         g = tang[~done]
         terms = tuple(t[~done] for t in terms)
 
         # Newton step in the tangent space at the unit rows w, against the
         # tangential gradient g and the tangent model of the Hessian, shifted
         # where it is not safely positive definite
-        h = _d_tilde_hessians(m, n, wa, terms, tangent=True)
+        h = _d_tilde_hessians(m, n, wa, terms, tangent=True, owner=own)
         tau = _shifts(h)
         h[:, np.arange(dim), np.arange(dim)] += tau[:, None]
         p = -np.linalg.solve(h, g[..., None])[..., 0]
@@ -301,37 +368,43 @@ def _solve_direction(pair, settings):
         # two logarithms.  A Newton decrement below it leaves no decrease
         # that float64 can show, so the start has converged; a line search
         # gives up on a decrease below it
-        res = eps * (fro_m / terms[2] + fro_n / terms[3])
+        res = eps * (fro_m[own] / terms[2] + fro_n[own] / terms[3])
         resolved = (tau == 0.0) & (0.5 * -dg <= res)
         stop(idx[resolved], "resolved")
         keep = ~resolved
         idx = idx[keep]
         if idx.size == 0:
             continue
-        acc, w_try, f_try = _armijo(m, n, wa[keep], f[idx], p[keep], dg[keep], res[keep])
-        # the search gave up: retire the candidate where it stands
+        acc, w_try, f_try = _armijo(
+            m, n, wa[keep], f[idx], p[keep], dg[keep], res[keep], own[keep]
+        )
+        # the search gave up: retire the start where it stands
         stop(idx[~acc], "stalled")
         w[idx[acc]] = w_try[acc]
         f[idx[acc]] = f_try[acc]
 
     converged = (stops == "gradient") | (stops == "resolved")
-    if not converged.any():
-        b = int(np.argmin(f))
-        raise NoConvergence(
-            "no candidate start satisfied the gradient criterion "
-            f"(best objective {f[b]:.6g}, gradient norm {best_gn[b]:.3g})",
-            best=fix_column_signs(w[b]),
-            gradient_norm=float(best_gn[b]),
-        )
-
-    # smallest final value among the screened starts wins (first on ties);
-    # stalled starts stay eligible since a stall only happens where no
-    # representable decrease exists, i.e. at a numerical critical point
-    win = int(np.argmin(f))
-    return _Direction(
-        fix_column_signs(w[win]), float(f[win]), int(iters[win]),
-        bool(stops[win] == "resolved"),
-    )
+    out = []
+    for k in range(len(pairs)):
+        rows = np.flatnonzero(owner == k)
+        if not converged[rows].any():
+            b = rows[np.argmin(f[rows])]
+            out.append(NoConvergence(
+                "no candidate start satisfied the gradient criterion "
+                f"(best objective {f[b]:.6g}, gradient norm {best_gn[b]:.3g})",
+                best=fix_column_signs(w[b]),
+                gradient_norm=float(best_gn[b]),
+            ))
+            continue
+        # smallest final value among the screened starts wins (first on
+        # ties); stalled starts stay eligible since a stall only happens
+        # where no representable decrease exists, i.e. at a numerical
+        # critical point
+        win = rows[np.argmin(f[rows])]
+        out.append(_Direction(
+            fix_column_signs(w[win]), float(f[win]), int(iters[win]), str(stops[win])
+        ))
+    return out
 
 
 def solve_direction(pair, settings=None):
@@ -342,7 +415,10 @@ def solve_direction(pair, settings=None):
     """
     if settings is None:
         settings = OneDimSettings()
-    return _solve_direction(pair, settings).w
+    (sol,) = _solve_directions([pair], settings)
+    if isinstance(sol, NoConvergence):
+        raise sol
+    return sol.w
 
 
 def fit(m_hat, u_hat, u, settings=None):
@@ -353,50 +429,96 @@ def fit(m_hat, u_hat, u, settings=None):
     basis columns are orthonormal and in extraction order.  u == d skips
     optimization entirely and returns the identity basis.  A NoConvergence
     at direction k carries step_index k and, in ``partial``, the fit of the
-    k directions accepted before it.
+    k directions accepted before it.  This is ``fit_many`` of one problem.
+    """
+    (result,) = fit_many([(m_hat, u_hat)], u, settings)
+    if isinstance(result, EnvestError):
+        raise result
+    return result
+
+
+class _Run:
+    """One problem of ``fit_many``: the directions accepted so far, and the
+    complement of their span with M and U compressed onto it."""
+
+    def __init__(self, m_hat, u_hat, d):
+        self.d = d
+        self.g0, self.m_k, self.u_k = np.eye(d), m_hat, u_hat
+        self.columns, self.values, self.iterations, self.diagnostics = [], [], [], []
+        self.error = None
+
+    def envelope(self, wall_time):
+        basis = np.column_stack(self.columns) if self.columns else np.zeros((self.d, 0))
+        return EnvelopeFit(
+            basis=basis,
+            objective_values=self.values,
+            inner_iterations=self.iterations,
+            wall_time_seconds=wall_time,
+            algorithm_tag="onedim",
+            diagnostics=self.diagnostics,
+        )
+
+
+def fit_many(problems, u, settings=None):
+    """``fit`` at u of each (m_hat, u_hat) in problems, made together.
+
+    Returns, per problem, what ``fit`` gives it alone, bit for bit: its
+    EnvelopeFit, or the package error ``fit`` raises on it, such as a
+    NoConvergence with its step_index and partial.  At each step the
+    directions of every problem still running are solved in one lockstep
+    (``_solve_directions``), so the call overhead of a Newton iteration is
+    paid once for all of them.  Every fit carries the call's wall time
+    divided by the number of problems.
     """
     if settings is None:
         settings = OneDimSettings()
-    m_hat, u_hat, d = _check_solver_inputs(m_hat, u_hat, u)
-
     start = time.perf_counter()
-
-    def result(basis, values, iterations, diagnostics):
-        return EnvelopeFit(
-            basis=basis,
-            objective_values=values,
-            inner_iterations=iterations,
-            wall_time_seconds=time.perf_counter() - start,
-            algorithm_tag="onedim",
-            diagnostics=diagnostics,
-        )
-
-    if u == d:
-        return result(np.eye(d), [], [], ["FullSpace"])
-
-    basis = np.zeros((d, 0))
-    values = []
-    iterations = []
-    diagnostics = []
-    # the complement of the accepted span, and M and U compressed onto it
-    g0, m_k, u_k = np.eye(d), m_hat, u_hat
-    for k in range(u):
+    runs = []
+    for m_hat, u_hat in problems:
         try:
-            sol = _solve_direction(ObjectivePair.from_m_u(m_k, u_k), settings)
-        except NoConvergence as exc:
-            exc.step_index = k
-            exc.partial = result(basis, values, iterations, diagnostics)
-            raise
-        g = g0 @ sol.w
-        g /= np.linalg.norm(g)
-        basis = np.column_stack([basis, fix_column_signs(g)])
-        values.append(sol.value)
-        iterations.append(sol.iterations)
-        if sol.resolved:
-            diagnostics.append(f"Resolved@{k}")
-        if k + 1 < u:
-            g0, m_k, u_k = _deflate(g0, m_k, u_k, sol.w)
-    return result(basis, values, iterations, diagnostics)
+            runs.append(_Run(*_check_solver_inputs(m_hat, u_hat, u)))
+        except EnvestError as exc:
+            runs.append(exc)
+    running = [run for run in runs if isinstance(run, _Run) and run.d > u]
+    for k in range(u):
+        pairs, solving = [], []
+        for run in running:
+            try:
+                pairs.append(ObjectivePair.from_m_u(run.m_k, run.u_k))
+            except EnvestError as exc:
+                run.error = exc
+                continue
+            solving.append(run)
+        running = []
+        for run, sol in zip(solving, _solve_directions(pairs, settings)):
+            if isinstance(sol, NoConvergence):
+                sol.step_index = k
+                run.error = sol
+                continue
+            g = run.g0 @ sol.w
+            g /= np.linalg.norm(g)
+            run.columns.append(fix_column_signs(g))
+            run.values.append(sol.value)
+            run.iterations.append(sol.iterations)
+            if sol.stop in _FLAGS:
+                run.diagnostics.append(f"{_FLAGS[sol.stop]}@{k}")
+            if k + 1 < u:
+                run.g0, run.m_k, run.u_k = _deflate(run.g0, run.m_k, run.u_k, sol.w)
+            running.append(run)
+    wall_time = (time.perf_counter() - start) / max(1, len(problems))
+    out = []
+    for run in runs:
+        if not isinstance(run, _Run):
+            out.append(run)
+        elif run.d == u:
+            out.append(EnvelopeFit(np.eye(u), [], [], wall_time, "onedim", ["FullSpace"]))
+        elif run.error is None:
+            out.append(run.envelope(wall_time))
+        else:
+            if isinstance(run.error, NoConvergence):
+                run.error.partial = run.envelope(wall_time)
+            out.append(run.error)
+    return out
 
 
 def _deflate(g0, m_k, u_k, w):

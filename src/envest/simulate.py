@@ -23,8 +23,9 @@ from .estimators import (
     KINDS_WITH_X,
     RegressionData,
     _check_algorithm,
-    _fit_by_kind,
+    _estimate,
     _fits,
+    _kind_scans,
     _problem_dimension,
     covariance_kit,
 )
@@ -51,6 +52,10 @@ __all__ = [
     "BootstrapResult",
     "residual_bootstrap",
 ]
+
+# replications or bootstrap replicates built and fitted at once; bounds the
+# problems held in memory
+_PROBLEMS_PER_BATCH = 64
 
 
 @dataclass
@@ -239,7 +244,9 @@ def _experiment(mode, d, u, n, replications, algo_set, seed, first, problem):
     pair (M, U) to fit, the M + U that J is scored with, and the true
     envelope basis.  Package errors are recorded on the affected record,
     never raised; a failed problem or pair build is recorded on every
-    algorithm's record of the replication.
+    algorithm's record of the replication.  Replications are built in
+    batches of ``_PROBLEMS_PER_BATCH``, and each algorithm fits a batch's
+    problems together (see ``estimators._fits``).
     """
     algos = list(algo_set)
     if not algos:
@@ -252,29 +259,35 @@ def _experiment(mode, d, u, n, replications, algo_set, seed, first, problem):
         raise InvalidDimension(f"need 1 <= u < d, got u={u}, d={d}")
 
     records = []
-    for i in range(replications):
-        rep_seed = first + i
-        rows = [ReplicationRecord(i, rep_seed, algo, None, None, None) for algo in algos]
-        records.extend(rows)
-        try:
-            m, u_hat, m_plus_u, truth = problem(rep_seed)
-            pair = ObjectivePair.from_pair(m, m_plus_u)
-        except EnvestError as exc:
-            for row in rows:
-                row.error = f"{type(exc).__name__}: {exc}"
-            continue
-        for row in rows:
+    for lo in range(0, replications, _PROBLEMS_PER_BATCH):
+        built = []
+        for i in range(lo, min(lo + _PROBLEMS_PER_BATCH, replications)):
+            rep_seed = first + i
+            rows = [ReplicationRecord(i, rep_seed, algo, None, None, None) for algo in algos]
+            records.extend(rows)
             try:
-                fit = _fits(m, u_hat, u, row.algorithm, None)(u)
-                distance = subspace_distance(fit.basis, truth)
-                objective = float(j_value(pair, fit.basis))
+                m, u_hat, m_plus_u, truth = problem(rep_seed)
+                pair = ObjectivePair.from_pair(m, m_plus_u)
             except EnvestError as exc:
-                row.error = f"{type(exc).__name__}: {exc}"
+                for row in rows:
+                    row.error = f"{type(exc).__name__}: {exc}"
                 continue
-            row.distance = distance
-            row.final_objective = objective
-            row.wall_time_seconds = fit.wall_time_seconds
-            row.diagnostics = list(fit.diagnostics)
+            built.append((rows, m, u_hat, pair, truth))
+        for j, algo in enumerate(algos):
+            fits = _fits([(m, u_hat) for _, m, u_hat, _, _ in built], u, algo, None)
+            for (rows, _, _, pair, truth), fit_u in zip(built, fits):
+                row = rows[j]
+                try:
+                    fit = fit_u(u)
+                    distance = subspace_distance(fit.basis, truth)
+                    objective = float(j_value(pair, fit.basis))
+                except EnvestError as exc:
+                    row.error = f"{type(exc).__name__}: {exc}"
+                    continue
+                row.distance = distance
+                row.final_objective = objective
+                row.wall_time_seconds = fit.wall_time_seconds
+                row.diagnostics = list(fit.diagnostics)
     return ExperimentReport(
         mode=mode,
         d=d,
@@ -341,10 +354,12 @@ def residual_bootstrap(data, kind, u, b, algo="onedim", settings=None, seed=0, p
 
     Rows of the OLS residual matrix are resampled with replacement,
     responses rebuilt as alpha + X beta' + resampled residuals, and both
-    estimators refit per replicate.  Standard deviations use divisor b-1
-    over the successful replicates; more than 20 percent failures raises
+    estimators refit per replicate.  The replicates are built in batches of
+    ``_PROBLEMS_PER_BATCH`` and a batch's fits are made together (see
+    ``estimators._fits``).  Standard deviations use divisor b-1 over the
+    successful replicates; more than 20 percent failures raises
     BootstrapUnstable, which counts the failures per error type and names
-    the last replicate's error, chained as its cause.  For the mean
+    the last failing replicate's error, chained as its cause.  For the mean
     kinds the "OLS" estimator is the sample mean and X plays no role.
     """
     if b < 2:
@@ -366,19 +381,27 @@ def residual_bootstrap(data, kind, u, b, algo="onedim", settings=None, seed=0, p
     env_draws = []
     failures = Counter()
     last_error = None
-    for _ in range(b):
-        rows = rng.integers(0, n, size=n)
-        y_star = center + resid[rows]
-        try:
-            star = RegressionData(x=data.x, y=y_star)
-            refit = _fit_by_kind(kind, star, u, algo, settings, p1)
+
+    def replicate(rows):
+        return lambda: RegressionData(x=data.x, y=center + resid[rows])
+
+    for lo in range(0, b, _PROBLEMS_PER_BATCH):
+        samples = [
+            replicate(rng.integers(0, n, size=n))
+            for _ in range(min(_PROBLEMS_PER_BATCH, b - lo))
+        ]
+        for scan in _kind_scans(kind, samples, u, algo, settings, p1):
+            try:
+                if isinstance(scan, EnvestError):
+                    raise scan
+                refit = _estimate(kind, *scan, u, p1)
+            except EnvestError as exc:
+                failures[type(exc).__name__] += 1
+                last_error = exc
+                continue
             env_draws.append(refit.beta_env)
             # align shapes: the partial kind only envelopes the X1 block
-            ols = refit.beta_ols[:, :p1] if kind == "partial" else refit.beta_ols
-            ols_draws.append(ols)
-        except EnvestError as exc:
-            failures[type(exc).__name__] += 1
-            last_error = exc
+            ols_draws.append(refit.beta_ols[:, :p1] if kind == "partial" else refit.beta_ols)
     failed = failures.total()
     if failed > 0.2 * b:
         counts = ", ".join(f"{name}: {count}" for name, count in failures.items())

@@ -24,6 +24,22 @@ def stuck(m, message="stuck"):
     return NoConvergence(message, step_index=0, partial=partial)
 
 
+def route_fits(monkeypatch, outcome):
+    """Pass each problem of every sequential fit through outcome(m, u, result).
+
+    Every onedim fit, made alone by onedim.fit or with others, is made by
+    onedim.fit_many, which gives one EnvelopeFit or package error per
+    problem; outcome sees them in problem order and returns the one to use.
+    """
+    real = onedim.fit_many
+
+    def fit_many(problems, u, settings=None):
+        results = real(problems, u, settings)
+        return [outcome(m, u, result) for (m, _), result in zip(problems, results)]
+
+    monkeypatch.setattr(onedim, "fit_many", fit_many)
+
+
 @pytest.fixture(scope="session")
 def population_sweep_small():
     # 100 exact (M, U) pairs at (d, u) = (10, 3), sequential solver

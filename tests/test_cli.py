@@ -11,7 +11,7 @@ import pytest
 from envest import cli, onedim, simulate
 from envest.errors import InvalidInput, IoError, ParseError
 
-from conftest import stuck
+from conftest import route_fits, stuck
 
 
 def write_xy(tmp_path, d=5, u=2, n=120, seed=31):
@@ -371,16 +371,13 @@ def test_bootstrap_report_shape(tmp_path, capsys):
 
 
 def test_bootstrap_summary_names_failures(tmp_path, capsys, monkeypatch):
-    real_fit = onedim.fit
     calls = []
 
-    def fit_failing_once(m, *args, **kwargs):
+    def failing_once(m, u, result):
         calls.append(None)
-        if len(calls) == 3:
-            raise stuck(m)
-        return real_fit(m, *args, **kwargs)
+        return stuck(m) if len(calls) == 3 else result
 
-    monkeypatch.setattr(onedim, "fit", fit_failing_once)
+    route_fits(monkeypatch, failing_once)
     xp, yp = write_xy(tmp_path, n=150)
     code = cli.run(
         ["bootstrap", "--kind", "response", "--x", xp, "--y", yp,

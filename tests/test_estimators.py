@@ -266,7 +266,8 @@ class TestFitBasisGuards:
         m = q @ np.diag([4.0, 3.0, 2.0, 1.0]) @ q.T  # rank 4 in 5 dims
         b = rng.standard_normal(5)
         checked = estimators._checked_pair(m, m + np.outer(b, b))
-        fit, _ = estimators._basis_scan(checked, 2, "onedim", None)(2)
+        (scan,) = estimators._basis_scans([checked], 2, "onedim", None)
+        fit, _ = scan(2)
         assert "Ridged" in fit.diagnostics
 
     def test_invalid_uhat(self):
@@ -332,7 +333,8 @@ class TestWarmStart:
         single = estimators.response_envelope(data, 3, algo="fg-warm")
         assert single.fit.wall_time_seconds >= 1000.0
         m, m_plus_u, _ = estimators._kind_pair("response", data)
-        scan = estimators._basis_scan(estimators._checked_pair(m, m_plus_u), 8, "fg-warm", None)
+        checked = estimators._checked_pair(m, m_plus_u)
+        (scan,) = estimators._basis_scans([checked], 8, "fg-warm", None)
         for u in range(1, 9):
             assert scan(u)[0].wall_time_seconds >= 1000.0
 
@@ -403,7 +405,8 @@ class TestDimensionSelection:
         d = m.shape[0]
         for u, score in enumerate(sel.scores, start=1):
             checked = estimators._checked_pair(m, m_plus_u)
-            _, objective = estimators._basis_scan(checked, u, "onedim", None)(u)
+            (scan,) = estimators._basis_scans([checked], u, "onedim", None)
+            _, objective = scan(u)
             assert score == data.n * objective + np.log(data.n) * u * (d - u)
 
     def test_bic_reports_a_failing_pair(self):
@@ -543,14 +546,15 @@ class TestNestedScans:
         # directions accepted before it, u = 3..5 fail alike and u = d = 6
         # fits the full space
         _, data = make_data(90, d=6, n=120)
-        real = onedim._solve_direction
+        real = onedim._solve_directions
 
-        def stuck_at_third_direction(pair, settings):
-            if pair.dim == 6 - 2:
-                raise NoConvergence("stuck")
-            return real(pair, settings)
+        def stuck_at_third_direction(pairs, settings):
+            return [
+                NoConvergence("stuck") if pair.dim == 6 - 2 else sol
+                for pair, sol in zip(pairs, real(pairs, settings))
+            ]
 
-        monkeypatch.setattr(onedim, "_solve_direction", stuck_at_third_direction)
+        monkeypatch.setattr(onedim, "_solve_directions", stuck_at_third_direction)
         reference = per_u_bic(data, "response", 6, algo)
         assert reference[1] == {u: "NoConvergence: stuck" for u in (3, 4, 5)}
         assert_scan_equals(
@@ -593,8 +597,9 @@ class TestNestedScans:
 
     def test_cv_builds_one_kit_and_fit_per_fold(self, monkeypatch):
         _, data = make_data(92, n=100)
+        # the folds' sequential fits are made by one fit_many call
         kits = self._count(monkeypatch, estimators, "covariance_kit")
-        fits = self._count(monkeypatch, onedim, "fit")
+        fits = self._count(monkeypatch, onedim, "fit_many")
         estimators.select_dimension_cv(data, "response", 3, folds=4)
         assert len(kits) == 4
-        assert [args[2] for args in fits] == [3, 3, 3, 3]
+        assert [(len(args[0]), args[1]) for args in fits] == [(4, 3)]

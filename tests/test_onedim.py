@@ -8,12 +8,14 @@ trusting the solver itself.
 
 import sys
 
+import hypothesis
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from envest import linalg, onedim, simulate
 from envest.estimators import covariance_kit
-from envest.errors import InvalidDimension, InvalidInput, NoConvergence
+from envest.errors import EnvestError, InvalidDimension, InvalidInput, NoConvergence
 from envest.objective import (
     ObjectivePair,
     _d_tilde_gradients,
@@ -91,10 +93,13 @@ def test_solve_direction_unit_norm_and_deterministic():
     assert np.array_equal(w1, w2)
 
 
-def d_resolution(m, n, w):
-    # D's float64 resolution at the unit rows of w, eps (|M|_F/qm + |N|_F/qn)
-    _, _, qm, qn, _ = _d_tilde_terms(m, n, w)
-    fro_m, fro_n = np.linalg.norm(m, "fro"), np.linalg.norm(n, "fro")
+def d_resolution(m, n, w, owner=None):
+    # D's float64 resolution at the unit rows of w, eps (|M|_F/qm + |N|_F/qn);
+    # with owner, m and n stack one matrix per pair as in the D kernels
+    _, _, qm, qn, _ = _d_tilde_terms(m, n, w, owner)
+    fro_m, fro_n = np.linalg.norm(m, axis=(-2, -1)), np.linalg.norm(n, axis=(-2, -1))
+    if owner is not None:
+        fro_m, fro_n = fro_m[owner], fro_n[owner]
     return np.finfo(float).eps * (fro_m / qm + fro_n / qn)
 
 
@@ -103,11 +108,11 @@ def test_solve_direction_dim_one():
     # general loop stops every start by the gradient test at iteration 0
     pair = ObjectivePair.from_m_u(np.array([[2.0]]), np.array([[1.0]]))
     np.testing.assert_allclose(onedim.solve_direction(pair), [1.0])
-    sol = onedim._solve_direction(pair, onedim.OneDimSettings())
+    (sol,) = onedim._solve_directions([pair], onedim.OneDimSettings())
     assert np.array_equal(sol.w, [1.0])
     assert sol.value == d_tilde_value(pair, np.ones(1))
     assert sol.iterations == 0
-    assert not sol.resolved
+    assert sol.stop == "gradient"
 
 
 def test_armijo_rejects_a_step_that_leaves_d_unchanged():
@@ -166,7 +171,7 @@ def test_no_direction_reaches_the_iteration_cap(monkeypatch):
     real = onedim._d_tilde_hessians
 
     def counting(m, n, w, *args, **kwargs):
-        calls[m.shape[0]] = calls.get(m.shape[0], 0) + 1
+        calls[m.shape[-1]] = calls.get(m.shape[-1], 0) + 1
         return real(m, n, w, *args, **kwargs)
 
     monkeypatch.setattr(onedim, "_d_tilde_hessians", counting)
@@ -181,18 +186,18 @@ def test_no_direction_reaches_the_iteration_cap(monkeypatch):
 def first_hessian_batches(monkeypatch):
     """Record the rows of each direction solve's first Hessian batch."""
     batches = []
-    real_solve, real_hessians = onedim._solve_direction, onedim._d_tilde_hessians
+    real_solve, real_hessians = onedim._solve_directions, onedim._d_tilde_hessians
 
-    def solve(pair, settings):
+    def solve(pairs, settings):
         batches.append(None)
-        return real_solve(pair, settings)
+        return real_solve(pairs, settings)
 
     def hessians(m, n, w, *args, **kwargs):
         if batches[-1] is None:
             batches[-1] = w.copy()
         return real_hessians(m, n, w, *args, **kwargs)
 
-    monkeypatch.setattr(onedim, "_solve_direction", solve)
+    monkeypatch.setattr(onedim, "_solve_directions", solve)
     monkeypatch.setattr(onedim, "_d_tilde_hessians", hessians)
     return batches
 
@@ -295,13 +300,14 @@ def test_a_start_at_float64_resolution_is_resolved(monkeypatch):
     # Hessian is positive definite, so the Newton decrement says how much
     # decrease is left, and it is below what D can resolve
     solves = []
-    real = onedim._solve_direction
+    real = onedim._solve_directions
 
-    def recording(pair, settings):
-        solves.append((pair, real(pair, settings)))
-        return solves[-1][1]
+    def recording(pairs, settings):
+        sols = real(pairs, settings)
+        solves.extend(zip(pairs, sols))
+        return sols
 
-    monkeypatch.setattr(onedim, "_solve_direction", recording)
+    monkeypatch.setattr(onedim, "_solve_directions", recording)
     inst = simulate.generate_instance(6, 3, 6)
     fit = onedim.fit(inst.m, inst.u_mat, 3)
     assert fit.diagnostics == ["Resolved@0", "Resolved@1"]
@@ -312,7 +318,7 @@ def test_a_start_at_float64_resolution_is_resolved(monkeypatch):
         f = _d_tilde_values(m, n, w)
         g, _ = _d_tilde_gradients(m, n, w, 0.0, 0.0)
         g -= (g @ sol.w)[:, None] * w
-        assert sol.resolved
+        assert sol.stop == "resolved"
         assert np.linalg.norm(g) > tol * max(1.0, abs(f[0]))
         h = _d_tilde_hessians(m, n, w, tangent=True)
         assert np.linalg.eigvalsh(h)[0, 0] > 0.0
@@ -335,10 +341,12 @@ def test_one_line_search_per_newton_iteration(monkeypatch):
         searches.append([])
         return real_hessians(*args, **kwargs)
 
-    def armijo(m, n, w, f, p, dg, resolution):
+    def armijo(m, n, w, f, p, dg, resolution, owner):
         searches[-1].append(resolution)
-        np.testing.assert_allclose(resolution, d_resolution(m, n, w), rtol=1e-12, atol=0)
-        result = real_armijo(m, n, w, f, p, dg, resolution)
+        np.testing.assert_allclose(
+            resolution, d_resolution(m, n, w, owner), rtol=1e-12, atol=0
+        )
+        result = real_armijo(m, n, w, f, p, dg, resolution, owner)
         stalls.append(int((~result[0]).sum()))
         return result
 
@@ -349,6 +357,109 @@ def test_one_line_search_per_newton_iteration(monkeypatch):
     onedim.fit(inst.m, inst.u_mat, 10)
     assert max(len(calls) for calls in searches) == 1
     assert sum(stalls) > 0
+
+
+def test_a_stalled_winner_is_flagged(monkeypatch):
+    # M = diag(4, 2, 1) with U in span(e2, e3): e1 is an eigenvector of M
+    # and of M + U, so its starts stop by the gradient test at iteration 0
+    # with D = 0, while every other start, made to stall where it stands,
+    # keeps a D below 0 and wins
+    def gives_up(m, n, w, f, *rest):
+        return np.zeros(len(w), dtype=bool), w.copy(), f.copy()
+
+    monkeypatch.setattr(onedim, "_armijo", gives_up)
+    b = np.array([0.0, 1.0, 1.0])
+    fit = onedim.fit(np.diag([4.0, 2.0, 1.0]), np.outer(b, b), 2)
+    assert fit.objective_values[0] < 0.0
+    assert "Stalled@0" in fit.diagnostics
+    assert fit.leading(1).diagnostics == ["Stalled@0"]
+
+
+def fit_outcome(result):
+    """What fit returns or raises on a problem, as comparable values."""
+    if isinstance(result, NoConvergence):
+        partial = result.partial
+        return (
+            "NoConvergence", str(result), result.step_index, result.best.tobytes(),
+            result.gradient_norm, partial.basis.tobytes(), partial.objective_values,
+            partial.inner_iterations, partial.diagnostics,
+        )
+    if isinstance(result, EnvestError):
+        return type(result).__name__, str(result)
+    return (
+        result.basis.tobytes(), result.basis.shape, result.objective_values,
+        result.inner_iterations, result.diagnostics,
+    )
+
+
+def alone(m, u_mat, u, settings=None):
+    try:
+        return fit_outcome(onedim.fit(m, u_mat, u, settings))
+    except EnvestError as exc:
+        return fit_outcome(exc)
+
+
+@hypothesis.settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@hypothesis.given(
+    u=st.integers(1, 3),
+    extra=st.lists(st.integers(0, 4), min_size=1, max_size=4),
+    cap=st.sampled_from([0, 1, 2, 500]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_fit_many_equals_one_fit_per_problem(u, extra, cap, seed):
+    # random pairs of sizes u..u+4, fitted together and one by one, must
+    # agree bit for bit.  A diagonal pair converges at iteration 0 of every
+    # direction, so at cap 0 it finishes while the random pairs stop with
+    # NoConvergence; caps 1 and 2 stop some of them at later directions
+    rng = np.random.default_rng(seed)
+    problems = [(np.diag(np.arange(u + 2.0, 0.0, -1.0)), np.diag([1.0] + [0.0] * (u + 1)))]
+    for k in extra:
+        d = u + k
+        a = rng.standard_normal((d, d))
+        c = rng.standard_normal((d, rng.integers(1, d + 1)))
+        problems.append((linalg.symmetrize(a @ a.T + 0.5 * np.eye(d)), linalg.symmetrize(c @ c.T)))
+    settings = onedim.OneDimSettings(max_inner_iterations=cap)
+    together = onedim.fit_many(problems, u, settings)
+    assert [fit_outcome(r) for r in together] == [alone(m, c, u, settings) for m, c in problems]
+    if cap == 0 and max(extra) > 0:  # some random pair has a direction to solve
+        assert not isinstance(together[0], EnvestError)
+        assert any(isinstance(r, NoConvergence) for r in together[1:])
+
+
+def test_fit_many_splits_a_batch_across_chunks(monkeypatch):
+    # a Hessian budget of two pairs' batches: five population pairs are
+    # solved in lockstep chunks of 2, 2 and 1 at every direction, and each
+    # gets the fit it gets alone
+    d, u = 12, 3
+    instances = [simulate.generate_instance(d, u, seed) for seed in range(5)]
+    problems = [(inst.m, inst.u_mat) for inst in instances]
+    reference = [alone(m, c, u) for m, c in problems]
+    chunks = []
+    real = onedim._lockstep
+
+    def recording(pairs, settings):
+        chunks.append((pairs[0].dim, len(pairs)))
+        return real(pairs, settings)
+
+    monkeypatch.setattr(onedim, "_lockstep", recording)
+    monkeypatch.setattr(
+        onedim, "_HESSIAN_BATCH_BYTES", 2 * onedim._SCREENED_STARTS * d * d * 8
+    )
+    together = onedim.fit_many(problems, u)
+    assert [fit_outcome(r) for r in together] == reference
+    assert chunks[:3] == [(d, 2), (d, 2), (d, 1)]
+    assert max(size for _, size in chunks) <= 2
+
+
+def test_fit_many_keeps_each_problems_error():
+    # a problem that fails its input checks gets its own error; the others
+    # are fitted as alone, and a wall time is shared among all of them
+    inst = simulate.generate_instance(6, 2, 3)
+    bad = np.array([[1.0, 0.5], [0.0, 1.0]])
+    out = onedim.fit_many([(inst.m, inst.u_mat), (bad, np.zeros((2, 2)))], 2)
+    assert fit_outcome(out[0]) == alone(inst.m, inst.u_mat, 2)
+    assert isinstance(out[1], InvalidInput)
+    assert out[0].wall_time_seconds >= 0.0
 
 
 class TestDeflation:
@@ -381,8 +492,11 @@ class TestDeflation:
             return out
 
         monkeypatch.setattr(
-            onedim, "_solve_direction",
-            lambda pair, settings: onedim._Direction(pair.m_eigenvectors[:, 0], 0.0, 0, False),
+            onedim, "_solve_directions",
+            lambda pairs, settings: [
+                onedim._Direction(pair.m_eigenvectors[:, 0], 0.0, 0, "gradient")
+                for pair in pairs
+            ],
         )
         monkeypatch.setattr(onedim, "_deflate", recording)
         fit = onedim.fit(m, linalg.symmetrize(b @ b.T), u)
@@ -476,14 +590,15 @@ class TestFit:
     def test_no_convergence_carries_the_accepted_directions(self, monkeypatch):
         inst = simulate.generate_instance(6, 3, 206)
         before = onedim.fit(inst.m, inst.u_mat, 2)
-        real = onedim._solve_direction
+        real = onedim._solve_directions
 
-        def stuck_at_third_direction(pair, settings):
-            if pair.dim == 6 - 2:
-                raise NoConvergence("stuck")
-            return real(pair, settings)
+        def stuck_at_third_direction(pairs, settings):
+            return [
+                NoConvergence("stuck") if pair.dim == 6 - 2 else sol
+                for pair, sol in zip(pairs, real(pairs, settings))
+            ]
 
-        monkeypatch.setattr(onedim, "_solve_direction", stuck_at_third_direction)
+        monkeypatch.setattr(onedim, "_solve_directions", stuck_at_third_direction)
         with pytest.raises(NoConvergence) as info:
             onedim.fit(inst.m, inst.u_mat, 4)
         assert info.value.step_index == 2

@@ -20,7 +20,8 @@ PROPERTY = hypothesis.settings(
 
 
 def solve(algo, m, u_mat, u):
-    return estimators._fits(m, u_mat, u, algo, None)(u)
+    (fit,) = estimators._fits([(m, u_mat)], u, algo, None)
+    return fit(u)
 
 
 def random_basis(rng, d):

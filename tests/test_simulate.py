@@ -18,7 +18,7 @@ from envest.errors import (
 from envest.estimators import RegressionData
 from envest.objective import ObjectivePair, j_value
 
-from conftest import stuck
+from conftest import route_fits, stuck
 
 
 class TestGenerateInstance:
@@ -275,13 +275,12 @@ class TestResidualBootstrap:
         inst = simulate.generate_instance(5, 2, 30)
         data = simulate.sample_data(inst, 100, 31)
         calls = []
-        real_fit = onedim.fit
 
-        def counting_fit(*args, **kwargs):
+        def counting(m, u, result):
             calls.append(None)
-            return real_fit(*args, **kwargs)
+            return result
 
-        monkeypatch.setattr(onedim, "fit", counting_fit)
+        route_fits(monkeypatch, counting)
         simulate.residual_bootstrap(data, "response", 2, 6, seed=1)
         assert len(calls) == 6
         calls.clear()
@@ -294,30 +293,24 @@ class TestResidualBootstrap:
         # result, not only counted
         inst = simulate.generate_instance(5, 2, 32)
         data = simulate.sample_data(inst, 100, 33)
-        real_fit = onedim.fit
         calls = []
 
-        def fit_failing_once(m, *args, **kwargs):
+        def failing_once(m, u, result):
             calls.append(None)
-            if len(calls) == 2:
-                raise stuck(m)
-            return real_fit(m, *args, **kwargs)
+            return stuck(m) if len(calls) == 2 else result
 
-        monkeypatch.setattr(onedim, "fit", fit_failing_once)
+        route_fits(monkeypatch, failing_once)
         res = simulate.residual_bootstrap(data, "response", 2, 6)
         assert res.failed == 1
         assert res.failures == {"NoConvergence": 1}
-        monkeypatch.setattr(onedim, "fit", real_fit)
+        monkeypatch.undo()
         assert simulate.residual_bootstrap(data, "response", 2, 6).failures == {}
 
     def test_unstable_names_the_last_error(self, monkeypatch):
         inst = simulate.generate_instance(5, 2, 32)
         data = simulate.sample_data(inst, 100, 33)
 
-        def failing_fit(m, *args, **kwargs):
-            raise stuck(m)
-
-        monkeypatch.setattr(onedim, "fit", failing_fit)
+        route_fits(monkeypatch, lambda m, u, result: stuck(m))
         with pytest.raises(BootstrapUnstable, match="NoConvergence: stuck") as info:
             simulate.residual_bootstrap(data, "response", 2, 4)
         assert isinstance(info.value.__cause__, NoConvergence)
@@ -325,19 +318,18 @@ class TestResidualBootstrap:
     def test_unstable_counts_failures_per_type(self, monkeypatch):
         inst = simulate.generate_instance(5, 2, 32)
         data = simulate.sample_data(inst, 100, 33)
-        real_fit = onedim.fit
         calls = []
 
-        def fit_failing_by_turn(m, *args, **kwargs):
+        def failing_by_turn(m, u, result):
             calls.append(None)
             k = len(calls)
             if k in (1, 3, 4):
-                raise stuck(m, f"stuck {k}")
+                return stuck(m, f"stuck {k}")
             if k == 5:
-                raise SingularGram("flat")
-            return real_fit(m, *args, **kwargs)
+                return SingularGram("flat")
+            return result
 
-        monkeypatch.setattr(onedim, "fit", fit_failing_by_turn)
+        route_fits(monkeypatch, failing_by_turn)
         with pytest.raises(BootstrapUnstable) as info:
             simulate.residual_bootstrap(data, "response", 2, 6)
         assert str(info.value) == (
@@ -350,22 +342,20 @@ class TestResidualBootstrap:
 def test_programming_errors_are_not_failed_fits(monkeypatch):
     # only package errors count as failed fits; a bug in the solver must
     # surface from every loop that records failures
-    real_fit = onedim.fit
-
-    def fit_failing_after(ok):
+    def failing_after(ok):
         calls = []
 
-        def fit(*args, **kwargs):
+        def outcome(m, u, result):
             calls.append(None)
             if len(calls) > ok:
                 raise RuntimeError("programming error")
-            return real_fit(*args, **kwargs)
+            return result
 
-        return fit
+        return outcome
 
     inst = simulate.generate_instance(5, 2, 28)
     data = simulate.sample_data(inst, 100, 29)
-    monkeypatch.setattr(onedim, "fit", fit_failing_after(0))
+    route_fits(monkeypatch, failing_after(0))
     with pytest.raises(RuntimeError):
         estimators.select_dimension_bic(data, "response", 2)
     with pytest.raises(RuntimeError):
@@ -373,6 +363,71 @@ def test_programming_errors_are_not_failed_fits(monkeypatch):
     with pytest.raises(RuntimeError):
         simulate.population_experiment(5, 2, 1, ("onedim",))
     # the first replicate's fit succeeds, so the error comes from the second
-    monkeypatch.setattr(onedim, "fit", fit_failing_after(1))
+    route_fits(monkeypatch, failing_after(1))
     with pytest.raises(RuntimeError):
         simulate.residual_bootstrap(data, "response", 2, 5)
+
+
+class TestBatchedFits:
+    """Replications and bootstrap replicates are fitted together; each must
+    come out as it does when fitted on its own."""
+
+    def spy(self, monkeypatch):
+        sizes = []
+        real = onedim.fit_many
+
+        def recording(problems, u, settings=None):
+            sizes.append(len(problems))
+            return real(problems, u, settings)
+
+        monkeypatch.setattr(onedim, "fit_many", recording)
+        return sizes
+
+    @pytest.mark.parametrize("kind, algo, cap", [
+        ("response", "onedim", None),
+        ("response", "onedim", 3),  # two replicates fail
+        ("response", "onedim", 2),  # four fail: BootstrapUnstable
+        ("partial", "fg-warm", None),
+        ("constrained-mean", "onedim", None),
+        ("mean", "fg", None),
+    ])
+    def test_bootstrap_equals_one_replicate_at_a_time(self, monkeypatch, kind, algo, cap):
+        inst = simulate.generate_instance(6, 2, 43)
+        data = simulate.sample_data(inst, 80, 44)
+        settings = None if cap is None else onedim.OneDimSettings(max_inner_iterations=cap)
+
+        def run():
+            try:
+                res = simulate.residual_bootstrap(
+                    data, kind, 2, 10, algo, settings, seed=2, p1=1 if kind == "partial" else None
+                )
+            except BootstrapUnstable as exc:
+                return str(exc), type(exc.__cause__)
+            return res.se_ols.tobytes(), res.se_env.tobytes(), res.failed, res.failures
+
+        sizes = self.spy(monkeypatch)
+        together = run()
+        assert max(sizes, default=0) == (10 if algo != "fg" else 0)
+        monkeypatch.setattr(simulate, "_PROBLEMS_PER_BATCH", 1)
+        assert run() == together
+        if cap == 3:
+            assert together[2:] == (2, {"NoConvergence": 2})
+        if cap == 2:
+            assert together[0].startswith("4 of 10 bootstrap replicates failed")
+
+    @pytest.mark.parametrize("mode", ["population", "sample"])
+    def test_experiment_equals_one_replication_at_a_time(self, monkeypatch, mode):
+        def run():
+            if mode == "population":
+                report = simulate.population_experiment(8, 3, 5, ("onedim", "fg", "fg-warm"), 11)
+            else:
+                report = simulate.sample_experiment(8, 3, 60, 5, ("onedim", "fg", "fg-warm"), 11)
+            return report.to_dict()
+
+        sizes = self.spy(monkeypatch)
+        together = run()
+        assert sizes == [5, 5]
+        monkeypatch.setattr(simulate, "_PROBLEMS_PER_BATCH", 2)
+        assert run() == together
+        # onedim and fg-warm; the fifth replication is fitted alone, by onedim.fit
+        assert sizes[2:] == [2, 2, 2, 2, 1, 1]

@@ -127,6 +127,12 @@ def commands(data):
         out.append((f"boot_{kind}_fg-warm", argv + source(kind)))
     argv = ["bootstrap", "--kind", "mean", "--u", "2", "--b", "10", "--seed", "5", "--algo", "fg"]
     out.append(("boot_mean_fg", argv + source("mean")))
+    # caps at which every replicate (1), or 5 of the 10 (3), fail to converge
+    # while their fits are made together
+    for cap in ("1", "3"):
+        argv = ["bootstrap", "--kind", "response", "--u", "2", "--b", "10", "--seed", "5",
+                "--max-iter", cap]
+        out.append((f"bootfail{cap}_response", argv + source("response")))
     sim = ["simulate", "--d", "6", "--u", "2", "--reps", "4", "--seed", "7"]
     sim += [flag for algo in ALGOS for flag in ("--algo", algo)]
     out.append(("sim_population", sim + ["--mode", "population"]))

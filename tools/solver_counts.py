@@ -12,7 +12,11 @@ counters and runs three sets of fits:
   the benchmark workload's universe (workload seed 0), through the command
   line as the benchmark runs them.
 
-For each set it prints one line per count:
+Every count is made per problem: a lockstep batch that serves the starts of
+several problems (``onedim._lockstep`` on a checkout that has it) counts
+once for each problem with rows in it, so that the tables of two checkouts
+compare whether or not they batch problems together.  For each set it
+prints one line per count:
 
 * ``directions``: direction solves with more than one coordinate;
 * ``candidates``: their eigenvector starts, 2(d - k) for a direction in
@@ -20,10 +24,13 @@ For each set it prints one line per count:
 * ``starts``: the candidates they iterate, the rows of each direction's
   first tangential-gradient batch (those that reach a Hessian batch and
   those that stop at iteration 0);
-* ``iterations``: lockstep Newton iterations, one Hessian batch each;
+* ``iterations``: Newton iterations, one Hessian batch each per problem;
+* ``lockstep_batches``: Hessian batches as made, each serving one or more
+  problems;
 * ``hessian_rows``: tangent Hessians built;
+* ``cholesky_calls``: calls of ``np.linalg.cholesky`` made while solving;
 * ``eigvalsh_batches`` and ``eigvalsh_rows``: calls of ``np.linalg.eigvalsh``
-  made while solving, and the matrices they decompose;
+  made while solving, as made, and the matrices they decompose;
 * ``d_kernel_calls`` and ``d_kernel_rows``: batched D evaluations;
 * ``newton_searches`` and ``steepest_retries``: rows sent to the Newton line
   search, and rows it failed that were retried along the steepest descent
@@ -62,6 +69,11 @@ def load(checkout):
     return workloads
 
 
+def problems(owner):
+    """The number of problems with rows in a kernel batch (1 without owner)."""
+    return 1 if owner is None else len(set(owner.tolist()))
+
+
 class Counts:
     """Counters installed around ``envest.onedim``'s kernels."""
 
@@ -69,21 +81,21 @@ class Counts:
         self.c = Counter()
         self.searches = 0  # line searches run in the current iteration
         self.in_search = False
-        self.iterations_here = 0
+        self.iterations_here = Counter()  # per problem of the current lockstep
         self.first_gradients = False
         np = onedim.np
         real_values = onedim._d_tilde_values
         real_gradients = onedim._d_tilde_gradients
         real_hessians = onedim._d_tilde_hessians
         real_armijo = onedim._armijo
-        real_solve = onedim._solve_direction
         real_eigvalsh = np.linalg.eigvalsh
+        real_cholesky = np.linalg.cholesky
 
-        def values(m, n, w, *args, **kwargs):
-            self.c["d_kernel_calls"] += 1
+        def values(m, n, w, owner=None):
+            self.c["d_kernel_calls"] += problems(owner)
             self.c["d_kernel_rows"] += w.shape[0]
-            self.c["line_search_d_calls"] += self.in_search
-            return real_values(m, n, w, *args, **kwargs)
+            self.c["line_search_d_calls"] += self.in_search * problems(owner)
+            return real_values(m, n, w, owner) if owner is not None else real_values(m, n, w)
 
         def gradients(m, n, w, *args, **kwargs):
             if self.first_gradients:
@@ -92,11 +104,13 @@ class Counts:
             return real_gradients(m, n, w, *args, **kwargs)
 
         def hessians(m, n, w, *args, **kwargs):
-            self.c["iterations"] += 1
+            owner = kwargs.get("owner")
+            self.c["iterations"] += problems(owner)
+            self.c["lockstep_batches"] += 1
             self.c["hessian_rows"] += w.shape[0]
             self.c["stop_resolved"] += w.shape[0]  # less the rows searched
             self.searches = 0
-            self.iterations_here += 1
+            self.iterations_here.update([0] if owner is None else set(owner.tolist()))
             return real_hessians(m, n, w, *args, **kwargs)
 
         def armijo(m, n, w, f, p, dg, *rest):
@@ -122,33 +136,50 @@ class Counts:
             self.c["eigvalsh_rows"] += 1 if a.ndim == 2 else a.shape[0]
             return real_eigvalsh(a, *args, **kwargs)
 
-        def solve(pair, settings):
-            self.iterations_here = 0
+        def cholesky(a, *args, **kwargs):
+            self.c["cholesky_calls"] += 1
+            return real_cholesky(a, *args, **kwargs)
+
+        def lockstep(pairs, settings, solve):
+            self.iterations_here.clear()
             self.first_gradients = True
-            np.linalg.eigvalsh = eigvalsh
+            np.linalg.eigvalsh, np.linalg.cholesky = eigvalsh, cholesky
             try:
-                return real_solve(pair, settings)
+                return solve()
             finally:
-                np.linalg.eigvalsh = real_eigvalsh
-                if pair.dim > 1:
-                    self.c["directions"] += 1
-                    self.c["candidates"] += 2 * pair.dim
-                    self.c["capped_directions"] += self.iterations_here >= settings.max_inner_iterations
+                np.linalg.eigvalsh, np.linalg.cholesky = real_eigvalsh, real_cholesky
+                for k, pair in enumerate(pairs):
+                    if pair.dim > 1:
+                        self.c["directions"] += 1
+                        self.c["candidates"] += 2 * pair.dim
+                        self.c["capped_directions"] += (
+                            self.iterations_here[k] >= settings.max_inner_iterations
+                        )
 
         onedim._d_tilde_values = values
         onedim._d_tilde_gradients = gradients
         onedim._d_tilde_hessians = hessians
         onedim._armijo = armijo
-        onedim._solve_direction = solve
+        if hasattr(onedim, "_lockstep"):  # the starts of several problems per batch
+            real_lockstep = onedim._lockstep
+            onedim._lockstep = lambda pairs, settings: lockstep(
+                pairs, settings, lambda: real_lockstep(pairs, settings)
+            )
+        else:  # one problem's starts per batch
+            real_solve = onedim._solve_direction
+            onedim._solve_direction = lambda pair, settings: lockstep(
+                [pair], settings, lambda: real_solve(pair, settings)
+            )
 
     def table(self):
         c = self.c
         c["stop_gradient"] = c["starts"] - c["stop_resolved"] - c["stop_stalled"]
         keys = (
-            "directions", "candidates", "starts", "iterations", "hessian_rows",
-            "eigvalsh_batches", "eigvalsh_rows", "d_kernel_calls", "d_kernel_rows", "newton_searches",
-            "steepest_retries", "line_search_d_calls", "long_steps", "stop_gradient",
-            "stop_resolved", "stop_stalled", "capped_directions",
+            "directions", "candidates", "starts", "iterations", "lockstep_batches",
+            "hessian_rows", "cholesky_calls", "eigvalsh_batches", "eigvalsh_rows",
+            "d_kernel_calls", "d_kernel_rows", "newton_searches", "steepest_retries",
+            "line_search_d_calls", "long_steps", "stop_gradient", "stop_resolved",
+            "stop_stalled", "capped_directions",
         )
         return [(k, int(c[k])) for k in keys]
 
