@@ -12,6 +12,7 @@ separate CSV grid.  No environment variable is read.
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -184,7 +185,12 @@ def _write_csv_summary(summary, path):
 # Argument parsing
 
 
+@functools.cache
 def build_parser():
+    """The envest argument parser, built on the first call and shared after.
+
+    run parses every argv with it; building costs about 15 times a parse.
+    """
     parser = argparse.ArgumentParser(
         prog="envest",
         description="Envelope estimation: fits, simulations, dimension "

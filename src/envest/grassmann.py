@@ -18,11 +18,16 @@ P_A = A01 C_A^{-1}.  Then
 
 The span of G + G0 K agrees with the Grassmann geodesic to second order,
 so the quadratic model built from these is exact to second order along the
-retraction.  Each iteration solves the trust-region subproblem exactly
-from the eigendecomposition of the Hessian (More & Sorensen 1983).  The
-Hessian is a dense ((d - u) u)^2 array: 45 KB at (d, u) = (20, 5), 320 KB
-at (30, 10), 6.5 MB at (100, 10), and d^4 / 2 bytes at its largest, u =
-d / 2.
+retraction.  Each iteration solves the trust-region subproblem exactly.
+When a Cholesky factorization proves the Hessian positive definite and the
+Newton step -H^{-1} grad fits in the radius, that step is the solution
+and the Hessian is never eigendecomposed; near a local minimizer, where a
+warm start begins, this is the usual case.  Otherwise the Hessian is
+eigendecomposed once per model and the multiplier of the constrained
+step is found from its eigenvalues, the hard case included (More &
+Sorensen 1983).  The Hessian is a dense ((d - u) u)^2 array: 45 KB at
+(d, u) = (20, 5), 320 KB at (30, 10), 6.5 MB at (100, 10), and d^4 / 2
+bytes at its largest, u = d / 2.
 
 The iteration stops when the Riemannian gradient passes the relative
 tolerance, when the model's predicted decrease falls to what float64 can
@@ -40,6 +45,7 @@ algorithm starts from the sequential solver's basis this way.
 
 import time
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -158,7 +164,10 @@ def _trust_region_step(vals, vecs, grad, radius):
     -vals[0]) with ||(H + lam I)^{-1} g|| = radius is found by safeguarded
     Newton iteration on 1/||s(lam)|| - 1/radius, and in the hard case, where
     g has no weight on the lowest eigenvector, that eigenvector fills the
-    step out to the boundary.
+    step out to the boundary.  ``fit`` comes here, through ``_Model.step``,
+    only when no Cholesky-certified Newton step fits: H fails its Cholesky
+    factorization, the Newton step is longer than the radius, or a rejected
+    step has shrunk the radius on the same model.
     """
     gt = vecs.T @ grad
     st = -gt / vals if vals[0] > 0.0 else None
@@ -189,6 +198,42 @@ def _trust_region_step(vals, vecs, grad, radius):
             st[0] = -np.copysign(np.sqrt(max(0.0, radius**2 - st @ st)), gt[0])
     pred = -float(gt @ st + 0.5 * st @ (vals * st))
     return vecs @ st, pred
+
+
+class _Model:
+    """The quadratic model of J at one basis, and its trust-region steps.
+
+    Takes what _tangent_model returns and keeps the gradient flattened.
+    The Newton step and the Hessian's eigendecomposition are each computed
+    at most once, when a step first needs them.
+    """
+
+    def __init__(self, g0, grad, hess, resolution):
+        self.g0, self.grad, self.hess, self.resolution = g0, grad.ravel(), hess, resolution
+
+    @cached_property
+    def newton(self):
+        """-H^{-1} g when a Cholesky factor proves H positive definite, else None."""
+        try:
+            np.linalg.cholesky(self.hess)
+        except np.linalg.LinAlgError:
+            return None
+        return -np.linalg.solve(self.hess, self.grad)
+
+    @cached_property
+    def eig(self):
+        return np.linalg.eigh(self.hess)
+
+    def step(self, radius):
+        """The exact trust-region step within radius and its predicted decrease.
+
+        The Newton step when it exists and fits; otherwise
+        _trust_region_step on the eigendecomposition.
+        """
+        s = self.newton
+        if s is not None and np.linalg.norm(s) <= radius:
+            return s, -float(self.grad @ s + 0.5 * s @ (self.hess @ s))
+        return _trust_region_step(*self.eig, self.grad, radius)
 
 
 def fit(m_hat, u_hat, u, settings=None):
@@ -237,20 +282,18 @@ def fit(m_hat, u_hat, u, settings=None):
     model = None
     while True:
         if model is None:
-            model = _tangent_model(pair, gamma, norms)
-            g0, grad, hess, resolution = model
-            if np.linalg.norm(grad) <= settings.gradient_tol * max(1.0, abs(val)):
+            model = _Model(*_tangent_model(pair, gamma, norms))
+            if np.linalg.norm(model.grad) <= settings.gradient_tol * max(1.0, abs(val)):
                 break
-            vals, vecs = np.linalg.eigh(hess)
         if iterations >= settings.max_iterations:
             diagnostics.append("CapReached")
             break
-        step, pred = _trust_region_step(vals, vecs, grad.ravel(), radius)
-        if pred <= resolution:
+        step, pred = model.step(radius)
+        if pred <= model.resolution:
             diagnostics.append("Roundoff")
             break
         iterations += 1
-        trial = _signed_qr(gamma + g0 @ step.reshape(grad.shape))[0]
+        trial = _signed_qr(gamma + model.g0 @ step.reshape(d - u, u))[0]
         trial_val = j_value(pair, trial)
         rho = (val - trial_val) / pred
         step_norm = np.linalg.norm(step)

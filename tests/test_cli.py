@@ -333,6 +333,20 @@ def test_csv_summary_grid(tmp_path):
     assert fg_cells[5] == "3"
 
 
+def test_repeated_algo_flags_do_not_carry_over(tmp_path):
+    # run parses every argv with one parser; each run's appended --algo
+    # list must start empty
+    out = tmp_path / "rep.json"
+    base = ["simulate", "--mode", "population", "--d", "4", "--u", "1", "--reps", "1"]
+    for algos in (["fg", "onedim"], ["fg-warm"], []):
+        flags = [f for a in algos for f in ("--algo", a)]
+        report = json.loads(run_to_file(base + flags, out))
+        expected = algos or ["onedim"]
+        assert report["config"]["algorithms"] == expected
+        assert sorted(report["summary"]) == sorted(expected)
+        assert sorted({r["algorithm"] for r in report["records"]}) == sorted(expected)
+
+
 def test_simulate_records_a_singular_sample(tmp_path):
     out = tmp_path / "rep.json"
     args = ["simulate", "--mode", "sample", "--d", "10", "--u", "3", "--n", "8", "--reps", "2"]

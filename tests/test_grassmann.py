@@ -240,6 +240,100 @@ def test_trust_region_step_is_the_subproblem_minimizer(hard):
         assert min(model(t) for t in trials) >= model(step) - 1e-10
 
 
+def _eigh_counter(monkeypatch, hessians):
+    """Count np.linalg.eigh calls on any of the given Hessians."""
+    calls = []
+    real_eigh = np.linalg.eigh
+
+    def eigh(a, *args, **kwargs):
+        calls.extend(k for k, h in enumerate(hessians) if a is h)
+        return real_eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", eigh)
+    return calls
+
+
+def test_newton_step_that_fits_skips_the_eigendecomposition(monkeypatch):
+    # a positive definite model whose Newton step fits: the Cholesky path
+    # gives the eigen path's step and predicted decrease without an eigh
+    rng = np.random.default_rng(630)
+    for _ in range(20):
+        n = int(rng.integers(2, 40))
+        a = rng.standard_normal((n, n))
+        hess = a @ a.T + 0.1 * np.eye(n)
+        grad = rng.standard_normal(n)
+        radius = 2.0 * np.linalg.norm(np.linalg.solve(hess, grad))
+        expected = grassmann._trust_region_step(*np.linalg.eigh(hess), grad, radius)
+        model = grassmann._Model(None, grad, hess, 0.0)
+        calls = _eigh_counter(monkeypatch, [hess])
+        step, pred = model.step(radius)
+        monkeypatch.undo()
+        assert calls == []
+        assert np.linalg.norm(step - expected[0]) <= 1e-10 * np.linalg.norm(step)
+        assert pred == pytest.approx(expected[1], rel=1e-10)
+
+
+@pytest.mark.parametrize("case", ["indefinite", "singular", "too long"])
+def test_other_models_take_the_eigen_step(case):
+    # wherever no Cholesky-certified Newton step fits, the step is exactly
+    # the one _trust_region_step makes from the eigendecomposition
+    rng = np.random.default_rng(640)
+    for _ in range(20):
+        n = int(rng.integers(2, 12))
+        a = rng.standard_normal((n, n))
+        grad = rng.standard_normal(n)
+        radius = float(rng.uniform(0.1, 3.0))
+        if case == "indefinite":
+            hess = a + a.T
+            hess -= (np.linalg.eigvalsh(hess)[0] + 1.0) * np.eye(n)  # lowest eigenvalue -1
+        elif case == "singular":  # positive semidefinite: Cholesky meets a 0 pivot
+            hess = np.zeros((n, n))
+            hess[1:, 1:] = a[1:] @ a[1:].T
+        else:
+            hess = a @ a.T + 0.1 * np.eye(n)
+            radius = 0.5 * np.linalg.norm(np.linalg.solve(hess, grad))
+        if case != "too long":
+            with pytest.raises(np.linalg.LinAlgError):
+                np.linalg.cholesky(hess)
+        step, pred = grassmann._Model(None, grad, hess, 0.0).step(radius)
+        expected = grassmann._trust_region_step(*np.linalg.eigh(hess), grad, radius)
+        assert np.array_equal(step, expected[0])
+        assert pred == expected[1]
+
+
+def test_a_model_decomposes_its_hessian_at_most_once(monkeypatch):
+    # from a random start some steps are rejected and retried on the same
+    # model with a smaller radius; each model's Hessian is eigendecomposed
+    # at most once however many steps it serves
+    models = []
+    steps = []
+    real_step = grassmann._Model.step
+
+    def step(self, radius):
+        if not any(self is m for m in models):
+            models.append(self)
+        steps.append(next(k for k, m in enumerate(models) if m is self))
+        return real_step(self, radius)
+
+    monkeypatch.setattr(grassmann._Model, "step", step)
+    hessians = []
+    calls = _eigh_counter(monkeypatch, hessians)
+    real_model = grassmann._Model
+
+    def model(*args):
+        made = real_model(*args)
+        hessians.append(made.hess)
+        return made
+
+    monkeypatch.setattr(grassmann, "_Model", model)
+    inst = simulate.generate_instance(8, 3, 404)
+    start = linalg.orthonormalize(np.random.default_rng(7).standard_normal((8, 3)))
+    grassmann.fit(inst.m, inst.u_mat, 3, grassmann.FgSettings(start_strategy=start))
+    assert max(steps.count(k) for k in set(steps)) > 1  # a rejected step was retried
+    assert calls  # some models needed the eigen path
+    assert max(calls.count(k) for k in set(calls)) == 1
+
+
 def _sample_problem(d, u, n, inst_seed, data_seed):
     inst = simulate.generate_instance(d, u, inst_seed)
     kit = covariance_kit(simulate.sample_data(inst, n, data_seed))

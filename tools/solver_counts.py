@@ -1,10 +1,11 @@
-"""Print machine-independent work counts of the direction solver.
+"""Print machine-independent work counts of the direction solver and of fg.
 
 Usage: python3 tools/solver_counts.py CHECKOUT
 
 Imports envest from CHECKOUT/src and the benchmark workloads from
-CHECKOUT/benchmarks, wraps the solver's kernels in ``envest.onedim`` with
-counters and runs three sets of fits:
+CHECKOUT/benchmarks, wraps the solver's kernels in ``envest.onedim`` and
+the trust-region loop of ``envest.grassmann`` with counters and runs three
+sets of fits:
 
 * ``population``: ``onedim.fit`` at u = 10 on ``generate_instance(30, 10, s)``
   for seeds 0-16;
@@ -44,7 +45,14 @@ prints one line per count:
   by the line search giving up (inferred from the line-search calls: the
   rows a search rejects, less the rows it hands to a retry, so that any two
   checkouts can be compared); ``capped_directions``: direction
-  solves that ran to the iteration cap.
+  solves that ran to the iteration cap;
+* ``fg_fits`` and ``fg_iterations``: calls of ``grassmann.fit`` and their
+  trust-region iterations, as each fit reports them;
+* ``fg_newton_steps``: trust-region steps (one per iteration, plus the step
+  whose predicted decrease stops a fit as ``Roundoff``) that are the
+  Cholesky-certified Newton step, with no call of ``_trust_region_step``;
+* ``fg_hessian_eighs``: calls of ``np.linalg.eigh`` on a Hessian that
+  ``grassmann._tangent_model`` returned.
 
 Run it on two checkouts and compare the tables.
 """
@@ -75,10 +83,11 @@ def problems(owner):
 
 
 class Counts:
-    """Counters installed around ``envest.onedim``'s kernels."""
+    """Counters installed around ``envest.onedim``'s kernels and ``grassmann.fit``."""
 
-    def __init__(self, onedim):
+    def __init__(self, onedim, grassmann):
         self.c = Counter()
+        self._count_fg(grassmann)
         self.searches = 0  # line searches run in the current iteration
         self.in_search = False
         self.iterations_here = Counter()  # per problem of the current lockstep
@@ -171,15 +180,55 @@ class Counts:
                 [pair], settings, lambda: real_solve(pair, settings)
             )
 
+    def _count_fg(self, grassmann):
+        np = grassmann.np
+        real_fit = grassmann.fit
+        real_model = grassmann._tangent_model
+        real_step = grassmann._trust_region_step
+        real_eigh = np.linalg.eigh
+        hessian = [None]  # the Hessian of the model in use
+
+        def tangent_model(*args):
+            model = real_model(*args)
+            hessian[0] = model[2]
+            return model
+
+        def eigh(a, *args, **kwargs):
+            self.c["fg_hessian_eighs"] += a is hessian[0]
+            return real_eigh(a, *args, **kwargs)
+
+        def trust_region_step(*args):
+            self.c["fg_eigen_steps"] += 1
+            return real_step(*args)
+
+        def fit(*args, **kwargs):
+            np.linalg.eigh = eigh
+            try:
+                result = real_fit(*args, **kwargs)
+            finally:
+                np.linalg.eigh = real_eigh
+                hessian[0] = None
+            iterations = result.inner_iterations[0]
+            self.c["fg_fits"] += 1
+            self.c["fg_iterations"] += iterations
+            self.c["fg_steps"] += iterations + ("Roundoff" in result.diagnostics)
+            return result
+
+        grassmann.fit = fit
+        grassmann._tangent_model = tangent_model
+        grassmann._trust_region_step = trust_region_step
+
     def table(self):
         c = self.c
         c["stop_gradient"] = c["starts"] - c["stop_resolved"] - c["stop_stalled"]
+        c["fg_newton_steps"] = c["fg_steps"] - c["fg_eigen_steps"]
         keys = (
             "directions", "candidates", "starts", "iterations", "lockstep_batches",
             "hessian_rows", "cholesky_calls", "eigvalsh_batches", "eigvalsh_rows",
             "d_kernel_calls", "d_kernel_rows", "newton_searches", "steepest_retries",
             "line_search_d_calls", "long_steps", "stop_gradient", "stop_resolved",
-            "stop_stalled", "capped_directions",
+            "stop_stalled", "capped_directions", "fg_fits", "fg_iterations",
+            "fg_newton_steps", "fg_hessian_eighs",
         )
         return [(k, int(c[k])) for k in keys]
 
@@ -188,10 +237,10 @@ def main(argv):
     if len(argv) != 1:
         raise SystemExit(__doc__.split("\n\n")[1])
     workloads = load(argv[0])
-    from envest import onedim, simulate
+    from envest import grassmann, onedim, simulate
 
     sets = []
-    counts = Counts(onedim)
+    counts = Counts(onedim, grassmann)
     for s in POPULATION_SEEDS:
         inst = simulate.generate_instance(30, 10, s)
         onedim.fit(inst.m, inst.u_mat, 10)
