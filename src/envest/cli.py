@@ -8,10 +8,22 @@ written with 17 significant digits and a fixed key order, so identical
 flags and seed give byte-identical output.  Wall-clock timings are left out
 of the JSON for that reason; ``simulate --csv-summary`` writes them to a
 separate CSV grid.  No environment variable is read.
+
+``run`` executes each command on one BLAS thread: it sets the thread count
+of the OpenBLAS that numpy loaded to 1 and restores the caller's count on
+return.  Threads change a report's bits at large d (at d = 100 OpenBLAS
+splits the LU factorization behind ``solve`` over its threads, which rounds
+differently), so one thread makes reports independent of the host's core
+count.  They also cost CPU: from d of about 26 an ``eigh`` runs threaded,
+and the idle worker spins beside the solver after it.  Library calls leave
+threading to their caller.  Where numpy links another BLAS, the thread
+count is left as it is.
 """
 
 import argparse
+import contextlib
 import csv
+import ctypes
 import functools
 import io
 import json
@@ -309,6 +321,16 @@ def _load_regression_data(args):
     return data, estimators._problem_dimension(kind, data, args.p1)
 
 
+def _solver_settings(args):
+    """The settings of --algo with the --gradient-tol and --max-iter overrides."""
+    tol, cap = args.gradient_tol, args.max_iter
+    if tol is not None and not (math.isfinite(tol) and tol >= 0):
+        raise _UsageError("gradient-tol must be a finite number, at least 0")
+    if cap is not None and cap < 0:
+        raise _UsageError("max-iter must be at least 0")
+    return estimators.solver_settings(args.algo, tol, cap)
+
+
 def _fit_record(result, algo, u):
     return {
         "kind": result.kind,
@@ -326,12 +348,12 @@ def _fit_record(result, algo, u):
 
 
 def _cmd_fit(args):
+    settings = _solver_settings(args)
     if args.u < 1:
         raise _UsageError("u must be between 1 and d")
     data, d = _load_regression_data(args)
     if args.u > d:
         raise _UsageError("u must be between 1 and d")
-    settings = estimators.solver_settings(args.algo, args.gradient_tol, args.max_iter)
     result = estimators._fit_by_kind(args.kind, data, args.u, args.algo, settings, args.p1)
     records = [_fit_record(result, args.algo, args.u)]
     return records, {}, None
@@ -365,6 +387,7 @@ def _cmd_simulate(args):
 
 
 def _cmd_select_u(args):
+    settings = _solver_settings(args)
     if args.u_max < 1:
         raise _UsageError("u-max must be at least 1")
     if args.criterion == "cv":
@@ -375,7 +398,6 @@ def _cmd_select_u(args):
     data, d = _load_regression_data(args)
     if args.u_max > d:
         raise _UsageError(f"u-max must be between 1 and {d}")
-    settings = estimators.solver_settings(args.algo, args.gradient_tol, args.max_iter)
     if args.criterion == "bic":
         sel = estimators.select_dimension_bic(
             data, args.kind, args.u_max, args.algo, settings, args.p1
@@ -394,6 +416,7 @@ def _cmd_select_u(args):
 
 
 def _cmd_bootstrap(args):
+    settings = _solver_settings(args)
     if args.u < 1:
         raise _UsageError("u must be between 1 and d")
     if args.b < 2:
@@ -401,7 +424,6 @@ def _cmd_bootstrap(args):
     data, d = _load_regression_data(args)
     if args.u > d:
         raise _UsageError("u must be between 1 and d")
-    settings = estimators.solver_settings(args.algo, args.gradient_tol, args.max_iter)
     result = simulate.residual_bootstrap(
         data, args.kind, args.u, args.b, args.algo, settings, args.seed, args.p1
     )
@@ -423,38 +445,74 @@ _COMMANDS = {
 }
 
 
+@functools.cache
+def _openblas_threads():
+    """(get, set) functions for the thread count of the scipy-openblas that
+    numpy's wheels bundle, or None where numpy links another BLAS.  Looked
+    up on the first call, through the library numpy's linear algebra module
+    links against."""
+    try:
+        lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
+        get = lib.scipy_openblas_get_num_threads64_
+        put = lib.scipy_openblas_set_num_threads64_
+    except (AttributeError, OSError):
+        return None
+    get.argtypes, get.restype = (), ctypes.c_int
+    put.argtypes, put.restype = (ctypes.c_int,), None
+    return get, put
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run the block on one OpenBLAS thread and restore the caller's count
+    after it, however it ends; does nothing where there is no OpenBLAS."""
+    blas = _openblas_threads()
+    if blas is None:
+        yield
+        return
+    get, put = blas
+    threads = get()
+    put(1)
+    try:
+        yield
+    finally:
+        put(threads)
+
+
 def run(argv=None):
-    """Parse argv and execute; returns the process exit code.
+    """Parse argv and execute on one BLAS thread; returns the process exit code.
 
     0 success, 1 computation or file errors, 2 usage and validation errors.
+    The caller's BLAS thread count is restored before it returns or raises.
     """
-    parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:  # argparse already printed the diagnostic
-        code = exc.code
-        return code if isinstance(code, int) else 2
-    try:
-        records, summary, csv_rows = _COMMANDS[args.command](args)
-        report = {
-            "version": REPORT_VERSION,
-            "config": _config_dict(args),
-            "records": records,
-            "summary": summary,
-        }
-        write_report_json(report, args.out)
-        if csv_rows is not None:
-            _write_csv_summary(csv_rows, args.csv_summary)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except EnvestError as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    return 0
+    with _one_blas_thread():
+        parser = build_parser()
+        try:
+            args = parser.parse_args(argv)
+        except SystemExit as exc:  # argparse already printed the diagnostic
+            code = exc.code
+            return code if isinstance(code, int) else 2
+        try:
+            records, summary, csv_rows = _COMMANDS[args.command](args)
+            report = {
+                "version": REPORT_VERSION,
+                "config": _config_dict(args),
+                "records": records,
+                "summary": summary,
+            }
+            write_report_json(report, args.out)
+            if csv_rows is not None:
+                _write_csv_summary(csv_rows, args.csv_summary)
+        except _UsageError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+        except EnvestError as exc:
+            print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+            return 1
+        except OSError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
+        return 0
 
 
 def main():

@@ -242,6 +242,37 @@ class TestExitCodes:
         assert code == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize("command", ["fit", "select-u", "bootstrap"])
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--gradient-tol", "nan", "gradient-tol must be a finite number"),
+            ("--gradient-tol", "-1", "gradient-tol must be a finite number"),
+            ("--gradient-tol", "inf", "gradient-tol must be a finite number"),
+            ("--max-iter", "-3", "max-iter must be at least 0"),
+        ],
+    )
+    def test_bad_solver_override_is_usage_error(
+        self, tmp_path, capsys, command, flag, value, message
+    ):
+        xp, yp = write_xy(tmp_path)
+        sizes = {"fit": ["--u", "2"], "select-u": ["--u-max", "2"],
+                 "bootstrap": ["--u", "2", "--b", "4"]}[command]
+        code = cli.run([command, "--kind", "response", "--x", xp, "--y", yp, flag, value]
+                       + sizes)
+        assert code == 2
+        assert message in capsys.readouterr().err
+
+    def test_zero_max_iter_keeps_the_warm_start(self, tmp_path, capsys):
+        xp, yp = write_xy(tmp_path)
+        gammas = []
+        for extra in (["--algo", "onedim"], ["--algo", "fg-warm", "--max-iter", "0"]):
+            args = ["fit", "--kind", "response", "--x", xp, "--y", yp, "--u", "2"]
+            assert cli.run(args + extra) == 0
+            gammas.append(np.array(json.loads(capsys.readouterr().out)["records"][0]["gamma"]))
+        onedim_gamma, warm_gamma = gammas
+        np.testing.assert_allclose(warm_gamma, onedim_gamma, atol=1e-12)
+
     def test_fit_happy_path(self, tmp_path, capsys):
         xp, yp = write_xy(tmp_path)
         code = cli.run(["fit", "--kind", "response", "--x", xp, "--y", yp, "--u", "2"])
@@ -416,3 +447,81 @@ def test_module_entry_point(tmp_path):
     )
     assert proc.returncode == 0
     assert proc.stdout.startswith('{"version":"1",')
+
+
+@pytest.fixture
+def blas_threads():
+    """(get, set) for numpy's OpenBLAS thread count, restored after the test;
+    skips where numpy uses another BLAS."""
+    blas = cli._openblas_threads()
+    if blas is None:
+        pytest.skip("numpy does not use an OpenBLAS whose threads can be set")
+    get, put = blas
+    threads = get()
+    yield get, put
+    put(threads)
+
+
+class TestOneBlasThread:
+    # at d = 100 OpenBLAS splits the LU factorization behind solve over its
+    # threads, which rounds differently from one thread
+    LARGE = ["simulate", "--mode", "population", "--d", "100", "--u", "10",
+             "--reps", "1", "--seed", "3"]
+
+    def test_report_bytes_do_not_depend_on_the_callers_threads(self, tmp_path, blas_threads):
+        _, put = blas_threads
+        reports = []
+        for threads in (2, 1):
+            put(threads)
+            reports.append(run_to_file(self.LARGE, tmp_path / "rep.json"))
+        assert reports[0] == reports[1]
+
+    def test_commands_run_on_one_thread(self, tmp_path, blas_threads, monkeypatch):
+        get, put = blas_threads
+        seen = []
+        command = cli._COMMANDS["simulate"]
+
+        def recording(args):
+            seen.append(get())
+            return command(args)
+
+        monkeypatch.setitem(cli._COMMANDS, "simulate", recording)
+        put(2)
+        run_to_file(["simulate", "--mode", "population", "--d", "4", "--u", "1",
+                     "--reps", "1"], tmp_path / "rep.json")
+        assert seen == [1]
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (["simulate", "--mode", "population", "--d", "4", "--u", "1", "--reps", "1"], 0),
+            (["fit", "--kind", "mean", "--y", "absent.csv", "--u", "1"], 1),
+            (["simulate", "--mode", "population", "--d", "4", "--u", "9", "--reps", "1"], 2),
+            (["frobnicate"], 2),
+        ],
+    )
+    def test_callers_count_restored_on_exit(self, capsys, blas_threads, argv, code):
+        get, put = blas_threads
+        put(2)
+        assert cli.run(argv) == code
+        assert get() == 2
+        capsys.readouterr()
+
+    def test_callers_count_restored_when_a_command_raises(self, blas_threads, monkeypatch):
+        get, put = blas_threads
+
+        def broken(args):
+            raise RuntimeError("bug in a command")
+
+        monkeypatch.setitem(cli._COMMANDS, "simulate", broken)
+        put(2)
+        with pytest.raises(RuntimeError, match="bug in a command"):
+            cli.run(["simulate", "--mode", "population", "--d", "4", "--u", "1", "--reps", "1"])
+        assert get() == 2
+
+    def test_without_openblas_reports_are_unchanged(self, tmp_path, monkeypatch):
+        args = ["simulate", "--mode", "population", "--d", "6", "--u", "2",
+                "--reps", "2", "--seed", "5"]
+        expected = run_to_file(args, tmp_path / "rep.json")
+        monkeypatch.setattr(cli, "_openblas_threads", lambda: None)
+        assert run_to_file(args, tmp_path / "rep.json") == expected

@@ -137,6 +137,10 @@ def commands(data):
     sim += [flag for algo in ALGOS for flag in ("--algo", algo)]
     out.append(("sim_population", sim + ["--mode", "population"]))
     out.append(("sim_sample", sim + ["--mode", "sample", "--n", "80"]))
+    # the first report whose bits depend on the BLAS thread count: at d = 100
+    # OpenBLAS splits the LU factorization behind solve over its threads
+    out.append(("sim_population_d100", ["simulate", "--mode", "population", "--d", "100",
+                                        "--u", "10", "--reps", "1", "--seed", "3"]))
     out.append(("usage_mean_with_x", ["fit", "--kind", "mean", "--u", "2"] + x + y))
     out.append(("usage_partial_without_p1", ["fit", "--kind", "partial", "--u", "2"] + x + y))
     out.append(("usage_cv_mean", ["select-u", "--criterion", "cv", "--kind", "mean",
