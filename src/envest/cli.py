@@ -465,7 +465,12 @@ def _openblas_threads():
 @contextlib.contextmanager
 def _one_blas_thread():
     """Run the block on one OpenBLAS thread and restore the caller's count
-    after it, however it ends; does nothing where there is no OpenBLAS."""
+    after it, however it ends; does nothing where there is no OpenBLAS.
+
+    The count is global to the process, so runs that overlap in several
+    Python threads can leave it at 1: the later run restores the 1 that the
+    earlier one set.
+    """
     blas = _openblas_threads()
     if blas is None:
         yield
