@@ -29,6 +29,7 @@ import io
 import json
 import math
 import sys
+import threading
 
 import numpy as np
 
@@ -462,26 +463,38 @@ def _openblas_threads():
     return get, put
 
 
+_blas_lock = threading.Lock()
+_blas_runs = 0  # runs of ``_one_blas_thread`` open in this process
+_blas_saved = None  # the count the first of them found
+
+
 @contextlib.contextmanager
 def _one_blas_thread():
     """Run the block on one OpenBLAS thread and restore the caller's count
     after it, however it ends; does nothing where there is no OpenBLAS.
 
     The count is global to the process, so runs that overlap in several
-    Python threads can leave it at 1: the later run restores the 1 that the
-    earlier one set.
+    Python threads share it: the first to enter saves it and sets 1, and
+    the last to leave restores it.
     """
+    global _blas_runs, _blas_saved
     blas = _openblas_threads()
     if blas is None:
         yield
         return
     get, put = blas
-    threads = get()
-    put(1)
+    with _blas_lock:
+        if _blas_runs == 0:
+            _blas_saved = get()
+            put(1)
+        _blas_runs += 1
     try:
         yield
     finally:
-        put(threads)
+        with _blas_lock:
+            _blas_runs -= 1
+            if _blas_runs == 0:
+                put(_blas_saved)
 
 
 def run(argv=None):

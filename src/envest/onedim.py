@@ -22,9 +22,9 @@ the tangential gradient against the Hessian compressed onto w-perp, whose
 radial block is pinned to the identity.  Scale invariance gives H w = -g,
 so that model is a rank-3 update of (2/qm) M + (2/qn) N - (4/qw) I, built
 from one pass of w M and w N (``objective._d_tilde_hessians``).  It is
-shifted by its smallest eigenvalue when that is not safely positive; a
-Cholesky factorization proves that no shift is needed, so only the starts
-it does not clear pay for eigenvalues.
+shifted by its smallest eigenvalue when that is not safely positive; one
+batched Cholesky factorization per Newton iteration gives every row its
+verdict, so only the starts it does not clear pay for eigenvalues.
 
 A start stops when its tangential gradient passes the requested tolerance
 (or its roundoff floor), or when, with no shift applied, the Newton
@@ -225,8 +225,9 @@ def _shifts(h):
     """Shift tau that makes each tangent Hessian h safely positive definite.
 
     tau = max(0, 1e-8 * scale - lambda_min) with scale = max(1, max |h_ij|).
-    A Cholesky factorization of h - 1e-8 * scale * I proves tau = 0; only
-    the rows whose own factorization fails pay for eigenvalues.
+    One batched Cholesky factorization of h - 1e-8 * scale * I gives every
+    row its verdict and proves tau = 0 where it succeeds; only the rows
+    whose factorization fails pay for eigenvalues.
     """
     floor = _SHIFT_FLOOR * np.maximum(1.0, np.abs(h).max(axis=(1, 2)))
     shifted = h.copy()
@@ -240,29 +241,14 @@ def _shifts(h):
     return tau
 
 
-def _not_positive_definite(a, fails=False):
-    """Indices of the matrices in the stack a whose Cholesky factorization fails.
-
-    A stack that one batched factorization clears is done; one that fails
-    (or is known to, ``fails``) is bisected, and when its first half clears,
-    its second half is known to fail untested.  f failing matrices among k
-    cost at most about f (log2(k) + 1) + 1 factorizations, against k + 1
-    for one factorization per matrix.  Each matrix is factorized on its own within a
-    batch, so its verdict does not depend on the batch.
-    """
-    if not fails:
-        try:
-            np.linalg.cholesky(a)
-        except np.linalg.LinAlgError:
-            fails = True
-        else:
-            return np.zeros(0, dtype=int)
-    if a.shape[0] == 1:
-        return np.zeros(1, dtype=int)
-    half = a.shape[0] // 2
-    first = _not_positive_definite(a[:half])
-    second = _not_positive_definite(a[half:], fails=first.size == 0)
-    return np.concatenate([first, half + second])
+def _not_positive_definite(a):
+    """Indices of the matrices (2 x 2 or larger) in the stack a on which
+    ``np.linalg.cholesky`` raises.  Its batched kernel factors each by its
+    own LAPACK call, fills the factor of a failed one with NaN and zeroes
+    the upper triangle of the others, NaN inputs included."""
+    with np.errstate(invalid="ignore"):
+        c = np.linalg._umath_linalg.cholesky_lo(a, signature="d->d")
+    return np.flatnonzero(np.isnan(c[:, 0, -1]))
 
 
 def _solve_directions(pairs, settings):

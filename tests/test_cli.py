@@ -4,6 +4,7 @@ byte-for-byte determinism of written reports."""
 import json
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -517,6 +518,47 @@ class TestOneBlasThread:
         put(2)
         with pytest.raises(RuntimeError, match="bug in a command"):
             cli.run(["simulate", "--mode", "population", "--d", "4", "--u", "1", "--reps", "1"])
+        assert get() == 2
+
+    def test_overlapping_runs_in_two_threads_restore_the_callers_count(
+        self, tmp_path, blas_threads, monkeypatch
+    ):
+        # the first run enters, the second enters, the first leaves while
+        # the second is still inside, then the second leaves: the count the
+        # caller set must come back, and the second run must keep 1 thread
+        get, put = blas_threads
+        first_inside, second_inside, first_done = (threading.Event() for _ in range(3))
+        seen, codes = [], {}
+        command = cli._COMMANDS["simulate"]
+
+        def overlapping(args):
+            if args.seed == 1:
+                first_inside.set()
+                assert second_inside.wait(30)
+            else:
+                second_inside.set()
+                assert first_done.wait(30)
+                seen.append(get())
+            return command(args)
+
+        def runner(seed):
+            codes[seed] = cli.run(["simulate", "--mode", "population", "--d", "4", "--u", "1",
+                                   "--reps", "1", "--seed", str(seed),
+                                   "--out", str(tmp_path / f"rep{seed}.json")])
+            if seed == 1:
+                first_done.set()
+
+        monkeypatch.setitem(cli._COMMANDS, "simulate", overlapping)
+        put(2)
+        first = threading.Thread(target=runner, args=(1,))
+        second = threading.Thread(target=runner, args=(2,))
+        first.start()
+        assert first_inside.wait(30)
+        second.start()
+        first.join(60)
+        second.join(60)
+        assert codes == {1: 0, 2: 0}
+        assert seen == [1]
         assert get() == 2
 
     def test_without_openblas_reports_are_unchanged(self, tmp_path, monkeypatch):

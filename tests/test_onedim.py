@@ -294,6 +294,109 @@ def test_certified_shift_equals_the_eigenvalue_shift():
     assert np.array_equal(onedim._shifts(h[clear]), rule[clear])
 
 
+def _cholesky_raises(a):
+    try:
+        np.linalg.cholesky(a)
+    except np.linalg.LinAlgError:
+        return True
+    return False
+
+
+def _verdict_stack(d, rng):
+    """Positive definite, indefinite, singular semidefinite and NaN-holding
+    d x d matrices, shuffled."""
+    a = rng.standard_normal((d, d))
+    pd = a @ a.T + 0.1 * np.eye(d)
+    indefinite = pd - (np.linalg.eigvalsh(pd)[0] + 1.0) * np.eye(d)
+    v = rng.standard_normal((d, d - 1))
+    singular = v @ v.T
+    zero = np.zeros((d, d))
+    nan_corner, nan_corner_neg, nan_off, nan_off_neg = pd.copy(), -pd, pd.copy(), -pd
+    nan_corner[0, 0] = nan_corner_neg[0, 0] = np.nan
+    nan_off[-1, 0] = nan_off[0, -1] = nan_off_neg[-1, 0] = nan_off_neg[0, -1] = np.nan
+    stack = np.array([pd, indefinite, singular, zero, -pd, nan_corner, nan_corner_neg,
+                      nan_off, nan_off_neg, 2.0 * pd])
+    return stack[rng.permutation(len(stack))]
+
+
+@pytest.mark.parametrize("d", [2, 3, 5, 8])
+def test_not_positive_definite_flags_what_cholesky_rejects(d):
+    stack = _verdict_stack(d, np.random.default_rng(d))
+    want = [k for k, a in enumerate(stack) if _cholesky_raises(a)]
+    assert 0 < len(want) < len(stack)
+    assert onedim._not_positive_definite(stack).tolist() == want
+
+
+def test_a_verdict_does_not_depend_on_the_batch():
+    rng = np.random.default_rng(5)
+    stack = _verdict_stack(4, rng)
+    fails = np.isin(np.arange(len(stack)), onedim._not_positive_definite(stack))
+    for k in range(len(stack)):
+        assert (onedim._not_positive_definite(stack[k:k + 1]).size == 1) == fails[k]
+    for _ in range(5):
+        order = rng.permutation(len(stack))[:rng.integers(1, len(stack) + 1)]
+        assert np.array_equal(
+            onedim._not_positive_definite(stack[order]), np.flatnonzero(fails[order])
+        )
+
+
+def _bisected_shifts(h):
+    """``_shifts`` as it was with a bisecting Cholesky test: a reference."""
+
+    def failing(a, fails=False):
+        if not fails:
+            try:
+                np.linalg.cholesky(a)
+            except np.linalg.LinAlgError:
+                fails = True
+            else:
+                return np.zeros(0, dtype=int)
+        if a.shape[0] == 1:
+            return np.zeros(1, dtype=int)
+        half = a.shape[0] // 2
+        first = failing(a[:half])
+        second = failing(a[half:], fails=first.size == 0)
+        return np.concatenate([first, half + second])
+
+    floor = onedim._SHIFT_FLOOR * np.maximum(1.0, np.abs(h).max(axis=(1, 2)))
+    shifted = h.copy()
+    diag = np.arange(h.shape[1])
+    shifted[:, diag, diag] -= floor[:, None]
+    tau = np.zeros(h.shape[0])
+    rows = failing(shifted)
+    if rows.size:
+        tau[rows] = np.maximum(0.0, floor[rows] - np.linalg.eigvalsh(h[rows])[:, 0])
+    return tau
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_shifts_match_the_bisected_test_bit_for_bit(seed):
+    # random batches of symmetric matrices, some pushed below the shift floor
+    rng = np.random.default_rng(seed)
+    k, d = rng.integers(1, 40), rng.integers(2, 12)
+    a = rng.standard_normal((k, d, d))
+    h = a @ np.transpose(a, (0, 2, 1))
+    h -= rng.choice([0.0, 1e-12, 0.3, 5.0], size=k)[:, None, None] * np.eye(d)
+    want = _bisected_shifts(h)
+    assert np.array_equal(onedim._shifts(h), want)
+
+
+def test_batched_cholesky_kernel_contract():
+    # ``_not_positive_definite`` reads verdicts from the factors of numpy's
+    # batched kernel: a failed factor is all NaN, a successful one has exact
+    # zeros above its diagonal and the lower triangle np.linalg.cholesky gives
+    stack = _verdict_stack(4, np.random.default_rng(9))
+    with np.errstate(invalid="ignore"):
+        c = np.linalg._umath_linalg.cholesky_lo(stack, signature="d->d")
+    upper = np.triu_indices(4, 1)
+    for a, factor in zip(stack, c):
+        if _cholesky_raises(a):
+            assert np.isnan(factor).all()
+        else:
+            assert (factor[upper] == 0.0).all()
+            assert np.array_equal(factor, np.linalg.cholesky(a), equal_nan=True)
+
+
 def test_a_start_at_float64_resolution_is_resolved(monkeypatch):
     # at these directions no line search can lower D any more, yet the
     # tangential gradient is above the requested tolerance; the tangent
