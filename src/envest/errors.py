@@ -45,7 +45,12 @@ class SingularGram(EnvestError):
 
 
 class NoConvergence(EnvestError):
-    """No candidate start of the direction solver met the gradient criterion.
+    """No candidate start of the direction solver converged.
+
+    A start converges when it meets the gradient criterion or when its
+    Newton decrement falls below D's float64 resolution (``Resolved@k``).
+    The message still names the gradient criterion alone; CLI reports carry
+    its text.
 
     Carries the best iterate found (``best``) and its tangential gradient
     norm (``gradient_norm``).  When raised from the sequential fit it also

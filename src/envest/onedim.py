@@ -21,14 +21,16 @@ taken in the tangent space at w (Absil, Mahony & Sepulchre 2008, ch. 6):
 the tangential gradient against the Hessian compressed onto w-perp, whose
 radial block is pinned to the identity.  Scale invariance gives H w = -g,
 so that model is a rank-3 update of (2/qm) M + (2/qn) N - (4/qw) I, built
-from one pass of w M and w N (``objective._d_tilde_hessians``).  It is
-shifted by its smallest eigenvalue when that is not safely positive; one
+from one pass of w M and w N (``objective._d_tilde_hessians``).  One
 batched Cholesky factorization per Newton iteration gives every row its
-verdict, so only the starts it does not clear pay for eigenvalues.
+verdict.  A model it factors is positive definite and is used as it is,
+however ill-conditioned; only a model it rejects pays for eigenvalues and
+is shifted to a smallest eigenvalue of 1e-8 max(1, max |h_ij|) (modified
+Newton, Nocedal & Wright 2006, sec. 3.4).
 
 A start stops when its tangential gradient passes the requested tolerance
-(or its roundoff floor), or when, with no shift applied, the Newton
-decrement g'H^{-1}g / 2 falls below D's float64 resolution,
+(or its roundoff floor), or when its model factored unshifted and the
+Newton decrement g'H^{-1}g / 2 falls below D's float64 resolution,
 eps (|M|_F / w'Mw + |N|_F / w'Nw) with N = (M + U)^{-1} (Boyd &
 Vandenberghe 2004, sec. 9.5.1): D cannot show the decrease that is left,
 though the gradient can still be well above the tolerance.  A direction
@@ -222,22 +224,18 @@ class _Direction(NamedTuple):
 
 
 def _shifts(h):
-    """Shift tau that makes each tangent Hessian h safely positive definite.
+    """Shift tau that makes each tangent Hessian h positive definite.
 
+    One batched Cholesky factorization of h gives every row its verdict.  A
+    row it factors is positive definite and gets tau = 0, however
+    ill-conditioned; only the rows it rejects pay for eigenvalues and get
     tau = max(0, 1e-8 * scale - lambda_min) with scale = max(1, max |h_ij|).
-    One batched Cholesky factorization of h - 1e-8 * scale * I gives every
-    row its verdict and proves tau = 0 where it succeeds; only the rows
-    whose factorization fails pay for eigenvalues.
     """
-    floor = _SHIFT_FLOOR * np.maximum(1.0, np.abs(h).max(axis=(1, 2)))
-    shifted = h.copy()
-    diag = np.arange(h.shape[1])
-    shifted[:, diag, diag] -= floor[:, None]
     tau = np.zeros(h.shape[0])
-    rows = _not_positive_definite(shifted)
+    rows = _not_positive_definite(h)
     if rows.size:
-        lam_min = np.linalg.eigvalsh(h[rows])[:, 0]
-        tau[rows] = np.maximum(0.0, floor[rows] - lam_min)
+        floor = _SHIFT_FLOOR * np.maximum(1.0, np.abs(h[rows]).max(axis=(1, 2)))
+        tau[rows] = np.maximum(0.0, floor - np.linalg.eigvalsh(h[rows])[:, 0])
     return tau
 
 
@@ -344,7 +342,7 @@ def _lockstep(pairs, settings):
 
         # Newton step in the tangent space at the unit rows w, against the
         # tangential gradient g and the tangent model of the Hessian, shifted
-        # where it is not safely positive definite
+        # where its Cholesky factorization fails
         h = _d_tilde_hessians(m, n, wa, terms, tangent=True, owner=own)
         tau = _shifts(h)
         h[:, np.arange(dim), np.arange(dim)] += tau[:, None]

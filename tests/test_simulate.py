@@ -199,6 +199,16 @@ class TestSampleExperiment:
             assert cell["replications_ok"] == 0
             assert cell["replications_failed"] == 2
 
+    def test_ill_conditioned_samples_fit_without_stalling(self):
+        # at (60, 30), n = 1000, many tangent Hessians are positive definite
+        # but ill-conditioned; shifting them anyway fails replications 0-3
+        # and stalls two directions of the fifth
+        rep = simulate.sample_experiment(60, 30, 1000, 5, ("onedim",), seed=1)
+        assert len(rep.records) == 5
+        for rec in rep.records:
+            assert rec.error is None
+            assert not [flag for flag in rec.diagnostics if flag.startswith("Stalled@")]
+
     def test_distance_shrinks_with_n(self):
         small = simulate.sample_experiment(6, 2, 200, 12, ("onedim",), seed=703)
         large = simulate.sample_experiment(6, 2, 12800, 12, ("onedim",), seed=703)

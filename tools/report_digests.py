@@ -141,6 +141,10 @@ def commands(data):
     # OpenBLAS splits the LU factorization behind solve over its threads
     out.append(("sim_population_d100", ["simulate", "--mode", "population", "--d", "100",
                                         "--u", "10", "--reps", "1", "--seed", "3"]))
+    # positive definite but ill-conditioned tangent Hessians: a solver that
+    # shifts them anyway fails both replications
+    out.append(("sim_sample_d60", ["simulate", "--mode", "sample", "--d", "60", "--u", "30",
+                                   "--n", "1000", "--reps", "2", "--seed", "1"]))
     out.append(("usage_mean_with_x", ["fit", "--kind", "mean", "--u", "2"] + x + y))
     out.append(("usage_partial_without_p1", ["fit", "--kind", "partial", "--u", "2"] + x + y))
     out.append(("usage_cv_mean", ["select-u", "--criterion", "cv", "--kind", "mean",
