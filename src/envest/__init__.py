@@ -27,13 +27,11 @@ from .errors import (
     ZeroVector,
 )
 from .linalg import (
-    SpectralDecomposition,
     fix_column_signs,
     orthonormal_complement,
     orthonormalize,
     project,
     subspace_distance,
-    sym_eig,
     symmetrize,
 )
 from .objective import (
@@ -45,7 +43,7 @@ from .objective import (
     j_gradient,
     j_value,
 )
-from .onedim import EnvelopeFit, OneDimSettings, solve_direction
+from .onedim import EnvelopeFit, OneDimSettings
 from .onedim import fit as onedim_fit
 from .grassmann import FgSettings, eigenvector_scan_start
 from .grassmann import fit as grassmann_fit
@@ -110,7 +108,6 @@ __all__ = [
     "ReplicationRecord",
     "SingularCovariance",
     "SingularGram",
-    "SpectralDecomposition",
     "ZeroVector",
     "constrained_mean_envelope",
     "covariance_kit",
@@ -139,9 +136,7 @@ __all__ = [
     "sample_experiment",
     "select_dimension_bic",
     "select_dimension_cv",
-    "solve_direction",
     "subspace_distance",
-    "sym_eig",
     "symmetrize",
     "__version__",
 ]

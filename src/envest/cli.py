@@ -511,6 +511,8 @@ def run(argv=None):
             code = exc.code
             return code if isinstance(code, int) else 2
         try:
+            if args.seed < 0:
+                raise _UsageError("seed must be at least 0")
             records, summary, csv_rows = _COMMANDS[args.command](args)
             report = {
                 "version": REPORT_VERSION,

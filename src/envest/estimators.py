@@ -228,10 +228,6 @@ class CovarianceKit:
     n: int
 
     @property
-    def s_yx(self):
-        return self.s_xy.T
-
-    @property
     def beta_ols(self):
         """Ordinary least squares coefficients of Y on X, r x p."""
         return np.linalg.solve(self.s_x, self.s_xy).T

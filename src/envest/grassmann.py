@@ -50,7 +50,13 @@ from functools import cached_property
 import numpy as np
 
 from .errors import InvalidInput, RankDeficientCandidates
-from .linalg import check_orthonormal, fix_column_signs, symmetrize, _signed_qr
+from .linalg import (
+    check_orthonormal,
+    fix_column_signs,
+    symmetrize,
+    _not_positive_definite,
+    _signed_qr,
+)
 from .objective import ObjectivePair, _check_solver_inputs, j_value
 from .onedim import EnvelopeFit
 
@@ -214,9 +220,7 @@ class _Model:
     @cached_property
     def newton(self):
         """-H^{-1} g when a Cholesky factor proves H positive definite, else None."""
-        try:
-            np.linalg.cholesky(self.hess)
-        except np.linalg.LinAlgError:
+        if _not_positive_definite(self.hess[None]).size:
             return None
         return -np.linalg.solve(self.hess, self.grad)
 

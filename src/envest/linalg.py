@@ -5,13 +5,10 @@ Conventions used everywhere:
 * symmetric matrices are plain ``(d, d)`` float arrays, kept exactly
   symmetric by construction (see :func:`symmetrize`),
 * a *basis* is a ``(d, k)`` array with orthonormal columns,
-* eigenvalues are reported in descending order,
-* eigenvector columns are sign-normalized so the entry of largest
-  magnitude (first such entry on ties) is positive, which makes every
-  decomposition here deterministic.
+* basis columns are sign-normalized so the entry of largest magnitude
+  (first such entry on ties) is positive (:func:`fix_column_signs`),
+  which makes every basis built here deterministic.
 """
-
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -24,12 +21,10 @@ from .errors import (
 )
 
 __all__ = [
-    "SpectralDecomposition",
     "symmetrize",
     "fix_column_signs",
     "check_orthonormal",
     "orthonormalize",
-    "sym_eig",
     "orthonormal_complement",
     "subspace_distance",
     "project",
@@ -46,6 +41,8 @@ def _require_symmetric(s, name="matrix"):
     s = np.asarray(s, dtype=float)
     if s.ndim != 2 or s.shape[0] != s.shape[1]:
         raise InvalidInput(f"{name} must be square, got shape {s.shape}")
+    if s.size == 0:
+        raise InvalidInput(f"{name} is empty")
     if not np.all(np.isfinite(s)):
         raise InvalidInput(f"{name} has non-finite entries")
     scale = max(1.0, float(np.abs(s).max()))
@@ -116,43 +113,6 @@ def _signed_qr(a):
     return q * np.where(diag < 0, -1.0, 1.0), np.abs(diag)
 
 
-@dataclass
-class SpectralDecomposition:
-    """Eigendecomposition of a symmetric matrix with near-ties grouped.
-
-    eigenvalues : (d,) descending
-    eigenvectors : (d, d), column i pairs with eigenvalues[i], signs pinned
-    groups : list of index lists; consecutive eigenvalues closer than the
-        grouping tolerance share a group (their joint eigenspace is only
-        determined up to rotation, so consumers should work per group)
-    """
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-    groups: list = field(default_factory=list)
-
-
-def sym_eig(s, group_tol=1e-8):
-    """Spectral decomposition of a symmetric matrix.
-
-    Eigenvalues come back descending with sign-pinned eigenvectors.  Indices
-    whose eigenvalues differ by less than ``group_tol * max(1, |lambda_1|)``
-    are merged (transitively, over adjacent pairs) into one group.
-    """
-    s = _require_symmetric(s, "sym_eig input")
-    vals, vecs = np.linalg.eigh(s)
-    vals = vals[::-1]
-    vecs = fix_column_signs(vecs[:, ::-1])
-    tol = group_tol * max(1.0, abs(float(vals[0])))
-    groups = [[0]]
-    for i in range(1, vals.size):
-        if vals[i - 1] - vals[i] < tol:
-            groups[-1].append(i)
-        else:
-            groups.append([i])
-    return SpectralDecomposition(vals, vecs, groups)
-
-
 def _require_positive_definite(vals, what):
     """Reject the spectrum vals of ``what`` unless it is positive definite.
 
@@ -166,6 +126,17 @@ def _require_positive_definite(vals, what):
             f"{what} is not positive definite (eigenvalue {bad:.6g})",
             eigenvalue=bad,
         )
+
+
+def _not_positive_definite(a):
+    """Indices of the matrices in the stack a on which ``np.linalg.cholesky``
+    raises.  Its batched kernel factors each by its own LAPACK call, fills
+    the factor of a failed one with NaN and zeroes the upper triangle of
+    the others, NaN inputs included.  A 1 x 1 [a] is flagged when a <= 0
+    and also when a is NaN, which ``np.linalg.cholesky`` accepts."""
+    with np.errstate(invalid="ignore"):
+        c = np.linalg._umath_linalg.cholesky_lo(a, signature="d->d")
+    return np.flatnonzero(np.isnan(c[:, 0, -1]))
 
 
 def orthonormal_complement(g):

@@ -83,7 +83,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import EnvestError, NoConvergence
-from .linalg import fix_column_signs
+from .linalg import _not_positive_definite, fix_column_signs
 from .objective import (
     ObjectivePair,
     _check_solver_inputs,
@@ -93,7 +93,7 @@ from .objective import (
     _d_tilde_values,
 )
 
-__all__ = ["OneDimSettings", "EnvelopeFit", "solve_direction", "fit", "fit_many"]
+__all__ = ["OneDimSettings", "EnvelopeFit", "fit", "fit_many"]
 
 _SHIFT_FLOOR = 1e-8
 # Armijo backtracking constants
@@ -239,16 +239,6 @@ def _shifts(h):
     return tau
 
 
-def _not_positive_definite(a):
-    """Indices of the matrices (2 x 2 or larger) in the stack a on which
-    ``np.linalg.cholesky`` raises.  Its batched kernel factors each by its
-    own LAPACK call, fills the factor of a failed one with NaN and zeroes
-    the upper triangle of the others, NaN inputs included."""
-    with np.errstate(invalid="ignore"):
-        c = np.linalg._umath_linalg.cholesky_lo(a, signature="d->d")
-    return np.flatnonzero(np.isnan(c[:, 0, -1]))
-
-
 def _solve_directions(pairs, settings):
     """Multistart solves of deflated pairs: one ``_Direction`` or NoConvergence each.
 
@@ -389,20 +379,6 @@ def _lockstep(pairs, settings):
             fix_column_signs(w[win]), float(f[win]), int(iters[win]), str(stops[win])
         ))
     return out
-
-
-def solve_direction(pair, settings=None):
-    """Best direction for one deflated (M_k, U_k) pair.
-
-    Returns a unit vector whose tangential gradient meets the relative
-    tolerance in ``settings``; raises NoConvergence when no start does.
-    """
-    if settings is None:
-        settings = OneDimSettings()
-    (sol,) = _solve_directions([pair], settings)
-    if isinstance(sol, NoConvergence):
-        raise sol
-    return sol.w
 
 
 def fit(m_hat, u_hat, u, settings=None):

@@ -34,7 +34,6 @@ from .linalg import (
     orthonormal_complement,
     orthonormalize,
     subspace_distance,
-    sym_eig,
     symmetrize,
     _require_symmetric,
 )
@@ -124,22 +123,27 @@ def sample_data(instance, n, seed):
 def oracle_envelope(m, u_mat, tol=1e-9):
     """Envelope basis read directly off the spectrum of M.
 
-    For each eigen-group of M (near-ties merged), project U onto the
-    group's eigenspace; groups seeing at least ``tol``-relative mass
-    contribute an orthonormal basis of that projected image.  The result
-    spans the smallest reducing subspace of M containing span(U).
+    Adjacent eigenvalues of M (descending) closer than
+    1e-8 max(1, |lambda_1|) share an eigen-group.  For each group, project U
+    onto the group's eigenspace; groups seeing at least ``tol``-relative
+    mass contribute an orthonormal basis of that projected image.  The
+    result spans the smallest reducing subspace of M containing span(U).
     """
     m = _require_symmetric(m, "m")
     u_mat = _require_symmetric(u_mat, "u_mat")
     if u_mat.shape != m.shape:
         raise InvalidInput(f"m is {m.shape} but u_mat is {u_mat.shape}")
-    dec = sym_eig(m)
+    vals, vecs = np.linalg.eigh(m)
+    vals = vals[::-1]
+    vecs = fix_column_signs(vecs[:, ::-1])
     scale = float(np.linalg.norm(u_mat, "fro"))
     if scale == 0.0:
         return np.zeros((m.shape[0], 0))
+    tol_group = 1e-8 * max(1.0, abs(float(vals[0])))
+    cuts = np.flatnonzero(vals[:-1] - vals[1:] >= tol_group) + 1
     blocks = []
-    for group in dec.groups:
-        v = dec.eigenvectors[:, group]
+    for group in np.split(np.arange(vals.size), cuts):
+        v = vecs[:, group]
         coords = v.T @ u_mat  # group-frame image of U
         if np.linalg.norm(coords, "fro") <= tol * scale:
             continue

@@ -17,6 +17,15 @@ def record_criterion(number, passed, detail=""):
     return passed
 
 
+def cholesky_raises(a):
+    """Whether np.linalg.cholesky rejects the matrix a."""
+    try:
+        np.linalg.cholesky(a)
+    except np.linalg.LinAlgError:
+        return True
+    return False
+
+
 def stuck(m, message="stuck"):
     """The NoConvergence of an onedim.fit of m whose first direction fails:
     step_index 0 and, in partial, the fit of no directions."""

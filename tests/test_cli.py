@@ -264,6 +264,21 @@ class TestExitCodes:
         assert code == 2
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", [
+        ["fit", "--kind", "response", "--u", "1"],
+        ["select-u", "--kind", "response", "--u-max", "1", "--criterion", "bic"],
+        ["select-u", "--kind", "response", "--u-max", "1", "--criterion", "cv"],
+        ["bootstrap", "--kind", "response", "--u", "1", "--b", "4"],
+        ["simulate", "--mode", "population", "--d", "3", "--u", "1", "--reps", "1"],
+        ["simulate", "--mode", "sample", "--d", "3", "--u", "1", "--n", "10", "--reps", "1"],
+    ])
+    def test_negative_seed_is_usage_error(self, capsys, command):
+        # validated before any file IO, so the paths need not exist
+        if command[0] != "simulate":
+            command = command + ["--x", "no.csv", "--y", "no.csv"]
+        assert cli.run(command + ["--seed", "-1"]) == 2
+        assert capsys.readouterr().err == "error: seed must be at least 0\n"
+
     def test_zero_max_iter_keeps_the_warm_start(self, tmp_path, capsys):
         xp, yp = write_xy(tmp_path)
         gammas = []

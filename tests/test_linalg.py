@@ -2,7 +2,6 @@
 
 Known values used below:
 - two lines at angle theta have projector distance sqrt(2)*|sin(theta)|
-- diag(2, 2, 1) has eigenvalue groups {2, 2} and {1}
 """
 
 import numpy as np
@@ -15,6 +14,8 @@ from envest.errors import (
     InvalidInput,
     SingularGram,
 )
+
+from conftest import cholesky_raises
 
 
 def test_symmetrize_exact():
@@ -73,32 +74,67 @@ class TestOrthonormalize:
             assert q[i, j] > 0
 
 
-class TestSymEig:
-    def test_matches_numpy(self):
-        rng = np.random.default_rng(4)
-        for _ in range(15):
-            a = rng.standard_normal((9, 9))
-            s = a @ a.T
-            dec = linalg.sym_eig(s)
-            np.testing.assert_allclose(
-                sorted(dec.eigenvalues), sorted(np.linalg.eigvalsh(s)), atol=1e-8
-            )
-            recomposed = (dec.eigenvectors * dec.eigenvalues) @ dec.eigenvectors.T
-            np.testing.assert_allclose(recomposed, s, atol=1e-8)
+def _verdict_stack(d, rng):
+    """Positive definite, indefinite, singular semidefinite and NaN-holding
+    d x d matrices, shuffled."""
+    a = rng.standard_normal((d, d))
+    pd = a @ a.T + 0.1 * np.eye(d)
+    indefinite = pd - (np.linalg.eigvalsh(pd)[0] + 1.0) * np.eye(d)
+    v = rng.standard_normal((d, d - 1))
+    singular = v @ v.T
+    zero = np.zeros((d, d))
+    nan_corner, nan_corner_neg, nan_off, nan_off_neg = pd.copy(), -pd, pd.copy(), -pd
+    nan_corner[0, 0] = nan_corner_neg[0, 0] = np.nan
+    nan_off[-1, 0] = nan_off[0, -1] = nan_off_neg[-1, 0] = nan_off_neg[0, -1] = np.nan
+    stack = np.array([pd, indefinite, singular, zero, -pd, nan_corner, nan_corner_neg,
+                      nan_off, nan_off_neg, 2.0 * pd])
+    return stack[rng.permutation(len(stack))]
 
-    def test_descending_order(self):
-        dec = linalg.sym_eig(np.diag([1.0, 5.0, 3.0]))
-        assert np.all(np.diff(dec.eigenvalues) <= 0)
 
-    def test_grouping_on_degenerate_spectrum(self):
-        dec = linalg.sym_eig(np.diag([2.0, 2.0, 1.0]))
-        assert [len(g) for g in dec.groups] == [2, 1]
+@pytest.mark.parametrize("d", [2, 3, 5, 8])
+def test_not_positive_definite_flags_what_cholesky_rejects(d):
+    stack = _verdict_stack(d, np.random.default_rng(d))
+    want = [k for k, a in enumerate(stack) if cholesky_raises(a)]
+    assert 0 < len(want) < len(stack)
+    assert linalg._not_positive_definite(stack).tolist() == want
 
-    def test_grouping_respects_tolerance(self):
-        dec = linalg.sym_eig(np.diag([2.0, 2.0 - 1e-12, 1.0]), group_tol=1e-8)
-        assert [len(g) for g in dec.groups] == [2, 1]
-        dec2 = linalg.sym_eig(np.diag([2.0, 1.9, 1.0]), group_tol=1e-8)
-        assert [len(g) for g in dec2.groups] == [1, 1, 1]
+
+def test_a_verdict_does_not_depend_on_the_batch():
+    rng = np.random.default_rng(5)
+    stack = _verdict_stack(4, rng)
+    fails = np.isin(np.arange(len(stack)), linalg._not_positive_definite(stack))
+    for k in range(len(stack)):
+        assert (linalg._not_positive_definite(stack[k:k + 1]).size == 1) == fails[k]
+    for _ in range(5):
+        order = rng.permutation(len(stack))[:rng.integers(1, len(stack) + 1)]
+        assert np.array_equal(
+            linalg._not_positive_definite(stack[order]), np.flatnonzero(fails[order])
+        )
+
+
+def test_batched_cholesky_kernel_contract():
+    # ``_not_positive_definite`` reads verdicts from the factors of numpy's
+    # batched kernel: a failed factor is all NaN, a successful one has exact
+    # zeros above its diagonal and the lower triangle np.linalg.cholesky gives
+    stack = _verdict_stack(4, np.random.default_rng(9))
+    with np.errstate(invalid="ignore"):
+        c = np.linalg._umath_linalg.cholesky_lo(stack, signature="d->d")
+    upper = np.triu_indices(4, 1)
+    for a, factor in zip(stack, c):
+        if cholesky_raises(a):
+            assert np.isnan(factor).all()
+        else:
+            assert (factor[upper] == 0.0).all()
+            assert np.array_equal(factor, np.linalg.cholesky(a), equal_nan=True)
+
+
+def test_a_one_by_one_verdict():
+    # grassmann's tangent model is 1 x 1 at (d, u) = (2, 1); there the
+    # verdict is np.linalg.cholesky's, except that NaN, which
+    # np.linalg.cholesky accepts, is flagged
+    stack = np.array([2.0, 1e-300, 0.0, -1.0, np.nan])[:, None, None]
+    assert [cholesky_raises(a) for a in stack] == [False, False, True, True, False]
+    assert linalg._not_positive_definite(stack).tolist() == [2, 3, 4]
 
 
 class TestOrthonormalComplement:

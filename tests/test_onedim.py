@@ -27,6 +27,8 @@ from envest.objective import (
     j_value,
 )
 
+from conftest import cholesky_raises
+
 
 def sphere_grid_2d(num=2000):
     theta = np.linspace(0.0, np.pi, num, endpoint=False)
@@ -42,11 +44,18 @@ def fibonacci_sphere(num=4000):
     return np.stack([r * np.cos(phi), r * np.sin(phi), z], axis=1)
 
 
+def best_direction(pair):
+    """The winning unit vector of one direction solve of pair."""
+    (sol,) = onedim._solve_directions([pair], onedim.OneDimSettings())
+    assert isinstance(sol, onedim._Direction), sol
+    return sol.w
+
+
 def test_solve_direction_diagonal_oracle():
     # U concentrates on e2, so the best direction is e2 regardless of M's
     # larger first eigenvalue; certified by a dense angular grid
     pair = ObjectivePair.from_m_u(np.diag([5.0, 1.0]), np.diag([0.0, 3.0]))
-    w = onedim.solve_direction(pair)
+    w = best_direction(pair)
     grid = sphere_grid_2d()
     grid_vals = [d_tilde_value(pair, g) for g in grid]
     assert d_tilde_value(pair, w) <= min(grid_vals) + 1e-10
@@ -62,7 +71,7 @@ def test_solve_direction_certified_global_2d():
         m = a @ a.T + 2 * np.eye(2)
         b = rng.standard_normal(2)
         pair = ObjectivePair.from_m_u(m, np.outer(b, b))
-        w = onedim.solve_direction(pair)
+        w = best_direction(pair)
         grid_min = min(d_tilde_value(pair, g) for g in grid)
         assert d_tilde_value(pair, w) <= grid_min + 1e-9
 
@@ -75,7 +84,7 @@ def test_solve_direction_certified_global_3d():
         m = a @ a.T + 3 * np.eye(3)
         b = rng.standard_normal((3, 2))
         pair = ObjectivePair.from_m_u(m, b @ b.T)
-        w = onedim.solve_direction(pair)
+        w = best_direction(pair)
         grid_min = min(d_tilde_value(pair, g) for g in grid)
         # the grid is coarse; the solver must not sit above it
         assert d_tilde_value(pair, w) <= grid_min + 1e-6
@@ -87,8 +96,8 @@ def test_solve_direction_unit_norm_and_deterministic():
     m = a @ a.T + 6 * np.eye(6)
     b = rng.standard_normal(6)
     pair = ObjectivePair.from_m_u(m, np.outer(b, b))
-    w1 = onedim.solve_direction(pair)
-    w2 = onedim.solve_direction(pair)
+    w1 = best_direction(pair)
+    w2 = best_direction(pair)
     np.testing.assert_allclose(np.linalg.norm(w1), 1.0, atol=1e-12)
     assert np.array_equal(w1, w2)
 
@@ -107,7 +116,6 @@ def test_solve_direction_dim_one():
     # the sphere in one coordinate is {-1, 1} and its tangent space {0}: the
     # general loop stops every start by the gradient test at iteration 0
     pair = ObjectivePair.from_m_u(np.array([[2.0]]), np.array([[1.0]]))
-    np.testing.assert_allclose(onedim.solve_direction(pair), [1.0])
     (sol,) = onedim._solve_directions([pair], onedim.OneDimSettings())
     assert np.array_equal(sol.w, [1.0])
     assert sol.value == d_tilde_value(pair, np.ones(1))
@@ -222,7 +230,7 @@ def test_screening_iterates_the_lowest_d_starts(monkeypatch, seed):
     # in candidate order
     pair = random_pair(seed, 10)
     batches = first_hessian_batches(monkeypatch)
-    onedim.solve_direction(pair)
+    best_direction(pair)
     w, f = eigenvector_candidates(pair)
     lowest = np.sort(np.argsort(f)[: onedim._SCREENED_STARTS])
     assert f[lowest].max() < np.delete(f, lowest).min()
@@ -249,7 +257,7 @@ def test_a_small_pair_iterates_every_candidate(monkeypatch):
     # 2 * dim <= _SCREENED_STARTS: nothing is screened out
     pair = random_pair(28, onedim._SCREENED_STARTS // 2)
     batches = first_hessian_batches(monkeypatch)
-    onedim.solve_direction(pair)
+    best_direction(pair)
     w, _ = eigenvector_candidates(pair)
     assert np.array_equal(batches[0], w)
 
@@ -288,7 +296,7 @@ def test_certified_shift_equals_the_eigenvalue_shift():
     h[7] = np.diag(np.arange(1.0, d + 1.0)) * 1e-9  # positive, below the floor
     scale = np.maximum(1.0, np.abs(h).max(axis=(1, 2)))
     floor_shift = np.maximum(0.0, onedim._SHIFT_FLOOR * scale - np.linalg.eigvalsh(h)[:, 0])
-    rejected = np.array([_cholesky_raises(x) for x in h])
+    rejected = np.array([cholesky_raises(x) for x in h])
     rule = np.where(rejected, floor_shift, 0.0)
     assert (rule > 0).sum() >= 3 and (rule == 0).sum() >= 3
     assert not rejected[7] and floor_shift[7] > 0 and rule[7] == 0.0
@@ -297,54 +305,8 @@ def test_certified_shift_equals_the_eigenvalue_shift():
     assert np.array_equal(onedim._shifts(h[clear]), rule[clear])
 
 
-def _cholesky_raises(a):
-    try:
-        np.linalg.cholesky(a)
-    except np.linalg.LinAlgError:
-        return True
-    return False
-
-
-def _verdict_stack(d, rng):
-    """Positive definite, indefinite, singular semidefinite and NaN-holding
-    d x d matrices, shuffled."""
-    a = rng.standard_normal((d, d))
-    pd = a @ a.T + 0.1 * np.eye(d)
-    indefinite = pd - (np.linalg.eigvalsh(pd)[0] + 1.0) * np.eye(d)
-    v = rng.standard_normal((d, d - 1))
-    singular = v @ v.T
-    zero = np.zeros((d, d))
-    nan_corner, nan_corner_neg, nan_off, nan_off_neg = pd.copy(), -pd, pd.copy(), -pd
-    nan_corner[0, 0] = nan_corner_neg[0, 0] = np.nan
-    nan_off[-1, 0] = nan_off[0, -1] = nan_off_neg[-1, 0] = nan_off_neg[0, -1] = np.nan
-    stack = np.array([pd, indefinite, singular, zero, -pd, nan_corner, nan_corner_neg,
-                      nan_off, nan_off_neg, 2.0 * pd])
-    return stack[rng.permutation(len(stack))]
-
-
-@pytest.mark.parametrize("d", [2, 3, 5, 8])
-def test_not_positive_definite_flags_what_cholesky_rejects(d):
-    stack = _verdict_stack(d, np.random.default_rng(d))
-    want = [k for k, a in enumerate(stack) if _cholesky_raises(a)]
-    assert 0 < len(want) < len(stack)
-    assert onedim._not_positive_definite(stack).tolist() == want
-
-
-def test_a_verdict_does_not_depend_on_the_batch():
-    rng = np.random.default_rng(5)
-    stack = _verdict_stack(4, rng)
-    fails = np.isin(np.arange(len(stack)), onedim._not_positive_definite(stack))
-    for k in range(len(stack)):
-        assert (onedim._not_positive_definite(stack[k:k + 1]).size == 1) == fails[k]
-    for _ in range(5):
-        order = rng.permutation(len(stack))[:rng.integers(1, len(stack) + 1)]
-        assert np.array_equal(
-            onedim._not_positive_definite(stack[order]), np.flatnonzero(fails[order])
-        )
-
-
 def _bisected_shifts(h):
-    """``_shifts`` as it was with a bisecting Cholesky test: a reference."""
+    """``_shifts`` with a bisecting Cholesky test of h itself: a reference."""
 
     def failing(a, fails=False):
         if not fails:
@@ -362,11 +324,8 @@ def _bisected_shifts(h):
         return np.concatenate([first, half + second])
 
     floor = onedim._SHIFT_FLOOR * np.maximum(1.0, np.abs(h).max(axis=(1, 2)))
-    shifted = h.copy()
-    diag = np.arange(h.shape[1])
-    shifted[:, diag, diag] -= floor[:, None]
     tau = np.zeros(h.shape[0])
-    rows = failing(shifted)
+    rows = failing(h)
     if rows.size:
         tau[rows] = np.maximum(0.0, floor[rows] - np.linalg.eigvalsh(h[rows])[:, 0])
     return tau
@@ -374,30 +333,23 @@ def _bisected_shifts(h):
 
 @pytest.mark.parametrize("seed", range(6))
 def test_shifts_match_the_bisected_test_bit_for_bit(seed):
-    # random batches of symmetric matrices, some pushed below the shift floor
+    # random batches of symmetric matrices, some pushed below the shift
+    # floor; every third row is positive definite with its smallest
+    # eigenvalue at half the floor, where the Cholesky tests of h and of
+    # h - floor I part
     rng = np.random.default_rng(seed)
     k, d = rng.integers(1, 40), rng.integers(2, 12)
     a = rng.standard_normal((k, d, d))
     h = a @ np.transpose(a, (0, 2, 1))
     h -= rng.choice([0.0, 1e-12, 0.3, 5.0], size=k)[:, None, None] * np.eye(d)
+    below = slice(None, None, 3)
+    floor = onedim._SHIFT_FLOOR * np.maximum(1.0, np.abs(h).max(axis=(1, 2)))
+    lift = np.linalg.eigvalsh(h[below])[:, 0] - 0.5 * floor[below]
+    h[below] -= lift[:, None, None] * np.eye(d)
+    lam = np.linalg.eigvalsh(h[below])[:, 0]
+    assert ((lam > 0) & (lam < floor[below])).all()
     want = _bisected_shifts(h)
     assert np.array_equal(onedim._shifts(h), want)
-
-
-def test_batched_cholesky_kernel_contract():
-    # ``_not_positive_definite`` reads verdicts from the factors of numpy's
-    # batched kernel: a failed factor is all NaN, a successful one has exact
-    # zeros above its diagonal and the lower triangle np.linalg.cholesky gives
-    stack = _verdict_stack(4, np.random.default_rng(9))
-    with np.errstate(invalid="ignore"):
-        c = np.linalg._umath_linalg.cholesky_lo(stack, signature="d->d")
-    upper = np.triu_indices(4, 1)
-    for a, factor in zip(stack, c):
-        if _cholesky_raises(a):
-            assert np.isnan(factor).all()
-        else:
-            assert (factor[upper] == 0.0).all()
-            assert np.array_equal(factor, np.linalg.cholesky(a), equal_nan=True)
 
 
 def test_a_start_at_float64_resolution_is_resolved(monkeypatch):
@@ -572,6 +524,16 @@ def test_fit_many_keeps_each_problems_error():
     assert fit_outcome(out[0]) == alone(inst.m, inst.u_mat, 2)
     assert isinstance(out[1], InvalidInput)
     assert out[0].wall_time_seconds >= 0.0
+
+
+def test_fit_many_records_an_empty_problems_error():
+    # a 0 x 0 pair fails its input checks with InvalidInput; the batch
+    # goes on and fits the next problem as alone
+    inst = simulate.generate_instance(6, 2, 3)
+    empty = np.zeros((0, 0))
+    out = onedim.fit_many([(empty, empty), (inst.m, inst.u_mat)], 1)
+    assert isinstance(out[0], InvalidInput)
+    assert fit_outcome(out[1]) == alone(inst.m, inst.u_mat, 1)
 
 
 class TestDeflation:

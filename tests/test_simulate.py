@@ -98,6 +98,19 @@ class TestOracleEnvelope:
             assert oracle.shape[1] == 4
             assert linalg.subspace_distance(oracle, inst.gamma) < 1e-8
 
+    @pytest.mark.parametrize("spectrum, columns", [
+        ([2.0, 2.0, 1.0], 2),
+        ([2.0, 2.0 - 1e-12, 1.0], 2),
+        ([2.0, 1.9, 1.0], 3),
+    ])
+    def test_near_ties_share_an_eigenspace(self, spectrum, columns):
+        # eigenvalues closer than 1e-8 max(1, |lambda_1|) form one group,
+        # onto whose eigenspace the rank-one U projects as one direction
+        oracle = simulate.oracle_envelope(np.diag(spectrum), np.ones((3, 3)))
+        assert oracle.shape == (3, columns)
+        p = oracle @ oracle.T
+        np.testing.assert_allclose(p @ np.ones(3), np.ones(3), atol=1e-12)
+
     def test_eigenvalue_split_within_envelope(self):
         # two U directions living in different eigenspaces must both appear
         m = np.diag([3.0, 2.0, 1.0])

@@ -14,9 +14,9 @@ sets of fits:
   line as the benchmark runs them.
 
 Every count is made per problem: a lockstep batch that serves the starts of
-several problems (``onedim._lockstep`` on a checkout that has it) counts
-once for each problem with rows in it, so that the tables of two checkouts
-compare whether or not they batch problems together.  For each set it
+several problems (``onedim._lockstep``) counts once for each problem with
+rows in it, so that the tables of two checkouts compare whether or not they
+batch problems together.  For each set it
 prints one line per count:
 
 * ``directions``: direction solves with more than one coordinate;
@@ -36,19 +36,15 @@ prints one line per count:
 * ``eigvalsh_batches`` and ``eigvalsh_rows``: calls of ``np.linalg.eigvalsh``
   made while solving, as made, and the matrices they decompose;
 * ``d_kernel_calls`` and ``d_kernel_rows``: batched D evaluations;
-* ``newton_searches`` and ``steepest_retries``: rows sent to the Newton line
-  search, and rows it failed that were retried along the steepest descent
-  (0 on a checkout without that retry; the row is kept so that tables line
-  up);
+* ``newton_searches``: rows sent to the Newton line search;
 * ``line_search_d_calls``: the D-kernel calls made inside the line searches;
 * ``long_steps``: rows handed to a line search whose direction p is longer
   than 1;
 * ``stop_gradient``, ``stop_resolved``, ``stop_stalled``: starts stopped by
   the gradient test, by the Newton decrement at D's float64 resolution, and
   by the line search giving up (inferred from the line-search calls: the
-  rows a search rejects, less the rows it hands to a retry, so that any two
-  checkouts can be compared); ``capped_directions``: direction
-  solves that ran to the iteration cap;
+  rows a search rejects); ``capped_directions``: direction solves that ran
+  to the iteration cap;
 * ``fg_fits`` and ``fg_iterations``: calls of ``grassmann.fit`` and their
   trust-region iterations, as each fit reports them;
 * ``fg_newton_steps``: trust-region steps (one per iteration, plus the step
@@ -91,7 +87,6 @@ class Counts:
     def __init__(self, onedim, grassmann):
         self.c = Counter()
         self._count_fg(grassmann)
-        self.searches = 0  # line searches run in the current iteration
         self.in_search = False
         self.iterations_here = Counter()  # per problem of the current lockstep
         self.first_gradients = False
@@ -122,7 +117,6 @@ class Counts:
             self.c["lockstep_batches"] += 1
             self.c["hessian_rows"] += w.shape[0]
             self.c["stop_resolved"] += w.shape[0]  # less the rows searched
-            self.searches = 0
             self.iterations_here.update([0] if owner is None else set(owner.tolist()))
             return real_hessians(m, n, w, *args, **kwargs)
 
@@ -133,15 +127,10 @@ class Counts:
                 accepted, w_new, f_new = real_armijo(m, n, w, f, p, dg, *rest)
             finally:
                 self.in_search = False
-            self.searches += 1
-            # stalled: rows a search rejects, less the rows it hands to a retry
+            # stalled: the rows a search rejects
             self.c["stop_stalled"] += int((~accepted).sum())
-            if self.searches == 1:
-                self.c["newton_searches"] += w.shape[0]
-                self.c["stop_resolved"] -= w.shape[0]
-            else:
-                self.c["steepest_retries"] += w.shape[0]
-                self.c["stop_stalled"] -= w.shape[0]
+            self.c["newton_searches"] += w.shape[0]
+            self.c["stop_resolved"] -= w.shape[0]
             return accepted, w_new, f_new
 
         def eigvalsh(a, *args, **kwargs):
@@ -173,16 +162,10 @@ class Counts:
         onedim._d_tilde_gradients = gradients
         onedim._d_tilde_hessians = hessians
         onedim._armijo = armijo
-        if hasattr(onedim, "_lockstep"):  # the starts of several problems per batch
-            real_lockstep = onedim._lockstep
-            onedim._lockstep = lambda pairs, settings: lockstep(
-                pairs, settings, lambda: real_lockstep(pairs, settings)
-            )
-        else:  # one problem's starts per batch
-            real_solve = onedim._solve_direction
-            onedim._solve_direction = lambda pair, settings: lockstep(
-                [pair], settings, lambda: real_solve(pair, settings)
-            )
+        real_lockstep = onedim._lockstep
+        onedim._lockstep = lambda pairs, settings: lockstep(
+            pairs, settings, lambda: real_lockstep(pairs, settings)
+        )
 
     def _count_fg(self, grassmann):
         np = grassmann.np
@@ -229,10 +212,10 @@ class Counts:
         keys = (
             "directions", "candidates", "starts", "iterations", "lockstep_batches",
             "hessian_rows", "cholesky_calls", "eigvalsh_batches", "eigvalsh_rows",
-            "d_kernel_calls", "d_kernel_rows", "newton_searches", "steepest_retries",
-            "line_search_d_calls", "long_steps", "stop_gradient", "stop_resolved",
-            "stop_stalled", "capped_directions", "fg_fits", "fg_iterations",
-            "fg_newton_steps", "fg_hessian_eighs",
+            "d_kernel_calls", "d_kernel_rows", "newton_searches", "line_search_d_calls",
+            "long_steps", "stop_gradient", "stop_resolved", "stop_stalled",
+            "capped_directions", "fg_fits", "fg_iterations", "fg_newton_steps",
+            "fg_hessian_eighs",
         )
         return [(k, int(c[k])) for k in keys]
 
