@@ -399,6 +399,8 @@ def _cmd_select_u(args):
     data, d = _load_regression_data(args)
     if args.u_max > d:
         raise _UsageError(f"u-max must be between 1 and {d}")
+    if args.criterion == "cv" and args.folds > data.n:
+        raise _UsageError(f"folds must be between 2 and {data.n}")
     if args.criterion == "bic":
         sel = estimators.select_dimension_bic(
             data, args.kind, args.u_max, args.algo, settings, args.p1

@@ -19,15 +19,19 @@ Covariances use divisor n throughout.  The constrained-mean kind forces the
 mean deviations to sum to zero, so the fit runs inside the orthogonal
 complement of the all-ones direction and the basis is mapped back up.
 
-Each estimator checks its kind in ``_problem_dimension``, builds its pair
-in ``_kind_pair``, checks it in ``_checked_pair``, fits it with
-``_basis_scans`` and assembles its estimates.  A dimension scan (BIC, and
-cross-validation on each fold) builds and checks its pair once and scans it
-the same way.  Every fit goes through ``_fits``, the only caller of the
-solvers.  The sequential solver finds each direction given the ones before
-it, so its fit at u is the first u columns of its fit at any larger u: with
-onedim or fg-warm, one sequential fit serves every candidate u < d of a
-scan.  fg-warm is that sequential fit refined by the Grassmann optimizer.
+Each estimator checks its kind in ``_problem_dimension``, builds its
+matrices in ``_kind_pair`` and, in ``_checked_pair``, checks them and
+builds the problem's one ``ObjectivePair``, which both solvers fit and J
+scores.  It fits the pair with ``_basis_scans`` and assembles its
+estimates.  A dimension scan (BIC, and cross-validation on each fold)
+builds and checks its pair once and scans it the same way.  Every fit goes
+through ``_fits``, the only caller of the solvers, which hands the pair to
+their cores, ``onedim.fit_many`` and ``grassmann._fit``.  No estimator
+calls ``onedim.fit`` or ``grassmann.fit``, so a wrapper on either sees no
+estimator fit.  The sequential solver finds each direction given the ones
+before it, so its fit at u is the first u columns of its fit at any larger
+u: with onedim or fg-warm, one sequential fit serves every candidate u < d
+of a scan.  fg-warm is that sequential fit refined by the Grassmann optimizer.
 Problems of one size that are fitted side by side, the folds of a
 cross-validation and (in ``simulate``) bootstrap replicates and experiment
 replications, are scanned together by ``_kind_scans`` or ``_fits``: their
@@ -107,25 +111,27 @@ def solver_settings(algo, gradient_tol=None, max_iterations=None):
     return replace(ALGORITHMS[algo], **changes)
 
 
-def _fits(problems, top, algo, settings):
-    """For each (m, u_hat) in problems, all of one size d: u -> basis fit of
+def _fits(pairs, top, algo, settings):
+    """For each ObjectivePair in pairs, all of one size d: u -> basis fit of
     ``algo``, for u = 1..top.
 
     This is the only caller of the solvers, and it looks them up on their
-    modules at every call.  A wrapper installed on ``onedim.fit_many`` or
-    ``grassmann.fit`` sees every fit; one on ``onedim.fit`` sees only the
-    sequential fits of a lone problem.  settings sets the solver's tolerance
-    and cap; None means the preset of ``algo``.
+    modules at every call.  It calls the cores that take a pair,
+    ``onedim.fit_many`` and ``grassmann._fit``: a wrapper on either sees
+    every fit, while one on ``onedim.fit`` or ``grassmann.fit`` sees none,
+    since those only check and build a pair of matrices for their core.
+    settings sets the solver's tolerance and cap; None means the preset of
+    ``algo``.
 
-    fg fits every u of every problem from its own scan start.  onedim makes
-    one sequential fit at min(top, d - 1) per problem, when the first u < d
-    is asked of any of them, and returns its first u columns.  The problems
-    share those fits: one ``onedim.fit_many`` call makes them all, one
-    ``onedim.fit`` a lone problem's.  fg-warm makes the same sequential fits
-    with the onedim preset and refines the first u columns with
-    grassmann.fit started from them, so settings sets only the refinement;
-    its wall time is the sequential fit's plus the refinement's.  u = d is
-    fitted on its own.  When a sequential fit stops with NoConvergence at
+    fg fits every u of every pair from its own scan start.  onedim makes
+    one sequential fit at min(top, d - 1) per pair, when the first u < d is
+    asked of any of them, and returns its first u columns; one
+    ``onedim.fit_many`` call makes them all.  fg-warm makes the same
+    sequential fits with the onedim preset and refines the first u columns
+    with ``grassmann._fit`` started from them, so settings sets only the
+    refinement; its wall time is the sequential fit's plus the
+    refinement's.  u = d is fitted on its own, by a ``fit_many`` call of
+    its one pair.  When a sequential fit stops with NoConvergence at
     direction k, every u from k + 1 to d - 1 raises that error and the u up
     to k keep the k directions accepted before it.
     """
@@ -133,47 +139,34 @@ def _fits(problems, top, algo, settings):
     if settings is None:
         settings = solver_settings(algo)
     if algo == "fg":
-        return [
-            lambda u, m=m, u_hat=u_hat: grassmann.fit(m, u_hat, u, settings)
-            for m, u_hat in problems
-        ]
+        return [lambda u, pair=pair: grassmann._fit(pair, u, settings) for pair in pairs]
     warm = algo == "fg-warm"
     sequential = ALGORITHMS["onedim"] if warm else settings
-    shared = []  # per problem, its sequential fit or the error that stopped it
+    shared = []  # per pair, its sequential fit or the error that stopped it
 
-    def nested(i, u, d):
+    def sequential_fit(i, u):
+        if u == pairs[i].dim:  # fitted on its own
+            return onedim.fit_many([pairs[i]], u, sequential)[0]
         if not shared:
-            top_u = min(top, d - 1)
-            if len(problems) == 1:
-                try:
-                    shared.append(onedim.fit(*problems[0], top_u, sequential))
-                except EnvestError as exc:
-                    shared.append(exc)
-            else:
-                shared.extend(onedim.fit_many(problems, top_u, sequential))
+            shared.extend(onedim.fit_many(pairs, min(top, pairs[i].dim - 1), sequential))
         outcome = shared[i]
         whole = outcome.partial if isinstance(outcome, NoConvergence) else outcome
         if isinstance(whole, EnvestError) or u > whole.basis.shape[1]:
             raise outcome
         return whole.leading(u)
 
-    def fits(i):
-        m, u_hat = problems[i]
-        d = m.shape[0]
-
+    def fits(i, pair):
         def fit(u):
-            basis_fit = onedim.fit(m, u_hat, d, sequential) if u == d else nested(i, u, d)
+            basis_fit = sequential_fit(i, u)
             if not warm:
                 return basis_fit
-            refined = grassmann.fit(
-                m, u_hat, u, replace(settings, start_strategy=basis_fit.basis)
-            )
+            refined = grassmann._fit(pair, u, replace(settings, start_strategy=basis_fit.basis))
             refined.wall_time_seconds += basis_fit.wall_time_seconds
             return refined
 
         return fit
 
-    return [fits(i) for i in range(len(problems))]
+    return [fits(i, pair) for i, pair in enumerate(pairs)]
 
 
 def _sample_matrix(a, name):
@@ -295,41 +288,36 @@ class EnvelopeRegressionFit:
 
 
 def _checked_pair(m, m_plus_u):
-    """(M, U-hat, ObjectivePair, diagnostics) of one estimator's pair, checked.
+    """(ObjectivePair, diagnostics) of one estimator's pair, checked.
 
     Both matrices are symmetrized and U-hat = (M + U) - M must have no
-    materially negative eigenvalue.  When M fails the definiteness check,
-    both matrices are shifted by ridge = 1e-8 tr(M)/d once and a ``Ridged``
-    flag is recorded.  The pair feeds the final J of every basis fitted to it.
+    materially negative eigenvalue.  The pair is built from M and U-hat;
+    when that fails a definiteness check, M is shifted by
+    ridge = 1e-8 tr(M)/d once and a ``Ridged`` flag is recorded.  The
+    solvers fit this pair, and the final J of every basis is scored on it.
     """
     m = symmetrize(m)
-    m_plus_u = symmetrize(m_plus_u)
-    d = m.shape[0]
-    u_hat = symmetrize(m_plus_u - m)
+    u_hat = symmetrize(symmetrize(m_plus_u) - m)
     lam = np.linalg.eigvalsh(u_hat)
     if lam[0] < -1e-8 * max(1.0, float(np.abs(lam).max())):
         raise InvalidUhat(
             f"U-hat has a materially negative eigenvalue ({float(lam[0]):.6g})"
         )
-    diagnostics = []
     try:
-        pair = ObjectivePair.from_pair(m, m_plus_u)
+        return ObjectivePair.from_m_u(m, u_hat), []
     except NotPositiveDefinite:
+        d = m.shape[0]
         ridge = 1e-8 * float(np.trace(m)) / d
-        m = symmetrize(m + ridge * np.eye(d))
-        m_plus_u = symmetrize(m_plus_u + ridge * np.eye(d))
-        pair = ObjectivePair.from_pair(m, m_plus_u)
-        diagnostics.append("Ridged")
-    return m, u_hat, pair, diagnostics
+        return ObjectivePair.from_m_u(symmetrize(m + ridge * np.eye(d)), u_hat), ["Ridged"]
 
 
 def _basis_scans(checked, top, algo, settings):
     """fit(u) -> (basis fit, objective) for u = 1..top, one per _checked_pair.
 
     The fits are those of _fits, made together for all the pairs, with each
-    pair's flags added and the objective scored on the checked pair.
+    pair's flags added and the objective scored on the pair they fitted.
     """
-    fits = _fits([(m, u_hat) for m, u_hat, _, _ in checked], top, algo, settings)
+    fits = _fits([pair for pair, _ in checked], top, algo, settings)
 
     def scan(fits, pair, diagnostics):
         def fit(u):
@@ -339,7 +327,7 @@ def _basis_scans(checked, top, algo, settings):
 
         return fit
 
-    return [scan(f, pair, diagnostics) for f, (_, _, pair, diagnostics) in zip(fits, checked)]
+    return [scan(f, pair, diagnostics) for f, (pair, diagnostics) in zip(fits, checked)]
 
 
 def _problem_dimension(kind, data, p1=None):

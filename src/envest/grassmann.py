@@ -57,7 +57,7 @@ from .linalg import (
     _not_positive_definite,
     _signed_qr,
 )
-from .objective import ObjectivePair, _check_solver_inputs, j_value
+from .objective import _check_solver_inputs, j_value
 from .onedim import EnvelopeFit
 
 __all__ = ["FgSettings", "eigenvector_scan_start", "fit"]
@@ -128,8 +128,7 @@ def eigenvector_scan_start(m_hat, u_hat, u):
     basis, ties broken by candidate order.  Candidates nearly inside the
     current span are skipped; running out raises RankDeficientCandidates.
     """
-    m_hat, u_hat, _ = _check_solver_inputs(m_hat, u_hat, u)
-    return _scan(ObjectivePair.from_m_u(m_hat, u_hat), u)
+    return _scan(_check_solver_inputs(m_hat, u_hat, u), u)
 
 
 def _tangent_model(pair, gamma, norms):
@@ -170,7 +169,7 @@ def _trust_region_step(vals, vecs, grad, radius):
     -vals[0]) with ||(H + lam I)^{-1} g|| = radius is found by safeguarded
     Newton iteration on 1/||s(lam)|| - 1/radius, and in the hard case, where
     g has no weight on the lowest eigenvector, that eigenvector fills the
-    step out to the boundary.  ``fit`` comes here, through ``_Model.step``,
+    step out to the boundary.  ``_fit`` comes here, through ``_Model.step``,
     only when no Cholesky-certified Newton step fits: H fails its Cholesky
     factorization, the Newton step is longer than the radius, or a rejected
     step has shrunk the radius on the same model.
@@ -248,15 +247,20 @@ def fit(m_hat, u_hat, u, settings=None):
     iterations.  Stopping other than by the gradient test is reported
     through the diagnostics flags ``Roundoff``, ``RadiusCollapse`` and
     ``CapReached`` rather than as an error; the best iterate found is
-    returned either way.  wall_time_seconds covers the whole call,
-    building the scan start included.  A start that is not a finite
-    orthonormal (d, u) basis raises InvalidInput.
+    returned either way.  A start that is not a finite orthonormal (d, u)
+    basis raises InvalidInput.  The inputs are checked and built into a
+    pair, which ``_fit`` fits; wall_time_seconds covers ``_fit``, the scan
+    start included, but not the checks and the build.
     """
+    return _fit(_check_solver_inputs(m_hat, u_hat, u), u, settings)
+
+
+def _fit(pair, u, settings=None):
+    """``fit`` on a built ObjectivePair, at a u in 1..d."""
     start = time.perf_counter()
     if settings is None:
         settings = FgSettings()
-    m_hat, u_hat, d = _check_solver_inputs(m_hat, u_hat, u)
-    pair = ObjectivePair.from_m_u(m_hat, u_hat)
+    d = pair.dim
 
     strategy = settings.start_strategy
     diagnostics = []

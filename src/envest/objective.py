@@ -64,12 +64,15 @@ def _logdet_gram(x):
 class ObjectivePair:
     """Everything the objective needs about one (M, M+U) pair, precomputed.
 
-    Instances are immutable; all solvers share them freely across threads.
-    The eigenvector blocks (descending eigenvalue order, signs pinned) feed
-    the candidate-start and eigenvector-scan machinery.
+    A problem has one pair, built and checked once: J and both solvers read
+    the same immutable instance.  ``u`` is U itself, which the sequential
+    solver compresses with M onto each complement (``from_pair`` derives it
+    as M+U - M).  The eigenvector blocks (descending eigenvalue order, signs
+    pinned) feed the candidate-start and eigenvector-scan machinery.
     """
 
     m: np.ndarray
+    u: np.ndarray
     m_plus_u: np.ndarray
     m_plus_u_inv: np.ndarray
     m_plus_u_logdet: float
@@ -84,7 +87,7 @@ class ObjectivePair:
         u = _require_symmetric(u, "U")
         if u.shape != m.shape:
             raise InvalidInput(f"M is {m.shape} but U is {u.shape}")
-        return cls._build(m, symmetrize(m + u))
+        return cls._build(m, u, symmetrize(m + u))
 
     @classmethod
     def from_pair(cls, m, m_plus_u):
@@ -93,10 +96,10 @@ class ObjectivePair:
         mpu = _require_symmetric(m_plus_u, "M+U")
         if mpu.shape != m.shape:
             raise InvalidInput(f"M is {m.shape} but M+U is {mpu.shape}")
-        return cls._build(m, mpu)
+        return cls._build(m, symmetrize(mpu - m), mpu)
 
     @classmethod
-    def _build(cls, m, mpu):
+    def _build(cls, m, u, mpu):
         vals_m, vecs_m = np.linalg.eigh(m)
         _require_positive_definite(vals_m, "M")
         vals_s, vecs_s = np.linalg.eigh(mpu)
@@ -105,6 +108,7 @@ class ObjectivePair:
         logdet = float(np.sum(np.log(vals_s)))
         return cls(
             m=m,
+            u=u,
             m_plus_u=mpu,
             m_plus_u_inv=inv,
             m_plus_u_logdet=logdet,
@@ -121,14 +125,14 @@ def _require_dimension(k, d, name="u"):
 
 
 def _check_solver_inputs(m_hat, u_hat, u):
-    """Symmetrized (m_hat, u_hat) of a solver call and their size d, after the checks."""
+    """The ObjectivePair of a solver call on (m_hat, u_hat) at u, after the checks."""
     m_hat = _require_symmetric(m_hat, "m_hat")
     u_hat = _require_symmetric(u_hat, "u_hat")
     d = m_hat.shape[0]
     if u_hat.shape[0] != d:
         raise InvalidDimension(f"m_hat is {d}x{d} but u_hat is {u_hat.shape[0]}x{u_hat.shape[0]}")
     _require_dimension(u, d)
-    return m_hat, u_hat, d
+    return ObjectivePair.from_m_u(m_hat, u_hat)
 
 
 def _check_gamma(pair, gamma):

@@ -87,6 +87,7 @@ from .linalg import _not_positive_definite, fix_column_signs
 from .objective import (
     ObjectivePair,
     _check_solver_inputs,
+    _require_dimension,
     _d_tilde_gradients,
     _d_tilde_hessians,
     _d_tilde_terms,
@@ -389,9 +390,10 @@ def fit(m_hat, u_hat, u, settings=None):
     basis columns are orthonormal and in extraction order.  u == d skips
     optimization entirely and returns the identity basis.  A NoConvergence
     at direction k carries step_index k and, in ``partial``, the fit of the
-    k directions accepted before it.  This is ``fit_many`` of one problem.
+    k directions accepted before it.  This is ``fit_many`` of the checked
+    pair alone.
     """
-    (result,) = fit_many([(m_hat, u_hat)], u, settings)
+    (result,) = fit_many([_check_solver_inputs(m_hat, u_hat, u)], u, settings)
     if isinstance(result, EnvestError):
         raise result
     return result
@@ -399,11 +401,11 @@ def fit(m_hat, u_hat, u, settings=None):
 
 class _Run:
     """One problem of ``fit_many``: the directions accepted so far, and the
-    complement of their span with M and U compressed onto it."""
+    complement of their span with the pair compressed onto it."""
 
-    def __init__(self, m_hat, u_hat, d):
-        self.d = d
-        self.g0, self.m_k, self.u_k = np.eye(d), m_hat, u_hat
+    def __init__(self, pair):
+        self.d = pair.dim
+        self.g0, self.pair = np.eye(self.d), pair
         self.columns, self.values, self.iterations, self.diagnostics = [], [], [], []
         self.error = None
 
@@ -419,38 +421,32 @@ class _Run:
         )
 
 
-def fit_many(problems, u, settings=None):
-    """``fit`` at u of each (m_hat, u_hat) in problems, made together.
+def fit_many(pairs, u, settings=None):
+    """The sequential fit at u of each ObjectivePair in pairs, made together.
 
-    Returns, per problem, what ``fit`` gives it alone, bit for bit: its
-    EnvelopeFit, or the package error ``fit`` raises on it, such as a
-    NoConvergence with its step_index and partial.  At each step the
-    directions of every problem still running are solved in one lockstep
-    (``_solve_directions``), so the call overhead of a Newton iteration is
-    paid once for all of them.  Every fit carries the call's wall time
-    divided by the number of problems.
+    Returns, per pair, what ``fit`` gives its matrices alone, bit for bit:
+    its EnvelopeFit, or the package error ``fit`` raises on it, such as a
+    NoConvergence with its step_index and partial, or InvalidDimension for
+    a u outside 1..d.  Direction 0 is solved on the pair itself.  At each
+    step the directions of every problem still running are solved in one
+    lockstep (``_solve_directions``), so the call overhead of a Newton
+    iteration is paid once for all of them.  Every fit carries the call's
+    wall time divided by the number of pairs.
     """
     if settings is None:
         settings = OneDimSettings()
     start = time.perf_counter()
     runs = []
-    for m_hat, u_hat in problems:
+    for pair in pairs:
         try:
-            runs.append(_Run(*_check_solver_inputs(m_hat, u_hat, u)))
+            _require_dimension(u, pair.dim)
+            runs.append(_Run(pair))
         except EnvestError as exc:
             runs.append(exc)
     running = [run for run in runs if isinstance(run, _Run) and run.d > u]
     for k in range(u):
-        pairs, solving = [], []
-        for run in running:
-            try:
-                pairs.append(ObjectivePair.from_m_u(run.m_k, run.u_k))
-            except EnvestError as exc:
-                run.error = exc
-                continue
-            solving.append(run)
-        running = []
-        for run, sol in zip(solving, _solve_directions(pairs, settings)):
+        solving, running = running, []
+        for run, sol in zip(solving, _solve_directions([run.pair for run in solving], settings)):
             if isinstance(sol, NoConvergence):
                 sol.step_index = k
                 run.error = sol
@@ -463,9 +459,13 @@ def fit_many(problems, u, settings=None):
             if sol.stop in _FLAGS:
                 run.diagnostics.append(f"{_FLAGS[sol.stop]}@{k}")
             if k + 1 < u:
-                run.g0, run.m_k, run.u_k = _deflate(run.g0, run.m_k, run.u_k, sol.w)
+                try:
+                    run.g0, run.pair = _deflate(run.g0, run.pair, sol.w)
+                except EnvestError as exc:
+                    run.error = exc
+                    continue
             running.append(run)
-    wall_time = (time.perf_counter() - start) / max(1, len(problems))
+    wall_time = (time.perf_counter() - start) / max(1, len(pairs))
     out = []
     for run in runs:
         if not isinstance(run, _Run):
@@ -481,15 +481,15 @@ def fit_many(problems, u, settings=None):
     return out
 
 
-def _deflate(g0, m_k, u_k, w):
+def _deflate(g0, pair, w):
     """Carry the complement and the compressed pair past the accepted w.
 
     The Householder reflector Q = I - beta v v' with v = w + sign(w_0) |w| e_1
     maps w onto the first axis, so Q's columns after the first are an
     orthonormal basis of w-perp.  The next complement is G0 Q[:, 1:] and the
-    next pair Q M_k Q and Q U_k Q without their first row and column, each a
-    rank-2 update: O(d^2) per direction instead of a Gram-Schmidt
-    completion and two d x d products.
+    next pair is built from Q M_k Q and Q U_k Q without their first row and
+    column, each a rank-2 update: O(d^2) per direction instead of a
+    Gram-Schmidt completion and two d x d products.
     """
     v = w.copy()
     v[0] += np.copysign(np.linalg.norm(w), w[0])
@@ -503,4 +503,4 @@ def _deflate(g0, m_k, u_k, w):
         t = np.outer(v[1:], z[1:])
         return s[1:, 1:] - (t + t.T)
 
-    return g0, compress(m_k), compress(u_k)
+    return g0, ObjectivePair.from_m_u(compress(pair.m), compress(pair.u))

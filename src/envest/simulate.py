@@ -245,10 +245,10 @@ def _experiment(mode, d, u, n, replications, algo_set, seed, first, problem):
     """Fit every replication with every algorithm and summarize.
 
     Replication i has seed ``first + i``; ``problem(rep_seed)`` gives the
-    pair (M, U) to fit, the M + U that J is scored with, and the true
-    envelope basis.  Package errors are recorded on the affected record,
-    never raised; a failed problem or pair build is recorded on every
-    algorithm's record of the replication.  Replications are built in
+    ObjectivePair that every algorithm fits and J is scored on, and the
+    true envelope basis.  Package errors are recorded on the affected
+    record, never raised; a failed problem or pair build is recorded on
+    every algorithm's record of the replication.  Replications are built in
     batches of ``_PROBLEMS_PER_BATCH``, and each algorithm fits a batch's
     problems together (see ``estimators._fits``).
     """
@@ -270,16 +270,15 @@ def _experiment(mode, d, u, n, replications, algo_set, seed, first, problem):
             rows = [ReplicationRecord(i, rep_seed, algo, None, None, None) for algo in algos]
             records.extend(rows)
             try:
-                m, u_hat, m_plus_u, truth = problem(rep_seed)
-                pair = ObjectivePair.from_pair(m, m_plus_u)
+                pair, truth = problem(rep_seed)
             except EnvestError as exc:
                 for row in rows:
                     row.error = f"{type(exc).__name__}: {exc}"
                 continue
-            built.append((rows, m, u_hat, pair, truth))
+            built.append((rows, pair, truth))
         for j, algo in enumerate(algos):
-            fits = _fits([(m, u_hat) for _, m, u_hat, _, _ in built], u, algo, None)
-            for (rows, _, _, pair, truth), fit_u in zip(built, fits):
+            fits = _fits([pair for _, pair, _ in built], u, algo, None)
+            for (rows, pair, truth), fit_u in zip(built, fits):
                 row = rows[j]
                 try:
                     fit = fit_u(u)
@@ -313,7 +312,7 @@ def population_experiment(d, u, replications, algo_set, seed=0):
 
     def problem(rep_seed):
         inst = generate_instance(d, u, rep_seed)
-        return inst.m, inst.u_mat, symmetrize(inst.m + inst.u_mat), inst.gamma
+        return ObjectivePair.from_m_u(inst.m, inst.u_mat), inst.gamma
 
     return _experiment(
         "population", d, u, None, replications, algo_set, seed, seed, problem
@@ -332,7 +331,7 @@ def sample_experiment(d, u, n, replications, algo_set, seed=0):
     def problem(rep_seed):
         kit = covariance_kit(sample_data(inst, n, rep_seed))
         u_hat = symmetrize(kit.s_y - kit.s_y_given_x)
-        return kit.s_y_given_x, u_hat, kit.s_y, inst.gamma
+        return ObjectivePair.from_m_u(kit.s_y_given_x, u_hat), inst.gamma
 
     return _experiment(
         "sample", d, u, n, replications, algo_set, seed, seed + 1, problem

@@ -38,13 +38,14 @@ def route_fits(monkeypatch, outcome):
 
     Every onedim fit, made alone by onedim.fit or with others, is made by
     onedim.fit_many, which gives one EnvelopeFit or package error per
-    problem; outcome sees them in problem order and returns the one to use.
+    ObjectivePair; outcome sees them in problem order, with the pair's M,
+    and returns the one to use.
     """
     real = onedim.fit_many
 
-    def fit_many(problems, u, settings=None):
-        results = real(problems, u, settings)
-        return [outcome(m, u, result) for (m, _), result in zip(problems, results)]
+    def fit_many(pairs, u, settings=None):
+        results = real(pairs, u, settings)
+        return [outcome(pair.m, u, result) for pair, result in zip(pairs, results)]
 
     monkeypatch.setattr(onedim, "fit_many", fit_many)
 

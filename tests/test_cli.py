@@ -202,6 +202,16 @@ class TestExitCodes:
         assert code == 2
         assert "p1 must be between 1 and 1" in capsys.readouterr().err
 
+    def test_cv_folds_above_the_row_count_are_usage_error(self, tmp_path, capsys):
+        # folds are bounded by the rows, known once the CSVs are read
+        xp, yp = write_xy(tmp_path, n=20)
+        args = ["select-u", "--criterion", "cv", "--kind", "response",
+                "--x", xp, "--y", yp, "--u-max", "2", "--folds"]
+        assert cli.run(args + ["21"]) == 2
+        assert capsys.readouterr().err == "error: folds must be between 2 and 20\n"
+        assert cli.run(args + ["20"]) == 0
+        capsys.readouterr()
+
     def test_unknown_command(self, capsys):
         assert cli.run(["frobnicate"]) == 2
         capsys.readouterr()

@@ -321,14 +321,15 @@ class TestWarmStart:
         assert np.array_equal(plain.scores, given.scores)
 
     def test_wall_time_includes_the_sequential_fit(self, monkeypatch):
-        real = onedim.fit
+        real = onedim.fit_many
 
         def slow(*args):
-            fit = real(*args)
-            fit.wall_time_seconds += 1000.0
-            return fit
+            fits = real(*args)
+            for fit in fits:
+                fit.wall_time_seconds += 1000.0
+            return fits
 
-        monkeypatch.setattr(onedim, "fit", slow)
+        monkeypatch.setattr(onedim, "fit_many", slow)
         data = self.data()
         single = estimators.response_envelope(data, 3, algo="fg-warm")
         assert single.fit.wall_time_seconds >= 1000.0
@@ -337,6 +338,33 @@ class TestWarmStart:
         (scan,) = estimators._basis_scans([checked], 8, "fg-warm", None)
         for u in range(1, 9):
             assert scan(u)[0].wall_time_seconds >= 1000.0
+
+
+class TestOnePairPerProblem:
+    """A problem's ObjectivePair is built and checked once, and J and both
+    solvers use it: a sequential fit at u builds u pairs, the checked pair
+    and one per deflation, while fg-warm's refinement and the J score build
+    none."""
+
+    @pytest.mark.parametrize("run, builds", [
+        (lambda data: estimators.response_envelope(data, 5), 5),
+        (lambda data: estimators.response_envelope(data, 5, "fg-warm"), 5),
+        (lambda data: estimators.select_dimension_bic(data, "response", 6), 6),
+        (lambda data: simulate.residual_bootstrap(data, "response", 3, 10), 30),
+        (lambda data: simulate.population_experiment(30, 10, 2, ("onedim",)), 20),
+    ], ids=["response-onedim", "response-fg-warm", "bic", "bootstrap", "population"])
+    def test_pair_builds(self, monkeypatch, run, builds):
+        data = simulate.sample_data(simulate.generate_instance(8, 3, 1), 200, 2)
+        calls = []
+        real = ObjectivePair._build.__func__
+
+        def counting(cls, *args):
+            calls.append(None)
+            return real(cls, *args)
+
+        monkeypatch.setattr(ObjectivePair, "_build", classmethod(counting))
+        run(data)
+        assert len(calls) == builds
 
 
 class TestDimensionSelection:
@@ -388,17 +416,17 @@ class TestDimensionSelection:
         assert len(calls) == 1
 
     def test_bic_checks_the_pair_once(self, monkeypatch):
-        # the U-hat check and the ridge-check pair do not depend on u, so
-        # they run once per scan; the scores stay those of a fit per u
+        # the U-hat check and the ridge check do not depend on u, so they
+        # run once per scan; the scores stay those of a fit per u
         _, data = make_data(92, n=100)
         calls = []
-        real_from_pair = ObjectivePair.from_pair
+        real_checked_pair = estimators._checked_pair
 
-        def counting_from_pair(cls, *args):
+        def counting_checked_pair(*args):
             calls.append(None)
-            return real_from_pair(*args)
+            return real_checked_pair(*args)
 
-        monkeypatch.setattr(ObjectivePair, "from_pair", classmethod(counting_from_pair))
+        monkeypatch.setattr(estimators, "_checked_pair", counting_checked_pair)
         sel = estimators.select_dimension_bic(data, "response", 4)
         assert len(calls) == 1
         m, m_plus_u, _ = estimators._kind_pair("response", data)
@@ -578,22 +606,23 @@ class TestNestedScans:
         return calls
 
     def test_bic_fits_once(self, monkeypatch):
+        # one fit_many call of one pair: (problems, u) per call
         _, data = make_data(92, n=100)
-        fits = self._count(monkeypatch, onedim, "fit")
+        fits = self._count(monkeypatch, onedim, "fit_many")
         estimators.select_dimension_bic(data, "response", 4)
-        assert [args[2] for args in fits] == [4]
+        assert [(len(args[0]), args[1]) for args in fits] == [(1, 4)]
 
     @pytest.mark.parametrize("algo", ["onedim", "fg-warm"])
     def test_full_dimension_fit_makes_no_sequential_fit(self, monkeypatch, algo):
         # u = d is fitted on its own, so a fit there solves only at d, while
         # a scan up to d also makes its sequential fit at d - 1
         _, data = make_data(92, n=100)
-        fits = self._count(monkeypatch, onedim, "fit")
+        fits = self._count(monkeypatch, onedim, "fit_many")
         estimators.response_envelope(data, 6, algo)
-        assert [args[2] for args in fits] == [6]
+        assert [(len(args[0]), args[1]) for args in fits] == [(1, 6)]
         fits.clear()
         estimators.select_dimension_bic(data, "response", 6, algo)
-        assert [args[2] for args in fits] == [5, 6]
+        assert [(len(args[0]), args[1]) for args in fits] == [(1, 5), (1, 6)]
 
     def test_cv_builds_one_kit_and_fit_per_fold(self, monkeypatch):
         _, data = make_data(92, n=100)

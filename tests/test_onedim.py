@@ -13,9 +13,15 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from envest import linalg, onedim, simulate
+from envest import grassmann, linalg, onedim, simulate
 from envest.estimators import covariance_kit
-from envest.errors import EnvestError, InvalidDimension, InvalidInput, NoConvergence
+from envest.errors import (
+    EnvestError,
+    InvalidDimension,
+    InvalidInput,
+    NoConvergence,
+    NotPositiveDefinite,
+)
 from envest.objective import (
     ObjectivePair,
     _d_tilde_gradients,
@@ -483,7 +489,8 @@ def test_fit_many_equals_one_fit_per_problem(u, extra, cap, seed):
         c = rng.standard_normal((d, rng.integers(1, d + 1)))
         problems.append((linalg.symmetrize(a @ a.T + 0.5 * np.eye(d)), linalg.symmetrize(c @ c.T)))
     settings = onedim.OneDimSettings(max_inner_iterations=cap)
-    together = onedim.fit_many(problems, u, settings)
+    pairs = [ObjectivePair.from_m_u(m, c) for m, c in problems]
+    together = onedim.fit_many(pairs, u, settings)
     assert [fit_outcome(r) for r in together] == [alone(m, c, u, settings) for m, c in problems]
     if cap == 0 and max(extra) > 0:  # some random pair has a direction to solve
         assert not isinstance(together[0], EnvestError)
@@ -509,31 +516,40 @@ def test_fit_many_splits_a_batch_across_chunks(monkeypatch):
     monkeypatch.setattr(
         onedim, "_HESSIAN_BATCH_BYTES", 2 * onedim._SCREENED_STARTS * d * d * 8
     )
-    together = onedim.fit_many(problems, u)
+    together = onedim.fit_many([ObjectivePair.from_m_u(m, c) for m, c in problems], u)
     assert [fit_outcome(r) for r in together] == reference
     assert chunks[:3] == [(d, 2), (d, 2), (d, 1)]
     assert max(size for _, size in chunks) <= 2
 
 
 def test_fit_many_keeps_each_problems_error():
-    # a problem that fails its input checks gets its own error; the others
-    # are fitted as alone, and a wall time is shared among all of them
-    inst = simulate.generate_instance(6, 2, 3)
-    bad = np.array([[1.0, 0.5], [0.0, 1.0]])
-    out = onedim.fit_many([(inst.m, inst.u_mat), (bad, np.zeros((2, 2)))], 2)
-    assert fit_outcome(out[0]) == alone(inst.m, inst.u_mat, 2)
-    assert isinstance(out[1], InvalidInput)
+    # a problem too small for u gets InvalidDimension in its own slot, not
+    # a fit with fewer columns than asked; the others are fitted as alone,
+    # and a wall time is shared among all of them
+    insts = [simulate.generate_instance(d, 2, 3) for d in (6, 3, 5)]
+    out = onedim.fit_many([ObjectivePair.from_m_u(i.m, i.u_mat) for i in insts], 4)
+    assert isinstance(out[1], InvalidDimension)
+    assert str(out[1]) == "u must be between 1 and 3, got 4"
+    for k in (0, 2):
+        assert fit_outcome(out[k]) == alone(insts[k].m, insts[k].u_mat, 4)
+    assert out[0].basis.shape == (6, 4)
     assert out[0].wall_time_seconds >= 0.0
 
 
-def test_fit_many_records_an_empty_problems_error():
-    # a 0 x 0 pair fails its input checks with InvalidInput; the batch
-    # goes on and fits the next problem as alone
-    inst = simulate.generate_instance(6, 2, 3)
+def test_fit_many_rejects_u_outside_each_problems_range():
+    # u = 0 fails every problem alike, as onedim.fit does
+    inst = simulate.generate_instance(4, 1, 3)
+    out = onedim.fit_many([ObjectivePair.from_m_u(inst.m, inst.u_mat)] * 2, 0)
+    assert [type(r) for r in out] == [InvalidDimension] * 2
+    assert onedim.fit_many([], 2) == []
+
+
+def test_fit_rejects_an_empty_problem():
+    # onedim.fit checks raw matrices before any pair is built; fit_many
+    # takes pairs, which cannot hold a 0 x 0 matrix
     empty = np.zeros((0, 0))
-    out = onedim.fit_many([(empty, empty), (inst.m, inst.u_mat)], 1)
-    assert isinstance(out[0], InvalidInput)
-    assert fit_outcome(out[1]) == alone(inst.m, inst.u_mat, 1)
+    with pytest.raises(InvalidInput):
+        onedim.fit(empty, empty, 1)
 
 
 class TestDeflation:
@@ -560,8 +576,8 @@ class TestDeflation:
         carried = []
         real = onedim._deflate
 
-        def recording(g0, m_k, u_k, w):
-            out = real(g0, m_k, u_k, w)
+        def recording(g0, pair, w):
+            out = real(g0, pair, w)
             carried.append(out[0])
             return out
 
@@ -597,7 +613,7 @@ class TestFit:
         # ill-conditioned; shifting them anyway stalls starts, and seeds 1, 5
         # and 22 then raise NoConvergence
         insts = [simulate.generate_instance(60, 30, s) for s in range(30)]
-        fits = onedim.fit_many([(inst.m, inst.u_mat) for inst in insts], 30)
+        fits = onedim.fit_many([ObjectivePair.from_m_u(i.m, i.u_mat) for i in insts], 30)
         for inst, fit in zip(insts, fits):
             assert isinstance(fit, onedim.EnvelopeFit)
             assert max(fit.inner_iterations) <= 50
@@ -618,6 +634,14 @@ class TestFit:
         fit = onedim.fit(inst.m, inst.u_mat, 5)
         np.testing.assert_allclose(fit.basis, np.eye(5))
         assert "FullSpace" in fit.diagnostics
+
+    def test_full_dimension_checks_the_pair(self):
+        # u = d solves nothing, but the pair is still built and checked,
+        # as grassmann.fit does
+        m, u_mat = np.diag([1.0, 0.0]), np.zeros((2, 2))
+        for solver in (onedim.fit, grassmann.fit):
+            with pytest.raises(NotPositiveDefinite):
+                solver(m, u_mat, 2)
 
     def test_deterministic(self):
         inst = simulate.generate_instance(7, 3, 202)

@@ -20,7 +20,7 @@ PROPERTY = hypothesis.settings(
 
 
 def solve(algo, m, u_mat, u):
-    (fit,) = estimators._fits([(m, u_mat)], u, algo, None)
+    (fit,) = estimators._fits([ObjectivePair.from_m_u(m, u_mat)], u, algo, None)
     return fit(u)
 
 

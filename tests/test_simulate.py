@@ -452,5 +452,6 @@ class TestBatchedFits:
         assert sizes == [5, 5]
         monkeypatch.setattr(simulate, "_PROBLEMS_PER_BATCH", 2)
         assert run() == together
-        # onedim and fg-warm; the fifth replication is fitted alone, by onedim.fit
+        # onedim and fg-warm; the fifth replication is fitted alone, by a
+        # fit_many call of its one pair
         assert sizes[2:] == [2, 2, 2, 2, 1, 1]

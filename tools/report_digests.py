@@ -7,15 +7,18 @@ work directory and runs a fixed list of CLI commands through
 ``envest.cli.run``.  For each command it prints the command's name, its
 exit code and the sha256 of its JSON report followed by its stderr, with
 the work directory's path masked so that two checkouts can be compared.
-``simulate`` runs also digest their ``--csv-summary`` grid with the
-wall-clock columns blanked.  Run it on two checkouts and diff the output:
-equal tables mean equal reports.
+A second sha256 follows: the same digest with the report's J fields
+(``objective``, ``score`` and ``final_objective``) removed, so that a
+change that moves only J keeps it.  ``simulate`` runs also digest their
+``--csv-summary`` grid with the wall-clock columns blanked.  Run it on two
+checkouts and diff the output: equal tables mean equal reports.
 """
 
 import contextlib
 import csv
 import hashlib
 import io
+import json
 import shutil
 import sys
 import tempfile
@@ -31,6 +34,8 @@ KINDS_WITH_X = ("response", "partial", "predictor")
 DIMENSION = {"response": R, "partial": R, "predictor": P, "mean": R, "constrained-mean": R - 1}
 ALGOS = ("onedim", "fg", "fg-warm")
 TIMING_COLUMNS = ("mean_time_seconds", "se_time_seconds")
+# the report fields that hold a value of the objective J
+J_FIELDS = ("objective", "score", "final_objective")
 
 
 def load_cli(checkout):
@@ -163,6 +168,21 @@ def untimed_csv(path):
     return "".join(",".join(row) + "\n" for row in rows).encode()
 
 
+def without_j(body):
+    """The JSON report body with every J field removed, re-serialized."""
+    if not body:
+        return body
+
+    def strip(node):
+        if isinstance(node, dict):
+            return {k: strip(v) for k, v in node.items() if k not in J_FIELDS}
+        if isinstance(node, list):
+            return [strip(v) for v in node]
+        return node
+
+    return json.dumps(strip(json.loads(body))).encode()
+
+
 def digest(*parts, mask):
     h = hashlib.sha256()
     for part in parts:
@@ -188,7 +208,9 @@ def main(argv):
             with contextlib.redirect_stderr(err):
                 code = cli.run(args)
             body = report.read_bytes() if report.exists() else b""
-            print(f"{name} {code} {digest(body, err.getvalue().encode(), mask=str(work))}")
+            stderr = err.getvalue().encode()
+            full = digest(body, stderr, mask=str(work))
+            print(f"{name} {code} {full} {digest(without_j(body), stderr, mask=str(work))}")
             if grid.exists():
                 print(f"{name}.csv {code} {digest(untimed_csv(grid), mask=str(work))}")
     finally:

@@ -4,8 +4,8 @@ Usage: python3 tools/solver_counts.py CHECKOUT
 
 Imports envest from CHECKOUT/src and the benchmark workloads from
 CHECKOUT/benchmarks, wraps the solver's kernels in ``envest.onedim`` and
-the trust-region loop of ``envest.grassmann`` with counters and runs three
-sets of fits:
+the trust-region loop of ``envest.grassmann`` and the build of an
+``ObjectivePair`` with counters and runs three sets of fits:
 
 * ``population``: ``onedim.fit`` at u = 10 on ``generate_instance(30, 10, s)``
   for seeds 0-16;
@@ -19,6 +19,8 @@ rows in it, so that the tables of two checkouts compare whether or not they
 batch problems together.  For each set it
 prints one line per count:
 
+* ``pair_builds``: ``ObjectivePair`` builds (``ObjectivePair._build``, two
+  d x d eigendecompositions each), by the estimators and the solvers alike;
 * ``directions``: direction solves with more than one coordinate;
 * ``candidates``: their eigenvector starts, 2(d - k) for a direction in
   d - k coordinates;
@@ -45,8 +47,9 @@ prints one line per count:
   by the line search giving up (inferred from the line-search calls: the
   rows a search rejects); ``capped_directions``: direction solves that ran
   to the iteration cap;
-* ``fg_fits`` and ``fg_iterations``: calls of ``grassmann.fit`` and their
-  trust-region iterations, as each fit reports them;
+* ``fg_fits`` and ``fg_iterations``: fits that reach the trust-region
+  loop, ``grassmann._fit`` (``grassmann.fit`` in a checkout without it), and
+  their trust-region iterations, as each fit reports them;
 * ``fg_newton_steps``: trust-region steps (one per iteration, plus the step
   whose predicted decrease stops a fit as ``Roundoff``) that are the
   Cholesky-certified Newton step, with no call of ``_trust_region_step``;
@@ -82,11 +85,13 @@ def problems(owner):
 
 
 class Counts:
-    """Counters installed around ``envest.onedim``'s kernels and ``grassmann.fit``."""
+    """Counters installed around ``envest.onedim``'s kernels, the grassmann
+    trust-region loop and ``ObjectivePair._build``."""
 
     def __init__(self, onedim, grassmann):
         self.c = Counter()
         self._count_fg(grassmann)
+        self._count_pair_builds(onedim.ObjectivePair)
         self.in_search = False
         self.iterations_here = Counter()  # per problem of the current lockstep
         self.first_gradients = False
@@ -167,9 +172,20 @@ class Counts:
             pairs, settings, lambda: real_lockstep(pairs, settings)
         )
 
+    def _count_pair_builds(self, pair_class):
+        real_build = pair_class._build.__func__
+
+        def build(cls, *args):
+            self.c["pair_builds"] += 1
+            return real_build(cls, *args)
+
+        pair_class._build = classmethod(build)
+
     def _count_fg(self, grassmann):
         np = grassmann.np
-        real_fit = grassmann.fit
+        # the trust-region loop takes a pair in ``_fit``; ``fit`` held it before
+        core = "_fit" if hasattr(grassmann, "_fit") else "fit"
+        real_fit = getattr(grassmann, core)
         real_model = grassmann._tangent_model
         real_step = grassmann._trust_region_step
         real_eigh = np.linalg.eigh
@@ -201,7 +217,7 @@ class Counts:
             self.c["fg_steps"] += iterations + ("Roundoff" in result.diagnostics)
             return result
 
-        grassmann.fit = fit
+        setattr(grassmann, core, fit)
         grassmann._tangent_model = tangent_model
         grassmann._trust_region_step = trust_region_step
 
@@ -210,7 +226,7 @@ class Counts:
         c["stop_gradient"] = c["starts"] - c["stop_resolved"] - c["stop_stalled"]
         c["fg_newton_steps"] = c["fg_steps"] - c["fg_eigen_steps"]
         keys = (
-            "directions", "candidates", "starts", "iterations", "lockstep_batches",
+            "pair_builds", "directions", "candidates", "starts", "iterations", "lockstep_batches",
             "hessian_rows", "cholesky_calls", "eigvalsh_batches", "eigvalsh_rows",
             "d_kernel_calls", "d_kernel_rows", "newton_searches", "line_search_d_calls",
             "long_steps", "stop_gradient", "stop_resolved", "stop_stalled",
