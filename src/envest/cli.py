@@ -368,6 +368,9 @@ def _cmd_simulate(args):
     if args.reps < 0:
         raise _UsageError("reps must be nonnegative")
     algos = list(args.algo) if args.algo else ["onedim"]
+    for algo in algos:
+        if algos.count(algo) > 1:
+            raise _UsageError(f"--algo {algo} is given more than once")
     if args.mode == "sample":
         if args.n is None:
             raise _UsageError("--n is required for sample mode")

@@ -19,24 +19,29 @@ Covariances use divisor n throughout.  The constrained-mean kind forces the
 mean deviations to sum to zero, so the fit runs inside the orthogonal
 complement of the all-ones direction and the basis is mapped back up.
 
-Each estimator checks its kind in ``_problem_dimension``, builds its
-matrices in ``_kind_pair`` and, in ``_checked_pair``, checks them and
-builds the problem's one ``ObjectivePair``, which both solvers fit and J
-scores.  It fits the pair with ``_basis_scans`` and assembles its
-estimates.  A dimension scan (BIC, and cross-validation on each fold)
-builds and checks its pair once and scans it the same way.  Every fit goes
-through ``_fits``, the only caller of the solvers, which hands the pair to
-their cores, ``onedim.fit_many`` and ``grassmann._fit``.  No estimator
-calls ``onedim.fit`` or ``grassmann.fit``, so a wrapper on either sees no
+Every estimate takes one path, samples -> ``_kind_scans`` -> ``_fits`` ->
+``_estimate``:
+
+* ``_kind_scans`` builds each sample's matrices (``_kind_pair``), checks
+  them and builds the problem's one ``ObjectivePair`` (``_checked_pair``);
+* ``_fits`` fits every pair, scores the J of each basis on its pair and
+  returns one scan per pair, u -> (basis fit, J);
+* ``_estimate`` assembles kind's estimates from a sample's moments and its
+  fit at u.
+
+The samples of one call are fitted together: the folds of a
+cross-validation and, in ``simulate``, bootstrap replicates (the
+replications of an experiment enter at ``_fits`` with their pairs).  A
+single fit and a BIC scan are the batch of one sample (``_one_scan``).
+``_fits`` is the only caller of the solvers and hands the pairs to their
+cores, ``onedim.fit_many`` and ``grassmann._fit``; no estimator calls
+``onedim.fit`` or ``grassmann.fit``, so a wrapper on either sees no
 estimator fit.  The sequential solver finds each direction given the ones
 before it, so its fit at u is the first u columns of its fit at any larger
 u: with onedim or fg-warm, one sequential fit serves every candidate u < d
-of a scan.  fg-warm is that sequential fit refined by the Grassmann optimizer.
-Problems of one size that are fitted side by side, the folds of a
-cross-validation and (in ``simulate``) bootstrap replicates and experiment
-replications, are scanned together by ``_kind_scans`` or ``_fits``: their
-sequential fits are made by one ``onedim.fit_many`` call, which solves
-their directions in lockstep.
+of a scan, and one ``onedim.fit_many`` call makes those of every sample,
+solving their directions in lockstep.  fg-warm is that sequential fit
+refined by the Grassmann optimizer.
 """
 
 from dataclasses import dataclass, field, replace
@@ -111,17 +116,18 @@ def solver_settings(algo, gradient_tol=None, max_iterations=None):
     return replace(ALGORITHMS[algo], **changes)
 
 
-def _fits(pairs, top, algo, settings):
-    """For each ObjectivePair in pairs, all of one size d: u -> basis fit of
-    ``algo``, for u = 1..top.
+def _fits(checked, top, algo, settings):
+    """One scan per (ObjectivePair, flags) in checked, the pairs all of one
+    size d: u -> (basis fit of ``algo``, its J on the pair), for u = 1..top.
 
     This is the only caller of the solvers, and it looks them up on their
     modules at every call.  It calls the cores that take a pair,
     ``onedim.fit_many`` and ``grassmann._fit``: a wrapper on either sees
     every fit, while one on ``onedim.fit`` or ``grassmann.fit`` sees none,
     since those only check and build a pair of matrices for their core.
-    settings sets the solver's tolerance and cap; None means the preset of
-    ``algo``.
+    It is also the only place where the package scores the J of a fitted
+    basis.  Each fit carries its pair's flags after its own.  settings sets
+    the solver's tolerance and cap; None means the preset of ``algo``.
 
     fg fits every u of every pair from its own scan start.  onedim makes
     one sequential fit at min(top, d - 1) per pair, when the first u < d is
@@ -138,8 +144,7 @@ def _fits(pairs, top, algo, settings):
     _check_algorithm(algo)
     if settings is None:
         settings = solver_settings(algo)
-    if algo == "fg":
-        return [lambda u, pair=pair: grassmann._fit(pair, u, settings) for pair in pairs]
+    pairs = [pair for pair, _ in checked]
     warm = algo == "fg-warm"
     sequential = ALGORITHMS["onedim"] if warm else settings
     shared = []  # per pair, its sequential fit or the error that stopped it
@@ -155,18 +160,22 @@ def _fits(pairs, top, algo, settings):
             raise outcome
         return whole.leading(u)
 
-    def fits(i, pair):
+    def scan(i, pair, flags):
         def fit(u):
-            basis_fit = sequential_fit(i, u)
-            if not warm:
-                return basis_fit
-            refined = grassmann._fit(pair, u, replace(settings, start_strategy=basis_fit.basis))
-            refined.wall_time_seconds += basis_fit.wall_time_seconds
-            return refined
+            if algo == "fg":
+                basis_fit = grassmann._fit(pair, u, settings)
+            else:
+                basis_fit = sequential_fit(i, u)
+            if warm:
+                start = basis_fit
+                basis_fit = grassmann._fit(pair, u, replace(settings, start_strategy=start.basis))
+                basis_fit.wall_time_seconds += start.wall_time_seconds
+            basis_fit.diagnostics.extend(flags)
+            return basis_fit, float(j_value(pair, basis_fit.basis))
 
         return fit
 
-    return [fits(i, pair) for i, pair in enumerate(pairs)]
+    return [scan(i, pair, flags) for i, (pair, flags) in enumerate(checked)]
 
 
 def _sample_matrix(a, name):
@@ -311,25 +320,6 @@ def _checked_pair(m, m_plus_u):
         return ObjectivePair.from_m_u(symmetrize(m + ridge * np.eye(d)), u_hat), ["Ridged"]
 
 
-def _basis_scans(checked, top, algo, settings):
-    """fit(u) -> (basis fit, objective) for u = 1..top, one per _checked_pair.
-
-    The fits are those of _fits, made together for all the pairs, with each
-    pair's flags added and the objective scored on the pair they fitted.
-    """
-    fits = _fits([pair for pair, _ in checked], top, algo, settings)
-
-    def scan(fits, pair, diagnostics):
-        def fit(u):
-            basis_fit = fits(u)
-            basis_fit.diagnostics.extend(diagnostics)
-            return basis_fit, float(j_value(pair, basis_fit.basis))
-
-        return fit
-
-    return [scan(f, pair, diagnostics) for f, (pair, diagnostics) in zip(fits, checked)]
-
-
 def _problem_dimension(kind, data, p1=None):
     """Dimension d of kind's problem on data, after the checks of kind, x and p1."""
     if kind not in KINDS:
@@ -349,9 +339,10 @@ def _problem_dimension(kind, data, p1=None):
 def _kind_pair(kind, data, p1=None):
     """(M, M + U) of kind's problem on data, plus the moments its assembly reads.
 
-    The moments are the covariance kit for the regression kinds, (ybar, S_Y)
-    for the mean and (ybar, S_Y, B0) for the constrained mean, whose reduced
-    pair lives in span(B0).  kind, data and p1 must pass _problem_dimension.
+    The moments are the covariance kit for the regression kinds and
+    (ybar, S_Y, B0) for the mean kinds: B0 is None for the mean, and for the
+    constrained mean spans the complement of 1, where its reduced pair
+    lives.  kind, data and p1 must pass _problem_dimension.
     """
     if kind in KINDS_WITH_X:
         kit = covariance_kit(data)
@@ -364,7 +355,7 @@ def _kind_pair(kind, data, p1=None):
         return kit.s_y_given_x, kit2.s_y_given_x, kit
     ym, _, s_y = _moments(data.y)
     if kind == "mean":
-        return s_y, symmetrize(s_y + np.outer(ym, ym)), (ym, s_y)
+        return s_y, symmetrize(s_y + np.outer(ym, ym)), (ym, s_y, None)
     r = ym.shape[0]
     ones = np.ones((r, 1)) / np.sqrt(r)
     b0 = orthonormal_complement(ones)  # r x (r-1); B0'Q1 = B0'
@@ -373,60 +364,19 @@ def _kind_pair(kind, data, p1=None):
     return m_red, symmetrize(m_red + np.outer(mu_red, mu_red)), (ym, s_y, b0)
 
 
-def _fit_kind_pair(kind, data, u, algo, settings, p1=None):
-    """(moments, basis fit, objective) of kind's pair, after the checks."""
-    _require_dimension(u, _problem_dimension(kind, data, p1))
-    m, m_plus_u, moments = _kind_pair(kind, data, p1)
-    (scan,) = _basis_scans([_checked_pair(m, m_plus_u)], u, algo, settings)
-    return (moments, *scan(u))
-
-
 def _split_covariance(s, p_g, q_g):
     """P S P + Q S Q: S with its blocks between span(P) and span(Q) dropped."""
     return symmetrize(p_g @ s @ p_g + q_g @ s @ q_g)
 
 
-def response_envelope(data, u, algo="onedim", settings=None):
-    """Envelope for the response space of Y = alpha + beta X + error.
+def _regression_estimate(kind, kit, fit, objective, p1):
+    """The response or partial envelope of a fitted basis, from its sample's
+    covariance kit.
 
-    M = S_{Y|X}, M + U = S_Y.  The coefficient estimate projects ordinary
-    least squares onto the fitted span, and the error covariance estimate
-    is P S_{Y|X} P + Q S_{Y|X} Q with P the span projector and Q = I - P.
+    The coefficients of the first p1 predictors are projected onto the
+    fitted span and the rest are reported as least squares gives them; p1 =
+    None projects every predictor's, which is the response envelope.
     """
-    return _response_estimate(*_fit_kind_pair("response", data, u, algo, settings))
-
-
-def _response_estimate(kit, fit, objective):
-    """The response envelope of a fitted basis, from its sample's covariance kit."""
-    gamma = fit.basis
-    p_g = gamma @ gamma.T
-    q_g = np.eye(kit.s_y.shape[0]) - p_g
-    beta_ols = kit.beta_ols
-    beta_env = p_g @ beta_ols
-    return EnvelopeRegressionFit(
-        kind="response",
-        fit=fit,
-        beta_env=beta_env,
-        beta_ols=beta_ols,
-        sigma_env=_split_covariance(kit.s_y_given_x, p_g, q_g),
-        alpha_hat=kit.y_mean - beta_env @ kit.x_mean,
-        objective=objective,
-    )
-
-
-def partial_envelope(data, p1, u, algo="onedim", settings=None):
-    """Envelope for the coefficients of the first p1 predictors only.
-
-    The pair is M = S_{Y|X} and M + U = S_{Y|X2}, X2 being the remaining
-    predictors, which equals the response-envelope pair computed from the
-    residuals of Y and X1 on X2.  Only the X1 coefficient block is
-    projected; the X2 block is reported untouched inside beta_ols.
-    """
-    return _partial_estimate(*_fit_kind_pair("partial", data, u, algo, settings, p1), p1)
-
-
-def _partial_estimate(kit, fit, objective, p1):
-    """The partial envelope of a fitted basis, from its sample's covariance kit."""
     gamma = fit.basis
     p_g = gamma @ gamma.T
     q_g = np.eye(kit.s_y.shape[0]) - p_g
@@ -434,27 +384,16 @@ def _partial_estimate(kit, fit, objective, p1):
     beta_env = p_g @ beta_ols[:, :p1]
     beta_full = beta_ols.copy()
     beta_full[:, :p1] = beta_env
-    alpha = kit.y_mean - beta_full @ kit.x_mean
     return EnvelopeRegressionFit(
-        kind="partial",
+        kind=kind,
         fit=fit,
         beta_env=beta_env,
         beta_ols=beta_ols,
         sigma_env=_split_covariance(kit.s_y_given_x, p_g, q_g),
-        alpha_hat=alpha,
+        alpha_hat=kit.y_mean - beta_full @ kit.x_mean,
         objective=objective,
         p1=p1,
     )
-
-
-def predictor_envelope(data, u, algo="onedim", settings=None):
-    """Envelope in the predictor space (the regression analogue of PLS).
-
-    M = S_{X|Y}, M + U = S_X.  The coefficient matrix is post-multiplied by
-    the transpose of the S_X-metric projection onto the fitted span, which
-    collapses immaterial predictor variation out of the estimate.
-    """
-    return _predictor_estimate(*_fit_kind_pair("predictor", data, u, algo, settings))
 
 
 def _predictor_estimate(kit, fit, objective):
@@ -473,30 +412,116 @@ def _predictor_estimate(kit, fit, objective):
     )
 
 
+def _mean_estimate(kind, moments, fit, objective):
+    """The mean or constrained mean envelope of a fitted basis, from its
+    sample's (ybar, S_Y, B0).
+
+    B0 is None for the mean.  For the constrained mean the basis was fitted
+    in span(B0) and is mapped up as B0 Gamma, orthonormal and orthogonal to
+    1, and both the classical mean and the complement of the fitted span are
+    taken within the constrained space, the image of Q1 = I - 11'/r.
+    """
+    ym, s_y, b0 = moments
+    r = ym.shape[0]
+    if b0 is None:
+        q, mean = np.eye(r), ym
+    else:
+        fit.basis = b0 @ fit.basis
+        q = np.eye(r) - np.ones((r, r)) / r
+        mean = q @ ym
+    gamma = fit.basis
+    p_g = gamma @ gamma.T
+    return EnvelopeRegressionFit(
+        kind=kind,
+        fit=fit,
+        beta_env=(p_g @ ym)[:, None],
+        beta_ols=mean[:, None],
+        sigma_env=_split_covariance(s_y, p_g, q - p_g),
+        alpha_hat=ym,
+        objective=objective,
+    )
+
+
+def _kind_scans(kind, samples, top, algo, settings, p1=None):
+    """kind's (moments, scan) on each sample, or the package error that stopped it.
+
+    samples are zero-argument callables that build one RegressionData each;
+    the scans are those of ``_fits``, their fits made together.  kind and p1
+    must pass ``_problem_dimension`` for the samples.
+    """
+    built = []
+    for sample in samples:
+        try:
+            m, m_plus_u, moments = _kind_pair(kind, sample(), p1)
+            built.append((moments, _checked_pair(m, m_plus_u)))
+        except EnvestError as exc:  # this sample's pair fails every u alike
+            built.append(exc)
+    ok = [b for b in built if not isinstance(b, EnvestError)]
+    scans = iter(_fits([checked for _, checked in ok], top, algo, settings))
+    return [b if isinstance(b, EnvestError) else (b[0], next(scans)) for b in built]
+
+
+def _one_scan(kind, data, top, algo, settings, p1=None, name="u"):
+    """kind's (moments, scan) on data alone, up to top: ``_kind_scans`` of one
+    sample, after the checks of kind, p1 and top, raising its pair's error."""
+    _require_dimension(top, _problem_dimension(kind, data, p1), name)
+    (scanned,) = _kind_scans(kind, [lambda: data], top, algo, settings, p1)
+    if isinstance(scanned, EnvestError):
+        raise scanned
+    return scanned
+
+
+def _estimate(kind, moments, scan, u, p1=None):
+    """kind's estimator at u from a (moments, scan) of ``_kind_scans``; p1 is
+    read for the partial kind only."""
+    fit, objective = scan(u)
+    if kind == "predictor":
+        return _predictor_estimate(moments, fit, objective)
+    if kind == "response":
+        p1 = None  # every predictor's coefficients are projected
+    if kind in KINDS_WITH_X:
+        return _regression_estimate(kind, moments, fit, objective, p1)
+    return _mean_estimate(kind, moments, fit, objective)
+
+
+def response_envelope(data, u, algo="onedim", settings=None):
+    """Envelope for the response space of Y = alpha + beta X + error.
+
+    M = S_{Y|X}, M + U = S_Y.  The coefficient estimate projects ordinary
+    least squares onto the fitted span, and the error covariance estimate
+    is P S_{Y|X} P + Q S_{Y|X} Q with P the span projector and Q = I - P.
+    """
+    return _estimate("response", *_one_scan("response", data, u, algo, settings), u)
+
+
+def partial_envelope(data, p1, u, algo="onedim", settings=None):
+    """Envelope for the coefficients of the first p1 predictors only.
+
+    The pair is M = S_{Y|X} and M + U = S_{Y|X2}, X2 being the remaining
+    predictors, which equals the response-envelope pair computed from the
+    residuals of Y and X1 on X2.  Only the X1 coefficient block is
+    projected; the X2 block is reported untouched inside beta_ols.
+    """
+    return _estimate("partial", *_one_scan("partial", data, u, algo, settings, p1), u, p1)
+
+
+def predictor_envelope(data, u, algo="onedim", settings=None):
+    """Envelope in the predictor space (the regression analogue of PLS).
+
+    M = S_{X|Y}, M + U = S_X.  The coefficient matrix is post-multiplied by
+    the transpose of the S_X-metric projection onto the fitted span, which
+    collapses immaterial predictor variation out of the estimate.
+    """
+    return _estimate("predictor", *_one_scan("predictor", data, u, algo, settings), u)
+
+
 def mean_envelope(y, u, algo="onedim", settings=None):
     """Envelope for a multivariate mean: M = S_Y, U = ybar ybar'.
 
     The projected mean lands in beta_env's single column; alpha_hat is the
     raw sample mean for reference.
     """
-    return _mean_estimate(*_fit_kind_pair("mean", RegressionData(None, y), u, algo, settings))
-
-
-def _mean_estimate(moments, fit, objective):
-    """The mean envelope of a fitted basis, from its sample's (ybar, S_Y)."""
-    ym, s_y = moments
-    gamma = fit.basis
-    p_g = gamma @ gamma.T
-    q_g = np.eye(ym.shape[0]) - p_g
-    return EnvelopeRegressionFit(
-        kind="mean",
-        fit=fit,
-        beta_env=(p_g @ ym)[:, None],
-        beta_ols=ym[:, None],
-        sigma_env=_split_covariance(s_y, p_g, q_g),
-        alpha_hat=ym,
-        objective=objective,
-    )
+    return _estimate("mean", *_one_scan("mean", RegressionData(None, y), u, algo, settings), u)
 
 
 def constrained_mean_envelope(y, u, algo="onedim", settings=None):
@@ -507,31 +532,8 @@ def constrained_mean_envelope(y, u, algo="onedim", settings=None):
     the complement of span(1) and the (r-1)-dimensional result is mapped
     back as B0 Gamma.  u can be at most r - 1.
     """
-    data = RegressionData(None, y)
-    return _constrained_mean_estimate(
-        *_fit_kind_pair("constrained-mean", data, u, algo, settings)
-    )
-
-
-def _constrained_mean_estimate(moments, fit, objective):
-    """The constrained mean envelope of a basis fitted in span(B0), from its
-    sample's (ybar, S_Y, B0)."""
-    ym, s_y, b0 = moments
-    gamma = b0 @ fit.basis  # r x u, orthonormal and orthogonal to 1
-    fit.basis = gamma
-    r = ym.shape[0]
-    p_g = gamma @ gamma.T
-    q1 = np.eye(r) - np.ones((r, r)) / r
-    q_g = q1 - p_g  # complement within the constrained space
-    return EnvelopeRegressionFit(
-        kind="constrained-mean",
-        fit=fit,
-        beta_env=(p_g @ ym)[:, None],
-        beta_ols=(q1 @ ym)[:, None],
-        sigma_env=_split_covariance(s_y, p_g, q_g),
-        alpha_hat=ym,
-        objective=objective,
-    )
+    scanned = _one_scan("constrained-mean", RegressionData(None, y), u, algo, settings)
+    return _estimate("constrained-mean", *scanned, u)
 
 
 def _fit_by_kind(kind, data, u, algo, settings, p1=None):
@@ -550,38 +552,6 @@ def _fit_by_kind(kind, data, u, algo, settings, p1=None):
     if kind == "mean":
         return mean_envelope(data.y, u, algo, settings)
     return constrained_mean_envelope(data.y, u, algo, settings)
-
-
-def _kind_scans(kind, samples, top, algo, settings, p1=None):
-    """kind's (moments, scan) on each sample, or the package error that stopped it.
-
-    samples are zero-argument callables that build one RegressionData each;
-    the scans are those of _basis_scans, their fits made together.  kind
-    and p1 must pass _problem_dimension for the samples.
-    """
-    built = []
-    for sample in samples:
-        try:
-            m, m_plus_u, moments = _kind_pair(kind, sample(), p1)
-            built.append((moments, _checked_pair(m, m_plus_u)))
-        except EnvestError as exc:  # this sample's pair fails every u alike
-            built.append(exc)
-    ok = [b for b in built if not isinstance(b, EnvestError)]
-    scans = iter(_basis_scans([checked for _, checked in ok], top, algo, settings))
-    return [b if isinstance(b, EnvestError) else (b[0], next(scans)) for b in built]
-
-
-def _estimate(kind, moments, scan, u, p1=None):
-    """kind's estimator at u from a (moments, scan) of ``_kind_scans``."""
-    if kind == "partial":
-        return _partial_estimate(moments, *scan(u), p1)
-    assemble = {
-        "response": _response_estimate,
-        "predictor": _predictor_estimate,
-        "mean": _mean_estimate,
-        "constrained-mean": _constrained_mean_estimate,
-    }[kind]
-    return assemble(moments, *scan(u))
 
 
 @dataclass
@@ -624,14 +594,12 @@ def select_dimension_bic(data, kind, u_max, algo="onedim", settings=None, p1=Non
     has one entry per candidate u (NaN when that fit failed); every
     candidate failing raises AllFitsFailed.
     """
+    _, scan = _one_scan(kind, data, u_max, algo, settings, p1, "u_max")
     d = _problem_dimension(kind, data, p1)
-    _require_dimension(u_max, d, "u_max")
-    m, m_plus_u, _ = _kind_pair(kind, data, p1)
-    (fits,) = _basis_scans([_checked_pair(m, m_plus_u)], u_max, algo, settings)
     n = data.n
 
     def score(u):
-        _, objective = fits(u)
+        _, objective = scan(u)
         return n * objective + np.log(n) * u * (d - u)
 
     return _select(u_max, score)

@@ -88,9 +88,9 @@ def _scan(pair, u):
     d = pair.dim
     if u == d:
         return np.eye(d)
-    cands = np.concatenate(
-        [pair.m_eigenvectors.T, pair.m_plus_u_eigenvectors.T], axis=0
-    )
+    # column-major: the bits of basis.T @ cands[i] depend on the row's
+    # stride, and the fg reports pin the scan to this layout
+    cands = np.asfortranarray(pair.candidates)
     basis = np.zeros((d, 0))
     used = np.zeros(cands.shape[0], dtype=bool)
     for _ in range(u):

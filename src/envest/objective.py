@@ -67,8 +67,10 @@ class ObjectivePair:
     A problem has one pair, built and checked once: J and both solvers read
     the same immutable instance.  ``u`` is U itself, which the sequential
     solver compresses with M onto each complement (``from_pair`` derives it
-    as M+U - M).  The eigenvector blocks (descending eigenvalue order, signs
-    pinned) feed the candidate-start and eigenvector-scan machinery.
+    as M+U - M).  ``candidates`` holds the starts of both solvers, one per
+    row: the d eigenvectors of M and then the d of M+U, each in descending
+    eigenvalue order with signs pinned, stored row-major, since the rounding
+    of the batched kernels depends on the layout.
     """
 
     m: np.ndarray
@@ -77,8 +79,7 @@ class ObjectivePair:
     m_plus_u_inv: np.ndarray
     m_plus_u_logdet: float
     dim: int
-    m_eigenvectors: np.ndarray | None = None
-    m_plus_u_eigenvectors: np.ndarray | None = None
+    candidates: np.ndarray
 
     @classmethod
     def from_m_u(cls, m, u):
@@ -113,8 +114,9 @@ class ObjectivePair:
             m_plus_u_inv=inv,
             m_plus_u_logdet=logdet,
             dim=m.shape[0],
-            m_eigenvectors=fix_column_signs(vecs_m[:, ::-1]),
-            m_plus_u_eigenvectors=fix_column_signs(vecs_s[:, ::-1]),
+            candidates=np.ascontiguousarray(np.concatenate(
+                [fix_column_signs(vecs_m[:, ::-1]).T, fix_column_signs(vecs_s[:, ::-1]).T]
+            )),
         )
 
 
@@ -222,37 +224,40 @@ def _one_pair(m, n, owner):
     return m, n, owner
 
 
-def _row_products(m, n, w, owner=None):
-    """w M and w N at the rows of w.
+def _quadratic_forms(m, n, w, owner=None):
+    """The one pass of w M and w N that D and its derivatives share.
 
-    With ``owner``, m and n stack one matrix per pair and row i of w belongs
-    to pair owner[i], the rows of a pair being consecutive.  Each pair's
-    products are taken on its own block of rows: the bits of a
-    (k, d) @ (d, d) product depend on k, so a row's products are then those
-    of a batch holding its pair's rows alone.  Every other step of the D
-    kernels works row by row, with bits that do not depend on the batch.
+    Returns (wM, wN, qm, qn, qw) at the rows of w, with qm = w'Mw, qn = w'Nw
+    and qw = w'w per row.  With ``owner``, m and n stack one matrix per pair
+    and row i of w belongs to pair owner[i], the rows of a pair being
+    consecutive.  Each pair's products are taken on its own block of rows:
+    the bits of a (k, d) @ (d, d) product depend on k, so a row's products
+    are then those of a batch holding its pair's rows alone.  Every other
+    step of the D kernels works row by row, with bits that do not depend on
+    the batch.
     """
     m, n, owner = _one_pair(m, n, owner)
     if owner is None:
-        return w @ m, w @ n
-    wm = np.empty_like(w)
-    wn = np.empty_like(w)
-    cuts = (np.flatnonzero(owner[1:] != owner[:-1]) + 1).tolist()
-    for lo, hi in zip([0, *cuts], [*cuts, len(owner)]):
-        wm[lo:hi] = w[lo:hi] @ m[owner[lo]]
-        wn[lo:hi] = w[lo:hi] @ n[owner[lo]]
-    return wm, wn
+        wm, wn = w @ m, w @ n
+    else:
+        wm = np.empty_like(w)
+        wn = np.empty_like(w)
+        cuts = (np.flatnonzero(owner[1:] != owner[:-1]) + 1).tolist()
+        for lo, hi in zip([0, *cuts], [*cuts, len(owner)]):
+            wm[lo:hi] = w[lo:hi] @ m[owner[lo]]
+            wn[lo:hi] = w[lo:hi] @ n[owner[lo]]
+    qm = np.einsum("ij,ij->i", wm, w)
+    qn = np.einsum("ij,ij->i", wn, w)
+    qw = np.einsum("ij,ij->i", w, w)
+    return wm, wn, qm, qn, qw
 
 
 def _d_tilde_values(m, n, w, owner=None):
     """D values at the rows of w, n being (M+U)^{-1}; non-finite become +inf.
 
-    ``owner`` is that of ``_row_products``, as in every D kernel.
+    ``owner`` is that of ``_quadratic_forms``, as in every D kernel.
     """
-    wm, wn = _row_products(m, n, w, owner)
-    qm = np.einsum("ij,ij->i", wm, w)
-    qn = np.einsum("ij,ij->i", wn, w)
-    qw = np.einsum("ij,ij->i", w, w)
+    _, _, qm, qn, qw = _quadratic_forms(m, n, w, owner)
     with np.errstate(divide="ignore", invalid="ignore"):
         out = np.log(qm) + np.log(qn) - 2.0 * np.log(qw)
     out[~np.isfinite(out)] = np.inf
@@ -260,15 +265,12 @@ def _d_tilde_values(m, n, w, owner=None):
 
 
 def _d_tilde_terms(m, n, w, owner=None):
-    """The one pass of w M and w N that D's derivatives at the rows of w share.
+    """What D's derivatives at the rows of w share, from ``_quadratic_forms``.
 
-    Returns (a, b, qm, qn, qw) with a = M w / qm, b = N w / qn, qm = w'Mw,
-    qn = w'Nw and qw = w'w per row, n being (M+U)^{-1}.
+    Returns (a, b, qm, qn, qw) with a = M w / qm and b = N w / qn per row, n
+    being (M+U)^{-1}.
     """
-    wm, wn = _row_products(m, n, w, owner)
-    qm = np.einsum("ij,ij->i", wm, w)
-    qn = np.einsum("ij,ij->i", wn, w)
-    qw = np.einsum("ij,ij->i", w, w)
+    wm, wn, qm, qn, qw = _quadratic_forms(m, n, w, owner)
     return wm / qm[:, None], wn / qn[:, None], qm, qn, qw
 
 

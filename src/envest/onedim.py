@@ -67,9 +67,9 @@ every pair still running are rows of the same array: a Newton iteration
 pays its numpy calls once for all of them.  Only the row products w M and
 w N are taken per pair, on that pair's rows, since the bits of a
 (k, d) @ (d, d) product depend on k; every other kernel works row by row
-(``objective._row_products``).  Each pair therefore gets the answer it gets
-alone, bit for bit, and ``fit`` is ``fit_many`` of one pair.  Pairs are
-taken in chunks that keep a batch of tangent Hessians within
+(``objective._quadratic_forms``).  Each pair therefore gets the answer it
+gets alone, bit for bit, and ``fit`` is ``fit_many`` of one pair.  Pairs
+are taken in chunks that keep a batch of tangent Hessians within
 ``_HESSIAN_BATCH_BYTES``.
 
 After each direction, the complement and the compressed pair are carried
@@ -274,11 +274,7 @@ def _lockstep(pairs, settings):
     dim = pairs[0].dim
     starts = []
     for pair in pairs:
-        # one row per start, stored row-major: the rounding of the batched
-        # kernels depends on the layout
-        w = np.ascontiguousarray(
-            np.concatenate([pair.m_eigenvectors.T, pair.m_plus_u_eigenvectors.T], axis=0)
-        )
+        w = pair.candidates
         f = _d_tilde_values(pair.m, pair.m_plus_u_inv, w)
         if w.shape[0] > _SCREENED_STARTS:
             # screen: keep the starts with the lowest D, in candidate order

@@ -37,7 +37,7 @@ from .linalg import (
     symmetrize,
     _require_symmetric,
 )
-from .objective import ObjectivePair, _require_dimension, j_value
+from .objective import ObjectivePair, _require_dimension
 
 __all__ = [
     "GeneratedInstance",
@@ -246,17 +246,21 @@ def _experiment(mode, d, u, n, replications, algo_set, seed, first, problem):
 
     Replication i has seed ``first + i``; ``problem(rep_seed)`` gives the
     ObjectivePair that every algorithm fits and J is scored on, and the
-    true envelope basis.  Package errors are recorded on the affected
-    record, never raised; a failed problem or pair build is recorded on
-    every algorithm's record of the replication.  Replications are built in
-    batches of ``_PROBLEMS_PER_BATCH``, and each algorithm fits a batch's
-    problems together (see ``estimators._fits``).
+    true envelope basis.  An algorithm named twice raises InvalidInput,
+    since it would fit and count every replication twice.  Package errors
+    are recorded on the affected record, never raised; a failed problem or
+    pair build is recorded on every algorithm's record of the replication.
+    Replications are built in batches of ``_PROBLEMS_PER_BATCH``, and each
+    algorithm fits a batch's problems together and scores their J in
+    ``estimators._fits``.
     """
     algos = list(algo_set)
     if not algos:
         raise InvalidInput("algo_set must name at least one algorithm")
     for algo in algos:
         _check_algorithm(algo)
+        if algos.count(algo) > 1:
+            raise InvalidInput(f"algorithm {algo!r} is named more than once")
     if replications < 0:
         raise InvalidInput("replications must be nonnegative")
     if not (1 <= u < d):
@@ -277,13 +281,12 @@ def _experiment(mode, d, u, n, replications, algo_set, seed, first, problem):
                 continue
             built.append((rows, pair, truth))
         for j, algo in enumerate(algos):
-            fits = _fits([pair for _, pair, _ in built], u, algo, None)
-            for (rows, pair, truth), fit_u in zip(built, fits):
+            scans = _fits([(pair, []) for _, pair, _ in built], u, algo, None)
+            for (rows, _, truth), scan in zip(built, scans):
                 row = rows[j]
                 try:
-                    fit = fit_u(u)
+                    fit, objective = scan(u)
                     distance = subspace_distance(fit.basis, truth)
-                    objective = float(j_value(pair, fit.basis))
                 except EnvestError as exc:
                     row.error = f"{type(exc).__name__}: {exc}"
                     continue

@@ -236,6 +236,17 @@ class TestExitCodes:
         assert code == 1
         assert "ParseError" in capsys.readouterr().err
 
+    def test_simulate_repeated_algo_is_usage_error(self, monkeypatch, capsys):
+        calls = []
+        monkeypatch.setattr(onedim, "fit_many", lambda *args: calls.append(args))
+        code = cli.run(
+            ["simulate", "--mode", "population", "--d", "4", "--u", "1", "--reps", "3",
+             "--algo", "onedim", "--algo", "fg", "--algo", "onedim"]
+        )
+        assert code == 2
+        assert capsys.readouterr().err == "error: --algo onedim is given more than once\n"
+        assert calls == []
+
     def test_simulate_population_rejects_n(self, capsys):
         code = cli.run(
             ["simulate", "--mode", "population", "--d", "5", "--u", "2",

@@ -156,12 +156,17 @@ class TestPartialEnvelope:
         assert fit.beta_ols.shape == (5, 3)
         assert fit.p1 == 1
 
-    def test_all_predictors_equals_response(self):
-        data = self.multi_x_data(61)
-        full = estimators.partial_envelope(data, 3, 2)
-        resp = estimators.response_envelope(data, 2)
-        np.testing.assert_allclose(full.gamma, resp.gamma, atol=1e-9)
-        np.testing.assert_allclose(full.beta_env, resp.beta_env, atol=1e-9)
+    @pytest.mark.parametrize("algo", ["onedim", "fg", "fg-warm"])
+    @pytest.mark.parametrize("seed", [61, 62, 63, 64])
+    def test_all_predictors_equals_response(self, seed, algo):
+        # with p1 = p the partial envelope is the response envelope, bit for bit
+        data = self.multi_x_data(seed)
+        full = estimators.partial_envelope(data, 3, 2, algo)
+        resp = estimators.response_envelope(data, 2, algo)
+        for name in ("gamma", "beta_env", "beta_ols", "sigma_env", "alpha_hat"):
+            assert np.array_equal(getattr(full, name), getattr(resp, name)), name
+        assert full.objective == resp.objective
+        assert full.fit.diagnostics == resp.fit.diagnostics
 
     def test_full_dimension_equals_ols_block(self):
         data = self.multi_x_data(62)
@@ -266,7 +271,7 @@ class TestFitBasisGuards:
         m = q @ np.diag([4.0, 3.0, 2.0, 1.0]) @ q.T  # rank 4 in 5 dims
         b = rng.standard_normal(5)
         checked = estimators._checked_pair(m, m + np.outer(b, b))
-        (scan,) = estimators._basis_scans([checked], 2, "onedim", None)
+        (scan,) = estimators._fits([checked], 2, "onedim", None)
         fit, _ = scan(2)
         assert "Ridged" in fit.diagnostics
 
@@ -335,7 +340,7 @@ class TestWarmStart:
         assert single.fit.wall_time_seconds >= 1000.0
         m, m_plus_u, _ = estimators._kind_pair("response", data)
         checked = estimators._checked_pair(m, m_plus_u)
-        (scan,) = estimators._basis_scans([checked], 8, "fg-warm", None)
+        (scan,) = estimators._fits([checked], 8, "fg-warm", None)
         for u in range(1, 9):
             assert scan(u)[0].wall_time_seconds >= 1000.0
 
@@ -433,7 +438,7 @@ class TestDimensionSelection:
         d = m.shape[0]
         for u, score in enumerate(sel.scores, start=1):
             checked = estimators._checked_pair(m, m_plus_u)
-            (scan,) = estimators._basis_scans([checked], u, "onedim", None)
+            (scan,) = estimators._fits([checked], u, "onedim", None)
             _, objective = scan(u)
             assert score == data.n * objective + np.log(data.n) * u * (d - u)
 

@@ -217,8 +217,7 @@ def first_hessian_batches(monkeypatch):
 
 
 def eigenvector_candidates(pair):
-    w = np.concatenate([pair.m_eigenvectors.T, pair.m_plus_u_eigenvectors.T], axis=0)
-    return w, _d_tilde_values(pair.m, pair.m_plus_u_inv, np.ascontiguousarray(w))
+    return pair.candidates, _d_tilde_values(pair.m, pair.m_plus_u_inv, pair.candidates)
 
 
 def random_pair(seed, dim):
@@ -584,7 +583,7 @@ class TestDeflation:
         monkeypatch.setattr(
             onedim, "_solve_directions",
             lambda pairs, settings: [
-                onedim._Direction(pair.m_eigenvectors[:, 0], 0.0, 0, "gradient")
+                onedim._Direction(pair.candidates[0], 0.0, 0, "gradient")
                 for pair in pairs
             ],
         )

@@ -20,8 +20,8 @@ PROPERTY = hypothesis.settings(
 
 
 def solve(algo, m, u_mat, u):
-    (fit,) = estimators._fits([ObjectivePair.from_m_u(m, u_mat)], u, algo, None)
-    return fit(u)
+    (scan,) = estimators._fits([(ObjectivePair.from_m_u(m, u_mat), [])], u, algo, None)
+    return scan(u)[0]
 
 
 def random_basis(rng, d):

@@ -156,6 +156,14 @@ class TestPopulationExperiment:
         with pytest.raises(InvalidDimension):
             simulate.population_experiment(5, 5, 2, ("onedim",))
 
+    def test_repeated_algorithm_is_rejected_before_any_fit(self, monkeypatch):
+        # a repeat would fit every replication twice and count it as two
+        calls = []
+        monkeypatch.setattr(onedim, "fit_many", lambda *args: calls.append(args))
+        with pytest.raises(InvalidInput, match="'onedim' is named more than once"):
+            simulate.population_experiment(4, 1, 3, ("onedim", "onedim"))
+        assert calls == []
+
     def test_full_optimizer_records_match_direct_fits(self):
         # fg starts from the scan strategy, which must equal starting from
         # the scan basis passed in; fg-warm records equal grassmann.fit

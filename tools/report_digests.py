@@ -83,6 +83,10 @@ def commands(data):
         argv = ["fit", "--kind", "response", "--u", "2", "--algo", algo, "--seed", "3",
                 "--gradient-tol", "1e-6", "--max-iter", "7"]
         out.append((f"fitovr_{algo}", argv + source("response")))
+    # partial with p1 = p, where its pair and estimates are the response kind's
+    for algo in ALGOS:
+        argv = ["fit", "--kind", "partial", "--u", "2", "--algo", algo, "--seed", "3"]
+        out.append((f"fitallp1_partial_{algo}", argv + x + y + ["--p1", str(P)]))
     # fg-warm at u = d, where the sequential fit is the whole space
     for kind in ("response", "predictor"):
         argv = ["fit", "--kind", kind, "--u", str(DIMENSION[kind]), "--algo", "fg-warm"]
