@@ -57,7 +57,7 @@ def _loadtxt_matrix(path):
     Raises ValueError or OSError on any other file; it accepts only files
     that read_matrix_csv's cell-by-cell parse accepts, with the same result.
     """
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         text = fh.read()
     if not text.strip() or any(c in text for c in _LOADTXT_ONLY_SPACE):
         raise ValueError("not a plain numeric CSV file")
@@ -67,9 +67,10 @@ def _loadtxt_matrix(path):
 def read_matrix_csv(path):
     """Read a numeric matrix from a CSV file, preserving row order.
 
-    A single header row is skipped when any cell of the first row fails to
-    parse as a number.  Ragged rows and non-numeric data cells raise
-    ParseError naming the 1-based row and column.  A file of plain numbers
+    The file is UTF-8, with or without a byte-order mark.  A single header
+    row is skipped when any cell of the first row fails to parse as a
+    number.  Ragged rows and non-numeric data cells raise ParseError naming
+    the 1-based row and column.  A file of plain numbers
     is read by np.loadtxt; any other goes through the cell-by-cell parse.
     """
     try:
@@ -77,7 +78,7 @@ def read_matrix_csv(path):
     except (OSError, ValueError):
         pass  # header, quotes, underscores, a bad cell or no file: parse cell by cell
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             raw = [(i + 1, row) for i, row in enumerate(csv.reader(fh))]
     except OSError as exc:
         raise IoError(f"cannot read {path}: {exc.strerror or exc}") from exc
@@ -211,9 +212,8 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, with_x=True):
-        if with_x:
-            p.add_argument("--x", help="CSV of predictors, one row per case")
+    def common(p):
+        p.add_argument("--x", help="CSV of predictors, one row per case")
         p.add_argument("--y", required=True, help="CSV of responses")
         p.add_argument("--kind", required=True, choices=estimators.KINDS)
         p.add_argument("--p1", type=int, help="leading predictor block size (partial kind)")

@@ -57,7 +57,7 @@ from .linalg import (
     _not_positive_definite,
     _signed_qr,
 )
-from .objective import _check_solver_inputs, j_value
+from .objective import _check_solver_inputs, _gram_pieces, j_value
 from .onedim import EnvelopeFit
 
 __all__ = ["FgSettings", "eigenvector_scan_start", "fit"]
@@ -131,7 +131,7 @@ def eigenvector_scan_start(m_hat, u_hat, u):
     return _scan(_check_solver_inputs(m_hat, u_hat, u), u)
 
 
-def _tangent_model(pair, gamma, norms):
+def _tangent_model(pair, gamma):
     """Quadratic model of J at the basis gamma, in tangent coordinates.
 
     Returns (G0, gradient, Hessian, resolution): the complement whose
@@ -139,7 +139,7 @@ def _tangent_model(pair, gamma, norms):
     ((d - u) u)^2 Riemannian Hessian in row-major order of the coordinates,
     and the float64 resolution of J at gamma,
     eps * u * (||M||_2 / lambda_min(G'MG) + ||N||_2 / lambda_min(G'NG)),
-    with norms = (||M||_2, ||N||_2).
+    with the two spectral norms from ``pair.norms``.
     """
     d, u = gamma.shape
     g0 = np.linalg.qr(gamma, mode="complete")[0][:, u:]
@@ -147,10 +147,7 @@ def _tangent_model(pair, gamma, norms):
     grad = np.zeros((d - u, u))
     hess = -4.0 * np.eye(size)
     resolution = 0.0
-    for a, a_norm in zip((pair.m, pair.m_plus_u_inv), norms):
-        ag = a @ gamma
-        vals, vecs = np.linalg.eigh(symmetrize(gamma.T @ ag))
-        c_inv = (vecs / vals) @ vecs.T
+    for (a, ag, vals, c_inv), a_norm in zip(_gram_pieces(pair, gamma), pair.norms):
         a01 = g0.T @ ag
         p = a01 @ c_inv
         grad += 2.0 * p
@@ -278,10 +275,6 @@ def _fit(pair, u, settings=None):
             )
         check_orthonormal(gamma, tol=1e-8, name="starting basis")
 
-    norms = (
-        float(np.linalg.eigvalsh(pair.m)[-1]),
-        float(np.linalg.eigvalsh(pair.m_plus_u_inv)[-1]),
-    )
     # the Grassmannian's diameter: u principal angles of at most pi/2 each
     max_radius = 0.5 * np.pi * np.sqrt(u)
     radius = max_radius
@@ -290,7 +283,7 @@ def _fit(pair, u, settings=None):
     model = None
     while True:
         if model is None:
-            model = _Model(*_tangent_model(pair, gamma, norms))
+            model = _Model(*_tangent_model(pair, gamma))
             if np.linalg.norm(model.grad) <= settings.gradient_tol * max(1.0, abs(val)):
                 break
         if iterations >= settings.max_iterations:

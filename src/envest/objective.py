@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidDimension, InvalidInput, SingularGram, ZeroVector
+from .errors import DimensionMismatch, InvalidDimension, InvalidInput, SingularGram, ZeroVector
 from .linalg import (
     fix_column_signs,
     orthonormal_complement,
@@ -70,7 +70,8 @@ class ObjectivePair:
     as M+U - M).  ``candidates`` holds the starts of both solvers, one per
     row: the d eigenvectors of M and then the d of M+U, each in descending
     eigenvalue order with signs pinned, stored row-major, since the rounding
-    of the batched kernels depends on the layout.
+    of the batched kernels depends on the layout.  ``norms`` holds
+    ||M||_2 = lambda_max(M) and ||(M+U)^{-1}||_2 = 1 / lambda_min(M+U).
     """
 
     m: np.ndarray
@@ -80,6 +81,7 @@ class ObjectivePair:
     m_plus_u_logdet: float
     dim: int
     candidates: np.ndarray
+    norms: tuple
 
     @classmethod
     def from_m_u(cls, m, u):
@@ -87,7 +89,7 @@ class ObjectivePair:
         m = _require_symmetric(m, "M")
         u = _require_symmetric(u, "U")
         if u.shape != m.shape:
-            raise InvalidInput(f"M is {m.shape} but U is {u.shape}")
+            raise DimensionMismatch(f"M is {m.shape} but U is {u.shape}")
         return cls._build(m, u, symmetrize(m + u))
 
     @classmethod
@@ -96,7 +98,7 @@ class ObjectivePair:
         m = _require_symmetric(m, "M")
         mpu = _require_symmetric(m_plus_u, "M+U")
         if mpu.shape != m.shape:
-            raise InvalidInput(f"M is {m.shape} but M+U is {mpu.shape}")
+            raise DimensionMismatch(f"M is {m.shape} but M+U is {mpu.shape}")
         return cls._build(m, symmetrize(mpu - m), mpu)
 
     @classmethod
@@ -117,6 +119,7 @@ class ObjectivePair:
             candidates=np.ascontiguousarray(np.concatenate(
                 [fix_column_signs(vecs_m[:, ::-1]).T, fix_column_signs(vecs_s[:, ::-1]).T]
             )),
+            norms=(float(vals_m[-1]), float(1.0 / vals_s[0])),
         )
 
 
@@ -127,14 +130,11 @@ def _require_dimension(k, d, name="u"):
 
 
 def _check_solver_inputs(m_hat, u_hat, u):
-    """The ObjectivePair of a solver call on (m_hat, u_hat) at u, after the checks."""
-    m_hat = _require_symmetric(m_hat, "m_hat")
-    u_hat = _require_symmetric(u_hat, "u_hat")
-    d = m_hat.shape[0]
-    if u_hat.shape[0] != d:
-        raise InvalidDimension(f"m_hat is {d}x{d} but u_hat is {u_hat.shape[0]}x{u_hat.shape[0]}")
-    _require_dimension(u, d)
-    return ObjectivePair.from_m_u(m_hat, u_hat)
+    """The ObjectivePair of a solver call on (m_hat, u_hat) at u: the build
+    checks the matrices, and u is then checked against their size."""
+    pair = ObjectivePair.from_m_u(m_hat, u_hat)
+    _require_dimension(u, pair.dim)
+    return pair
 
 
 def _check_gamma(pair, gamma):
@@ -160,6 +160,18 @@ def j_value(pair, gamma):
     )
 
 
+def _gram_pieces(pair, gamma):
+    """Yield (A, A G, the ascending eigenvalues of G'AG, (G'AG)^{-1}) for
+    A = M and then A = N = (M+U)^{-1}: what J's derivatives at G need.  A
+    Gram matrix that is not positive definite raises SingularGram."""
+    for a in (pair.m, pair.m_plus_u_inv):
+        ag = a @ gamma
+        vals, vecs = np.linalg.eigh(symmetrize(gamma.T @ ag))
+        if not vals[0] > 0.0:
+            raise SingularGram("Gram matrix is not positive definite")
+        yield a, ag, vals, (vecs / vals) @ vecs.T
+
+
 def j_gradient(pair, gamma):
     """Euclidean gradient of :func:`j_value` in the entries of Gamma.
 
@@ -167,17 +179,7 @@ def j_gradient(pair, gamma):
     on a manifold should project it onto their tangent space themselves.
     """
     gamma = _check_gamma(pair, gamma)
-
-    def term(mat):
-        mg = mat @ gamma
-        gram = symmetrize(gamma.T @ mg)
-        try:
-            c = np.linalg.cholesky(gram)
-        except np.linalg.LinAlgError as exc:
-            raise SingularGram("Gram matrix is not positive definite") from exc
-        return 2.0 * np.linalg.solve(c.T, np.linalg.solve(c, mg.T)).T
-
-    return term(pair.m) + term(pair.m_plus_u_inv)
+    return sum(2.0 * ag @ c_inv for _, ag, _, c_inv in _gram_pieces(pair, gamma))
 
 
 def j_decomposition(pair, gamma):

@@ -55,6 +55,8 @@ __all__ = [
 # replications or bootstrap replicates built and fitted at once; bounds the
 # problems held in memory
 _PROBLEMS_PER_BATCH = 64
+# share of U's Frobenius norm an eigen-group of M must see to join the oracle
+_ORACLE_TOL = 1e-9
 
 
 @dataclass
@@ -120,14 +122,15 @@ def sample_data(instance, n, seed):
     return RegressionData(x=x, y=y)
 
 
-def oracle_envelope(m, u_mat, tol=1e-9):
+def oracle_envelope(m, u_mat):
     """Envelope basis read directly off the spectrum of M.
 
     Adjacent eigenvalues of M (descending) closer than
     1e-8 max(1, |lambda_1|) share an eigen-group.  For each group, project U
-    onto the group's eigenspace; groups seeing at least ``tol``-relative
-    mass contribute an orthonormal basis of that projected image.  The
-    result spans the smallest reducing subspace of M containing span(U).
+    onto the group's eigenspace; groups seeing more than ``_ORACLE_TOL``
+    times the Frobenius norm of U contribute an orthonormal basis of that
+    projected image.  The result spans the smallest reducing subspace of M
+    containing span(U).
     """
     m = _require_symmetric(m, "m")
     u_mat = _require_symmetric(u_mat, "u_mat")
@@ -145,10 +148,10 @@ def oracle_envelope(m, u_mat, tol=1e-9):
     for group in np.split(np.arange(vals.size), cuts):
         v = vecs[:, group]
         coords = v.T @ u_mat  # group-frame image of U
-        if np.linalg.norm(coords, "fro") <= tol * scale:
+        if np.linalg.norm(coords, "fro") <= _ORACLE_TOL * scale:
             continue
         left, svals, _ = np.linalg.svd(coords, full_matrices=False)
-        keep = svals > tol * scale
+        keep = svals > _ORACLE_TOL * scale
         if keep.any():
             blocks.append(v @ left[:, keep])
     if not blocks:
@@ -183,15 +186,15 @@ class ExperimentReport:
     records: list
     summary: dict
 
-    def to_dict(self, include_timing=False):
+    def to_dict(self):
         """Plain-dict view for serialization.
 
-        Wall-clock fields are withheld unless asked for, so that reports
-        written from identical configurations are byte-identical.
+        Wall-clock fields are withheld, so that reports written from
+        identical configurations are byte-identical; ``summary`` keeps them
+        for the command line's ``--csv-summary`` grid.
         """
-        records = []
-        for rec in self.records:
-            row = {
+        records = [
+            {
                 "replication": rec.replication,
                 "seed": rec.seed,
                 "algorithm": rec.algorithm,
@@ -200,15 +203,13 @@ class ExperimentReport:
                 "diagnostics": list(rec.diagnostics),
                 "error": rec.error,
             }
-            if include_timing:
-                row["wall_time_seconds"] = rec.wall_time_seconds
-            records.append(row)
+            for rec in self.records
+        ]
         summary = {}
         for algo in sorted(self.summary):
             cell = dict(self.summary[algo])
-            if not include_timing:
-                cell.pop("mean_time_seconds", None)
-                cell.pop("se_time_seconds", None)
+            cell.pop("mean_time_seconds", None)
+            cell.pop("se_time_seconds", None)
             summary[algo] = cell
         return {"records": records, "summary": summary}
 

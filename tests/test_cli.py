@@ -71,10 +71,22 @@ class TestReadMatrixCsv:
         with pytest.raises(IoError):
             cli.read_matrix_csv(tmp_path / "absent.csv")
 
+    def test_byte_order_mark_keeps_the_first_row(self, tmp_path):
+        # spreadsheet "CSV UTF-8" exports start with a byte-order mark
+        p = tmp_path / "m.csv"
+        p.write_bytes(b"\xef\xbb\xbf1,2\n3,4\n")
+        np.testing.assert_array_equal(cli.read_matrix_csv(p), [[1.0, 2.0], [3.0, 4.0]])
+
+    def test_byte_order_mark_before_a_header_drops_only_the_header(self, tmp_path):
+        p = tmp_path / "m.csv"
+        p.write_bytes(b"\xef\xbb\xbfa,b\n1,2\n3,4\n")
+        np.testing.assert_array_equal(cli.read_matrix_csv(p), [[1.0, 2.0], [3.0, 4.0]])
+
     @pytest.mark.parametrize(
         "text, fast",
         [
             ("1,2\n3,4\n", True),
+            ("\ufeff1,2\n3,4\n", True),
             ("a,b\n1,2\n3,4\n", False),
             ("1,2\n\n3,4\n\n", True),
             ("1,2\n   \n3,4\n", False),
@@ -322,6 +334,19 @@ class TestExitCodes:
         assert rec["u"] == 2
         assert len(rec["gamma"]) == 5
         assert len(rec["beta_env"]) == 5
+
+    def test_fit_reads_csv_with_a_byte_order_mark(self, tmp_path, capsys):
+        xp, yp = write_xy(tmp_path)
+        marked = []
+        for name, path in (("bom-x.csv", xp), ("bom-y.csv", yp)):
+            with open(path, "rb") as fh:
+                (tmp_path / name).write_bytes(b"\xef\xbb\xbf" + fh.read())
+            marked.append(str(tmp_path / name))
+        records = []
+        for x, y in ((xp, yp), marked):
+            assert cli.run(["fit", "--kind", "response", "--x", x, "--y", y, "--u", "2"]) == 0
+            records.append(json.loads(capsys.readouterr().out)["records"])
+        assert records[0] == records[1]
 
 
 def run_to_file(args, out):

@@ -8,8 +8,9 @@ Gamma = e1 the objective is log(2) + log(1/5) = log(0.4).
 import numpy as np
 import pytest
 
-from envest import linalg
+from envest import grassmann, linalg, onedim
 from envest.errors import (
+    DimensionMismatch,
     InvalidInput,
     NotPositiveDefinite,
     SingularGram,
@@ -99,6 +100,32 @@ def test_j_gradient_finite_difference():
         np.testing.assert_allclose(grad, fd, rtol=1e-5, atol=1e-7)
 
 
+def test_j_gradient_is_the_tangent_model_gradient():
+    # J's gradient is written once: the fg model's Riemannian gradient is
+    # G0' times the Euclidean one
+    rng = np.random.default_rng(17)
+    for _ in range(25):
+        d = int(rng.integers(2, 9))
+        pair = random_pair(rng, d)
+        gamma = linalg.orthonormalize(rng.standard_normal((d, int(rng.integers(1, d)))))
+        g0, grad, _, _ = grassmann._tangent_model(pair, gamma)
+        assert np.abs(g0.T @ j_gradient(pair, gamma) - grad).max() <= 1e-12 * np.abs(grad).max()
+
+
+def test_j_gradient_rejects_a_singular_gram():
+    pair = random_pair(np.random.default_rng(19), 4)
+    for gamma in (np.eye(4)[:, [0, 0]], np.column_stack([np.eye(4)[:, 0], np.zeros(4)])):
+        with pytest.raises(SingularGram):
+            j_gradient(pair, gamma)
+
+
+def test_pair_norms_are_the_spectral_norms():
+    rng = np.random.default_rng(18)
+    pair = random_pair(rng, 6)
+    want = (np.linalg.norm(pair.m, 2), np.linalg.norm(pair.m_plus_u_inv, 2))
+    np.testing.assert_allclose(pair.norms, want, rtol=1e-12)
+
+
 def test_decomposition_sums_to_j():
     rng = np.random.default_rng(15)
     for _ in range(25):
@@ -141,8 +168,19 @@ def test_rejects_asymmetric_input():
 
 
 def test_rejects_shape_mismatch():
-    with pytest.raises(InvalidInput):
+    with pytest.raises(DimensionMismatch):
         ObjectivePair.from_m_u(np.eye(3), np.zeros((2, 2)))
+    with pytest.raises(DimensionMismatch):
+        ObjectivePair.from_pair(np.eye(3), np.eye(2))
+
+
+@pytest.mark.parametrize(
+    "solve", [onedim.fit, grassmann.fit, grassmann.eigenvector_scan_start]
+)
+def test_solver_entries_reject_shape_mismatch(solve):
+    # each solver input is checked once, by the pair build
+    with pytest.raises(DimensionMismatch):
+        solve(np.eye(3), np.zeros((2, 2)), 1)
 
 
 class TestDTilde:

@@ -1,4 +1,5 @@
-"""Property tests of the three solvers against the eigenspace oracle.
+"""Property tests of the three solvers against the eigenspace oracle, and
+of their equivariance under rotation of the problem.
 
 Every solver runs through ``estimators._fits`` with its ``ALGORITHMS``
 preset, so the tests see what the estimators and the command line run.
@@ -103,3 +104,22 @@ def test_warm_refinement_never_above_the_sequential_fit(d, u, n, seed):
     pair = ObjectivePair.from_m_u(m, u_mat)
     sequential = j_value(pair, solve("onedim", m, u_mat, u).basis)
     assert j_value(pair, solve("fg-warm", m, u_mat, u).basis) <= sequential + 1e-10
+
+
+def test_fits_rotate_with_the_problem():
+    # J and the envelope are invariant under an orthogonal change of
+    # coordinates, so every solver's fit of (Q M Q', Q U Q') must span Q
+    # times its fit of (M, U); tools/equivariance.py prints the same check
+    # at more seeds and at (60, 30)
+    for s in range(10):
+        inst = simulate.generate_instance(30, 10, s)
+        kit = estimators.covariance_kit(simulate.sample_data(inst, 200, s + 1))
+        m, u_mat = kit.s_y_given_x, linalg.symmetrize(kit.s_y - kit.s_y_given_x)
+        q = random_basis(np.random.default_rng(10000 + s), 30)
+        m_q, u_q = linalg.symmetrize(q @ m @ q.T), linalg.symmetrize(q @ u_mat @ q.T)
+        for algo in ALGOS:
+            (scan,) = estimators._fits([(ObjectivePair.from_m_u(m, u_mat), [])], 10, algo, None)
+            (scan_q,) = estimators._fits([(ObjectivePair.from_m_u(m_q, u_q), [])], 10, algo, None)
+            (fit, j), (fit_q, j_q) = scan(10), scan_q(10)
+            assert linalg.subspace_distance(q @ fit.basis, fit_q.basis) <= 1e-4, (s, algo)
+            assert abs(j - j_q) <= 1e-6 * max(1.0, abs(j)), (s, algo)

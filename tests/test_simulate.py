@@ -238,14 +238,11 @@ class TestSampleExperiment:
         assert med_large < 0.5 * med_small
 
 
-def test_report_to_dict_timing_toggle():
+def test_report_to_dict_withholds_timing():
     rep = simulate.population_experiment(5, 2, 2, ("onedim",), seed=704)
     plain = rep.to_dict()
     assert "wall_time_seconds" not in plain["records"][0]
     assert "mean_time_seconds" not in plain["summary"]["onedim"]
-    timed = rep.to_dict(include_timing=True)
-    assert timed["records"][0]["wall_time_seconds"] >= 0.0
-    assert "mean_time_seconds" in timed["summary"]["onedim"]
 
 
 class TestResidualBootstrap:

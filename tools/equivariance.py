@@ -1,0 +1,120 @@
+"""Print how far each solver's answer moves when the problem is rotated.
+
+Usage: python3 tools/equivariance.py CHECKOUT
+
+Imports envest from CHECKOUT/src.  J and the envelope are invariant under
+an orthogonal change of coordinates, so the fit of (Q M Q', Q U Q') should
+span Q times the span of the fit of (M, U).  For instance seed s the pair
+is the one ``simulate.sample_experiment`` builds, M = S_{Y|X} and
+U = S_Y - S_{Y|X} on data drawn with seed s + 1, and Q is the orthonormal
+basis of ``default_rng(10000 + s).standard_normal((d, d))``.  Every
+algorithm fits both frames through ``estimators._fits``, as the estimators
+run it, at these sizes:
+
+* (d, u) = (30, 10), n = 200, s = 0-59;
+* (d, u) = (60, 30), n = 4000, s = 0-7.
+
+For each size and algorithm it prints one line: the median and the largest
+projector distance between Q times the fit of (M, U) and the fit of the
+rotated pair, the largest gap between their two J values, and the count of
+starts that differ between the frames (``starts_differ``): for onedim and
+fg-warm's warm start, the sequential directions whose screened set of
+eigenvector starts differs; for fg, the fits whose eigenvector scan start
+differs by more than 1e-8 in projector distance.  It runs on one BLAS
+thread unless OPENBLAS_NUM_THREADS is set, and takes about a minute.  Run
+it on two checkouts and compare the tables.
+"""
+
+import os
+import sys
+from collections import Counter
+from pathlib import Path
+
+SIZES = ((30, 10, 200, range(60)), (60, 30, 4000, range(8)))
+ALGOS = ("onedim", "fg", "fg-warm")
+
+
+def load(checkout):
+    # one BLAS thread: a threaded product rounds differently, and the
+    # table should not depend on the host's core count
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+    src = (Path(checkout) / "src").resolve()
+    sys.path.insert(0, str(src))
+    import envest
+
+    if Path(envest.__file__).resolve().parent.parent != src:
+        raise SystemExit(f"error: envest was imported from {envest.__file__}, not {src}")
+
+
+class Starts:
+    """Records the starts of every fit: each direction's screened eigenvector
+    candidates, by index, and fg's scan start basis."""
+
+    def __init__(self, onedim, grassmann, objective):
+        self.screened, self.scans = [], []
+        real_lockstep, real_scan = onedim._lockstep, grassmann._scan
+
+        def lockstep(pairs, settings):
+            # the screening of onedim._lockstep: the starts with the lowest D
+            for pair in pairs:
+                f = objective._d_tilde_values(pair.m, pair.m_plus_u_inv, pair.candidates)
+                kept = f.argsort(kind="stable")[:onedim._SCREENED_STARTS]
+                self.screened.append(tuple(sorted(kept.tolist())))
+            return real_lockstep(pairs, settings)
+
+        def scan(pair, u):
+            basis = real_scan(pair, u)
+            self.scans.append(basis)
+            return basis
+
+        onedim._lockstep, grassmann._scan = lockstep, scan
+
+    def take(self):
+        out = (self.screened, self.scans)
+        self.screened, self.scans = [], []
+        return out
+
+
+def main(argv):
+    if len(argv) != 1:
+        raise SystemExit(__doc__.split("\n\n")[1])
+    load(argv[0])
+    import numpy as np
+    from envest import estimators, grassmann, objective, onedim, simulate
+    from envest.linalg import orthonormalize, subspace_distance, symmetrize
+    from envest.objective import ObjectivePair
+
+    starts = Starts(onedim, grassmann, objective)
+
+    def fit(m, u_mat, u, algo):
+        (scan,) = estimators._fits([(ObjectivePair.from_m_u(m, u_mat), [])], u, algo, None)
+        fitted, j = scan(u)
+        return fitted.basis, j, starts.take()
+
+    print("d u n algo fits median_dist max_dist max_j_gap starts_differ")
+    for d, u, n, seeds in SIZES:
+        dists, gaps, differ = {a: [] for a in ALGOS}, {a: [] for a in ALGOS}, Counter()
+        for s in seeds:
+            inst = simulate.generate_instance(d, u, s)
+            kit = estimators.covariance_kit(simulate.sample_data(inst, n, s + 1))
+            m, u_mat = kit.s_y_given_x, symmetrize(kit.s_y - kit.s_y_given_x)
+            q = orthonormalize(np.random.default_rng(10000 + s).standard_normal((d, d)))
+            m_q, u_q = symmetrize(q @ m @ q.T), symmetrize(q @ u_mat @ q.T)
+            for algo in ALGOS:
+                basis, j, (screened, scans) = fit(m, u_mat, u, algo)
+                basis_q, j_q, (screened_q, scans_q) = fit(m_q, u_q, u, algo)
+                dists[algo].append(subspace_distance(q @ basis, basis_q))
+                gaps[algo].append(abs(j - j_q))
+                differ[algo] += sum(a != b for a, b in zip(screened, screened_q))
+                differ[algo] += sum(
+                    subspace_distance(q @ a, b) > 1e-8 for a, b in zip(scans, scans_q)
+                )
+        for algo in ALGOS:
+            print(
+                f"{d} {u} {n} {algo} {len(dists[algo])} {np.median(dists[algo]):.2g} "
+                f"{max(dists[algo]):.2g} {max(gaps[algo]):.2g} {differ[algo]}",
+                flush=True,
+            )
+
+if __name__ == "__main__":
+    main(sys.argv[1:])
