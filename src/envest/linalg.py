@@ -59,16 +59,14 @@ def fix_column_signs(v):
     """
     v = np.asarray(v, dtype=float)
     if v.ndim == 1:
-        v = v[:, None]
-        squeeze = True
-    else:
-        squeeze = False
+        sign = np.sign(v[np.argmax(np.abs(v))])
+        return v * (sign or 1.0)
     if v.shape[1]:
         lead = np.argmax(np.abs(v), axis=0)
         signs = np.sign(v[lead, np.arange(v.shape[1])])
         signs[signs == 0.0] = 1.0
         v = v * signs
-    return v[:, 0] if squeeze else v
+    return v
 
 
 def check_orthonormal(g, tol=1e-10, name="basis"):

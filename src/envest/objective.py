@@ -236,7 +236,9 @@ def _quadratic_forms(m, n, w, owner=None):
     the bits of a (k, d) @ (d, d) product depend on k, so a row's products
     are then those of a batch holding its pair's rows alone.  Every other
     step of the D kernels works row by row, with bits that do not depend on
-    the batch.
+    the batch.  The direction solver relies on this: forms its line search
+    computed at a batch of trial rows are, bit for bit, the forms of the same
+    rows at its next Newton iteration.
     """
     m, n, owner = _one_pair(m, n, owner)
     if owner is None:
@@ -254,25 +256,27 @@ def _quadratic_forms(m, n, w, owner=None):
     return wm, wn, qm, qn, qw
 
 
-def _d_tilde_values(m, n, w, owner=None):
+def _d_tilde_values(m, n, w, owner=None, forms=None):
     """D values at the rows of w, n being (M+U)^{-1}; non-finite become +inf.
 
     ``owner`` is that of ``_quadratic_forms``, as in every D kernel.
+    ``forms`` are ``_quadratic_forms`` at w, computed here when not given.
     """
-    _, _, qm, qn, qw = _quadratic_forms(m, n, w, owner)
+    _, _, qm, qn, qw = _quadratic_forms(m, n, w, owner) if forms is None else forms
     with np.errstate(divide="ignore", invalid="ignore"):
         out = np.log(qm) + np.log(qn) - 2.0 * np.log(qw)
     out[~np.isfinite(out)] = np.inf
     return out
 
 
-def _d_tilde_terms(m, n, w, owner=None):
+def _d_tilde_terms(m, n, w, owner=None, forms=None):
     """What D's derivatives at the rows of w share, from ``_quadratic_forms``.
 
     Returns (a, b, qm, qn, qw) with a = M w / qm and b = N w / qn per row, n
-    being (M+U)^{-1}.
+    being (M+U)^{-1}.  ``forms`` are ``_quadratic_forms`` at w, computed here
+    when not given.
     """
-    wm, wn, qm, qn, qw = _quadratic_forms(m, n, w, owner)
+    wm, wn, qm, qn, qw = _quadratic_forms(m, n, w, owner) if forms is None else forms
     return wm / qm[:, None], wn / qn[:, None], qm, qn, qw
 
 
@@ -317,14 +321,15 @@ def _d_tilde_hessians(m, n, w, terms=None, tangent=False, owner=None):
         m, n = m[owner], n[owner]
     iw = (1.0 / qw)[:, None]
     if tangent:
-        y = (iw * (w + 2.0 * (a + b)), 2.0 * iw * w - 4.0 * a, 2.0 * iw * w - 4.0 * b)
+        r = 2.0 * iw * w
+        y = (iw * (w + 2.0 * (a + b)), r - 4.0 * a, r - 4.0 * b)
     else:
         y = (8.0 * iw * iw * w, -4.0 * a, -4.0 * b)
     h = np.stack((w, a, b), axis=2) @ np.stack(y, axis=1)
     h += (2.0 / qm)[:, None, None] * m
     h += (2.0 / qn)[:, None, None] * n
-    diag = np.arange(w.shape[1])
-    h[:, diag, diag] -= 4.0 * iw
+    diagonals = np.einsum("ijj->ij", h)  # a writable view
+    diagonals -= 4.0 * iw
     return h
 
 

@@ -18,7 +18,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BootstrapUnstable, EnvestError, InvalidDimension, InvalidInput
+from .errors import (
+    BootstrapUnstable,
+    DimensionMismatch,
+    EnvestError,
+    InvalidDimension,
+    InvalidInput,
+)
 from .estimators import (
     KINDS_WITH_X,
     RegressionData,
@@ -132,10 +138,10 @@ def oracle_envelope(m, u_mat):
     projected image.  The result spans the smallest reducing subspace of M
     containing span(U).
     """
-    m = _require_symmetric(m, "m")
-    u_mat = _require_symmetric(u_mat, "u_mat")
+    m = _require_symmetric(m, "M")
+    u_mat = _require_symmetric(u_mat, "U")
     if u_mat.shape != m.shape:
-        raise InvalidInput(f"m is {m.shape} but u_mat is {u_mat.shape}")
+        raise DimensionMismatch(f"M is {m.shape} but U is {u_mat.shape}")
     vals, vecs = np.linalg.eigh(m)
     vals = vals[::-1]
     vecs = fix_column_signs(vecs[:, ::-1])

@@ -6,6 +6,7 @@ densely over the sphere, so the solver's minimum can be certified without
 trusting the solver itself.
 """
 
+import dataclasses
 import sys
 
 import hypothesis
@@ -13,7 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from envest import grassmann, linalg, onedim, simulate
+from envest import grassmann, linalg, objective, onedim, simulate
 from envest.estimators import covariance_kit
 from envest.errors import (
     EnvestError,
@@ -141,7 +142,7 @@ def test_armijo_rejects_a_step_that_leaves_d_unchanged():
     assert np.array_equal(w + p, w)
     assert f[0] + onedim._ARMIJO_C1 * dg[0] == f[0]
     m, n = pair.m, pair.m_plus_u_inv
-    accepted, w_new, f_new = onedim._armijo(m, n, w, f, p, dg, d_resolution(m, n, w))
+    accepted, w_new, f_new, _ = onedim._armijo(m, n, w, f, p, dg, d_resolution(m, n, w))
     assert not accepted[0]
     assert np.array_equal(w_new, w)
     assert np.array_equal(f_new, f)
@@ -165,7 +166,7 @@ def test_armijo_searches_along_the_sphere(monkeypatch):
         return _d_tilde_values(m, n, rows, *args, **kwargs)
 
     monkeypatch.setattr(onedim, "_d_tilde_values", spy)
-    accepted, w_new, f_new = onedim._armijo(m, n, w, f, p, p @ g, d_resolution(m, n, w))
+    accepted, w_new, f_new, _ = onedim._armijo(m, n, w, f, p, p @ g, d_resolution(m, n, w))
     for rows in trials:
         np.testing.assert_allclose(np.linalg.norm(rows, axis=1), 1.0, rtol=0, atol=1e-15)
         cos = rows @ w[0] / np.linalg.norm(w[0])
@@ -387,7 +388,7 @@ def test_a_start_at_float64_resolution_is_resolved(monkeypatch):
         assert np.linalg.eigvalsh(h)[0, 0] > 0.0
         for p in (-np.linalg.solve(h, g[..., None])[..., 0], -g):
             dg = np.einsum("ij,ij->i", p, g)
-            accepted, _, _ = onedim._armijo(m, n, w, f, p, dg, d_resolution(m, n, w))
+            accepted, _, _, _ = onedim._armijo(m, n, w, f, p, dg, d_resolution(m, n, w))
             assert not accepted[0]
     assert fit.leading(1).diagnostics == ["Resolved@0"]
     assert fit.leading(2).diagnostics == fit.diagnostics
@@ -428,13 +429,62 @@ def test_one_line_search_per_newton_iteration(monkeypatch):
     assert sum(stalls) > 0
 
 
+def test_one_quadratic_form_pass_per_newton_iteration(monkeypatch):
+    # a line search that accepts every row at its first trial, t = 1, has
+    # made the forms of the next Newton iteration, so that iteration reuses
+    # them: the search's window, from its start to the next search or the
+    # end of the direction, holds exactly one pass of w M and w N
+    events = []
+    real_forms, real_armijo, real_lockstep = (
+        objective._quadratic_forms, onedim._armijo, onedim._lockstep
+    )
+
+    def forms(*args, **kwargs):
+        events.append("pass")
+        return real_forms(*args, **kwargs)
+
+    def armijo(*args, **kwargs):
+        events.append("search")
+        start = len(events)
+        result = real_armijo(*args, **kwargs)
+        first_trial = events[start:] == ["pass"] and result[0].all()
+        events.append("accepted at t = 1" if first_trial else "backtracked")
+        return result
+
+    def lockstep(*args, **kwargs):
+        events.append("direction")
+        return real_lockstep(*args, **kwargs)
+
+    monkeypatch.setattr(objective, "_quadratic_forms", forms)
+    monkeypatch.setattr(onedim, "_quadratic_forms", forms, raising=False)
+    monkeypatch.setattr(onedim, "_armijo", armijo)
+    monkeypatch.setattr(onedim, "_lockstep", lockstep)
+    inst = simulate.generate_instance(30, 10, 4)
+    onedim.fit(inst.m, inst.u_mat, 10)
+    windows = []
+    for event in events:
+        if event == "search":
+            windows.append([0, None])
+        elif event == "direction":
+            windows.append([0, "direction"])
+        elif event == "pass":
+            windows[-1][0] += 1
+        else:
+            windows[-1][1] = event
+    accepted = [passes for passes, kind in windows if kind == "accepted at t = 1"]
+    assert len(accepted) >= 10
+    assert accepted == [1] * len(accepted)
+    # a search that backtracked leaves the next iteration to recompute them
+    assert all(passes >= 2 for passes, kind in windows if kind == "backtracked")
+
+
 def test_a_stalled_winner_is_flagged(monkeypatch):
     # M = diag(4, 2, 1) with U in span(e2, e3): e1 is an eigenvector of M
     # and of M + U, so its starts stop by the gradient test at iteration 0
     # with D = 0, while every other start, made to stall where it stands,
     # keeps a D below 0 and wins
     def gives_up(m, n, w, f, *rest):
-        return np.zeros(len(w), dtype=bool), w.copy(), f.copy()
+        return np.zeros(len(w), dtype=bool), w.copy(), f.copy(), None
 
     monkeypatch.setattr(onedim, "_armijo", gives_up)
     b = np.array([0.0, 1.0, 1.0])
@@ -595,6 +645,45 @@ class TestDeflation:
             assert np.abs(g0.T @ g0 - np.eye(d - k)).max() <= 1e-12
             assert np.abs(fit.basis[:, :k].T @ g0).max() <= 1e-12
         assert np.abs(fit.basis.T @ fit.basis - np.eye(u)).max() <= 1e-12
+
+
+    @pytest.mark.parametrize("d, u", [(30, 10), (10, 3)])
+    def test_deflated_pair_is_the_checked_build(self, monkeypatch, d, u):
+        # the compressions are exactly symmetric, so building the next pair
+        # from them directly gives what ObjectivePair.from_m_u gives, every
+        # field bit for bit
+        deflated = []
+        real = onedim._deflate
+
+        def recording(g0, pair, w):
+            out = real(g0, pair, w)
+            deflated.append(out[1])
+            return out
+
+        monkeypatch.setattr(onedim, "_deflate", recording)
+        for seed in range(3):
+            inst = simulate.generate_instance(d, u, seed)
+            onedim.fit(inst.m, inst.u_mat, u)
+        assert len(deflated) == 3 * (u - 1)
+        for pair in deflated:
+            checked = ObjectivePair.from_m_u(pair.m, pair.u)
+            for name in vars(pair):
+                got, want = getattr(pair, name), getattr(checked, name)
+                assert np.array_equal(got, want), name
+                assert np.asarray(got).dtype == np.asarray(want).dtype, name
+
+    def test_a_non_finite_deflated_pair_ends_its_problem(self):
+        # U with a NaN leaves direction 0, which reads M and (M + U)^{-1},
+        # as it was, but its compression is not finite: the problem ends
+        # with the package error of a non-finite matrix, and the problem
+        # beside it gets the fit it gets alone
+        bad, good = (simulate.generate_instance(8, 3, seed) for seed in (1, 2))
+        pair = ObjectivePair.from_m_u(bad.m, bad.u_mat)
+        poisoned = dataclasses.replace(pair, u=np.full_like(pair.u, np.nan))
+        out = onedim.fit_many([poisoned, ObjectivePair.from_m_u(good.m, good.u_mat)], 3)
+        assert isinstance(out[0], InvalidInput)
+        assert str(out[0]) == "U has non-finite entries"
+        assert fit_outcome(out[1]) == alone(good.m, good.u_mat, 3)
 
 
 class TestFit:

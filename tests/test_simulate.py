@@ -10,6 +10,7 @@ import pytest
 from envest import estimators, grassmann, linalg, onedim, simulate
 from envest.errors import (
     BootstrapUnstable,
+    DimensionMismatch,
     InvalidDimension,
     InvalidInput,
     NoConvergence,
@@ -70,6 +71,14 @@ class TestOracleEnvelope:
         oracle = simulate.oracle_envelope(np.eye(3), np.diag([1.0, 0.0, 0.0]))
         assert oracle.shape == (3, 1)
         np.testing.assert_allclose(np.abs(oracle[:, 0]), [1.0, 0.0, 0.0], atol=1e-12)
+
+    def test_rejects_shape_mismatch(self):
+        # the fault ObjectivePair.from_m_u and linalg.project report as a
+        # DimensionMismatch, with the matrices named as from_m_u names them
+        with pytest.raises(DimensionMismatch, match=r"M is \(3, 3\) but U is \(2, 2\)"):
+            simulate.oracle_envelope(np.eye(3), np.zeros((2, 2)))
+        with pytest.raises(DimensionMismatch):
+            ObjectivePair.from_m_u(np.eye(3), np.zeros((2, 2)))
 
     def test_zero_u_gives_empty(self):
         oracle = simulate.oracle_envelope(np.eye(4), np.zeros((4, 4)))

@@ -4,8 +4,8 @@ Usage: python3 tools/solver_counts.py CHECKOUT
 
 Imports envest from CHECKOUT/src and the benchmark workloads from
 CHECKOUT/benchmarks, wraps the solver's kernels in ``envest.onedim`` and
-the trust-region loop of ``envest.grassmann`` and the build of an
-``ObjectivePair`` with counters and runs three sets of fits:
+``envest.objective``, the trust-region loop of ``envest.grassmann`` and the
+build of an ``ObjectivePair`` with counters and runs three sets of fits:
 
 * ``population``: ``onedim.fit`` at u = 10 on ``generate_instance(30, 10, s)``
   for seeds 0-16;
@@ -37,7 +37,11 @@ prints one line per count:
   calls too, so that checkouts compare whichever route they take;
 * ``eigvalsh_batches`` and ``eigvalsh_rows``: calls of ``np.linalg.eigvalsh``
   made while solving, as made, and the matrices they decompose;
-* ``d_kernel_calls`` and ``d_kernel_rows``: batched D evaluations;
+* ``d_kernel_calls`` and ``d_kernel_rows``: batched D evaluations: the
+  screening of the candidates and the trials of the line searches;
+* ``quadratic_form_passes``: passes of w M and w N over a batch of rows
+  (``objective._quadratic_forms``), whether for a D evaluation or for the
+  gradient and Hessian of a Newton iteration;
 * ``newton_searches``: rows sent to the Newton line search;
 * ``line_search_d_calls``: the D-kernel calls made inside the line searches;
 * ``long_steps``: rows handed to a line search whose direction p is longer
@@ -85,10 +89,11 @@ def problems(owner):
 
 
 class Counts:
-    """Counters installed around ``envest.onedim``'s kernels, the grassmann
-    trust-region loop and ``ObjectivePair._build``."""
+    """Counters installed around ``envest.onedim``'s kernels, the quadratic
+    forms of ``envest.objective``, the grassmann trust-region loop and
+    ``ObjectivePair._build``."""
 
-    def __init__(self, onedim, grassmann):
+    def __init__(self, onedim, objective, grassmann):
         self.c = Counter()
         self._count_fg(grassmann)
         self._count_pair_builds(onedim.ObjectivePair)
@@ -100,15 +105,26 @@ class Counts:
         real_gradients = onedim._d_tilde_gradients
         real_hessians = onedim._d_tilde_hessians
         real_armijo = onedim._armijo
+        real_forms = objective._quadratic_forms
         real_eigvalsh = np.linalg.eigvalsh
         kernels = np.linalg._umath_linalg
         real_cholesky = kernels.cholesky_lo
 
-        def values(m, n, w, owner=None):
-            self.c["d_kernel_calls"] += problems(owner)
-            self.c["d_kernel_rows"] += w.shape[0]
-            self.c["line_search_d_calls"] += self.in_search * problems(owner)
-            return real_values(m, n, w, owner) if owner is not None else real_values(m, n, w)
+        def values(m, n, w, *args, **kwargs):
+            # a line search's D evaluations are counted at their forms: a
+            # checkout may evaluate D there from forms it keeps
+            if not self.in_search:
+                self.c["d_kernel_calls"] += problems(args[0] if args else kwargs.get("owner"))
+                self.c["d_kernel_rows"] += w.shape[0]
+            return real_values(m, n, w, *args, **kwargs)
+
+        def forms(m, n, w, owner=None):
+            self.c["quadratic_form_passes"] += problems(owner)
+            if self.in_search:
+                self.c["d_kernel_calls"] += problems(owner)
+                self.c["d_kernel_rows"] += w.shape[0]
+                self.c["line_search_d_calls"] += problems(owner)
+            return real_forms(m, n, w, owner)
 
         def gradients(m, n, w, *args, **kwargs):
             if self.first_gradients:
@@ -129,14 +145,14 @@ class Counts:
             self.c["long_steps"] += int((np.linalg.norm(p, axis=1) > 1.0).sum())
             self.in_search = True
             try:
-                accepted, w_new, f_new = real_armijo(m, n, w, f, p, dg, *rest)
+                result = real_armijo(m, n, w, f, p, dg, *rest)
             finally:
                 self.in_search = False
             # stalled: the rows a search rejects
-            self.c["stop_stalled"] += int((~accepted).sum())
+            self.c["stop_stalled"] += int((~result[0]).sum())
             self.c["newton_searches"] += w.shape[0]
             self.c["stop_resolved"] -= w.shape[0]
-            return accepted, w_new, f_new
+            return result
 
         def eigvalsh(a, *args, **kwargs):
             self.c["eigvalsh_batches"] += 1
@@ -167,6 +183,10 @@ class Counts:
         onedim._d_tilde_gradients = gradients
         onedim._d_tilde_hessians = hessians
         onedim._armijo = armijo
+        # the D kernels call objective's; a checkout's onedim may call it too
+        objective._quadratic_forms = forms
+        if hasattr(onedim, "_quadratic_forms"):
+            onedim._quadratic_forms = forms
         real_lockstep = onedim._lockstep
         onedim._lockstep = lambda pairs, settings: lockstep(
             pairs, settings, lambda: real_lockstep(pairs, settings)
@@ -228,7 +248,8 @@ class Counts:
         keys = (
             "pair_builds", "directions", "candidates", "starts", "iterations", "lockstep_batches",
             "hessian_rows", "cholesky_calls", "eigvalsh_batches", "eigvalsh_rows",
-            "d_kernel_calls", "d_kernel_rows", "newton_searches", "line_search_d_calls",
+            "d_kernel_calls", "d_kernel_rows", "quadratic_form_passes", "newton_searches",
+            "line_search_d_calls",
             "long_steps", "stop_gradient", "stop_resolved", "stop_stalled",
             "capped_directions", "fg_fits", "fg_iterations", "fg_newton_steps",
             "fg_hessian_eighs",
@@ -240,10 +261,10 @@ def main(argv):
     if len(argv) != 1:
         raise SystemExit(__doc__.split("\n\n")[1])
     workloads = load(argv[0])
-    from envest import grassmann, onedim, simulate
+    from envest import grassmann, objective, onedim, simulate
 
     sets = []
-    counts = Counts(onedim, grassmann)
+    counts = Counts(onedim, objective, grassmann)
     for s in POPULATION_SEEDS:
         inst = simulate.generate_instance(30, 10, s)
         onedim.fit(inst.m, inst.u_mat, 10)
