@@ -59,7 +59,7 @@ def fix_column_signs(v):
     """
     v = np.asarray(v, dtype=float)
     if v.ndim == 1:
-        sign = np.sign(v[np.argmax(np.abs(v))])
+        sign = np.sign(v[np.abs(v).argmax()])
         return v * (sign or 1.0)
     if v.shape[1]:
         lead = np.argmax(np.abs(v), axis=0)
@@ -112,14 +112,14 @@ def _signed_qr(a):
 
 
 def _require_positive_definite(vals, what):
-    """Reject the spectrum vals of ``what`` unless it is positive definite.
+    """Reject the ascending spectrum vals of ``what`` unless it is positive
+    definite.
 
-    Raises NotPositiveDefinite when any eigenvalue falls at or below
-    ``1e-12 * max(1, lambda_max)``, with the smallest one riding along.
+    Raises NotPositiveDefinite when the smallest eigenvalue falls at or below
+    ``1e-12 * max(1, lambda_max)``, with it riding along.
     """
-    lam_max = float(vals.max())
-    if np.any(vals <= 1e-12 * max(1.0, lam_max)):
-        bad = float(vals.min())
+    bad = float(vals[0])
+    if bad <= 1e-12 * max(1.0, float(vals[-1])):
         raise NotPositiveDefinite(
             f"{what} is not positive definite (eigenvalue {bad:.6g})",
             eigenvalue=bad,
@@ -134,7 +134,34 @@ def _not_positive_definite(a):
     and also when a is NaN, which ``np.linalg.cholesky`` accepts."""
     with np.errstate(invalid="ignore"):
         c = np.linalg._umath_linalg.cholesky_lo(a, signature="d->d")
-    return np.flatnonzero(np.isnan(c[:, 0, -1]))
+    return np.isnan(c[:, 0, -1]).nonzero()[0]
+
+
+# ``_solve_vectors`` and ``_eigh`` call the kernels of ``np.linalg.solve`` and
+# ``np.linalg.eigh`` on float64 input as those functions do, without the
+# argument handling that costs more than a small solve: the same bits, and
+# LinAlgError where numpy raises it.
+def _lapack_errors(message):
+    """The error state of numpy's linalg functions: a failed LAPACK call
+    raises LinAlgError(message)."""
+    def fail(err, flag):
+        raise np.linalg.LinAlgError(message)
+
+    return np.errstate(call=fail, invalid="call", over="ignore", divide="ignore", under="ignore")
+
+
+def _solve_vectors(a, b):
+    """x with a[i] x[i] = b[i] for the stack of square matrices a and the
+    rows of b: ``np.linalg.solve`` of each matrix against its vector."""
+    with _lapack_errors("Singular matrix"):
+        return np.linalg._umath_linalg.solve1(a, b, signature="dd->d")
+
+
+def _eigh(a):
+    """``np.linalg.eigh(a)`` of a float64 symmetric matrix, read from its
+    lower triangle: the ascending eigenvalues and the eigenvectors."""
+    with _lapack_errors("Eigenvalues did not converge"):
+        return np.linalg._umath_linalg.eigh_lo(a, signature="d->dd")
 
 
 def orthonormal_complement(g):
@@ -153,11 +180,13 @@ def orthonormal_complement(g):
     p = np.eye(d) - g @ g.T
     cols = []
     for _ in range(d - k):
-        norms = np.linalg.norm(p, axis=0)
-        i = int(np.argmax(norms))
+        # the column norms and the outer product as np.linalg.norm and
+        # np.outer compute them
+        norms = np.sqrt(np.add.reduce(p * p, axis=0))
+        i = int(norms.argmax())
         v = p[:, i] / norms[i]
         cols.append(v)
-        p = p - np.outer(v, v @ p)
+        p -= v[:, None] * (v @ p)[None, :]
     comp = np.column_stack(cols)
     # one clean-up sweep against g and earlier columns keeps the 1e-10
     # orthogonality budget honest at larger d

@@ -29,11 +29,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
+try:  # np.einsum's kernel, without the dispatch that costs more than a row product
+    from numpy._core.multiarray import c_einsum as _einsum
+except ImportError:  # numpy 1
+    from numpy.core.multiarray import c_einsum as _einsum
+
 from .errors import DimensionMismatch, InvalidDimension, InvalidInput, SingularGram, ZeroVector
 from .linalg import (
     fix_column_signs,
     orthonormal_complement,
     symmetrize,
+    _eigh,
     _require_positive_definite,
     _require_symmetric,
 )
@@ -103,22 +109,21 @@ class ObjectivePair:
 
     @classmethod
     def _build(cls, m, u, mpu):
-        vals_m, vecs_m = np.linalg.eigh(m)
+        vals_m, vecs_m = _eigh(m)
         _require_positive_definite(vals_m, "M")
-        vals_s, vecs_s = np.linalg.eigh(mpu)
+        vals_s, vecs_s = _eigh(mpu)
         _require_positive_definite(vals_s, "M+U")
         inv = symmetrize((vecs_s / vals_s) @ vecs_s.T)
-        logdet = float(np.sum(np.log(vals_s)))
+        # both eigenbases in descending order, signs pinned column by column
+        vecs = fix_column_signs(np.concatenate((vecs_m[:, ::-1], vecs_s[:, ::-1]), axis=1))
         return cls(
             m=m,
             u=u,
             m_plus_u=mpu,
             m_plus_u_inv=inv,
-            m_plus_u_logdet=logdet,
+            m_plus_u_logdet=float(np.add.reduce(np.log(vals_s))),
             dim=m.shape[0],
-            candidates=np.ascontiguousarray(np.concatenate(
-                [fix_column_signs(vecs_m[:, ::-1]).T, fix_column_signs(vecs_s[:, ::-1]).T]
-            )),
+            candidates=np.ascontiguousarray(vecs.T),
             norms=(float(vals_m[-1]), float(1.0 / vals_s[0])),
         )
 
@@ -246,13 +251,13 @@ def _quadratic_forms(m, n, w, owner=None):
     else:
         wm = np.empty_like(w)
         wn = np.empty_like(w)
-        cuts = (np.flatnonzero(owner[1:] != owner[:-1]) + 1).tolist()
+        cuts = ((owner[1:] != owner[:-1]).nonzero()[0] + 1).tolist()
         for lo, hi in zip([0, *cuts], [*cuts, len(owner)]):
             wm[lo:hi] = w[lo:hi] @ m[owner[lo]]
             wn[lo:hi] = w[lo:hi] @ n[owner[lo]]
-    qm = np.einsum("ij,ij->i", wm, w)
-    qn = np.einsum("ij,ij->i", wn, w)
-    qw = np.einsum("ij,ij->i", w, w)
+    qm = _einsum("ij,ij->i", wm, w)
+    qn = _einsum("ij,ij->i", wn, w)
+    qw = _einsum("ij,ij->i", w, w)
     return wm, wn, qm, qn, qw
 
 
@@ -317,18 +322,24 @@ def _d_tilde_hessians(m, n, w, terms=None, tangent=False, owner=None):
     """
     m, n, owner = _one_pair(m, n, owner)
     a, b, qm, qn, qw = _d_tilde_terms(m, n, w, owner) if terms is None else terms
-    if owner is not None:
-        m, n = m[owner], n[owner]
     iw = (1.0 / qw)[:, None]
     if tangent:
         r = 2.0 * iw * w
         y = (iw * (w + 2.0 * (a + b)), r - 4.0 * a, r - 4.0 * b)
     else:
         y = (8.0 * iw * iw * w, -4.0 * a, -4.0 * b)
-    h = np.stack((w, a, b), axis=2) @ np.stack(y, axis=1)
-    h += (2.0 / qm)[:, None, None] * m
-    h += (2.0 / qn)[:, None, None] * n
-    diagonals = np.einsum("ijj->ij", h)  # a writable view
+    # X and Y' as np.stack builds them, by one concatenation each
+    x = np.concatenate((w[:, :, None], a[:, :, None], b[:, :, None]), axis=2)
+    h = x @ np.concatenate([t[:, None] for t in y], axis=1)
+    for s, q in ((m, qm), (n, qn)):
+        scale = (2.0 / q)[:, None, None]
+        if owner is None:
+            h += scale * s
+        else:  # each row's copy of its pair's matrix takes the scale in place
+            s = s[owner]
+            s *= scale
+            h += s
+    diagonals = _einsum("ijj->ij", h)  # a writable view
     diagonals -= 4.0 * iw
     return h
 

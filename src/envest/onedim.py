@@ -91,10 +91,11 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import EnvestError, InvalidInput, NoConvergence
-from .linalg import _not_positive_definite, fix_column_signs
+from .linalg import _not_positive_definite, _solve_vectors, fix_column_signs
 from .objective import (
     ObjectivePair,
     _check_solver_inputs,
+    _einsum,
     _require_dimension,
     _d_tilde_gradients,
     _d_tilde_hessians,
@@ -212,29 +213,34 @@ def _armijo(m, n, w, f, p, dg, resolution, owner=None):
     p = p * s[:, None]
     dg = dg * s
 
-    def attempt(j, t):
-        # the retracted trials of rows j at steps t, their forms and D, and
-        # which of them pass both tests
-        trial = w[j] + t[:, None] * p[j]
+    def attempt(trial, own, f0, decrease):
+        # the retracted trials of rows with owners own, their forms and D,
+        # and which of them pass both tests against the values f0 at their
+        # rows and the decreases asked for
         trial /= _row_norms(trial)[:, None]
-        forms = _quadratic_forms(m, n, trial, None if owner is None else owner[j])
+        forms = _quadratic_forms(m, n, trial, own)
         fv = _d_tilde_values(m, n, trial, forms=forms)
-        return trial, forms, fv, (fv <= f[j] + _ARMIJO_C1 * t * dg[j]) & (fv < f[j])
+        return trial, forms, fv, (fv <= f0 + decrease) & (fv < f0)
 
-    t = np.ones(w.shape[0])
-    trial, forms, fv, accepted = attempt(slice(None), t)
+    # t = 1 for every row, where t p and C1 t dg are p and C1 dg exactly
+    trial, forms, fv, accepted = attempt(w + p, owner, f, _ARMIJO_C1 * dg)
     if accepted.all():
         return accepted, trial, fv, forms
+    t = np.ones(w.shape[0])
     w_new, f_new = w.copy(), f.copy()
     w_new[accepted], f_new[accepted] = trial[accepted], fv[accepted]
     pending = ~accepted
     while True:
         t[pending] *= _LINE_SEARCH_SHRINK
         pending &= _ARMIJO_C1 * t * np.abs(dg) >= resolution
-        if not pending.any():
+        j = pending.nonzero()[0]
+        if not j.size:
             return accepted, w_new, f_new, None
-        j = np.flatnonzero(pending)
-        trial, _, fv, ok = attempt(j, t[j])
+        tj = t[j]
+        trial, _, fv, ok = attempt(
+            w[j] + tj[:, None] * p[j], None if owner is None else owner[j],
+            f[j], _ARMIJO_C1 * tj * dg[j],
+        )
         hit = j[ok]
         w_new[hit], f_new[hit] = trial[ok], fv[ok]
         accepted[hit] = True
@@ -295,40 +301,42 @@ def _lockstep(pairs, settings):
 
     Of each pair's 2 dim eigenvector candidates, the ``_SCREENED_STARTS``
     with the lowest initial D are iterated, kept in candidate order so that
-    ties still go to the earliest candidate.  The starts of every pair are
-    rows of one array, a pair's rows consecutive, and step together; a lone
-    pair's rows need no owner, and the kernels take its matrices as they
-    are.  A Newton iteration makes one pass of ``_quadratic_forms`` when its
-    line search accepts every row at its first trial: those forms are the
-    next iteration's.  A pair gets NoConvergence when none of its starts
-    converges; the starts screened out are not tried.
+    ties still go to the earliest candidate.  The candidates of every pair
+    are screened in one batch.  The starts of every pair, as many for each,
+    are rows of one array, a pair's rows consecutive, and step together; a
+    lone pair's rows need no owner, and the kernels take its matrices as
+    they are.  A Newton iteration makes one pass of ``_quadratic_forms``
+    when its line search accepts every row at its first trial: those forms
+    are the next iteration's.  A pair gets NoConvergence when none of its
+    starts converges; the starts screened out are not tried.
     """
-    dim = pairs[0].dim
-    starts = []
-    for pair in pairs:
-        w = pair.candidates
-        f = _d_tilde_values(pair.m, pair.m_plus_u_inv, w)
-        if w.shape[0] > _SCREENED_STARTS:
-            # screen: keep the starts with the lowest D, in candidate order
-            keep = np.sort(np.argsort(f, kind="stable")[:_SCREENED_STARTS])
-            w, f = w[keep], f[keep]
-        starts.append((w, f))
-    w = np.concatenate([w for w, _ in starts])
-    f = np.concatenate([f for _, f in starts])
-    sizes = [len(f) for _, f in starts]
-    ends = np.cumsum(sizes)
-    # the kernels' matrices and, per row, the Frobenius norms of its pair's;
-    # a lone pair's are its own, with no owner and one norm for every row
-    if len(pairs) == 1:
-        owner = None
-        m, n = pairs[0].m, pairs[0].m_plus_u_inv
-        fm, fn = float(np.linalg.norm(m, "fro")), float(np.linalg.norm(n, "fro"))
+    dim, size = pairs[0].dim, len(pairs)
+    # the kernels' matrices, the candidates with the owner of each row, and
+    # per row the Frobenius norms of its pair's matrices; a lone pair's are
+    # its own, with no owner and one norm for every row
+    if size == 1:
+        (pair,) = pairs
+        m, n, w, owner = pair.m, pair.m_plus_u_inv, pair.candidates, None
+        fm, fn = _norm(m), _norm(n)
     else:
-        owner = np.repeat(np.arange(len(pairs)), sizes)
         m = np.array([pair.m for pair in pairs])
         n = np.array([pair.m_plus_u_inv for pair in pairs])
-        fm = np.array([float(np.linalg.norm(pair.m, "fro")) for pair in pairs])[owner]
-        fn = np.array([float(np.linalg.norm(pair.m_plus_u_inv, "fro")) for pair in pairs])[owner]
+        w = np.concatenate([pair.candidates for pair in pairs])
+        owner = np.repeat(np.arange(size), 2 * dim)
+    f = _d_tilde_values(m, n, w, owner)
+    per_pair = min(2 * dim, _SCREENED_STARTS)
+    if per_pair < 2 * dim:
+        # screen: keep each pair's starts with the lowest D, in candidate order
+        keep = np.argsort(f.reshape(size, 2 * dim), axis=1, kind="stable")[:, :per_pair]
+        keep.sort(axis=1)
+        keep += 2 * dim * np.arange(size)[:, None]
+        w, f = w[keep.ravel()], f[keep.ravel()]
+    elif size == 1:
+        w = w.copy()  # rows are written as they stop; the pair's candidates stay
+    if size > 1:
+        owner = np.repeat(np.arange(size), per_pair)
+        fm = np.repeat([_norm(pair.m) for pair in pairs], per_pair)
+        fn = np.repeat([_norm(pair.m_plus_u_inv) for pair in pairs], per_pair)
     count = w.shape[0]
     iters = np.zeros(count, dtype=int)
     stops = np.zeros(count, dtype=np.int8)  # an index into _STOPS; 0 while live
@@ -353,8 +361,7 @@ def _lockstep(pairs, settings):
     while True:
         terms = _d_tilde_terms(m, n, wa, own, forms)
         g, floor = _d_tilde_gradients(m, n, wa, fm, fn, terms)
-        radial = np.einsum("ij,ij->i", g, wa)
-        g = g - radial[:, None] * wa
+        g -= _einsum("ij,ij->i", g, wa)[:, None] * wa
         gn = _row_norms(g)
         bg = np.minimum(bg, gn)
         done = gn <= np.maximum(tol * np.maximum(1.0, np.abs(fa)), floor)
@@ -376,10 +383,10 @@ def _lockstep(pairs, settings):
         h = _d_tilde_hessians(m, n, wa, terms, tangent=True, owner=own)
         tau = _shifts(h)
         if tau.any():
-            diagonals = np.einsum("ijj->ij", h)  # a writable view
+            diagonals = _einsum("ijj->ij", h)  # a writable view
             diagonals += tau[:, None]
-        p = -np.linalg.solve(h, g[..., None])[..., 0]
-        dg = np.einsum("ij,ij->i", p, g)
+        p = -_solve_vectors(h, g)
+        dg = _einsum("ij,ij->i", p, g)
         # D's float64 resolution at w: eps times the condition numbers of its
         # two logarithms.  A Newton decrement below it leaves no decrease
         # that float64 can show, so the start has converged; a line search
@@ -401,28 +408,33 @@ def _lockstep(pairs, settings):
             if idx.size == 0:
                 break
 
-    converged = (stops == _GRADIENT) | (stops == _RESOLVED)
+    # per pair, the smallest final value among its screened starts wins
+    # (first on ties); stalled starts stay eligible since a stall only
+    # happens where no representable decrease exists, i.e. at a numerical
+    # critical point.  A pair none of whose starts converged reports that
+    # start as its best
+    win = f.reshape(size, per_pair).argmin(axis=1) + per_pair * np.arange(size)
+    converged = ((stops == _GRADIENT) | (stops == _RESOLVED)).reshape(size, per_pair).any(axis=1)
+    best = fix_column_signs(w[win].T).T
     out = []
-    for lo, hi in zip([0, *ends[:-1]], ends):
-        rows = slice(lo, hi)
-        if not converged[rows].any():
-            b = lo + np.argmin(f[rows])
+    for i, (k, ok) in enumerate(zip(win.tolist(), converged.tolist())):
+        if ok:
+            out.append(_Direction(best[i], float(f[k]), int(iters[k]), _STOPS[stops[k]]))
+        else:
             out.append(NoConvergence(
                 "no candidate start satisfied the gradient criterion "
-                f"(best objective {f[b]:.6g}, gradient norm {best_gn[b]:.3g})",
-                best=fix_column_signs(w[b]),
-                gradient_norm=float(best_gn[b]),
+                f"(best objective {f[k]:.6g}, gradient norm {best_gn[k]:.3g})",
+                best=best[i],
+                gradient_norm=float(best_gn[k]),
             ))
-            continue
-        # smallest final value among the screened starts wins (first on
-        # ties); stalled starts stay eligible since a stall only happens
-        # where no representable decrease exists, i.e. at a numerical
-        # critical point
-        win = lo + np.argmin(f[rows])
-        out.append(_Direction(
-            fix_column_signs(w[win]), float(f[win]), int(iters[win]), _STOPS[stops[win]]
-        ))
     return out
+
+
+def _norm(a):
+    """``np.linalg.norm(a)`` of a 1-d or 2-d array, by numpy's own formula
+    without its argument handling: the Euclidean or Frobenius norm."""
+    x = a.ravel(order="K")
+    return float(np.sqrt(x.dot(x)))
 
 
 def _rows(keep, *values):
@@ -501,7 +513,7 @@ def fit_many(pairs, u, settings=None):
                 run.error = sol
                 continue
             g = run.g0 @ sol.w
-            g /= np.linalg.norm(g)
+            g /= _norm(g)
             run.columns.append(fix_column_signs(g))
             run.values.append(sol.value)
             run.iterations.append(sol.iterations)
@@ -546,15 +558,16 @@ def _deflate(g0, pair, w):
     InvalidInput, and the build still checks positive definiteness.
     """
     v = w.copy()
-    v[0] += np.copysign(np.linalg.norm(w), w[0])
+    v[0] += np.copysign(_norm(w), w[0])
     beta = 2.0 / (v @ v)
-    g0 = g0[:, 1:] - np.outer(beta * (g0 @ v), v[1:])
+    # the outer products as np.outer computes them
+    g0 = g0[:, 1:] - (beta * (g0 @ v))[:, None] * v[None, 1:]
 
     def compress(s):
         # Q S Q = S - (v z' + z v') with z = beta (S v - (beta v'S v / 2) v)
         y = s @ v
         z = beta * (y - (0.5 * beta * (v @ y)) * v)
-        t = np.outer(v[1:], z[1:])
+        t = v[1:, None] * z[None, 1:]
         return s[1:, 1:] - (t + t.T)
 
     m, u = compress(pair.m), compress(pair.u)

@@ -4,6 +4,8 @@ Known values used below:
 - two lines at angle theta have projector distance sqrt(2)*|sin(theta)|
 """
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -135,6 +137,22 @@ def test_a_one_by_one_verdict():
     stack = np.array([2.0, 1e-300, 0.0, -1.0, np.nan])[:, None, None]
     assert [cholesky_raises(a) for a in stack] == [False, False, True, True, False]
     assert linalg._not_positive_definite(stack).tolist() == [2, 3, 4]
+
+
+def test_eigh_kernel_is_np_linalg_eigh():
+    # ObjectivePair builds call numpy's eigh kernel as np.linalg.eigh does:
+    # the same bits, and LinAlgError, with no warning, where it fails
+    rng = np.random.default_rng(12)
+    for d in (1, 4, 30):
+        a = linalg.symmetrize(rng.standard_normal((d, d)))
+        vals, vecs = linalg._eigh(a)
+        want_vals, want_vecs = np.linalg.eigh(a)
+        assert np.array_equal(vals, want_vals)
+        assert np.array_equal(vecs, want_vecs)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(np.linalg.LinAlgError, match="did not converge"):
+            linalg._eigh(np.full((3, 3), np.nan))
 
 
 class TestOrthonormalComplement:

@@ -5,6 +5,8 @@ Closed form used throughout: for M = diag(2, 1), U = diag(3, 0) and
 Gamma = e1 the objective is log(2) + log(1/5) = log(0.4).
 """
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -19,6 +21,9 @@ from envest.errors import (
 from envest.objective import (
     ObjectivePair,
     _d_tilde_hessians,
+    _d_tilde_terms,
+    _d_tilde_values,
+    _quadratic_forms,
     d_tilde_gradient,
     d_tilde_hessian,
     d_tilde_value,
@@ -266,3 +271,61 @@ def test_tangent_model_is_the_compressed_hessian(d):
         proj = np.eye(d) - np.outer(row, row) / (row @ row)
         want = proj @ d_tilde_hessian(pair, row) @ proj + np.outer(row, row) / (row @ row)
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def _same_bits(got, want):
+    if isinstance(want, tuple):
+        return len(got) == len(want) and all(map(_same_bits, got, want))
+    return got.dtype == want.dtype and np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("d", [3, 12, 30])
+def test_batched_kernels_give_each_pair_its_lone_bits(d):
+    # the rows of three pairs in blocks of 5, 1 and 8, as the direction
+    # solver batches several problems: every D kernel gives each pair's
+    # rows exactly the bits of a call on that pair's rows alone
+    rng = np.random.default_rng(70 + d)
+    pairs = [random_pair(rng, d) for _ in range(3)]
+    sizes = (5, 1, 8)
+    blocks = [rng.standard_normal((k, d)) * rng.uniform(0.1, 10.0, (k, 1)) for k in sizes]
+    m = np.array([pair.m for pair in pairs])
+    n = np.array([pair.m_plus_u_inv for pair in pairs])
+    owner = np.repeat(np.arange(len(sizes)), sizes)
+
+    def kernels(m, n, w, owner=None):
+        return (
+            _quadratic_forms(m, n, w, owner),
+            _d_tilde_values(m, n, w, owner),
+            _d_tilde_terms(m, n, w, owner),
+            _d_tilde_hessians(m, n, w, tangent=True, owner=owner),
+        )
+
+    batched = kernels(m, n, np.concatenate(blocks), owner)
+    ends = np.cumsum(sizes)
+    for pair, block, lo, hi in zip(pairs, blocks, ends - sizes, ends):
+        alone = kernels(pair.m, pair.m_plus_u_inv, block)
+        rows = tuple(
+            tuple(x[lo:hi] for x in out) if isinstance(out, tuple) else out[lo:hi]
+            for out in batched
+        )
+        assert _same_bits(rows, alone)
+
+
+def test_a_singular_tangent_hessian_batch_raises():
+    # the direction solver solves its batch of tangent models through
+    # numpy's kernel, under the error state np.linalg.solve sets: a batch
+    # holding a singular model raises LinAlgError, as np.linalg.solve does,
+    # where the bare kernel returns NaN with a RuntimeWarning; a regular
+    # batch gets np.linalg.solve's bits
+    rng = np.random.default_rng(81)
+    d = 6
+    pair = random_pair(rng, d)
+    w = rng.standard_normal((4, d))
+    h = _d_tilde_hessians(pair.m, pair.m_plus_u_inv, w, tangent=True)
+    g = rng.standard_normal((4, d))
+    assert _same_bits(linalg._solve_vectors(h, g), np.linalg.solve(h, g[..., None])[..., 0])
+    h[2, :, 0] = 0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(np.linalg.LinAlgError, match="Singular matrix"):
+            linalg._solve_vectors(h, g)

@@ -10,8 +10,22 @@ the work directory's path masked so that two checkouts can be compared.
 A second sha256 follows: the same digest with the report's J fields
 (``objective``, ``score`` and ``final_objective``) removed, so that a
 change that moves only J keeps it.  ``simulate`` runs also digest their
-``--csv-summary`` grid with the wall-clock columns blanked.  Run it on two
-checkouts and diff the output: equal tables mean equal reports.
+``--csv-summary`` grid with the wall-clock columns blanked.
+
+The solver rows that follow (``solver_*``) call ``onedim.fit_many``
+directly, at sizes the CLI rows do not reach.  For each (d, u) of
+``SOLVER_SIZES`` and each kind of pair, population (M and U of
+``generate_instance(d, u, s)``) and sample (S_{Y|X} and S_Y - S_{Y|X} of n
+observations drawn with seed s + 1, as ``simulate.sample_experiment``
+builds them), the pairs of the seeds are fitted at u one call each
+(``alone``) and in one call together (``batch``, the lockstep batches of
+several problems).  A row prints the number of fits and the sha256 of
+their bases, objective values, inner iterations and diagnostics, or of
+the error in place of a fit.  The tool runs on one BLAS thread unless
+OPENBLAS_NUM_THREADS is set.
+
+Run it on two checkouts and diff the output: equal tables mean equal
+reports and equal fits.
 """
 
 import contextlib
@@ -19,6 +33,7 @@ import csv
 import hashlib
 import io
 import json
+import os
 import shutil
 import sys
 import tempfile
@@ -36,9 +51,15 @@ ALGOS = ("onedim", "fg", "fg-warm")
 TIMING_COLUMNS = ("mean_time_seconds", "se_time_seconds")
 # the report fields that hold a value of the objective J
 J_FIELDS = ("objective", "score", "final_objective")
+# (d, u, n of the sample pairs, seeds) of the solver rows
+SOLVER_SIZES = ((10, 3, 100, range(16)), (20, 5, 1000, range(12)),
+                (30, 10, 200, range(12)), (60, 30, 4000, range(4)))
 
 
 def load_cli(checkout):
+    # one BLAS thread: a threaded product rounds differently, and the
+    # solver rows should not depend on the host's core count
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     src = (Path(checkout) / "src").resolve()
     sys.path.insert(0, str(src))
     import envest
@@ -195,6 +216,62 @@ def digest(*parts, mask):
     return h.hexdigest()
 
 
+def solver_pairs(kind, d, u, n, seeds):
+    """The ObjectivePairs of a solver row, one per seed."""
+    from envest import simulate
+    from envest.estimators import covariance_kit
+    from envest.linalg import symmetrize
+    from envest.objective import ObjectivePair
+
+    pairs = []
+    for s in seeds:
+        inst = simulate.generate_instance(d, u, s)
+        if kind == "population":
+            pairs.append(ObjectivePair.from_m_u(inst.m, inst.u_mat))
+        else:
+            kit = covariance_kit(simulate.sample_data(inst, n, s + 1))
+            pairs.append(ObjectivePair.from_m_u(
+                kit.s_y_given_x, symmetrize(kit.s_y - kit.s_y_given_x)
+            ))
+    return pairs
+
+
+def fit_digest(results):
+    """sha256 of fit_many results: each fit's basis, objective values, inner
+    iterations and diagnostics, or its error with the partial fit it holds."""
+    import numpy as np
+
+    h = hashlib.sha256()
+
+    def add(fit):
+        h.update(np.ascontiguousarray(fit.basis).tobytes())
+        h.update(repr((fit.objective_values, fit.inner_iterations, fit.diagnostics)).encode())
+
+    for result in results:
+        h.update(type(result).__name__.encode())
+        if hasattr(result, "basis"):
+            add(result)
+        else:
+            h.update(f"{result} {getattr(result, 'step_index', None)}".encode())
+            if getattr(result, "partial", None) is not None:
+                add(result.partial)
+        h.update(b"\0")
+    return h.hexdigest()
+
+
+def solver_rows():
+    from envest import onedim
+
+    for d, u, n, seeds in SOLVER_SIZES:
+        for kind in ("population", "sample"):
+            pairs = solver_pairs(kind, d, u, n, seeds)
+            alone = [r for pair in pairs for r in onedim.fit_many([pair], u)]
+            name = f"solver_{kind}_{d}_{u}"
+            print(f"{name}_alone {len(alone)} {fit_digest(alone)}")
+            batch = onedim.fit_many(pairs, u)
+            print(f"{name}_batch {len(batch)} {fit_digest(batch)}")
+
+
 def main(argv):
     if len(argv) != 1:
         raise SystemExit(__doc__.split("\n\n")[1])
@@ -219,6 +296,7 @@ def main(argv):
                 print(f"{name}.csv {code} {digest(untimed_csv(grid), mask=str(work))}")
     finally:
         shutil.rmtree(work)
+    solver_rows()
 
 
 if __name__ == "__main__":

@@ -58,11 +58,20 @@ prints one line per count:
   whose predicted decrease stops a fit as ``Roundoff``) that are the
   Cholesky-certified Newton step, with no call of ``_trust_region_step``;
 * ``fg_hessian_eighs``: calls of ``np.linalg.eigh`` on a Hessian that
-  ``grassmann._tangent_model`` returned.
+  ``grassmann._tangent_model`` returned;
+* ``profiled_calls``: the Python and C function calls made inside
+  ``onedim.fit_many``, as ``sys.setprofile`` reports them ("call" and
+  "c_call" events; calling a ufunc or an operator makes none), per Newton
+  iteration.  They are counted in a pass of their own, made before the
+  counters are installed and after a warm-up, so no counter's call is
+  among them.  The figure depends on the Python and numpy versions, not on
+  the host's speed, so it tells a change in the solver's call overhead
+  apart from timing noise.
 
 Run it on two checkouts and compare the tables.
 """
 
+import os
 import sys
 import tempfile
 from collections import Counter
@@ -257,28 +266,65 @@ class Counts:
         return [(k, int(c[k])) for k in keys]
 
 
+def profiled_calls(onedim, run):
+    """The "call" and "c_call" profile events inside ``onedim.fit_many``
+    while run() runs."""
+    target = onedim.fit_many.__code__
+    depth = calls = 0
+
+    def profile(frame, event, arg):
+        nonlocal depth, calls
+        if event == "call" and frame.f_code is target:
+            depth += 1
+        elif event == "return" and frame.f_code is target:
+            depth -= 1
+        elif depth and event in ("call", "c_call"):
+            calls += 1
+
+    sys.setprofile(profile)
+    try:
+        run()
+    finally:
+        sys.setprofile(None)
+    return calls
+
+
 def main(argv):
     if len(argv) != 1:
         raise SystemExit(__doc__.split("\n\n")[1])
     workloads = load(argv[0])
     from envest import grassmann, objective, onedim, simulate
 
-    sets = []
-    counts = Counts(onedim, objective, grassmann)
-    for s in POPULATION_SEEDS:
-        inst = simulate.generate_instance(30, 10, s)
-        onedim.fit(inst.m, inst.u_mat, 10)
-    sets.append(("population", counts.table()))
-    for name in DATASET_WORKLOADS:
-        with tempfile.TemporaryDirectory(prefix="envest-counts-") as work:
-            workload = workloads.WORKLOADS[name](0, work)
-            workload.prepare()  # its reference fits are not counted
-            counts.c.clear()
+    def population():
+        for s in POPULATION_SEEDS:
+            inst = simulate.generate_instance(30, 10, s)
+            onedim.fit(inst.m, inst.u_mat, 10)
+
+    def ops(name, workload):
+        def run():
             for i in range(workload.universe):
                 codes = workload.run_op(i)
                 if any(codes):
                     raise SystemExit(f"error: {name} op {i} exited with {codes}")
-            sets.append((name, counts.table()))
+        return run
+
+    with tempfile.TemporaryDirectory(prefix="envest-counts-") as work:
+        runs = [("population", population)]
+        for name in DATASET_WORKLOADS:
+            os.mkdir(os.path.join(work, name))
+            workload = workloads.WORKLOADS[name](0, os.path.join(work, name))
+            workload.prepare()  # its reference fits are not counted
+            runs.append((name, ops(name, workload)))
+        population()  # warm-up: first calls are left out of the profile
+        calls = {name: profiled_calls(onedim, run) for name, run in runs}
+        counts = Counts(onedim, objective, grassmann)
+        sets = []
+        for name, run in runs:
+            counts.c.clear()
+            run()
+            rows = counts.table()
+            rows.append(("profiled_calls", f"{calls[name] / counts.c['iterations']:.1f}"))
+            sets.append((name, rows))
     for name, rows in sets:
         for key, value in rows:
             print(f"{name} {key} {value}")
