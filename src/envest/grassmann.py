@@ -38,9 +38,10 @@ never above its start.
 
 Starting values matter a great deal here.  The built-in ``scan`` start
 grows a basis greedily over the 2d eigenvectors of M and of M + U, adding
-whichever candidate lowers the objective most at each size.  Any other
-orthonormal (d, u) basis can be supplied instead; the estimators' fg-warm
-algorithm starts from the sequential solver's basis this way.
+whichever candidate lowers the objective most at each size, all of them
+scored in one batched pass per size.  Any other orthonormal (d, u) basis
+can be supplied instead; the estimators' fg-warm algorithm starts from the
+sequential solver's basis this way.
 """
 
 import time
@@ -85,38 +86,35 @@ class FgSettings:
 
 
 def _scan(pair, u):
+    """``eigenvector_scan_start`` on a built pair.  A unit r orthogonal to
+    the basis B raises J by sum_A log(r'Ar - r'AB (B'AB)^{-1} B'Ar), the log
+    of the Schur complement of B'AB in [B r]'A[B r], so each growth step
+    scores every free candidate at once: u batched passes in place of about
+    2d u evaluations of J."""
     d = pair.dim
     if u == d:
         return np.eye(d)
-    # column-major: the bits of basis.T @ cands[i] depend on the row's
-    # stride, and the fg reports pin the scan to this layout
-    cands = np.asfortranarray(pair.candidates)
+    cands = pair.candidates
     basis = np.zeros((d, 0))
-    used = np.zeros(cands.shape[0], dtype=bool)
-    for _ in range(u):
-        best_j = np.inf
-        best_i = -1
-        best_col = None
-        for i in range(cands.shape[0]):
-            if used[i]:
-                continue
-            resid = cands[i] - basis @ (basis.T @ cands[i])
-            nrm = np.linalg.norm(resid)
-            if nrm < 1e-8:
-                continue
-            col = resid / nrm
-            val = j_value(pair, np.column_stack([basis, col]))
-            if val < best_j:
-                best_j = val
-                best_i = i
-                best_col = col
-        if best_i < 0:
+    empty = [(a, basis, None, np.eye(0)) for a in (pair.m, pair.m_plus_u_inv)]  # pieces at k = 0
+    free = np.ones(len(cands), dtype=bool)
+    for k in range(u):
+        resid = cands - (cands @ basis) @ basis.T
+        norms = np.sqrt(np.einsum("ij,ij->i", resid, resid))
+        live = free & (norms >= 1e-8)
+        r = resid / np.where(live, norms, 1.0)[:, None]
+        score = np.where(live, 0.0, np.inf)
+        for a, ag, _, c_inv in _gram_pieces(pair, basis) if k else empty:
+            rag = r @ ag
+            schur = np.einsum("ij,ij->i", r @ a, r) - np.einsum("ij,ij->i", rag @ c_inv, rag)
+            score += np.log(np.where(schur > 0.0, schur, np.inf))  # log(0) = -inf never wins
+        i = int(score.argmin())  # the first on ties
+        if score[i] == np.inf:
             raise RankDeficientCandidates(
-                f"eigenvector candidates span too little: stuck at {basis.shape[1]} "
-                f"of {u} directions"
+                f"eigenvector candidates span too little: stuck at {k} of {u} directions"
             )
-        used[best_i] = True
-        basis = np.column_stack([basis, best_col])
+        free[i] = False
+        basis = np.column_stack([basis, r[i]])
     return fix_column_signs(basis)
 
 
@@ -126,7 +124,9 @@ def eigenvector_scan_start(m_hat, u_hat, u):
     All 2d eigenvectors compete; at each of the u growth steps the candidate
     whose (orthonormalized) addition gives the lowest objective joins the
     basis, ties broken by candidate order.  Candidates nearly inside the
-    current span are skipped; running out raises RankDeficientCandidates.
+    current span are skipped, and so are those whose Schur complement
+    rounding leaves at or below 0; running out raises
+    RankDeficientCandidates.
     """
     return _scan(_check_solver_inputs(m_hat, u_hat, u), u)
 

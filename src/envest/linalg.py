@@ -32,9 +32,12 @@ __all__ = [
 
 
 def symmetrize(a):
-    """Return ``(a + a.T) / 2``, which is exactly symmetric in floating point."""
-    a = np.asarray(a, dtype=float)
-    return 0.5 * (a + a.T)
+    """Return ``(a + a.T) / 2``, which is exactly symmetric in floating point.
+
+    Halving a before the sum gives the bits of halving the sum outside the
+    subnormal range, and no overflow where the entries are finite."""
+    half = 0.5 * np.asarray(a, dtype=float)
+    return half + half.T
 
 
 def _require_symmetric(s, name="matrix"):
@@ -115,11 +118,14 @@ def _require_positive_definite(vals, what):
     """Reject the ascending spectrum vals of ``what`` unless it is positive
     definite.
 
-    Raises NotPositiveDefinite when the smallest eigenvalue falls at or below
+    Raises InvalidInput when either end of it is not finite, and
+    NotPositiveDefinite when the smallest eigenvalue falls at or below
     ``1e-12 * max(1, lambda_max)``, with it riding along.
     """
-    bad = float(vals[0])
-    if bad <= 1e-12 * max(1.0, float(vals[-1])):
+    bad, top = float(vals[0]), float(vals[-1])
+    if not -np.inf < bad <= top < np.inf:  # NaN fails every comparison
+        raise InvalidInput(f"{what} has a non-finite spectrum")
+    if bad <= 1e-12 * max(1.0, top):
         raise NotPositiveDefinite(
             f"{what} is not positive definite (eigenvalue {bad:.6g})",
             eigenvalue=bad,

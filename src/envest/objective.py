@@ -96,7 +96,9 @@ class ObjectivePair:
         u = _require_symmetric(u, "U")
         if u.shape != m.shape:
             raise DimensionMismatch(f"M is {m.shape} but U is {u.shape}")
-        return cls._build(m, u, symmetrize(m + u))
+        with np.errstate(over="ignore"):  # the build rejects a sum that overflows
+            mpu = symmetrize(m + u)
+        return cls._build(m, u, mpu)
 
     @classmethod
     def from_pair(cls, m, m_plus_u):
@@ -109,6 +111,8 @@ class ObjectivePair:
 
     @classmethod
     def _build(cls, m, u, mpu):
+        if not np.isfinite(mpu).all():
+            raise InvalidInput("M+U has non-finite entries")
         vals_m, vecs_m = _eigh(m)
         _require_positive_definite(vals_m, "M")
         vals_s, vecs_s = _eigh(mpu)

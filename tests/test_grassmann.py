@@ -5,6 +5,8 @@ best single eigenvector is e2 because J(e_i) = log(lambda_i) + log of the
 corresponding inverse eigenvalue of M+U, which only e2 lowers below zero.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -46,6 +48,87 @@ def test_scan_start_greedy_is_monotone():
     ]
     assert values[1] <= values[0] + 1e-9
     assert values[2] <= values[1] + 1e-9
+
+
+def _loop_scan(pair, u):
+    """The reference scan: one J evaluation per free candidate and growth step."""
+    d = pair.dim
+    if u == d:
+        return np.eye(d)
+    cands = pair.candidates
+    basis = np.zeros((d, 0))
+    used = np.zeros(cands.shape[0], dtype=bool)
+    for _ in range(u):
+        best_j = np.inf
+        best_i = -1
+        best_col = None
+        for i in range(cands.shape[0]):
+            if used[i]:
+                continue
+            resid = cands[i] - basis @ (basis.T @ cands[i])
+            nrm = np.linalg.norm(resid)
+            if nrm < 1e-8:
+                continue
+            col = resid / nrm
+            val = j_value(pair, np.column_stack([basis, col]))
+            if val < best_j:
+                best_j = val
+                best_i = i
+                best_col = col
+        if best_i < 0:
+            raise RankDeficientCandidates("stuck")
+        used[best_i] = True
+        basis = np.column_stack([basis, best_col])
+    return linalg.fix_column_signs(basis)
+
+
+# (kind, d, u, n, seeds): fewer seeds where the reference loop is slow
+SCAN_PROBLEMS = [
+    ("population", 10, 3, None, range(16)),
+    ("population", 30, 10, None, range(6)),
+    ("population", 50, 20, None, range(3)),
+    ("sample", 30, 10, 200, range(6)),
+    ("sample", 20, 5, 1000, range(8)),
+    ("sample", 60, 30, 4000, range(2)),
+]
+
+
+@pytest.mark.parametrize(
+    "kind, d, u, n, seeds", SCAN_PROBLEMS, ids=[f"{p[0]}-{p[1]}-{p[2]}" for p in SCAN_PROBLEMS]
+)
+def test_batched_scan_matches_the_loop(kind, d, u, n, seeds):
+    # the batched increments round differently from whole-J evaluations;
+    # population pairs have near-tied eigen-groups, where that shows most
+    for s in seeds:
+        if kind == "population":
+            inst = simulate.generate_instance(d, u, s)
+            pair = ObjectivePair.from_m_u(inst.m, inst.u_mat)
+        else:  # the pairs simulate.sample_experiment builds: data seed s + 1
+            pair = ObjectivePair.from_m_u(*_sample_problem(d, u, n, s, s + 1))
+        dist = linalg.subspace_distance(grassmann._scan(pair, u), _loop_scan(pair, u))
+        assert dist <= 1e-7, s
+
+
+@pytest.mark.parametrize(
+    "u_diag, u, picks", [([1.0, 0.0, 0.0, 0.0], 2, [3, 0]), ([0.0] * 4, 3, [0, 1, 2])]
+)
+def test_exact_ties_pick_in_candidate_order(u_diag, u, picks):
+    # M = I, whose candidates are unit vectors: after e1, which U lowers,
+    # every free candidate scores exactly 0 and the first of them wins
+    pair = ObjectivePair.from_m_u(np.eye(4), np.diag(u_diag))
+    basis = grassmann._scan(pair, u)
+    assert np.array_equal(basis, _loop_scan(pair, u))
+    assert [int(np.abs(pair.candidates @ col).argmax()) for col in basis.T] == picks
+
+
+def test_a_complement_at_zero_never_wins():
+    # a pair built by hand with a singular M: the Schur complements of e3
+    # and e4 are 0, whose log, -inf, would win the pick; they score +inf
+    good = ObjectivePair.from_m_u(np.diag([2.0, 1.0, 0.5, 0.25]), np.zeros((4, 4)))
+    pair = replace(good, m=np.diag([2.0, 1.0, 0.0, 0.0]))
+    assert np.array_equal(np.abs(grassmann._scan(pair, 2)), np.eye(4)[:, :2])
+    with pytest.raises(RankDeficientCandidates):
+        grassmann._scan(pair, 3)
 
 
 class TestFit:

@@ -28,6 +28,12 @@ def test_symmetrize_exact():
     np.testing.assert_allclose(s, 0.5 * (a + a.T))
 
 
+def test_symmetrize_keeps_finite_entries_near_the_float64_limit():
+    # halving the sum would take 1e308 + 1e308 to inf first
+    a = np.array([[1e308, -1e308, 2.0], [-1e308, 0.5, 1e308], [2.0, 1e308, -1e308]])
+    assert np.array_equal(linalg.symmetrize(a), a)
+
+
 def test_fix_column_signs_pins_largest_entry():
     a = np.array([[0.1, -2.0], [-3.0, 1.0]])
     fixed = linalg.fix_column_signs(a)

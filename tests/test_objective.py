@@ -166,6 +166,42 @@ def test_indefinite_m_carries_its_negative_eigenvalue():
     assert info.value.eigenvalue == -2.0
 
 
+def test_a_sum_beyond_float64_is_invalid_input():
+    # finite M and U whose sum overflows: the pair, both solvers and the scan
+    # start reject them as input, rather than build non-finite fields
+    m, u = np.diag([1e308, 1.0, 2.0]), np.diag([1e308, 0.5, 0.0])
+    calls = (
+        lambda: ObjectivePair.from_m_u(m, u),
+        lambda: onedim.fit(m, u, 1),
+        lambda: grassmann.fit(m, u, 1),
+        lambda: grassmann.eigenvector_scan_start(m, u, 1),
+    )
+    for call in calls:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidInput, match="M\\+U has non-finite entries"):
+                call()
+
+
+def test_entries_near_the_float64_limit_build_finite_fields():
+    # M = diag(1e308, 1, 2) itself has condition number 1e308, which the
+    # positive definiteness test rejects; a well-conditioned M that large
+    # builds, and M keeps its bits
+    with pytest.raises(NotPositiveDefinite):
+        ObjectivePair.from_m_u(np.diag([1e308, 1.0, 2.0]), np.zeros((3, 3)))
+    m = np.diag([1e308, 5e307, 2e307])
+    pair = ObjectivePair.from_m_u(m, np.zeros((3, 3)))
+    assert np.array_equal(pair.m, m) and np.array_equal(pair.m_plus_u, m)
+    for field in (pair.m_plus_u_inv, pair.m_plus_u_logdet, pair.candidates, pair.norms):
+        assert np.isfinite(field).all()
+
+
+def test_a_non_finite_spectrum_is_invalid_input():
+    # finite entries whose largest eigenvalue, 2e308, overflows
+    with pytest.raises(InvalidInput, match="M has a non-finite spectrum"):
+        ObjectivePair.from_m_u(np.full((2, 2), 1e308), np.zeros((2, 2)))
+
+
 def test_rejects_asymmetric_input():
     m = np.array([[1.0, 0.5], [0.0, 1.0]])
     with pytest.raises(InvalidInput):

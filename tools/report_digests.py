@@ -21,8 +21,11 @@ builds them), the pairs of the seeds are fitted at u one call each
 (``alone``) and in one call together (``batch``, the lockstep batches of
 several problems).  A row prints the number of fits and the sha256 of
 their bases, objective values, inner iterations and diagnostics, or of
-the error in place of a fit.  The tool runs on one BLAS thread unless
-OPENBLAS_NUM_THREADS is set.
+the error in place of a fit.  At the sizes of ``SCAN_SIZES`` a
+``scan_{kind}_{d}_{u}`` row follows: the number of pairs and the sha256 of
+their ``grassmann.eigenvector_scan_start`` bases at u, so that a change to
+fg's start shows apart from a change to its trust-region path.  The tool
+runs on one BLAS thread unless OPENBLAS_NUM_THREADS is set.
 
 Run it on two checkouts and diff the output: equal tables mean equal
 reports and equal fits.
@@ -54,6 +57,8 @@ J_FIELDS = ("objective", "score", "final_objective")
 # (d, u, n of the sample pairs, seeds) of the solver rows
 SOLVER_SIZES = ((10, 3, 100, range(16)), (20, 5, 1000, range(12)),
                 (30, 10, 200, range(12)), (60, 30, 4000, range(4)))
+# (d, u) of the scan rows, on the pairs of their solver rows
+SCAN_SIZES = ((10, 3), (30, 10), (60, 30))
 
 
 def load_cli(checkout):
@@ -260,7 +265,7 @@ def fit_digest(results):
 
 
 def solver_rows():
-    from envest import onedim
+    from envest import grassmann, onedim
 
     for d, u, n, seeds in SOLVER_SIZES:
         for kind in ("population", "sample"):
@@ -270,6 +275,11 @@ def solver_rows():
             print(f"{name}_alone {len(alone)} {fit_digest(alone)}")
             batch = onedim.fit_many(pairs, u)
             print(f"{name}_batch {len(batch)} {fit_digest(batch)}")
+            if (d, u) in SCAN_SIZES:
+                h = hashlib.sha256()
+                for pair in pairs:
+                    h.update(grassmann.eigenvector_scan_start(pair.m, pair.u, u).tobytes())
+                print(f"scan_{kind}_{d}_{u} {len(pairs)} {h.hexdigest()}")
 
 
 def main(argv):

@@ -5,13 +5,18 @@ Usage: python3 tools/solver_counts.py CHECKOUT
 Imports envest from CHECKOUT/src and the benchmark workloads from
 CHECKOUT/benchmarks, wraps the solver's kernels in ``envest.onedim`` and
 ``envest.objective``, the trust-region loop of ``envest.grassmann`` and the
-build of an ``ObjectivePair`` with counters and runs three sets of fits:
+build of an ``ObjectivePair`` with counters and runs five sets of fits:
 
 * ``population``: ``onedim.fit`` at u = 10 on ``generate_instance(30, 10, s)``
   for seeds 0-16;
 * ``regression-session`` and ``grassmann-refine``: one op on every dataset of
   the benchmark workload's universe (workload seed 0), through the command
-  line as the benchmark runs them.
+  line as the benchmark runs them;
+* ``fg-population`` and ``fg-sample``: ``grassmann._fit`` at u = 10 from its
+  scan start, on the pairs of ``generate_instance(30, 10, s)`` for seeds
+  0-16, and on the sample pairs of n = 200 observations drawn from them with
+  seed s + 1, as ``simulate.sample_experiment`` builds them.  These two sets
+  print the fg rows below and ``j_value_calls``.
 
 Every count is made per problem: a lockstep batch that serves the starts of
 several problems (``onedim._lockstep``) counts once for each problem with
@@ -59,6 +64,8 @@ prints one line per count:
   Cholesky-certified Newton step, with no call of ``_trust_region_step``;
 * ``fg_hessian_eighs``: calls of ``np.linalg.eigh`` on a Hessian that
   ``grassmann._tangent_model`` returned;
+* ``j_value_calls``: calls of ``objective.j_value`` made by ``grassmann``,
+  its scan start included, per fg fit;
 * ``profiled_calls``: the Python and C function calls made inside
   ``onedim.fit_many``, as ``sys.setprofile`` reports them ("call" and
   "c_call" events; calling a ufunc or an operator makes none), per Newton
@@ -79,6 +86,7 @@ from pathlib import Path
 
 POPULATION_SEEDS = range(17)
 DATASET_WORKLOADS = ("regression-session", "grassmann-refine")
+FG_ROWS = ("fg_fits", "fg_iterations", "fg_newton_steps", "fg_hessian_eighs")
 
 
 def load(checkout):
@@ -218,7 +226,12 @@ class Counts:
         real_model = grassmann._tangent_model
         real_step = grassmann._trust_region_step
         real_eigh = np.linalg.eigh
+        real_j_value = grassmann.j_value
         hessian = [None]  # the Hessian of the model in use
+
+        def j_value(*args):
+            self.c["j_value_calls"] += 1
+            return real_j_value(*args)
 
         def tangent_model(*args):
             model = real_model(*args)
@@ -249,6 +262,7 @@ class Counts:
         setattr(grassmann, core, fit)
         grassmann._tangent_model = tangent_model
         grassmann._trust_region_step = trust_region_step
+        grassmann.j_value = j_value
 
     def table(self):
         c = self.c
@@ -300,6 +314,27 @@ def main(argv):
             inst = simulate.generate_instance(30, 10, s)
             onedim.fit(inst.m, inst.u_mat, 10)
 
+    def fg_pairs(kind):
+        from envest.estimators import covariance_kit
+        from envest.linalg import symmetrize
+        from envest.objective import ObjectivePair
+
+        pairs = []
+        for s in POPULATION_SEEDS:
+            inst = simulate.generate_instance(30, 10, s)
+            if kind == "population":
+                pairs.append(ObjectivePair.from_m_u(inst.m, inst.u_mat))
+            else:
+                kit = covariance_kit(simulate.sample_data(inst, 200, s + 1))
+                pairs.append(ObjectivePair.from_m_u(
+                    kit.s_y_given_x, symmetrize(kit.s_y - kit.s_y_given_x)
+                ))
+        return pairs
+
+    def fg(pairs):
+        # looked up at each call: the counters replace grassmann._fit
+        return lambda: [grassmann._fit(pair, 10) for pair in pairs]
+
     def ops(name, workload):
         def run():
             for i in range(workload.universe):
@@ -317,6 +352,7 @@ def main(argv):
             runs.append((name, ops(name, workload)))
         population()  # warm-up: first calls are left out of the profile
         calls = {name: profiled_calls(onedim, run) for name, run in runs}
+        fg_runs = [(f"fg-{kind}", fg(fg_pairs(kind))) for kind in ("population", "sample")]
         counts = Counts(onedim, objective, grassmann)
         sets = []
         for name, run in runs:
@@ -324,6 +360,13 @@ def main(argv):
             run()
             rows = counts.table()
             rows.append(("profiled_calls", f"{calls[name] / counts.c['iterations']:.1f}"))
+            sets.append((name, rows))
+        for name, run in fg_runs:
+            counts.c.clear()
+            run()
+            rows = [(key, value) for key, value in counts.table() if key in FG_ROWS]
+            per_fit = counts.c["j_value_calls"] / counts.c["fg_fits"]
+            rows.append(("j_value_calls", f"{per_fit:.1f}"))
             sets.append((name, rows))
     for name, rows in sets:
         for key, value in rows:
