@@ -19,20 +19,35 @@ Covariances use divisor n throughout.  The constrained-mean kind forces the
 mean deviations to sum to zero, so the fit runs inside the orthogonal
 complement of the all-ones direction and the basis is mapped back up.
 
-Every estimate takes one path, samples -> ``_kind_scans`` -> ``_fits`` ->
-``_estimate``:
+Every estimate takes one path, for a batch of samples at once (a single
+fit and a BIC scan are the batch of one, ``_one_scan``), through
+``_Scans``:
 
-* ``_kind_scans`` builds each sample's matrices (``_kind_pair``), checks
-  them and builds the problem's one ``ObjectivePair`` (``_checked_pair``);
+* ``_sample_moments`` reduces each sample to its means and covariances,
+  the only O(n d^2) work on a sample; the sample is built, reduced and
+  dropped before the next is built, so one sample's data is held at a time;
+* ``_kind_pairs`` makes every sample's (M, M + U) from the moments, its
+  conditional covariances with their singularity checks;
+* ``_checked_pairs`` checks U-hat and builds each sample's one
+  ``ObjectivePair``, with its ``Ridged`` retry;
 * ``_fits`` fits every pair, scores the J of each basis on its pair and
-  returns one scan per pair, u -> (basis fit, J);
-* ``_estimate`` assembles kind's estimates from a sample's moments and its
-  fit at u.
+  returns, per pair and u, (basis fit, J);
+* ``_estimates`` assembles kind's estimates from the moments and the fits
+  at u.
+
+Everything after the moments is stacked: each step is one numpy call on
+the stacked matrices of the batch, not one per sample.  Stacked matmul,
+eigh, eigvalsh, Cholesky and solve give each matrix the bits of a call of
+its own, so each sample keeps the bits it gets alone, and a sample that a
+step stops (a singular covariance, a U-hat with a negative eigenvalue, a
+pair that is not positive definite even after its ridge) gets its own
+package error while the others go on: Cholesky verdicts are read per
+matrix (``linalg._cholesky``), and each step hands the survivors to the
+next (``linalg._fill``).
 
 The samples of one call are fitted together: the folds of a
 cross-validation and, in ``simulate``, bootstrap replicates (the
-replications of an experiment enter at ``_fits`` with their pairs).  A
-single fit and a BIC scan are the batch of one sample (``_one_scan``).
+replications of an experiment enter at ``_fits`` with their pairs).
 ``_fits`` is the only caller of the solvers and hands the pairs to their
 cores, ``onedim.fit_many`` and ``grassmann._fit``; no estimator calls
 ``onedim.fit`` or ``grassmann.fit``, so a wrapper on either sees no
@@ -44,7 +59,7 @@ solving their directions in lockstep.  fg-warm is that sequential fit
 refined by the Grassmann optimizer.
 """
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -57,9 +72,17 @@ from .errors import (
     NoConvergence,
     NotPositiveDefinite,
     SingularCovariance,
+    SingularGram,
 )
-from .linalg import orthonormal_complement, project, symmetrize
-from .objective import ObjectivePair, _require_dimension, j_value
+from .linalg import (
+    _cholesky,
+    _eigvalsh,
+    _fill,
+    _projections,
+    orthonormal_complement,
+    symmetrize,
+)
+from .objective import _j_values, _one, _pairs, _require_dimension
 
 __all__ = [
     "ALGORITHMS",
@@ -117,8 +140,11 @@ def solver_settings(algo, gradient_tol=None, max_iterations=None):
 
 
 def _fits(checked, top, algo, settings):
-    """One scan per (ObjectivePair, flags) in checked, the pairs all of one
-    size d: u -> (basis fit of ``algo``, its J on the pair), for u = 1..top.
+    """The fits of ``algo`` on the pairs of checked, made together.
+
+    checked holds (ObjectivePair, flags), the pairs all of one size d.
+    Returns a function of u = 1..top that gives, per pair, its (basis fit,
+    J of the basis on the pair) at u, or the package error that stopped it.
 
     This is the only caller of the solvers, and it looks them up on their
     modules at every call.  It calls the cores that take a pair,
@@ -126,20 +152,22 @@ def _fits(checked, top, algo, settings):
     every fit, while one on ``onedim.fit`` or ``grassmann.fit`` sees none,
     since those only check and build a pair of matrices for their core.
     It is also the only place where the package scores the J of a fitted
-    basis.  Each fit carries its pair's flags after its own.  settings sets
-    the solver's tolerance and cap; None means the preset of ``algo``.
+    basis: a sequential fit's, of every pair in one stacked pass
+    (``objective._j_values``); fg and fg-warm end at a basis whose J their
+    optimizer holds, in ``objective_values``.  Each fit carries its pair's
+    flags after its own.  settings sets the solver's tolerance and cap;
+    None means the preset of ``algo``.
 
     fg fits every u of every pair from its own scan start.  onedim makes
     one sequential fit at min(top, d - 1) per pair, when the first u < d is
-    asked of any of them, and returns its first u columns; one
-    ``onedim.fit_many`` call makes them all.  fg-warm makes the same
-    sequential fits with the onedim preset and refines the first u columns
-    with ``grassmann._fit`` started from them, so settings sets only the
-    refinement; its wall time is the sequential fit's plus the
-    refinement's.  u = d is fitted on its own, by a ``fit_many`` call of
-    its one pair.  When a sequential fit stops with NoConvergence at
-    direction k, every u from k + 1 to d - 1 raises that error and the u up
-    to k keep the k directions accepted before it.
+    asked, and returns its first u columns; one ``onedim.fit_many`` call
+    makes them all.  fg-warm makes the same sequential fits with the onedim
+    preset and refines the first u columns with ``grassmann._fit`` started
+    from them, so settings sets only the refinement; its wall time is the
+    sequential fit's plus the refinement's.  u = d is fitted on its own, by
+    a ``fit_many`` call of the pairs at d.  When a sequential fit stops with
+    NoConvergence at direction k, every u from k + 1 to d - 1 gets that
+    error and the u up to k keep the k directions accepted before it.
     """
     _check_algorithm(algo)
     if settings is None:
@@ -149,33 +177,76 @@ def _fits(checked, top, algo, settings):
     sequential = ALGORITHMS["onedim"] if warm else settings
     shared = []  # per pair, its sequential fit or the error that stopped it
 
-    def sequential_fit(i, u):
-        if u == pairs[i].dim:  # fitted on its own
-            return onedim.fit_many([pairs[i]], u, sequential)[0]
+    def sequential_fits(u):
+        if u == pairs[0].dim:  # fitted on its own
+            return onedim.fit_many(pairs, u, sequential)
         if not shared:
-            shared.extend(onedim.fit_many(pairs, min(top, pairs[i].dim - 1), sequential))
-        outcome = shared[i]
-        whole = outcome.partial if isinstance(outcome, NoConvergence) else outcome
-        if isinstance(whole, EnvestError) or u > whole.basis.shape[1]:
-            raise outcome
-        return whole.leading(u)
-
-    def scan(i, pair, flags):
-        def fit(u):
-            if algo == "fg":
-                basis_fit = grassmann._fit(pair, u, settings)
+            shared.extend(onedim.fit_many(pairs, min(top, pairs[0].dim - 1), sequential))
+        out = []
+        for outcome in shared:
+            whole = outcome.partial if isinstance(outcome, NoConvergence) else outcome
+            if isinstance(whole, EnvestError) or u > whole.basis.shape[1]:
+                out.append(outcome)
             else:
-                basis_fit = sequential_fit(i, u)
-            if warm:
-                start = basis_fit
-                basis_fit = grassmann._fit(pair, u, replace(settings, start_strategy=start.basis))
-                basis_fit.wall_time_seconds += start.wall_time_seconds
-            basis_fit.diagnostics.extend(flags)
-            return basis_fit, float(j_value(pair, basis_fit.basis))
+                out.append(whole.leading(u))
+        return out
 
+    def refined(pair, u, start):
+        # the Grassmann fit from the scan (start None) or from a sequential fit
+        try:
+            if start is None:
+                return grassmann._fit(pair, u, settings)
+            fit = grassmann._fit(pair, u, replace(settings, start_strategy=start.basis))
+        except EnvestError as exc:
+            return exc
+        fit.wall_time_seconds += start.wall_time_seconds
         return fit
 
-    return [scan(i, pair, flags) for i, (pair, flags) in enumerate(checked)]
+    def fits(u):
+        if not pairs:
+            return []
+        if algo == "fg":
+            fitted = [refined(pair, u, None) for pair in pairs]
+        else:
+            fitted = sequential_fits(u)
+            if warm:
+                fitted = [
+                    start if isinstance(start, EnvestError) else refined(pair, u, start)
+                    for pair, start in zip(pairs, fitted)
+                ]
+        for fit, (_, flags) in zip(fitted, checked):
+            if not isinstance(fit, EnvestError):
+                fit.diagnostics.extend(flags)
+        if algo != "onedim":
+            return [
+                fit if isinstance(fit, EnvestError) else (fit, fit.objective_values[0])
+                for fit in fitted
+            ]
+        return _scored(pairs, fitted)
+
+    return fits
+
+
+def _scored(pairs, fitted):
+    """(fit, J of its basis on its pair) per fit of fitted, the J of every
+    fit scored in one stacked pass; a package error passes as it is, and
+    a basis whose Gram matrix is not positive definite gets SingularGram."""
+    live = [(pair, fit) for pair, fit in zip(pairs, fitted) if not isinstance(fit, EnvestError)]
+    if not live:
+        return fitted
+    values, singular = _j_values(
+        np.array([pair.m for pair, _ in live]),
+        np.array([pair.m_plus_u_inv for pair, _ in live]),
+        np.array([fit.basis for _, fit in live]),
+    )
+    scores = zip(values.tolist(), singular.tolist())
+    out = []
+    for fit in fitted:
+        if not isinstance(fit, EnvestError):
+            value, bad = next(scores)
+            fit = SingularGram("Gram matrix is not positive definite") if bad else (fit, value)
+        out.append(fit)
+    return out
 
 
 def _sample_matrix(a, name):
@@ -218,7 +289,8 @@ class RegressionData:
 
 @dataclass
 class CovarianceKit:
-    """Divisor-n moment summaries of one regression sample."""
+    """Divisor-n moment summaries of one regression sample, or of a batch of
+    samples, each field then stacking theirs along a leading axis."""
 
     x_mean: np.ndarray
     y_mean: np.ndarray
@@ -232,17 +304,16 @@ class CovarianceKit:
     @property
     def beta_ols(self):
         """Ordinary least squares coefficients of Y on X, r x p."""
-        return np.linalg.solve(self.s_x, self.s_xy).T
+        return np.linalg.solve(self.s_x, self.s_xy).swapaxes(-1, -2)
 
 
-def _conditional(s_a, s_ab, s_b, label):
-    """S_{A|B} = S_A - S_AB S_B^{-1} S_BA with a singularity check on S_B."""
-    try:
-        c = np.linalg.cholesky(s_b)
-    except np.linalg.LinAlgError as exc:
-        raise SingularCovariance(f"sample covariance of {label} is singular") from exc
-    half = np.linalg.solve(c, s_ab.T)
-    return symmetrize(s_a - half.T @ half)
+def _conditionals(s_a, s_ab, s_b):
+    """S_{A|B} = S_A - S_AB S_B^{-1} S_BA of each sample of the stacks, and
+    a mask of the samples whose S_B fails the Cholesky test as singular."""
+    c, singular = _cholesky(s_b)
+    c[singular] = np.eye(s_b.shape[1])  # stand-ins that solve; their samples fail
+    half = np.linalg.solve(c, s_ab.swapaxes(1, 2))
+    return symmetrize(s_a - half.swapaxes(1, 2) @ half), singular
 
 
 def _moments(a):
@@ -252,24 +323,99 @@ def _moments(a):
     return mean, centered, symmetrize(centered.T @ centered / a.shape[0])
 
 
-def covariance_kit(data):
-    """All covariance blocks the estimators need, in one pass."""
-    if data.x is None:
-        raise InvalidInput("this operation needs predictors, but x is missing")
+def _sample_moments(kind, data, p1=None):
+    """The moments of one sample that kind's pair and estimates read.
+
+    They are the only O(n d^2) work on a sample: ``_kind_pairs`` takes the
+    rest from them, for a batch of samples at once.  For the mean kinds
+    they are (ybar, S_Y); for the regression kinds (xbar, ybar, S_X, S_Y,
+    S_XY, n), and for the partial kind with p1 < p also S_X2 and S_X2Y of
+    the predictors X2 after the first p1.
+    """
+    if kind not in KINDS_WITH_X:
+        ym, _, s_y = _moments(data.y)
+        return ym, s_y
     n = data.n
     xm, xc, s_x = _moments(data.x)
     ym, yc, s_y = _moments(data.y)
-    s_xy = xc.T @ yc / n
-    return CovarianceKit(
-        x_mean=xm,
-        y_mean=ym,
-        s_x=s_x,
-        s_y=s_y,
-        s_xy=s_xy,
-        s_y_given_x=_conditional(s_y, s_xy.T, s_x, "X"),
-        s_x_given_y=_conditional(s_x, s_xy, s_y, "Y"),
-        n=n,
-    )
+    moments = (xm, ym, s_x, s_y, xc.T @ yc / n, n)
+    if kind != "partial" or p1 == data.x.shape[1]:
+        return moments
+    _, x2c, s_x2 = _moments(data.x[:, p1:])
+    return moments + (s_x2, x2c.T @ yc / n)
+
+
+def _kind_pairs(kind, moments, p1=None):
+    """kind's pairs on a batch of samples, from their ``_sample_moments``.
+
+    Returns the stacks of M and M + U, the moments that kind's estimates
+    read, stacked, and per sample the SingularCovariance that stops its
+    pair, or None.  The estimates read a stacked CovarianceKit for the
+    regression kinds and (ybar, S_Y, B0) for the mean kinds: B0 is None for
+    the mean, and for the constrained mean spans the complement of 1,
+    where its reduced pair lives.  Each step is one call on the stacks.
+    """
+    stacks = [np.array(column) for column in zip(*moments)]
+    if kind not in KINDS_WITH_X:
+        ym, s_y = stacks
+        fine = [None] * len(ym)
+        if kind == "mean":
+            return s_y, symmetrize(s_y + ym[:, :, None] * ym[:, None, :]), (ym, s_y, None), fine
+        r = ym.shape[1]
+        b0 = orthonormal_complement(np.ones((r, 1)) / np.sqrt(r))  # r x (r-1); B0'Q1 = B0'
+        m_red = symmetrize(b0.T @ s_y @ b0)
+        mu_red = _matvec(b0.T, ym)
+        m_plus_u = symmetrize(m_red + mu_red[:, :, None] * mu_red[:, None, :])
+        return m_red, m_plus_u, (ym, s_y, b0), fine
+    xm, ym, s_x, s_y, s_xy, n, *x2 = stacks
+    s_y_given_x, singular_x = _conditionals(s_y, s_xy.swapaxes(1, 2), s_x)
+    s_x_given_y, singular_y = _conditionals(s_x, s_xy, s_y)
+    kit = CovarianceKit(xm, ym, s_x, s_y, s_xy, s_y_given_x, s_x_given_y, n)
+    errors = [
+        _singular("X") if bad_x else _singular("Y") if bad_y else None
+        for bad_x, bad_y in zip(singular_x.tolist(), singular_y.tolist())
+    ]
+    if kind == "predictor":
+        return s_x_given_y, s_x, kit, errors
+    if not x2:
+        return s_y_given_x, s_y, kit, errors
+    # partial: M + U = S_{Y|X2}, X2 being the predictors after the first p1
+    s_x2, s_x2y = x2
+    s_y_given_x2, singular_x2 = _conditionals(s_y, s_x2y.swapaxes(1, 2), s_x2)
+    errors = [
+        error or (_singular("X") if bad else None)
+        for error, bad in zip(errors, singular_x2.tolist())
+    ]
+    return s_y_given_x, s_y_given_x2, kit, errors
+
+
+def _matvec(a, v):
+    """``a[i] @ v[i]`` for each matrix of the stack a (or a itself, when
+    2-d) and each row of v, with its bits."""
+    return (a @ v[:, :, None])[:, :, 0]
+
+
+def _singular(label):
+    return SingularCovariance(f"sample covariance of {label} is singular")
+
+
+def _take(moments, rows):
+    """The moments of ``_kind_pairs`` at the places rows of their stacks."""
+    if isinstance(moments, CovarianceKit):
+        return CovarianceKit(*(getattr(moments, f.name)[rows] for f in fields(moments)))
+    ym, s_y, b0 = moments
+    return ym[rows], s_y[rows], b0
+
+
+def covariance_kit(data):
+    """All covariance blocks the estimators need, in one pass: the kit that
+    ``_kind_pairs`` makes of this sample alone."""
+    if data.x is None:
+        raise InvalidInput("this operation needs predictors, but x is missing")
+    _, _, kit, (error,) = _kind_pairs("response", [_sample_moments("response", data)])
+    if error is not None:
+        raise error
+    return _take(kit, 0)
 
 
 @dataclass
@@ -296,28 +442,42 @@ class EnvelopeRegressionFit:
         return self.fit.basis
 
 
-def _checked_pair(m, m_plus_u):
-    """(ObjectivePair, diagnostics) of one estimator's pair, checked.
+def _checked_pairs(m, m_plus_u):
+    """Per place of the stacks m and m_plus_u, one estimator's pair, checked:
+    (ObjectivePair, diagnostics), or the package error that stops it.
 
     Both matrices are symmetrized and U-hat = (M + U) - M must have no
     materially negative eigenvalue.  The pair is built from M and U-hat;
     when that fails a definiteness check, M is shifted by
     ridge = 1e-8 tr(M)/d once and a ``Ridged`` flag is recorded.  The
     solvers fit this pair, and the final J of every basis is scored on it.
+    Each step is one call on the stacks, or on the places a step leaves to
+    the next: every sample gets the outcome it gets alone.
     """
     m = symmetrize(m)
     u_hat = symmetrize(symmetrize(m_plus_u) - m)
-    lam = np.linalg.eigvalsh(u_hat)
-    if lam[0] < -1e-8 * max(1.0, float(np.abs(lam).max())):
-        raise InvalidUhat(
-            f"U-hat has a materially negative eigenvalue ({float(lam[0]):.6g})"
-        )
-    try:
-        return ObjectivePair.from_m_u(m, u_hat), []
-    except NotPositiveDefinite:
-        d = m.shape[0]
-        ridge = 1e-8 * float(np.trace(m)) / d
-        return ObjectivePair.from_m_u(symmetrize(m + ridge * np.eye(d)), u_hat), ["Ridged"]
+    lam = _eigvalsh(u_hat)
+    low = lam[:, 0] < -1e-8 * np.maximum(1.0, np.abs(lam).max(axis=1))
+    errors = [
+        InvalidUhat(f"U-hat has a materially negative eigenvalue ({bottom:.6g})") if bad else None
+        for bottom, bad in zip(lam[:, 0].tolist(), low.tolist())
+    ]
+    built = _fill(errors, lambda rows: [
+        pair if isinstance(pair, EnvestError) else (pair, [])
+        for pair in _pairs(m[rows], u_hat[rows])
+    ])
+
+    def ridged(rows):
+        shifted = m[rows]
+        d = shifted.shape[1]
+        ridge = 1e-8 * np.trace(shifted, axis1=1, axis2=2) / d
+        shifted = symmetrize(shifted + ridge[:, None, None] * np.eye(d))
+        return [
+            pair if isinstance(pair, EnvestError) else (pair, ["Ridged"])
+            for pair in _pairs(shifted, u_hat[rows])
+        ]
+
+    return _fill([None if isinstance(b, NotPositiveDefinite) else b for b in built], ridged)
 
 
 def _problem_dimension(kind, data, p1=None):
@@ -336,152 +496,171 @@ def _problem_dimension(kind, data, p1=None):
     return r - 1 if kind == "constrained-mean" else r
 
 
-def _kind_pair(kind, data, p1=None):
-    """(M, M + U) of kind's problem on data, plus the moments its assembly reads.
-
-    The moments are the covariance kit for the regression kinds and
-    (ybar, S_Y, B0) for the mean kinds: B0 is None for the mean, and for the
-    constrained mean spans the complement of 1, where its reduced pair
-    lives.  kind, data and p1 must pass _problem_dimension.
-    """
-    if kind in KINDS_WITH_X:
-        kit = covariance_kit(data)
-        if kind == "predictor":
-            return kit.s_x_given_y, kit.s_x, kit
-        if kind == "response" or p1 == kit.s_x.shape[0]:
-            return kit.s_y_given_x, kit.s_y, kit
-        # partial: M + U = S_{Y|X2}, X2 being the predictors after the first p1
-        kit2 = covariance_kit(RegressionData(data.x[:, p1:], data.y))
-        return kit.s_y_given_x, kit2.s_y_given_x, kit
-    ym, _, s_y = _moments(data.y)
-    if kind == "mean":
-        return s_y, symmetrize(s_y + np.outer(ym, ym)), (ym, s_y, None)
-    r = ym.shape[0]
-    ones = np.ones((r, 1)) / np.sqrt(r)
-    b0 = orthonormal_complement(ones)  # r x (r-1); B0'Q1 = B0'
-    m_red = symmetrize(b0.T @ s_y @ b0)
-    mu_red = b0.T @ ym
-    return m_red, symmetrize(m_red + np.outer(mu_red, mu_red)), (ym, s_y, b0)
-
-
 def _split_covariance(s, p_g, q_g):
     """P S P + Q S Q: S with its blocks between span(P) and span(Q) dropped."""
     return symmetrize(p_g @ s @ p_g + q_g @ s @ q_g)
 
 
-def _regression_estimate(kind, kit, fit, objective, p1):
-    """The response or partial envelope of a fitted basis, from its sample's
-    covariance kit.
+def _estimates(kind, moments, fitted, p1=None):
+    """kind's estimates of a batch of samples: per sample its
+    EnvelopeRegressionFit or the package error that stops it.
+
+    moments are those of ``_kind_pairs`` at the samples, stacked, and
+    fitted their (basis fit, J) at one u.  Each step is one call on the
+    stacks.  p1 is read for the partial kind only.
+    """
+    fits = [fit for fit, _ in fitted]
+    objectives = [objective for _, objective in fitted]
+    gamma = np.array([fit.basis for fit in fits])
+    if kind == "predictor":
+        return _predictor_estimates(moments, fits, objectives, gamma)
+    if kind in KINDS_WITH_X:
+        # the response kind projects every predictor's coefficients
+        p1 = None if kind == "response" else p1
+        return _regression_estimates(kind, moments, fits, objectives, gamma, p1)
+    return _mean_estimates(kind, moments, fits, objectives, gamma)
+
+
+def _regression_estimates(kind, kit, fits, objectives, gamma, p1):
+    """The response or partial envelopes of fitted bases, from their
+    samples' covariance kits, stacked.
 
     The coefficients of the first p1 predictors are projected onto the
     fitted span and the rest are reported as least squares gives them; p1 =
     None projects every predictor's, which is the response envelope.
     """
-    gamma = fit.basis
-    p_g = gamma @ gamma.T
-    q_g = np.eye(kit.s_y.shape[0]) - p_g
+    p_g = gamma @ gamma.swapaxes(1, 2)
+    q_g = np.eye(p_g.shape[1]) - p_g
     beta_ols = kit.beta_ols  # r x p, all predictors
-    beta_env = p_g @ beta_ols[:, :p1]
+    beta_env = p_g @ beta_ols[:, :, :p1]
     beta_full = beta_ols.copy()
-    beta_full[:, :p1] = beta_env
-    return EnvelopeRegressionFit(
-        kind=kind,
-        fit=fit,
-        beta_env=beta_env,
-        beta_ols=beta_ols,
-        sigma_env=_split_covariance(kit.s_y_given_x, p_g, q_g),
-        alpha_hat=kit.y_mean - beta_full @ kit.x_mean,
-        objective=objective,
-        p1=p1,
-    )
+    beta_full[:, :, :p1] = beta_env
+    sigma_env = _split_covariance(kit.s_y_given_x, p_g, q_g)
+    alpha_hat = kit.y_mean - _matvec(beta_full, kit.x_mean)
+    return [
+        EnvelopeRegressionFit(kind, *values, p1=p1)
+        for values in zip(fits, beta_env, beta_ols, sigma_env, alpha_hat, objectives)
+    ]
 
 
-def _predictor_estimate(kit, fit, objective):
-    """The predictor envelope of a fitted basis, from its sample's covariance kit."""
-    beta_ols = kit.beta_ols  # r x p
-    proj = project(fit.basis, metric=kit.s_x)  # p x p, S_X inner product
-    beta_env = beta_ols @ proj.T
-    return EnvelopeRegressionFit(
-        kind="predictor",
-        fit=fit,
-        beta_env=beta_env,
-        beta_ols=beta_ols,
-        sigma_env=symmetrize(kit.s_y - beta_env @ kit.s_x @ beta_env.T),
-        alpha_hat=kit.y_mean - beta_env @ kit.x_mean,
-        objective=objective,
-    )
+def _predictor_estimates(kit, fits, objectives, gamma):
+    """The predictor envelopes of fitted bases, from their samples'
+    covariance kits, stacked; a basis ``project`` rejects gets its error."""
+    projections = _projections(gamma, kit.s_x)  # p x p each, S_X inner product
+
+    def estimates(rows):
+        chosen = np.arange(len(fits))[rows].tolist()
+        k = _take(kit, rows)
+        proj = np.array([projections[i] for i in chosen])
+        beta_ols = k.beta_ols  # r x p
+        beta_env = beta_ols @ proj.swapaxes(1, 2)
+        sigma_env = symmetrize(k.s_y - beta_env @ k.s_x @ beta_env.swapaxes(1, 2))
+        alpha_hat = k.y_mean - _matvec(beta_env, k.x_mean)
+        return [
+            EnvelopeRegressionFit("predictor", fits[i], *values, objectives[i])
+            for i, *values in zip(chosen, beta_env, beta_ols, sigma_env, alpha_hat)
+        ]
+
+    return _fill([p if isinstance(p, EnvestError) else None for p in projections], estimates)
 
 
-def _mean_estimate(kind, moments, fit, objective):
-    """The mean or constrained mean envelope of a fitted basis, from its
-    sample's (ybar, S_Y, B0).
+def _mean_estimates(kind, moments, fits, objectives, gamma):
+    """The mean or constrained mean envelopes of fitted bases, from their
+    samples' (ybar, S_Y, B0), stacked.
 
-    B0 is None for the mean.  For the constrained mean the basis was fitted
+    B0 is None for the mean.  For the constrained mean each basis was fitted
     in span(B0) and is mapped up as B0 Gamma, orthonormal and orthogonal to
     1, and both the classical mean and the complement of the fitted span are
     taken within the constrained space, the image of Q1 = I - 11'/r.
     """
     ym, s_y, b0 = moments
-    r = ym.shape[0]
+    r = ym.shape[1]
     if b0 is None:
         q, mean = np.eye(r), ym
     else:
-        fit.basis = b0 @ fit.basis
+        gamma = b0 @ gamma
+        for fit, basis in zip(fits, gamma):
+            fit.basis = basis
         q = np.eye(r) - np.ones((r, r)) / r
-        mean = q @ ym
-    gamma = fit.basis
-    p_g = gamma @ gamma.T
-    return EnvelopeRegressionFit(
-        kind=kind,
-        fit=fit,
-        beta_env=(p_g @ ym)[:, None],
-        beta_ols=mean[:, None],
-        sigma_env=_split_covariance(s_y, p_g, q - p_g),
-        alpha_hat=ym,
-        objective=objective,
-    )
+        mean = _matvec(q, ym)
+    p_g = gamma @ gamma.swapaxes(1, 2)
+    beta_env = p_g @ ym[:, :, None]
+    sigma_env = _split_covariance(s_y, p_g, q - p_g)
+    return [
+        EnvelopeRegressionFit(kind, fit, env, ols, sigma, alpha, objective)
+        for fit, env, ols, sigma, alpha, objective in zip(
+            fits, beta_env, mean[:, :, None], sigma_env, ym, objectives
+        )
+    ]
 
 
-def _kind_scans(kind, samples, top, algo, settings, p1=None):
-    """kind's (moments, scan) on each sample, or the package error that stopped it.
+class _Scans:
+    """kind's problems on a batch of samples, fitted together.
 
-    samples are zero-argument callables that build one RegressionData each;
-    the scans are those of ``_fits``, their fits made together.  kind and p1
-    must pass ``_problem_dimension`` for the samples.
+    samples are zero-argument callables that build one RegressionData each.
+    Each is built, reduced to its ``_sample_moments`` and dropped, so only
+    one sample's data is held at a time; everything after the moments is
+    stacked across the batch: ``_kind_pairs``, ``_checked_pairs``, the fits
+    and J of ``_fits`` and ``_estimates``.  ``errors`` holds, per sample,
+    the package error that stopped its pair (it fails every u alike), or
+    None.  kind and p1 must pass ``_problem_dimension`` for the samples.
     """
-    built = []
-    for sample in samples:
-        try:
-            m, m_plus_u, moments = _kind_pair(kind, sample(), p1)
-            built.append((moments, _checked_pair(m, m_plus_u)))
-        except EnvestError as exc:  # this sample's pair fails every u alike
-            built.append(exc)
-    ok = [b for b in built if not isinstance(b, EnvestError)]
-    scans = iter(_fits([checked for _, checked in ok], top, algo, settings))
-    return [b if isinstance(b, EnvestError) else (b[0], next(scans)) for b in built]
+
+    def __init__(self, kind, samples, top, algo, settings, p1=None):
+        self.kind, self.p1 = kind, p1
+        moments, outcomes = [], []
+        for sample in samples:
+            try:
+                moments.append(_sample_moments(kind, sample(), p1))
+                outcomes.append(None)
+            except EnvestError as exc:
+                outcomes.append(exc)
+        checked = []
+        if moments:
+            m, m_plus_u, self.moments, errors = _kind_pairs(kind, moments, p1)
+            checked = _fill(errors, lambda rows: _checked_pairs(m[rows], m_plus_u[rows]))
+        pending = iter(checked)
+        outcomes = [outcome or next(pending) for outcome in outcomes]
+        self.errors = [o if isinstance(o, EnvestError) else None for o in outcomes]
+        # the places, among the samples with moments, of those with a pair:
+        # a slice of all of them when every one has its pair
+        rows = [p for p, c in enumerate(checked) if not isinstance(c, EnvestError)]
+        self._rows = rows if len(rows) < len(checked) else slice(None)
+        self._fits = _fits([checked[p] for p in rows], top, algo, settings)
+
+    def _per_sample(self, outcomes):
+        pending = iter(outcomes)
+        return [error or next(pending) for error in self.errors]
+
+    def fits(self, u):
+        """Per sample, its (basis fit, J) at u, or the package error that stopped it."""
+        return self._per_sample(self._fits(u))
+
+    def estimates(self, u):
+        """Per sample, kind's estimate at u, or the package error that stopped it."""
+        fitted = self._fits(u)
+
+        def estimates(places):
+            if isinstance(places, slice):  # every pair's fit
+                rows, chosen = self._rows, fitted
+            else:
+                rows = places if isinstance(self._rows, slice) else [self._rows[i] for i in places]
+                chosen = [fitted[i] for i in places]
+            return _estimates(self.kind, _take(self.moments, rows), chosen, self.p1)
+
+        errors = [f if isinstance(f, EnvestError) else None for f in fitted]
+        return self._per_sample(_fill(errors, estimates))
 
 
 def _one_scan(kind, data, top, algo, settings, p1=None, name="u"):
-    """kind's (moments, scan) on data alone, up to top: ``_kind_scans`` of one
-    sample, after the checks of kind, p1 and top, raising its pair's error."""
+    """kind's ``_Scans`` of data alone, up to top, after the checks of kind,
+    p1 and top, raising its pair's error."""
     _require_dimension(top, _problem_dimension(kind, data, p1), name)
-    (scanned,) = _kind_scans(kind, [lambda: data], top, algo, settings, p1)
-    if isinstance(scanned, EnvestError):
-        raise scanned
-    return scanned
-
-
-def _estimate(kind, moments, scan, u, p1=None):
-    """kind's estimator at u from a (moments, scan) of ``_kind_scans``; p1 is
-    read for the partial kind only."""
-    fit, objective = scan(u)
-    if kind == "predictor":
-        return _predictor_estimate(moments, fit, objective)
-    if kind == "response":
-        p1 = None  # every predictor's coefficients are projected
-    if kind in KINDS_WITH_X:
-        return _regression_estimate(kind, moments, fit, objective, p1)
-    return _mean_estimate(kind, moments, fit, objective)
+    scans = _Scans(kind, [lambda: data], top, algo, settings, p1)
+    (error,) = scans.errors
+    if error is not None:
+        raise error
+    return scans
 
 
 def response_envelope(data, u, algo="onedim", settings=None):
@@ -491,7 +670,7 @@ def response_envelope(data, u, algo="onedim", settings=None):
     least squares onto the fitted span, and the error covariance estimate
     is P S_{Y|X} P + Q S_{Y|X} Q with P the span projector and Q = I - P.
     """
-    return _estimate("response", *_one_scan("response", data, u, algo, settings), u)
+    return _one(_one_scan("response", data, u, algo, settings).estimates(u))
 
 
 def partial_envelope(data, p1, u, algo="onedim", settings=None):
@@ -502,7 +681,7 @@ def partial_envelope(data, p1, u, algo="onedim", settings=None):
     residuals of Y and X1 on X2.  Only the X1 coefficient block is
     projected; the X2 block is reported untouched inside beta_ols.
     """
-    return _estimate("partial", *_one_scan("partial", data, u, algo, settings, p1), u, p1)
+    return _one(_one_scan("partial", data, u, algo, settings, p1).estimates(u))
 
 
 def predictor_envelope(data, u, algo="onedim", settings=None):
@@ -512,7 +691,7 @@ def predictor_envelope(data, u, algo="onedim", settings=None):
     the transpose of the S_X-metric projection onto the fitted span, which
     collapses immaterial predictor variation out of the estimate.
     """
-    return _estimate("predictor", *_one_scan("predictor", data, u, algo, settings), u)
+    return _one(_one_scan("predictor", data, u, algo, settings).estimates(u))
 
 
 def mean_envelope(y, u, algo="onedim", settings=None):
@@ -521,7 +700,7 @@ def mean_envelope(y, u, algo="onedim", settings=None):
     The projected mean lands in beta_env's single column; alpha_hat is the
     raw sample mean for reference.
     """
-    return _estimate("mean", *_one_scan("mean", RegressionData(None, y), u, algo, settings), u)
+    return _one(_one_scan("mean", RegressionData(None, y), u, algo, settings).estimates(u))
 
 
 def constrained_mean_envelope(y, u, algo="onedim", settings=None):
@@ -532,8 +711,8 @@ def constrained_mean_envelope(y, u, algo="onedim", settings=None):
     the complement of span(1) and the (r-1)-dimensional result is mapped
     back as B0 Gamma.  u can be at most r - 1.
     """
-    scanned = _one_scan("constrained-mean", RegressionData(None, y), u, algo, settings)
-    return _estimate("constrained-mean", *scanned, u)
+    scans = _one_scan("constrained-mean", RegressionData(None, y), u, algo, settings)
+    return _one(scans.estimates(u))
 
 
 def _fit_by_kind(kind, data, u, algo, settings, p1=None):
@@ -594,12 +773,12 @@ def select_dimension_bic(data, kind, u_max, algo="onedim", settings=None, p1=Non
     has one entry per candidate u (NaN when that fit failed); every
     candidate failing raises AllFitsFailed.
     """
-    _, scan = _one_scan(kind, data, u_max, algo, settings, p1, "u_max")
+    scans = _one_scan(kind, data, u_max, algo, settings, p1, "u_max")
     d = _problem_dimension(kind, data, p1)
     n = data.n
 
     def score(u):
-        _, objective = scan(u)
+        _, objective = _one(scans.fits(u))
         return n * objective + np.log(n) * u * (d - u)
 
     return _select(u_max, score)
@@ -612,9 +791,9 @@ def select_dimension_cv(
 
     Only kinds that predict Y from X participate (response, predictor).
     The fold split is one seeded permutation shared by all candidate u.
-    Each fold builds its covariance kit and pair once and scans them as BIC
-    does, so with onedim or fg-warm it makes one sequential fit, and the
-    folds' fits are made together (see _kind_scans); the scores equal those
+    Each fold builds its moments and pair once and scans them as BIC does,
+    so with onedim or fg-warm it makes one sequential fit, and the folds'
+    pairs, fits and estimates are made together (see _Scans); the scores equal those
     of a separate estimator fit per u and fold.  scores are mean
     squared prediction errors per observation and ties go to the smaller u.
     """
@@ -635,14 +814,13 @@ def select_dimension_cv(
         mask[test_idx] = False
         return lambda: RegressionData(data.x[mask], data.y[mask])
 
-    scans = _kind_scans(kind, [training(t) for t in chunks], u_max, algo, settings)
+    scans = _Scans(kind, [training(t) for t in chunks], u_max, algo, settings)
 
     def score(u):
         sse = 0.0
-        for test_idx, scan in zip(chunks, scans):
-            if isinstance(scan, EnvestError):
-                raise scan
-            fit = _estimate(kind, *scan, u)
+        for test_idx, fit in zip(chunks, scans.estimates(u)):
+            if isinstance(fit, EnvestError):
+                raise fit
             pred = fit.alpha_hat + data.x[test_idx] @ fit.beta_env.T
             sse += float(np.sum((data.y[test_idx] - pred) ** 2))
         return sse / n

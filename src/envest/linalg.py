@@ -15,6 +15,7 @@ import numpy as np
 from .errors import (
     DimensionMismatch,
     EmptyComplement,
+    EnvestError,
     InvalidInput,
     NotPositiveDefinite,
     SingularGram,
@@ -32,43 +33,84 @@ __all__ = [
 
 
 def symmetrize(a):
-    """Return ``(a + a.T) / 2``, which is exactly symmetric in floating point.
+    """Return ``(a + a.T) / 2``, which is exactly symmetric in floating point;
+    a stack of matrices is symmetrized matrix by matrix.
 
     Halving a before the sum gives the bits of halving the sum outside the
     subnormal range, and no overflow where the entries are finite."""
     half = 0.5 * np.asarray(a, dtype=float)
-    return half + half.T
+    return half + half.swapaxes(-1, -2)
 
 
-def _require_symmetric(s, name="matrix"):
+def _square(s, name):
+    """s as a non-empty square float matrix."""
     s = np.asarray(s, dtype=float)
     if s.ndim != 2 or s.shape[0] != s.shape[1]:
         raise InvalidInput(f"{name} must be square, got shape {s.shape}")
     if s.size == 0:
         raise InvalidInput(f"{name} is empty")
-    if not np.all(np.isfinite(s)):
-        raise InvalidInput(f"{name} has non-finite entries")
-    scale = max(1.0, float(np.abs(s).max()))
-    if np.abs(s - s.T).max() > 1e-8 * scale:
-        raise InvalidInput(f"{name} is not symmetric")
-    return symmetrize(s)
+    return s
+
+
+def _symmetric(s, name):
+    """``symmetrize`` of the stack s of square matrices, and per matrix the
+    InvalidInput that ``_require_symmetric`` raises on it, or None."""
+    flat = len(s), -1
+    finite = np.isfinite(s).reshape(flat).all(axis=1)
+    checked = s if finite.all() else np.where(finite[:, None, None], s, 0.0)
+    scale = np.maximum(1.0, np.abs(checked).reshape(flat).max(axis=1))
+    skew = np.abs(checked - checked.swapaxes(1, 2)).reshape(flat).max(axis=1) > 1e-8 * scale
+    errors = [
+        InvalidInput(f"{name} has non-finite entries") if not ok
+        else InvalidInput(f"{name} is not symmetric") if bad else None
+        for ok, bad in zip(finite.tolist(), skew.tolist())
+    ]
+    return symmetrize(s), errors
+
+
+def _require_symmetric(s, name="matrix"):
+    s, (error,) = _symmetric(_square(s, name)[None], name)
+    if error is not None:
+        raise error
+    return s[0]
+
+
+def _fill(outcomes, stage):
+    """outcomes with each None replaced by what ``stage`` gives its place.
+
+    stage is called once, with the places that hold None (a slice of all of
+    them when every place does), and returns one outcome for each, in
+    order.  The stacked steps of the package hand the problems that no
+    package error has stopped on to the next step this way: each step
+    takes its stacks at those places and gives each problem its own
+    outcome, a result or an error."""
+    rows = [i for i, outcome in enumerate(outcomes) if outcome is None]
+    out = list(outcomes)
+    if rows:
+        for i, outcome in zip(rows, stage(rows if len(rows) < len(out) else slice(None))):
+            out[i] = outcome
+    return out
 
 
 def fix_column_signs(v):
     """Flip column signs so each column's largest-magnitude entry is positive.
 
     Ties are broken by the first maximal entry; exact-zero columns are left
-    alone.  Returns a new array.
+    alone.  A stack of matrices, (n, d, k), has the columns of each fixed.
+    Returns a new array.
     """
     v = np.asarray(v, dtype=float)
     if v.ndim == 1:
         sign = np.sign(v[np.abs(v).argmax()])
         return v * (sign or 1.0)
-    if v.shape[1]:
-        lead = np.argmax(np.abs(v), axis=0)
-        signs = np.sign(v[lead, np.arange(v.shape[1])])
+    if v.shape[-1]:
+        lead = np.argmax(np.abs(v), axis=-2)
+        at = (lead, np.arange(v.shape[-1]))
+        if v.ndim == 3:
+            at = (np.arange(v.shape[0])[:, None], *at)
+        signs = np.sign(v[at])
         signs[signs == 0.0] = 1.0
-        v = v * signs
+        v = v * signs[..., None, :]
     return v
 
 
@@ -132,21 +174,35 @@ def _require_positive_definite(vals, what):
         )
 
 
-def _not_positive_definite(a):
-    """Indices of the matrices in the stack a on which ``np.linalg.cholesky``
-    raises.  Its batched kernel factors each by its own LAPACK call, fills
-    the factor of a failed one with NaN and zeroes the upper triangle of
-    the others, NaN inputs included.  A 1 x 1 [a] is flagged when a <= 0
-    and also when a is NaN, which ``np.linalg.cholesky`` accepts."""
+def _cholesky(a):
+    """``np.linalg.cholesky`` of each matrix of the stack a, from one call of
+    its kernel: the lower factors, and a mask of the matrices on which it
+    raises, whose factors are NaN.  The kernel factors each matrix by its
+    own LAPACK call, fills the factor of a failed one with NaN and zeroes
+    the upper triangle of the others, NaN inputs included; a 1 x 1 [a]
+    fails when a <= 0, and a NaN is accepted."""
     with np.errstate(invalid="ignore"):
         c = np.linalg._umath_linalg.cholesky_lo(a, signature="d->d")
-    return np.isnan(c[:, 0, -1]).nonzero()[0]
+    if a.shape[-1] == 1:
+        return c, a[:, 0, 0] <= 0.0
+    return c, np.isnan(c[:, 0, -1])
 
 
-# ``_solve_vectors`` and ``_eigh`` call the kernels of ``np.linalg.solve`` and
-# ``np.linalg.eigh`` on float64 input as those functions do, without the
-# argument handling that costs more than a small solve: the same bits, and
-# LinAlgError where numpy raises it.
+def _not_positive_definite(a):
+    """Indices of the matrices in the stack a on which ``np.linalg.cholesky``
+    raises (``_cholesky``), where a 1 x 1 [a] is also flagged when a is
+    NaN."""
+    c, failed = _cholesky(a)
+    if a.shape[-1] == 1:
+        failed = np.isnan(c[:, 0, 0])
+    return failed.nonzero()[0]
+
+
+# ``_solve_vectors``, ``_eigh`` and ``_eigvalsh`` call the kernels of
+# ``np.linalg.solve``, ``np.linalg.eigh`` and ``np.linalg.eigvalsh`` on
+# float64 input as those functions do, without the argument handling that
+# costs more than a small solve: the same bits, and LinAlgError where numpy
+# raises it.
 def _lapack_errors(message):
     """The error state of numpy's linalg functions: a failed LAPACK call
     raises LinAlgError(message)."""
@@ -168,6 +224,13 @@ def _eigh(a):
     lower triangle: the ascending eigenvalues and the eigenvectors."""
     with _lapack_errors("Eigenvalues did not converge"):
         return np.linalg._umath_linalg.eigh_lo(a, signature="d->dd")
+
+
+def _eigvalsh(a):
+    """``np.linalg.eigvalsh(a)`` of float64 symmetric matrices, read from their
+    lower triangles: the ascending eigenvalues."""
+    with _lapack_errors("Eigenvalues did not converge"):
+        return np.linalg._umath_linalg.eigvalsh_lo(a, signature="d->d")
 
 
 def orthonormal_complement(g):
@@ -221,27 +284,43 @@ def project(a, metric=None):
 
     Returns ``A (A' V A)^{-1} A' V`` with ``V = I`` when no metric is given.
     ``a`` need not be orthonormal, only of full column rank; a singular Gram
-    matrix raises SingularGram.
+    matrix raises SingularGram.  This is ``_projections`` of one basis.
     """
     a = np.asarray(a, dtype=float)
     if a.ndim == 1:
         a = a[:, None]
-    if not np.all(np.isfinite(a)):
-        raise InvalidInput("projection basis has non-finite entries")
-    if metric is None:
-        va = a
-    else:
-        v = _require_symmetric(metric, "metric")
-        if v.shape[0] != a.shape[0]:
+    if metric is not None:
+        metric = _square(metric, "metric")[None]
+    (p,) = _projections(a[None], metric)
+    if isinstance(p, EnvestError):
+        raise p
+    return p
+
+
+def _projections(a, metric=None):
+    """``project`` of each basis of the stack a, in the metric at the same
+    place of the stack metric: per basis its projector, or the package
+    error ``project`` raises on it."""
+    errors = [
+        None if ok else InvalidInput("projection basis has non-finite entries")
+        for ok in np.isfinite(a).all(axis=(1, 2)).tolist()
+    ]
+    if metric is not None:
+        metric, bad = _symmetric(metric, "metric")
+        if metric.shape[1] != a.shape[1]:
             raise DimensionMismatch(
-                f"metric is {v.shape[0]}x{v.shape[0]} but basis has {a.shape[0]} rows"
+                f"metric is {metric.shape[1]}x{metric.shape[1]} but basis has {a.shape[1]} rows"
             )
-        va = v @ a
-    gram = symmetrize(a.T @ va)
-    try:
-        c = np.linalg.cholesky(gram)
-    except np.linalg.LinAlgError as exc:
-        raise SingularGram("Gram matrix A'VA is singular") from exc
-    half = np.linalg.solve(c, va.T)
-    back = np.linalg.solve(c.T, half)
-    return a @ back
+        errors = [error or b for error, b in zip(errors, bad)]
+
+    def projectors(rows):
+        basis = a[rows]
+        va = basis if metric is None else metric[rows] @ basis
+        c, singular = _cholesky(symmetrize(basis.swapaxes(1, 2) @ va))
+        c[singular] = np.eye(basis.shape[2])  # stand-ins that solve; their bases fail
+        half = np.linalg.solve(c, va.swapaxes(1, 2))
+        out = basis @ np.linalg.solve(c.swapaxes(1, 2), half)
+        return [SingularGram("Gram matrix A'VA is singular") if s else p
+                for p, s in zip(out, singular.tolist())]
+
+    return _fill(errors, projectors)

@@ -34,14 +34,25 @@ try:  # np.einsum's kernel, without the dispatch that costs more than a row prod
 except ImportError:  # numpy 1
     from numpy.core.multiarray import c_einsum as _einsum
 
-from .errors import DimensionMismatch, InvalidDimension, InvalidInput, SingularGram, ZeroVector
+from .errors import (
+    DimensionMismatch,
+    EnvestError,
+    InvalidDimension,
+    InvalidInput,
+    SingularGram,
+    ZeroVector,
+)
 from .linalg import (
     fix_column_signs,
     orthonormal_complement,
     symmetrize,
+    _cholesky,
     _eigh,
     _require_positive_definite,
     _require_symmetric,
+    _square,
+    _fill,
+    _symmetric,
 )
 
 __all__ = [
@@ -55,15 +66,21 @@ __all__ = [
 ]
 
 
+def _logdet_grams(x):
+    """log-determinants of the stack x of symmetric matrices, and a mask of
+    those that are not positive definite, whose values are NaN."""
+    if x.shape[-1] == 0:
+        return np.zeros(x.shape[0]), np.zeros(x.shape[0], dtype=bool)
+    c, singular = _cholesky(symmetrize(x))
+    return 2.0 * np.add.reduce(np.log(c.diagonal(axis1=1, axis2=2)), axis=1), singular
+
+
 def _logdet_gram(x):
     """log-determinant of a symmetric matrix that must be positive definite."""
-    if x.shape[0] == 0:
-        return 0.0
-    try:
-        c = np.linalg.cholesky(symmetrize(x))
-    except np.linalg.LinAlgError as exc:
-        raise SingularGram("Gram matrix is not positive definite") from exc
-    return 2.0 * float(np.sum(np.log(np.diag(c))))
+    (value,), (singular,) = _logdet_grams(x[None])
+    if singular:
+        raise SingularGram("Gram matrix is not positive definite")
+    return float(value)
 
 
 @dataclass(frozen=True)
@@ -78,6 +95,12 @@ class ObjectivePair:
     eigenvalue order with signs pinned, stored row-major, since the rounding
     of the batched kernels depends on the layout.  ``norms`` holds
     ||M||_2 = lambda_max(M) and ||(M+U)^{-1}||_2 = 1 / lambda_min(M+U).
+
+    Pairs are built in stacks, by ``_build_many`` (``_pairs`` when M and U
+    still need their checks): the estimators build a batch's pairs at once,
+    ``onedim.fit_many`` the deflated pairs of a step, ``simulate`` an
+    experiment's batch; a pair built alone is the stack of one, with the
+    same bits.
     """
 
     m: np.ndarray
@@ -91,14 +114,11 @@ class ObjectivePair:
 
     @classmethod
     def from_m_u(cls, m, u):
-        """Build from M and U themselves."""
-        m = _require_symmetric(m, "M")
-        u = _require_symmetric(u, "U")
+        """Build from M and U themselves: ``_pairs`` of one pair of matrices."""
+        m, u = _square(m, "M"), _square(u, "U")
         if u.shape != m.shape:
             raise DimensionMismatch(f"M is {m.shape} but U is {u.shape}")
-        with np.errstate(over="ignore"):  # the build rejects a sum that overflows
-            mpu = symmetrize(m + u)
-        return cls._build(m, u, mpu)
+        return _one(_pairs(m[None], u[None]))
 
     @classmethod
     def from_pair(cls, m, m_plus_u):
@@ -107,29 +127,70 @@ class ObjectivePair:
         mpu = _require_symmetric(m_plus_u, "M+U")
         if mpu.shape != m.shape:
             raise DimensionMismatch(f"M is {m.shape} but M+U is {mpu.shape}")
-        return cls._build(m, symmetrize(mpu - m), mpu)
+        return _one(cls._build_many(m[None], symmetrize(mpu - m)[None], mpu[None]))
 
     @classmethod
-    def _build(cls, m, u, mpu):
-        if not np.isfinite(mpu).all():
-            raise InvalidInput("M+U has non-finite entries")
+    def _build_many(cls, m, u, mpu):
+        """The pair of each place of the stacks m, u and mpu = M + U, all
+        exactly symmetric and m and u finite, or the package error that
+        stops it: InvalidInput for a non-finite M + U or spectrum, and
+        NotPositiveDefinite for M, then M + U.
+
+        Both eigendecompositions, the inverse, the candidates and the
+        log-determinant are each one call on the stack, which gives every
+        pair the bits of a build of its own; the places that fail are
+        computed along with the others, on stand-ins where M + U is not
+        finite, and dropped."""
+        finite = np.isfinite(mpu).all(axis=(1, 2))
+        if not finite.all():
+            mpu = np.where(finite[:, None, None], mpu, np.eye(m.shape[1]))
         vals_m, vecs_m = _eigh(m)
-        _require_positive_definite(vals_m, "M")
         vals_s, vecs_s = _eigh(mpu)
-        _require_positive_definite(vals_s, "M+U")
-        inv = symmetrize((vecs_s / vals_s) @ vecs_s.T)
+        with np.errstate(divide="ignore", invalid="ignore"):  # the places that fail
+            inv = symmetrize((vecs_s / vals_s[:, None, :]) @ vecs_s.swapaxes(1, 2))
+            logdet = np.add.reduce(np.log(vals_s), axis=1).tolist()
+            bottom = (1.0 / vals_s[:, 0]).tolist()
         # both eigenbases in descending order, signs pinned column by column
-        vecs = fix_column_signs(np.concatenate((vecs_m[:, ::-1], vecs_s[:, ::-1]), axis=1))
-        return cls(
-            m=m,
-            u=u,
-            m_plus_u=mpu,
-            m_plus_u_inv=inv,
-            m_plus_u_logdet=float(np.add.reduce(np.log(vals_s))),
-            dim=m.shape[0],
-            candidates=np.ascontiguousarray(vecs.T),
-            norms=(float(vals_m[-1]), float(1.0 / vals_s[0])),
-        )
+        both = fix_column_signs(np.concatenate((vecs_m[..., ::-1], vecs_s[..., ::-1]), axis=2))
+        candidates = np.ascontiguousarray(both.swapaxes(1, 2))
+        top = vals_m[:, -1].tolist()
+        out = []
+        for i, ok in enumerate(finite.tolist()):
+            try:
+                if not ok:
+                    raise InvalidInput("M+U has non-finite entries")
+                _require_positive_definite(vals_m[i], "M")
+                _require_positive_definite(vals_s[i], "M+U")
+            except EnvestError as exc:
+                out.append(exc)
+                continue
+            out.append(cls(
+                m=m[i], u=u[i], m_plus_u=mpu[i], m_plus_u_inv=inv[i],
+                m_plus_u_logdet=logdet[i], dim=m.shape[1], candidates=candidates[i],
+                norms=(top[i], bottom[i]),
+            ))
+        return out
+
+
+def _one(outcomes):
+    """The outcome of a batch of one, raised when it is a package error."""
+    (outcome,) = outcomes
+    if isinstance(outcome, EnvestError):
+        raise outcome
+    return outcome
+
+
+def _pairs(m, u):
+    """``ObjectivePair.from_m_u`` of each place of the stacks m and u: its
+    pair, or the package error that stops it.  The checks of
+    ``_require_symmetric`` run on M and then U, and ``_build_many`` builds
+    the pairs that pass them."""
+    m, m_errors = _symmetric(m, "M")
+    u, u_errors = _symmetric(u, "U")
+    with np.errstate(over="ignore", invalid="ignore"):  # the build rejects a non-finite sum
+        mpu = symmetrize(m + u)
+    errors = [a or b for a, b in zip(m_errors, u_errors)]
+    return _fill(errors, lambda rows: ObjectivePair._build_many(m[rows], u[rows], mpu[rows]))
 
 
 def _require_dimension(k, d, name="u"):
@@ -162,11 +223,23 @@ def _check_gamma(pair, gamma):
 
 
 def j_value(pair, gamma):
-    """Evaluate ``log|G'MG| + log|G'(M+U)^{-1}G|`` at a semi-orthogonal G."""
+    """Evaluate ``log|G'MG| + log|G'(M+U)^{-1}G|`` at a semi-orthogonal G:
+    ``_j_values`` of one basis."""
     gamma = _check_gamma(pair, gamma)
-    return _logdet_gram(gamma.T @ pair.m @ gamma) + _logdet_gram(
-        gamma.T @ pair.m_plus_u_inv @ gamma
-    )
+    (value,), (singular,) = _j_values(pair.m[None], pair.m_plus_u_inv[None], gamma[None])
+    if singular:
+        raise SingularGram("Gram matrix is not positive definite")
+    return float(value)
+
+
+def _j_values(m, n, gamma):
+    """J at each basis of the stack gamma, on the pair whose M and (M+U)^{-1}
+    are at the same place of the stacks m and n, and a mask of the bases
+    at which a Gram matrix is not positive definite."""
+    gt = gamma.swapaxes(1, 2)
+    ld_m, singular_m = _logdet_grams(gt @ m @ gamma)
+    ld_n, singular_n = _logdet_grams(gt @ n @ gamma)
+    return ld_m + ld_n, singular_m | singular_n
 
 
 def _gram_pieces(pair, gamma):
@@ -243,7 +316,9 @@ def _quadratic_forms(m, n, w, owner=None):
     and row i of w belongs to pair owner[i], the rows of a pair being
     consecutive.  Each pair's products are taken on its own block of rows:
     the bits of a (k, d) @ (d, d) product depend on k, so a row's products
-    are then those of a batch holding its pair's rows alone.  Every other
+    are then those of a batch holding its pair's rows alone.  When every
+    pair has the same number of rows, their blocks are one stacked product,
+    which takes each block's product by its own call.  Every other
     step of the D kernels works row by row, with bits that do not depend on
     the batch.  The direction solver relies on this: forms its line search
     computed at a batch of trial rows are, bit for bit, the forms of the same
@@ -253,12 +328,22 @@ def _quadratic_forms(m, n, w, owner=None):
     if owner is None:
         wm, wn = w @ m, w @ n
     else:
-        wm = np.empty_like(w)
-        wn = np.empty_like(w)
-        cuts = ((owner[1:] != owner[:-1]).nonzero()[0] + 1).tolist()
-        for lo, hi in zip([0, *cuts], [*cuts, len(owner)]):
-            wm[lo:hi] = w[lo:hi] @ m[owner[lo]]
-            wn[lo:hi] = w[lo:hi] @ n[owner[lo]]
+        cuts = (owner[1:] != owner[:-1]).nonzero()[0] + 1
+        blocks = cuts.size + 1
+        k = owner.size // blocks
+        if k * blocks == owner.size and (cuts == np.arange(k, owner.size, k)).all():
+            own = owner[::k]  # blocks of k rows each: one stacked product
+            if own.size < m.shape[0]:
+                m, n = m[own], n[own]
+            stacked = w.reshape(blocks, k, w.shape[1])
+            wm, wn = (stacked @ m).reshape(w.shape), (stacked @ n).reshape(w.shape)
+        else:
+            wm = np.empty_like(w)
+            wn = np.empty_like(w)
+            cuts = cuts.tolist()
+            for lo, hi in zip([0, *cuts], [*cuts, len(owner)]):
+                wm[lo:hi] = w[lo:hi] @ m[owner[lo]]
+                wn[lo:hi] = w[lo:hi] @ n[owner[lo]]
     qm = _einsum("ij,ij->i", wm, w)
     qn = _einsum("ij,ij->i", wn, w)
     qw = _einsum("ij,ij->i", w, w)

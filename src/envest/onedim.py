@@ -81,7 +81,9 @@ population pairs 412 of 469 searches accept every row at t = 1, so most
 iterations make one pass, not two.
 
 After each direction, the complement and the compressed pair are carried
-past the Householder reflector of the accepted w, in O(d^2).
+past the Householder reflector of the accepted w, in O(d^2), for every
+problem of the step in one stacked ``_deflate``, whose next pairs are one
+stacked build (``ObjectivePair._build_many``).
 """
 
 import time
@@ -91,7 +93,13 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import EnvestError, InvalidInput, NoConvergence
-from .linalg import _not_positive_definite, _solve_vectors, fix_column_signs
+from .linalg import (
+    _eigvalsh,
+    _fill,
+    _not_positive_definite,
+    _solve_vectors,
+    fix_column_signs,
+)
 from .objective import (
     ObjectivePair,
     _check_solver_inputs,
@@ -271,7 +279,7 @@ def _shifts(h):
     rows = _not_positive_definite(h)
     if rows.size:
         floor = _SHIFT_FLOOR * np.maximum(1.0, np.abs(h[rows]).max(axis=(1, 2)))
-        tau[rows] = np.maximum(0.0, floor - np.linalg.eigvalsh(h[rows])[:, 0])
+        tau[rows] = np.maximum(0.0, floor - _eigvalsh(h[rows])[:, 0])
     return tau
 
 
@@ -317,7 +325,7 @@ def _lockstep(pairs, settings):
     if size == 1:
         (pair,) = pairs
         m, n, w, owner = pair.m, pair.m_plus_u_inv, pair.candidates, None
-        fm, fn = _norm(m), _norm(n)
+        fm, fn = _norms(np.array((m, n))).tolist()
     else:
         m = np.array([pair.m for pair in pairs])
         n = np.array([pair.m_plus_u_inv for pair in pairs])
@@ -335,8 +343,8 @@ def _lockstep(pairs, settings):
         w = w.copy()  # rows are written as they stop; the pair's candidates stay
     if size > 1:
         owner = np.repeat(np.arange(size), per_pair)
-        fm = np.repeat([_norm(pair.m) for pair in pairs], per_pair)
-        fn = np.repeat([_norm(pair.m_plus_u_inv) for pair in pairs], per_pair)
+        fm = np.repeat(_norms(m), per_pair)
+        fn = np.repeat(_norms(n), per_pair)
     count = w.shape[0]
     iters = np.zeros(count, dtype=int)
     stops = np.zeros(count, dtype=np.int8)  # an index into _STOPS; 0 while live
@@ -430,11 +438,12 @@ def _lockstep(pairs, settings):
     return out
 
 
-def _norm(a):
-    """``np.linalg.norm(a)`` of a 1-d or 2-d array, by numpy's own formula
-    without its argument handling: the Euclidean or Frobenius norm."""
-    x = a.ravel(order="K")
-    return float(np.sqrt(x.dot(x)))
+def _norms(a):
+    """The Frobenius norm of each matrix of the stack a, as numpy's own
+    formula for ``np.linalg.norm`` computes it, sqrt(x.x) of its entries,
+    each a (1, d^2) @ (d^2, 1) product with the bits of that dot product."""
+    x = a.reshape(len(a), 1, -1)
+    return np.sqrt(x @ x.swapaxes(1, 2))[:, 0, 0]
 
 
 def _rows(keep, *values):
@@ -491,8 +500,10 @@ def fit_many(pairs, u, settings=None):
     a u outside 1..d.  Direction 0 is solved on the pair itself.  At each
     step the directions of every problem still running are solved in one
     lockstep (``_solve_directions``), so the call overhead of a Newton
-    iteration is paid once for all of them.  Every fit carries the call's
-    wall time divided by the number of pairs.
+    iteration is paid once for all of them, and the problems that accepted
+    a direction are carried past it together, one ``_step`` per size of
+    problem.  Every fit carries the call's wall time divided by the number
+    of pairs.
     """
     if settings is None:
         settings = OneDimSettings()
@@ -506,26 +517,20 @@ def fit_many(pairs, u, settings=None):
             runs.append(exc)
     running = [run for run in runs if isinstance(run, _Run) and run.d > u]
     for k in range(u):
-        solving, running = running, []
+        solving, by_dim = running, {}
         for run, sol in zip(solving, _solve_directions([run.pair for run in solving], settings)):
             if isinstance(sol, NoConvergence):
                 sol.step_index = k
                 run.error = sol
                 continue
-            g = run.g0 @ sol.w
-            g /= _norm(g)
-            run.columns.append(fix_column_signs(g))
             run.values.append(sol.value)
             run.iterations.append(sol.iterations)
             if sol.stop in _FLAGS:
                 run.diagnostics.append(f"{_FLAGS[sol.stop]}@{k}")
-            if k + 1 < u:
-                try:
-                    run.g0, run.pair = _deflate(run.g0, run.pair, sol.w)
-                except EnvestError as exc:
-                    run.error = exc
-                    continue
-            running.append(run)
+            by_dim.setdefault(run.d, []).append((run, sol.w))
+        for group in by_dim.values():
+            _step([run for run, _ in group], np.array([w for _, w in group]), k + 1 < u)
+        running = [run for run in solving if run.error is None]
     wall_time = (time.perf_counter() - start) / max(1, len(pairs))
     out = []
     for run in runs:
@@ -542,36 +547,65 @@ def fit_many(pairs, u, settings=None):
     return out
 
 
-def _deflate(g0, pair, w):
-    """Carry the complement and the compressed pair past the accepted w.
+def _step(runs, w, deflate):
+    """Accept direction w[i] of each of the runs, all of one size, and, when
+    ``deflate``, carry each past it with one ``_deflate`` of them all; a
+    run whose next pair fails gets that error."""
+    g0 = np.array([run.g0 for run in runs])
+    g = g0 @ w[:, :, None]  # each column as run.g0 @ w[i] computes it
+    g /= np.sqrt(g.swapaxes(1, 2) @ g)
+    for run, column in zip(runs, fix_column_signs(g[:, :, 0].T).T):
+        run.columns.append(column)
+    if deflate:
+        pairs = np.array([(run.pair.m, run.pair.u) for run in runs])
+        for run, g, pair in zip(runs, *_deflate(g0, pairs, w)):
+            if isinstance(pair, EnvestError):
+                run.error = pair
+            else:
+                run.g0, run.pair = g, pair
 
-    The Householder reflector Q = I - beta v v' with v = w + sign(w_0) |w| e_1
-    maps w onto the first axis, so Q's columns after the first are an
-    orthonormal basis of w-perp.  The next complement is G0 Q[:, 1:] and the
-    next pair is built from Q M_k Q and Q U_k Q without their first row and
-    column, each a rank-2 update: O(d^2) per direction instead of a
-    Gram-Schmidt completion and two d x d products.  Both compressions are
-    exactly symmetric, the difference of a symmetric block and t + t', so
-    the pair is built from them as they are, without the symmetry checks
-    and symmetrizing of ``ObjectivePair.from_m_u``, which would return the
-    same bits; only a non-finite entry is still rejected, with from_m_u's
+
+def _deflate(g0, pairs, w):
+    """Carry complements and compressed pairs past the accepted directions.
+
+    Each place i of the stacks holds one problem of one size: its complement
+    g0[i], its compressed M and U, pairs[i, 0] and pairs[i, 1], and its
+    accepted unit w[i].  The Householder reflector Q = I - beta v v' with
+    v = w + sign(w_0) |w| e_1 maps w onto the first axis, so Q's columns
+    after the first are an orthonormal basis of w-perp.  The next complement
+    is G0 Q[:, 1:] and the next pair is built from Q M_k Q and Q U_k Q
+    without their first row and column, each a rank-2 update: O(d^2) per
+    direction instead of a Gram-Schmidt completion and two d x d products.
+    Every step is one call on the stacks, M and U of every problem
+    together, and each product is a matmul of v as columns or rows, so each
+    problem gets the bits it gets alone.  Both compressions are exactly
+    symmetric, the difference of a symmetric block and t + t', so the pairs
+    are built from them as they are, without the symmetry checks and
+    symmetrizing of ``ObjectivePair.from_m_u``, which would return the same
+    bits; only a non-finite entry is still rejected, with from_m_u's
     InvalidInput, and the build still checks positive definiteness.
+
+    Returns the next complements, stacked, and per problem its next
+    ObjectivePair or the package error that stops it.
     """
     v = w.copy()
-    v[0] += np.copysign(_norm(w), w[0])
-    beta = 2.0 / (v @ v)
+    v[:, 0] += np.copysign(np.sqrt(w[:, None, :] @ w[:, :, None])[:, 0, 0], w[:, 0])
+    col, row = v[:, :, None], v[:, None, :]
+    beta = 2.0 / (row @ col)
     # the outer products as np.outer computes them
-    g0 = g0[:, 1:] - (beta * (g0 @ v))[:, None] * v[None, 1:]
-
-    def compress(s):
-        # Q S Q = S - (v z' + z v') with z = beta (S v - (beta v'S v / 2) v)
-        y = s @ v
-        z = beta * (y - (0.5 * beta * (v @ y)) * v)
-        t = v[1:, None] * z[None, 1:]
-        return s[1:, 1:] - (t + t.T)
-
-    m, u = compress(pair.m), compress(pair.u)
-    for s, name in ((m, "M"), (u, "U")):
-        if not np.isfinite(s).all():
-            raise InvalidInput(f"{name} has non-finite entries")
-    return g0, ObjectivePair._build(m, u, m + u)
+    g0 = g0[:, :, 1:] - (beta * (g0 @ col)) * row[:, :, 1:]
+    # Q S Q = S - (v z' + z v') with z = beta (S v - (beta v'S v / 2) v),
+    # for S = M and U of every problem
+    col, row, beta = col[:, None], row[:, None], beta[:, None]
+    y = pairs @ col
+    z = beta * (y - (0.5 * beta * (row @ y)) * col)
+    t = col[..., 1:, :] * z[..., 1:, :].swapaxes(2, 3)
+    pairs = pairs[..., 1:, 1:] - (t + t.swapaxes(2, 3))
+    errors = [
+        None if fm and fu else InvalidInput(f"{'U' if fm else 'M'} has non-finite entries")
+        for fm, fu in np.isfinite(pairs).all(axis=(2, 3)).tolist()
+    ]
+    m, u = pairs[:, 0], pairs[:, 1]
+    return g0, _fill(
+        errors, lambda rows: ObjectivePair._build_many(m[rows], u[rows], m[rows] + u[rows])
+    )

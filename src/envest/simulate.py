@@ -28,10 +28,9 @@ from .errors import (
 from .estimators import (
     KINDS_WITH_X,
     RegressionData,
+    _Scans,
     _check_algorithm,
-    _estimate,
     _fits,
-    _kind_scans,
     _problem_dimension,
     covariance_kit,
 )
@@ -43,7 +42,7 @@ from .linalg import (
     symmetrize,
     _require_symmetric,
 )
-from .objective import ObjectivePair, _require_dimension
+from .objective import _pairs, _require_dimension
 
 __all__ = [
     "GeneratedInstance",
@@ -59,7 +58,7 @@ __all__ = [
 ]
 
 # replications or bootstrap replicates built and fitted at once; bounds the
-# problems held in memory
+# stacks of a batch, O(_PROBLEMS_PER_BATCH d^2) in memory
 _PROBLEMS_PER_BATCH = 64
 # share of U's Frobenius norm an eigen-group of M must see to join the oracle
 _ORACLE_TOL = 1e-9
@@ -252,13 +251,14 @@ def _experiment(mode, d, u, n, replications, algo_set, seed, first, problem):
     """Fit every replication with every algorithm and summarize.
 
     Replication i has seed ``first + i``; ``problem(rep_seed)`` gives the
-    ObjectivePair that every algorithm fits and J is scored on, and the
-    true envelope basis.  An algorithm named twice raises InvalidInput,
+    M and U of the pair that every algorithm fits and J is scored on, and
+    the true envelope basis.  An algorithm named twice raises InvalidInput,
     since it would fit and count every replication twice.  Package errors
     are recorded on the affected record, never raised; a failed problem or
     pair build is recorded on every algorithm's record of the replication.
-    Replications are built in batches of ``_PROBLEMS_PER_BATCH``, and each
-    algorithm fits a batch's problems together and scores their J in
+    Replications are made in batches of ``_PROBLEMS_PER_BATCH``: a batch's
+    pairs are built with one ``objective._pairs`` call on their stacked
+    matrices, and each algorithm fits them together and scores their J in
     ``estimators._fits``.
     """
     algos = list(algo_set)
@@ -273,29 +273,41 @@ def _experiment(mode, d, u, n, replications, algo_set, seed, first, problem):
     if not (1 <= u < d):
         raise InvalidDimension(f"need 1 <= u < d, got u={u}, d={d}")
 
+    def fail(rows, exc):
+        for row in rows:
+            row.error = f"{type(exc).__name__}: {exc}"
+
     records = []
     for lo in range(0, replications, _PROBLEMS_PER_BATCH):
-        built = []
+        made = []
         for i in range(lo, min(lo + _PROBLEMS_PER_BATCH, replications)):
             rep_seed = first + i
             rows = [ReplicationRecord(i, rep_seed, algo, None, None, None) for algo in algos]
             records.extend(rows)
             try:
-                pair, truth = problem(rep_seed)
+                made.append((rows, *problem(rep_seed)))
             except EnvestError as exc:
-                for row in rows:
-                    row.error = f"{type(exc).__name__}: {exc}"
-                continue
-            built.append((rows, pair, truth))
+                fail(rows, exc)
+        built = []
+        if made:
+            rows_of, ms, us, truths = zip(*made)
+            pairs = _pairs(np.array(ms), np.array(us))
+            for rows, truth, pair in zip(rows_of, truths, pairs):
+                if isinstance(pair, EnvestError):
+                    fail(rows, pair)
+                else:
+                    built.append((rows, pair, truth))
         for j, algo in enumerate(algos):
-            scans = _fits([(pair, []) for _, pair, _ in built], u, algo, None)
-            for (rows, _, truth), scan in zip(built, scans):
+            fitted = _fits([(pair, []) for _, pair, _ in built], u, algo, None)(u)
+            for (rows, _, truth), outcome in zip(built, fitted):
                 row = rows[j]
                 try:
-                    fit, objective = scan(u)
+                    if isinstance(outcome, EnvestError):
+                        raise outcome
+                    fit, objective = outcome
                     distance = subspace_distance(fit.basis, truth)
                 except EnvestError as exc:
-                    row.error = f"{type(exc).__name__}: {exc}"
+                    fail([row], exc)
                     continue
                 row.distance = distance
                 row.final_objective = objective
@@ -322,7 +334,7 @@ def population_experiment(d, u, replications, algo_set, seed=0):
 
     def problem(rep_seed):
         inst = generate_instance(d, u, rep_seed)
-        return ObjectivePair.from_m_u(inst.m, inst.u_mat), inst.gamma
+        return inst.m, inst.u_mat, inst.gamma
 
     return _experiment(
         "population", d, u, None, replications, algo_set, seed, seed, problem
@@ -340,8 +352,7 @@ def sample_experiment(d, u, n, replications, algo_set, seed=0):
 
     def problem(rep_seed):
         kit = covariance_kit(sample_data(inst, n, rep_seed))
-        u_hat = symmetrize(kit.s_y - kit.s_y_given_x)
-        return ObjectivePair.from_m_u(kit.s_y_given_x, u_hat), inst.gamma
+        return kit.s_y_given_x, symmetrize(kit.s_y - kit.s_y_given_x), inst.gamma
 
     return _experiment(
         "sample", d, u, n, replications, algo_set, seed, seed + 1, problem
@@ -367,10 +378,12 @@ def residual_bootstrap(data, kind, u, b, algo="onedim", settings=None, seed=0, p
 
     Rows of the OLS residual matrix are resampled with replacement,
     responses rebuilt as alpha + X beta' + resampled residuals, and both
-    estimators refit per replicate.  The replicates are built in batches of
-    ``_PROBLEMS_PER_BATCH`` and a batch's fits are made together (see
-    ``estimators._fits``).  Standard deviations use divisor b-1 over the
-    successful replicates; more than 20 percent failures raises
+    estimators refit per replicate.  The replicates are made in batches of
+    ``_PROBLEMS_PER_BATCH``: each is built, its rows drawn then, as the batch
+    reduces it to its moments, so that one replicate's data is held at a
+    time, and the rest of a batch's work, pairs, fits and estimates, is
+    stacked (see ``estimators._Scans``).  Standard deviations use divisor
+    b-1 over the successful replicates; more than 20 percent failures raises
     BootstrapUnstable, which counts the failures per error type and names
     the last failing replicate's error, chained as its cause.  For the mean
     kinds the "OLS" estimator is the sample mean and X plays no role.
@@ -395,22 +408,17 @@ def residual_bootstrap(data, kind, u, b, algo="onedim", settings=None, seed=0, p
     failures = Counter()
     last_error = None
 
-    def replicate(rows):
-        return lambda: RegressionData(x=data.x, y=center + resid[rows])
+    def replicate():
+        # the rows are drawn when the sample is built, which happens once
+        # per replicate and in order, so that no batch holds its rows
+        return RegressionData(x=data.x, y=center + resid[rng.integers(0, n, size=n)])
 
     for lo in range(0, b, _PROBLEMS_PER_BATCH):
-        samples = [
-            replicate(rng.integers(0, n, size=n))
-            for _ in range(min(_PROBLEMS_PER_BATCH, b - lo))
-        ]
-        for scan in _kind_scans(kind, samples, u, algo, settings, p1):
-            try:
-                if isinstance(scan, EnvestError):
-                    raise scan
-                refit = _estimate(kind, *scan, u, p1)
-            except EnvestError as exc:
-                failures[type(exc).__name__] += 1
-                last_error = exc
+        samples = [replicate] * min(_PROBLEMS_PER_BATCH, b - lo)
+        for refit in _Scans(kind, samples, u, algo, settings, p1).estimates(u):
+            if isinstance(refit, EnvestError):
+                failures[type(refit).__name__] += 1
+                last_error = refit
                 continue
             env_draws.append(refit.beta_env)
             # align shapes: the partial kind only envelopes the X1 block

@@ -24,6 +24,11 @@ from envest.objective import ObjectivePair
 from envest.onedim import OneDimSettings
 
 
+def _moments(data):
+    """The response kind's ``_sample_moments`` of data."""
+    return estimators._sample_moments("response", data)
+
+
 def make_data(seed, d=6, u=2, n=400):
     inst = simulate.generate_instance(d, u, seed)
     return inst, simulate.sample_data(inst, n, seed + 1)
@@ -270,16 +275,15 @@ class TestFitBasisGuards:
         q = linalg.orthonormalize(rng.standard_normal((5, 4)))
         m = q @ np.diag([4.0, 3.0, 2.0, 1.0]) @ q.T  # rank 4 in 5 dims
         b = rng.standard_normal(5)
-        checked = estimators._checked_pair(m, m + np.outer(b, b))
-        (scan,) = estimators._fits([checked], 2, "onedim", None)
-        fit, _ = scan(2)
+        (checked,) = estimators._checked_pairs(m[None], (m + np.outer(b, b))[None])
+        ((fit, _),) = estimators._fits([checked], 2, "onedim", None)(2)
         assert "Ridged" in fit.diagnostics
 
     def test_invalid_uhat(self):
         m = np.diag([2.0, 1.0])
         m_plus_u = np.diag([1.0, 1.0])  # U-hat = diag(-1, 0)
-        with pytest.raises(InvalidUhat):
-            estimators._checked_pair(m, m_plus_u)
+        (checked,) = estimators._checked_pairs(m[None], m_plus_u[None])
+        assert isinstance(checked, InvalidUhat)
 
     def test_unknown_algorithm(self):
         _, data = make_data(91)
@@ -338,11 +342,12 @@ class TestWarmStart:
         data = self.data()
         single = estimators.response_envelope(data, 3, algo="fg-warm")
         assert single.fit.wall_time_seconds >= 1000.0
-        m, m_plus_u, _ = estimators._kind_pair("response", data)
-        checked = estimators._checked_pair(m, m_plus_u)
-        (scan,) = estimators._fits([checked], 8, "fg-warm", None)
+        m, m_plus_u, _, _ = estimators._kind_pairs("response", [_moments(data)])
+        (checked,) = estimators._checked_pairs(m, m_plus_u)
+        fits = estimators._fits([checked], 8, "fg-warm", None)
         for u in range(1, 9):
-            assert scan(u)[0].wall_time_seconds >= 1000.0
+            ((fit, _),) = fits(u)
+            assert fit.wall_time_seconds >= 1000.0
 
 
 class TestOnePairPerProblem:
@@ -359,15 +364,16 @@ class TestOnePairPerProblem:
         (lambda data: simulate.population_experiment(30, 10, 2, ("onedim",)), 20),
     ], ids=["response-onedim", "response-fg-warm", "bic", "bootstrap", "population"])
     def test_pair_builds(self, monkeypatch, run, builds):
+        # a stacked build counts once per pair it builds
         data = simulate.sample_data(simulate.generate_instance(8, 3, 1), 200, 2)
         calls = []
-        real = ObjectivePair._build.__func__
+        real = ObjectivePair._build_many.__func__
 
-        def counting(cls, *args):
-            calls.append(None)
-            return real(cls, *args)
+        def counting(cls, m, *args):
+            calls.extend([None] * len(m))
+            return real(cls, m, *args)
 
-        monkeypatch.setattr(ObjectivePair, "_build", classmethod(counting))
+        monkeypatch.setattr(ObjectivePair, "_build_many", classmethod(counting))
         run(data)
         assert len(calls) == builds
 
@@ -410,13 +416,13 @@ class TestDimensionSelection:
     def test_bic_builds_the_pair_once(self, monkeypatch):
         _, data = make_data(92, n=100)
         calls = []
-        real_kit = estimators.covariance_kit
+        real_moments = estimators._sample_moments
 
-        def counting_kit(*args):
+        def counting_moments(*args):
             calls.append(None)
-            return real_kit(*args)
+            return real_moments(*args)
 
-        monkeypatch.setattr(estimators, "covariance_kit", counting_kit)
+        monkeypatch.setattr(estimators, "_sample_moments", counting_moments)
         estimators.select_dimension_bic(data, "response", 3)
         assert len(calls) == 1
 
@@ -425,21 +431,20 @@ class TestDimensionSelection:
         # run once per scan; the scores stay those of a fit per u
         _, data = make_data(92, n=100)
         calls = []
-        real_checked_pair = estimators._checked_pair
+        real_checked_pairs = estimators._checked_pairs
 
-        def counting_checked_pair(*args):
-            calls.append(None)
-            return real_checked_pair(*args)
+        def counting_checked_pairs(m, m_plus_u):
+            calls.extend([None] * len(m))
+            return real_checked_pairs(m, m_plus_u)
 
-        monkeypatch.setattr(estimators, "_checked_pair", counting_checked_pair)
+        monkeypatch.setattr(estimators, "_checked_pairs", counting_checked_pairs)
         sel = estimators.select_dimension_bic(data, "response", 4)
         assert len(calls) == 1
-        m, m_plus_u, _ = estimators._kind_pair("response", data)
-        d = m.shape[0]
+        m, m_plus_u, _, _ = estimators._kind_pairs("response", [_moments(data)])
+        d = m.shape[1]
         for u, score in enumerate(sel.scores, start=1):
-            checked = estimators._checked_pair(m, m_plus_u)
-            (scan,) = estimators._fits([checked], u, "onedim", None)
-            _, objective = scan(u)
+            (checked,) = estimators._checked_pairs(m, m_plus_u)
+            ((_, objective),) = estimators._fits([checked], u, "onedim", None)(u)
             assert score == data.n * objective + np.log(data.n) * u * (d - u)
 
     def test_bic_reports_a_failing_pair(self):
@@ -545,6 +550,29 @@ def assert_scan_equals(select, reference):
     assert np.array_equal(sel.scores, scores, equal_nan=True)
 
 
+class TestFailingFoldsStayIsolated:
+    """With n just above r, some cross-validation folds are rank-deficient,
+    so their pairs come out Ridged or fail with SingularCovariance or
+    NotPositiveDefinite.  The folds' pairs are built, checked and fitted
+    together; each fold must score as a fit of its training set alone."""
+
+    @pytest.mark.parametrize("kind, r, p, n, folds, algo", [
+        ("response", 5, 1, 9, 4, "onedim"),  # one Ridged fold of four
+        ("predictor", 5, 2, 10, 4, "fg-warm"),  # two Ridged folds
+        ("response", 6, 2, 10, 3, "onedim"),  # a singular fold beside Ridged ones
+        ("predictor", 6, 2, 10, 4, "onedim"),  # two folds not positive definite
+    ])
+    def test_cv_scan_equals_each_fold_alone(self, kind, r, p, n, folds, algo):
+        rng = np.random.default_rng(3)
+        x = rng.standard_normal((n, p))
+        y = x @ rng.standard_normal((p, r)) + rng.standard_normal((n, r))
+        data = estimators.RegressionData(x, y)
+        assert_scan_equals(
+            lambda: estimators.select_dimension_cv(data, kind, 2, folds, algo),
+            per_u_cv(data, kind, 2, folds, algo),
+        )
+
+
 class TestNestedScans:
     """A scan with onedim or fg-warm takes every candidate's basis from one
     sequential fit; it must score exactly as a separate fit per u does."""
@@ -632,7 +660,7 @@ class TestNestedScans:
     def test_cv_builds_one_kit_and_fit_per_fold(self, monkeypatch):
         _, data = make_data(92, n=100)
         # the folds' sequential fits are made by one fit_many call
-        kits = self._count(monkeypatch, estimators, "covariance_kit")
+        kits = self._count(monkeypatch, estimators, "_sample_moments")
         fits = self._count(monkeypatch, onedim, "fit_many")
         estimators.select_dimension_cv(data, "response", 3, folds=4)
         assert len(kits) == 4

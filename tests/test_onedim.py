@@ -625,9 +625,9 @@ class TestDeflation:
         carried = []
         real = onedim._deflate
 
-        def recording(g0, pair, w):
-            out = real(g0, pair, w)
-            carried.append(out[0])
+        def recording(g0, pairs, w):
+            out = real(g0, pairs, w)
+            carried.extend(out[0])
             return out
 
         monkeypatch.setattr(
@@ -655,9 +655,9 @@ class TestDeflation:
         deflated = []
         real = onedim._deflate
 
-        def recording(g0, pair, w):
-            out = real(g0, pair, w)
-            deflated.append(out[1])
+        def recording(g0, pairs, w):
+            out = real(g0, pairs, w)
+            deflated.extend(out[1])
             return out
 
         monkeypatch.setattr(onedim, "_deflate", recording)

@@ -12,7 +12,7 @@ import numpy as np
 from hypothesis import strategies as st
 
 from envest import estimators, linalg, simulate
-from envest.objective import ObjectivePair, j_value
+from envest.objective import ObjectivePair, _one, j_value
 
 ALGOS = tuple(estimators.ALGORITHMS)
 PROPERTY = hypothesis.settings(
@@ -21,8 +21,8 @@ PROPERTY = hypothesis.settings(
 
 
 def solve(algo, m, u_mat, u):
-    (scan,) = estimators._fits([(ObjectivePair.from_m_u(m, u_mat), [])], u, algo, None)
-    return scan(u)[0]
+    fits = estimators._fits([(ObjectivePair.from_m_u(m, u_mat), [])], u, algo, None)
+    return _one(fits(u))[0]
 
 
 def random_basis(rng, d):
@@ -118,8 +118,8 @@ def test_fits_rotate_with_the_problem():
         q = random_basis(np.random.default_rng(10000 + s), 30)
         m_q, u_q = linalg.symmetrize(q @ m @ q.T), linalg.symmetrize(q @ u_mat @ q.T)
         for algo in ALGOS:
-            (scan,) = estimators._fits([(ObjectivePair.from_m_u(m, u_mat), [])], 10, algo, None)
-            (scan_q,) = estimators._fits([(ObjectivePair.from_m_u(m_q, u_q), [])], 10, algo, None)
-            (fit, j), (fit_q, j_q) = scan(10), scan_q(10)
+            fits = estimators._fits([(ObjectivePair.from_m_u(m, u_mat), [])], 10, algo, None)
+            fits_q = estimators._fits([(ObjectivePair.from_m_u(m_q, u_q), [])], 10, algo, None)
+            (fit, j), (fit_q, j_q) = _one(fits(10)), _one(fits_q(10))
             assert linalg.subspace_distance(q @ fit.basis, fit_q.basis) <= 1e-4, (s, algo)
             assert abs(j - j_q) <= 1e-6 * max(1.0, abs(j)), (s, algo)

@@ -2,6 +2,7 @@
 residual bootstrap, with determinism pinned across reruns."""
 
 import hashlib
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -469,3 +470,77 @@ class TestBatchedFits:
         # onedim and fg-warm; the fifth replication is fitted alone, by a
         # fit_many call of its one pair
         assert sizes[2:] == [2, 2, 2, 2, 1, 1]
+
+
+class TestFailingPairsStayIsolated:
+    """With n just above r, some bootstrap resamples are rank-deficient, so
+    their pairs come out Ridged or fail with SingularCovariance or
+    NotPositiveDefinite; a sample experiment at n = d + 1 fails every pair,
+    each with its own eigenvalue.  A batch's pairs are built, checked and
+    fitted together, and each must come out as it does alone."""
+
+    @staticmethod
+    def data(r, p, n):
+        rng = np.random.default_rng(3)
+        x = rng.standard_normal((n, p))
+        y = x @ rng.standard_normal((p, r)) + rng.standard_normal((n, r))
+        return estimators.RegressionData(x, y)
+
+    @pytest.mark.parametrize("kind, r, p, n, algo, failures", [
+        ("response", 6, 2, 10, "onedim", {"SingularCovariance": 2}),  # 21 Ridged
+        ("partial", 6, 2, 10, "fg-warm", {"SingularCovariance": 2}),
+        ("predictor", 5, 2, 10, "onedim", {"NotPositiveDefinite": 3}),  # 6 Ridged
+        ("predictor", 6, 2, 10, "fg", None),  # 9 of 40 fail: BootstrapUnstable
+    ])
+    def test_bootstrap_equals_one_replicate_at_a_time(
+        self, monkeypatch, kind, r, p, n, algo, failures
+    ):
+        data = self.data(r, p, n)
+
+        def run():
+            try:
+                res = simulate.residual_bootstrap(
+                    data, kind, 1, 40, algo, seed=0, p1=1 if kind == "partial" else None
+                )
+            except BootstrapUnstable as exc:
+                return str(exc), type(exc.__cause__)
+            return res.se_ols.tobytes(), res.se_env.tobytes(), res.failed, res.failures
+
+        together = run()
+        if failures is None:
+            assert together[0].startswith("9 of 40 bootstrap replicates failed")
+        else:
+            assert together[3] == failures
+        monkeypatch.setattr(simulate, "_PROBLEMS_PER_BATCH", 1)
+        assert run() == together
+
+    @pytest.mark.parametrize("n", [7, 8])
+    def test_sample_experiment_equals_one_replication_at_a_time(self, monkeypatch, n):
+        def run():
+            algos = ("onedim", "fg", "fg-warm")
+            return simulate.sample_experiment(6, 2, n, 6, algos, seed=3).to_dict()
+
+        together = run()
+        errors = {rec["error"] for rec in together["records"]}
+        # n = d + 1 leaves every M singular, each with its own eigenvalue
+        assert len(errors) == (6 if n == 7 else 1)
+        monkeypatch.setattr(simulate, "_PROBLEMS_PER_BATCH", 1)
+        assert run() == together
+
+
+def test_bootstrap_memory_stays_within_a_few_samples():
+    # a batch's replicates are built one at a time, each reduced to its
+    # moments and dropped, and each draws its rows as it is built: the
+    # peak holds a few copies of one sample's n x r data, not one per
+    # replicate (drawing a batch's rows up front held 64 index arrays,
+    # over five samples' worth)
+    data = simulate.sample_data(simulate.generate_instance(12, 3, 7), 20_000, 8)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        simulate.residual_bootstrap(data, "response", 3, 64, seed=1)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6 * data.y.nbytes

@@ -87,8 +87,13 @@ def main(argv):
     starts = Starts(onedim, grassmann, objective)
 
     def fit(m, u_mat, u, algo):
-        (scan,) = estimators._fits([(ObjectivePair.from_m_u(m, u_mat), [])], u, algo, None)
-        fitted, j = scan(u)
+        fits = estimators._fits([(ObjectivePair.from_m_u(m, u_mat), [])], u, algo, None)
+        # a function of u giving each pair's (fit, J), or, in a checkout
+        # that scans each pair apart, one function of u per pair
+        outcome = fits(u)[0] if callable(fits) else fits[0](u)
+        if isinstance(outcome, Exception):
+            raise outcome
+        fitted, j = outcome
         return fitted.basis, j, starts.take()
 
     print("d u n algo fits median_dist max_dist max_j_gap starts_differ")

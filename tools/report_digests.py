@@ -44,6 +44,11 @@ from pathlib import Path
 
 N, P, R = 60, 3, 5
 DATA_SEED = 12345
+# a second dataset with n just above r: some bootstrap resamples and
+# cross-validation folds are rank-deficient, so their pairs come out Ridged
+# or fail, beside others that fit
+NEAR_N, NEAR_P, NEAR_R = 10, 2, 6
+NEAR_SEED = 3
 # the command list is fixed here, not read from the checkout, so that both
 # sides of a comparison run the same commands
 KINDS = ("response", "partial", "predictor", "mean", "constrained-mean")
@@ -82,8 +87,11 @@ def write_data(work):
     x = rng.standard_normal((N, P))
     beta = rng.standard_normal((R, P))
     y = 1.0 + x @ beta.T + rng.standard_normal((N, R))
+    rng = np.random.default_rng(NEAR_SEED)
+    near_x = rng.standard_normal((NEAR_N, NEAR_P))
+    near_y = near_x @ rng.standard_normal((NEAR_P, NEAR_R)) + rng.standard_normal((NEAR_N, NEAR_R))
     paths = {}
-    for name, mat in (("x", x), ("y", y)):
+    for name, mat in (("x", x), ("y", y), ("near_x", near_x), ("near_y", near_y)):
         paths[name] = str(work / f"{name}.csv")
         with open(paths[name], "w", newline="") as fh:
             csv.writer(fh, lineterminator="\n").writerows(
@@ -168,6 +176,17 @@ def commands(data):
         argv = ["bootstrap", "--kind", "response", "--u", "2", "--b", "10", "--seed", "5",
                 "--max-iter", cap]
         out.append((f"bootfail{cap}_response", argv + source("response")))
+    # n just above r: bootstraps whose failing replicates (SingularCovariance,
+    # NotPositiveDefinite) sit beside Ridged and plain ones, the second too
+    # many (BootstrapUnstable), and cross-validation scans with Ridged folds
+    # and with folds that fail
+    near = ["--x", data["near_x"], "--y", data["near_y"]]
+    for kind in ("response", "predictor"):
+        argv = ["bootstrap", "--kind", kind, "--u", "1", "--b", "40", "--seed", "0"]
+        out.append((f"bootnear_{kind}", argv + near))
+    for kind in ("response", "predictor"):
+        argv = ["select-u", "--criterion", "cv", "--kind", kind, "--u-max", "2", "--folds", "4"]
+        out.append((f"cvnear_{kind}", argv + near))
     sim = ["simulate", "--d", "6", "--u", "2", "--reps", "4", "--seed", "7"]
     sim += [flag for algo in ALGOS for flag in ("--algo", algo)]
     out.append(("sim_population", sim + ["--mode", "population"]))

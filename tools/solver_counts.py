@@ -24,8 +24,10 @@ rows in it, so that the tables of two checkouts compare whether or not they
 batch problems together.  For each set it
 prints one line per count:
 
-* ``pair_builds``: ``ObjectivePair`` builds (``ObjectivePair._build``, two
-  d x d eigendecompositions each), by the estimators and the solvers alike;
+* ``pair_builds``: ``ObjectivePair`` builds (two d x d eigendecompositions
+  each), by the estimators and the solvers alike, counted once per pair a
+  stacked build (``ObjectivePair._build_many``) makes, or per call of
+  ``ObjectivePair._build`` in a checkout without it;
 * ``directions``: direction solves with more than one coordinate;
 * ``candidates``: their eigenvector starts, 2(d - k) for a direction in
   d - k coordinates;
@@ -40,8 +42,10 @@ prints one line per count:
   single or batched, counted at numpy's kernel
   ``np.linalg._umath_linalg.cholesky_lo``, which ``np.linalg.cholesky``
   calls too, so that checkouts compare whichever route they take;
-* ``eigvalsh_batches`` and ``eigvalsh_rows``: calls of ``np.linalg.eigvalsh``
-  made while solving, as made, and the matrices they decompose;
+* ``eigvalsh_batches`` and ``eigvalsh_rows``: eigenvalue calls made while
+  solving, as made, and the matrices they decompose, counted at numpy's
+  kernel ``np.linalg._umath_linalg.eigvalsh_lo``, which
+  ``np.linalg.eigvalsh`` calls too;
 * ``d_kernel_calls`` and ``d_kernel_rows``: batched D evaluations: the
   screening of the candidates and the trials of the line searches;
 * ``quadratic_form_passes``: passes of w M and w N over a batch of rows
@@ -123,8 +127,8 @@ class Counts:
         real_hessians = onedim._d_tilde_hessians
         real_armijo = onedim._armijo
         real_forms = objective._quadratic_forms
-        real_eigvalsh = np.linalg.eigvalsh
         kernels = np.linalg._umath_linalg
+        real_eigvalsh = kernels.eigvalsh_lo
         real_cholesky = kernels.cholesky_lo
 
         def values(m, n, w, *args, **kwargs):
@@ -183,11 +187,11 @@ class Counts:
         def lockstep(pairs, settings, solve):
             self.iterations_here.clear()
             self.first_gradients = True
-            np.linalg.eigvalsh, kernels.cholesky_lo = eigvalsh, cholesky
+            kernels.eigvalsh_lo, kernels.cholesky_lo = eigvalsh, cholesky
             try:
                 return solve()
             finally:
-                np.linalg.eigvalsh, kernels.cholesky_lo = real_eigvalsh, real_cholesky
+                kernels.eigvalsh_lo, kernels.cholesky_lo = real_eigvalsh, real_cholesky
                 for k, pair in enumerate(pairs):
                     if pair.dim > 1:
                         self.c["directions"] += 1
@@ -210,13 +214,17 @@ class Counts:
         )
 
     def _count_pair_builds(self, pair_class):
-        real_build = pair_class._build.__func__
+        # a stacked build takes a stack of M first; a checkout without one
+        # builds one pair per ``_build`` call
+        stacked = hasattr(pair_class, "_build_many")
+        name = "_build_many" if stacked else "_build"
+        real_build = getattr(pair_class, name).__func__
 
-        def build(cls, *args):
-            self.c["pair_builds"] += 1
-            return real_build(cls, *args)
+        def build(cls, m, *args):
+            self.c["pair_builds"] += len(m) if stacked else 1
+            return real_build(cls, m, *args)
 
-        pair_class._build = classmethod(build)
+        setattr(pair_class, name, classmethod(build))
 
     def _count_fg(self, grassmann):
         np = grassmann.np
