@@ -7,7 +7,11 @@ Reports are JSON with top-level keys version/config/records/summary, floats
 written with 17 significant digits and a fixed key order, so identical
 flags and seed give byte-identical output.  Wall-clock timings are left out
 of the JSON for that reason; ``simulate --csv-summary`` writes them to a
-separate CSV grid.  No environment variable is read.
+separate CSV grid.  No environment variable is read.  Both output files
+are rewritten in place and cut to length, not truncated before the write:
+on ext4, truncating a file that holds data flushes that data to disk,
+which cost more than making a report.  A float64 array is written with
+one format string for all its entries.
 
 ``run`` executes each command on one BLAS thread: it sets the thread count
 of the OpenBLAS that numpy loaded to 1 and restores the caller's count on
@@ -28,6 +32,8 @@ import functools
 import io
 import json
 import math
+import os
+import stat
 import sys
 import threading
 
@@ -119,6 +125,19 @@ def read_matrix_csv(path):
 # JSON output
 
 
+# json.dumps(s, ensure_ascii=False) without building an encoder per call
+_json_string = json.JSONEncoder(ensure_ascii=False).encode
+
+
+def _array_format(shape):
+    """A %-format that writes an array of this shape as nested JSON lists,
+    each of its row-major entries with 17 significant digits."""
+    text = "%.17g"
+    for n in reversed(shape):
+        text = "[" + ",".join([text] * n) + "]"
+    return text
+
+
 def _json_text(value):
     if value is None:
         return "null"
@@ -132,17 +151,47 @@ def _json_text(value):
             return "null"
         return format(v, ".17g")
     if isinstance(value, str):
-        return json.dumps(value, ensure_ascii=False)
+        return _json_string(value)
     if isinstance(value, np.ndarray):
+        # the generic path's text in one pass; a non-finite entry needs null
+        if value.dtype == np.float64 and np.isfinite(value).all():
+            return _array_format(value.shape) % tuple(value.ravel().tolist())
         return _json_text(value.tolist())
     if isinstance(value, (list, tuple)):
         return "[" + ",".join(_json_text(v) for v in value) + "]"
     if isinstance(value, dict):
         parts = []
         for key, v in value.items():
-            parts.append(_json_text(str(key)) + ":" + _json_text(v))
+            parts.append(_json_string(str(key)) + ":" + _json_text(v))
         return "{" + ",".join(parts) + "}"
     raise InvalidInput(f"cannot serialize value of type {type(value).__name__}")
+
+
+def _write_text(text, path):
+    """Write text to path as UTF-8, in place; raise IoError when it cannot.
+
+    An existing file is opened without truncation, overwritten from its
+    start and cut to the new length after the write.  Truncating a file
+    that holds data to zero length makes ext4 (``auto_da_alloc``) write
+    that data out to disk when the file is closed, which took longer than
+    making the report; an in-place rewrite leaves all of it to the page
+    cache.  Neither way makes a report durable: a crash may leave old and
+    new bytes mixed, as it could leave an empty file.  A path that is not
+    a regular file, such as a pipe or a device, is only written.
+    """
+    try:
+        fd = os.open(path, os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0), 0o666)
+        try:
+            fh = open(fd, "wb")
+        except BaseException:
+            os.close(fd)
+            raise
+        with fh:
+            fh.write(text.encode("utf-8"))
+            if stat.S_ISREG(os.fstat(fd).st_mode):
+                fh.truncate()
+    except OSError as exc:
+        raise IoError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
 def write_report_json(report, path=None):
@@ -150,6 +199,9 @@ def write_report_json(report, path=None):
 
     Key order follows dict insertion order, floats get 17 significant
     digits and non-finite floats become null; the text ends with a newline.
+    An existing file at path is rewritten in place, not truncated first,
+    because truncation to zero would make the file system flush the old
+    report to disk (see ``_write_text``).
     """
     for key in ("version", "config", "records", "summary"):
         if key not in report:
@@ -157,12 +209,8 @@ def write_report_json(report, path=None):
     text = _json_text(report) + "\n"
     if path is None:
         sys.stdout.write(text)
-        return
-    try:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-    except OSError as exc:
-        raise IoError(f"cannot write {path}: {exc.strerror or exc}") from exc
+    else:
+        _write_text(text, path)
 
 
 def _write_csv_summary(summary, path):
@@ -175,24 +223,22 @@ def _write_csv_summary(summary, path):
         "replications_ok",
         "replications_failed",
     )
-    try:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(("algorithm",) + fields)
-            for algo in sorted(summary):
-                cell = summary[algo]
-                row = [algo]
-                for name in fields:
-                    v = cell.get(name)
-                    if v is None:
-                        row.append("")
-                    elif isinstance(v, float):
-                        row.append(format(v, ".17g"))
-                    else:
-                        row.append(str(v))
-                writer.writerow(row)
-    except OSError as exc:
-        raise IoError(f"cannot write {path}: {exc.strerror or exc}") from exc
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(("algorithm",) + fields)
+    for algo in sorted(summary):
+        cell = summary[algo]
+        row = [algo]
+        for name in fields:
+            v = cell.get(name)
+            if v is None:
+                row.append("")
+            elif isinstance(v, float):
+                row.append(format(v, ".17g"))
+            else:
+                row.append(str(v))
+        writer.writerow(row)
+    _write_text(buf.getvalue(), path)
 
 
 # ---------------------------------------------------------------------------

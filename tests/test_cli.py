@@ -1,7 +1,10 @@
 """Command line surface: CSV input, canonical JSON output, exit codes and
 byte-for-byte determinism of written reports."""
 
+import errno
 import json
+import os
+import stat
 import subprocess
 import sys
 import threading
@@ -189,6 +192,101 @@ class TestJsonWriter:
             {"version": "1", "config": {}, "records": [], "summary": {}}, str(out)
         )
         assert out.read_text() == '{"version":"1","config":{},"records":[],"summary":{}}\n'
+
+    @pytest.mark.parametrize("shape", [(), (0,), (3, 0), (0, 3), (4, 3, 2)])
+    def test_float64_arrays_match_the_generic_path(self, shape):
+        rng = np.random.default_rng(7)
+        specials = np.array([-0.0, 5e-324, -5e-324, 1.7976931348623157e308, 1e16, 1e17, 0.1])
+        arrays = [np.resize(np.roll(specials, i), shape) for i in range(specials.size)]
+        arrays += [rng.standard_normal(shape) * 10.0**k for k in range(-320, 308)]
+        for a in arrays:
+            for view in (a, a.T):  # a row-major text whatever the memory order
+                assert cli._json_text(view) == cli._json_text(view.tolist())
+
+    def test_non_finite_array_entries_write_null_in_place(self):
+        a = np.array([[1.5, np.nan], [-np.inf, np.inf]])
+        assert cli._json_text(a) == "[[1.5,null],[null,null]]"
+
+    @pytest.mark.parametrize(
+        "a, text",
+        [
+            (np.array([0.1, 1 / 3], dtype=np.float32), "[0.10000000149011612,0.3333333432674408]"),
+            (np.array([[1, -2]]), "[[1,-2]]"),
+            (np.array([True, False]), "[true,false]"),
+        ],
+    )
+    def test_other_dtypes_keep_their_text(self, a, text):
+        assert cli._json_text(a) == text
+
+
+# each output file, written by the function that writes it
+_WRITERS = {
+    "--out": lambda path: cli.write_report_json(
+        {"version": "1", "config": {"u": 2}, "records": [np.arange(4.0) / 3], "summary": {}},
+        path,
+    ),
+    "--csv-summary": lambda path: cli._write_csv_summary(
+        {"onedim": {"mean_distance": 0.25, "se_distance": None, "replications_ok": 3}}, path
+    ),
+}
+
+
+@pytest.mark.parametrize("output_flag", sorted(_WRITERS))
+class TestOutputFiles:
+    """Output files are rewritten in place; what a reader finds there is
+    what a write to a fresh file gives."""
+
+    def fresh_bytes(self, tmp_path, flag):
+        path = tmp_path / "fresh"
+        _WRITERS[flag](str(path))
+        return path.read_bytes()
+
+    def test_a_longer_old_file_keeps_only_the_new_bytes(self, tmp_path, output_flag):
+        want = self.fresh_bytes(tmp_path, output_flag)
+        old = tmp_path / "old"
+        old.write_bytes(b"x" * (3 * len(want)))
+        _WRITERS[output_flag](str(old))
+        assert old.read_bytes() == want
+
+    def test_a_symlink_is_written_through_and_kept(self, tmp_path, output_flag):
+        want = self.fresh_bytes(tmp_path, output_flag)
+        target = tmp_path / "target"
+        target.write_bytes(b"x" * (3 * len(want)))
+        link = tmp_path / "link"
+        link.symlink_to(target)
+        _WRITERS[output_flag](str(link))
+        assert link.is_symlink() and os.readlink(link) == str(target)
+        assert target.read_bytes() == want
+
+    @pytest.mark.parametrize("umask", [0o022, 0o077, 0o002])
+    def test_a_new_file_gets_the_mode_open_w_gives(self, tmp_path, output_flag, umask):
+        saved = os.umask(umask)
+        try:
+            with open(tmp_path / "ref", "w"):
+                pass
+            _WRITERS[output_flag](str(tmp_path / "new"))
+        finally:
+            os.umask(saved)
+        mode = stat.S_IMODE((tmp_path / "new").stat().st_mode)
+        assert mode == stat.S_IMODE((tmp_path / "ref").stat().st_mode)
+
+    def test_a_device_is_written_without_a_cut(self, output_flag):
+        _WRITERS[output_flag](os.devnull)  # no IoError: a device cannot be truncated
+
+    @pytest.mark.parametrize("where", ["directory", "missing directory"])
+    def test_an_unwritable_path_is_exit_1(self, tmp_path, capsys, output_flag, where):
+        if where == "directory":
+            bad, code = tmp_path, errno.EISDIR
+        else:
+            bad, code = tmp_path / "missing" / "file", errno.ENOENT
+        paths = {"--out": str(tmp_path / "r.json"), "--csv-summary": str(tmp_path / "g.csv")}
+        paths[output_flag] = str(bad)
+        argv = ["simulate", "--mode", "population", "--d", "3", "--u", "1", "--reps", "1"]
+        for flag, path in paths.items():
+            argv += [flag, path]
+        assert cli.run(argv) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: IoError: cannot write {bad}: {os.strerror(code)}\n"
 
 
 class TestExitCodes:

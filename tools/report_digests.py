@@ -10,7 +10,9 @@ the work directory's path masked so that two checkouts can be compared.
 A second sha256 follows: the same digest with the report's J fields
 (``objective``, ``score`` and ``final_objective``) removed, so that a
 change that moves only J keeps it.  ``simulate`` runs also digest their
-``--csv-summary`` grid with the wall-clock columns blanked.
+``--csv-summary`` grid with the wall-clock columns blanked.  The
+``rewrite_*`` rows run a command again with its report (and grid) going
+to a longer file that an earlier row wrote, and digest what is left there.
 
 The solver rows that follow (``solver_*``) call ``onedim.fit_many``
 directly, at sizes the CLI rows do not reach.  For each (d, u) of
@@ -64,6 +66,14 @@ SOLVER_SIZES = ((10, 3, 100, range(16)), (20, 5, 1000, range(12)),
                 (30, 10, 200, range(12)), (60, 30, 4000, range(4)))
 # (d, u) of the scan rows, on the pairs of their solver rows
 SCAN_SIZES = ((10, 3), (30, 10), (60, 30))
+# (row name, command row, report file, grid file): a command whose report
+# (and grid) go over longer files the command rows left, so that a rewrite
+# that keeps part of the old file shows in the digest
+REWRITES = (
+    ("rewrite_boot_over_fit", "boot_response", "fit_response_onedim.json", None),
+    ("rewrite_bic_over_boot", "bic_response", "boot_predictor.json", None),
+    ("rewrite_sim_over_sim", "sim_sample", "sim_population.json", "sim_population.csv"),
+)
 
 
 def load_cli(checkout):
@@ -301,6 +311,23 @@ def solver_rows():
                 print(f"scan_{kind}_{d}_{u} {len(pairs)} {h.hexdigest()}")
 
 
+def run_row(cli, work, name, args, report, grid=None):
+    """Run one command with its report at ``report`` (and, for simulate, its
+    grid at ``grid``) and print its digest rows."""
+    args = args + ["--out", str(report)]
+    if args[0] == "simulate":
+        args += ["--csv-summary", str(grid)]
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = cli.run(args)
+    body = report.read_bytes() if report.exists() else b""
+    stderr = err.getvalue().encode()
+    full = digest(body, stderr, mask=str(work))
+    print(f"{name} {code} {full} {digest(without_j(body), stderr, mask=str(work))}")
+    if grid is not None and grid.exists():
+        print(f"{name}.csv {code} {digest(untimed_csv(grid), mask=str(work))}")
+
+
 def main(argv):
     if len(argv) != 1:
         raise SystemExit(__doc__.split("\n\n")[1])
@@ -308,21 +335,12 @@ def main(argv):
     work = Path(tempfile.mkdtemp(prefix="envest-digests-"))
     try:
         data = write_data(work)
-        for name, args in commands(data):
-            report = work / f"{name}.json"
-            grid = work / f"{name}.csv"
-            args = args + ["--out", str(report)]
-            if args[0] == "simulate":
-                args += ["--csv-summary", str(grid)]
-            err = io.StringIO()
-            with contextlib.redirect_stderr(err):
-                code = cli.run(args)
-            body = report.read_bytes() if report.exists() else b""
-            stderr = err.getvalue().encode()
-            full = digest(body, stderr, mask=str(work))
-            print(f"{name} {code} {full} {digest(without_j(body), stderr, mask=str(work))}")
-            if grid.exists():
-                print(f"{name}.csv {code} {digest(untimed_csv(grid), mask=str(work))}")
+        rows = commands(data)
+        for name, args in rows:
+            run_row(cli, work, name, args, work / f"{name}.json", work / f"{name}.csv")
+        argvs = dict(rows)
+        for name, row, report, grid in REWRITES:
+            run_row(cli, work, name, argvs[row], work / report, grid and work / grid)
     finally:
         shutil.rmtree(work)
     solver_rows()
