@@ -77,12 +77,14 @@ from .errors import (
 from .linalg import (
     _cholesky,
     _eigvalsh,
+    _errors,
     _fill,
+    _one,
     _projections,
     orthonormal_complement,
     symmetrize,
 )
-from .objective import _j_values, _one, _pairs, _require_dimension
+from .objective import _j_values, _pairs, _require_dimension
 
 __all__ = [
     "ALGORITHMS",
@@ -228,25 +230,22 @@ def _fits(checked, top, algo, settings):
 
 
 def _scored(pairs, fitted):
-    """(fit, J of its basis on its pair) per fit of fitted, the J of every
-    fit scored in one stacked pass; a package error passes as it is, and
-    a basis whose Gram matrix is not positive definite gets SingularGram."""
-    live = [(pair, fit) for pair, fit in zip(pairs, fitted) if not isinstance(fit, EnvestError)]
-    if not live:
-        return fitted
-    values, singular = _j_values(
-        np.array([pair.m for pair, _ in live]),
-        np.array([pair.m_plus_u_inv for pair, _ in live]),
-        np.array([fit.basis for _, fit in live]),
-    )
-    scores = zip(values.tolist(), singular.tolist())
-    out = []
-    for fit in fitted:
-        if not isinstance(fit, EnvestError):
-            value, bad = next(scores)
-            fit = SingularGram("Gram matrix is not positive definite") if bad else (fit, value)
-        out.append(fit)
-    return out
+    """(fit, J of its basis on its pair) per fit of fitted, the fits that are
+    not package errors scored in one stacked pass (``_fill``); a basis
+    whose Gram matrix is not positive definite gets SingularGram."""
+
+    def scores(rows):
+        values, singular = _j_values(
+            np.array([pairs[i].m for i in rows]),
+            np.array([pairs[i].m_plus_u_inv for i in rows]),
+            np.array([fitted[i].basis for i in rows]),
+        )
+        return [
+            SingularGram("Gram matrix is not positive definite") if bad else (fitted[i], value)
+            for i, value, bad in zip(rows, values.tolist(), singular.tolist())
+        ]
+
+    return _fill(_errors(fitted), scores)
 
 
 def _sample_matrix(a, name):
@@ -256,6 +255,8 @@ def _sample_matrix(a, name):
         a = a[:, None]
     if a.ndim != 2:
         raise InvalidInput(f"{name} must be a 1- or 2-dimensional array")
+    if a.shape[1] == 0:
+        raise InvalidInput(f"{name} has no columns")
     if not np.all(np.isfinite(a)):
         raise InvalidInput(f"{name} must be finite")
     return a
@@ -549,19 +550,18 @@ def _predictor_estimates(kit, fits, objectives, gamma):
     projections = _projections(gamma, kit.s_x)  # p x p each, S_X inner product
 
     def estimates(rows):
-        chosen = np.arange(len(fits))[rows].tolist()
         k = _take(kit, rows)
-        proj = np.array([projections[i] for i in chosen])
+        proj = np.array([projections[i] for i in rows])
         beta_ols = k.beta_ols  # r x p
         beta_env = beta_ols @ proj.swapaxes(1, 2)
         sigma_env = symmetrize(k.s_y - beta_env @ k.s_x @ beta_env.swapaxes(1, 2))
         alpha_hat = k.y_mean - _matvec(beta_env, k.x_mean)
         return [
             EnvelopeRegressionFit("predictor", fits[i], *values, objectives[i])
-            for i, *values in zip(chosen, beta_env, beta_ols, sigma_env, alpha_hat)
+            for i, *values in zip(rows, beta_env, beta_ols, sigma_env, alpha_hat)
         ]
 
-    return _fill([p if isinstance(p, EnvestError) else None for p in projections], estimates)
+    return _fill(_errors(projections), estimates)
 
 
 def _mean_estimates(kind, moments, fits, objectives, gamma):
@@ -601,55 +601,47 @@ class _Scans:
     Each is built, reduced to its ``_sample_moments`` and dropped, so only
     one sample's data is held at a time; everything after the moments is
     stacked across the batch: ``_kind_pairs``, ``_checked_pairs``, the fits
-    and J of ``_fits`` and ``_estimates``.  ``errors`` holds, per sample,
-    the package error that stopped its pair (it fails every u alike), or
-    None.  kind and p1 must pass ``_problem_dimension`` for the samples.
+    and J of ``_fits`` and ``_estimates``, each a ``_fill`` of the samples
+    no package error has stopped.  ``errors`` holds, per sample, the error
+    that stopped its pair (it fails every u alike), or None; the fits and
+    ``moments`` are those of the others, in order.  kind and p1 must pass
+    ``_problem_dimension`` for the samples.
     """
 
     def __init__(self, kind, samples, top, algo, settings, p1=None):
         self.kind, self.p1 = kind, p1
-        moments, outcomes = [], []
+        read = []
         for sample in samples:
             try:
-                moments.append(_sample_moments(kind, sample(), p1))
-                outcomes.append(None)
+                read.append(_sample_moments(kind, sample(), p1))
             except EnvestError as exc:
-                outcomes.append(exc)
-        checked = []
-        if moments:
-            m, m_plus_u, self.moments, errors = _kind_pairs(kind, moments, p1)
-            checked = _fill(errors, lambda rows: _checked_pairs(m[rows], m_plus_u[rows]))
-        pending = iter(checked)
-        outcomes = [outcome or next(pending) for outcome in outcomes]
-        self.errors = [o if isinstance(o, EnvestError) else None for o in outcomes]
-        # the places, among the samples with moments, of those with a pair:
-        # a slice of all of them when every one has its pair
-        rows = [p for p, c in enumerate(checked) if not isinstance(c, EnvestError)]
-        self._rows = rows if len(rows) < len(checked) else slice(None)
-        self._fits = _fits([checked[p] for p in rows], top, algo, settings)
+                read.append(exc)
 
-    def _per_sample(self, outcomes):
-        pending = iter(outcomes)
-        return [error or next(pending) for error in self.errors]
+        def pairs(places):
+            m, m_plus_u, moments, errors = _kind_pairs(kind, [read[i] for i in places], p1)
+            checked = _fill(errors, lambda rows: _checked_pairs(m[rows], m_plus_u[rows]))
+            self.moments = _take(moments, [i for i, c in enumerate(_errors(checked)) if c is None])
+            return checked
+
+        checked = _fill(_errors(read), pairs)
+        self.errors = _errors(checked)
+        live = [c for c, error in zip(checked, self.errors) if error is None]
+        self._fits = _fits(live, top, algo, settings)
 
     def fits(self, u):
         """Per sample, its (basis fit, J) at u, or the package error that stopped it."""
-        return self._per_sample(self._fits(u))
+        return _fill(self.errors, lambda places: self._fits(u))
 
     def estimates(self, u):
         """Per sample, kind's estimate at u, or the package error that stopped it."""
-        fitted = self._fits(u)
 
         def estimates(places):
-            if isinstance(places, slice):  # every pair's fit
-                rows, chosen = self._rows, fitted
-            else:
-                rows = places if isinstance(self._rows, slice) else [self._rows[i] for i in places]
-                chosen = [fitted[i] for i in places]
-            return _estimates(self.kind, _take(self.moments, rows), chosen, self.p1)
+            fitted = self._fits(u)
+            return _fill(_errors(fitted), lambda rows: _estimates(
+                self.kind, _take(self.moments, rows), [fitted[i] for i in rows], self.p1
+            ))
 
-        errors = [f if isinstance(f, EnvestError) else None for f in fitted]
-        return self._per_sample(_fill(errors, estimates))
+        return _fill(self.errors, estimates)
 
 
 def _one_scan(kind, data, top, algo, settings, p1=None, name="u"):

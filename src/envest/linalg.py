@@ -78,18 +78,31 @@ def _require_symmetric(s, name="matrix"):
 def _fill(outcomes, stage):
     """outcomes with each None replaced by what ``stage`` gives its place.
 
-    stage is called once, with the places that hold None (a slice of all of
-    them when every place does), and returns one outcome for each, in
-    order.  The stacked steps of the package hand the problems that no
-    package error has stopped on to the next step this way: each step
-    takes its stacks at those places and gives each problem its own
-    outcome, a result or an error."""
+    stage is called once with the list of the places that hold None (not at
+    all when none does) and returns one outcome for each, in order.  It is
+    the one way the stacked steps of the package hand on the problems that
+    no package error has stopped and merge back their outcomes: each step
+    takes its stacks at those places and gives each its own result or error."""
     rows = [i for i, outcome in enumerate(outcomes) if outcome is None]
     out = list(outcomes)
     if rows:
-        for i, outcome in zip(rows, stage(rows if len(rows) < len(out) else slice(None))):
+        for i, outcome in zip(rows, stage(rows)):
             out[i] = outcome
     return out
+
+
+def _errors(outcomes):
+    """Per outcome, the package error it is, or None: the places that
+    ``_fill`` hands the next step."""
+    return [o if isinstance(o, EnvestError) else None for o in outcomes]
+
+
+def _one(outcomes):
+    """The outcome of a batch of one, raised when it is a package error."""
+    (outcome,) = outcomes
+    if isinstance(outcome, EnvestError):
+        raise outcome
+    return outcome
 
 
 def fix_column_signs(v):
@@ -133,11 +146,14 @@ def orthonormalize(a):
     """Thin QR orthonormalization with a deterministic sign convention.
 
     The Q factor is rescaled so diag(R) >= 0, then column signs are pinned
-    by :func:`fix_column_signs`.  Columns must be linearly independent.
+    by :func:`fix_column_signs`.  Columns must be finite and linearly
+    independent.
     """
     a = np.asarray(a, dtype=float)
     if a.ndim != 2:
         raise InvalidInput("expected a 2-d array")
+    if not np.all(np.isfinite(a)):
+        raise InvalidInput("input has non-finite entries")
     if a.shape[1] == 0:
         return a.copy()
     q, r_diag = _signed_qr(a)
@@ -180,9 +196,12 @@ def _cholesky(a):
     raises, whose factors are NaN.  The kernel factors each matrix by its
     own LAPACK call, fills the factor of a failed one with NaN and zeroes
     the upper triangle of the others, NaN inputs included; a 1 x 1 [a]
-    fails when a <= 0, and a NaN is accepted."""
+    fails when a <= 0, and a NaN is accepted; the empty 0 x 0 matrix is
+    positive definite."""
     with np.errstate(invalid="ignore"):
         c = np.linalg._umath_linalg.cholesky_lo(a, signature="d->d")
+    if a.shape[-1] == 0:
+        return c, np.zeros(len(a), dtype=bool)
     if a.shape[-1] == 1:
         return c, a[:, 0, 0] <= 0.0
     return c, np.isnan(c[:, 0, -1])
@@ -284,17 +303,16 @@ def project(a, metric=None):
 
     Returns ``A (A' V A)^{-1} A' V`` with ``V = I`` when no metric is given.
     ``a`` need not be orthonormal, only of full column rank; a singular Gram
-    matrix raises SingularGram.  This is ``_projections`` of one basis.
+    matrix raises SingularGram, and a basis with no columns gives the zero
+    projector.  This is ``_projections`` of the batch of one basis,
+    unwrapped by ``_one``.
     """
     a = np.asarray(a, dtype=float)
     if a.ndim == 1:
         a = a[:, None]
     if metric is not None:
         metric = _square(metric, "metric")[None]
-    (p,) = _projections(a[None], metric)
-    if isinstance(p, EnvestError):
-        raise p
-    return p
+    return _one(_projections(a[None], metric))
 
 
 def _projections(a, metric=None):

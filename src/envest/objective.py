@@ -48,6 +48,7 @@ from .linalg import (
     symmetrize,
     _cholesky,
     _eigh,
+    _one,
     _require_positive_definite,
     _require_symmetric,
     _square,
@@ -68,9 +69,8 @@ __all__ = [
 
 def _logdet_grams(x):
     """log-determinants of the stack x of symmetric matrices, and a mask of
-    those that are not positive definite, whose values are NaN."""
-    if x.shape[-1] == 0:
-        return np.zeros(x.shape[0]), np.zeros(x.shape[0], dtype=bool)
+    those that are not positive definite, whose values are NaN; the empty
+    0 x 0 matrix has log-determinant 0."""
     c, singular = _cholesky(symmetrize(x))
     return 2.0 * np.add.reduce(np.log(c.diagonal(axis1=1, axis2=2)), axis=1), singular
 
@@ -172,14 +172,6 @@ class ObjectivePair:
         return out
 
 
-def _one(outcomes):
-    """The outcome of a batch of one, raised when it is a package error."""
-    (outcome,) = outcomes
-    if isinstance(outcome, EnvestError):
-        raise outcome
-    return outcome
-
-
 def _pairs(m, u):
     """``ObjectivePair.from_m_u`` of each place of the stacks m and u: its
     pair, or the package error that stops it.  The checks of
@@ -211,6 +203,8 @@ def _check_gamma(pair, gamma):
     gamma = np.asarray(gamma, dtype=float)
     if gamma.ndim == 1:
         gamma = gamma[:, None]
+    if gamma.ndim != 2:
+        raise InvalidInput(f"basis must be 1- or 2-d, got ndim {gamma.ndim}")
     if gamma.shape[0] != pair.dim:
         raise InvalidInput(
             f"basis has {gamma.shape[0]} rows, expected {pair.dim}"
@@ -219,6 +213,8 @@ def _check_gamma(pair, gamma):
         raise InvalidInput(
             f"basis must have between 1 and {pair.dim} columns, got {gamma.shape[1]}"
         )
+    if not np.all(np.isfinite(gamma)):
+        raise InvalidInput("basis has non-finite entries")
     return gamma
 
 

@@ -97,6 +97,7 @@ from .linalg import (
     _eigvalsh,
     _fill,
     _not_positive_definite,
+    _one,
     _solve_vectors,
     fix_column_signs,
 )
@@ -460,13 +461,10 @@ def fit(m_hat, u_hat, u, settings=None):
     basis columns are orthonormal and in extraction order.  u == d skips
     optimization entirely and returns the identity basis.  A NoConvergence
     at direction k carries step_index k and, in ``partial``, the fit of the
-    k directions accepted before it.  This is ``fit_many`` of the checked
-    pair alone.
+    k directions accepted before it.  This is ``fit_many`` of the batch of
+    the checked pair alone, unwrapped by ``_one``.
     """
-    (result,) = fit_many([_check_solver_inputs(m_hat, u_hat, u)], u, settings)
-    if isinstance(result, EnvestError):
-        raise result
-    return result
+    return _one(fit_many([_check_solver_inputs(m_hat, u_hat, u)], u, settings))
 
 
 class _Run:

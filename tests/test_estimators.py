@@ -55,6 +55,15 @@ class TestRegressionData:
         with pytest.raises(InvalidInput):
             estimators.RegressionData(x=None, y=y)
 
+    @pytest.mark.parametrize(
+        "x, y, name",
+        [(np.zeros((4, 0)), np.ones((4, 2)), "x"), (np.ones((4, 2)), np.zeros((4, 0)), "y"),
+         (None, np.zeros((4, 0)), "y")],
+    )
+    def test_zero_columns(self, x, y, name):
+        with pytest.raises(InvalidInput, match=f"{name} has no columns"):
+            estimators.RegressionData(x=x, y=y)
+
 
 class TestCovarianceKit:
     def test_matches_numpy_cov(self):
@@ -571,6 +580,75 @@ class TestFailingFoldsStayIsolated:
             lambda: estimators.select_dimension_cv(data, kind, 2, folds, algo),
             per_u_cv(data, kind, 2, folds, algo),
         )
+
+
+def _same_bytes(got, want, names):
+    for name in names:
+        got_bytes, want_bytes = (np.asarray(getattr(o, name)).tobytes() for o in (got, want))
+        assert got_bytes == want_bytes, name
+
+
+def _assert_same_outcome(got, want):
+    """got and want are the same package error, or results with the same
+    bytes: a (fit, J) of ``_Scans.fits`` or an estimate of its
+    ``estimates``."""
+    assert type(got) is type(want)
+    if isinstance(want, EnvestError):
+        assert str(got) == str(want)
+        return
+    if isinstance(want, tuple):
+        assert np.float64(got[1]).tobytes() == np.float64(want[1]).tobytes()
+        got, want = got[0], want[0]
+    else:
+        _same_bytes(got, want, ("beta_env", "beta_ols", "sigma_env", "alpha_hat", "objective"))
+        got, want = got.fit, want.fit
+    _same_bytes(got, want, ("basis", "objective_values", "inner_iterations"))
+    assert got.diagnostics == want.diagnostics
+
+
+class TestScansKeepEachSampleInPlace:
+    """One batch mixes samples that stop at different steps, before their
+    moments, at a singular covariance and past a ridge, with samples that
+    fit between them.  Every sample must get, at every u, the outcome a
+    scan of it alone gives it, bit for bit, fits and estimates alike."""
+
+    @staticmethod
+    def sample(seed, n, kind, collinear=False, finite=True):
+        rng = np.random.default_rng(seed)
+        p, r = (2, 5) if kind == "response" else (5, 2)
+        x = rng.standard_normal((n, p))
+        if collinear:
+            x[:, 1] = x[:, 0]
+        y = x @ rng.standard_normal((p, r)) + rng.standard_normal((n, r))
+        if not finite:
+            y[0, 0] = np.nan
+        return lambda: estimators.RegressionData(x, y)
+
+    @pytest.mark.parametrize("kind", ["response", "predictor"])
+    @pytest.mark.parametrize("algo", ["onedim", "fg-warm"])
+    def test_each_sample_gets_its_lone_outcome(self, kind, algo):
+        samples = [
+            self.sample(1, 40, kind, finite=False),  # InvalidInput before its moments
+            self.sample(2, 40, kind),
+            self.sample(3, 40, kind, collinear=True),  # SingularCovariance of X
+            self.sample(4, 40, kind),
+            self.sample(5, 6, kind),  # Ridged
+            self.sample(6, 30, kind),
+            self.sample(7, 7, kind),  # Ridged
+        ]
+        top = 5
+        scans = estimators._Scans(kind, samples, top, algo, None)
+        alone = [estimators._Scans(kind, [s], top, algo, None) for s in samples]
+        assert isinstance(scans.errors[0], InvalidInput)
+        assert isinstance(scans.errors[2], SingularCovariance)
+        for u in range(1, top + 1):
+            fits = scans.fits(u)
+            for i in (4, 6):
+                assert "Ridged" in fits[i][0].diagnostics
+            for got, lone in zip(fits, alone):
+                _assert_same_outcome(got, lone.fits(u)[0])
+            for got, lone in zip(scans.estimates(u), alone):
+                _assert_same_outcome(got, lone.estimates(u)[0])
 
 
 class TestNestedScans:

@@ -73,6 +73,13 @@ class TestOrthonormalize:
         with pytest.raises(SingularGram):
             linalg.orthonormalize(a)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_input_raises(self, bad):
+        a = np.random.default_rng(4).standard_normal((5, 2))
+        a[3, 1] = bad
+        with pytest.raises(InvalidInput, match="non-finite"):
+            linalg.orthonormalize(a)
+
     def test_deterministic_sign(self):
         rng = np.random.default_rng(3)
         a = rng.standard_normal((6, 3))
@@ -242,6 +249,12 @@ class TestProject:
         a = np.ones((4, 2))
         with pytest.raises(SingularGram):
             linalg.project(a)
+
+    @pytest.mark.parametrize("metric", [None, np.diag([1.0, 2.0, 3.0])])
+    def test_zero_column_basis_gives_the_zero_projector(self, metric):
+        p = linalg.project(np.zeros((3, 0)), metric)
+        assert p.shape == (3, 3)
+        assert np.array_equal(p, np.zeros((3, 3)))
 
 
 def test_check_orthonormal_rejects_skew():

@@ -124,6 +124,25 @@ def test_j_gradient_rejects_a_singular_gram():
             j_gradient(pair, gamma)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("score", [j_value, j_gradient, j_decomposition])
+def test_a_non_finite_basis_is_invalid_input(score, bad):
+    pair = random_pair(np.random.default_rng(20), 4)
+    gamma = np.eye(4)[:, :2]
+    gamma[1, 0] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidInput, match="basis has non-finite entries"):
+            score(pair, gamma)
+
+
+@pytest.mark.parametrize("score", [j_value, j_gradient, j_decomposition])
+def test_a_basis_of_more_than_two_dimensions_is_invalid_input(score):
+    pair = random_pair(np.random.default_rng(21), 4)
+    with pytest.raises(InvalidInput, match="ndim 3"):
+        score(pair, np.eye(4)[None, :, :2])
+
+
 def test_pair_norms_are_the_spectral_norms():
     rng = np.random.default_rng(18)
     pair = random_pair(rng, 6)

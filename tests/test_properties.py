@@ -12,7 +12,8 @@ import numpy as np
 from hypothesis import strategies as st
 
 from envest import estimators, linalg, simulate
-from envest.objective import ObjectivePair, _one, j_value
+from envest.linalg import _one
+from envest.objective import ObjectivePair, j_value
 
 ALGOS = tuple(estimators.ALGORITHMS)
 PROPERTY = hypothesis.settings(

@@ -88,9 +88,7 @@ def main(argv):
 
     def fit(m, u_mat, u, algo):
         fits = estimators._fits([(ObjectivePair.from_m_u(m, u_mat), [])], u, algo, None)
-        # a function of u giving each pair's (fit, J), or, in a checkout
-        # that scans each pair apart, one function of u per pair
-        outcome = fits(u)[0] if callable(fits) else fits[0](u)
+        outcome = fits(u)[0]
         if isinstance(outcome, Exception):
             raise outcome
         fitted, j = outcome

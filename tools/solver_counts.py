@@ -26,8 +26,7 @@ prints one line per count:
 
 * ``pair_builds``: ``ObjectivePair`` builds (two d x d eigendecompositions
   each), by the estimators and the solvers alike, counted once per pair a
-  stacked build (``ObjectivePair._build_many``) makes, or per call of
-  ``ObjectivePair._build`` in a checkout without it;
+  stacked build (``ObjectivePair._build_many``) makes;
 * ``directions``: direction solves with more than one coordinate;
 * ``candidates``: their eigenvector starts, 2(d - k) for a direction in
   d - k coordinates;
@@ -61,8 +60,8 @@ prints one line per count:
   rows a search rejects); ``capped_directions``: direction solves that ran
   to the iteration cap;
 * ``fg_fits`` and ``fg_iterations``: fits that reach the trust-region
-  loop, ``grassmann._fit`` (``grassmann.fit`` in a checkout without it), and
-  their trust-region iterations, as each fit reports them;
+  loop, ``grassmann._fit``, and their trust-region iterations, as each fit
+  reports them;
 * ``fg_newton_steps``: trust-region steps (one per iteration, plus the step
   whose predicted decrease stops a fit as ``Roundoff``) that are the
   Cholesky-certified Newton step, with no call of ``_trust_region_step``;
@@ -112,7 +111,7 @@ def problems(owner):
 class Counts:
     """Counters installed around ``envest.onedim``'s kernels, the quadratic
     forms of ``envest.objective``, the grassmann trust-region loop and
-    ``ObjectivePair._build``."""
+    ``ObjectivePair._build_many``."""
 
     def __init__(self, onedim, objective, grassmann):
         self.c = Counter()
@@ -204,33 +203,27 @@ class Counts:
         onedim._d_tilde_gradients = gradients
         onedim._d_tilde_hessians = hessians
         onedim._armijo = armijo
-        # the D kernels call objective's; a checkout's onedim may call it too
+        # the D kernels call objective's, and onedim calls it too
         objective._quadratic_forms = forms
-        if hasattr(onedim, "_quadratic_forms"):
-            onedim._quadratic_forms = forms
+        onedim._quadratic_forms = forms
         real_lockstep = onedim._lockstep
         onedim._lockstep = lambda pairs, settings: lockstep(
             pairs, settings, lambda: real_lockstep(pairs, settings)
         )
 
     def _count_pair_builds(self, pair_class):
-        # a stacked build takes a stack of M first; a checkout without one
-        # builds one pair per ``_build`` call
-        stacked = hasattr(pair_class, "_build_many")
-        name = "_build_many" if stacked else "_build"
-        real_build = getattr(pair_class, name).__func__
+        # a stacked build takes a stack of M first
+        real_build = pair_class._build_many.__func__
 
         def build(cls, m, *args):
-            self.c["pair_builds"] += len(m) if stacked else 1
+            self.c["pair_builds"] += len(m)
             return real_build(cls, m, *args)
 
-        setattr(pair_class, name, classmethod(build))
+        pair_class._build_many = classmethod(build)
 
     def _count_fg(self, grassmann):
         np = grassmann.np
-        # the trust-region loop takes a pair in ``_fit``; ``fit`` held it before
-        core = "_fit" if hasattr(grassmann, "_fit") else "fit"
-        real_fit = getattr(grassmann, core)
+        real_fit = grassmann._fit
         real_model = grassmann._tangent_model
         real_step = grassmann._trust_region_step
         real_eigh = np.linalg.eigh
@@ -267,7 +260,7 @@ class Counts:
             self.c["fg_steps"] += iterations + ("Roundoff" in result.diagnostics)
             return result
 
-        setattr(grassmann, core, fit)
+        grassmann._fit = fit
         grassmann._tangent_model = tangent_model
         grassmann._trust_region_step = trust_region_step
         grassmann.j_value = j_value
