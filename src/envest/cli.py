@@ -3,11 +3,15 @@
 Four subcommands: ``fit`` (envelope estimators on CSV data), ``simulate``
 (population and sample experiments), ``select-u`` (BIC or cross-validated
 dimension choice) and ``bootstrap`` (residual bootstrap standard errors).
-Reports are JSON with top-level keys version/config/records/summary, floats
-written with 17 significant digits and a fixed key order, so identical
-flags and seed give byte-identical output.  Wall-clock timings are left out
-of the JSON for that reason; ``simulate --csv-summary`` writes them to a
-separate CSV grid.  No environment variable is read.  Both output files
+A CSV input is read without holding its text: np.loadtxt parses a file of
+plain numbers a line at a time, and any other file is parsed row by row
+into one flat buffer of doubles, so the memory a read takes is about that
+of the matrix it returns.  Reports are JSON with top-level keys
+version/config/records/summary, floats written with 17 significant digits
+and a fixed key order, so identical flags and seed give byte-identical
+output.  Wall-clock timings are left out of the JSON for that reason;
+``simulate --csv-summary`` writes them to a separate CSV grid.  No
+environment variable is read.  Both output files
 are rewritten in place and cut to length, not truncated before the write:
 on ext4, truncating a file that holds data flushes that data to disk,
 which cost more than making a report.  A float64 array is written with
@@ -25,6 +29,8 @@ count is left as it is.
 """
 
 import argparse
+import array
+import codecs
 import contextlib
 import csv
 import ctypes
@@ -53,8 +59,11 @@ class _UsageError(Exception):
 # CSV input
 
 
-# control characters that np.loadtxt strips around a number and float() rejects
-_LOADTXT_ONLY_SPACE = "\x1c\x1d\x1e\x1f"
+# control bytes that np.loadtxt strips around a number and float() rejects;
+# in UTF-8 no other character holds one of them
+_LOADTXT_ONLY_SPACE = (b"\x1c", b"\x1d", b"\x1e", b"\x1f")
+_BOM = b"\xef\xbb\xbf"
+_CHUNK = 1 << 16  # bytes read at a time by the checks on raw bytes
 
 
 def _loadtxt_matrix(path):
@@ -62,22 +71,102 @@ def _loadtxt_matrix(path):
 
     Raises ValueError or OSError on any other file; it accepts only files
     that read_matrix_csv's cell-by-cell parse accepts, with the same result.
+    Neither the file's bytes nor its text is held whole: a first pass reads
+    the bytes _CHUNK at a time, sending a file with no data or with a
+    control byte in _LOADTXT_ONLY_SPACE to the cell-by-cell parse, and
+    np.loadtxt then decodes and parses the open file a line at a time, so
+    only the returned array grows with the file.  The file is opened here,
+    not by np.loadtxt, whose opener decompresses by file name and fetches
+    URLs.
     """
+    data = False  # a byte other than a line break, after the byte-order mark
+    with open(path, "rb") as fh:
+        chunk = fh.read(_CHUNK).removeprefix(_BOM)
+        while chunk:
+            if any(c in chunk for c in _LOADTXT_ONLY_SPACE):
+                raise ValueError("a control byte that np.loadtxt strips")
+            data = data or bool(chunk.strip(b"\r\n"))
+            chunk = fh.read(_CHUNK)
+    if not data:
+        raise ValueError("no data")
     with open(path, encoding="utf-8-sig") as fh:
-        text = fh.read()
-    if not text.strip() or any(c in text for c in _LOADTXT_ONLY_SPACE):
-        raise ValueError("not a plain numeric CSV file")
-    return np.loadtxt(io.StringIO(text), delimiter=",", comments=None, ndmin=2)
+        return np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
+
+
+def _utf8_error_offset(path):
+    """The 0-based offset of the first byte of path that is not valid
+    UTF-8; None when every byte is."""
+    decoder = codecs.getincrementaldecoder("utf-8")()
+    offset = 0  # of the chunk's first byte
+    with open(path, "rb") as fh:
+        while True:
+            chunk = fh.read(_CHUNK)
+            held = len(decoder.getstate()[0])  # bytes of a character cut by the last chunk
+            try:
+                decoder.decode(chunk, final=not chunk)
+            except UnicodeDecodeError as exc:
+                return offset - held + exc.start
+            if not chunk:
+                return None
+            offset += len(chunk)
+
+
+def _append_row(values, path, line, row):
+    """Append the cells of row to values as floats, or raise ParseError
+    naming the first that is not a number and leave values as it was."""
+    n = len(values)
+    try:
+        values.extend(map(float, row))
+    except ValueError:
+        del values[n:]
+        for c, cell in enumerate(row):
+            try:
+                float(cell)
+            except ValueError:
+                raise ParseError(
+                    f"{path}: row {line}, column {c + 1}: {cell.strip()!r} is not numeric"
+                ) from None
+
+
+def _parse_cells(path, fh):
+    """The cell-by-cell parse of an open CSV file (see read_matrix_csv).
+
+    Each row goes into one flat buffer of doubles as csv.reader yields it,
+    and the returned array is a view of that buffer."""
+    values = array.array("d")
+    width = None  # cells in the first non-blank row
+    for line, row in enumerate(csv.reader(fh), 1):
+        if not row:
+            continue
+        if width is None:
+            width = len(row)
+            try:
+                _append_row(values, path, line, row)
+            except ParseError:
+                pass  # non-numeric first row: treat it as the header
+            continue
+        if len(row) != width:
+            raise ParseError(f"{path}: row {line} has {len(row)} cells, expected {width}")
+        _append_row(values, path, line, row)
+    if width is None:
+        raise ParseError(f"{path}: no rows")
+    if not values:
+        raise ParseError(f"{path}: no data rows after the header")
+    return np.frombuffer(values).reshape(-1, width)
 
 
 def read_matrix_csv(path):
     """Read a numeric matrix from a CSV file, preserving row order.
 
-    The file is UTF-8, with or without a byte-order mark.  A single header
-    row is skipped when any cell of the first row fails to parse as a
-    number.  Ragged rows and non-numeric data cells raise ParseError naming
-    the 1-based row and column.  A file of plain numbers
-    is read by np.loadtxt; any other goes through the cell-by-cell parse.
+    The file is UTF-8, with or without a byte-order mark; a byte that is not
+    valid UTF-8 raises ParseError naming its offset.  A single header row is
+    skipped when any cell of the first row fails to parse as a number.
+    Ragged rows and non-numeric data cells raise ParseError naming the
+    1-based row and column.  A file of plain numbers is read by np.loadtxt;
+    any other goes through the cell-by-cell parse.  Neither holds the
+    file's text: what grows with the file is the matrix itself, plus, in
+    the cell-by-cell parse, the few percent of spare room of the buffer it
+    grows in.
     """
     try:
         return _loadtxt_matrix(path)
@@ -85,40 +174,14 @@ def read_matrix_csv(path):
         pass  # header, quotes, underscores, a bad cell or no file: parse cell by cell
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:
-            raw = [(i + 1, row) for i, row in enumerate(csv.reader(fh))]
+            return _parse_cells(path, fh)
     except OSError as exc:
         raise IoError(f"cannot read {path}: {exc.strerror or exc}") from exc
-    raw = [(line, row) for line, row in raw if row]
-    if not raw:
-        raise ParseError(f"{path}: no rows")
-
-    def parse_row(line, row):
-        values = []
-        for c, cell in enumerate(row):
-            try:
-                values.append(float(cell))
-            except ValueError:
-                raise ParseError(
-                    f"{path}: row {line}, column {c + 1}: {cell.strip()!r} is not numeric"
-                ) from None
-        return values
-
-    first_line, first_row = raw[0]
-    data = []
-    try:
-        data.append(parse_row(first_line, first_row))
-    except ParseError:
-        pass  # non-numeric first row: treat it as the header
-    width = len(first_row)
-    for line, row in raw[1:]:
-        if len(row) != width:
-            raise ParseError(
-                f"{path}: row {line} has {len(row)} cells, expected {width}"
-            )
-        data.append(parse_row(line, row))
-    if not data:
-        raise ParseError(f"{path}: no data rows after the header")
-    return np.array(data, dtype=float)
+    except UnicodeDecodeError:
+        offset = _utf8_error_offset(path)  # the decoder's offset is into its own chunk
+        raise ParseError(f"{path}: byte {offset} is not valid UTF-8") from None
+    except csv.Error as exc:
+        raise ParseError(f"{path}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------

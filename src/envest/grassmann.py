@@ -55,10 +55,12 @@ from .linalg import (
     check_orthonormal,
     fix_column_signs,
     symmetrize,
+    _eigh,
     _not_positive_definite,
     _signed_qr,
+    _solve_vectors,
 )
-from .objective import _check_solver_inputs, _gram_pieces, j_value
+from .objective import _check_solver_inputs, _gram_pieces, _j_value, j_value
 from .onedim import EnvelopeFit
 
 __all__ = ["FgSettings", "eigenvector_scan_start", "fit"]
@@ -151,7 +153,9 @@ def _tangent_model(pair, gamma):
         a01 = g0.T @ ag
         p = a01 @ c_inv
         grad += 2.0 * p
-        hess += 2.0 * np.kron(g0.T @ a @ g0 - p @ a01.T, c_inv)
+        a00 = g0.T @ a @ g0 - p @ a01.T
+        # np.kron(a00, c_inv): the same products, in the same layout
+        hess += 2.0 * (a00[:, None, :, None] * c_inv[:, None]).reshape(size, size)
         hess -= 2.0 * np.einsum("ib,ja->iajb", p, p).reshape(size, size)
         resolution += a_norm / vals[0]
     return g0, grad, symmetrize(hess), np.finfo(float).eps * u * resolution
@@ -218,11 +222,11 @@ class _Model:
         """-H^{-1} g when a Cholesky factor proves H positive definite, else None."""
         if _not_positive_definite(self.hess[None]).size:
             return None
-        return -np.linalg.solve(self.hess, self.grad)
+        return -_solve_vectors(self.hess, self.grad)
 
     @cached_property
     def eig(self):
-        return np.linalg.eigh(self.hess)
+        return _eigh(self.hess)
 
     def step(self, radius):
         """The exact trust-region step within radius and its predicted decrease.
@@ -295,7 +299,7 @@ def _fit(pair, u, settings=None):
             break
         iterations += 1
         trial = _signed_qr(gamma + model.g0 @ step.reshape(d - u, u))[0]
-        trial_val = j_value(pair, trial)
+        trial_val = _j_value(pair, trial)
         rho = (val - trial_val) / pred
         step_norm = np.linalg.norm(step)
         if rho < _SHRINK:

@@ -221,7 +221,12 @@ def _check_gamma(pair, gamma):
 def j_value(pair, gamma):
     """Evaluate ``log|G'MG| + log|G'(M+U)^{-1}G|`` at a semi-orthogonal G:
     ``_j_values`` of one basis."""
-    gamma = _check_gamma(pair, gamma)
+    return _j_value(pair, _check_gamma(pair, gamma))
+
+
+def _j_value(pair, gamma):
+    """``j_value`` of a finite float64 (d, k) basis, 1 <= k <= d, taken as
+    it is, unchecked."""
     (value,), (singular,) = _j_values(pair.m[None], pair.m_plus_u_inv[None], gamma[None])
     if singular:
         raise SingularGram("Gram matrix is not positive definite")
@@ -244,7 +249,7 @@ def _gram_pieces(pair, gamma):
     Gram matrix that is not positive definite raises SingularGram."""
     for a in (pair.m, pair.m_plus_u_inv):
         ag = a @ gamma
-        vals, vecs = np.linalg.eigh(symmetrize(gamma.T @ ag))
+        vals, vecs = _eigh(symmetrize(gamma.T @ ag))
         if not vals[0] > 0.0:
             raise SingularGram("Gram matrix is not positive definite")
         yield a, ag, vals, (vecs / vals) @ vecs.T

@@ -40,6 +40,8 @@ from .linalg import (
     orthonormalize,
     subspace_distance,
     symmetrize,
+    _errors,
+    _fill,
     _require_symmetric,
 )
 from .objective import _pairs, _require_dimension
@@ -259,7 +261,8 @@ def _experiment(mode, d, u, n, replications, algo_set, seed, first, problem):
     Replications are made in batches of ``_PROBLEMS_PER_BATCH``: a batch's
     pairs are built with one ``objective._pairs`` call on their stacked
     matrices, and each algorithm fits them together and scores their J in
-    ``estimators._fits``.
+    ``estimators._fits``.  Both steps take the replications that no package
+    error has stopped from ``linalg._fill``.
     """
     algos = list(algo_set)
     if not algos:
@@ -273,41 +276,32 @@ def _experiment(mode, d, u, n, replications, algo_set, seed, first, problem):
     if not (1 <= u < d):
         raise InvalidDimension(f"need 1 <= u < d, got u={u}, d={d}")
 
-    def fail(rows, exc):
-        for row in rows:
-            row.error = f"{type(exc).__name__}: {exc}"
-
     records = []
     for lo in range(0, replications, _PROBLEMS_PER_BATCH):
-        made = []
+        rows_of, made = [], []  # per replication: its records; its problem or error
         for i in range(lo, min(lo + _PROBLEMS_PER_BATCH, replications)):
-            rep_seed = first + i
-            rows = [ReplicationRecord(i, rep_seed, algo, None, None, None) for algo in algos]
-            records.extend(rows)
+            rows_of.append([ReplicationRecord(i, first + i, algo, None, None, None) for algo in algos])
+            records.extend(rows_of[-1])
             try:
-                made.append((rows, *problem(rep_seed)))
+                made.append(problem(first + i))
             except EnvestError as exc:
-                fail(rows, exc)
-        built = []
-        if made:
-            rows_of, ms, us, truths = zip(*made)
-            pairs = _pairs(np.array(ms), np.array(us))
-            for rows, truth, pair in zip(rows_of, truths, pairs):
-                if isinstance(pair, EnvestError):
-                    fail(rows, pair)
-                else:
-                    built.append((rows, pair, truth))
+                made.append(exc)
+        pairs = _fill(_errors(made), lambda places: _pairs(
+            np.array([made[i][0] for i in places]), np.array([made[i][1] for i in places])
+        ))
         for j, algo in enumerate(algos):
-            fitted = _fits([(pair, []) for _, pair, _ in built], u, algo, None)(u)
-            for (rows, _, truth), outcome in zip(built, fitted):
+            fitted = _fill(_errors(pairs), lambda places: _fits(
+                [(pairs[i], []) for i in places], u, algo, None
+            )(u))
+            for rows, made_one, outcome in zip(rows_of, made, fitted):
                 row = rows[j]
                 try:
                     if isinstance(outcome, EnvestError):
                         raise outcome
                     fit, objective = outcome
-                    distance = subspace_distance(fit.basis, truth)
+                    distance = subspace_distance(fit.basis, made_one[2])
                 except EnvestError as exc:
-                    fail([row], exc)
+                    row.error = f"{type(exc).__name__}: {exc}"
                     continue
                 row.distance = distance
                 row.final_objective = objective

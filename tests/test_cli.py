@@ -8,6 +8,7 @@ import stat
 import subprocess
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -84,6 +85,47 @@ class TestReadMatrixCsv:
         p = tmp_path / "m.csv"
         p.write_bytes(b"\xef\xbb\xbfa,b\n1,2\n3,4\n")
         np.testing.assert_array_equal(cli.read_matrix_csv(p), [[1.0, 2.0], [3.0, 4.0]])
+
+    @pytest.mark.parametrize(
+        "raw, offset",
+        [
+            (b"1,2\n\xff\xfe,3\n", 4),
+            (b"a,b\n1,2\n3,\xe2\x82\n", 10),  # a character cut short
+            (b"\xef\xbb\xbf1,2\n\xc3(\n", 7),  # the offset counts the byte-order mark
+            # a three-byte character across the 64 KiB chunks of the offset scan
+            (b"1" * 65535 + "\u20ac".encode() + b"\n\xff\n", 65539),
+        ],
+        ids=["bad-bytes", "cut-character", "byte-order-mark", "across-chunks"],
+    )
+    def test_invalid_utf8_names_the_byte_offset(self, tmp_path, raw, offset):
+        p = tmp_path / "m.csv"
+        p.write_bytes(raw)
+        with pytest.raises(ParseError, match=f"{p}: byte {offset} is not valid UTF-8"):
+            cli.read_matrix_csv(p)
+
+    def test_a_field_past_the_csv_limit_is_a_parse_error(self, tmp_path):
+        p = tmp_path / "m.csv"
+        p.write_text("a" * 200_000 + "\n")
+        with pytest.raises(ParseError, match="field larger than field limit"):
+            cli.read_matrix_csv(p)
+
+    @pytest.mark.parametrize("header", [False, True])
+    def test_peak_memory_is_bounded_by_the_matrix(self, tmp_path, header):
+        # neither path may hold the file's text, its rows of cells or a
+        # float object per cell: tracemalloc's peak over the read stays
+        # within 4 times the returned matrix
+        a = np.random.default_rng(3).standard_normal((5000, 20))
+        p = tmp_path / "m.csv"
+        names = ",".join(f"y{j}" for j in range(a.shape[1])) if header else ""
+        np.savetxt(p, a, fmt="%.17g", delimiter=",", header=names, comments="")
+        tracemalloc.start()
+        try:
+            got = cli.read_matrix_csv(p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(got, a)
+        assert peak <= 4 * got.nbytes
 
     @pytest.mark.parametrize(
         "text, fast",
@@ -345,6 +387,15 @@ class TestExitCodes:
         code = cli.run(["fit", "--kind", "response", "--x", xp, "--y", str(bad), "--u", "1"])
         assert code == 1
         assert "ParseError" in capsys.readouterr().err
+
+    def test_input_that_is_not_utf8_is_exit_1(self, tmp_path, capsys):
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(b"1,2\n\xff\xfe,3\n")
+        code = cli.run(["fit", "--kind", "mean", "--y", str(bad), "--u", "1"])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: ParseError: {bad}: byte 4 is not valid UTF-8\n"
+        )
 
     def test_simulate_repeated_algo_is_usage_error(self, monkeypatch, capsys):
         calls = []

@@ -65,10 +65,12 @@ prints one line per count:
 * ``fg_newton_steps``: trust-region steps (one per iteration, plus the step
   whose predicted decrease stops a fit as ``Roundoff``) that are the
   Cholesky-certified Newton step, with no call of ``_trust_region_step``;
-* ``fg_hessian_eighs``: calls of ``np.linalg.eigh`` on a Hessian that
-  ``grassmann._tangent_model`` returned;
-* ``j_value_calls``: calls of ``objective.j_value`` made by ``grassmann``,
-  its scan start included, per fg fit;
+* ``fg_hessian_eighs``: calls of ``linalg._eigh`` (``np.linalg.eigh``'s
+  kernel) by ``grassmann`` on a Hessian that ``grassmann._tangent_model``
+  returned;
+* ``j_value_calls``: J evaluations of one basis made by ``grassmann``, calls
+  of ``objective.j_value`` and of its unchecked ``_j_value`` both, per fg
+  fit;
 * ``profiled_calls``: the Python and C function calls made inside
   ``onedim.fit_many``, as ``sys.setprofile`` reports them ("call" and
   "c_call" events; calling a ufunc or an operator makes none), per Newton
@@ -222,37 +224,37 @@ class Counts:
         pair_class._build_many = classmethod(build)
 
     def _count_fg(self, grassmann):
-        np = grassmann.np
         real_fit = grassmann._fit
         real_model = grassmann._tangent_model
         real_step = grassmann._trust_region_step
-        real_eigh = np.linalg.eigh
-        real_j_value = grassmann.j_value
+        real_eigh = grassmann._eigh
+        real_j_values = grassmann.j_value, grassmann._j_value
         hessian = [None]  # the Hessian of the model in use
 
-        def j_value(*args):
-            self.c["j_value_calls"] += 1
-            return real_j_value(*args)
+        def counted(real):
+            def j_value(*args):
+                self.c["j_value_calls"] += 1
+                return real(*args)
+
+            return j_value
 
         def tangent_model(*args):
             model = real_model(*args)
             hessian[0] = model[2]
             return model
 
-        def eigh(a, *args, **kwargs):
+        def eigh(a):
             self.c["fg_hessian_eighs"] += a is hessian[0]
-            return real_eigh(a, *args, **kwargs)
+            return real_eigh(a)
 
         def trust_region_step(*args):
             self.c["fg_eigen_steps"] += 1
             return real_step(*args)
 
         def fit(*args, **kwargs):
-            np.linalg.eigh = eigh
             try:
                 result = real_fit(*args, **kwargs)
             finally:
-                np.linalg.eigh = real_eigh
                 hessian[0] = None
             iterations = result.inner_iterations[0]
             self.c["fg_fits"] += 1
@@ -263,7 +265,8 @@ class Counts:
         grassmann._fit = fit
         grassmann._tangent_model = tangent_model
         grassmann._trust_region_step = trust_region_step
-        grassmann.j_value = j_value
+        grassmann._eigh = eigh
+        grassmann.j_value, grassmann._j_value = map(counted, real_j_values)
 
     def table(self):
         c = self.c
