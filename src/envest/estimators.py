@@ -28,8 +28,9 @@ fit and a BIC scan are the batch of one, ``_one_scan``), through
   dropped before the next is built, so one sample's data is held at a time;
 * ``_kind_pairs`` makes every sample's (M, M + U) from the moments, its
   conditional covariances with their singularity checks;
-* ``_checked_pairs`` checks U-hat and builds each sample's one
-  ``ObjectivePair``, with its ``Ridged`` retry;
+* ``_checked_pairs`` builds each sample's one ``ObjectivePair`` from M and
+  U-hat = (M + U) - M, with its ``Ridged`` retry; ``objective._pairs``
+  makes every check of the pair, U-hat >= 0 included;
 * ``_fits`` fits every pair, scores the J of each basis on its pair and
   returns, per pair and u, (basis fit, J);
 * ``_estimates`` assembles kind's estimates from the moments and the fits
@@ -68,7 +69,6 @@ from .errors import (
     AllFitsFailed,
     EnvestError,
     InvalidInput,
-    InvalidUhat,
     NoConvergence,
     NotPositiveDefinite,
     SingularCovariance,
@@ -76,7 +76,6 @@ from .errors import (
 )
 from .linalg import (
     _cholesky,
-    _eigvalsh,
     _errors,
     _fill,
     _one,
@@ -317,11 +316,16 @@ def _conditionals(s_a, s_ab, s_b):
     return symmetrize(s_a - half.swapaxes(1, 2) @ half), singular
 
 
-def _moments(a):
-    """Column means, centered columns and divisor-n covariance of a sample."""
-    mean = a.mean(axis=0)
-    centered = a - mean
-    return mean, centered, symmetrize(centered.T @ centered / a.shape[0])
+def _moments(a, name):
+    """Column means, centered columns and divisor-n covariance of a sample;
+    InvalidInput when the covariance overflows float64."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = a.mean(axis=0)
+        centered = a - mean
+        s = centered.T @ centered / a.shape[0]
+    if not np.isfinite(s).all():
+        raise InvalidInput(f"sample covariance of {name} overflows float64")
+    return mean, centered, symmetrize(s)
 
 
 def _sample_moments(kind, data, p1=None):
@@ -334,15 +338,15 @@ def _sample_moments(kind, data, p1=None):
     the predictors X2 after the first p1.
     """
     if kind not in KINDS_WITH_X:
-        ym, _, s_y = _moments(data.y)
+        ym, _, s_y = _moments(data.y, "Y")
         return ym, s_y
     n = data.n
-    xm, xc, s_x = _moments(data.x)
-    ym, yc, s_y = _moments(data.y)
+    xm, xc, s_x = _moments(data.x, "X")
+    ym, yc, s_y = _moments(data.y, "Y")
     moments = (xm, ym, s_x, s_y, xc.T @ yc / n, n)
     if kind != "partial" or p1 == data.x.shape[1]:
         return moments
-    _, x2c, s_x2 = _moments(data.x[:, p1:])
+    _, x2c, s_x2 = _moments(data.x[:, p1:], "X")
     return moments + (s_x2, x2c.T @ yc / n)
 
 
@@ -355,18 +359,23 @@ def _kind_pairs(kind, moments, p1=None):
     regression kinds and (ybar, S_Y, B0) for the mean kinds: B0 is None for
     the mean, and for the constrained mean spans the complement of 1,
     where its reduced pair lives.  Each step is one call on the stacks.
+    A mean whose outer product overflows float64 leaves M + U non-finite,
+    which ``objective._pairs`` rejects.
     """
     stacks = [np.array(column) for column in zip(*moments)]
     if kind not in KINDS_WITH_X:
         ym, s_y = stacks
         fine = [None] * len(ym)
         if kind == "mean":
-            return s_y, symmetrize(s_y + ym[:, :, None] * ym[:, None, :]), (ym, s_y, None), fine
+            with np.errstate(over="ignore"):
+                m_plus_u = symmetrize(s_y + ym[:, :, None] * ym[:, None, :])
+            return s_y, m_plus_u, (ym, s_y, None), fine
         r = ym.shape[1]
         b0 = orthonormal_complement(np.ones((r, 1)) / np.sqrt(r))  # r x (r-1); B0'Q1 = B0'
         m_red = symmetrize(b0.T @ s_y @ b0)
         mu_red = _matvec(b0.T, ym)
-        m_plus_u = symmetrize(m_red + mu_red[:, :, None] * mu_red[:, None, :])
+        with np.errstate(over="ignore"):
+            m_plus_u = symmetrize(m_red + mu_red[:, :, None] * mu_red[:, None, :])
         return m_red, m_plus_u, (ym, s_y, b0), fine
     xm, ym, s_x, s_y, s_xy, n, *x2 = stacks
     s_y_given_x, singular_x = _conditionals(s_y, s_xy.swapaxes(1, 2), s_x)
@@ -447,26 +456,17 @@ def _checked_pairs(m, m_plus_u):
     """Per place of the stacks m and m_plus_u, one estimator's pair, checked:
     (ObjectivePair, diagnostics), or the package error that stops it.
 
-    Both matrices are symmetrized and U-hat = (M + U) - M must have no
-    materially negative eigenvalue.  The pair is built from M and U-hat;
-    when that fails a definiteness check, M is shifted by
-    ridge = 1e-8 tr(M)/d once and a ``Ridged`` flag is recorded.  The
-    solvers fit this pair, and the final J of every basis is scored on it.
-    Each step is one call on the stacks, or on the places a step leaves to
-    the next: every sample gets the outcome it gets alone.
+    This is the estimators' policy only: both matrices are symmetrized, and
+    the pair is built from M and U-hat = (M + U) - M by ``objective._pairs``,
+    which checks them, U-hat >= 0 included; when that fails a definiteness
+    check, M is shifted by ridge = 1e-8 tr(M)/d once and a ``Ridged`` flag
+    is recorded.  The solvers fit this pair, and the final J of every basis
+    is scored on it.  Each step is one call on the stacks, or on the places
+    a step leaves to the next: every sample gets the outcome it gets alone.
     """
     m = symmetrize(m)
     u_hat = symmetrize(symmetrize(m_plus_u) - m)
-    lam = _eigvalsh(u_hat)
-    low = lam[:, 0] < -1e-8 * np.maximum(1.0, np.abs(lam).max(axis=1))
-    errors = [
-        InvalidUhat(f"U-hat has a materially negative eigenvalue ({bottom:.6g})") if bad else None
-        for bottom, bad in zip(lam[:, 0].tolist(), low.tolist())
-    ]
-    built = _fill(errors, lambda rows: [
-        pair if isinstance(pair, EnvestError) else (pair, [])
-        for pair in _pairs(m[rows], u_hat[rows])
-    ])
+    built = [pair if isinstance(pair, EnvestError) else (pair, []) for pair in _pairs(m, u_hat)]
 
     def ridged(rows):
         shifted = m[rows]
@@ -592,6 +592,13 @@ def _mean_estimates(kind, moments, fits, objectives, gamma):
             fits, beta_env, mean[:, :, None], sigma_env, ym, objectives
         )
     ]
+
+
+# samples built and fitted at once by one _Scans: the folds of a
+# cross-validation, bootstrap replicates, and in simulate the replications
+# of an experiment; bounds the stacks of a batch, O(_PROBLEMS_PER_BATCH d^2)
+# in memory
+_PROBLEMS_PER_BATCH = 64
 
 
 class _Scans:
@@ -784,10 +791,13 @@ def select_dimension_cv(
     Only kinds that predict Y from X participate (response, predictor).
     The fold split is one seeded permutation shared by all candidate u.
     Each fold builds its moments and pair once and scans them as BIC does,
-    so with onedim or fg-warm it makes one sequential fit, and the folds'
-    pairs, fits and estimates are made together (see _Scans); the scores equal those
-    of a separate estimator fit per u and fold.  scores are mean
-    squared prediction errors per observation and ties go to the smaller u.
+    so with onedim or fg-warm it makes one sequential fit, and the pairs,
+    fits and estimates of up to ``_PROBLEMS_PER_BATCH`` folds are made
+    together (see _Scans), so that memory does not grow with the number of
+    folds; the scores equal those of a separate estimator fit per u and
+    fold.  scores are mean squared prediction errors per observation, each
+    u's summed in fold order, a u fails with the error of its first failing
+    fold, and ties go to the smaller u.
     """
     if kind not in PREDICTIVE_KINDS:
         raise InvalidInput(
@@ -806,15 +816,27 @@ def select_dimension_cv(
         mask[test_idx] = False
         return lambda: RegressionData(data.x[mask], data.y[mask])
 
-    scans = _Scans(kind, [training(t) for t in chunks], u_max, algo, settings)
+    sse = [0.0] * (u_max + 1)  # per u, its squared errors so far
+    failed = {}  # per u, the error of its first failing fold
+
+    def add(batch):  # a function, so that a batch's scans is dropped before the next is built
+        scans = _Scans(kind, [training(t) for t in batch], u_max, algo, settings)
+        for u in range(1, u_max + 1):
+            if u in failed:
+                continue
+            for test_idx, fit in zip(batch, scans.estimates(u)):
+                if isinstance(fit, EnvestError):
+                    failed[u] = fit
+                    break
+                pred = fit.alpha_hat + data.x[test_idx] @ fit.beta_env.T
+                sse[u] += float(np.sum((data.y[test_idx] - pred) ** 2))
+
+    for lo in range(0, folds, _PROBLEMS_PER_BATCH):
+        add(chunks[lo:lo + _PROBLEMS_PER_BATCH])
 
     def score(u):
-        sse = 0.0
-        for test_idx, fit in zip(chunks, scans.estimates(u)):
-            if isinstance(fit, EnvestError):
-                raise fit
-            pred = fit.alpha_hat + data.x[test_idx] @ fit.beta_env.T
-            sse += float(np.sum((data.y[test_idx] - pred) ** 2))
-        return sse / n
+        if u in failed:
+            raise failed[u]
+        return sse[u] / n
 
     return _select(u_max, score)

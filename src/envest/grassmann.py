@@ -55,8 +55,8 @@ from .linalg import (
     check_orthonormal,
     fix_column_signs,
     symmetrize,
+    _cholesky,
     _eigh,
-    _not_positive_definite,
     _signed_qr,
     _solve_vectors,
 )
@@ -128,7 +128,7 @@ def eigenvector_scan_start(m_hat, u_hat, u):
     basis, ties broken by candidate order.  Candidates nearly inside the
     current span are skipped, and so are those whose Schur complement
     rounding leaves at or below 0; running out raises
-    RankDeficientCandidates.
+    RankDeficientCandidates.  The inputs are checked as ``fit`` checks them.
     """
     return _scan(_check_solver_inputs(m_hat, u_hat, u), u)
 
@@ -220,7 +220,7 @@ class _Model:
     @cached_property
     def newton(self):
         """-H^{-1} g when a Cholesky factor proves H positive definite, else None."""
-        if _not_positive_definite(self.hess[None]).size:
+        if _cholesky(self.hess[None])[1][0]:
             return None
         return -_solve_vectors(self.hess, self.grad)
 
@@ -250,8 +250,10 @@ def fit(m_hat, u_hat, u, settings=None):
     ``CapReached`` rather than as an error; the best iterate found is
     returned either way.  A start that is not a finite orthonormal (d, u)
     basis raises InvalidInput.  The inputs are checked and built into a
-    pair, which ``_fit`` fits; wall_time_seconds covers ``_fit``, the scan
-    start included, but not the checks and the build.
+    pair by ``ObjectivePair.from_m_u``: m_hat must be symmetric positive
+    definite and u_hat symmetric positive semidefinite (InvalidUhat
+    otherwise).  ``_fit`` fits the pair; wall_time_seconds covers ``_fit``,
+    the scan start included, but not the checks and the build.
     """
     return _fit(_check_solver_inputs(m_hat, u_hat, u), u, settings)
 

@@ -207,16 +207,6 @@ def _cholesky(a):
     return c, np.isnan(c[:, 0, -1])
 
 
-def _not_positive_definite(a):
-    """Indices of the matrices in the stack a on which ``np.linalg.cholesky``
-    raises (``_cholesky``), where a 1 x 1 [a] is also flagged when a is
-    NaN."""
-    c, failed = _cholesky(a)
-    if a.shape[-1] == 1:
-        failed = np.isnan(c[:, 0, 0])
-    return failed.nonzero()[0]
-
-
 # ``_solve_vectors``, ``_eigh`` and ``_eigvalsh`` call the kernels of
 # ``np.linalg.solve``, ``np.linalg.eigh`` and ``np.linalg.eigvalsh`` on
 # float64 input as those functions do, without the argument handling that

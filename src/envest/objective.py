@@ -39,6 +39,7 @@ from .errors import (
     EnvestError,
     InvalidDimension,
     InvalidInput,
+    InvalidUhat,
     SingularGram,
     ZeroVector,
 )
@@ -48,6 +49,7 @@ from .linalg import (
     symmetrize,
     _cholesky,
     _eigh,
+    _eigvalsh,
     _one,
     _require_positive_definite,
     _require_symmetric,
@@ -75,14 +77,6 @@ def _logdet_grams(x):
     return 2.0 * np.add.reduce(np.log(c.diagonal(axis1=1, axis2=2)), axis=1), singular
 
 
-def _logdet_gram(x):
-    """log-determinant of a symmetric matrix that must be positive definite."""
-    (value,), (singular,) = _logdet_grams(x[None])
-    if singular:
-        raise SingularGram("Gram matrix is not positive definite")
-    return float(value)
-
-
 @dataclass(frozen=True)
 class ObjectivePair:
     """Everything the objective needs about one (M, M+U) pair, precomputed.
@@ -100,7 +94,9 @@ class ObjectivePair:
     still need their checks): the estimators build a batch's pairs at once,
     ``onedim.fit_many`` the deflated pairs of a step, ``simulate`` an
     experiment's batch; a pair built alone is the stack of one, with the
-    same bits.
+    same bits.  This module alone decides what a valid pair is: ``_pairs``
+    and ``from_pair`` check M and U, U >= 0 by ``_semidefinite``, and
+    ``_build_many`` checks M > 0 and M + U > 0.
     """
 
     m: np.ndarray
@@ -114,7 +110,9 @@ class ObjectivePair:
 
     @classmethod
     def from_m_u(cls, m, u):
-        """Build from M and U themselves: ``_pairs`` of one pair of matrices."""
+        """Build from M and U themselves: ``_pairs`` of one pair of matrices,
+        so that M and U are checked for symmetry and finiteness, U >= 0 and
+        M > 0 and M + U > 0, in that order."""
         m, u = _square(m, "M"), _square(u, "U")
         if u.shape != m.shape:
             raise DimensionMismatch(f"M is {m.shape} but U is {u.shape}")
@@ -122,18 +120,25 @@ class ObjectivePair:
 
     @classmethod
     def from_pair(cls, m, m_plus_u):
-        """Build from M and M+U when the sum is what the data supplies."""
+        """Build from M and M+U when the sum is what the data supplies.
+
+        M and M + U are checked for symmetry and finiteness, U = M+U - M for
+        finiteness and U >= 0 (``_semidefinite``), and the build checks
+        M > 0 and M + U > 0; the pair keeps the M + U it was given."""
         m = _require_symmetric(m, "M")
         mpu = _require_symmetric(m_plus_u, "M+U")
         if mpu.shape != m.shape:
             raise DimensionMismatch(f"M is {m.shape} but M+U is {mpu.shape}")
-        return _one(cls._build_many(m[None], symmetrize(mpu - m)[None], mpu[None]))
+        with np.errstate(over="ignore"):  # a U that overflows is rejected as non-finite
+            u, errors = _symmetric((mpu - m)[None], "U")
+        errors = _semidefinite(u, errors)
+        return _one(_fill(errors, lambda rows: cls._build_many(m[None], u, mpu[None])))
 
     @classmethod
     def _build_many(cls, m, u, mpu):
         """The pair of each place of the stacks m, u and mpu = M + U, all
-        exactly symmetric and m and u finite, or the package error that
-        stops it: InvalidInput for a non-finite M + U or spectrum, and
+        exactly symmetric, m and u finite and u >= 0, or the package error
+        that stops it: InvalidInput for a non-finite M + U or spectrum, and
         NotPositiveDefinite for M, then M + U.
 
         Both eigendecompositions, the inverse, the candidates and the
@@ -175,14 +180,31 @@ class ObjectivePair:
 def _pairs(m, u):
     """``ObjectivePair.from_m_u`` of each place of the stacks m and u: its
     pair, or the package error that stops it.  The checks of
-    ``_require_symmetric`` run on M and then U, and ``_build_many`` builds
-    the pairs that pass them."""
+    ``_require_symmetric`` run on M and then U, ``_semidefinite`` then
+    checks U >= 0, and ``_build_many`` builds the pairs that pass them."""
     m, m_errors = _symmetric(m, "M")
     u, u_errors = _symmetric(u, "U")
     with np.errstate(over="ignore", invalid="ignore"):  # the build rejects a non-finite sum
         mpu = symmetrize(m + u)
-    errors = [a or b for a, b in zip(m_errors, u_errors)]
+    errors = _semidefinite(u, [a or b for a, b in zip(m_errors, u_errors)])
     return _fill(errors, lambda rows: ObjectivePair._build_many(m[rows], u[rows], mpu[rows]))
+
+
+def _semidefinite(u, errors):
+    """errors, with InvalidUhat at each place that holds None and whose U, at
+    that place of the stack u of exactly symmetric matrices, has a materially
+    negative eigenvalue: one below -1e-8 max(1, max |lambda|).
+
+    This is the package's one test of U >= 0.  The eigenvalues are one call
+    on the stack, with zero stand-ins, which pass, at the places that
+    already hold an error."""
+    live = np.array([error is None for error in errors])
+    lam = _eigvalsh(u if live.all() else np.where(live[:, None, None], u, 0.0))
+    low = lam[:, 0] < -1e-8 * np.maximum(1.0, np.abs(lam).max(axis=1))
+    return [
+        InvalidUhat(f"U-hat has a materially negative eigenvalue ({bottom:.6g})") if bad else error
+        for error, bottom, bad in zip(errors, lam[:, 0].tolist(), low.tolist())
+    ]
 
 
 def _require_dimension(k, d, name="u"):
@@ -283,11 +305,15 @@ def j_decomposition(pair, gamma):
         gamma0 = np.zeros((d, 0))
     else:
         gamma0 = orthonormal_complement(gamma)
-    ld_m_g = _logdet_gram(gamma.T @ pair.m @ gamma)
-    ld_m_g0 = _logdet_gram(gamma0.T @ pair.m @ gamma0)
-    ld_s_g0 = _logdet_gram(gamma0.T @ pair.m_plus_u @ gamma0)
-    j1 = ld_m_g + ld_m_g0 - pair.m_plus_u_logdet
-    j2 = ld_s_g0 - ld_m_g0
+    # the two (d - k) x (d - k) Grams in one call, the k x k Gram in another
+    (ld_m_g0, ld_s_g0), singular0 = _logdet_grams(
+        np.array([gamma0.T @ pair.m @ gamma0, gamma0.T @ pair.m_plus_u @ gamma0])
+    )
+    (ld_m_g,), singular = _logdet_grams((gamma.T @ pair.m @ gamma)[None])
+    if singular[0] or singular0.any():
+        raise SingularGram("Gram matrix is not positive definite")
+    j1 = float(ld_m_g + ld_m_g0 - pair.m_plus_u_logdet)
+    j2 = float(ld_s_g0 - ld_m_g0)
     return j1, j2
 
 

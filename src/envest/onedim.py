@@ -94,9 +94,9 @@ import numpy as np
 
 from .errors import EnvestError, InvalidInput, NoConvergence
 from .linalg import (
+    _cholesky,
     _eigvalsh,
     _fill,
-    _not_positive_definite,
     _one,
     _solve_vectors,
     fix_column_signs,
@@ -277,7 +277,7 @@ def _shifts(h):
     tau = max(0, 1e-8 * scale - lambda_min) with scale = max(1, max |h_ij|).
     """
     tau = np.zeros(h.shape[0])
-    rows = _not_positive_definite(h)
+    rows = _cholesky(h)[1].nonzero()[0]
     if rows.size:
         floor = _SHIFT_FLOOR * np.maximum(1.0, np.abs(h[rows]).max(axis=(1, 2)))
         tau[rows] = np.maximum(0.0, floor - _eigvalsh(h[rows])[:, 0])
@@ -457,7 +457,9 @@ def fit(m_hat, u_hat, u, settings=None):
     """Estimate a u-dimensional envelope basis for the pair (m_hat, u_hat).
 
     m_hat must be symmetric positive definite, u_hat symmetric positive
-    semidefinite.  Directions are extracted one at a time; the returned
+    semidefinite: ``ObjectivePair.from_m_u`` checks both, u_hat >= 0
+    included (InvalidUhat), before any direction is solved, and u is then
+    checked against d.  Directions are extracted one at a time; the returned
     basis columns are orthonormal and in extraction order.  u == d skips
     optimization entirely and returns the identity basis.  A NoConvergence
     at direction k carries step_index k and, in ``partial``, the fit of the
@@ -580,8 +582,10 @@ def _deflate(g0, pairs, w):
     symmetric, the difference of a symmetric block and t + t', so the pairs
     are built from them as they are, without the symmetry checks and
     symmetrizing of ``ObjectivePair.from_m_u``, which would return the same
-    bits; only a non-finite entry is still rejected, with from_m_u's
-    InvalidInput, and the build still checks positive definiteness.
+    bits, and without its U >= 0 check: a compression of a U >= 0 is >= 0,
+    and the check would cost an eigenvalue call per direction.  Only a
+    non-finite entry is still rejected, with from_m_u's InvalidInput, and
+    the build still checks positive definiteness.
 
     Returns the next complements, stacked, and per problem its next
     ObjectivePair or the package error that stops it.

@@ -27,6 +27,7 @@ from .errors import (
 )
 from .estimators import (
     KINDS_WITH_X,
+    _PROBLEMS_PER_BATCH,
     RegressionData,
     _Scans,
     _check_algorithm,
@@ -59,9 +60,6 @@ __all__ = [
     "residual_bootstrap",
 ]
 
-# replications or bootstrap replicates built and fitted at once; bounds the
-# stacks of a batch, O(_PROBLEMS_PER_BATCH d^2) in memory
-_PROBLEMS_PER_BATCH = 64
 # share of U's Frobenius norm an eigen-group of M must see to join the oracle
 _ORACLE_TOL = 1e-9
 

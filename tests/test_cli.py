@@ -9,6 +9,7 @@ import subprocess
 import sys
 import threading
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -396,6 +397,34 @@ class TestExitCodes:
         assert capsys.readouterr().err == (
             f"error: ParseError: {bad}: byte 4 is not valid UTF-8\n"
         )
+
+    @pytest.mark.parametrize("command", [
+        ["fit", "--kind", "response", "--u", "1"],
+        ["select-u", "--kind", "response", "--u-max", "2"],
+        ["bootstrap", "--kind", "response", "--u", "1", "--b", "10"],
+        ["fit", "--kind", "mean", "--u", "1"],
+    ])
+    def test_covariances_beyond_float64_are_exit_1(self, tmp_path, capsys, command):
+        # finite data whose covariances overflow: Y scaled by 1e200 for the
+        # response kind, and for the mean kind a mean of 1e160, whose outer
+        # product overflows though S_Y does not.  Each is a package error,
+        # with no numpy warning on the way
+        rng = np.random.default_rng(8)
+        x = rng.standard_normal((30, 2))
+        e = rng.standard_normal((30, 4))
+        y = (x @ rng.standard_normal((2, 4)) + e) * 1e200
+        xp, yp = tmp_path / "x.csv", tmp_path / "y.csv"
+        np.savetxt(xp, x, delimiter=",", fmt="%.17g")
+        inputs = ["--x", str(xp), "--y", str(yp)]
+        if command[2] == "mean":
+            y, inputs = 1e160 * (1.0 + 1e-8 * e), inputs[2:]
+        np.savetxt(yp, y, delimiter=",", fmt="%.17g")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = cli.run(command + inputs)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "InvalidInput" in err and err.count("\n") == 1
 
     def test_simulate_repeated_algo_is_usage_error(self, monkeypatch, capsys):
         calls = []

@@ -4,6 +4,9 @@ The covariance blocks are checked against numpy.cov and an explicit lstsq
 residual fit before any envelope machinery is trusted on top of them.
 """
 
+import tracemalloc
+import warnings
+
 import numpy as np
 import hypothesis
 import pytest
@@ -294,6 +297,23 @@ class TestFitBasisGuards:
         (checked,) = estimators._checked_pairs(m[None], m_plus_u[None])
         assert isinstance(checked, InvalidUhat)
 
+    @pytest.mark.parametrize("kind, scaled", [
+        ("response", "X"), ("partial", "X"), ("predictor", "Y"), ("mean", "Y"),
+    ])
+    def test_a_covariance_beyond_float64_is_invalid_input(self, kind, scaled):
+        # finite data whose sample covariance overflows.  Without the check
+        # an overflowing S_X gave the response and partial kinds NaN
+        # estimates, and an overflowing S_Y gave the predictor kind the pair
+        # (S_X, S_X), the Cholesky factor of S_Y solving to zeros
+        rng = np.random.default_rng(94)
+        x = rng.standard_normal((40, 3))
+        y = x @ rng.standard_normal((3, 4)) + rng.standard_normal((40, 4))
+        data = estimators.RegressionData(*((1e200 * x, y) if scaled == "X" else (x, 1e200 * y)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidInput, match=f"sample covariance of {scaled} overflows"):
+                estimators._fit_by_kind(kind, data, 1, "onedim", None, p1=1)
+
     def test_unknown_algorithm(self):
         _, data = make_data(91)
         with pytest.raises(InvalidInput):
@@ -580,6 +600,46 @@ class TestFailingFoldsStayIsolated:
             lambda: estimators.select_dimension_cv(data, kind, 2, folds, algo),
             per_u_cv(data, kind, 2, folds, algo),
         )
+
+    @pytest.mark.parametrize("batch", [1, 2])
+    @pytest.mark.parametrize("kind, r, p, n, folds, algo", [
+        ("response", 6, 2, 10, 3, "onedim"),  # a singular fold beside Ridged ones
+        ("predictor", 6, 2, 10, 4, "onedim"),  # two folds not positive definite
+    ])
+    def test_cv_batches_score_as_each_fold_alone(
+        self, monkeypatch, batch, kind, r, p, n, folds, algo
+    ):
+        # the folds are fitted _PROBLEMS_PER_BATCH at a time; each u's squared
+        # errors add up in fold order and it fails with its first failing
+        # fold, whatever the batches are
+        rng = np.random.default_rng(3)
+        x = rng.standard_normal((n, p))
+        y = x @ rng.standard_normal((p, r)) + rng.standard_normal((n, r))
+        data = estimators.RegressionData(x, y)
+        monkeypatch.setattr(estimators, "_PROBLEMS_PER_BATCH", batch)
+        assert_scan_equals(
+            lambda: estimators.select_dimension_cv(data, kind, 2, folds, algo),
+            per_u_cv(data, kind, 2, folds, algo),
+        )
+
+
+def test_cv_memory_does_not_grow_with_the_folds():
+    # a batch of folds is fitted and scored before the next is built, so
+    # tracemalloc's peak over 256 folds stays near that over 64
+    rng = np.random.default_rng(4)
+    x = rng.standard_normal((256, 2))
+    y = x @ rng.standard_normal((2, 5)) + rng.standard_normal((256, 5))
+    data = estimators.RegressionData(x, y)
+    estimators.select_dimension_cv(data, "response", 2, folds=8)  # first-call allocations
+    peaks = []
+    for folds in (64, 256):
+        tracemalloc.start()
+        try:
+            estimators.select_dimension_cv(data, "response", 2, folds=folds)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.5 * peaks[0]
 
 
 def _same_bytes(got, want, names):

@@ -111,24 +111,22 @@ def test_not_positive_definite_flags_what_cholesky_rejects(d):
     stack = _verdict_stack(d, np.random.default_rng(d))
     want = [k for k, a in enumerate(stack) if cholesky_raises(a)]
     assert 0 < len(want) < len(stack)
-    assert linalg._not_positive_definite(stack).tolist() == want
+    assert linalg._cholesky(stack)[1].nonzero()[0].tolist() == want
 
 
 def test_a_verdict_does_not_depend_on_the_batch():
     rng = np.random.default_rng(5)
     stack = _verdict_stack(4, rng)
-    fails = np.isin(np.arange(len(stack)), linalg._not_positive_definite(stack))
+    fails = linalg._cholesky(stack)[1]
     for k in range(len(stack)):
-        assert (linalg._not_positive_definite(stack[k:k + 1]).size == 1) == fails[k]
+        assert linalg._cholesky(stack[k:k + 1])[1][0] == fails[k]
     for _ in range(5):
         order = rng.permutation(len(stack))[:rng.integers(1, len(stack) + 1)]
-        assert np.array_equal(
-            linalg._not_positive_definite(stack[order]), np.flatnonzero(fails[order])
-        )
+        assert np.array_equal(linalg._cholesky(stack[order])[1], fails[order])
 
 
 def test_batched_cholesky_kernel_contract():
-    # ``_not_positive_definite`` reads verdicts from the factors of numpy's
+    # ``_cholesky`` reads verdicts from the factors of numpy's
     # batched kernel: a failed factor is all NaN, a successful one has exact
     # zeros above its diagonal and the lower triangle np.linalg.cholesky gives
     stack = _verdict_stack(4, np.random.default_rng(9))
@@ -145,11 +143,11 @@ def test_batched_cholesky_kernel_contract():
 
 def test_a_one_by_one_verdict():
     # grassmann's tangent model is 1 x 1 at (d, u) = (2, 1); there the
-    # verdict is np.linalg.cholesky's, except that NaN, which
-    # np.linalg.cholesky accepts, is flagged
+    # verdict is np.linalg.cholesky's, which accepts NaN: a tangent model
+    # is finite once its Grams have passed their checks
     stack = np.array([2.0, 1e-300, 0.0, -1.0, np.nan])[:, None, None]
     assert [cholesky_raises(a) for a in stack] == [False, False, True, True, False]
-    assert linalg._not_positive_definite(stack).tolist() == [2, 3, 4]
+    assert linalg._cholesky(stack)[1].nonzero()[0].tolist() == [2, 3]
 
 
 def test_eigh_kernel_is_np_linalg_eigh():

@@ -6,6 +6,7 @@ Gamma = e1 the objective is log(2) + log(1/5) = log(0.4).
 """
 
 import warnings
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -13,13 +14,16 @@ import pytest
 from envest import grassmann, linalg, onedim
 from envest.errors import (
     DimensionMismatch,
+    EnvestError,
     InvalidInput,
+    InvalidUhat,
     NotPositiveDefinite,
     SingularGram,
     ZeroVector,
 )
 from envest.objective import (
     ObjectivePair,
+    _pairs,
     _d_tilde_hessians,
     _d_tilde_terms,
     _d_tilde_values,
@@ -232,6 +236,78 @@ def test_rejects_shape_mismatch():
         ObjectivePair.from_m_u(np.eye(3), np.zeros((2, 2)))
     with pytest.raises(DimensionMismatch):
         ObjectivePair.from_pair(np.eye(3), np.eye(2))
+
+
+def test_an_indefinite_u_is_rejected_at_every_entry():
+    # U >= 0 is checked where the pair is built, so both builds, both solvers
+    # and the scan start reject a U with a materially negative eigenvalue
+    m, u = np.diag([3.0, 2.0, 1.0]), np.diag([1.0, -0.5, 0.0])
+    calls = (
+        lambda: ObjectivePair.from_m_u(m, u),
+        lambda: ObjectivePair.from_pair(m, m + u),
+        lambda: onedim.fit(m, u, 1),
+        lambda: grassmann.fit(m, u, 1),
+        lambda: grassmann.eigenvector_scan_start(m, u, 1),
+    )
+    for call in calls:
+        with pytest.raises(InvalidUhat, match=r"eigenvalue \(-0\.5\)"):
+            call()
+    # a negative eigenvalue within 1e-8 max(1, max |lambda|) is rounding
+    u = np.diag([1.0, -0.9e-8, 0.0])
+    ObjectivePair.from_m_u(m, u)
+    ObjectivePair.from_pair(m, m + u)
+
+
+def _outcome(call):
+    try:
+        return call()
+    except EnvestError as exc:
+        return exc
+
+
+def test_a_stack_gives_each_place_the_verdict_it_gets_alone():
+    # the checks run in one order: symmetry and finiteness of M, then of U,
+    # then U >= 0, then M > 0 and M + U > 0; a stack mixing every failure
+    # gives each place what from_m_u gives it alone, error and message or
+    # pair, bit for bit
+    rng = np.random.default_rng(23)
+    m, u = np.diag([3.0, 2.0, 1.0]), np.diag([1.0, 0.0, 0.0])
+    nan_m, skew_u, inf_u = m.copy(), u.copy(), u.copy()
+    nan_m[0, 1] = nan_m[1, 0] = np.nan
+    skew_u[0, 2] = 1.0
+    inf_u[2, 2] = np.inf
+    indefinite_u, singular_m = np.diag([1.0, -0.5, 0.0]), np.diag([3.0, 2.0, 0.0])
+    a, b = rng.standard_normal((3, 3)), rng.standard_normal((3, 1))
+    places = [
+        (m, u), (nan_m, skew_u), (nan_m, indefinite_u), (m, skew_u), (m, inf_u),
+        (singular_m, skew_u), (m, indefinite_u), (singular_m, indefinite_u),
+        (singular_m, u), (-m, np.zeros((3, 3))), (a @ a.T + np.eye(3), b @ b.T),
+    ]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        stacked = _pairs(np.array([p[0] for p in places]), np.array([p[1] for p in places]))
+        alone = [_outcome(lambda: ObjectivePair.from_m_u(*p)) for p in places]
+    verdicts = [f"{type(o).__name__}: {o}" if isinstance(o, EnvestError) else "pair" for o in alone]
+    assert verdicts == [
+        "pair",
+        "InvalidInput: M has non-finite entries",
+        "InvalidInput: M has non-finite entries",
+        "InvalidInput: U is not symmetric",
+        "InvalidInput: U has non-finite entries",
+        "InvalidInput: U is not symmetric",
+        "InvalidUhat: U-hat has a materially negative eigenvalue (-0.5)",
+        "InvalidUhat: U-hat has a materially negative eigenvalue (-0.5)",
+        "NotPositiveDefinite: M is not positive definite (eigenvalue 0)",
+        "NotPositiveDefinite: M is not positive definite (eigenvalue -3)",
+        "pair",
+    ]
+    for got, want in zip(stacked, alone):
+        assert type(got) is type(want)
+        if isinstance(want, EnvestError):
+            assert str(got) == str(want)
+        else:
+            for f in fields(want):
+                assert np.array_equal(getattr(got, f.name), getattr(want, f.name))
 
 
 @pytest.mark.parametrize(
