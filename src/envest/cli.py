@@ -312,7 +312,8 @@ def _write_csv_summary(summary, path):
 def build_parser():
     """The envest argument parser, built on the first call and shared after.
 
-    run parses every argv with it; building costs about 15 times a parse.
+    run parses every argv with it, since building the parser costs more
+    than a parse (CHANGES.md has the figure).
     """
     parser = argparse.ArgumentParser(
         prog="envest",

@@ -745,18 +745,25 @@ def _select(u_max, score):
     """Pick the u in 1..u_max with the smallest score, smaller u winning ties.
 
     A package error from score(u) is recorded as a NaN score and a failure
-    reason; every candidate failing raises AllFitsFailed.
+    reason; every candidate failing raises AllFitsFailed, which names the
+    smallest failing u's reason and chains its error as the cause.
     """
     scores = []
     failures = {}
+    first = None  # the error of the smallest failing u
     for u in range(1, u_max + 1):
         try:
             scores.append(score(u))
         except EnvestError as exc:  # recorded, not fatal
             scores.append(np.nan)
             failures[u] = f"{type(exc).__name__}: {exc}"
+            first = first or exc
     if all(np.isnan(s) for s in scores):
-        raise AllFitsFailed(f"every candidate dimension up to {u_max} failed")
+        message = f"every candidate dimension up to {u_max} failed"
+        if failures:
+            u = min(failures)
+            message += f"; u = {u}: {failures[u]}"
+        raise AllFitsFailed(message) from first
     arr = np.array(scores)
     arr[np.isnan(arr)] = np.inf
     return DimensionSelection(u=int(np.argmin(arr)) + 1, scores=scores, failures=failures)

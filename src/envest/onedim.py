@@ -54,12 +54,10 @@ the smallest final objective, ties resolved by candidate order.  The paper
 but on some random 3-d pairs that start ends in a worse local minimum than
 another start reaches.  Iterating every candidate costs 2(d - k) tangent
 Hessians and their O(d^3) solves per Newton iteration; screening bounds
-that at 8.  Fewer starts (2 to 6) land some sample fits in a worse basin;
-with 8, no population pair at (10, 3), (30, 10) or (50, 20) has its winner
-screened out.  Screening is still not full multistart: on sample pairs at
-(30, 10) with n = 200, about 2 fits in 100 have a direction whose best
-start ranks below 8th by initial D, and that direction ends 1e-4 to 3e-3
-higher in D.
+that at 8, since fewer starts land some sample fits in a worse basin
+(CHANGES.md has the measurements).  Screening is still not full
+multistart: a direction whose best start ranks below 8th by initial D
+ends higher in D than it could.
 
 The lockstep also runs across problems.  ``fit_many`` makes the sequential
 fits of several pairs together, and at each step the screened starts of
@@ -76,8 +74,8 @@ A Newton iteration needs one pass of w M and w N at its points, and the
 line search has made it when it accepted every row at its first trial:
 those trials are the next iteration's rows, in the same per-pair blocks,
 and the bits of a row's forms depend only on its pair's block of rows, so
-the forms are reused as they are.  Otherwise the next iteration computes them.  On (30, 10)
-population pairs 412 of 469 searches accept every row at t = 1, so most
+the forms are reused as they are.  Otherwise the next iteration computes
+them.  Newton steps near a minimum are accepted at t = 1, so most
 iterations make one pass, not two.
 
 After each direction, the complement and the compressed pair are carried
@@ -442,9 +440,17 @@ def _lockstep(pairs, settings):
 def _norms(a):
     """The Frobenius norm of each matrix of the stack a, as numpy's own
     formula for ``np.linalg.norm`` computes it, sqrt(x.x) of its entries,
-    each a (1, d^2) @ (d^2, 1) product with the bits of that dot product."""
+    each a (1, d^2) @ (d^2, 1) product with the bits of that dot product.
+    Where x.x overflows, with entries above about 1e154, the norm is taken
+    as top |a / top| with top = max |a|, so a finite norm keeps its bits."""
     x = a.reshape(len(a), 1, -1)
-    return np.sqrt(x @ x.swapaxes(1, 2))[:, 0, 0]
+    with np.errstate(over="ignore"):
+        norms = np.sqrt(x @ x.swapaxes(1, 2))[:, 0, 0]
+    big = np.isinf(norms)
+    if big.any():
+        top = np.abs(a[big]).max(axis=(1, 2))
+        norms[big] = top * _norms(a[big] / top[:, None, None])
+    return norms
 
 
 def _rows(keep, *values):

@@ -338,17 +338,23 @@ def sample_experiment(d, u, n, replications, algo_set, seed=0):
 
     The instance comes from ``seed`` itself; replication i draws its data
     with seed ``seed + 1 + i`` (offset so no replication shares the
-    instance stream).  M-hat is S_{Y|X} and U-hat is S_Y - S_{Y|X}.
+    instance stream).  Each replication fits ``_sample_pair``.
     """
     inst = generate_instance(d, u, seed)
 
     def problem(rep_seed):
-        kit = covariance_kit(sample_data(inst, n, rep_seed))
-        return kit.s_y_given_x, symmetrize(kit.s_y - kit.s_y_given_x), inst.gamma
+        return *_sample_pair(inst, n, rep_seed), inst.gamma
 
     return _experiment(
         "sample", d, u, n, replications, algo_set, seed, seed + 1, problem
     )
+
+
+def _sample_pair(instance, n, seed):
+    """The sample pair of n observations of instance drawn with seed:
+    M-hat = S_{Y|X} and U-hat = S_Y - S_{Y|X}, symmetrized."""
+    kit = covariance_kit(sample_data(instance, n, seed))
+    return kit.s_y_given_x, symmetrize(kit.s_y - kit.s_y_given_x)
 
 
 @dataclass

@@ -20,6 +20,7 @@ from envest.errors import (
     InvalidInput,
     InvalidUhat,
     NoConvergence,
+    NotPositiveDefinite,
     SingularCovariance,
 )
 from envest.grassmann import FgSettings
@@ -484,6 +485,25 @@ class TestDimensionSelection:
         y = rng.standard_normal((50, 4))
         with pytest.raises(SingularCovariance):
             estimators.select_dimension_bic(estimators.RegressionData(x, y), "response", 3)
+
+    def test_bic_names_the_first_reason_when_every_candidate_fails(self):
+        # no Newton iteration allowed: the first direction fails, and with it
+        # every candidate of the one sequential fit
+        _, data = make_data(5, n=100)
+        settings = OneDimSettings(max_inner_iterations=0)
+        with pytest.raises(AllFitsFailed, match="up to 3 failed; u = 1: NoConvergence: ") as info:
+            estimators.select_dimension_bic(data, "response", 3, settings=settings)
+        assert isinstance(info.value.__cause__, NoConvergence)
+
+    def test_cv_names_the_first_reason_when_every_candidate_fails(self):
+        # n just above r: a fold's M is not positive definite at every u
+        rng = np.random.default_rng(3)
+        x = rng.standard_normal((10, 2))
+        y = x @ rng.standard_normal((2, 6)) + rng.standard_normal((10, 6))
+        data = estimators.RegressionData(x, y)
+        with pytest.raises(AllFitsFailed, match="up to 2 failed; u = 1: NotPositiveDefinite: M ") as info:
+            estimators.select_dimension_cv(data, "predictor", 2, folds=4)
+        assert isinstance(info.value.__cause__, NotPositiveDefinite)
 
     def test_bic_picks_true_dimension(self):
         # known generator: (d, u) = (10, 3), fresh data each replication

@@ -8,6 +8,7 @@ trusting the solver itself.
 
 import dataclasses
 import sys
+import warnings
 
 import hypothesis
 import numpy as np
@@ -599,6 +600,31 @@ def test_fit_rejects_an_empty_problem():
     empty = np.zeros((0, 0))
     with pytest.raises(InvalidInput):
         onedim.fit(empty, empty, 1)
+
+
+def test_norms_that_overflow_are_scaled_and_finite_norms_keep_their_bits():
+    a = np.random.default_rng(4).standard_normal((3, 5, 5))
+    a[1] *= 1e200  # its sum of squares overflows float64
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        norms = onedim._norms(a)
+    assert norms[0] == np.linalg.norm(a[0]) and norms[2] == np.linalg.norm(a[2])
+    assert norms[1] == pytest.approx(1e200 * np.linalg.norm(a[1] / 1e200), rel=1e-14)
+
+
+@pytest.mark.parametrize("scale", [1e160, 2.0 ** 600, 1e300])
+def test_a_pair_whose_norms_overflow_is_refined(scale):
+    # above about 1e154 the Frobenius norms of M and N overflow as sums of
+    # squares; D is scale-invariant, so the fit refines as it does at 1e150
+    inst = simulate.generate_instance(6, 2, 0)
+    ref = onedim.fit(inst.m * 1e150, inst.u_mat * 1e150, 2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        fit = onedim.fit(inst.m * scale, inst.u_mat * scale, 2)
+    assert fit.inner_iterations == ref.inner_iterations == [4, 0]
+    assert fit.diagnostics == ref.diagnostics
+    np.testing.assert_allclose(fit.objective_values, ref.objective_values, rtol=0, atol=1e-13)
+    assert linalg.subspace_distance(fit.basis, ref.basis) < 1e-10
 
 
 class TestDeflation:

@@ -3,12 +3,12 @@ residual bootstrap, with determinism pinned across reruns."""
 
 import hashlib
 import tracemalloc
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
-from envest import estimators, grassmann, linalg, onedim, simulate
+from envest import estimators, grassmann, linalg, objective, onedim, simulate
 from envest.errors import (
     BootstrapUnstable,
     DimensionMismatch,
@@ -544,3 +544,19 @@ def test_bootstrap_memory_stays_within_a_few_samples():
     finally:
         tracemalloc.stop()
     assert peak <= 6 * data.y.nbytes
+
+
+@pytest.mark.parametrize("d, u, n", [(10, 3, 100), (30, 10, 200), (60, 30, 4000)])
+def test_a_sample_replication_fits_the_response_estimators_pair(d, u, n):
+    # the pair a sample experiment builds from one replication's data is
+    # the pair the response estimator builds and checks from it, bit for bit
+    inst = simulate.generate_instance(d, u, d)
+    m, u_mat = simulate._sample_pair(inst, n, d + 1)
+    (pair,) = objective._pairs(m[None], u_mat[None])
+    moments = estimators._sample_moments("response", simulate.sample_data(inst, n, d + 1))
+    m_hat, m_plus_u, _, _ = estimators._kind_pairs("response", [moments])
+    ((checked, flags),) = estimators._checked_pairs(m_hat, m_plus_u)
+    assert flags == []
+    for f in fields(ObjectivePair):
+        a, b = np.asarray(getattr(pair, f.name)), np.asarray(getattr(checked, f.name))
+        assert a.shape == b.shape and a.tobytes() == b.tobytes(), f.name

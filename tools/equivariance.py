@@ -1,13 +1,13 @@
 """Print how far each solver's answer moves when the problem is rotated.
 
-Usage: python3 tools/equivariance.py CHECKOUT
+Usage: python3 tools/equivariance.py
 
-Imports envest from CHECKOUT/src.  J and the envelope are invariant under
-an orthogonal change of coordinates, so the fit of (Q M Q', Q U Q') should
-span Q times the span of the fit of (M, U).  For instance seed s the pair
-is the one ``simulate.sample_experiment`` builds, M = S_{Y|X} and
-U = S_Y - S_{Y|X} on data drawn with seed s + 1, and Q is the orthonormal
-basis of ``default_rng(10000 + s).standard_normal((d, d))``.  Every
+Imports envest from the tree it sits in (``tree.load``, which prints the
+machine line first).  J and the envelope are invariant under an orthogonal
+change of coordinates, so the fit of (Q M Q', Q U Q') should span Q times
+the span of the fit of (M, U).  For instance seed s the pair is
+``simulate._sample_pair`` of data drawn with seed s + 1, and Q is the
+orthonormal basis of ``default_rng(10000 + s).standard_normal((d, d))``.  Every
 algorithm fits both frames through ``estimators._fits``, as the estimators
 run it, at these sizes:
 
@@ -20,30 +20,17 @@ rotated pair, the largest gap between their two J values, and the count of
 starts that differ between the frames (``starts_differ``): for onedim and
 fg-warm's warm start, the sequential directions whose screened set of
 eigenvector starts differs; for fg, the fits whose eigenvector scan start
-differs by more than 1e-8 in projector distance.  It runs on one BLAS
-thread unless OPENBLAS_NUM_THREADS is set, and takes about a minute.  Run
-it on two checkouts and compare the tables.
+differs by more than 1e-8 in projector distance.
+
+Its output is committed as ``tools/records/equivariance.txt``; the check
+is ``python3 tools/equivariance.py | diff tools/records/equivariance.txt -``.
 """
 
-import os
-import sys
 from collections import Counter
-from pathlib import Path
+
+import tree
 
 SIZES = ((30, 10, 200, range(60)), (60, 30, 4000, range(8)))
-ALGOS = ("onedim", "fg", "fg-warm")
-
-
-def load(checkout):
-    # one BLAS thread: a threaded product rounds differently, and the
-    # table should not depend on the host's core count
-    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
-    src = (Path(checkout) / "src").resolve()
-    sys.path.insert(0, str(src))
-    import envest
-
-    if Path(envest.__file__).resolve().parent.parent != src:
-        raise SystemExit(f"error: envest was imported from {envest.__file__}, not {src}")
 
 
 class Starts:
@@ -75,15 +62,14 @@ class Starts:
         return out
 
 
-def main(argv):
-    if len(argv) != 1:
-        raise SystemExit(__doc__.split("\n\n")[1])
-    load(argv[0])
+def main():
+    tree.load(__doc__)
     import numpy as np
     from envest import estimators, grassmann, objective, onedim, simulate
     from envest.linalg import orthonormalize, subspace_distance, symmetrize
     from envest.objective import ObjectivePair
 
+    algos = estimators.ALGORITHMS
     starts = Starts(onedim, grassmann, objective)
 
     def fit(m, u_mat, u, algo):
@@ -96,14 +82,13 @@ def main(argv):
 
     print("d u n algo fits median_dist max_dist max_j_gap starts_differ")
     for d, u, n, seeds in SIZES:
-        dists, gaps, differ = {a: [] for a in ALGOS}, {a: [] for a in ALGOS}, Counter()
+        dists, gaps, differ = {a: [] for a in algos}, {a: [] for a in algos}, Counter()
         for s in seeds:
             inst = simulate.generate_instance(d, u, s)
-            kit = estimators.covariance_kit(simulate.sample_data(inst, n, s + 1))
-            m, u_mat = kit.s_y_given_x, symmetrize(kit.s_y - kit.s_y_given_x)
+            m, u_mat = simulate._sample_pair(inst, n, s + 1)
             q = orthonormalize(np.random.default_rng(10000 + s).standard_normal((d, d)))
             m_q, u_q = symmetrize(q @ m @ q.T), symmetrize(q @ u_mat @ q.T)
-            for algo in ALGOS:
+            for algo in algos:
                 basis, j, (screened, scans) = fit(m, u_mat, u, algo)
                 basis_q, j_q, (screened_q, scans_q) = fit(m_q, u_q, u, algo)
                 dists[algo].append(subspace_distance(q @ basis, basis_q))
@@ -112,7 +97,7 @@ def main(argv):
                 differ[algo] += sum(
                     subspace_distance(q @ a, b) > 1e-8 for a, b in zip(scans, scans_q)
                 )
-        for algo in ALGOS:
+        for algo in algos:
             print(
                 f"{d} {u} {n} {algo} {len(dists[algo])} {np.median(dists[algo]):.2g} "
                 f"{max(dists[algo]):.2g} {max(gaps[algo]):.2g} {differ[algo]}",
@@ -120,4 +105,4 @@ def main(argv):
             )
 
 if __name__ == "__main__":
-    main(sys.argv[1:])
+    main()

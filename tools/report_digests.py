@@ -1,36 +1,35 @@
 """Print a digest table of CLI reports, to check that a change keeps them byte-identical.
 
-Usage: python3 tools/report_digests.py CHECKOUT
+Usage: python3 tools/report_digests.py
 
-Imports envest from CHECKOUT/src, writes one seeded dataset to a temporary
+Imports envest from the src of the tree it sits in (``tree.load``, which
+prints the machine line first), writes one seeded dataset to a temporary
 work directory and runs a fixed list of CLI commands through
-``envest.cli.run``.  For each command it prints the command's name, its
-exit code and the sha256 of its JSON report followed by its stderr, with
-the work directory's path masked so that two checkouts can be compared.
-A second sha256 follows: the same digest with the report's J fields
-(``objective``, ``score`` and ``final_objective``) removed, so that a
-change that moves only J keeps it.  ``simulate`` runs also digest their
+``envest.cli.run``, over every kind and algorithm of ``envest.estimators``.
+For each command it prints the command's name, its exit code and the
+sha256 of its JSON report followed by its stderr, with the work
+directory's path masked.  A second sha256 follows: the same digest with
+the report's J fields (``objective``, ``score`` and ``final_objective``)
+removed, so that a change that moves only J keeps it.  ``simulate`` runs also digest their
 ``--csv-summary`` grid with the wall-clock columns blanked.  The
 ``rewrite_*`` rows run a command again with its report (and grid) going
 to a longer file that an earlier row wrote, and digest what is left there.
 
 The solver rows that follow (``solver_*``) call ``onedim.fit_many``
 directly, at sizes the CLI rows do not reach.  For each (d, u) of
-``SOLVER_SIZES`` and each kind of pair, population (M and U of
-``generate_instance(d, u, s)``) and sample (S_{Y|X} and S_Y - S_{Y|X} of n
-observations drawn with seed s + 1, as ``simulate.sample_experiment``
-builds them), the pairs of the seeds are fitted at u one call each
+``SOLVER_SIZES`` and each kind of pair, population and sample
+(``tree.pairs``), the pairs of the seeds are fitted at u one call each
 (``alone``) and in one call together (``batch``, the lockstep batches of
 several problems).  A row prints the number of fits and the sha256 of
 their bases, objective values, inner iterations and diagnostics, or of
 the error in place of a fit.  At the sizes of ``SCAN_SIZES`` a
 ``scan_{kind}_{d}_{u}`` row follows: the number of pairs and the sha256 of
 their ``grassmann.eigenvector_scan_start`` bases at u, so that a change to
-fg's start shows apart from a change to its trust-region path.  The tool
-runs on one BLAS thread unless OPENBLAS_NUM_THREADS is set.
+fg's start shows apart from a change to its trust-region path.
 
-Run it on two checkouts and diff the output: equal tables mean equal
-reports and equal fits.
+Its output is committed as ``tools/records/report_digests.txt``; the check
+is ``python3 tools/report_digests.py | diff tools/records/report_digests.txt -``,
+which prints the rows that moved.
 """
 
 import contextlib
@@ -38,11 +37,11 @@ import csv
 import hashlib
 import io
 import json
-import os
 import shutil
-import sys
 import tempfile
 from pathlib import Path
+
+import tree
 
 N, P, R = 60, 3, 5
 DATA_SEED = 12345
@@ -51,13 +50,8 @@ DATA_SEED = 12345
 # or fail, beside others that fit
 NEAR_N, NEAR_P, NEAR_R = 10, 2, 6
 NEAR_SEED = 3
-# the command list is fixed here, not read from the checkout, so that both
-# sides of a comparison run the same commands
-KINDS = ("response", "partial", "predictor", "mean", "constrained-mean")
-KINDS_WITH_X = ("response", "partial", "predictor")
 # each kind's problem dimension d on the generated data
 DIMENSION = {"response": R, "partial": R, "predictor": P, "mean": R, "constrained-mean": R - 1}
-ALGOS = ("onedim", "fg", "fg-warm")
 TIMING_COLUMNS = ("mean_time_seconds", "se_time_seconds")
 # the report fields that hold a value of the objective J
 J_FIELDS = ("objective", "score", "final_objective")
@@ -74,20 +68,6 @@ REWRITES = (
     ("rewrite_bic_over_boot", "bic_response", "boot_predictor.json", None),
     ("rewrite_sim_over_sim", "sim_sample", "sim_population.json", "sim_population.csv"),
 )
-
-
-def load_cli(checkout):
-    # one BLAS thread: a threaded product rounds differently, and the
-    # solver rows should not depend on the host's core count
-    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
-    src = (Path(checkout) / "src").resolve()
-    sys.path.insert(0, str(src))
-    import envest
-    from envest import cli
-
-    if Path(envest.__file__).resolve().parent.parent != src:
-        raise SystemExit(f"error: envest was imported from {envest.__file__}, not {src}")
-    return cli
 
 
 def write_data(work):
@@ -112,6 +92,8 @@ def write_data(work):
 
 def commands(data):
     """(name, argv) pairs; ``--out`` and ``--csv-summary`` are added later."""
+    from envest.estimators import ALGORITHMS, KINDS, KINDS_WITH_X
+
     x, y = ["--x", data["x"]], ["--y", data["y"]]
 
     def source(kind):
@@ -120,15 +102,15 @@ def commands(data):
 
     out = []
     for kind in KINDS:
-        for algo in ALGOS:
+        for algo in ALGORITHMS:
             argv = ["fit", "--kind", kind, "--u", "2", "--algo", algo, "--seed", "3"]
             out.append((f"fit_{kind}_{algo}", argv + source(kind)))
-    for algo in ALGOS:
+    for algo in ALGORITHMS:
         argv = ["fit", "--kind", "response", "--u", "2", "--algo", algo, "--seed", "3",
                 "--gradient-tol", "1e-6", "--max-iter", "7"]
         out.append((f"fitovr_{algo}", argv + source("response")))
     # partial with p1 = p, where its pair and estimates are the response kind's
-    for algo in ALGOS:
+    for algo in ALGORITHMS:
         argv = ["fit", "--kind", "partial", "--u", "2", "--algo", algo, "--seed", "3"]
         out.append((f"fitallp1_partial_{algo}", argv + x + y + ["--p1", str(P)]))
     # fg-warm at u = d, where the sequential fit is the whole space
@@ -198,7 +180,7 @@ def commands(data):
         argv = ["select-u", "--criterion", "cv", "--kind", kind, "--u-max", "2", "--folds", "4"]
         out.append((f"cvnear_{kind}", argv + near))
     sim = ["simulate", "--d", "6", "--u", "2", "--reps", "4", "--seed", "7"]
-    sim += [flag for algo in ALGOS for flag in ("--algo", algo)]
+    sim += [flag for algo in ALGORITHMS for flag in ("--algo", algo)]
     out.append(("sim_population", sim + ["--mode", "population"]))
     out.append(("sim_sample", sim + ["--mode", "sample", "--n", "80"]))
     # the first report whose bits depend on the BLAS thread count: at d = 100
@@ -250,26 +232,6 @@ def digest(*parts, mask):
     return h.hexdigest()
 
 
-def solver_pairs(kind, d, u, n, seeds):
-    """The ObjectivePairs of a solver row, one per seed."""
-    from envest import simulate
-    from envest.estimators import covariance_kit
-    from envest.linalg import symmetrize
-    from envest.objective import ObjectivePair
-
-    pairs = []
-    for s in seeds:
-        inst = simulate.generate_instance(d, u, s)
-        if kind == "population":
-            pairs.append(ObjectivePair.from_m_u(inst.m, inst.u_mat))
-        else:
-            kit = covariance_kit(simulate.sample_data(inst, n, s + 1))
-            pairs.append(ObjectivePair.from_m_u(
-                kit.s_y_given_x, symmetrize(kit.s_y - kit.s_y_given_x)
-            ))
-    return pairs
-
-
 def fit_digest(results):
     """sha256 of fit_many results: each fit's basis, objective values, inner
     iterations and diagnostics, or its error with the partial fit it holds."""
@@ -298,7 +260,7 @@ def solver_rows():
 
     for d, u, n, seeds in SOLVER_SIZES:
         for kind in ("population", "sample"):
-            pairs = solver_pairs(kind, d, u, n, seeds)
+            pairs = tree.pairs(kind, d, u, n, seeds)
             alone = [r for pair in pairs for r in onedim.fit_many([pair], u)]
             name = f"solver_{kind}_{d}_{u}"
             print(f"{name}_alone {len(alone)} {fit_digest(alone)}")
@@ -328,10 +290,10 @@ def run_row(cli, work, name, args, report, grid=None):
         print(f"{name}.csv {code} {digest(untimed_csv(grid), mask=str(work))}")
 
 
-def main(argv):
-    if len(argv) != 1:
-        raise SystemExit(__doc__.split("\n\n")[1])
-    cli = load_cli(argv[0])
+def main():
+    tree.load(__doc__)
+    from envest import cli
+
     work = Path(tempfile.mkdtemp(prefix="envest-digests-"))
     try:
         data = write_data(work)
@@ -347,4 +309,4 @@ def main(argv):
 
 
 if __name__ == "__main__":
-    main(sys.argv[1:])
+    main()

@@ -1,11 +1,12 @@
 """Print machine-independent work counts of the direction solver and of fg.
 
-Usage: python3 tools/solver_counts.py CHECKOUT
+Usage: python3 tools/solver_counts.py
 
-Imports envest from CHECKOUT/src and the benchmark workloads from
-CHECKOUT/benchmarks, wraps the solver's kernels in ``envest.onedim`` and
-``envest.objective``, the trust-region loop of ``envest.grassmann`` and the
-build of an ``ObjectivePair`` with counters and runs five sets of fits:
+Imports envest and the benchmark workloads from the tree it sits in
+(``tree.load``, which prints the machine line first), wraps the solver's
+kernels in ``envest.onedim`` and ``envest.objective``, the trust-region
+loop of ``envest.grassmann`` and the build of an ``ObjectivePair`` with
+counters and runs five sets of fits:
 
 * ``population``: ``onedim.fit`` at u = 10 on ``generate_instance(30, 10, s)``
   for seeds 0-16;
@@ -13,16 +14,14 @@ build of an ``ObjectivePair`` with counters and runs five sets of fits:
   the benchmark workload's universe (workload seed 0), through the command
   line as the benchmark runs them;
 * ``fg-population`` and ``fg-sample``: ``grassmann._fit`` at u = 10 from its
-  scan start, on the pairs of ``generate_instance(30, 10, s)`` for seeds
-  0-16, and on the sample pairs of n = 200 observations drawn from them with
-  seed s + 1, as ``simulate.sample_experiment`` builds them.  These two sets
+  scan start, on the ``tree.pairs`` of ``generate_instance(30, 10, s)`` for
+  seeds 0-16, the sample pairs of n = 200 observations.  These two sets
   print the fg rows below and ``j_value_calls``.
 
 Every count is made per problem: a lockstep batch that serves the starts of
 several problems (``onedim._lockstep``) counts once for each problem with
-rows in it, so that the tables of two checkouts compare whether or not they
-batch problems together.  For each set it
-prints one line per count:
+rows in it, so that the counts do not depend on how problems are batched
+together.  For each set it prints one line per count:
 
 * ``pair_builds``: ``ObjectivePair`` builds (two d x d eigendecompositions
   each), by the estimators and the solvers alike, counted once per pair a
@@ -40,7 +39,7 @@ prints one line per count:
 * ``cholesky_calls``: Cholesky factorization calls made while solving,
   single or batched, counted at numpy's kernel
   ``np.linalg._umath_linalg.cholesky_lo``, which ``np.linalg.cholesky``
-  calls too, so that checkouts compare whichever route they take;
+  calls too, so that every route counts;
 * ``eigvalsh_batches`` and ``eigvalsh_rows``: eigenvalue calls made while
   solving, as made, and the matrices they decompose, counted at numpy's
   kernel ``np.linalg._umath_linalg.eigvalsh_lo``, which
@@ -80,29 +79,20 @@ prints one line per count:
   the host's speed, so it tells a change in the solver's call overhead
   apart from timing noise.
 
-Run it on two checkouts and compare the tables.
+Its output is committed as ``tools/records/solver_counts.txt``; the check
+is ``python3 tools/solver_counts.py | diff tools/records/solver_counts.txt -``.
 """
 
 import os
 import sys
 import tempfile
 from collections import Counter
-from pathlib import Path
+
+import tree
 
 POPULATION_SEEDS = range(17)
 DATASET_WORKLOADS = ("regression-session", "grassmann-refine")
 FG_ROWS = ("fg_fits", "fg_iterations", "fg_newton_steps", "fg_hessian_eighs")
-
-
-def load(checkout):
-    root = Path(checkout).resolve()
-    sys.path[:0] = [str(root / "src"), str(root / "benchmarks")]
-    import envest
-    import workloads
-
-    if Path(envest.__file__).resolve().parent.parent != root / "src":
-        raise SystemExit(f"error: envest was imported from {envest.__file__}, not {root / 'src'}")
-    return workloads
 
 
 def problems(owner):
@@ -133,8 +123,8 @@ class Counts:
         real_cholesky = kernels.cholesky_lo
 
         def values(m, n, w, *args, **kwargs):
-            # a line search's D evaluations are counted at their forms: a
-            # checkout may evaluate D there from forms it keeps
+            # a line search's D evaluations are counted at their forms: it
+            # may evaluate D from forms it keeps
             if not self.in_search:
                 self.c["d_kernel_calls"] += problems(args[0] if args else kwargs.get("owner"))
                 self.c["d_kernel_rows"] += w.shape[0]
@@ -307,33 +297,15 @@ def profiled_calls(onedim, run):
     return calls
 
 
-def main(argv):
-    if len(argv) != 1:
-        raise SystemExit(__doc__.split("\n\n")[1])
-    workloads = load(argv[0])
+def main():
+    tree.load(__doc__, benchmarks=True)
+    import workloads
     from envest import grassmann, objective, onedim, simulate
 
     def population():
         for s in POPULATION_SEEDS:
             inst = simulate.generate_instance(30, 10, s)
             onedim.fit(inst.m, inst.u_mat, 10)
-
-    def fg_pairs(kind):
-        from envest.estimators import covariance_kit
-        from envest.linalg import symmetrize
-        from envest.objective import ObjectivePair
-
-        pairs = []
-        for s in POPULATION_SEEDS:
-            inst = simulate.generate_instance(30, 10, s)
-            if kind == "population":
-                pairs.append(ObjectivePair.from_m_u(inst.m, inst.u_mat))
-            else:
-                kit = covariance_kit(simulate.sample_data(inst, 200, s + 1))
-                pairs.append(ObjectivePair.from_m_u(
-                    kit.s_y_given_x, symmetrize(kit.s_y - kit.s_y_given_x)
-                ))
-        return pairs
 
     def fg(pairs):
         # looked up at each call: the counters replace grassmann._fit
@@ -356,7 +328,8 @@ def main(argv):
             runs.append((name, ops(name, workload)))
         population()  # warm-up: first calls are left out of the profile
         calls = {name: profiled_calls(onedim, run) for name, run in runs}
-        fg_runs = [(f"fg-{kind}", fg(fg_pairs(kind))) for kind in ("population", "sample")]
+        fg_runs = [(f"fg-{kind}", fg(tree.pairs(kind, 30, 10, 200, POPULATION_SEEDS)))
+                   for kind in ("population", "sample")]
         counts = Counts(onedim, objective, grassmann)
         sets = []
         for name, run in runs:
@@ -378,4 +351,4 @@ def main(argv):
 
 
 if __name__ == "__main__":
-    main(sys.argv[1:])
+    main()
