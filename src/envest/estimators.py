@@ -56,10 +56,12 @@ estimator fit.  The sequential solver finds each direction given the ones
 before it, so its fit at u is the first u columns of its fit at any larger
 u: with onedim or fg-warm, one sequential fit serves every candidate u < d
 of a scan, and one ``onedim.fit_many`` call makes those of every sample,
-solving their directions in lockstep.  fg-warm is that sequential fit
+solving their directions in lockstep.  fg-warm is that sequential fit,
+stopped at a gradient of the square root of the refinement's tolerance,
 refined by the Grassmann optimizer.
 """
 
+import math
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
@@ -163,19 +165,27 @@ def _fits(checked, top, algo, settings):
     one sequential fit at min(top, d - 1) per pair, when the first u < d is
     asked, and returns its first u columns; one ``onedim.fit_many`` call
     makes them all.  fg-warm makes the same sequential fits with the onedim
-    preset and refines the first u columns with ``grassmann._fit`` started
-    from them, so settings sets only the refinement; its wall time is the
-    sequential fit's plus the refinement's.  u = d is fitted on its own, by
-    a ``fit_many`` call of the pairs at d.  When a sequential fit stops with
-    NoConvergence at direction k, every u from k + 1 to d - 1 gets that
-    error and the u up to k keep the k directions accepted before it.
+    preset stopped at a gradient of sqrt(settings.gradient_tol) (1e-4 at
+    fg's preset) and refines the first u columns with ``grassmann._fit``
+    started from them.  A start only has to lie in the refinement's basin,
+    and there a Newton step takes a gradient of sqrt(tol) to about tol, so
+    settings sets the refinement and, through its tolerance, the start; its
+    wall time is the sequential fit's plus the refinement's.  u = d is
+    fitted on its own, by a ``fit_many`` call of the pairs at d.  When a
+    sequential fit stops with NoConvergence at direction k, every u from
+    k + 1 to d - 1 gets that error and the u up to k keep the k directions
+    accepted before it.
     """
     _check_algorithm(algo)
     if settings is None:
         settings = solver_settings(algo)
     pairs = [pair for pair, _ in checked]
     warm = algo == "fg-warm"
-    sequential = ALGORITHMS["onedim"] if warm else settings
+    sequential = (
+        replace(ALGORITHMS["onedim"], gradient_tol=math.sqrt(settings.gradient_tol))
+        if warm
+        else settings
+    )
     shared = []  # per pair, its sequential fit or the error that stopped it
 
     def sequential_fits(u):

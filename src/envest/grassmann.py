@@ -41,7 +41,10 @@ grows a basis greedily over the 2d eigenvectors of M and of M + U, adding
 whichever candidate lowers the objective most at each size, all of them
 scored in one batched pass per size.  Any other orthonormal (d, u) basis
 can be supplied instead; the estimators' fg-warm algorithm starts from the
-sequential solver's basis this way.
+sequential solver's basis this way, a sequential fit stopped at a gradient
+of the square root of the optimizer's ``gradient_tol``: Newton's quadratic
+convergence takes a start in the basin from there to the tolerance in
+about one step.
 """
 
 import time
@@ -79,7 +82,8 @@ class FgSettings:
 
     start_strategy is ``"scan"`` or an explicit orthonormal (d, u) basis.
     max_iterations caps the trust-region iterations, rejected steps
-    included.
+    included.  gradient_tol also sets the estimators' fg-warm start: its
+    sequential fit stops at a gradient of sqrt(gradient_tol).
     """
 
     max_iterations: int = 100

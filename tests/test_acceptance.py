@@ -286,6 +286,24 @@ def test_criterion_11_warm_start_avoids_local_minima():
     )
 
 
+def test_fg_warm_as_shipped_avoids_local_minima():
+    # criterion 11 builds its warm fit from onedim.fit by hand; this runs its
+    # instances through the estimator, with the start fg-warm ships
+    scan_vals = []
+    warm_vals = []
+    for i in range(20):
+        inst = simulate.generate_instance(30, 10, 4000 + i)
+        data = simulate.sample_data(inst, 2000, 4001 + i)
+        kit = covariance_kit(data)
+        m_hat = kit.s_y_given_x
+        u_hat = linalg.symmetrize(kit.s_y - kit.s_y_given_x)
+        pair = ObjectivePair.from_pair(m_hat, kit.s_y)
+        scan_vals.append(j_value(pair, grassmann.fit(m_hat, u_hat, 10).basis))
+        warm = response_envelope(data, 10, algo="fg-warm")
+        warm_vals.append(j_value(pair, warm.gamma))
+    assert float(np.mean(warm_vals)) <= float(np.mean(scan_vals)) + 1e-9
+
+
 def test_criterion_12_cli_determinism(tmp_path):
     inst = simulate.generate_instance(6, 2, 5)
     data = simulate.sample_data(inst, 200, 6)

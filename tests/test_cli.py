@@ -3,6 +3,7 @@ byte-for-byte determinism of written reports."""
 
 import errno
 import json
+import math
 import os
 import stat
 import subprocess
@@ -16,6 +17,7 @@ import pytest
 
 from envest import cli, onedim, simulate
 from envest.errors import InvalidInput, IoError, ParseError
+from envest.grassmann import FgSettings
 
 from conftest import route_fits, stuck
 
@@ -491,9 +493,14 @@ class TestExitCodes:
         assert capsys.readouterr().err == "error: seed must be at least 0\n"
 
     def test_zero_max_iter_keeps_the_warm_start(self, tmp_path, capsys):
+        # fg-warm's start is the sequential fit stopped at sqrt(gradient_tol)
         xp, yp = write_xy(tmp_path)
+        start_tol = repr(math.sqrt(FgSettings().gradient_tol))
         gammas = []
-        for extra in (["--algo", "onedim"], ["--algo", "fg-warm", "--max-iter", "0"]):
+        for extra in (
+            ["--algo", "onedim", "--gradient-tol", start_tol],
+            ["--algo", "fg-warm", "--max-iter", "0"],
+        ):
             args = ["fit", "--kind", "response", "--x", xp, "--y", yp, "--u", "2"]
             assert cli.run(args + extra) == 0
             gammas.append(np.array(json.loads(capsys.readouterr().out)["records"][0]["gamma"]))

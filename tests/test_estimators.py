@@ -4,15 +4,17 @@ The covariance blocks are checked against numpy.cov and an explicit lstsq
 residual fit before any envelope machinery is trusted on top of them.
 """
 
+import math
 import tracemalloc
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import hypothesis
 import pytest
 from hypothesis import strategies as st
 
-from envest import estimators, linalg, onedim, simulate
+from envest import estimators, grassmann, linalg, onedim, simulate
 from envest.errors import (
     AllFitsFailed,
     EnvestError,
@@ -343,7 +345,8 @@ class TestSolverSettings:
 
 class TestWarmStart:
     """fg-warm is the sequential fit refined by grassmann.fit: the algorithm
-    name alone picks that start, and its wall time counts both fits."""
+    name alone picks that start, stopped at the square root of the
+    refinement's gradient_tol, and its wall time counts both fits."""
 
     def data(self):
         return simulate.sample_data(simulate.generate_instance(8, 3, 1), 200, 2)
@@ -378,6 +381,41 @@ class TestWarmStart:
         for u in range(1, 9):
             ((fit, _),) = fits(u)
             assert fit.wall_time_seconds >= 1000.0
+
+    @pytest.mark.parametrize("tol", [1e-8, 1e-12])
+    def test_start_stops_at_the_square_root_of_the_refinement_tolerance(self, tol):
+        inst = simulate.generate_instance(12, 3, 2)
+        pair = ObjectivePair.from_m_u(*simulate._sample_pair(inst, 400, 3))
+        top = 6
+        settings = FgSettings(gradient_tol=tol)
+        fits = estimators._fits([(pair, [])], top, "fg-warm", settings)
+        start_settings = replace(estimators.ALGORITHMS["onedim"], gradient_tol=math.sqrt(tol))
+        (start,) = onedim.fit_many([pair], top, start_settings)
+        # a pair whose start the onedim preset would polish further
+        assert not np.array_equal(start.basis, onedim.fit_many([pair], top)[0].basis)
+        for u in range(1, top + 1):
+            ((fit, j),) = fits(u)
+            want = grassmann._fit(
+                pair, u, replace(settings, start_strategy=start.leading(u).basis)
+            )
+            assert np.array_equal(fit.basis, want.basis), u
+            assert fit.objective_values == want.objective_values == [j], u
+            assert fit.inner_iterations == want.inner_iterations, u
+            assert fit.diagnostics == want.diagnostics, u
+
+    @pytest.mark.parametrize("d, u, n, seeds", [(12, 3, 400, range(20)), (20, 5, 1000, range(10))])
+    def test_refinement_lands_where_a_tight_start_does(self, d, u, n, seeds):
+        # the looser start changes where fg stops only within its own tolerance
+        for s in seeds:
+            m, u_mat = simulate._sample_pair(simulate.generate_instance(d, u, s), n, s + 1)
+            pair = ObjectivePair.from_m_u(m, u_mat)
+            ((fit, j),) = estimators._fits([(pair, [])], u, "fg-warm", None)(u)
+            tight = grassmann.fit(
+                m, u_mat, u, FgSettings(start_strategy=onedim.fit(m, u_mat, u).basis)
+            )
+            (j_tight,) = tight.objective_values
+            assert abs(j - j_tight) <= 1e-9 * max(1.0, abs(j_tight)), s
+            assert linalg.subspace_distance(fit.basis, tight.basis) <= 1e-4, s
 
 
 class TestOnePairPerProblem:

@@ -6,9 +6,12 @@ product rounds differently, and the tables should not depend on the host's
 core count), puts this tree's ``src`` first on the import path, checks that
 ``envest`` comes from there and prints the machine line: digests depend on
 the Python, numpy and BLAS versions and on the CPU, so a record holds on the
-machine its first line names.
+machine its first line names.  The line names the CPU by its model name and
+by the kernel set OpenBLAS chose for it, since one model name can cover
+CPUs that OpenBLAS runs with different kernels.
 """
 
+import ctypes
 import os
 import platform
 import sys
@@ -50,6 +53,20 @@ def pairs(kind, d, u, n, seeds):
     return out
 
 
+def openblas_core():
+    """The kernel set the scipy-openblas that numpy's wheels bundle chose
+    for this CPU at run time (a build with DYNAMIC_ARCH picks it then, not
+    at numpy's build), or "unknown" where numpy links another BLAS."""
+    import numpy as np
+
+    try:
+        core = ctypes.CDLL(np.linalg._umath_linalg.__file__).scipy_openblas_get_corename64_
+    except (AttributeError, OSError):
+        return "unknown"
+    core.argtypes, core.restype = (), ctypes.c_char_p
+    return core().decode()
+
+
 def machine():
     import numpy as np
 
@@ -61,4 +78,5 @@ def machine():
                         if line.startswith("model name")), cpu)
     return (f"machine: python {platform.python_version()}, numpy {np.__version__}, "
             f"blas {blas['name']} {blas['version']}, {platform.machine()}, "
-            f"cpu {cpu}, OPENBLAS_NUM_THREADS={os.environ['OPENBLAS_NUM_THREADS']}")
+            f"cpu {cpu}, openblas core {openblas_core()}, "
+            f"OPENBLAS_NUM_THREADS={os.environ['OPENBLAS_NUM_THREADS']}")
