@@ -159,7 +159,8 @@ def _fits(checked, top, algo, settings):
     (``objective._j_values``); fg and fg-warm end at a basis whose J their
     optimizer holds, in ``objective_values``.  Each fit carries its pair's
     flags after its own.  settings sets the solver's tolerance and cap;
-    None means the preset of ``algo``.
+    None means the preset of ``algo``.  A tolerance that is not a finite
+    number >= 0 raises InvalidInput.
 
     fg fits every u of every pair from its own scan start.  onedim makes
     one sequential fit at min(top, d - 1) per pair, when the first u < d is
@@ -179,6 +180,8 @@ def _fits(checked, top, algo, settings):
     _check_algorithm(algo)
     if settings is None:
         settings = solver_settings(algo)
+    if not (math.isfinite(settings.gradient_tol) and settings.gradient_tol >= 0):
+        raise InvalidInput("gradient_tol must be a finite number, at least 0")
     pairs = [pair for pair, _ in checked]
     warm = algo == "fg-warm"
     sequential = (

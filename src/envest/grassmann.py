@@ -145,7 +145,8 @@ def _tangent_model(pair, gamma):
     ((d - u) u)^2 Riemannian Hessian in row-major order of the coordinates,
     and the float64 resolution of J at gamma,
     eps * u * (||M||_2 / lambda_min(G'MG) + ||N||_2 / lambda_min(G'NG)),
-    with the two spectral norms from ``pair.norms``.
+    with the two spectral norms from ``pair.norms``.  At u = 1 this is D's
+    resolution, which ``onedim._lockstep`` uses at its rows.
     """
     d, u = gamma.shape
     g0 = np.linalg.qr(gamma, mode="complete")[0][:, u:]

@@ -88,7 +88,8 @@ class ObjectivePair:
     row: the d eigenvectors of M and then the d of M+U, each in descending
     eigenvalue order with signs pinned, stored row-major, since the rounding
     of the batched kernels depends on the layout.  ``norms`` holds
-    ||M||_2 = lambda_max(M) and ||(M+U)^{-1}||_2 = 1 / lambda_min(M+U).
+    ||M||_2 = lambda_max(M) and ||(M+U)^{-1}||_2 = 1 / lambda_min(M+U), the
+    scale of the float64 resolution that both solvers read from it.
 
     Pairs are built in stacks, by ``_build_many`` (``_pairs`` when M and U
     still need their checks): the estimators build a batch's pairs at once,
@@ -401,23 +402,13 @@ def _d_tilde_terms(m, n, w, owner=None, forms=None):
     return wm / qm[:, None], wn / qn[:, None], qm, qn, qw
 
 
-def _d_tilde_gradients(m, n, w, fro_m, fro_n, terms=None):
-    """Gradients of D at the rows of w plus a per-row bound on their roundoff.
+def _d_tilde_gradients(m, n, w, terms=None):
+    """Gradients of D at the rows of w.
 
-    The bound is what float64 can resolve in the gradient at each point:
-    machine epsilon times the magnitudes of the three assembled terms, with
-    fro_m and fro_n the Frobenius norms of m and n (or arrays of them, one
-    per row).  A tangential norm at or below it cannot be distinguished
-    from an exact critical point, whatever the requested tolerance says.
     ``terms`` are ``_d_tilde_terms`` at w, computed here when not given.
     """
-    a, b, qm, qn, qw = _d_tilde_terms(m, n, w) if terms is None else terms
-    g = 2.0 * a + 2.0 * b - 4.0 * w / qw[:, None]
-    eps = np.finfo(float).eps
-    floor = 32.0 * eps * (
-        2.0 * fro_m / qm + 2.0 * fro_n / qn + 4.0 / np.sqrt(qw)
-    )
-    return g, floor
+    a, b, _, _, qw = _d_tilde_terms(m, n, w) if terms is None else terms
+    return 2.0 * a + 2.0 * b - 4.0 * w / qw[:, None]
 
 
 def _d_tilde_hessians(m, n, w, terms=None, tangent=False, owner=None):
@@ -472,8 +463,7 @@ def d_tilde_value(pair, w):
 def d_tilde_gradient(pair, w):
     """Gradient of :func:`d_tilde_value`; orthogonal to w by scale invariance."""
     w = _check_direction(pair, w)
-    g, _ = _d_tilde_gradients(pair.m, pair.m_plus_u_inv, w[None, :], 0.0, 0.0)
-    return g[0]
+    return _d_tilde_gradients(pair.m, pair.m_plus_u_inv, w[None, :])[0]
 
 
 def d_tilde_hessian(pair, w):

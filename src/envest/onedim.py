@@ -31,8 +31,9 @@ Newton, Nocedal & Wright 2006, sec. 3.4).
 A start stops when its tangential gradient passes the requested tolerance
 (or its roundoff floor), or when its model factored unshifted and the
 Newton decrement g'H^{-1}g / 2 falls below D's float64 resolution,
-eps (|M|_F / w'Mw + |N|_F / w'Nw) with N = (M + U)^{-1} (Boyd &
-Vandenberghe 2004, sec. 9.5.1): D cannot show the decrease that is left,
+eps (|M|_2 / w'Mw + |N|_2 / w'Nw) with N = (M + U)^{-1} (Boyd &
+Vandenberghe 2004, sec. 9.5.1), J's resolution at u = 1 from the spectral
+norms ``ObjectivePair.norms``: D cannot show the decrease that is left,
 though the gradient can still be well above the tolerance.  A direction
 whose winning start stopped that way carries ``Resolved@k``.  Otherwise
 Armijo backtracking searches along the sphere (Absil, Mahony & Sepulchre
@@ -319,12 +320,12 @@ def _lockstep(pairs, settings):
     """
     dim, size = pairs[0].dim, len(pairs)
     # the kernels' matrices, the candidates with the owner of each row, and
-    # per row the Frobenius norms of its pair's matrices; a lone pair's are
-    # its own, with no owner and one norm for every row
+    # per row the spectral norms of its pair's matrices (``pair.norms``); a
+    # lone pair's are its own, with no owner and one norm for every row
     if size == 1:
         (pair,) = pairs
         m, n, w, owner = pair.m, pair.m_plus_u_inv, pair.candidates, None
-        fm, fn = _norms(np.array((m, n))).tolist()
+        fm, fn = pair.norms
     else:
         m = np.array([pair.m for pair in pairs])
         n = np.array([pair.m_plus_u_inv for pair in pairs])
@@ -342,8 +343,7 @@ def _lockstep(pairs, settings):
         w = w.copy()  # rows are written as they stop; the pair's candidates stay
     if size > 1:
         owner = np.repeat(np.arange(size), per_pair)
-        fm = np.repeat(_norms(m), per_pair)
-        fn = np.repeat(_norms(n), per_pair)
+        fm, fn = np.repeat(np.array([pair.norms for pair in pairs]).T, per_pair, axis=1)
     count = w.shape[0]
     iters = np.zeros(count, dtype=int)
     stops = np.zeros(count, dtype=np.int8)  # an index into _STOPS; 0 while live
@@ -367,15 +367,23 @@ def _lockstep(pairs, settings):
     idx, own, wa, fa, bg, forms = np.arange(count), owner, w, f, best_gn, None
     while True:
         terms = _d_tilde_terms(m, n, wa, own, forms)
-        g, floor = _d_tilde_gradients(m, n, wa, fm, fn, terms)
+        g = _d_tilde_gradients(m, n, wa, terms)
         g -= _einsum("ij,ij->i", g, wa)[:, None] * wa
         gn = _row_norms(g)
         bg = np.minimum(bg, gn)
+        # D's float64 resolution at w, ``grassmann._tangent_model``'s at
+        # u = 1: eps times the condition numbers of D's two logarithms.  A
+        # Newton decrement below it leaves no decrease that float64 can
+        # show, so the start has converged, and a line search gives up on a
+        # decrease below it.  The gradient's roundoff floor is 32 eps times
+        # bounds on its terms 2 M w / qm, 2 N w / qn and 4 w / qw
+        res = eps * (fm / terms[2] + fn / terms[3])
+        floor = 64.0 * res + 128.0 * eps / np.sqrt(terms[4])
         done = gn <= np.maximum(tol * np.maximum(1.0, np.abs(fa)), floor)
         if done.any():
             stop(done, _GRADIENT)
-            idx, own, fm, fn, wa, fa, bg, g, *terms = _rows(
-                ~done, idx, own, fm, fn, wa, fa, bg, g, *terms
+            idx, own, fm, fn, wa, fa, bg, g, res, *terms = _rows(
+                ~done, idx, own, fm, fn, wa, fa, bg, g, res, *terms
             )
             if idx.size == 0:
                 break
@@ -394,11 +402,6 @@ def _lockstep(pairs, settings):
             diagonals += tau[:, None]
         p = -_solve_vectors(h, g)
         dg = _einsum("ij,ij->i", p, g)
-        # D's float64 resolution at w: eps times the condition numbers of its
-        # two logarithms.  A Newton decrement below it leaves no decrease
-        # that float64 can show, so the start has converged; a line search
-        # gives up on a decrease below it
-        res = eps * (fm / terms[2] + fn / terms[3])
         resolved = (tau == 0.0) & (0.5 * -dg <= res)
         if resolved.any():
             stop(resolved, _RESOLVED)
@@ -435,22 +438,6 @@ def _lockstep(pairs, settings):
                 gradient_norm=float(best_gn[k]),
             ))
     return out
-
-
-def _norms(a):
-    """The Frobenius norm of each matrix of the stack a, as numpy's own
-    formula for ``np.linalg.norm`` computes it, sqrt(x.x) of its entries,
-    each a (1, d^2) @ (d^2, 1) product with the bits of that dot product.
-    Where x.x overflows, with entries above about 1e154, the norm is taken
-    as top |a / top| with top = max |a|, so a finite norm keeps its bits."""
-    x = a.reshape(len(a), 1, -1)
-    with np.errstate(over="ignore"):
-        norms = np.sqrt(x @ x.swapaxes(1, 2))[:, 0, 0]
-    big = np.isinf(norms)
-    if big.any():
-        top = np.abs(a[big]).max(axis=(1, 2))
-        norms[big] = top * _norms(a[big] / top[:, None, None])
-    return norms
 
 
 def _rows(keep, *values):

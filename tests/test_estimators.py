@@ -322,6 +322,15 @@ class TestFitBasisGuards:
         with pytest.raises(InvalidInput):
             estimators.response_envelope(data, 2, algo="sgd")
 
+    @pytest.mark.parametrize("tol", [-1.0, math.nan])
+    @pytest.mark.parametrize("algo", list(estimators.ALGORITHMS))
+    def test_a_gradient_tolerance_below_0_or_nan_is_invalid(self, algo, tol):
+        # the command line's rule: a finite number, at least 0
+        _, data = make_data(91)
+        settings = estimators.solver_settings(algo, gradient_tol=tol)
+        with pytest.raises(InvalidInput, match="gradient_tol"):
+            estimators.response_envelope(data, 2, algo, settings)
+
 
 class TestSolverSettings:
     def test_warm_preset_caps_iterations(self):

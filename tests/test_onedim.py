@@ -111,13 +111,13 @@ def test_solve_direction_unit_norm_and_deterministic():
 
 
 def d_resolution(m, n, w, owner=None):
-    # D's float64 resolution at the unit rows of w, eps (|M|_F/qm + |N|_F/qn);
+    # D's float64 resolution at the unit rows of w, eps (|M|_2/qm + |N|_2/qn);
     # with owner, m and n stack one matrix per pair as in the D kernels
     _, _, qm, qn, _ = _d_tilde_terms(m, n, w, owner)
-    fro_m, fro_n = np.linalg.norm(m, axis=(-2, -1)), np.linalg.norm(n, axis=(-2, -1))
+    norm_m, norm_n = np.linalg.norm(m, 2, axis=(-2, -1)), np.linalg.norm(n, 2, axis=(-2, -1))
     if owner is not None:
-        fro_m, fro_n = fro_m[owner], fro_n[owner]
-    return np.finfo(float).eps * (fro_m / qm + fro_n / qn)
+        norm_m, norm_n = norm_m[owner], norm_n[owner]
+    return np.finfo(float).eps * (norm_m / qm + norm_n / qn)
 
 
 def test_solve_direction_dim_one():
@@ -381,7 +381,7 @@ def test_a_start_at_float64_resolution_is_resolved(monkeypatch):
         m, n = pair.m, pair.m_plus_u_inv
         w = sol.w[None, :]
         f = _d_tilde_values(m, n, w)
-        g, _ = _d_tilde_gradients(m, n, w, 0.0, 0.0)
+        g = _d_tilde_gradients(m, n, w)
         g -= (g @ sol.w)[:, None] * w
         assert sol.stop == "resolved"
         assert np.linalg.norm(g) > tol * max(1.0, abs(f[0]))
@@ -428,6 +428,31 @@ def test_one_line_search_per_newton_iteration(monkeypatch):
     onedim.fit(linalg.symmetrize((q * np.logspace(-12, 0, 3)) @ q.T), c @ c.T, 2)
     assert max(len(calls) for calls in searches) == 1
     assert sum(stalls) > 0
+
+
+def test_d_resolution_is_the_tangent_models_at_one_direction(monkeypatch):
+    # D(w) = J(w / |w|), so the resolution the lockstep hands its line
+    # searches is J's at u = 1, row by row, for a lone pair and a batch
+    pairs = [
+        ObjectivePair.from_m_u(inst.m, inst.u_mat)
+        for inst in (simulate.generate_instance(12, 3, s) for s in range(20))
+    ]
+    calls = []
+    real_armijo = onedim._armijo
+
+    def armijo(m, n, w, f, p, dg, resolution, owner=None):
+        calls.append((w, resolution, owner))
+        return real_armijo(m, n, w, f, p, dg, resolution, owner)
+
+    monkeypatch.setattr(onedim, "_armijo", armijo)
+    onedim.fit_many(pairs[:1], 1)
+    lone = len(calls)
+    onedim.fit_many(pairs, 1)
+    assert 0 < lone < len(calls)
+    for w, resolution, owner in calls:
+        own = np.zeros(len(w), dtype=int) if owner is None else owner
+        want = [grassmann._tangent_model(pairs[i], row[:, None])[3] for i, row in zip(own, w)]
+        np.testing.assert_allclose(resolution, want, rtol=1e-10, atol=0)
 
 
 def test_one_quadratic_form_pass_per_newton_iteration(monkeypatch):
@@ -602,25 +627,27 @@ def test_fit_rejects_an_empty_problem():
         onedim.fit(empty, empty, 1)
 
 
-def test_norms_that_overflow_are_scaled_and_finite_norms_keep_their_bits():
-    a = np.random.default_rng(4).standard_normal((3, 5, 5))
-    a[1] *= 1e200  # its sum of squares overflows float64
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        norms = onedim._norms(a)
-    assert norms[0] == np.linalg.norm(a[0]) and norms[2] == np.linalg.norm(a[2])
-    assert norms[1] == pytest.approx(1e200 * np.linalg.norm(a[1] / 1e200), rel=1e-14)
+@pytest.mark.parametrize("scale", [1e160, 1e170, 2.0 ** 600, 1e300])
+def test_a_pair_whose_norms_overflow_is_refined(monkeypatch, scale):
+    # at these scales a sum of squares of M's entries overflows and one of
+    # N's underflows; D is scale-invariant, so the fit refines as it does at
+    # 1e150, and its first line search gets the resolution it gets at 1
+    resolutions = []
+    real_armijo = onedim._armijo
 
+    def armijo(m, n, w, f, p, dg, resolution, owner=None):
+        resolutions.append(resolution)
+        return real_armijo(m, n, w, f, p, dg, resolution, owner)
 
-@pytest.mark.parametrize("scale", [1e160, 2.0 ** 600, 1e300])
-def test_a_pair_whose_norms_overflow_is_refined(scale):
-    # above about 1e154 the Frobenius norms of M and N overflow as sums of
-    # squares; D is scale-invariant, so the fit refines as it does at 1e150
+    monkeypatch.setattr(onedim, "_armijo", armijo)
     inst = simulate.generate_instance(6, 2, 0)
+    onedim.fit(inst.m, inst.u_mat, 2)
     ref = onedim.fit(inst.m * 1e150, inst.u_mat * 1e150, 2)
+    first = len(resolutions)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         fit = onedim.fit(inst.m * scale, inst.u_mat * scale, 2)
+    np.testing.assert_allclose(resolutions[first], resolutions[0], rtol=1e-10, atol=0)
     assert fit.inner_iterations == ref.inner_iterations == [4, 0]
     assert fit.diagnostics == ref.diagnostics
     np.testing.assert_allclose(fit.objective_values, ref.objective_values, rtol=0, atol=1e-13)

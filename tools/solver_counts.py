@@ -72,12 +72,13 @@ together.  For each set it prints one line per count:
   fit;
 * ``profiled_calls``: the Python and C function calls made inside
   ``onedim.fit_many``, as ``sys.setprofile`` reports them ("call" and
-  "c_call" events; calling a ufunc or an operator makes none), per Newton
-  iteration.  They are counted in a pass of their own, made before the
+  "c_call" events; calling a ufunc or an operator makes none), in all of
+  the set's fits.  They are counted in a pass of their own, made before the
   counters are installed and after a warm-up, so no counter's call is
   among them.  The figure depends on the Python and numpy versions, not on
   the host's speed, so it tells a change in the solver's call overhead
-  apart from timing noise.
+  apart from timing noise.  It is a total, so that a change which saves
+  Newton iterations reads as fewer calls.
 
 Its output is committed as ``tools/records/solver_counts.txt``; the check
 is ``python3 tools/solver_counts.py | diff tools/records/solver_counts.txt -``.
@@ -336,7 +337,7 @@ def main():
             counts.c.clear()
             run()
             rows = counts.table()
-            rows.append(("profiled_calls", f"{calls[name] / counts.c['iterations']:.1f}"))
+            rows.append(("profiled_calls", calls[name]))
             sets.append((name, rows))
         for name, run in fg_runs:
             counts.c.clear()
