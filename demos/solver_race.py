@@ -29,17 +29,11 @@ seq = onedim.fit(m_hat, u_hat, 10, onedim.OneDimSettings(seed=11))
 t_seq = time.perf_counter() - t0
 
 t0 = time.perf_counter()
-scan = grassmann.fit(
-    m_hat, u_hat, 10,
-    grassmann.FgSettings(start_strategy=grassmann.eigenvector_scan_start(m_hat, u_hat, 10)),
-)
+scan = grassmann.fit(m_hat, u_hat, 10)  # from the eigenvector scan
 t_scan = time.perf_counter() - t0
 
 t0 = time.perf_counter()
-warm = grassmann.fit(
-    m_hat, u_hat, 10,
-    grassmann.FgSettings(start_strategy=seq.basis),
-)
+warm = grassmann.fit(m_hat, u_hat, 10, start=seq.basis)
 t_warm = time.perf_counter() - t0
 
 rows = [

@@ -63,6 +63,7 @@ refined by the Grassmann optimizer.
 
 import math
 from dataclasses import dataclass, field, fields, replace
+from numbers import Integral
 
 import numpy as np
 
@@ -128,18 +129,13 @@ def _check_algorithm(algo):
 def solver_settings(algo, gradient_tol=None, max_iterations=None):
     """The preset settings of ``algo`` with its overrides applied.
 
-    max_iterations caps the Newton iterations per direction for onedim and
-    the trust-region iterations for fg and fg-warm; None keeps the preset value,
-    as does a None gradient_tol.
+    Both presets name their fields alike: max_iterations caps the Newton
+    iterations per direction for onedim and the trust-region iterations for
+    fg and fg-warm.  An override of None keeps the preset value.
     """
     _check_algorithm(algo)
-    changes = {}
-    if gradient_tol is not None:
-        changes["gradient_tol"] = gradient_tol
-    if max_iterations is not None:
-        cap = "max_inner_iterations" if algo == "onedim" else "max_iterations"
-        changes[cap] = max_iterations
-    return replace(ALGORITHMS[algo], **changes)
+    changes = {"gradient_tol": gradient_tol, "max_iterations": max_iterations}
+    return replace(ALGORITHMS[algo], **{k: v for k, v in changes.items() if v is not None})
 
 
 def _fits(checked, top, algo, settings):
@@ -159,16 +155,17 @@ def _fits(checked, top, algo, settings):
     (``objective._j_values``); fg and fg-warm end at a basis whose J their
     optimizer holds, in ``objective_values``.  Each fit carries its pair's
     flags after its own.  settings sets the solver's tolerance and cap;
-    None means the preset of ``algo``.  A tolerance that is not a finite
-    number >= 0 raises InvalidInput.
+    None means the preset of ``algo``.  Settings of another class than that
+    preset's, or a tolerance that is not a finite number >= 0, raise
+    InvalidInput.
 
     fg fits every u of every pair from its own scan start.  onedim makes
     one sequential fit at min(top, d - 1) per pair, when the first u < d is
     asked, and returns its first u columns; one ``onedim.fit_many`` call
     makes them all.  fg-warm makes the same sequential fits with the onedim
     preset stopped at a gradient of sqrt(settings.gradient_tol) (1e-4 at
-    fg's preset) and refines the first u columns with ``grassmann._fit``
-    started from them.  A start only has to lie in the refinement's basin,
+    fg's preset) and passes the first u columns to ``grassmann._fit`` as
+    its start.  A start only has to lie in the refinement's basin,
     and there a Newton step takes a gradient of sqrt(tol) to about tol, so
     settings sets the refinement and, through its tolerance, the start; its
     wall time is the sequential fit's plus the refinement's.  u = d is
@@ -180,6 +177,9 @@ def _fits(checked, top, algo, settings):
     _check_algorithm(algo)
     if settings is None:
         settings = solver_settings(algo)
+    preset = type(ALGORITHMS[algo])
+    if not isinstance(settings, preset):
+        raise InvalidInput(f"{algo} takes {preset.__name__}, not {type(settings).__name__}")
     if not (math.isfinite(settings.gradient_tol) and settings.gradient_tol >= 0):
         raise InvalidInput("gradient_tol must be a finite number, at least 0")
     pairs = [pair for pair, _ in checked]
@@ -210,7 +210,7 @@ def _fits(checked, top, algo, settings):
         try:
             if start is None:
                 return grassmann._fit(pair, u, settings)
-            fit = grassmann._fit(pair, u, replace(settings, start_strategy=start.basis))
+            fit = grassmann._fit(pair, u, settings, start.basis)
         except EnvestError as exc:
             return exc
         fit.wall_time_seconds += start.wall_time_seconds
@@ -825,8 +825,8 @@ def select_dimension_cv(
         )
     _require_dimension(u_max, _problem_dimension(kind, data), "u_max")
     n = data.n
-    if not (2 <= folds <= n):
-        raise InvalidInput(f"folds must be between 2 and {n}, got {folds}")
+    if not (isinstance(folds, Integral) and 2 <= folds <= n):
+        raise InvalidInput(f"folds must be an integer between 2 and {n}, got {folds}")
     rng = np.random.default_rng(seed)
     order = rng.permutation(n)
     chunks = np.array_split(order, folds)

@@ -36,13 +36,14 @@ epsilon (flag ``RadiusCollapse``), or at the iteration cap (flag
 ``CapReached``).  Only steps that lower J are accepted, so the result is
 never above its start.
 
-Starting values matter a great deal here.  The built-in ``scan`` start
-grows a basis greedily over the 2d eigenvectors of M and of M + U, adding
-whichever candidate lowers the objective most at each size, all of them
-scored in one batched pass per size.  Any other orthonormal (d, u) basis
-can be supplied instead; the estimators' fg-warm algorithm starts from the
-sequential solver's basis this way, a sequential fit stopped at a gradient
-of the square root of the optimizer's ``gradient_tol``: Newton's quadratic
+Starting values matter a great deal here.  Without a ``start`` argument
+the fit begins at the eigenvector scan, which grows a basis greedily over
+the 2d eigenvectors of M and of M + U, adding whichever candidate lowers
+the objective most at each size, all of them scored in one batched pass
+per size.  Any orthonormal (d, u) basis can be passed as ``start``
+instead; the estimators' fg-warm algorithm starts from the sequential
+solver's basis this way, a sequential fit stopped at a gradient of the
+square root of the optimizer's ``gradient_tol``: Newton's quadratic
 convergence takes a start in the basin from there to the tolerance in
 about one step.
 """
@@ -78,9 +79,8 @@ _SECULAR_ITERATIONS = 100
 
 @dataclass(frozen=True)
 class FgSettings:
-    """Knobs for the full optimizer.
+    """Knobs for the full optimizer, named as ``onedim.OneDimSettings``'s.
 
-    start_strategy is ``"scan"`` or an explicit orthonormal (d, u) basis.
     max_iterations caps the trust-region iterations, rejected steps
     included.  gradient_tol also sets the estimators' fg-warm start: its
     sequential fit stops at a gradient of sqrt(gradient_tol).
@@ -88,7 +88,6 @@ class FgSettings:
 
     max_iterations: int = 100
     gradient_tol: float = 1e-8
-    start_strategy: object = "scan"
 
 
 def _scan(pair, u):
@@ -245,41 +244,41 @@ class _Model:
         return _trust_region_step(*self.eig, self.grad, radius)
 
 
-def fit(m_hat, u_hat, u, settings=None):
-    """Fit a u-dimensional basis by Riemannian trust-region Newton.
+def fit(m_hat, u_hat, u, settings=None, start=None):
+    """Fit a u-dimensional basis by Riemannian trust-region Newton from start.
 
-    Returns an EnvelopeFit tagged ``"fg"`` whose objective_values holds the
-    single final objective and inner_iterations the trust-region
-    iterations.  Stopping other than by the gradient test is reported
-    through the diagnostics flags ``Roundoff``, ``RadiusCollapse`` and
-    ``CapReached`` rather than as an error; the best iterate found is
-    returned either way.  A start that is not a finite orthonormal (d, u)
-    basis raises InvalidInput.  The inputs are checked and built into a
-    pair by ``ObjectivePair.from_m_u``: m_hat must be symmetric positive
-    definite and u_hat symmetric positive semidefinite (InvalidUhat
-    otherwise).  ``_fit`` fits the pair; wall_time_seconds covers ``_fit``,
-    the scan start included, but not the checks and the build.
+    start is an orthonormal (d, u) basis, or None for the eigenvector scan
+    (``eigenvector_scan_start``); one that is not a numeric, finite and
+    orthonormal (d, u) basis raises InvalidInput.  Returns an EnvelopeFit
+    tagged ``"fg"`` whose objective_values holds the single final objective
+    and inner_iterations the trust-region iterations.  Stopping other than
+    by the gradient test is reported through the diagnostics flags
+    ``Roundoff``, ``RadiusCollapse`` and ``CapReached`` rather than as an
+    error; the best iterate found is returned either way.  The inputs are
+    checked and built into a pair by ``ObjectivePair.from_m_u``: m_hat must
+    be symmetric positive definite and u_hat symmetric positive
+    semidefinite (InvalidUhat otherwise).  ``_fit`` fits the pair;
+    wall_time_seconds covers ``_fit``, the scan start included, but not the
+    checks and the build.
     """
-    return _fit(_check_solver_inputs(m_hat, u_hat, u), u, settings)
+    return _fit(_check_solver_inputs(m_hat, u_hat, u), u, settings, start)
 
 
-def _fit(pair, u, settings=None):
+def _fit(pair, u, settings=None, start=None):
     """``fit`` on a built ObjectivePair, at a u in 1..d."""
-    start = time.perf_counter()
+    began = time.perf_counter()
     if settings is None:
         settings = FgSettings()
     d = pair.dim
 
-    strategy = settings.start_strategy
     diagnostics = []
-    if isinstance(strategy, str):
-        if strategy != "scan":
-            raise InvalidInput(
-                f"unknown start strategy {strategy!r}; use 'scan' or a basis"
-            )
+    if start is None:
         gamma = _scan(pair, u)
     else:
-        gamma = np.asarray(strategy, dtype=float)
+        try:
+            gamma = np.asarray(start, dtype=float)
+        except (TypeError, ValueError):
+            raise InvalidInput("starting basis must be a numeric array") from None
         if gamma.shape != (d, u):
             raise InvalidInput(
                 f"starting basis must be {d}x{u}, got {gamma.shape}"
@@ -319,7 +318,7 @@ def _fit(pair, u, settings=None):
         elif radius < np.finfo(float).eps:
             diagnostics.append("RadiusCollapse")
             break
-    elapsed = time.perf_counter() - start
+    elapsed = time.perf_counter() - began
 
     return EnvelopeFit(
         basis=fix_column_signs(gamma),

@@ -26,6 +26,7 @@ them.
 """
 
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -209,8 +210,8 @@ def _semidefinite(u, errors):
 
 
 def _require_dimension(k, d, name="u"):
-    """Reject a subspace dimension k outside 1..d."""
-    if not (1 <= k <= d):
+    """Reject a subspace dimension k that is not an integer in 1..d."""
+    if not (isinstance(k, Integral) and 1 <= k <= d):
         raise InvalidDimension(f"{name} must be between 1 and {d}, got {k}")
 
 

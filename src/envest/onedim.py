@@ -91,7 +91,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import EnvestError, InvalidInput, NoConvergence
+from .errors import DimensionMismatch, EnvestError, InvalidInput, NoConvergence
 from .linalg import (
     _cholesky,
     _eigvalsh,
@@ -135,17 +135,18 @@ _FLAGS = {"resolved": "Resolved", "stalled": "Stalled"}
 
 @dataclass(frozen=True)
 class OneDimSettings:
-    """Knobs for the direction solver.
+    """Knobs for the direction solver, named as ``grassmann.FgSettings``'s.
 
-    ``gradient_tol`` is relative: a start converges once its tangential
-    gradient is at most ``gradient_tol * max(1, |D|)``.  The request is capped
-    at float64's resolution: a start also converges at its gradient's
-    roundoff floor, or once its Newton decrement is below D's resolution.
-    The solver is deterministic and reads no seed; ``seed`` stays only
-    because ``benchmarks/workloads.py`` passes it.
+    ``max_iterations`` caps the Newton iterations of each direction's
+    starts.  ``gradient_tol`` is relative: a start converges once its
+    tangential gradient is at most ``gradient_tol * max(1, |D|)``.  The
+    request is capped at float64's resolution: a start also converges at
+    its gradient's roundoff floor, or once its Newton decrement is below
+    D's resolution.  The solver is deterministic and reads no seed;
+    ``seed`` stays only because ``benchmarks/workloads.py`` passes it.
     """
 
-    max_inner_iterations: int = 500
+    max_iterations: int = 500
     gradient_tol: float = 1e-10
     seed: int = 0
 
@@ -286,21 +287,15 @@ def _shifts(h):
 def _solve_directions(pairs, settings):
     """Multistart solves of deflated pairs: one ``_Direction`` or NoConvergence each.
 
-    Pairs of one size are solved together by ``_lockstep``, in chunks of as
+    The pairs, all of one size, are solved by ``_lockstep`` in chunks of as
     many pairs as keep one batch of tangent Hessians within
     ``_HESSIAN_BATCH_BYTES``.  Each pair's answer is the one it gets alone.
     """
-    out = [None] * len(pairs)
-    by_dim = {}
-    for i, pair in enumerate(pairs):
-        by_dim.setdefault(pair.dim, []).append(i)
-    for dim, members in by_dim.items():
-        pair_bytes = min(2 * dim, _SCREENED_STARTS) * dim * dim * 8
-        size = max(1, _HESSIAN_BATCH_BYTES // pair_bytes)
-        for lo in range(0, len(members), size):
-            chunk = members[lo:lo + size]
-            for i, sol in zip(chunk, _lockstep([pairs[i] for i in chunk], settings)):
-                out[i] = sol
+    dim = pairs[0].dim
+    size = max(1, _HESSIAN_BATCH_BYTES // (min(2 * dim, _SCREENED_STARTS) * dim * dim * 8))
+    out = []
+    for lo in range(0, len(pairs), size):
+        out.extend(_lockstep(pairs[lo:lo + size], settings))
     return out
 
 
@@ -387,7 +382,7 @@ def _lockstep(pairs, settings):
             )
             if idx.size == 0:
                 break
-        if it >= settings.max_inner_iterations:
+        if it >= settings.max_iterations:
             stop(slice(None), _CAPPED)
             break
         it += 1
@@ -487,31 +482,34 @@ class _Run:
 def fit_many(pairs, u, settings=None):
     """The sequential fit at u of each ObjectivePair in pairs, made together.
 
-    Returns, per pair, what ``fit`` gives its matrices alone, bit for bit:
-    its EnvelopeFit, or the package error ``fit`` raises on it, such as a
-    NoConvergence with its step_index and partial, or InvalidDimension for
-    a u outside 1..d.  Direction 0 is solved on the pair itself.  At each
-    step the directions of every problem still running are solved in one
-    lockstep (``_solve_directions``), so the call overhead of a Newton
+    The pairs must be of one size d (DimensionMismatch otherwise), and a u
+    outside 1..d raises InvalidDimension, as ``fit`` does; at u = d every
+    pair gets the identity basis, flagged ``FullSpace``.  Returns, per pair,
+    what ``fit`` gives its matrices alone, bit for bit: its EnvelopeFit, or
+    the package error that stopped it, such as a NoConvergence with its
+    step_index and partial.  Direction 0 is solved on the pair itself.  At
+    each step the directions of every problem still running are solved in
+    one lockstep (``_solve_directions``), so the call overhead of a Newton
     iteration is paid once for all of them, and the problems that accepted
-    a direction are carried past it together, one ``_step`` per size of
-    problem.  Every fit carries the call's wall time divided by the number
-    of pairs.
+    a direction are carried past it by one ``_step``.  Every fit carries
+    the call's wall time divided by the number of pairs.
     """
     if settings is None:
         settings = OneDimSettings()
+    if not pairs:
+        return []
+    sizes = sorted({pair.dim for pair in pairs})
+    if len(sizes) > 1:
+        raise DimensionMismatch(f"fit_many takes pairs of one size, got sizes {sizes}")
+    _require_dimension(u, sizes[0])
     start = time.perf_counter()
-    runs = []
-    for pair in pairs:
-        try:
-            _require_dimension(u, pair.dim)
-            runs.append(_Run(pair))
-        except EnvestError as exc:
-            runs.append(exc)
-    running = [run for run in runs if isinstance(run, _Run) and run.d > u]
+    if u == sizes[0]:
+        wall_time = (time.perf_counter() - start) / len(pairs)
+        return [EnvelopeFit(np.eye(u), [], [], wall_time, "onedim", ["FullSpace"]) for _ in pairs]
+    running = runs = [_Run(pair) for pair in pairs]
     for k in range(u):
-        solving, by_dim = running, {}
-        for run, sol in zip(solving, _solve_directions([run.pair for run in solving], settings)):
+        accepted, w = [], []
+        for run, sol in zip(running, _solve_directions([run.pair for run in running], settings)):
             if isinstance(sol, NoConvergence):
                 sol.step_index = k
                 run.error = sol
@@ -520,18 +518,17 @@ def fit_many(pairs, u, settings=None):
             run.iterations.append(sol.iterations)
             if sol.stop in _FLAGS:
                 run.diagnostics.append(f"{_FLAGS[sol.stop]}@{k}")
-            by_dim.setdefault(run.d, []).append((run, sol.w))
-        for group in by_dim.values():
-            _step([run for run, _ in group], np.array([w for _, w in group]), k + 1 < u)
-        running = [run for run in solving if run.error is None]
-    wall_time = (time.perf_counter() - start) / max(1, len(pairs))
+            accepted.append(run)
+            w.append(sol.w)
+        if accepted:
+            _step(accepted, np.array(w), k + 1 < u)
+        running = [run for run in running if run.error is None]
+        if not running:
+            break
+    wall_time = (time.perf_counter() - start) / len(pairs)
     out = []
     for run in runs:
-        if not isinstance(run, _Run):
-            out.append(run)
-        elif run.d == u:
-            out.append(EnvelopeFit(np.eye(u), [], [], wall_time, "onedim", ["FullSpace"]))
-        elif run.error is None:
+        if run.error is None:
             out.append(run.envelope(wall_time))
         else:
             if isinstance(run.error, NoConvergence):
@@ -541,9 +538,9 @@ def fit_many(pairs, u, settings=None):
 
 
 def _step(runs, w, deflate):
-    """Accept direction w[i] of each of the runs, all of one size, and, when
-    ``deflate``, carry each past it with one ``_deflate`` of them all; a
-    run whose next pair fails gets that error."""
+    """Accept direction w[i] of each of the runs and, when ``deflate``,
+    carry each past it with one ``_deflate`` of them all; a run whose next
+    pair fails gets that error."""
     g0 = np.array([run.g0 for run in runs])
     g = g0 @ w[:, :, None]  # each column as run.g0 @ w[i] computes it
     g /= np.sqrt(g.swapaxes(1, 2) @ g)

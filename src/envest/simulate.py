@@ -15,6 +15,7 @@ involved, which makes it the reference answer for the solvers.
 
 from collections import Counter
 from dataclasses import dataclass, field
+from numbers import Integral
 
 import numpy as np
 
@@ -85,8 +86,8 @@ def generate_instance(d, u, seed):
     Draw order is fixed: basis normals first, then the Omega factor, then
     the Omega0 factor, so results are reproducible per seed.
     """
-    if not (1 <= u < d):
-        raise InvalidDimension(f"need 1 <= u < d, got u={u}, d={d}")
+    if not (isinstance(u, Integral) and isinstance(d, Integral) and 1 <= u < d):
+        raise InvalidDimension(f"need integers 1 <= u < d, got u={u}, d={d}")
     rng = np.random.default_rng(seed)
     gamma = orthonormalize(rng.standard_normal((d, u)))
     gamma0 = orthonormal_complement(gamma)
@@ -116,8 +117,8 @@ def sample_data(instance, n, seed):
     The intercept is zero and eps is drawn through the symmetric square
     root of the instance covariance.
     """
-    if n < 2:
-        raise InvalidInput(f"need n >= 2, got {n}")
+    if not (isinstance(n, Integral) and n >= 2):
+        raise InvalidInput(f"need an integer n >= 2, got {n}")
     rng = np.random.default_rng(seed)
     x = rng.standard_normal(n)
     z = rng.standard_normal((n, instance.m.shape[0]))
@@ -269,10 +270,10 @@ def _experiment(mode, d, u, n, replications, algo_set, seed, first, problem):
         _check_algorithm(algo)
         if algos.count(algo) > 1:
             raise InvalidInput(f"algorithm {algo!r} is named more than once")
-    if replications < 0:
-        raise InvalidInput("replications must be nonnegative")
-    if not (1 <= u < d):
-        raise InvalidDimension(f"need 1 <= u < d, got u={u}, d={d}")
+    if not (isinstance(replications, Integral) and replications >= 0):
+        raise InvalidInput(f"replications must be a nonnegative integer, got {replications}")
+    if not (isinstance(u, Integral) and isinstance(d, Integral) and 1 <= u < d):
+        raise InvalidDimension(f"need integers 1 <= u < d, got u={u}, d={d}")
 
     records = []
     for lo in range(0, replications, _PROBLEMS_PER_BATCH):
@@ -386,8 +387,8 @@ def residual_bootstrap(data, kind, u, b, algo="onedim", settings=None, seed=0, p
     the last failing replicate's error, chained as its cause.  For the mean
     kinds the "OLS" estimator is the sample mean and X plays no role.
     """
-    if b < 2:
-        raise InvalidInput(f"need at least 2 bootstrap replicates, got {b}")
+    if not (isinstance(b, Integral) and b >= 2):
+        raise InvalidInput(f"need a whole number of at least 2 bootstrap replicates, got {b}")
     _require_dimension(u, _problem_dimension(kind, data, p1))
     y = data.y
     n = y.shape[0]

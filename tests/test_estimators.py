@@ -342,7 +342,7 @@ class TestSolverSettings:
 
     def test_overrides_map_to_each_solver(self):
         od = estimators.solver_settings("onedim", gradient_tol=1e-6, max_iterations=9)
-        assert od == OneDimSettings(gradient_tol=1e-6, max_inner_iterations=9)
+        assert od == OneDimSettings(gradient_tol=1e-6, max_iterations=9)
         for algo in ("fg", "fg-warm"):
             fg = estimators.solver_settings(algo, gradient_tol=1e-6, max_iterations=9)
             assert fg == FgSettings(gradient_tol=1e-6, max_iterations=9)
@@ -350,6 +350,77 @@ class TestSolverSettings:
     def test_unknown_algorithm(self):
         with pytest.raises(InvalidInput):
             estimators.solver_settings("sgd")
+
+    @pytest.mark.parametrize("algo, settings", [
+        ("fg", OneDimSettings()), ("onedim", FgSettings()), ("fg-warm", OneDimSettings()),
+    ])
+    def test_settings_of_the_other_solver_are_invalid(self, algo, settings):
+        # both classes hold max_iterations and gradient_tol, so only the
+        # class tells which solver the settings were made for
+        _, data = make_data(91)
+        preset = type(estimators.ALGORITHMS[algo]).__name__
+        with pytest.raises(InvalidInput, match=f"{algo} takes {preset}, not "):
+            estimators.response_envelope(data, 2, algo, settings)
+
+
+def _partial_data():
+    rng = np.random.default_rng(95)
+    x = rng.standard_normal((60, 3))
+    return estimators.RegressionData(x, x @ rng.standard_normal((3, 4)) + rng.standard_normal((60, 4)))
+
+
+# per call, the package error a non-integer dimension or count gets
+_NON_INTEGER_CALLS = {
+    "onedim.fit": (InvalidDimension, lambda inst, data: onedim.fit(inst.m, inst.u_mat, 2.5)),
+    "grassmann.fit": (InvalidDimension, lambda inst, data: grassmann.fit(inst.m, inst.u_mat, 2.0)),
+    "eigenvector_scan_start": (
+        InvalidDimension,
+        lambda inst, data: grassmann.eigenvector_scan_start(inst.m, inst.u_mat, 2.0),
+    ),
+    "fit_many": (
+        InvalidDimension,
+        lambda inst, data: onedim.fit_many([ObjectivePair.from_m_u(inst.m, inst.u_mat)], 1.5),
+    ),
+    "response_envelope": (InvalidDimension, lambda inst, data: estimators.response_envelope(data, 2.5)),
+    "select_dimension_bic": (
+        InvalidDimension,
+        lambda inst, data: estimators.select_dimension_bic(data, "response", 2.5),
+    ),
+    "partial_envelope p1": (
+        InvalidDimension, lambda inst, data: estimators.partial_envelope(_partial_data(), 1.5, 2),
+    ),
+    "residual_bootstrap b": (
+        InvalidInput, lambda inst, data: simulate.residual_bootstrap(data, "response", 2, 2.5),
+    ),
+    "select_dimension_cv folds": (
+        InvalidInput,
+        lambda inst, data: estimators.select_dimension_cv(data, "response", 2, folds=2.5),
+    ),
+    "population_experiment u": (
+        InvalidDimension, lambda inst, data: simulate.population_experiment(6, 2.0, 1, ("onedim",)),
+    ),
+    "population_experiment replications": (
+        InvalidInput, lambda inst, data: simulate.population_experiment(6, 2, 1.0, ("onedim",)),
+    ),
+    "generate_instance u": (InvalidDimension, lambda inst, data: simulate.generate_instance(6, 2.0, 0)),
+    "sample_data n": (InvalidInput, lambda inst, data: simulate.sample_data(inst, 100.5, 0)),
+}
+
+
+@pytest.mark.parametrize("name", list(_NON_INTEGER_CALLS))
+def test_a_non_integer_dimension_or_count_is_a_package_error(name):
+    # a float in range, even a whole one, is not a dimension or a count
+    error, call = _NON_INTEGER_CALLS[name]
+    inst, data = make_data(96)
+    with pytest.raises(error):
+        call(inst, data)
+
+
+def test_a_numpy_integer_dimension_is_accepted():
+    inst, data = make_data(96)
+    fit = onedim.fit(inst.m, inst.u_mat, np.int64(2))
+    assert np.array_equal(fit.basis, onedim.fit(inst.m, inst.u_mat, 2).basis)
+    assert estimators.response_envelope(data, np.int32(2)).fit.basis.shape == (6, 2)
 
 
 class TestWarmStart:
@@ -404,9 +475,7 @@ class TestWarmStart:
         assert not np.array_equal(start.basis, onedim.fit_many([pair], top)[0].basis)
         for u in range(1, top + 1):
             ((fit, j),) = fits(u)
-            want = grassmann._fit(
-                pair, u, replace(settings, start_strategy=start.leading(u).basis)
-            )
+            want = grassmann._fit(pair, u, settings, start.leading(u).basis)
             assert np.array_equal(fit.basis, want.basis), u
             assert fit.objective_values == want.objective_values == [j], u
             assert fit.inner_iterations == want.inner_iterations, u
@@ -419,9 +488,7 @@ class TestWarmStart:
             m, u_mat = simulate._sample_pair(simulate.generate_instance(d, u, s), n, s + 1)
             pair = ObjectivePair.from_m_u(m, u_mat)
             ((fit, j),) = estimators._fits([(pair, [])], u, "fg-warm", None)(u)
-            tight = grassmann.fit(
-                m, u_mat, u, FgSettings(start_strategy=onedim.fit(m, u_mat, u).basis)
-            )
+            tight = grassmann.fit(m, u_mat, u, start=onedim.fit(m, u_mat, u).basis)
             (j_tight,) = tight.objective_values
             assert abs(j - j_tight) <= 1e-9 * max(1.0, abs(j_tight)), s
             assert linalg.subspace_distance(fit.basis, tight.basis) <= 1e-4, s
@@ -537,7 +604,7 @@ class TestDimensionSelection:
         # no Newton iteration allowed: the first direction fails, and with it
         # every candidate of the one sequential fit
         _, data = make_data(5, n=100)
-        settings = OneDimSettings(max_inner_iterations=0)
+        settings = OneDimSettings(max_iterations=0)
         with pytest.raises(AllFitsFailed, match="up to 3 failed; u = 1: NoConvergence: ") as info:
             estimators.select_dimension_bic(data, "response", 3, settings=settings)
         assert isinstance(info.value.__cause__, NoConvergence)

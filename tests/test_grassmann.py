@@ -144,9 +144,7 @@ class TestFit:
         for seed in range(15):
             inst = simulate.generate_instance(6, 2, 400 + seed)
             start = onedim.fit(inst.m, inst.u_mat, 2).basis
-            fit = grassmann.fit(
-                inst.m, inst.u_mat, 2, grassmann.FgSettings(start_strategy=start)
-            )
+            fit = grassmann.fit(inst.m, inst.u_mat, 2, start=start)
             oracle = simulate.oracle_envelope(inst.m, inst.u_mat)
             assert linalg.subspace_distance(fit.basis, oracle) < 1e-6
 
@@ -160,9 +158,7 @@ class TestFit:
         start = linalg.orthonormalize(
             np.random.default_rng(5).standard_normal((6, 2))
         )
-        fit = grassmann.fit(
-            inst.m, inst.u_mat, 2, grassmann.FgSettings(start_strategy=start)
-        )
+        fit = grassmann.fit(inst.m, inst.u_mat, 2, start=start)
         pair = ObjectivePair.from_m_u(inst.m, inst.u_mat)
         # from a random start the optimizer still may not beat the true
         # envelope value, but it must never end above its own start
@@ -172,12 +168,9 @@ class TestFit:
         inst = simulate.generate_instance(5, 2, 403)
         bad = np.ones((5, 2))  # not orthonormal
         with pytest.raises(InvalidInput):
-            grassmann.fit(inst.m, inst.u_mat, 2, grassmann.FgSettings(start_strategy=bad))
+            grassmann.fit(inst.m, inst.u_mat, 2, start=bad)
         with pytest.raises(InvalidInput):
-            grassmann.fit(
-                inst.m, inst.u_mat, 2,
-                grassmann.FgSettings(start_strategy=np.eye(5)[:, :1]),
-            )
+            grassmann.fit(inst.m, inst.u_mat, 2, start=np.eye(5)[:, :1])
 
     def test_non_finite_start_rejected(self):
         inst = simulate.generate_instance(6, 2, 403)
@@ -185,17 +178,15 @@ class TestFit:
         with_inf[0, 0] = np.inf
         for bad in (np.full((6, 2), np.nan), with_inf):
             with pytest.raises(InvalidInput, match="non-finite"):
-                grassmann.fit(
-                    inst.m, inst.u_mat, 2, grassmann.FgSettings(start_strategy=bad)
-                )
+                grassmann.fit(inst.m, inst.u_mat, 2, start=bad)
 
-    def test_warm_is_not_a_start_strategy(self):
-        # the sequential start belongs to the estimators' fg-warm algorithm
+    @pytest.mark.parametrize("bad", [object(), [["a", "b"]] * 5, "warm"])
+    def test_non_numeric_start_rejected(self, bad):
+        # a start that numpy cannot read as numbers is bad input, like a
+        # start of the wrong shape
         inst = simulate.generate_instance(5, 2, 403)
-        with pytest.raises(InvalidInput, match="unknown start strategy"):
-            grassmann.fit(
-                inst.m, inst.u_mat, 2, grassmann.FgSettings(start_strategy="warm")
-            )
+        with pytest.raises(InvalidInput, match="starting basis must be a numeric array"):
+            grassmann.fit(inst.m, inst.u_mat, 2, start=bad)
 
     def test_cap_reached_diagnostic(self):
         inst = simulate.generate_instance(8, 3, 404)
@@ -204,10 +195,7 @@ class TestFit:
             np.random.default_rng(7).standard_normal((8, 3))
         )
         fit = grassmann.fit(
-            inst.m,
-            inst.u_mat,
-            3,
-            grassmann.FgSettings(start_strategy=start, max_iterations=1),
+            inst.m, inst.u_mat, 3, grassmann.FgSettings(max_iterations=1), start=start
         )
         assert "CapReached" in fit.diagnostics
 
@@ -226,10 +214,7 @@ class TestFit:
             s_res = resid.T @ resid / y.shape[0]
             u_hat = linalg.symmetrize(s_y - s_res)
             od = onedim.fit(s_res, u_hat, 3)
-            fg = grassmann.fit(
-                s_res, u_hat, 3,
-                grassmann.FgSettings(start_strategy=od.basis),
-            )
+            fg = grassmann.fit(s_res, u_hat, 3, start=od.basis)
             pair = ObjectivePair.from_m_u(s_res, u_hat)
             assert fg.objective_values[-1] <= j_value(pair, od.basis) + 1e-10
 
@@ -412,7 +397,7 @@ def test_a_model_decomposes_its_hessian_at_most_once(monkeypatch):
     monkeypatch.setattr(grassmann, "_Model", model)
     inst = simulate.generate_instance(8, 3, 404)
     start = linalg.orthonormalize(np.random.default_rng(7).standard_normal((8, 3)))
-    grassmann.fit(inst.m, inst.u_mat, 3, grassmann.FgSettings(start_strategy=start))
+    grassmann.fit(inst.m, inst.u_mat, 3, start=start)
     assert max(steps.count(k) for k in set(steps)) > 1  # a rejected step was retried
     assert calls  # some models needed the eigen path
     assert max(calls.count(k) for k in set(calls)) == 1
@@ -442,10 +427,7 @@ def test_converges_on_sample_data(problem):
         "warm": onedim.fit(m_hat, u_hat, u).basis,
     }
     for strategy, start in starts.items():
-        fit = grassmann.fit(
-            m_hat, u_hat, u,
-            grassmann.FgSettings(start_strategy=start if strategy == "warm" else strategy),
-        )
+        fit = grassmann.fit(m_hat, u_hat, u, start=start if strategy == "warm" else None)
         assert fit.diagnostics in ([], ["Roundoff"]), strategy
         assert fit.inner_iterations[0] <= 20, strategy
         assert fit.objective_values[0] <= j_value(pair, start), strategy

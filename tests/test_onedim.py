@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from envest import grassmann, linalg, objective, onedim, simulate
 from envest.estimators import covariance_kit
 from envest.errors import (
+    DimensionMismatch,
     EnvestError,
     InvalidDimension,
     InvalidInput,
@@ -191,7 +192,7 @@ def test_no_direction_reaches_the_iteration_cap(monkeypatch):
         return real(m, n, w, *args, **kwargs)
 
     monkeypatch.setattr(onedim, "_d_tilde_hessians", counting)
-    cap = onedim.OneDimSettings().max_inner_iterations
+    cap = onedim.OneDimSettings().max_iterations
     for seed in range(16):
         calls.clear()
         inst = simulate.generate_instance(30, 10, seed)
@@ -547,27 +548,29 @@ def alone(m, u_mat, u, settings=None):
 @hypothesis.settings(max_examples=30, deadline=None, derandomize=True, database=None)
 @hypothesis.given(
     u=st.integers(1, 3),
-    extra=st.lists(st.integers(0, 4), min_size=1, max_size=4),
+    extra=st.integers(0, 4),
+    count=st.integers(1, 4),
     cap=st.sampled_from([0, 1, 2, 500]),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_fit_many_equals_one_fit_per_problem(u, extra, cap, seed):
-    # random pairs of sizes u..u+4, fitted together and one by one, must
-    # agree bit for bit.  A diagonal pair converges at iteration 0 of every
-    # direction, so at cap 0 it finishes while the random pairs stop with
-    # NoConvergence; caps 1 and 2 stop some of them at later directions
+def test_fit_many_equals_one_fit_per_problem(u, extra, count, cap, seed):
+    # a diagonal pair and count random pairs, all of size u + extra, fitted
+    # together and one by one, must agree bit for bit.  The diagonal pair
+    # converges at iteration 0 of every direction, so at cap 0 it finishes
+    # while the random pairs stop with NoConvergence; caps 1 and 2 stop
+    # some of them at later directions
     rng = np.random.default_rng(seed)
-    problems = [(np.diag(np.arange(u + 2.0, 0.0, -1.0)), np.diag([1.0] + [0.0] * (u + 1)))]
-    for k in extra:
-        d = u + k
+    d = u + extra
+    problems = [(np.diag(np.arange(d, 0.0, -1.0)), np.diag([1.0] + [0.0] * (d - 1)))]
+    for _ in range(count):
         a = rng.standard_normal((d, d))
         c = rng.standard_normal((d, rng.integers(1, d + 1)))
         problems.append((linalg.symmetrize(a @ a.T + 0.5 * np.eye(d)), linalg.symmetrize(c @ c.T)))
-    settings = onedim.OneDimSettings(max_inner_iterations=cap)
+    settings = onedim.OneDimSettings(max_iterations=cap)
     pairs = [ObjectivePair.from_m_u(m, c) for m, c in problems]
     together = onedim.fit_many(pairs, u, settings)
     assert [fit_outcome(r) for r in together] == [alone(m, c, u, settings) for m, c in problems]
-    if cap == 0 and max(extra) > 0:  # some random pair has a direction to solve
+    if cap == 0 and extra > 0:  # the random pairs have directions to solve
         assert not isinstance(together[0], EnvestError)
         assert any(isinstance(r, NoConvergence) for r in together[1:])
 
@@ -597,26 +600,30 @@ def test_fit_many_splits_a_batch_across_chunks(monkeypatch):
     assert max(size for _, size in chunks) <= 2
 
 
-def test_fit_many_keeps_each_problems_error():
-    # a problem too small for u gets InvalidDimension in its own slot, not
-    # a fit with fewer columns than asked; the others are fitted as alone,
-    # and a wall time is shared among all of them
-    insts = [simulate.generate_instance(d, 2, 3) for d in (6, 3, 5)]
-    out = onedim.fit_many([ObjectivePair.from_m_u(i.m, i.u_mat) for i in insts], 4)
-    assert isinstance(out[1], InvalidDimension)
-    assert str(out[1]) == "u must be between 1 and 3, got 4"
-    for k in (0, 2):
-        assert fit_outcome(out[k]) == alone(insts[k].m, insts[k].u_mat, 4)
-    assert out[0].basis.shape == (6, 4)
-    assert out[0].wall_time_seconds >= 0.0
+def test_fit_many_rejects_pairs_of_different_sizes():
+    # fit_many fits pairs of one size; its caller groups them
+    insts = [simulate.generate_instance(d, 2, 3) for d in (6, 3, 6)]
+    with pytest.raises(DimensionMismatch, match=r"one size, got sizes \[3, 6\]"):
+        onedim.fit_many([ObjectivePair.from_m_u(i.m, i.u_mat) for i in insts], 2)
 
 
-def test_fit_many_rejects_u_outside_each_problems_range():
-    # u = 0 fails every problem alike, as onedim.fit does
+@pytest.mark.parametrize("u", [0, 5])
+def test_fit_many_rejects_u_outside_the_pairs_range(u):
+    # a u outside 1..d raises once, as onedim.fit does
     inst = simulate.generate_instance(4, 1, 3)
-    out = onedim.fit_many([ObjectivePair.from_m_u(inst.m, inst.u_mat)] * 2, 0)
-    assert [type(r) for r in out] == [InvalidDimension] * 2
+    with pytest.raises(InvalidDimension, match=f"u must be between 1 and 4, got {u}"):
+        onedim.fit_many([ObjectivePair.from_m_u(inst.m, inst.u_mat)] * 2, u)
     assert onedim.fit_many([], 2) == []
+
+
+def test_fit_many_at_full_dimension_gives_every_pair_the_identity():
+    insts = [simulate.generate_instance(5, 2, seed) for seed in range(3)]
+    out = onedim.fit_many([ObjectivePair.from_m_u(i.m, i.u_mat) for i in insts], 5)
+    for fit, inst in zip(out, insts):
+        assert fit_outcome(fit) == alone(inst.m, inst.u_mat, 5)
+        assert np.array_equal(fit.basis, np.eye(5))
+        assert fit.diagnostics == ["FullSpace"]
+        assert fit.objective_values == fit.inner_iterations == []
 
 
 def test_fit_rejects_an_empty_problem():

@@ -3,7 +3,7 @@ residual bootstrap, with determinism pinned across reruns."""
 
 import hashlib
 import tracemalloc
-from dataclasses import fields, replace
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -175,22 +175,19 @@ class TestPopulationExperiment:
         assert calls == []
 
     def test_full_optimizer_records_match_direct_fits(self):
-        # fg starts from the scan strategy, which must equal starting from
-        # the scan basis passed in; fg-warm records equal grassmann.fit
+        # fg starts from the scan (start None), which must equal starting
+        # from the scan basis passed in; fg-warm records equal grassmann.fit
         # started from onedim.fit's basis
         rep = simulate.population_experiment(6, 2, 3, ("fg", "fg-warm"), seed=705)
         for rec in rep.records:
             inst = simulate.generate_instance(6, 2, rec.seed)
             if rec.algorithm == "fg":
-                settings = grassmann.FgSettings(start_strategy="scan")
+                given = None
                 start = grassmann.eigenvector_scan_start(inst.m, inst.u_mat, 2)
             else:
-                start = onedim.fit(inst.m, inst.u_mat, 2).basis
-                settings = grassmann.FgSettings(start_strategy=start)
-            fit = grassmann.fit(inst.m, inst.u_mat, 2, settings)
-            explicit = grassmann.fit(
-                inst.m, inst.u_mat, 2, replace(settings, start_strategy=start)
-            )
+                given = start = onedim.fit(inst.m, inst.u_mat, 2).basis
+            fit = grassmann.fit(inst.m, inst.u_mat, 2, start=given)
+            explicit = grassmann.fit(inst.m, inst.u_mat, 2, start=start)
             assert np.array_equal(fit.basis, explicit.basis)
             assert fit.objective_values == explicit.objective_values
             assert fit.inner_iterations == explicit.inner_iterations
@@ -432,7 +429,7 @@ class TestBatchedFits:
     def test_bootstrap_equals_one_replicate_at_a_time(self, monkeypatch, kind, algo, cap):
         inst = simulate.generate_instance(6, 2, 43)
         data = simulate.sample_data(inst, 80, 44)
-        settings = None if cap is None else onedim.OneDimSettings(max_inner_iterations=cap)
+        settings = None if cap is None else onedim.OneDimSettings(max_iterations=cap)
 
         def run():
             try:

@@ -189,7 +189,7 @@ class Counts:
                         self.c["directions"] += 1
                         self.c["candidates"] += 2 * pair.dim
                         self.c["capped_directions"] += (
-                            self.iterations_here[k] >= settings.max_inner_iterations
+                            self.iterations_here[k] >= settings.max_iterations
                         )
 
         onedim._d_tilde_values = values
