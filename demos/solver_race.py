@@ -25,7 +25,7 @@ u_hat = linalg.symmetrize(kit.s_y - kit.s_y_given_x)
 pair = ObjectivePair.from_pair(m_hat, kit.s_y)
 
 t0 = time.perf_counter()
-seq = onedim.fit(m_hat, u_hat, 10, onedim.OneDimSettings(seed=11))
+seq = onedim.fit(m_hat, u_hat, 10)
 t_seq = time.perf_counter() - t0
 
 t0 = time.perf_counter()

@@ -31,8 +31,8 @@ fit and a BIC scan are the batch of one, ``_one_scan``), through
 * ``_checked_pairs`` builds each sample's one ``ObjectivePair`` from M and
   U-hat = (M + U) - M, with its ``Ridged`` retry; ``objective._pairs``
   makes every check of the pair, U-hat >= 0 included;
-* ``_fits`` fits every pair, scores the J of each basis on its pair and
-  returns, per pair and u, (basis fit, J);
+* ``_fits`` fits every pair, scores every basis's J on its pair in one
+  stacked pass and returns, per pair and u, (basis fit, J);
 * ``_estimates`` assembles kind's estimates from the moments and the fits
   at u.
 
@@ -86,7 +86,7 @@ from .linalg import (
     orthonormal_complement,
     symmetrize,
 )
-from .objective import _j_values, _pairs, _require_dimension
+from .objective import _j_values, _pairs, _require_dimension, _require_settings
 
 __all__ = [
     "ALGORITHMS",
@@ -151,13 +151,13 @@ def _fits(checked, top, algo, settings):
     every fit, while one on ``onedim.fit`` or ``grassmann.fit`` sees none,
     since those only check and build a pair of matrices for their core.
     It is also the only place where the package scores the J of a fitted
-    basis: a sequential fit's, of every pair in one stacked pass
-    (``objective._j_values``); fg and fg-warm end at a basis whose J their
-    optimizer holds, in ``objective_values``.  Each fit carries its pair's
-    flags after its own.  settings sets the solver's tolerance and cap;
-    None means the preset of ``algo``.  Settings of another class than that
-    preset's, or a tolerance that is not a finite number >= 0, raise
-    InvalidInput.
+    basis, of every algorithm and pair in one stacked pass (``_scored``):
+    fg's reported basis is its optimizer's with column signs pinned, which
+    leaves the bits of J, in ``objective_values``, as they are.  Each fit
+    carries its pair's flags after its own.  settings sets the solver's
+    tolerance and cap; None means the preset of ``algo``.  Settings of
+    another class than that preset's, or that fail
+    ``objective._require_settings``, raise InvalidInput.
 
     fg fits every u of every pair from its own scan start.  onedim makes
     one sequential fit at min(top, d - 1) per pair, when the first u < d is
@@ -180,8 +180,7 @@ def _fits(checked, top, algo, settings):
     preset = type(ALGORITHMS[algo])
     if not isinstance(settings, preset):
         raise InvalidInput(f"{algo} takes {preset.__name__}, not {type(settings).__name__}")
-    if not (math.isfinite(settings.gradient_tol) and settings.gradient_tol >= 0):
-        raise InvalidInput("gradient_tol must be a finite number, at least 0")
+    _require_settings(settings)
     pairs = [pair for pair, _ in checked]
     warm = algo == "fg-warm"
     sequential = (
@@ -231,11 +230,6 @@ def _fits(checked, top, algo, settings):
         for fit, (_, flags) in zip(fitted, checked):
             if not isinstance(fit, EnvestError):
                 fit.diagnostics.extend(flags)
-        if algo != "onedim":
-            return [
-                fit if isinstance(fit, EnvestError) else (fit, fit.objective_values[0])
-                for fit in fitted
-            ]
         return _scored(pairs, fitted)
 
     return fits
@@ -258,6 +252,12 @@ def _scored(pairs, fitted):
         ]
 
     return _fill(_errors(fitted), scores)
+
+
+def _require_seed(seed):
+    """Reject a seed that is not an integer >= 0, numpy's rule for a seed."""
+    if not (isinstance(seed, Integral) and seed >= 0):
+        raise InvalidInput(f"seed must be an integer, at least 0, got {seed}")
 
 
 def _sample_matrix(a, name):
@@ -469,23 +469,22 @@ def _checked_pairs(m, m_plus_u):
     """Per place of the stacks m and m_plus_u, one estimator's pair, checked:
     (ObjectivePair, diagnostics), or the package error that stops it.
 
-    This is the estimators' policy only: both matrices are symmetrized, and
-    the pair is built from M and U-hat = (M + U) - M by ``objective._pairs``,
-    which checks them, U-hat >= 0 included; when that fails a definiteness
-    check, M is shifted by ridge = 1e-8 tr(M)/d once and a ``Ridged`` flag
-    is recorded.  The solvers fit this pair, and the final J of every basis
-    is scored on it.  Each step is one call on the stacks, or on the places
-    a step leaves to the next: every sample gets the outcome it gets alone.
+    This is the estimators' policy only: M and M + U come exactly symmetric
+    from ``_kind_pairs``, and ``objective._pairs`` builds the pair from M
+    and U-hat = (M + U) - M and checks it, U-hat >= 0 included; when that
+    fails a definiteness check, M is shifted by ridge = 1e-8 tr(M)/d once
+    and a ``Ridged`` flag is recorded.  Each step is one call on the stacks,
+    or on the places a step leaves to the next: every sample gets the
+    outcome it gets alone.
     """
-    m = symmetrize(m)
-    u_hat = symmetrize(symmetrize(m_plus_u) - m)
+    u_hat = m_plus_u - m
     built = [pair if isinstance(pair, EnvestError) else (pair, []) for pair in _pairs(m, u_hat)]
 
     def ridged(rows):
         shifted = m[rows]
         d = shifted.shape[1]
         ridge = 1e-8 * np.trace(shifted, axis1=1, axis2=2) / d
-        shifted = symmetrize(shifted + ridge[:, None, None] * np.eye(d))
+        shifted = shifted + ridge[:, None, None] * np.eye(d)
         return [
             pair if isinstance(pair, EnvestError) else (pair, ["Ridged"])
             for pair in _pairs(shifted, u_hat[rows])
@@ -827,6 +826,7 @@ def select_dimension_cv(
     n = data.n
     if not (isinstance(folds, Integral) and 2 <= folds <= n):
         raise InvalidInput(f"folds must be an integer between 2 and {n}, got {folds}")
+    _require_seed(seed)
     rng = np.random.default_rng(seed)
     order = rng.permutation(n)
     chunks = np.array_split(order, folds)

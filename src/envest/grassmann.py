@@ -64,7 +64,7 @@ from .linalg import (
     _signed_qr,
     _solve_vectors,
 )
-from .objective import _check_solver_inputs, _gram_pieces, _j_value, j_value
+from .objective import _check_solver_inputs, _gram_pieces, _j_value, _require_settings, j_value
 from .onedim import EnvelopeFit
 
 __all__ = ["FgSettings", "eigenvector_scan_start", "fit"]
@@ -250,14 +250,15 @@ def fit(m_hat, u_hat, u, settings=None, start=None):
     start is an orthonormal (d, u) basis, or None for the eigenvector scan
     (``eigenvector_scan_start``); one that is not a numeric, finite and
     orthonormal (d, u) basis raises InvalidInput.  Returns an EnvelopeFit
-    tagged ``"fg"`` whose objective_values holds the single final objective
-    and inner_iterations the trust-region iterations.  Stopping other than
-    by the gradient test is reported through the diagnostics flags
-    ``Roundoff``, ``RadiusCollapse`` and ``CapReached`` rather than as an
-    error; the best iterate found is returned either way.  The inputs are
+    whose objective_values holds the single final J and inner_iterations
+    the trust-region iterations.  Stopping other than by the gradient test
+    is reported through the diagnostics flags ``Roundoff``,
+    ``RadiusCollapse`` and ``CapReached`` rather than as an error; the best
+    iterate found is returned either way.  The inputs are
     checked and built into a pair by ``ObjectivePair.from_m_u``: m_hat must
     be symmetric positive definite and u_hat symmetric positive
-    semidefinite (InvalidUhat otherwise).  ``_fit`` fits the pair;
+    semidefinite (InvalidUhat otherwise), and settings must pass
+    ``objective._require_settings``.  ``_fit`` fits the pair;
     wall_time_seconds covers ``_fit``, the scan start included, but not the
     checks and the build.
     """
@@ -269,6 +270,7 @@ def _fit(pair, u, settings=None, start=None):
     began = time.perf_counter()
     if settings is None:
         settings = FgSettings()
+    _require_settings(settings)
     d = pair.dim
 
     diagnostics = []
@@ -325,6 +327,5 @@ def _fit(pair, u, settings=None, start=None):
         objective_values=[float(val)],
         inner_iterations=[iterations],
         wall_time_seconds=elapsed,
-        algorithm_tag="fg",
         diagnostics=diagnostics,
     )

@@ -25,8 +25,9 @@ tangent-space form the solver steps with, and ``d_tilde_value``,
 them.
 """
 
+import math
 from dataclasses import dataclass
-from numbers import Integral
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -213,6 +214,16 @@ def _require_dimension(k, d, name="u"):
     """Reject a subspace dimension k that is not an integer in 1..d."""
     if not (isinstance(k, Integral) and 1 <= k <= d):
         raise InvalidDimension(f"{name} must be between 1 and {d}, got {k}")
+
+
+def _require_settings(settings):
+    """Reject solver settings whose ``gradient_tol`` is not a finite number
+    >= 0 or whose ``max_iterations`` is not an integer >= 0."""
+    tol, cap = settings.gradient_tol, settings.max_iterations
+    if not (isinstance(tol, Real) and math.isfinite(tol) and tol >= 0):
+        raise InvalidInput(f"gradient_tol must be a finite number, at least 0, got {tol}")
+    if not (isinstance(cap, Integral) and cap >= 0):
+        raise InvalidInput(f"max_iterations must be an integer, at least 0, got {cap}")
 
 
 def _check_solver_inputs(m_hat, u_hat, u):

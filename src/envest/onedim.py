@@ -105,6 +105,7 @@ from .objective import (
     _check_solver_inputs,
     _einsum,
     _require_dimension,
+    _require_settings,
     _d_tilde_gradients,
     _d_tilde_hessians,
     _d_tilde_terms,
@@ -155,8 +156,8 @@ class OneDimSettings:
 class EnvelopeFit:
     """Result of an envelope basis fit.
 
-    objective_values holds the per-step final objective for the sequential
-    algorithm and the single final value for the Grassmann optimizer;
+    objective_values holds the per-step final D for the sequential
+    algorithm and the single final J for the Grassmann optimizer;
     inner_iterations is aligned with it.  diagnostics collects string flags:
     from the sequential solver ``Resolved@k`` (the winning start of
     direction k stopped at D's float64 resolution, not by the gradient
@@ -172,7 +173,6 @@ class EnvelopeFit:
     objective_values: list
     inner_iterations: list
     wall_time_seconds: float
-    algorithm_tag: str
     diagnostics: list = field(default_factory=list)
 
     def leading(self, u):
@@ -191,7 +191,6 @@ class EnvelopeFit:
             objective_values=self.objective_values[:u],
             inner_iterations=self.inner_iterations[:u],
             wall_time_seconds=self.wall_time_seconds,
-            algorithm_tag=self.algorithm_tag,
             diagnostics=[f for f in self.diagnostics if kept(f)],
         )
 
@@ -311,7 +310,9 @@ def _lockstep(pairs, settings):
     they are.  A Newton iteration makes one pass of ``_quadratic_forms``
     when its line search accepts every row at its first trial: those forms
     are the next iteration's.  A pair gets NoConvergence when none of its
-    starts converges; the starts screened out are not tried.
+    starts converges; the starts screened out are not tried.  A winner
+    keeps the sign it ended at (``_step`` pins the accepted column's); only
+    a NoConvergence's ``best`` is pinned here.
     """
     dim, size = pairs[0].dim, len(pairs)
     # the kernels' matrices, the candidates with the owner of each row, and
@@ -420,16 +421,15 @@ def _lockstep(pairs, settings):
     # start as its best
     win = f.reshape(size, per_pair).argmin(axis=1) + per_pair * np.arange(size)
     converged = ((stops == _GRADIENT) | (stops == _RESOLVED)).reshape(size, per_pair).any(axis=1)
-    best = fix_column_signs(w[win].T).T
     out = []
-    for i, (k, ok) in enumerate(zip(win.tolist(), converged.tolist())):
+    for k, ok in zip(win.tolist(), converged.tolist()):
         if ok:
-            out.append(_Direction(best[i], float(f[k]), int(iters[k]), _STOPS[stops[k]]))
+            out.append(_Direction(w[k], float(f[k]), int(iters[k]), _STOPS[stops[k]]))
         else:
             out.append(NoConvergence(
                 "no candidate start satisfied the gradient criterion "
                 f"(best objective {f[k]:.6g}, gradient norm {best_gn[k]:.3g})",
-                best=best[i],
+                best=fix_column_signs(w[k]),
                 gradient_norm=float(best_gn[k]),
             ))
     return out
@@ -474,7 +474,6 @@ class _Run:
             objective_values=self.values,
             inner_iterations=self.iterations,
             wall_time_seconds=wall_time,
-            algorithm_tag="onedim",
             diagnostics=self.diagnostics,
         )
 
@@ -482,6 +481,7 @@ class _Run:
 def fit_many(pairs, u, settings=None):
     """The sequential fit at u of each ObjectivePair in pairs, made together.
 
+    Settings that fail ``objective._require_settings`` raise InvalidInput.
     The pairs must be of one size d (DimensionMismatch otherwise), and a u
     outside 1..d raises InvalidDimension, as ``fit`` does; at u = d every
     pair gets the identity basis, flagged ``FullSpace``.  Returns, per pair,
@@ -496,6 +496,7 @@ def fit_many(pairs, u, settings=None):
     """
     if settings is None:
         settings = OneDimSettings()
+    _require_settings(settings)
     if not pairs:
         return []
     sizes = sorted({pair.dim for pair in pairs})
@@ -505,7 +506,7 @@ def fit_many(pairs, u, settings=None):
     start = time.perf_counter()
     if u == sizes[0]:
         wall_time = (time.perf_counter() - start) / len(pairs)
-        return [EnvelopeFit(np.eye(u), [], [], wall_time, "onedim", ["FullSpace"]) for _ in pairs]
+        return [EnvelopeFit(np.eye(u), [], [], wall_time, ["FullSpace"]) for _ in pairs]
     running = runs = [_Run(pair) for pair in pairs]
     for k in range(u):
         accepted, w = [], []

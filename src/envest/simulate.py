@@ -19,6 +19,7 @@ from numbers import Integral
 
 import numpy as np
 
+from . import estimators
 from .errors import (
     BootstrapUnstable,
     DimensionMismatch,
@@ -28,12 +29,12 @@ from .errors import (
 )
 from .estimators import (
     KINDS_WITH_X,
-    _PROBLEMS_PER_BATCH,
     RegressionData,
     _Scans,
     _check_algorithm,
     _fits,
     _problem_dimension,
+    _require_seed,
     covariance_kit,
 )
 from .linalg import (
@@ -88,6 +89,7 @@ def generate_instance(d, u, seed):
     """
     if not (isinstance(u, Integral) and isinstance(d, Integral) and 1 <= u < d):
         raise InvalidDimension(f"need integers 1 <= u < d, got u={u}, d={d}")
+    _require_seed(seed)
     rng = np.random.default_rng(seed)
     gamma = orthonormalize(rng.standard_normal((d, u)))
     gamma0 = orthonormal_complement(gamma)
@@ -111,14 +113,19 @@ def generate_instance(d, u, seed):
     )
 
 
+def _require_sample_size(n):
+    if not (isinstance(n, Integral) and n >= 2):
+        raise InvalidInput(f"need an integer n >= 2, got {n}")
+
+
 def sample_data(instance, n, seed):
     """n observations of y = beta x + eps with x standard normal scalar.
 
     The intercept is zero and eps is drawn through the symmetric square
     root of the instance covariance.
     """
-    if not (isinstance(n, Integral) and n >= 2):
-        raise InvalidInput(f"need an integer n >= 2, got {n}")
+    _require_sample_size(n)
+    _require_seed(seed)
     rng = np.random.default_rng(seed)
     x = rng.standard_normal(n)
     z = rng.standard_normal((n, instance.m.shape[0]))
@@ -257,11 +264,12 @@ def _experiment(mode, d, u, n, replications, algo_set, seed, first, problem):
     since it would fit and count every replication twice.  Package errors
     are recorded on the affected record, never raised; a failed problem or
     pair build is recorded on every algorithm's record of the replication.
-    Replications are made in batches of ``_PROBLEMS_PER_BATCH``: a batch's
-    pairs are built with one ``objective._pairs`` call on their stacked
-    matrices, and each algorithm fits them together and scores their J in
-    ``estimators._fits``.  Both steps take the replications that no package
-    error has stopped from ``linalg._fill``.
+    Replications are made in batches of ``estimators._PROBLEMS_PER_BATCH``:
+    a batch's pairs are built with one ``objective._pairs`` call on their
+    stacked matrices, and each algorithm fits them together and scores
+    their J in ``estimators._fits``.  Both steps take the replications that
+    no package error has stopped from ``linalg._fill``.  d, u, n and seed
+    are checked before any replication is made.
     """
     algos = list(algo_set)
     if not algos:
@@ -274,11 +282,15 @@ def _experiment(mode, d, u, n, replications, algo_set, seed, first, problem):
         raise InvalidInput(f"replications must be a nonnegative integer, got {replications}")
     if not (isinstance(u, Integral) and isinstance(d, Integral) and 1 <= u < d):
         raise InvalidDimension(f"need integers 1 <= u < d, got u={u}, d={d}")
+    if n is not None:
+        _require_sample_size(n)
+    _require_seed(seed)
 
+    batch = estimators._PROBLEMS_PER_BATCH
     records = []
-    for lo in range(0, replications, _PROBLEMS_PER_BATCH):
+    for lo in range(0, replications, batch):
         rows_of, made = [], []  # per replication: its records; its problem or error
-        for i in range(lo, min(lo + _PROBLEMS_PER_BATCH, replications)):
+        for i in range(lo, min(lo + batch, replications)):
             rows_of.append([ReplicationRecord(i, first + i, algo, None, None, None) for algo in algos])
             records.extend(rows_of[-1])
             try:
@@ -378,10 +390,10 @@ def residual_bootstrap(data, kind, u, b, algo="onedim", settings=None, seed=0, p
     Rows of the OLS residual matrix are resampled with replacement,
     responses rebuilt as alpha + X beta' + resampled residuals, and both
     estimators refit per replicate.  The replicates are made in batches of
-    ``_PROBLEMS_PER_BATCH``: each is built, its rows drawn then, as the batch
-    reduces it to its moments, so that one replicate's data is held at a
-    time, and the rest of a batch's work, pairs, fits and estimates, is
-    stacked (see ``estimators._Scans``).  Standard deviations use divisor
+    ``estimators._PROBLEMS_PER_BATCH``: each is built, its rows drawn then,
+    as the batch reduces it to its moments, so that one replicate's data is
+    held at a time, and the rest of a batch's work, pairs, fits and
+    estimates, is stacked (see ``estimators._Scans``).  Standard deviations use divisor
     b-1 over the successful replicates; more than 20 percent failures raises
     BootstrapUnstable, which counts the failures per error type and names
     the last failing replicate's error, chained as its cause.  For the mean
@@ -389,6 +401,7 @@ def residual_bootstrap(data, kind, u, b, algo="onedim", settings=None, seed=0, p
     """
     if not (isinstance(b, Integral) and b >= 2):
         raise InvalidInput(f"need a whole number of at least 2 bootstrap replicates, got {b}")
+    _require_seed(seed)
     _require_dimension(u, _problem_dimension(kind, data, p1))
     y = data.y
     n = y.shape[0]
@@ -412,8 +425,9 @@ def residual_bootstrap(data, kind, u, b, algo="onedim", settings=None, seed=0, p
         # per replicate and in order, so that no batch holds its rows
         return RegressionData(x=data.x, y=center + resid[rng.integers(0, n, size=n)])
 
-    for lo in range(0, b, _PROBLEMS_PER_BATCH):
-        samples = [replicate] * min(_PROBLEMS_PER_BATCH, b - lo)
+    batch = estimators._PROBLEMS_PER_BATCH
+    for lo in range(0, b, batch):
+        samples = [replicate] * min(batch, b - lo)
         for refit in _Scans(kind, samples, u, algo, settings, p1).estimates(u):
             if isinstance(refit, EnvestError):
                 failures[type(refit).__name__] += 1

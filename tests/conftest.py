@@ -29,7 +29,7 @@ def cholesky_raises(a):
 def stuck(m, message="stuck"):
     """The NoConvergence of an onedim.fit of m whose first direction fails:
     step_index 0 and, in partial, the fit of no directions."""
-    partial = onedim.EnvelopeFit(np.zeros((m.shape[0], 0)), [], [], 0.0, "onedim")
+    partial = onedim.EnvelopeFit(np.zeros((m.shape[0], 0)), [], [], 0.0)
     return NoConvergence(message, step_index=0, partial=partial)
 
 

@@ -6,8 +6,10 @@ for information only; it never fails the suite.
 """
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -57,7 +59,7 @@ def test_criterion_3_oracle_equivalence():
         u = int(rng.integers(1, d))
         inst = simulate.generate_instance(d, u, 5000 + i)
         oracle = simulate.oracle_envelope(inst.m, inst.u_mat)
-        seq = onedim.fit(inst.m, inst.u_mat, u, onedim.OneDimSettings(seed=5000 + i))
+        seq = onedim.fit(inst.m, inst.u_mat, u)
         worst["onedim"] = max(
             worst["onedim"], linalg.subspace_distance(seq.basis, oracle)
         )
@@ -259,7 +261,7 @@ def test_criterion_11_warm_start_avoids_local_minima():
         )
         scan_vals.append(j_value(pair, scan.basis))
 
-        start = onedim.fit(m_hat, u_hat, 10, onedim.OneDimSettings(seed=4000 + i)).basis
+        start = onedim.fit(m_hat, u_hat, 10).basis
         warm = grassmann.fit(m_hat, u_hat, 10, start=start)
         warm_vals.append(j_value(pair, warm.basis))
     mean_scan = float(np.mean(scan_vals))
@@ -319,8 +321,9 @@ def test_criterion_12_cli_determinism(tmp_path):
         "fit", "--kind", "response", "--x", str(xp), "--y", str(yp),
         "--u", "2", "--seed", "11",
     ]
-    first = subprocess.run(fit_args, capture_output=True)
-    second = subprocess.run(fit_args, capture_output=True)
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    first = subprocess.run(fit_args, env=env, capture_output=True)
+    second = subprocess.run(fit_args, env=env, capture_output=True)
     ok = ok and first.returncode == 0 and first.stdout == second.stdout
     report = json.loads(first.stdout)
     ok = ok and report["version"] == "1"

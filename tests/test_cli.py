@@ -11,6 +11,7 @@ import sys
 import threading
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -689,6 +690,7 @@ def test_module_entry_point(tmp_path):
             "simulate", "--mode", "population", "--d", "4", "--u", "1",
             "--reps", "1", "--seed", "1",
         ],
+        env=dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src")),
         capture_output=True,
         text=True,
     )

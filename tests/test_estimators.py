@@ -26,7 +26,7 @@ from envest.errors import (
     SingularCovariance,
 )
 from envest.grassmann import FgSettings
-from envest.objective import ObjectivePair
+from envest.objective import ObjectivePair, j_value
 from envest.onedim import OneDimSettings
 
 
@@ -361,6 +361,67 @@ class TestSolverSettings:
         preset = type(estimators.ALGORITHMS[algo]).__name__
         with pytest.raises(InvalidInput, match=f"{algo} takes {preset}, not "):
             estimators.response_envelope(data, 2, algo, settings)
+
+
+BAD_CAPS = [{"max_iterations": 2.5}, {"max_iterations": -1}, {"max_iterations": "3"}]
+BAD_SETTINGS = [
+    {"gradient_tol": math.nan}, {"gradient_tol": -1.0}, {"gradient_tol": math.inf},
+    {"gradient_tol": "1e-8"}, *BAD_CAPS,
+]
+
+
+def _settings_id(bad):
+    return "=".join(map(str, *bad.items()))
+
+
+class TestSettingsAreChecked:
+    """Every solver entry checks its settings: a tolerance that is a finite
+    number >= 0 and a cap that is an integer >= 0, else InvalidInput."""
+
+    pair = ObjectivePair.from_m_u(np.diag([4.0, 3.0, 2.0, 1.0]), np.diag([0.0, 1.0, 0.0, 2.0]))
+
+    @pytest.mark.parametrize("bad", BAD_SETTINGS, ids=_settings_id)
+    def test_onedim(self, bad):
+        with pytest.raises(InvalidInput, match=next(iter(bad))):
+            onedim.fit(self.pair.m, self.pair.u, 2, OneDimSettings(**bad))
+        with pytest.raises(InvalidInput, match=next(iter(bad))):
+            onedim.fit_many([self.pair], 2, OneDimSettings(**bad))
+
+    @pytest.mark.parametrize("bad", BAD_SETTINGS, ids=_settings_id)
+    def test_grassmann(self, bad):
+        with pytest.raises(InvalidInput, match=next(iter(bad))):
+            grassmann.fit(self.pair.m, self.pair.u, 2, FgSettings(**bad))
+        with pytest.raises(InvalidInput, match=next(iter(bad))):
+            grassmann._fit(self.pair, 2, FgSettings(**bad))
+
+    @pytest.mark.parametrize("bad", [{"gradient_tol": "1e-8"}, *BAD_CAPS], ids=_settings_id)
+    @pytest.mark.parametrize("algo", list(estimators.ALGORITHMS))
+    def test_estimators(self, bad, algo):
+        # checked before any pair is built, the empty batch included; the
+        # tolerances below 0 or NaN: test_a_gradient_tolerance_below_0_or_nan_is_invalid
+        settings = replace(estimators.ALGORITHMS[algo], **bad)
+        with pytest.raises(InvalidInput, match=next(iter(bad))):
+            estimators._fits([], 2, algo, settings)
+        with pytest.raises(InvalidInput, match=next(iter(bad))):
+            estimators.response_envelope(make_data(91)[1], 2, algo, settings)
+
+
+class TestOneScore:
+    """Every algorithm's J is scored by ``_fits`` in one stacked pass, and
+    equals j_value of the reported basis on its pair bit for bit; for fg and
+    fg-warm it is also the J their optimizer ended at."""
+
+    @pytest.mark.parametrize("algo", list(estimators.ALGORITHMS))
+    def test_j_is_j_value_of_the_reported_basis(self, algo):
+        insts = [simulate.generate_instance(10, 3, s) for s in range(6)]
+        pairs = [ObjectivePair.from_m_u(*simulate._sample_pair(inst, 60, 1)) for inst in insts]
+        top = 4
+        fits = estimators._fits([(pair, []) for pair in pairs], top, algo, None)
+        for u in range(1, top + 1):
+            for pair, (fit, j) in zip(pairs, fits(u)):
+                assert j == j_value(pair, fit.basis), u
+                if algo != "onedim":
+                    assert fit.objective_values == [j], u
 
 
 def _partial_data():

@@ -245,6 +245,42 @@ class TestSampleExperiment:
         assert med_large < 0.5 * med_small
 
 
+def _sample(seed=1):
+    return simulate.sample_data(simulate.generate_instance(6, 2, 0), 50, seed)
+
+
+SEEDED = {
+    "generate_instance": lambda seed: simulate.generate_instance(6, 2, seed),
+    "sample_data": _sample,
+    "residual_bootstrap": lambda seed: simulate.residual_bootstrap(
+        _sample(), "response", 2, 4, seed=seed
+    ),
+    "select_dimension_cv": lambda seed: estimators.select_dimension_cv(
+        _sample(), "response", 2, seed=seed
+    ),
+    "population_experiment": lambda seed: simulate.population_experiment(
+        6, 2, 2, ("onedim",), seed=seed
+    ),
+    "sample_experiment": lambda seed: simulate.sample_experiment(
+        6, 2, 50, 2, ("onedim",), seed=seed
+    ),
+}
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, None])
+@pytest.mark.parametrize("call", SEEDED.values(), ids=SEEDED.keys())
+def test_a_seed_must_be_an_integer_at_least_0(call, seed):
+    # numpy would raise its own ValueError or TypeError, or draw fresh entropy
+    with pytest.raises(InvalidInput, match="seed must be an integer, at least 0"):
+        call(seed)
+
+
+@pytest.mark.parametrize("n", [1, 2.5])
+def test_a_sample_experiment_checks_n_before_any_replication(n):
+    with pytest.raises(InvalidInput, match="need an integer n >= 2"):
+        simulate.sample_experiment(6, 2, n, 2, ("onedim",))
+
+
 def test_report_to_dict_withholds_timing():
     rep = simulate.population_experiment(5, 2, 2, ("onedim",), seed=704)
     plain = rep.to_dict()
@@ -443,7 +479,7 @@ class TestBatchedFits:
         sizes = self.spy(monkeypatch)
         together = run()
         assert max(sizes, default=0) == (10 if algo != "fg" else 0)
-        monkeypatch.setattr(simulate, "_PROBLEMS_PER_BATCH", 1)
+        monkeypatch.setattr(estimators, "_PROBLEMS_PER_BATCH", 1)
         assert run() == together
         if cap == 3:
             assert together[2:] == (2, {"NoConvergence": 2})
@@ -462,7 +498,7 @@ class TestBatchedFits:
         sizes = self.spy(monkeypatch)
         together = run()
         assert sizes == [5, 5]
-        monkeypatch.setattr(simulate, "_PROBLEMS_PER_BATCH", 2)
+        monkeypatch.setattr(estimators, "_PROBLEMS_PER_BATCH", 2)
         assert run() == together
         # onedim and fg-warm; the fifth replication is fitted alone, by a
         # fit_many call of its one pair
@@ -508,7 +544,7 @@ class TestFailingPairsStayIsolated:
             assert together[0].startswith("9 of 40 bootstrap replicates failed")
         else:
             assert together[3] == failures
-        monkeypatch.setattr(simulate, "_PROBLEMS_PER_BATCH", 1)
+        monkeypatch.setattr(estimators, "_PROBLEMS_PER_BATCH", 1)
         assert run() == together
 
     @pytest.mark.parametrize("n", [7, 8])
@@ -521,7 +557,7 @@ class TestFailingPairsStayIsolated:
         errors = {rec["error"] for rec in together["records"]}
         # n = d + 1 leaves every M singular, each with its own eigenvalue
         assert len(errors) == (6 if n == 7 else 1)
-        monkeypatch.setattr(simulate, "_PROBLEMS_PER_BATCH", 1)
+        monkeypatch.setattr(estimators, "_PROBLEMS_PER_BATCH", 1)
         assert run() == together
 
 
