@@ -45,17 +45,17 @@ class SingularGram(EnvestError):
 
 
 class NoConvergence(EnvestError):
-    """No candidate start of the direction solver converged.
+    """The direction solver's winning start reached the iteration cap.
 
-    A start converges when it meets the gradient criterion or when its
-    Newton decrement falls below D's float64 resolution (``Resolved@k``).
-    The message still names the gradient criterion alone; CLI reports carry
-    its text.
+    The winner is the start with the lowest final D.  It converges when it
+    meets the gradient criterion, when its Newton decrement falls below D's
+    float64 resolution (``Resolved@k``) or when its line search finds no
+    representable decrease (``Stalled@k``); CLI reports carry the message.
 
-    Carries the best iterate found (``best``) and its tangential gradient
-    norm (``gradient_norm``).  When raised from the sequential fit it also
-    carries the index of the failing step (``step_index``) and the fit of
-    the directions accepted before it (``partial``).
+    Carries the winning iterate (``best``) and its smallest tangential
+    gradient norm (``gradient_norm``).  When raised from the sequential fit
+    it also carries the index of the failing step (``step_index``) and the
+    fit of the directions accepted before it (``partial``).
     """
 
     def __init__(self, message, best=None, gradient_norm=None, step_index=None, partial=None):

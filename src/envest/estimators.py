@@ -63,7 +63,6 @@ refined by the Grassmann optimizer.
 
 import math
 from dataclasses import dataclass, field, fields, replace
-from numbers import Integral
 
 import numpy as np
 
@@ -86,7 +85,7 @@ from .linalg import (
     orthonormal_complement,
     symmetrize,
 )
-from .objective import _j_values, _pairs, _require_dimension, _require_settings
+from .objective import _integer, _j_values, _pairs, _require_dimension, _require_settings
 
 __all__ = [
     "ALGORITHMS",
@@ -256,7 +255,7 @@ def _scored(pairs, fitted):
 
 def _require_seed(seed):
     """Reject a seed that is not an integer >= 0, numpy's rule for a seed."""
-    if not (isinstance(seed, Integral) and seed >= 0):
+    if not (_integer(seed) and seed >= 0):
         raise InvalidInput(f"seed must be an integer, at least 0, got {seed}")
 
 
@@ -824,7 +823,7 @@ def select_dimension_cv(
         )
     _require_dimension(u_max, _problem_dimension(kind, data), "u_max")
     n = data.n
-    if not (isinstance(folds, Integral) and 2 <= folds <= n):
+    if not (_integer(folds) and 2 <= folds <= n):
         raise InvalidInput(f"folds must be an integer between 2 and {n}, got {folds}")
     _require_seed(seed)
     rng = np.random.default_rng(seed)

@@ -210,9 +210,14 @@ def _semidefinite(u, errors):
     ]
 
 
+def _integer(x):
+    """Whether x is an integer, a bool not counted as one."""
+    return isinstance(x, Integral) and not isinstance(x, bool)
+
+
 def _require_dimension(k, d, name="u"):
     """Reject a subspace dimension k that is not an integer in 1..d."""
-    if not (isinstance(k, Integral) and 1 <= k <= d):
+    if not (_integer(k) and 1 <= k <= d):
         raise InvalidDimension(f"{name} must be between 1 and {d}, got {k}")
 
 
@@ -222,7 +227,7 @@ def _require_settings(settings):
     tol, cap = settings.gradient_tol, settings.max_iterations
     if not (isinstance(tol, Real) and math.isfinite(tol) and tol >= 0):
         raise InvalidInput(f"gradient_tol must be a finite number, at least 0, got {tol}")
-    if not (isinstance(cap, Integral) and cap >= 0):
+    if not (_integer(cap) and cap >= 0):
         raise InvalidInput(f"max_iterations must be an integer, at least 0, got {cap}")
 
 

@@ -29,8 +29,8 @@ is shifted to a smallest eigenvalue of 1e-8 max(1, max |h_ij|) (modified
 Newton, Nocedal & Wright 2006, sec. 3.4).
 
 A start stops when its tangential gradient passes the requested tolerance
-(or its roundoff floor), or when its model factored unshifted and the
-Newton decrement g'H^{-1}g / 2 falls below D's float64 resolution,
+(or its roundoff floor), or when its model factored unshifted and half the
+squared Newton decrement, g'H^{-1}g / 2, falls below D's float64 resolution,
 eps (|M|_2 / w'Mw + |N|_2 / w'Nw) with N = (M + U)^{-1} (Boyd &
 Vandenberghe 2004, sec. 9.5.1), J's resolution at u = 1 from the spectral
 norms ``ObjectivePair.norms``: D cannot show the decrease that is left,
@@ -49,16 +49,28 @@ representable decrease is left; a direction whose winning start stalled
 carries ``Stalled@k``.
 
 The screened starts are iterated together as rows of one array, through the
-batched D kernels of ``objective``; the winner is the converged start with
-the smallest final objective, ties resolved by candidate order.  The paper
-(Cook & Zhang, arXiv 1403.4138) iterates only the start with the lowest D,
-but on some random 3-d pairs that start ends in a worse local minimum than
-another start reaches.  Iterating every candidate costs 2(d - k) tangent
-Hessians and their O(d^3) solves per Newton iteration; screening bounds
-that at 8, since fewer starts land some sample fits in a worse basin
-(CHANGES.md has the measurements).  Screening is still not full
-multistart: a direction whose best start ranks below 8th by initial D
-ends higher in D than it could.
+batched D kernels of ``objective``; the winner is the start with the
+smallest final objective, ties resolved by candidate order, and the
+direction's outcome is the winner's: a winner stopped at the iteration cap
+gives NoConvergence, whatever the other starts did.  The paper (Cook &
+Zhang, arXiv 1403.4138) iterates only the start with the lowest D, but on
+some random 3-d pairs that start ends in a worse local minimum than another
+start reaches.  Iterating every candidate costs 2(d - k) tangent Hessians
+and their O(d^3) solves per Newton iteration; screening bounds that at 8,
+since fewer starts land some sample fits in a worse basin (CHANGES.md has
+the measurements).  Screening is still not full multistart: a direction
+whose best start ranks below 8th by initial D ends higher in D than it
+could.
+
+The starts race.  Under its quadratic model a start whose model factored
+unshifted cannot end below D - g'H^{-1}g / 2 (Boyd & Vandenberghe 2004,
+sec. 9.5.1).  It stops, ``beaten``, once g'H^{-1}g plus D's resolution is
+less than D - D_best, where D_best is the lowest D any start of its pair
+has reached, the screened starts' first values included.  That keeps a
+factor 2 on the model's decrease, and since D only decreases along a
+start, a beaten start never wins.  Most starts that would end in a higher
+minimum stop within a few iterations, and their Hessians are no longer
+built (CHANGES.md has the counts).
 
 The lockstep also runs across problems.  ``fit_many`` makes the sequential
 fits of several pairs together, and at each step the screened starts of
@@ -127,8 +139,8 @@ _SCREENED_STARTS = 8
 # are solved together in chunks under it
 _HESSIAN_BATCH_BYTES = 16 << 20
 # how a start stopped, by code: 0 while it is still iterating
-_STOPS = ("", "gradient", "resolved", "stalled", "capped")
-_GRADIENT, _RESOLVED, _STALLED, _CAPPED = range(1, 5)
+_STOPS = ("", "gradient", "resolved", "stalled", "beaten", "capped")
+_GRADIENT, _RESOLVED, _STALLED, _BEATEN, _CAPPED = range(1, 6)
 # diagnostics flag of a direction whose winning start stopped short of the
 # gradient test
 _FLAGS = {"resolved": "Resolved", "stalled": "Stalled"}
@@ -139,7 +151,8 @@ class OneDimSettings:
     """Knobs for the direction solver, named as ``grassmann.FgSettings``'s.
 
     ``max_iterations`` caps the Newton iterations of each direction's
-    starts.  ``gradient_tol`` is relative: a start converges once its
+    starts; a direction whose winning start reaches it raises
+    NoConvergence.  ``gradient_tol`` is relative: a start converges once its
     tangential gradient is at most ``gradient_tol * max(1, |D|)``.  The
     request is capped at float64's resolution: a start also converges at
     its gradient's roundoff floor, or once its Newton decrement is below
@@ -257,14 +270,15 @@ def _armijo(m, n, w, f, p, dg, resolution, owner=None):
 
 class _Direction(NamedTuple):
     """One direction solve: the winning unit vector, its D value and inner
-    iterations, and how the winner stopped: ``gradient``, ``resolved`` (at
-    D's float64 resolution), ``stalled`` (its line search gave up) or
-    ``capped``."""
+    iterations, how the winner stopped: ``gradient``, ``resolved`` (at D's
+    float64 resolution) or ``stalled`` (its line search gave up), and the
+    stop code (an index into ``_STOPS``) of each screened start."""
 
     w: np.ndarray
     value: float
     iterations: int
     stop: str
+    starts: np.ndarray = None
 
 
 def _shifts(h):
@@ -309,10 +323,14 @@ def _lockstep(pairs, settings):
     lone pair's rows need no owner, and the kernels take its matrices as
     they are.  A Newton iteration makes one pass of ``_quadratic_forms``
     when its line search accepts every row at its first trial: those forms
-    are the next iteration's.  A pair gets NoConvergence when none of its
-    starts converges; the starts screened out are not tried.  A winner
-    keeps the sign it ended at (``_step`` pins the accepted column's); only
-    a NoConvergence's ``best`` is pinned here.
+    are the next iteration's.  A start stops by the gradient test, at D's
+    resolution, when its line search gives up, at the iteration cap, or
+    beaten: when its unshifted model says it cannot reach the lowest D its
+    pair holds, the values every start of the pair has reached so far,
+    their first included.  The lowest final D wins, and a pair gets
+    NoConvergence when its winner stopped at the cap; the starts screened
+    out are not tried.  A winner keeps the sign it ended at (``_step`` pins
+    the accepted column's); only a NoConvergence's ``best`` is pinned here.
     """
     dim, size = pairs[0].dim, len(pairs)
     # the kernels' matrices, the candidates with the owner of each row, and
@@ -349,17 +367,18 @@ def _lockstep(pairs, settings):
     it = 0
 
     def stop(which, code):
-        # retire the live rows ``which`` with their point, value and smallest
-        # gradient norm, at inner iteration ``it``
+        # retire the live rows ``which`` with their point and smallest
+        # gradient norm, at inner iteration ``it``; f has their value
         rows = idx[which]
         stops[rows], iters[rows] = code, it
-        w[rows], f[rows], best_gn[rows] = wa[which], fa[which], bg[which]
+        w[rows], best_gn[rows] = wa[which], bg[which]
 
     # all active starts step together, so one global counter suffices.  The
     # live rows are idx, with owners own, norms fm and fn, points wa, values
     # fa, smallest gradient norms bg so far, and their quadratic forms when
-    # the last line search left them; w, f and best_gn get a row when it
-    # stops
+    # the last line search left them; w and best_gn get a row when it
+    # stops, and f holds every row's latest value: the screened start's D
+    # until its first line search, then the D that search reached
     idx, own, wa, fa, bg, forms = np.arange(count), owner, w, f, best_gn, None
     while True:
         terms = _d_tilde_terms(m, n, wa, own, forms)
@@ -398,15 +417,27 @@ def _lockstep(pairs, settings):
             diagonals += tau[:, None]
         p = -_solve_vectors(h, g)
         dg = _einsum("ij,ij->i", p, g)
-        resolved = (tau == 0.0) & (0.5 * -dg <= res)
-        if resolved.any():
+        # an unshifted model bounds what the start can still gain: the
+        # squared Newton decrement -dg = g'H^{-1}g is twice the model's
+        # decrease.  Half of it below D's resolution: resolved.  All of it,
+        # plus that resolution, short of the lowest D the pair holds
+        # (every row's latest value, the screened starts' first included):
+        # beaten, since the start cannot end below it
+        unshifted = tau == 0.0
+        resolved = unshifted & (0.5 * -dg <= res)
+        lowest = f.reshape(size, per_pair).min(axis=1)[idx // per_pair]
+        beaten = unshifted & ~resolved & (res - dg < fa - lowest)
+        retired = resolved | beaten
+        if retired.any():
             stop(resolved, _RESOLVED)
+            stop(beaten, _BEATEN)
             idx, own, fm, fn, wa, fa, bg, p, dg, res = _rows(
-                ~resolved, idx, own, fm, fn, wa, fa, bg, p, dg, res
+                ~retired, idx, own, fm, fn, wa, fa, bg, p, dg, res
             )
             if idx.size == 0:
                 break
         acc, wa, fa, forms = _armijo(m, n, wa, fa, p, dg, res, own)
+        f[idx] = fa
         if not acc.all():
             # the search gave up: retire the start where it stands
             stop(~acc, _STALLED)
@@ -415,20 +446,20 @@ def _lockstep(pairs, settings):
                 break
 
     # per pair, the smallest final value among its screened starts wins
-    # (first on ties); stalled starts stay eligible since a stall only
-    # happens where no representable decrease exists, i.e. at a numerical
-    # critical point.  A pair none of whose starts converged reports that
-    # start as its best
+    # (first on ties), and the pair's outcome is the winner's: a start
+    # stopped by the gradient test, at D's resolution or by a stalled
+    # search (a stall only happens where no representable decrease is
+    # left) gives the direction, a capped one NoConvergence.  A beaten
+    # start never wins: some start of its pair already ends lower
     win = f.reshape(size, per_pair).argmin(axis=1) + per_pair * np.arange(size)
-    converged = ((stops == _GRADIENT) | (stops == _RESOLVED)).reshape(size, per_pair).any(axis=1)
     out = []
-    for k, ok in zip(win.tolist(), converged.tolist()):
-        if ok:
-            out.append(_Direction(w[k], float(f[k]), int(iters[k]), _STOPS[stops[k]]))
+    for k, starts in zip(win.tolist(), stops.reshape(size, per_pair)):
+        if stops[k] != _CAPPED:
+            out.append(_Direction(w[k], float(f[k]), int(iters[k]), _STOPS[stops[k]], starts))
         else:
             out.append(NoConvergence(
-                "no candidate start satisfied the gradient criterion "
-                f"(best objective {f[k]:.6g}, gradient norm {best_gn[k]:.3g})",
+                "the best start reached the iteration cap before a stop test "
+                f"(objective {f[k]:.6g}, gradient norm {best_gn[k]:.3g})",
                 best=fix_column_signs(w[k]),
                 gradient_norm=float(best_gn[k]),
             ))

@@ -15,7 +15,6 @@ involved, which makes it the reference answer for the solvers.
 
 from collections import Counter
 from dataclasses import dataclass, field
-from numbers import Integral
 
 import numpy as np
 
@@ -47,7 +46,7 @@ from .linalg import (
     _fill,
     _require_symmetric,
 )
-from .objective import _pairs, _require_dimension
+from .objective import _integer, _pairs, _require_dimension
 
 __all__ = [
     "GeneratedInstance",
@@ -87,7 +86,7 @@ def generate_instance(d, u, seed):
     Draw order is fixed: basis normals first, then the Omega factor, then
     the Omega0 factor, so results are reproducible per seed.
     """
-    if not (isinstance(u, Integral) and isinstance(d, Integral) and 1 <= u < d):
+    if not (_integer(u) and _integer(d) and 1 <= u < d):
         raise InvalidDimension(f"need integers 1 <= u < d, got u={u}, d={d}")
     _require_seed(seed)
     rng = np.random.default_rng(seed)
@@ -114,7 +113,7 @@ def generate_instance(d, u, seed):
 
 
 def _require_sample_size(n):
-    if not (isinstance(n, Integral) and n >= 2):
+    if not (_integer(n) and n >= 2):
         raise InvalidInput(f"need an integer n >= 2, got {n}")
 
 
@@ -278,9 +277,9 @@ def _experiment(mode, d, u, n, replications, algo_set, seed, first, problem):
         _check_algorithm(algo)
         if algos.count(algo) > 1:
             raise InvalidInput(f"algorithm {algo!r} is named more than once")
-    if not (isinstance(replications, Integral) and replications >= 0):
+    if not (_integer(replications) and replications >= 0):
         raise InvalidInput(f"replications must be a nonnegative integer, got {replications}")
-    if not (isinstance(u, Integral) and isinstance(d, Integral) and 1 <= u < d):
+    if not (_integer(u) and _integer(d) and 1 <= u < d):
         raise InvalidDimension(f"need integers 1 <= u < d, got u={u}, d={d}")
     if n is not None:
         _require_sample_size(n)
@@ -399,7 +398,7 @@ def residual_bootstrap(data, kind, u, b, algo="onedim", settings=None, seed=0, p
     the last failing replicate's error, chained as its cause.  For the mean
     kinds the "OLS" estimator is the sample mean and X plays no role.
     """
-    if not (isinstance(b, Integral) and b >= 2):
+    if not (_integer(b) and b >= 2):
         raise InvalidInput(f"need a whole number of at least 2 bootstrap replicates, got {b}")
     _require_seed(seed)
     _require_dimension(u, _problem_dimension(kind, data, p1))

@@ -281,6 +281,49 @@ def test_a_sample_experiment_checks_n_before_any_replication(n):
         simulate.sample_experiment(6, 2, n, 2, ("onedim",))
 
 
+_PAIR = ObjectivePair.from_m_u(np.diag([4.0, 3.0, 2.0, 1.0]), np.diag([0.0, 1.0, 0.0, 2.0]))
+
+GIVEN_TRUE = {
+    "onedim.fit u": (InvalidDimension, lambda: onedim.fit(_PAIR.m, _PAIR.u, True)),
+    "grassmann.fit u": (InvalidDimension, lambda: grassmann.fit(_PAIR.m, _PAIR.u, True)),
+    "eigenvector_scan_start u": (
+        InvalidDimension, lambda: grassmann.eigenvector_scan_start(_PAIR.m, _PAIR.u, True)
+    ),
+    "response_envelope u": (
+        InvalidDimension, lambda: estimators.response_envelope(_sample(), True)
+    ),
+    "generate_instance u": (InvalidDimension, lambda: simulate.generate_instance(6, True, 0)),
+    "generate_instance seed": (InvalidInput, lambda: simulate.generate_instance(6, 2, True)),
+    "sample_data n": (
+        InvalidInput, lambda: simulate.sample_data(simulate.generate_instance(6, 2, 0), True, 1)
+    ),
+    "population_experiment replications": (
+        InvalidInput, lambda: simulate.population_experiment(6, 2, True, ("onedim",))
+    ),
+    "population_experiment u": (
+        InvalidDimension, lambda: simulate.population_experiment(6, True, 2, ("onedim",))
+    ),
+    "residual_bootstrap b": (
+        InvalidInput, lambda: simulate.residual_bootstrap(_sample(), "response", 2, True)
+    ),
+    "select_dimension_cv folds": (
+        InvalidInput, lambda: estimators.select_dimension_cv(_sample(), "response", 2, folds=True)
+    ),
+    "max_iterations": (
+        InvalidInput,
+        lambda: onedim.fit(_PAIR.m, _PAIR.u, 2, onedim.OneDimSettings(max_iterations=True)),
+    ),
+}
+
+
+@pytest.mark.parametrize("error, call", GIVEN_TRUE.values(), ids=GIVEN_TRUE.keys())
+def test_true_is_not_an_integer(error, call):
+    # bool is an Integral, yet True given as a dimension, seed, count or cap
+    # is a mistake: it is rejected as any other non-integer is
+    with pytest.raises(error):
+        call()
+
+
 def test_report_to_dict_withholds_timing():
     rep = simulate.population_experiment(5, 2, 2, ("onedim",), seed=704)
     plain = rep.to_dict()
@@ -456,8 +499,8 @@ class TestBatchedFits:
 
     @pytest.mark.parametrize("kind, algo, cap", [
         ("response", "onedim", None),
-        ("response", "onedim", 3),  # two replicates fail
-        ("response", "onedim", 2),  # four fail: BootstrapUnstable
+        ("response", "onedim", 6),  # one replicate fails
+        ("response", "onedim", 5),  # four fail: BootstrapUnstable
         ("partial", "fg-warm", None),
         ("constrained-mean", "onedim", None),
         ("mean", "fg", None),
@@ -481,9 +524,9 @@ class TestBatchedFits:
         assert max(sizes, default=0) == (10 if algo != "fg" else 0)
         monkeypatch.setattr(estimators, "_PROBLEMS_PER_BATCH", 1)
         assert run() == together
-        if cap == 3:
-            assert together[2:] == (2, {"NoConvergence": 2})
-        if cap == 2:
+        if cap == 6:
+            assert together[2:] == (1, {"NoConvergence": 1})
+        if cap == 5:
             assert together[0].startswith("4 of 10 bootstrap replicates failed")
 
     @pytest.mark.parametrize("mode", ["population", "sample"])

@@ -53,11 +53,13 @@ together.  For each set it prints one line per count:
 * ``line_search_d_calls``: the D-kernel calls made inside the line searches;
 * ``long_steps``: rows handed to a line search whose direction p is longer
   than 1;
-* ``stop_gradient``, ``stop_resolved``, ``stop_stalled``: starts stopped by
-  the gradient test, by the Newton decrement at D's float64 resolution, and
-  by the line search giving up (inferred from the line-search calls: the
-  rows a search rejects); ``capped_directions``: direction solves that ran
-  to the iteration cap;
+* ``stop_gradient``, ``stop_resolved``, ``stop_stalled``, ``stop_beaten``:
+  starts stopped by the gradient test, by the Newton decrement at D's
+  float64 resolution, by the line search giving up, and by the Newton
+  decrement that says the start cannot reach the lowest D its pair holds,
+  as the solver's own stop codes (``_Direction.starts``) give them for
+  every direction it returns; ``capped_directions``: direction solves that
+  ran to the iteration cap;
 * ``fg_fits`` and ``fg_iterations``: fits that reach the trust-region
   loop, ``grassmann._fit``, and their trust-region iterations, as each fit
   reports them;
@@ -150,7 +152,6 @@ class Counts:
             self.c["iterations"] += problems(owner)
             self.c["lockstep_batches"] += 1
             self.c["hessian_rows"] += w.shape[0]
-            self.c["stop_resolved"] += w.shape[0]  # less the rows searched
             self.iterations_here.update([0] if owner is None else set(owner.tolist()))
             return real_hessians(m, n, w, *args, **kwargs)
 
@@ -161,10 +162,7 @@ class Counts:
                 result = real_armijo(m, n, w, f, p, dg, *rest)
             finally:
                 self.in_search = False
-            # stalled: the rows a search rejects
-            self.c["stop_stalled"] += int((~result[0]).sum())
             self.c["newton_searches"] += w.shape[0]
-            self.c["stop_resolved"] -= w.shape[0]
             return result
 
         def eigvalsh(a, *args, **kwargs):
@@ -181,16 +179,19 @@ class Counts:
             self.first_gradients = True
             kernels.eigvalsh_lo, kernels.cholesky_lo = eigvalsh, cholesky
             try:
-                return solve()
+                solutions = solve()
             finally:
                 kernels.eigvalsh_lo, kernels.cholesky_lo = real_eigvalsh, real_cholesky
-                for k, pair in enumerate(pairs):
-                    if pair.dim > 1:
-                        self.c["directions"] += 1
-                        self.c["candidates"] += 2 * pair.dim
-                        self.c["capped_directions"] += (
-                            self.iterations_here[k] >= settings.max_iterations
-                        )
+            for k, (pair, sol) in enumerate(zip(pairs, solutions)):
+                if isinstance(sol, onedim._Direction):
+                    self.c.update(f"stop_{onedim._STOPS[code]}" for code in sol.starts.tolist())
+                if pair.dim > 1:
+                    self.c["directions"] += 1
+                    self.c["candidates"] += 2 * pair.dim
+                    self.c["capped_directions"] += (
+                        self.iterations_here[k] >= settings.max_iterations
+                    )
+            return solutions
 
         onedim._d_tilde_values = values
         onedim._d_tilde_gradients = gradients
@@ -261,14 +262,13 @@ class Counts:
 
     def table(self):
         c = self.c
-        c["stop_gradient"] = c["starts"] - c["stop_resolved"] - c["stop_stalled"]
         c["fg_newton_steps"] = c["fg_steps"] - c["fg_eigen_steps"]
         keys = (
             "pair_builds", "directions", "candidates", "starts", "iterations", "lockstep_batches",
             "hessian_rows", "cholesky_calls", "eigvalsh_batches", "eigvalsh_rows",
             "d_kernel_calls", "d_kernel_rows", "quadratic_form_passes", "newton_searches",
             "line_search_d_calls",
-            "long_steps", "stop_gradient", "stop_resolved", "stop_stalled",
+            "long_steps", "stop_gradient", "stop_resolved", "stop_stalled", "stop_beaten",
             "capped_directions", "fg_fits", "fg_iterations", "fg_newton_steps",
             "fg_hessian_eighs",
         )
