@@ -12,7 +12,6 @@ from .errors import (
     AllFitsFailed,
     BootstrapUnstable,
     DimensionMismatch,
-    EmptyComplement,
     EnvestError,
     InvalidDimension,
     InvalidInput,
@@ -24,7 +23,6 @@ from .errors import (
     RankDeficientCandidates,
     SingularCovariance,
     SingularGram,
-    ZeroVector,
 )
 from .linalg import (
     fix_column_signs,
@@ -34,15 +32,7 @@ from .linalg import (
     subspace_distance,
     symmetrize,
 )
-from .objective import (
-    ObjectivePair,
-    d_tilde_gradient,
-    d_tilde_hessian,
-    d_tilde_value,
-    j_decomposition,
-    j_gradient,
-    j_value,
-)
+from .objective import ObjectivePair, j_value
 from .onedim import EnvelopeFit, OneDimSettings
 from .onedim import fit as onedim_fit
 from .grassmann import FgSettings, eigenvector_scan_start
@@ -86,7 +76,6 @@ __all__ = [
     "CovarianceKit",
     "DimensionMismatch",
     "DimensionSelection",
-    "EmptyComplement",
     "EnvelopeFit",
     "EnvelopeRegressionFit",
     "EnvestError",
@@ -108,18 +97,12 @@ __all__ = [
     "ReplicationRecord",
     "SingularCovariance",
     "SingularGram",
-    "ZeroVector",
     "constrained_mean_envelope",
     "covariance_kit",
-    "d_tilde_gradient",
-    "d_tilde_hessian",
-    "d_tilde_value",
     "eigenvector_scan_start",
     "fix_column_signs",
     "generate_instance",
     "grassmann_fit",
-    "j_decomposition",
-    "j_gradient",
     "j_value",
     "mean_envelope",
     "onedim_fit",

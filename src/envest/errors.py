@@ -10,7 +10,8 @@ class EnvestError(Exception):
 
 
 class InvalidInput(EnvestError, ValueError):
-    """An argument is malformed: wrong shape, non-finite, not symmetric, ..."""
+    """An argument is malformed: of the wrong type or shape, non-finite, not
+    symmetric, ...; ``convert`` holds the checks."""
 
 
 class DimensionMismatch(InvalidInput):
@@ -19,10 +20,6 @@ class DimensionMismatch(InvalidInput):
 
 class InvalidDimension(InvalidInput):
     """A requested subspace dimension is out of range."""
-
-
-class ZeroVector(InvalidInput):
-    """A direction argument has zero (or numerically zero) norm."""
 
 
 class NotPositiveDefinite(EnvestError):
@@ -34,10 +31,6 @@ class NotPositiveDefinite(EnvestError):
     def __init__(self, message, eigenvalue=None):
         super().__init__(message)
         self.eigenvalue = eigenvalue
-
-
-class EmptyComplement(EnvestError):
-    """Orthogonal complement requested for a basis that already spans the space."""
 
 
 class SingularGram(EnvestError):

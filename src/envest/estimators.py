@@ -66,7 +66,7 @@ from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-from . import grassmann, onedim
+from . import convert, grassmann, onedim
 from .errors import (
     AllFitsFailed,
     EnvestError,
@@ -77,15 +77,9 @@ from .errors import (
     SingularGram,
 )
 from .linalg import (
-    _cholesky,
-    _errors,
-    _fill,
-    _one,
-    _projections,
-    orthonormal_complement,
-    symmetrize,
+    _cholesky, _errors, _fill, _one, _projections, _symmetrize, orthonormal_complement,
 )
-from .objective import _integer, _j_values, _pairs, _require_dimension, _require_settings
+from .objective import _j_values, _pairs
 
 __all__ = [
     "ALGORITHMS",
@@ -118,13 +112,6 @@ ALGORITHMS = {
 }
 
 
-def _check_algorithm(algo):
-    if algo not in ALGORITHMS:
-        raise InvalidInput(
-            f"unknown algorithm {algo!r}; use one of {', '.join(ALGORITHMS)}"
-        )
-
-
 def solver_settings(algo, gradient_tol=None, max_iterations=None):
     """The preset settings of ``algo`` with its overrides applied.
 
@@ -132,9 +119,15 @@ def solver_settings(algo, gradient_tol=None, max_iterations=None):
     iterations per direction for onedim and the trust-region iterations for
     fg and fg-warm.  An override of None keeps the preset value.
     """
-    _check_algorithm(algo)
+    algo = convert.choice(algo, ALGORITHMS, "algorithm")
     changes = {"gradient_tol": gradient_tol, "max_iterations": max_iterations}
     return replace(ALGORITHMS[algo], **{k: v for k, v in changes.items() if v is not None})
+
+
+def _solver(algo, settings):
+    """algo and its settings, converted; settings None is algo's preset."""
+    algo = convert.choice(algo, ALGORITHMS, "algorithm")
+    return algo, convert.settings(settings, ALGORITHMS[algo], algo)
 
 
 def _fits(checked, top, algo, settings):
@@ -154,9 +147,8 @@ def _fits(checked, top, algo, settings):
     fg's reported basis is its optimizer's with column signs pinned, which
     leaves the bits of J, in ``objective_values``, as they are.  Each fit
     carries its pair's flags after its own.  settings sets the solver's
-    tolerance and cap; None means the preset of ``algo``.  Settings of
-    another class than that preset's, or that fail
-    ``objective._require_settings``, raise InvalidInput.
+    tolerance and cap; None means the preset of ``algo``.  Settings that
+    fail ``convert.settings`` for that preset raise InvalidInput.
 
     fg fits every u of every pair from its own scan start.  onedim makes
     one sequential fit at min(top, d - 1) per pair, when the first u < d is
@@ -173,13 +165,7 @@ def _fits(checked, top, algo, settings):
     k + 1 to d - 1 gets that error and the u up to k keep the k directions
     accepted before it.
     """
-    _check_algorithm(algo)
-    if settings is None:
-        settings = solver_settings(algo)
-    preset = type(ALGORITHMS[algo])
-    if not isinstance(settings, preset):
-        raise InvalidInput(f"{algo} takes {preset.__name__}, not {type(settings).__name__}")
-    _require_settings(settings)
+    algo, settings = _solver(algo, settings)
     pairs = [pair for pair, _ in checked]
     warm = algo == "fg-warm"
     sequential = (
@@ -253,46 +239,19 @@ def _scored(pairs, fitted):
     return _fill(_errors(fitted), scores)
 
 
-def _require_seed(seed):
-    """Reject a seed that is not an integer >= 0, numpy's rule for a seed."""
-    if not (_integer(seed) and seed >= 0):
-        raise InvalidInput(f"seed must be an integer, at least 0, got {seed}")
-
-
-def _sample_matrix(a, name):
-    """a as a finite float matrix with one row per case; a vector is one column."""
-    a = np.asarray(a, dtype=float)
-    if a.ndim == 1:
-        a = a[:, None]
-    if a.ndim != 2:
-        raise InvalidInput(f"{name} must be a 1- or 2-dimensional array")
-    if a.shape[1] == 0:
-        raise InvalidInput(f"{name} has no columns")
-    if not np.all(np.isfinite(a)):
-        raise InvalidInput(f"{name} must be finite")
-    return a
-
-
 @dataclass
 class RegressionData:
     """Paired predictor/response samples, rows aligned.
 
     x may arrive one-dimensional (reshaped to a single column) or be None
-    entirely for the mean-only kinds.
+    entirely for the mean-only kinds; ``convert.samples`` checks both.
     """
 
     x: np.ndarray | None
     y: np.ndarray
 
     def __post_init__(self):
-        self.y = _sample_matrix(self.y, "y")
-        if self.n < 2:
-            raise InvalidInput("need at least two observations")
-        if self.x is None:
-            return
-        self.x = _sample_matrix(self.x, "x")
-        if self.x.shape[0] != self.n:
-            raise InvalidInput(f"x has {self.x.shape[0]} rows but y has {self.n}")
+        self.x, self.y = convert.samples(self.x, self.y)
 
     @property
     def n(self):
@@ -325,7 +284,7 @@ def _conditionals(s_a, s_ab, s_b):
     c, singular = _cholesky(s_b)
     c[singular] = np.eye(s_b.shape[1])  # stand-ins that solve; their samples fail
     half = np.linalg.solve(c, s_ab.swapaxes(1, 2))
-    return symmetrize(s_a - half.swapaxes(1, 2) @ half), singular
+    return _symmetrize(s_a - half.swapaxes(1, 2) @ half), singular
 
 
 def _moments(a, name):
@@ -337,7 +296,7 @@ def _moments(a, name):
         s = centered.T @ centered / a.shape[0]
     if not np.isfinite(s).all():
         raise InvalidInput(f"sample covariance of {name} overflows float64")
-    return mean, centered, symmetrize(s)
+    return mean, centered, _symmetrize(s)
 
 
 def _sample_moments(kind, data, p1=None):
@@ -380,14 +339,14 @@ def _kind_pairs(kind, moments, p1=None):
         fine = [None] * len(ym)
         if kind == "mean":
             with np.errstate(over="ignore"):
-                m_plus_u = symmetrize(s_y + ym[:, :, None] * ym[:, None, :])
+                m_plus_u = _symmetrize(s_y + ym[:, :, None] * ym[:, None, :])
             return s_y, m_plus_u, (ym, s_y, None), fine
         r = ym.shape[1]
         b0 = orthonormal_complement(np.ones((r, 1)) / np.sqrt(r))  # r x (r-1); B0'Q1 = B0'
-        m_red = symmetrize(b0.T @ s_y @ b0)
+        m_red = _symmetrize(b0.T @ s_y @ b0)
         mu_red = _matvec(b0.T, ym)
         with np.errstate(over="ignore"):
-            m_plus_u = symmetrize(m_red + mu_red[:, :, None] * mu_red[:, None, :])
+            m_plus_u = _symmetrize(m_red + mu_red[:, :, None] * mu_red[:, None, :])
         return m_red, m_plus_u, (ym, s_y, b0), fine
     xm, ym, s_x, s_y, s_xy, n, *x2 = stacks
     s_y_given_x, singular_x = _conditionals(s_y, s_xy.swapaxes(1, 2), s_x)
@@ -432,7 +391,7 @@ def _take(moments, rows):
 def covariance_kit(data):
     """All covariance blocks the estimators need, in one pass: the kit that
     ``_kind_pairs`` makes of this sample alone."""
-    if data.x is None:
+    if convert.instance(data, RegressionData, "data").x is None:
         raise InvalidInput("this operation needs predictors, but x is missing")
     _, _, kit, (error,) = _kind_pairs("response", [_sample_moments("response", data)])
     if error is not None:
@@ -493,15 +452,15 @@ def _checked_pairs(m, m_plus_u):
 
 
 def _problem_dimension(kind, data, p1=None):
-    """Dimension d of kind's problem on data, after the checks of kind, x and p1."""
-    if kind not in KINDS:
-        raise InvalidInput(f"unknown kind {kind!r}; expected one of {KINDS}")
-    if kind in KINDS_WITH_X and data.x is None:
+    """Dimension d of kind's problem on data, after the checks of kind, data,
+    x and p1."""
+    kind = convert.choice(kind, KINDS, "kind")
+    if kind in KINDS_WITH_X and convert.instance(data, RegressionData, "data").x is None:
         raise InvalidInput(f"{kind} kind needs x")
     if kind == "partial":
         if p1 is None:
             raise InvalidInput("partial kind needs p1")
-        _require_dimension(p1, data.x.shape[1], "p1")
+        convert.dimension(p1, data.x.shape[1], "p1")
     if kind == "predictor":
         return data.x.shape[1]
     r = data.y.shape[1]
@@ -510,7 +469,7 @@ def _problem_dimension(kind, data, p1=None):
 
 def _split_covariance(s, p_g, q_g):
     """P S P + Q S Q: S with its blocks between span(P) and span(Q) dropped."""
-    return symmetrize(p_g @ s @ p_g + q_g @ s @ q_g)
+    return _symmetrize(p_g @ s @ p_g + q_g @ s @ q_g)
 
 
 def _estimates(kind, moments, fitted, p1=None):
@@ -565,7 +524,7 @@ def _predictor_estimates(kit, fits, objectives, gamma):
         proj = np.array([projections[i] for i in rows])
         beta_ols = k.beta_ols  # r x p
         beta_env = beta_ols @ proj.swapaxes(1, 2)
-        sigma_env = symmetrize(k.s_y - beta_env @ k.s_x @ beta_env.swapaxes(1, 2))
+        sigma_env = _symmetrize(k.s_y - beta_env @ k.s_x @ beta_env.swapaxes(1, 2))
         alpha_hat = k.y_mean - _matvec(beta_env, k.x_mean)
         return [
             EnvelopeRegressionFit("predictor", fits[i], *values, objectives[i])
@@ -627,6 +586,7 @@ class _Scans:
     """
 
     def __init__(self, kind, samples, top, algo, settings, p1=None):
+        algo, settings = _solver(algo, settings)  # before any sample is built
         self.kind, self.p1 = kind, p1
         read = []
         for sample in samples:
@@ -665,7 +625,7 @@ class _Scans:
 def _one_scan(kind, data, top, algo, settings, p1=None, name="u"):
     """kind's ``_Scans`` of data alone, up to top, after the checks of kind,
     p1 and top, raising its pair's error."""
-    _require_dimension(top, _problem_dimension(kind, data, p1), name)
+    convert.dimension(top, _problem_dimension(kind, data, p1), name)
     scans = _Scans(kind, [lambda: data], top, algo, settings, p1)
     (error,) = scans.errors
     if error is not None:
@@ -817,16 +777,11 @@ def select_dimension_cv(
     u's summed in fold order, a u fails with the error of its first failing
     fold, and ties go to the smaller u.
     """
-    if kind not in PREDICTIVE_KINDS:
-        raise InvalidInput(
-            f"cross-validation needs a predictive kind, not {kind!r}"
-        )
-    _require_dimension(u_max, _problem_dimension(kind, data), "u_max")
+    kind = convert.choice(kind, PREDICTIVE_KINDS, "predictive kind")
+    convert.dimension(u_max, _problem_dimension(kind, data), "u_max")
     n = data.n
-    if not (_integer(folds) and 2 <= folds <= n):
-        raise InvalidInput(f"folds must be an integer between 2 and {n}, got {folds}")
-    _require_seed(seed)
-    rng = np.random.default_rng(seed)
+    folds = convert.integer(folds, "folds", 2, n)
+    rng = np.random.default_rng(convert.integer(seed, "seed"))
     order = rng.permutation(n)
     chunks = np.array_split(order, folds)
 

@@ -54,17 +54,10 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import InvalidInput, RankDeficientCandidates
-from .linalg import (
-    check_orthonormal,
-    fix_column_signs,
-    symmetrize,
-    _cholesky,
-    _eigh,
-    _signed_qr,
-    _solve_vectors,
-)
-from .objective import _check_solver_inputs, _gram_pieces, _j_value, _require_settings, j_value
+from . import convert
+from .errors import RankDeficientCandidates
+from .linalg import _cholesky, _eigh, _fix_signs, _signed_qr, _solve_vectors, _symmetrize
+from .objective import _check_solver_inputs, _gram_pieces, _j_value, j_value
 from .onedim import EnvelopeFit
 
 __all__ = ["FgSettings", "eigenvector_scan_start", "fit"]
@@ -120,7 +113,7 @@ def _scan(pair, u):
             )
         free[i] = False
         basis = np.column_stack([basis, r[i]])
-    return fix_column_signs(basis)
+    return _fix_signs(basis)
 
 
 def eigenvector_scan_start(m_hat, u_hat, u):
@@ -162,7 +155,7 @@ def _tangent_model(pair, gamma):
         hess += 2.0 * (a00[:, None, :, None] * c_inv[:, None]).reshape(size, size)
         hess -= 2.0 * np.einsum("ib,ja->iajb", p, p).reshape(size, size)
         resolution += a_norm / vals[0]
-    return g0, grad, symmetrize(hess), np.finfo(float).eps * u * resolution
+    return g0, grad, _symmetrize(hess), np.finfo(float).eps * u * resolution
 
 
 def _trust_region_step(vals, vecs, grad, radius):
@@ -258,34 +251,24 @@ def fit(m_hat, u_hat, u, settings=None, start=None):
     checked and built into a pair by ``ObjectivePair.from_m_u``: m_hat must
     be symmetric positive definite and u_hat symmetric positive
     semidefinite (InvalidUhat otherwise), and settings must pass
-    ``objective._require_settings``.  ``_fit`` fits the pair;
-    wall_time_seconds covers ``_fit``, the scan start included, but not the
-    checks and the build.
+    ``convert.settings``.  ``_fit`` fits the pair; wall_time_seconds covers
+    ``_fit``, the scan start included, but not the checks and the build.
     """
-    return _fit(_check_solver_inputs(m_hat, u_hat, u), u, settings, start)
+    pair = _check_solver_inputs(m_hat, u_hat, u)
+    if start is not None:
+        start = convert.basis(start, "starting basis", pair.dim, u, tol=1e-8)
+    return _fit(pair, u, settings, start)
 
 
 def _fit(pair, u, settings=None, start=None):
-    """``fit`` on a built ObjectivePair, at a u in 1..d."""
+    """``fit`` on a built ObjectivePair, at a u in 1..d, from a start that is
+    None or an orthonormal (d, u) basis."""
     began = time.perf_counter()
-    if settings is None:
-        settings = FgSettings()
-    _require_settings(settings)
+    settings = convert.settings(settings, FgSettings(), "fg")
     d = pair.dim
 
     diagnostics = []
-    if start is None:
-        gamma = _scan(pair, u)
-    else:
-        try:
-            gamma = np.asarray(start, dtype=float)
-        except (TypeError, ValueError):
-            raise InvalidInput("starting basis must be a numeric array") from None
-        if gamma.shape != (d, u):
-            raise InvalidInput(
-                f"starting basis must be {d}x{u}, got {gamma.shape}"
-            )
-        check_orthonormal(gamma, tol=1e-8, name="starting basis")
+    gamma = _scan(pair, u) if start is None else start
 
     # the Grassmannian's diameter: u principal angles of at most pi/2 each
     max_radius = 0.5 * np.pi * np.sqrt(u)
@@ -323,7 +306,7 @@ def _fit(pair, u, settings=None, start=None):
     elapsed = time.perf_counter() - began
 
     return EnvelopeFit(
-        basis=fix_column_signs(gamma),
+        basis=_fix_signs(gamma),
         objective_values=[float(val)],
         inner_iterations=[iterations],
         wall_time_seconds=elapsed,

@@ -12,19 +12,12 @@ Conventions used everywhere:
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatch,
-    EmptyComplement,
-    EnvestError,
-    InvalidInput,
-    NotPositiveDefinite,
-    SingularGram,
-)
+from . import convert
+from .errors import DimensionMismatch, EnvestError, InvalidInput, NotPositiveDefinite, SingularGram
 
 __all__ = [
     "symmetrize",
     "fix_column_signs",
-    "check_orthonormal",
     "orthonormalize",
     "orthonormal_complement",
     "subspace_distance",
@@ -34,45 +27,16 @@ __all__ = [
 
 def symmetrize(a):
     """Return ``(a + a.T) / 2``, which is exactly symmetric in floating point;
-    a stack of matrices is symmetrized matrix by matrix.
+    a stack of square matrices is symmetrized matrix by matrix."""
+    return _symmetrize(convert.array(a, "a", (2, 3), square=True))
 
-    Halving a before the sum gives the bits of halving the sum outside the
-    subnormal range, and no overflow where the entries are finite."""
-    half = 0.5 * np.asarray(a, dtype=float)
+
+def _symmetrize(a):
+    """``symmetrize`` of a float64 array of square matrices.  Halving a
+    before the sum gives the bits of halving the sum outside the subnormal
+    range, and no overflow where the entries are finite."""
+    half = 0.5 * a
     return half + half.swapaxes(-1, -2)
-
-
-def _square(s, name):
-    """s as a non-empty square float matrix."""
-    s = np.asarray(s, dtype=float)
-    if s.ndim != 2 or s.shape[0] != s.shape[1]:
-        raise InvalidInput(f"{name} must be square, got shape {s.shape}")
-    if s.size == 0:
-        raise InvalidInput(f"{name} is empty")
-    return s
-
-
-def _symmetric(s, name):
-    """``symmetrize`` of the stack s of square matrices, and per matrix the
-    InvalidInput that ``_require_symmetric`` raises on it, or None."""
-    flat = len(s), -1
-    finite = np.isfinite(s).reshape(flat).all(axis=1)
-    checked = s if finite.all() else np.where(finite[:, None, None], s, 0.0)
-    scale = np.maximum(1.0, np.abs(checked).reshape(flat).max(axis=1))
-    skew = np.abs(checked - checked.swapaxes(1, 2)).reshape(flat).max(axis=1) > 1e-8 * scale
-    errors = [
-        InvalidInput(f"{name} has non-finite entries") if not ok
-        else InvalidInput(f"{name} is not symmetric") if bad else None
-        for ok, bad in zip(finite.tolist(), skew.tolist())
-    ]
-    return symmetrize(s), errors
-
-
-def _require_symmetric(s, name="matrix"):
-    s, (error,) = _symmetric(_square(s, name)[None], name)
-    if error is not None:
-        raise error
-    return s[0]
 
 
 def _fill(outcomes, stage):
@@ -109,14 +73,18 @@ def fix_column_signs(v):
     """Flip column signs so each column's largest-magnitude entry is positive.
 
     Ties are broken by the first maximal entry; exact-zero columns are left
-    alone.  A stack of matrices, (n, d, k), has the columns of each fixed.
-    Returns a new array.
+    alone.  A vector is one column, and a stack of matrices, (n, d, k), has
+    the columns of each fixed.  Returns a new array.
     """
-    v = np.asarray(v, dtype=float)
+    v = convert.array(v, "v", (1, 2, 3))
     if v.ndim == 1:
-        sign = np.sign(v[np.abs(v).argmax()])
-        return v * (sign or 1.0)
-    if v.shape[-1]:
+        return _fix_signs(v[:, None])[:, 0]
+    return _fix_signs(v)
+
+
+def _fix_signs(v):
+    """``fix_column_signs`` of a float64 matrix, or stack of matrices."""
+    if v.shape[-1] and v.shape[-2]:
         lead = np.argmax(np.abs(v), axis=-2)
         at = (lead, np.arange(v.shape[-1]))
         if v.ndim == 3:
@@ -127,21 +95,6 @@ def fix_column_signs(v):
     return v
 
 
-def check_orthonormal(g, tol=1e-10, name="basis"):
-    """Validate that ``g`` is a (d, k) matrix with orthonormal columns."""
-    g = np.asarray(g, dtype=float)
-    if g.ndim != 2:
-        raise InvalidInput(f"{name} must be 2-d, got ndim {g.ndim}")
-    d, k = g.shape
-    if k > d:
-        raise InvalidInput(f"{name} has more columns ({k}) than rows ({d})")
-    if not np.all(np.isfinite(g)):
-        raise InvalidInput(f"{name} has non-finite entries")
-    if k and np.abs(g.T @ g - np.eye(k)).max() > tol:
-        raise InvalidInput(f"{name} columns are not orthonormal to {tol:g}")
-    return g
-
-
 def orthonormalize(a):
     """Thin QR orthonormalization with a deterministic sign convention.
 
@@ -149,17 +102,13 @@ def orthonormalize(a):
     by :func:`fix_column_signs`.  Columns must be finite and linearly
     independent.
     """
-    a = np.asarray(a, dtype=float)
-    if a.ndim != 2:
-        raise InvalidInput("expected a 2-d array")
-    if not np.all(np.isfinite(a)):
-        raise InvalidInput("input has non-finite entries")
+    a = convert.basis(a, "a")
     if a.shape[1] == 0:
         return a.copy()
     q, r_diag = _signed_qr(a)
     if np.any(r_diag < 1e-12 * max(1.0, r_diag.max())):
         raise SingularGram("columns are linearly dependent; cannot orthonormalize")
-    return fix_column_signs(q)
+    return _fix_signs(q)
 
 
 def _signed_qr(a):
@@ -250,10 +199,10 @@ def orthonormal_complement(g):
     ties), so the result is deterministic.  ``g`` may have zero columns, in
     which case the identity comes back.
     """
-    g = check_orthonormal(g, name="complement input")
+    g = convert.basis(g, "complement input", tol=1e-10)
     d, k = g.shape
     if k >= d:
-        raise EmptyComplement(f"basis already spans R^{d}; complement is empty")
+        raise InvalidInput(f"basis already spans R^{d}; complement is empty")
     # residual projector onto the complement of everything chosen so far
     p = np.eye(d) - g @ g.T
     cols = []
@@ -269,7 +218,7 @@ def orthonormal_complement(g):
     # one clean-up sweep against g and earlier columns keeps the 1e-10
     # orthogonality budget honest at larger d
     comp = comp - g @ (g.T @ comp)
-    return fix_column_signs(_signed_qr(comp)[0])
+    return _fix_signs(_signed_qr(comp)[0])
 
 
 def subspace_distance(a, b):
@@ -279,8 +228,8 @@ def subspace_distance(a, b):
     dimension matches.  This is a pseudometric on subspaces; it is zero
     exactly when the two spans coincide.
     """
-    a = check_orthonormal(a, name="first basis")
-    b = check_orthonormal(b, name="second basis")
+    a = convert.basis(a, "first basis", tol=1e-10)
+    b = convert.basis(b, "second basis", tol=1e-10)
     if a.shape[0] != b.shape[0]:
         raise DimensionMismatch(
             f"ambient dimensions differ: {a.shape[0]} vs {b.shape[0]}"
@@ -297,38 +246,25 @@ def project(a, metric=None):
     projector.  This is ``_projections`` of the batch of one basis,
     unwrapped by ``_one``.
     """
-    a = np.asarray(a, dtype=float)
-    if a.ndim == 1:
-        a = a[:, None]
+    a = convert.basis(a, "projection basis")
     if metric is not None:
-        metric = _square(metric, "metric")[None]
+        metric = convert.matrix(metric, "metric")
+        if len(metric) != len(a):
+            raise DimensionMismatch(
+                f"metric is {len(metric)}x{len(metric)} but basis has {len(a)} rows"
+            )
+        metric = _symmetrize(metric)[None]
     return _one(_projections(a[None], metric))
 
 
 def _projections(a, metric=None):
-    """``project`` of each basis of the stack a, in the metric at the same
-    place of the stack metric: per basis its projector, or the package
-    error ``project`` raises on it."""
-    errors = [
-        None if ok else InvalidInput("projection basis has non-finite entries")
-        for ok in np.isfinite(a).all(axis=(1, 2)).tolist()
-    ]
-    if metric is not None:
-        metric, bad = _symmetric(metric, "metric")
-        if metric.shape[1] != a.shape[1]:
-            raise DimensionMismatch(
-                f"metric is {metric.shape[1]}x{metric.shape[1]} but basis has {a.shape[1]} rows"
-            )
-        errors = [error or b for error, b in zip(errors, bad)]
-
-    def projectors(rows):
-        basis = a[rows]
-        va = basis if metric is None else metric[rows] @ basis
-        c, singular = _cholesky(symmetrize(basis.swapaxes(1, 2) @ va))
-        c[singular] = np.eye(basis.shape[2])  # stand-ins that solve; their bases fail
-        half = np.linalg.solve(c, va.swapaxes(1, 2))
-        out = basis @ np.linalg.solve(c.swapaxes(1, 2), half)
-        return [SingularGram("Gram matrix A'VA is singular") if s else p
-                for p, s in zip(out, singular.tolist())]
-
-    return _fill(errors, projectors)
+    """``project`` of each basis of the stack a of finite bases, in the
+    symmetric metric at the same place of the stack metric: per basis its
+    projector, or SingularGram."""
+    va = a if metric is None else metric @ a
+    c, singular = _cholesky(_symmetrize(a.swapaxes(1, 2) @ va))
+    c[singular] = np.eye(a.shape[2])  # stand-ins that solve; their bases fail
+    half = np.linalg.solve(c, va.swapaxes(1, 2))
+    out = a @ np.linalg.solve(c.swapaxes(1, 2), half)
+    return [SingularGram("Gram matrix A'VA is singular") if s else p
+            for p, s in zip(out, singular.tolist())]

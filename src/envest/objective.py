@@ -25,9 +25,7 @@ tangent-space form the solver steps with, and ``d_tilde_value``,
 them.
 """
 
-import math
 from dataclasses import dataclass
-from numbers import Integral, Real
 
 import numpy as np
 
@@ -36,28 +34,18 @@ try:  # np.einsum's kernel, without the dispatch that costs more than a row prod
 except ImportError:  # numpy 1
     from numpy.core.multiarray import c_einsum as _einsum
 
-from .errors import (
-    DimensionMismatch,
-    EnvestError,
-    InvalidDimension,
-    InvalidInput,
-    InvalidUhat,
-    SingularGram,
-    ZeroVector,
-)
+from . import convert
+from .errors import DimensionMismatch, EnvestError, InvalidInput, InvalidUhat, SingularGram
 from .linalg import (
-    fix_column_signs,
     orthonormal_complement,
-    symmetrize,
     _cholesky,
     _eigh,
     _eigvalsh,
+    _fill,
+    _fix_signs,
     _one,
     _require_positive_definite,
-    _require_symmetric,
-    _square,
-    _fill,
-    _symmetric,
+    _symmetrize,
 )
 
 __all__ = [
@@ -75,7 +63,7 @@ def _logdet_grams(x):
     """log-determinants of the stack x of symmetric matrices, and a mask of
     those that are not positive definite, whose values are NaN; the empty
     0 x 0 matrix has log-determinant 0."""
-    c, singular = _cholesky(symmetrize(x))
+    c, singular = _cholesky(_symmetrize(x))
     return 2.0 * np.add.reduce(np.log(c.diagonal(axis1=1, axis2=2)), axis=1), singular
 
 
@@ -114,9 +102,10 @@ class ObjectivePair:
     @classmethod
     def from_m_u(cls, m, u):
         """Build from M and U themselves: ``_pairs`` of one pair of matrices,
-        so that M and U are checked for symmetry and finiteness, U >= 0 and
-        M > 0 and M + U > 0, in that order."""
-        m, u = _square(m, "M"), _square(u, "U")
+        once ``convert.matrix`` has checked M and then U for symmetry and
+        finiteness; then U >= 0, M > 0 and M + U > 0 are checked, in that
+        order."""
+        m, u = convert.matrix(m, "M"), convert.matrix(u, "U")
         if u.shape != m.shape:
             raise DimensionMismatch(f"M is {m.shape} but U is {u.shape}")
         return _one(_pairs(m[None], u[None]))
@@ -128,13 +117,13 @@ class ObjectivePair:
         M and M + U are checked for symmetry and finiteness, U = M+U - M for
         finiteness and U >= 0 (``_semidefinite``), and the build checks
         M > 0 and M + U > 0; the pair keeps the M + U it was given."""
-        m = _require_symmetric(m, "M")
-        mpu = _require_symmetric(m_plus_u, "M+U")
+        m, mpu = convert.matrix(m, "M"), convert.matrix(m_plus_u, "M+U")
         if mpu.shape != m.shape:
             raise DimensionMismatch(f"M is {m.shape} but M+U is {mpu.shape}")
+        m, mpu = _symmetrize(m), _symmetrize(mpu)
         with np.errstate(over="ignore"):  # a U that overflows is rejected as non-finite
-            u, errors = _symmetric((mpu - m)[None], "U")
-        errors = _semidefinite(u, errors)
+            u = _symmetrize(mpu - m)[None]
+        errors = _semidefinite(u, convert.faults(u, "U"))
         return _one(_fill(errors, lambda rows: cls._build_many(m[None], u, mpu[None])))
 
     @classmethod
@@ -155,11 +144,11 @@ class ObjectivePair:
         vals_m, vecs_m = _eigh(m)
         vals_s, vecs_s = _eigh(mpu)
         with np.errstate(divide="ignore", invalid="ignore"):  # the places that fail
-            inv = symmetrize((vecs_s / vals_s[:, None, :]) @ vecs_s.swapaxes(1, 2))
+            inv = _symmetrize((vecs_s / vals_s[:, None, :]) @ vecs_s.swapaxes(1, 2))
             logdet = np.add.reduce(np.log(vals_s), axis=1).tolist()
             bottom = (1.0 / vals_s[:, 0]).tolist()
         # both eigenbases in descending order, signs pinned column by column
-        both = fix_column_signs(np.concatenate((vecs_m[..., ::-1], vecs_s[..., ::-1]), axis=2))
+        both = _fix_signs(np.concatenate((vecs_m[..., ::-1], vecs_s[..., ::-1]), axis=2))
         candidates = np.ascontiguousarray(both.swapaxes(1, 2))
         top = vals_m[:, -1].tolist()
         out = []
@@ -183,13 +172,13 @@ class ObjectivePair:
 def _pairs(m, u):
     """``ObjectivePair.from_m_u`` of each place of the stacks m and u: its
     pair, or the package error that stops it.  The checks of
-    ``_require_symmetric`` run on M and then U, ``_semidefinite`` then
-    checks U >= 0, and ``_build_many`` builds the pairs that pass them."""
-    m, m_errors = _symmetric(m, "M")
-    u, u_errors = _symmetric(u, "U")
+    ``convert.faults`` run on M and then U, ``_semidefinite`` then checks
+    U >= 0, and ``_build_many`` builds the pairs that pass them."""
+    errors = [a or b for a, b in zip(convert.faults(m, "M"), convert.faults(u, "U"))]
+    m, u = _symmetrize(m), _symmetrize(u)
     with np.errstate(over="ignore", invalid="ignore"):  # the build rejects a non-finite sum
-        mpu = symmetrize(m + u)
-    errors = _semidefinite(u, [a or b for a, b in zip(m_errors, u_errors)])
+        mpu = _symmetrize(m + u)
+    errors = _semidefinite(u, errors)
     return _fill(errors, lambda rows: ObjectivePair._build_many(m[rows], u[rows], mpu[rows]))
 
 
@@ -210,58 +199,19 @@ def _semidefinite(u, errors):
     ]
 
 
-def _integer(x):
-    """Whether x is an integer, a bool not counted as one."""
-    return isinstance(x, Integral) and not isinstance(x, bool)
-
-
-def _require_dimension(k, d, name="u"):
-    """Reject a subspace dimension k that is not an integer in 1..d."""
-    if not (_integer(k) and 1 <= k <= d):
-        raise InvalidDimension(f"{name} must be between 1 and {d}, got {k}")
-
-
-def _require_settings(settings):
-    """Reject solver settings whose ``gradient_tol`` is not a finite number
-    >= 0 or whose ``max_iterations`` is not an integer >= 0."""
-    tol, cap = settings.gradient_tol, settings.max_iterations
-    if not (isinstance(tol, Real) and math.isfinite(tol) and tol >= 0):
-        raise InvalidInput(f"gradient_tol must be a finite number, at least 0, got {tol}")
-    if not (_integer(cap) and cap >= 0):
-        raise InvalidInput(f"max_iterations must be an integer, at least 0, got {cap}")
-
-
 def _check_solver_inputs(m_hat, u_hat, u):
     """The ObjectivePair of a solver call on (m_hat, u_hat) at u: the build
     checks the matrices, and u is then checked against their size."""
     pair = ObjectivePair.from_m_u(m_hat, u_hat)
-    _require_dimension(u, pair.dim)
+    convert.dimension(u, pair.dim)
     return pair
-
-
-def _check_gamma(pair, gamma):
-    gamma = np.asarray(gamma, dtype=float)
-    if gamma.ndim == 1:
-        gamma = gamma[:, None]
-    if gamma.ndim != 2:
-        raise InvalidInput(f"basis must be 1- or 2-d, got ndim {gamma.ndim}")
-    if gamma.shape[0] != pair.dim:
-        raise InvalidInput(
-            f"basis has {gamma.shape[0]} rows, expected {pair.dim}"
-        )
-    if not (1 <= gamma.shape[1] <= pair.dim):
-        raise InvalidInput(
-            f"basis must have between 1 and {pair.dim} columns, got {gamma.shape[1]}"
-        )
-    if not np.all(np.isfinite(gamma)):
-        raise InvalidInput("basis has non-finite entries")
-    return gamma
 
 
 def j_value(pair, gamma):
     """Evaluate ``log|G'MG| + log|G'(M+U)^{-1}G|`` at a semi-orthogonal G:
     ``_j_values`` of one basis."""
-    return _j_value(pair, _check_gamma(pair, gamma))
+    pair = convert.instance(pair, ObjectivePair, "pair")
+    return _j_value(pair, convert.basis(gamma, "basis", pair.dim))
 
 
 def _j_value(pair, gamma):
@@ -289,7 +239,7 @@ def _gram_pieces(pair, gamma):
     Gram matrix that is not positive definite raises SingularGram."""
     for a in (pair.m, pair.m_plus_u_inv):
         ag = a @ gamma
-        vals, vecs = _eigh(symmetrize(gamma.T @ ag))
+        vals, vecs = _eigh(_symmetrize(gamma.T @ ag))
         if not vals[0] > 0.0:
             raise SingularGram("Gram matrix is not positive definite")
         yield a, ag, vals, (vecs / vals) @ vecs.T
@@ -301,7 +251,8 @@ def j_gradient(pair, gamma):
     2 M G (G'MG)^{-1} + 2 (M+U)^{-1} G (G'(M+U)^{-1}G)^{-1}.  Callers working
     on a manifold should project it onto their tangent space themselves.
     """
-    gamma = _check_gamma(pair, gamma)
+    pair = convert.instance(pair, ObjectivePair, "pair")
+    gamma = convert.basis(gamma, "basis", pair.dim)
     return sum(2.0 * ag @ c_inv for _, ag, _, c_inv in _gram_pieces(pair, gamma))
 
 
@@ -317,7 +268,8 @@ def j_decomposition(pair, gamma):
     that reduce M, and j2 is nonnegative, vanishing exactly when
     G0' U G0 == 0, i.e. when span(U) lies inside span(G).
     """
-    gamma = _check_gamma(pair, gamma)
+    pair = convert.instance(pair, ObjectivePair, "pair")
+    gamma = convert.basis(gamma, "basis", pair.dim)
     d, k = gamma.shape
     if k == d:
         gamma0 = np.zeros((d, 0))
@@ -333,17 +285,6 @@ def j_decomposition(pair, gamma):
     j1 = float(ld_m_g + ld_m_g0 - pair.m_plus_u_logdet)
     j2 = float(ld_s_g0 - ld_m_g0)
     return j1, j2
-
-
-def _check_direction(pair, w):
-    w = np.asarray(w, dtype=float).reshape(-1)
-    if w.shape[0] != pair.dim:
-        raise InvalidInput(f"direction has length {w.shape[0]}, expected {pair.dim}")
-    if not np.all(np.isfinite(w)):
-        raise InvalidInput("direction has non-finite entries")
-    if np.dot(w, w) <= 0.0:
-        raise ZeroVector("direction has zero norm")
-    return w
 
 
 def _one_pair(m, n, owner):
@@ -470,7 +411,8 @@ def _d_tilde_hessians(m, n, w, terms=None, tangent=False, owner=None):
 
 def d_tilde_value(pair, w):
     """Scale-invariant single-direction objective at w (any nonzero scale)."""
-    w = _check_direction(pair, w)
+    pair = convert.instance(pair, ObjectivePair, "pair")
+    w = convert.direction(w, pair.dim)
     value = _d_tilde_values(pair.m, pair.m_plus_u_inv, w[None, :])[0]
     if value == np.inf:
         raise SingularGram("quadratic form is not positive at this direction")
@@ -479,11 +421,13 @@ def d_tilde_value(pair, w):
 
 def d_tilde_gradient(pair, w):
     """Gradient of :func:`d_tilde_value`; orthogonal to w by scale invariance."""
-    w = _check_direction(pair, w)
+    pair = convert.instance(pair, ObjectivePair, "pair")
+    w = convert.direction(w, pair.dim)
     return _d_tilde_gradients(pair.m, pair.m_plus_u_inv, w[None, :])[0]
 
 
 def d_tilde_hessian(pair, w):
     """Hessian of :func:`d_tilde_value`, symmetrized."""
-    w = _check_direction(pair, w)
-    return symmetrize(_d_tilde_hessians(pair.m, pair.m_plus_u_inv, w[None, :])[0])
+    pair = convert.instance(pair, ObjectivePair, "pair")
+    w = convert.direction(w, pair.dim)
+    return _symmetrize(_d_tilde_hessians(pair.m, pair.m_plus_u_inv, w[None, :])[0])

@@ -103,21 +103,13 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import convert
 from .errors import DimensionMismatch, EnvestError, InvalidInput, NoConvergence
-from .linalg import (
-    _cholesky,
-    _eigvalsh,
-    _fill,
-    _one,
-    _solve_vectors,
-    fix_column_signs,
-)
+from .linalg import _cholesky, _eigvalsh, _fill, _fix_signs, _one, _solve_vectors
 from .objective import (
     ObjectivePair,
     _check_solver_inputs,
     _einsum,
-    _require_dimension,
-    _require_settings,
     _d_tilde_gradients,
     _d_tilde_hessians,
     _d_tilde_terms,
@@ -460,7 +452,7 @@ def _lockstep(pairs, settings):
             out.append(NoConvergence(
                 "the best start reached the iteration cap before a stop test "
                 f"(objective {f[k]:.6g}, gradient norm {best_gn[k]:.3g})",
-                best=fix_column_signs(w[k]),
+                best=_fix_signs(w[k, :, None])[:, 0],
                 gradient_norm=float(best_gn[k]),
             ))
     return out
@@ -512,7 +504,7 @@ class _Run:
 def fit_many(pairs, u, settings=None):
     """The sequential fit at u of each ObjectivePair in pairs, made together.
 
-    Settings that fail ``objective._require_settings`` raise InvalidInput.
+    Settings that fail ``convert.settings`` raise InvalidInput.
     The pairs must be of one size d (DimensionMismatch otherwise), and a u
     outside 1..d raises InvalidDimension, as ``fit`` does; at u = d every
     pair gets the identity basis, flagged ``FullSpace``.  Returns, per pair,
@@ -525,15 +517,13 @@ def fit_many(pairs, u, settings=None):
     a direction are carried past it by one ``_step``.  Every fit carries
     the call's wall time divided by the number of pairs.
     """
-    if settings is None:
-        settings = OneDimSettings()
-    _require_settings(settings)
+    settings = convert.settings(settings, OneDimSettings(), "onedim")
     if not pairs:
         return []
     sizes = sorted({pair.dim for pair in pairs})
     if len(sizes) > 1:
         raise DimensionMismatch(f"fit_many takes pairs of one size, got sizes {sizes}")
-    _require_dimension(u, sizes[0])
+    u = convert.dimension(u, sizes[0])
     start = time.perf_counter()
     if u == sizes[0]:
         wall_time = (time.perf_counter() - start) / len(pairs)
@@ -576,7 +566,7 @@ def _step(runs, w, deflate):
     g0 = np.array([run.g0 for run in runs])
     g = g0 @ w[:, :, None]  # each column as run.g0 @ w[i] computes it
     g /= np.sqrt(g.swapaxes(1, 2) @ g)
-    for run, column in zip(runs, fix_column_signs(g[:, :, 0].T).T):
+    for run, column in zip(runs, _fix_signs(g[:, :, 0].T).T):
         run.columns.append(column)
     if deflate:
         pairs = np.array([(run.pair.m, run.pair.u) for run in runs])

@@ -18,35 +18,21 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import estimators
-from .errors import (
-    BootstrapUnstable,
-    DimensionMismatch,
-    EnvestError,
-    InvalidDimension,
-    InvalidInput,
-)
+from . import convert, estimators
+from .errors import BootstrapUnstable, DimensionMismatch, EnvestError, InvalidInput
 from .estimators import (
-    KINDS_WITH_X,
-    RegressionData,
-    _Scans,
-    _check_algorithm,
-    _fits,
-    _problem_dimension,
-    _require_seed,
-    covariance_kit,
+    ALGORITHMS, KINDS_WITH_X, RegressionData, _Scans, _fits, _problem_dimension, covariance_kit,
 )
 from .linalg import (
-    fix_column_signs,
     orthonormal_complement,
     orthonormalize,
     subspace_distance,
-    symmetrize,
     _errors,
     _fill,
-    _require_symmetric,
+    _fix_signs,
+    _symmetrize,
 )
-from .objective import _integer, _pairs, _require_dimension
+from .objective import _pairs
 
 __all__ = [
     "GeneratedInstance",
@@ -86,10 +72,9 @@ def generate_instance(d, u, seed):
     Draw order is fixed: basis normals first, then the Omega factor, then
     the Omega0 factor, so results are reproducible per seed.
     """
-    if not (_integer(u) and _integer(d) and 1 <= u < d):
-        raise InvalidDimension(f"need integers 1 <= u < d, got u={u}, d={d}")
-    _require_seed(seed)
-    rng = np.random.default_rng(seed)
+    d = convert.size(d, "d", 2)
+    u = convert.dimension(u, d - 1)
+    rng = np.random.default_rng(convert.integer(seed, "seed"))
     gamma = orthonormalize(rng.standard_normal((d, u)))
     gamma0 = orthonormal_complement(gamma)
     a = rng.uniform(0.0, 1.0, (u, u))
@@ -98,7 +83,7 @@ def generate_instance(d, u, seed):
     omega0 = a0 @ a0.T
     eta = np.ones(u)
     beta = gamma @ eta
-    m = symmetrize(gamma @ omega @ gamma.T + gamma0 @ omega0 @ gamma0.T)
+    m = _symmetrize(gamma @ omega @ gamma.T + gamma0 @ omega0 @ gamma0.T)
     return GeneratedInstance(
         gamma=gamma,
         gamma0=gamma0,
@@ -112,20 +97,15 @@ def generate_instance(d, u, seed):
     )
 
 
-def _require_sample_size(n):
-    if not (_integer(n) and n >= 2):
-        raise InvalidInput(f"need an integer n >= 2, got {n}")
-
-
 def sample_data(instance, n, seed):
     """n observations of y = beta x + eps with x standard normal scalar.
 
     The intercept is zero and eps is drawn through the symmetric square
     root of the instance covariance.
     """
-    _require_sample_size(n)
-    _require_seed(seed)
-    rng = np.random.default_rng(seed)
+    convert.instance(instance, GeneratedInstance, "instance")
+    n = convert.size(n, "n", 2, InvalidInput)
+    rng = np.random.default_rng(convert.integer(seed, "seed"))
     x = rng.standard_normal(n)
     z = rng.standard_normal((n, instance.m.shape[0]))
     vals, vecs = np.linalg.eigh(instance.m)
@@ -144,13 +124,13 @@ def oracle_envelope(m, u_mat):
     projected image.  The result spans the smallest reducing subspace of M
     containing span(U).
     """
-    m = _require_symmetric(m, "M")
-    u_mat = _require_symmetric(u_mat, "U")
+    m, u_mat = convert.matrix(m, "M"), convert.matrix(u_mat, "U")
     if u_mat.shape != m.shape:
         raise DimensionMismatch(f"M is {m.shape} but U is {u_mat.shape}")
+    m, u_mat = _symmetrize(m), _symmetrize(u_mat)
     vals, vecs = np.linalg.eigh(m)
     vals = vals[::-1]
-    vecs = fix_column_signs(vecs[:, ::-1])
+    vecs = _fix_signs(vecs[:, ::-1])
     scale = float(np.linalg.norm(u_mat, "fro"))
     if scale == 0.0:
         return np.zeros((m.shape[0], 0))
@@ -168,7 +148,7 @@ def oracle_envelope(m, u_mat):
             blocks.append(v @ left[:, keep])
     if not blocks:
         return np.zeros((m.shape[0], 0))
-    return fix_column_signs(np.column_stack(blocks))
+    return _fix_signs(np.column_stack(blocks))
 
 
 @dataclass
@@ -267,23 +247,16 @@ def _experiment(mode, d, u, n, replications, algo_set, seed, first, problem):
     a batch's pairs are built with one ``objective._pairs`` call on their
     stacked matrices, and each algorithm fits them together and scores
     their J in ``estimators._fits``.  Both steps take the replications that
-    no package error has stopped from ``linalg._fill``.  d, u, n and seed
-    are checked before any replication is made.
+    no package error has stopped from ``linalg._fill``.  The arguments are
+    checked before any replication is made.
     """
-    algos = list(algo_set)
-    if not algos:
-        raise InvalidInput("algo_set must name at least one algorithm")
-    for algo in algos:
-        _check_algorithm(algo)
-        if algos.count(algo) > 1:
-            raise InvalidInput(f"algorithm {algo!r} is named more than once")
-    if not (_integer(replications) and replications >= 0):
-        raise InvalidInput(f"replications must be a nonnegative integer, got {replications}")
-    if not (_integer(u) and _integer(d) and 1 <= u < d):
-        raise InvalidDimension(f"need integers 1 <= u < d, got u={u}, d={d}")
+    algos = convert.choices(algo_set, ALGORITHMS, "algorithm")
+    replications = convert.integer(replications, "replications")
+    d = convert.size(d, "d", 2)
+    u = convert.dimension(u, d - 1)
     if n is not None:
-        _require_sample_size(n)
-    _require_seed(seed)
+        n = convert.size(n, "n", 2, InvalidInput)
+    seed = convert.integer(seed, "seed")
 
     batch = estimators._PROBLEMS_PER_BATCH
     records = []
@@ -366,7 +339,7 @@ def _sample_pair(instance, n, seed):
     """The sample pair of n observations of instance drawn with seed:
     M-hat = S_{Y|X} and U-hat = S_Y - S_{Y|X}, symmetrized."""
     kit = covariance_kit(sample_data(instance, n, seed))
-    return kit.s_y_given_x, symmetrize(kit.s_y - kit.s_y_given_x)
+    return kit.s_y_given_x, _symmetrize(kit.s_y - kit.s_y_given_x)
 
 
 @dataclass
@@ -398,10 +371,9 @@ def residual_bootstrap(data, kind, u, b, algo="onedim", settings=None, seed=0, p
     the last failing replicate's error, chained as its cause.  For the mean
     kinds the "OLS" estimator is the sample mean and X plays no role.
     """
-    if not (_integer(b) and b >= 2):
-        raise InvalidInput(f"need a whole number of at least 2 bootstrap replicates, got {b}")
-    _require_seed(seed)
-    _require_dimension(u, _problem_dimension(kind, data, p1))
+    b = convert.integer(b, "b", 2)
+    seed = convert.integer(seed, "seed")
+    convert.dimension(u, _problem_dimension(kind, data, p1))
     y = data.y
     n = y.shape[0]
     if kind in KINDS_WITH_X:

@@ -387,6 +387,11 @@ class TestSettingsAreChecked:
         with pytest.raises(InvalidInput, match=next(iter(bad))):
             onedim.fit_many([self.pair], 2, OneDimSettings(**bad))
 
+    def test_a_tolerance_beyond_float64_is_invalid(self):
+        # an integer too large for a float64 is no finite float64 tolerance
+        with pytest.raises(InvalidInput, match="gradient_tol"):
+            onedim.fit(self.pair.m, self.pair.u, 2, OneDimSettings(gradient_tol=2**1024))
+
     @pytest.mark.parametrize("bad", BAD_SETTINGS, ids=_settings_id)
     def test_grassmann(self, bad):
         with pytest.raises(InvalidInput, match=next(iter(bad))):
@@ -482,6 +487,21 @@ def test_a_numpy_integer_dimension_is_accepted():
     fit = onedim.fit(inst.m, inst.u_mat, np.int64(2))
     assert np.array_equal(fit.basis, onedim.fit(inst.m, inst.u_mat, 2).basis)
     assert estimators.response_envelope(data, np.int32(2)).fit.basis.shape == (6, 2)
+
+
+@pytest.mark.parametrize("call, reduced", [
+    (lambda data: estimators.response_envelope(data, 2, algo="sgd"), 0),
+    (lambda data: estimators.select_dimension_cv(data, "response", 2, algo="sgd"), 0),
+    # the data's own covariance kit, and no replicate
+    (lambda data: simulate.residual_bootstrap(data, "response", 2, 10**6, algo="sgd"), 1),
+], ids=["response_envelope", "select_dimension_cv", "residual_bootstrap"])
+def test_an_unknown_algorithm_is_rejected_before_any_sample_is_reduced(monkeypatch, call, reduced):
+    calls = []
+    real = estimators._sample_moments
+    monkeypatch.setattr(estimators, "_sample_moments", lambda *a: calls.append(a) or real(*a))
+    with pytest.raises(InvalidInput, match="unknown algorithm 'sgd'"):
+        call(make_data(91)[1])
+    assert len(calls) == reduced
 
 
 class TestWarmStart:

@@ -19,7 +19,6 @@ from envest.errors import (
     InvalidUhat,
     NotPositiveDefinite,
     SingularGram,
-    ZeroVector,
 )
 from envest.objective import (
     ObjectivePair,
@@ -381,7 +380,7 @@ class TestDTilde:
             np.testing.assert_allclose(hess, 0.5 * (fd + fd.T), rtol=1e-4, atol=1e-6)
 
     def test_zero_vector_raises(self):
-        with pytest.raises(ZeroVector):
+        with pytest.raises(InvalidInput):
             d_tilde_value(self.pair, np.zeros(5))
 
     def test_wrong_length_raises(self):

@@ -11,7 +11,7 @@ import hypothesis
 import numpy as np
 from hypothesis import strategies as st
 
-from envest import estimators, linalg, simulate
+from envest import convert, estimators, linalg, simulate
 from envest.linalg import _one
 from envest.objective import ObjectivePair, j_value
 
@@ -69,7 +69,7 @@ def test_dimension_edges(d, rank, seed):
         for algo in ALGOS:
             fit = solve(algo, m, u_mat, u)
             assert fit.basis.shape == (d, u), algo
-            linalg.check_orthonormal(fit.basis, tol=1e-10)
+            convert.basis(fit.basis, "basis", tol=1e-10)
             assert np.isfinite(j_value(pair, fit.basis)), algo
 
 

@@ -277,7 +277,7 @@ def test_a_seed_must_be_an_integer_at_least_0(call, seed):
 
 @pytest.mark.parametrize("n", [1, 2.5])
 def test_a_sample_experiment_checks_n_before_any_replication(n):
-    with pytest.raises(InvalidInput, match="need an integer n >= 2"):
+    with pytest.raises(InvalidInput, match="n must be an integer, at least 2"):
         simulate.sample_experiment(6, 2, n, 2, ("onedim",))
 
 

@@ -42,3 +42,22 @@ def test_the_machine_line_names_openblas_kernels_or_unknown(monkeypatch):
     monkeypatch.setattr(ctypes, "CDLL", no_library)
     assert tree.openblas_core() == "unknown"
     assert ", openblas core unknown, " in tree.machine()
+
+
+def test_the_digest_commands_are_the_rows_of_the_record(monkeypatch):
+    # the command rows as the tool builds them, with dummy data paths and no
+    # fit, against the record's rows between its machine line and the solver
+    # rows, grid rows left out: a row added or renamed without rewriting the
+    # record fails here
+    monkeypatch.syspath_prepend(str(ROOT / "tools"))
+    path = ROOT / "tools" / "report_digests.py"
+    spec = importlib.util.spec_from_file_location("report_digests", path)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    data = {name: f"{name}.csv" for name in ("x", "y", "near_x", "near_y")}
+    names = [name for name, _ in tool.commands(data)] + [row[0] for row in tool.REWRITES]
+    record = (ROOT / "tools" / "records" / "report_digests.txt").read_text().splitlines()[1:]
+    rows = [line.split()[0] for line in record]
+    cli_rows = [row for row in rows if not row.startswith(("solver_", "scan_"))
+                and not row.endswith(".csv")]
+    assert names == cli_rows

@@ -148,7 +148,7 @@ def commands(data):
     out.append(("bicfail_predictor",
                 argv + ["--criterion", "bic", "--max-iter", "2"] + source("predictor")))
     out.append(("cvfail_predictor",
-                argv + ["--criterion", "cv", "--folds", "4", "--max-iter", "3"] + source("predictor")))
+                argv + ["--criterion", "cv", "--folds", "4", "--max-iter", "6"] + source("predictor")))
     # an override that caps fg-warm's refinement, not its sequential fit
     argv = ["select-u", "--criterion", "bic", "--kind", "predictor", "--u-max", str(P),
             "--max-iter", "1", "--algo", "fg-warm"]
